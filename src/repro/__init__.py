@@ -69,7 +69,7 @@ from repro.broadcast import (
 
 # Single source of truth — pyproject.toml reads it via
 # ``[tool.setuptools.dynamic] version = {attr = "repro.__version__"}``.
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 #: Engine names resolved lazily (PEP 562): ``repro.engine`` imports the
 #: index families, which import the broadcast substrate, so an eager
@@ -100,7 +100,6 @@ _SIMULATION_EXPORTS = (
     "PerfectChannel",
     "RecoveryPolicy",
     "SimulationReport",
-    "UnreliableBroadcastClient",
     "make_error_model",
     "recovery_policy",
     "simulate_workload",
@@ -109,7 +108,6 @@ _SIMULATION_EXPORTS = (
 #: Dynamic-broadcast names, lazy for the same reason (the maintainers
 #: import the index families through the engine registry).
 _DYNAMIC_EXPORTS = (
-    "DynamicAccessResult",
     "DynamicBroadcastClient",
     "DynamicBroadcastServer",
     "RegionUpdate",
@@ -197,11 +195,9 @@ __all__ = [
     "PerfectChannel",
     "RecoveryPolicy",
     "SimulationReport",
-    "UnreliableBroadcastClient",
     "make_error_model",
     "recovery_policy",
     "simulate_workload",
-    "DynamicAccessResult",
     "DynamicBroadcastClient",
     "DynamicBroadcastServer",
     "RegionUpdate",

@@ -2,27 +2,24 @@
 
 Models everything below the index structures: fixed-capacity packets
 (Table 2), the (1, m) index/data interleaving of Imielinski et al. with the
-optimal replication factor, the flat data broadcast, and a client simulator
-implementing the paper's three-step access protocol (initial probe, index
-search, data retrieval).  The simulator produces the paper's three metrics:
-access latency, tuning time and indexing efficiency.
+optimal replication factor, the flat data broadcast, and the access
+walker implementing the paper's three-step access protocol (initial
+probe, index search, data retrieval) over one or K channels.  The walker
+produces the paper's three metrics: access latency, tuning time and
+indexing efficiency.
 """
 
 from repro.broadcast.params import SystemParameters, PACKET_CAPACITIES
 from repro.broadcast.packets import Packet, PacketStore, QueryTrace, PagedIndex
 from repro.broadcast.schedule import BroadcastSchedule, optimal_m
 from repro.broadcast.client import BroadcastClient, AccessResult, run_workload
-from repro.broadcast.caching import CachingBroadcastClient, PacketCache
-from repro.broadcast.channels import (
-    Channel,
-    ChannelHoppingClient,
-    HopAccessResult,
-)
+from repro.broadcast.caching import PacketCache
 from repro.broadcast.plan import (
     ALLOCATION_REGISTRY,
     INDEX_PLACEMENTS,
     AllocationStrategy,
     BroadcastPlan,
+    Channel,
     allocation_strategy,
     available_allocations,
     register_allocation,
@@ -47,8 +44,6 @@ __all__ = [
     "AllocationStrategy",
     "BroadcastPlan",
     "Channel",
-    "ChannelHoppingClient",
-    "HopAccessResult",
     "INDEX_PLACEMENTS",
     "allocation_strategy",
     "available_allocations",
@@ -64,7 +59,6 @@ __all__ = [
     "optimal_m",
     "BroadcastClient",
     "AccessResult",
-    "CachingBroadcastClient",
     "PacketCache",
     "SkewedBroadcastSchedule",
     "square_root_frequencies",

@@ -3,8 +3,10 @@
 A mobile client that queries repeatedly — a driver re-asking "which
 district am I in?" every few minutes — re-reads the same top index packets
 each time.  Hambrusch et al. (SSTD 2001) study caching parts of a
-broadcast spatial index on the client; this module adds an LRU
-packet cache in front of any paged index:
+broadcast spatial index on the client; :class:`PacketCache` is the LRU
+packet cache the access walker
+(:class:`~repro.broadcast.client.BroadcastClient` with
+``cache_packets=``) keeps in front of any paged index:
 
 * a cached packet costs no tuning time and no channel wait;
 * the first *uncached* packet on the search path anchors the wait for the
@@ -12,20 +14,15 @@ packet cache in front of any paged index:
 * a fully cached search skips the index segment altogether and sleeps
   straight until the data bucket.
 
-The database is static within a session (as in the paper), so cached
-packets never go stale.
+Entries are keyed by index version, so a cache that survives an index
+update never answers from the old index.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
-
 from repro.errors import BroadcastError
-from repro.geometry.point import Point
 from repro.obs import active_collector
-from repro.broadcast.client import AccessResult
-from repro.broadcast.packets import PagedIndex
 
 
 class PacketCache:
@@ -73,112 +70,3 @@ class PacketCache:
         if len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
         self._entries[key] = None
-
-
-class CachingBroadcastClient:
-    """A broadcast client with an LRU cache of index packets.
-
-    The timeline may be a :class:`~repro.broadcast.schedule.BroadcastSchedule`
-    or a :class:`~repro.broadcast.plan.BroadcastPlan` — a K=1 plan
-    delegates bit-for-bit to its single channel's schedule, a K>1 plan
-    routes queries through a cache-carrying
-    :class:`~repro.broadcast.channels.ChannelHoppingClient` (which
-    shares this client's cache instance).
-    """
-
-    def __init__(
-        self, paged_index: PagedIndex, schedule, cache_packets: int = 8
-    ) -> None:
-        self.cache: Optional[PacketCache] = None
-        self._bind(paged_index, schedule, cache_packets)
-
-    def _bind(self, paged_index, schedule, cache_packets: int) -> None:
-        """Attach to one paged index + timeline, preserving any existing
-        cache object (re-keyed to the timeline's version)."""
-        from repro.broadcast.plan import BroadcastPlan
-
-        self.paged_index = paged_index
-        self._hopping = None
-        if isinstance(schedule, BroadcastPlan):
-            if schedule.is_single_channel:
-                schedule = schedule.primary_schedule
-            else:
-                from repro.broadcast.channels import ChannelHoppingClient
-
-                self._hopping = ChannelHoppingClient(
-                    paged_index, schedule, cache_packets=cache_packets
-                )
-        self.schedule = schedule
-        if len(paged_index.packets) != schedule.index_packet_count:
-            raise BroadcastError(
-                "schedule was built for a different index size"
-            )
-        if self._hopping is not None:
-            if self.cache is not None:
-                self._hopping.cache = self.cache
-            self.cache = self._hopping.cache
-        elif self.cache is None:
-            self.cache = PacketCache(cache_packets)
-        self.cache.set_version(getattr(schedule, "version", 0))
-
-    def rebind(self, paged_index: PagedIndex, schedule) -> None:
-        """Point the client at a new paged index + timeline (an index
-        update went on the air).
-
-        The session's cache object survives, but it is re-keyed to the
-        new timeline's version: packets cached under the old index can
-        never answer a search over the new one — the staleness bug that
-        motivated version-keyed caches.
-        """
-        self._bind(paged_index, schedule, self.cache.capacity)
-
-    def query(self, point: Point, issue_time: float) -> AccessResult:
-        """Run the access protocol, charging only cache misses."""
-        if self._hopping is not None:
-            return self._hopping.query(point, issue_time)
-        trace = self.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError("index traversal moved backwards")
-
-        misses = [pid for pid in accessed if pid not in self.cache]
-        if misses:
-            # Anchor the channel wait at the first *uncached* packet: the
-            # client only needs a segment whose misses[0]-th packet is
-            # still ahead, which can be an earlier segment than the next
-            # segment start.  (Same rule as the fault simulator's cached
-            # path.)
-            segment_start = self.schedule.segment_for_offset(
-                misses[0], issue_time
-            )
-            index_done = segment_start + misses[-1] + 1
-            index_tuning = len(set(misses))
-            probe = 1
-        else:
-            index_done = issue_time
-            index_tuning = 0
-            probe = 0  # a warmed client already knows the timing
-
-        bucket_start = self.schedule.next_bucket_arrival(
-            trace.region_id, float(index_done)
-        )
-        bucket_end = bucket_start + self.schedule.bucket_packets
-
-        for pid in accessed:
-            self.cache.touch(pid)
-
-        return AccessResult(
-            region_id=trace.region_id,
-            access_latency=bucket_end - issue_time,
-            index_tuning_time=index_tuning,
-            total_tuning_time=probe + index_tuning + self.schedule.bucket_packets,
-            trace=trace,
-        )
-
-    def run_session(
-        self, points: List[Point], issue_times: List[float]
-    ) -> List[AccessResult]:
-        """A sequence of queries sharing the cache (a client session)."""
-        if len(points) != len(issue_times):
-            raise BroadcastError("points and issue_times lengths differ")
-        return [self.query(p, t) for p, t in zip(points, issue_times)]

@@ -16,9 +16,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import BroadcastError
 from repro.geometry.point import Point
-from repro.broadcast.client import AccessResult
+from repro.broadcast.client import AccessResult, BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
+from repro.broadcast.plan import single_channel_view
 from repro.broadcast.schedule import BroadcastSchedule
 
 
@@ -50,7 +51,7 @@ class Service:
                     f"one channel; a {plan.num_channels}-channel plan "
                     "cannot be multiplexed"
                 )
-            self.schedule = plan.primary_schedule
+            self.schedule = single_channel_view(plan)
             if len(paged_index.packets) != self.schedule.index_packet_count:
                 raise BroadcastError(
                     f"service {name!r}: plan was built for a different "
@@ -103,6 +104,10 @@ class MultiplexedBroadcast:
             ]
             for name, service in self.services.items()
         }
+        self._walkers: Dict[str, BroadcastClient] = {
+            name: BroadcastClient(service.paged_index, _ServiceView(self, name))
+            for name, service in self.services.items()
+        }
 
     def service(self, name: str) -> Service:
         try:
@@ -152,20 +157,29 @@ class MultiplexedBroadcast:
     # -- client -------------------------------------------------------------------
 
     def query(self, name: str, point: Point, issue_time: float) -> AccessResult:
-        """Full access protocol against one service of the super cycle."""
-        service = self.service(name)
-        segment_start = self.next_index_start(name, issue_time)
-        trace = service.paged_index.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError("index traversal moved backwards")
-        index_done = segment_start + (accessed[-1] if accessed else 0) + 1
-        bucket_start = self.next_bucket_arrival(name, trace.region_id, index_done)
-        bucket_end = bucket_start + service.schedule.bucket_packets
-        return AccessResult(
-            region_id=trace.region_id,
-            access_latency=bucket_end - issue_time,
-            index_tuning_time=trace.tuning_time,
-            total_tuning_time=1 + trace.tuning_time + service.schedule.bucket_packets,
-            trace=trace,
-        )
+        """Full access protocol against one service of the super cycle:
+        the access walker over that service's view of the channel."""
+        self.service(name)  # raise on unknown names
+        return self._walkers[name].walk(point, issue_time)
+
+
+class _ServiceView:
+    """One service's slice of a super cycle, behind the schedule
+    interface the access walker reads (positions are super-cycle
+    absolute)."""
+
+    def __init__(self, mux: MultiplexedBroadcast, name: str) -> None:
+        schedule = mux.services[name].schedule
+        self._mux = mux
+        self._name = name
+        self.params = schedule.params
+        self.index_packet_count = schedule.index_packet_count
+        self.bucket_packets = schedule.bucket_packets
+        self.region_ids = schedule.region_ids
+        self.cycle_length = mux.cycle_length
+
+    def next_index_start(self, time: float) -> float:
+        return self._mux.next_index_start(self._name, time)
+
+    def next_bucket_arrival(self, region_id: int, time: float) -> float:
+        return self._mux.next_bucket_arrival(self._name, region_id, time)

@@ -23,6 +23,13 @@ the whole index — its schedule is constructed with *exactly* the
 arguments of the single-channel path, so plans delegate bit-for-bit to
 the existing code (the parity contract of ``tests/test_broadcast_plan.py``).
 
+All channels are slot-synchronous: the packet occupying slot ``t`` on
+channel ``c`` airs in the same instant as slot ``t`` on every other
+channel, so a client's clock is channel-independent and *hopping*
+between channels costs ``hop_cost`` packet slots during which the
+receiver is retuning and cannot listen (the hop effect of
+:class:`~repro.broadcast.client.BroadcastClient`).
+
 Strategies are looked up by name through :data:`ALLOCATION_REGISTRY`,
 mirroring :data:`repro.engine.INDEX_REGISTRY`: registering a new
 allocation is a one-file change and the CLI / benchmarks pick it up
@@ -35,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import BroadcastError
-from repro.broadcast.channels import Channel
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
 
@@ -184,6 +190,37 @@ register_allocation(
 )
 
 
+class Channel:
+    """One (1, m) timeline of a multi-channel plan.
+
+    ``index_packet_ids`` maps this channel's local index-segment offsets
+    to global packet ids of the paged index: offset ``j`` of every index
+    segment on this channel airs global packet ``index_packet_ids[j]``.
+    Under replicated placement it is simply ``0..P-1``.
+    """
+
+    __slots__ = ("channel_id", "schedule", "index_packet_ids")
+
+    def __init__(
+        self,
+        channel_id: int,
+        schedule: BroadcastSchedule,
+        index_packet_ids: Sequence[int],
+    ) -> None:
+        if len(index_packet_ids) != schedule.index_packet_count:
+            raise BroadcastError(
+                f"channel {channel_id}: schedule airs "
+                f"{schedule.index_packet_count} index packets but "
+                f"{len(index_packet_ids)} were assigned"
+            )
+        self.channel_id = channel_id
+        self.schedule = schedule
+        self.index_packet_ids: Tuple[int, ...] = tuple(index_packet_ids)
+
+    def __repr__(self) -> str:
+        return f"Channel({self.channel_id}, {self.schedule!r})"
+
+
 class BroadcastPlan:
     """K synchronized (1, m) channels carrying one sharded service.
 
@@ -194,7 +231,7 @@ class BroadcastPlan:
 
     ``hop_cost`` is the number of packet slots a client spends retuning
     when it switches channels (latency, not tuning time — see
-    :class:`~repro.broadcast.channels.HopAccessResult`).
+    :class:`~repro.broadcast.client.AccessResult`).
     """
 
     def __init__(
@@ -363,3 +400,12 @@ class BroadcastPlan:
             f"hop_cost={self.hop_cost:g}, "
             f"cycle<= {self.cycle_length}p)"
         )
+
+
+def single_channel_view(timeline):
+    """*timeline* with a K=1 plan replaced by its one schedule — built
+    with exactly the single-channel arguments, so the single-channel path
+    runs bit for bit.  Schedules and K>1 plans pass through unchanged."""
+    if isinstance(timeline, BroadcastPlan) and timeline.is_single_channel:
+        return timeline.primary_schedule
+    return timeline

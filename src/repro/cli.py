@@ -16,9 +16,6 @@ Subcommands::
     python -m repro mobility --clients 20000 --compare --workers 4
     python -m repro mobility --workload boundary-hugging --error-rate 0.05
 
-The pre-1.5 single-positional form (``python -m repro figure10``) still
-works but emits a :class:`DeprecationWarning` and forwards to ``run``.
-
 ``--profile [PATH]`` (valid after any subcommand) installs a
 :class:`repro.obs.Collector` around the run and writes its
 counters/histograms/spans as one JSON document (plus a flat CSV next to
@@ -32,7 +29,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro._deprecated import translate_legacy_cli
 from repro.experiments.ablations import (
     ablation_early_termination,
     ablation_extended_styles,
@@ -52,10 +48,6 @@ _FIGURES = {
     "figure12": figure12,
     "figure13": figure13,
 }
-
-#: Pre-subcommand spellings still accepted as ``repro <target>``.
-_LEGACY_TARGETS = sorted(_FIGURES) + ["all", "ablations"]
-
 
 def _config_for(scale: str, queries: Optional[int], seed: int) -> ExperimentConfig:
     if scale == "paper":
@@ -332,11 +324,6 @@ def _cmd_run(args) -> int:
             print(f"[wrote {out_file}]")
         print(f"[{name} done in {time.time() - start:.1f}s]\n")
     return 0
-
-
-def _translate_legacy(argv: List[str]) -> List[str]:
-    """Map the pre-subcommand spelling onto ``run`` with a warning."""
-    return translate_legacy_cli(argv, _LEGACY_TARGETS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -752,7 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(_translate_legacy(argv))
+    args = _build_parser().parse_args(argv)
 
     if args.profile:
         from repro.obs import collecting, write_profile

@@ -18,7 +18,6 @@ from repro.dynamic.maintain import (
     register_maintainer,
 )
 from repro.dynamic.service import (
-    DynamicAccessResult,
     DynamicBroadcastClient,
     DynamicBroadcastServer,
 )
@@ -32,7 +31,6 @@ from repro.dynamic.updates import (
 
 __all__ = [
     "DTreeMaintainer",
-    "DynamicAccessResult",
     "DynamicBroadcastClient",
     "DynamicBroadcastServer",
     "IndexMaintainer",

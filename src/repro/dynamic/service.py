@@ -14,56 +14,27 @@ no longer on the air, so pointers it derived are meaningless.  Recovery
 is retry-next-cycle — always sound, because the next attempt starts from
 a fresh probe against the new cycle.  A client therefore never mixes two
 versions inside one answer; the cost of an update shows up as wasted
-tuning and extra latency, which :class:`DynamicAccessResult` reports.
+tuning and extra latency, which the result's ``version``, ``attempts``
+and ``wasted_tuning`` report.
 
-With zero updates every version check trivially passes and the access
-arithmetic below is the static :class:`~repro.broadcast.client.
-BroadcastClient`'s, packet for packet.
+:func:`DynamicBroadcastClient` is the access walker
+(:class:`~repro.broadcast.client.BroadcastClient`) bound to the server:
+with zero updates every version check trivially passes and the walk is
+the static client's, packet for packet.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import BroadcastError
-from repro.geometry.point import Point
-from repro.broadcast.client import AccessResult, run_workload
+from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex, stamp_version
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.dynamic.maintain import IndexMaintainer, maintainer_for
 from repro.dynamic.updates import UpdateBatch, diff_subdivisions
 from repro.engine.protocol import index_family
 from repro.tessellation.subdivision import Subdivision
-
-
-class DynamicAccessResult(AccessResult):
-    """A static access outcome plus the dynamic-service bookkeeping."""
-
-    __slots__ = ("version", "attempts", "wasted_tuning")
-
-    def __init__(
-        self,
-        *,
-        version: int,
-        attempts: int,
-        wasted_tuning: int,
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        #: Index version the answer is valid for (all packets read in the
-        #: successful attempt carried this stamp).
-        self.version = version
-        #: Probe attempts used (1 = no skew encountered).
-        self.attempts = attempts
-        #: Packets read in abandoned attempts (skew detections included).
-        self.wasted_tuning = wasted_tuning
-
-    def __repr__(self) -> str:
-        return (
-            f"DynamicAccessResult(region={self.region_id}, v={self.version}, "
-            f"attempts={self.attempts}, wasted={self.wasted_tuning}p)"
-        )
 
 
 class DynamicBroadcastServer:
@@ -155,129 +126,24 @@ class DynamicBroadcastServer:
         )
 
 
-class _Skew(Exception):
-    """Internal: a packet with a foreign version stamp was read."""
-
-    def __init__(self, reads: int) -> None:
-        self.reads = reads
-
-
-class DynamicBroadcastClient:
-    """The three-step access protocol with per-packet version checking.
+def DynamicBroadcastClient(
+    server: DynamicBroadcastServer,
+    *,
+    max_attempts: int = 16,
+    on_packet_read: Optional[Callable[[str, int], None]] = None,
+) -> BroadcastClient:
+    """The access walker bound to *server*'s live timeline: every probe
+    snapshots the airing version, every read is version-checked, and
+    skew is recovered by retrying at the next index segment.
 
     ``on_packet_read(stage, attempt)`` — called immediately *before*
     every packet read (stages ``"probe"``, ``"index"``, ``"data"``) —
     is the interleaving hook: tests apply server updates inside it to
     exercise every possible update/read interleaving.
     """
-
-    def __init__(
-        self,
-        server: DynamicBroadcastServer,
-        *,
-        max_attempts: int = 16,
-        on_packet_read: Optional[Callable[[str, int], None]] = None,
-    ) -> None:
-        if max_attempts < 1:
-            raise BroadcastError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.server = server
-        self.max_attempts = max_attempts
-        self.on_packet_read = on_packet_read
-
-    @property
-    def cycle_length(self) -> int:
-        return self.server.schedule.cycle_length
-
-    def query(self, point: Point, issue_time: float) -> DynamicAccessResult:
-        issue_time = float(issue_time)
-        t = issue_time
-        wasted = 0
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return self._attempt(point, issue_time, t, attempt, wasted)
-            except _Skew as skew:
-                wasted += skew.reads
-                # Retry-next-cycle: sleep to the next index segment of
-                # whatever cycle is on the air now.
-                t = float(
-                    self.server.schedule.next_index_start(t) + 1
-                )
-        raise BroadcastError(
-            f"no consistent cycle within {self.max_attempts} attempts "
-            "(server updating faster than the client can read?)"
-        )
-
-    def _attempt(
-        self,
-        point: Point,
-        issue_time: float,
-        t: float,
-        attempt: int,
-        wasted: int,
-    ) -> DynamicAccessResult:
-        # Step 1: initial probe.  The probe packet carries the offset of
-        # the next index segment and the version stamp of the cycle that
-        # is airing *now* — snapshot the server state it describes.
-        self._notify("probe", attempt)
-        paged = self.server.paged
-        schedule = self.server.schedule
-        version = self.server.version
-        segment_start = schedule.next_index_start(t)
-
-        # Step 2: index search, one version-checked packet at a time.
-        trace = paged.trace(point)
-        accessed = trace.packets_accessed
-        if any(b < a for a, b in zip(accessed, accessed[1:])):
-            raise BroadcastError(
-                "index traversal moved backwards on the broadcast channel: "
-                f"{accessed} — the index broadcast order is invalid"
-            )
-        for i, pid in enumerate(accessed):
-            self._notify("index", attempt)
-            live = self.server.paged
-            if (
-                pid >= len(live.packets)
-                or live.packets[pid].version != version
-            ):
-                raise _Skew(1 + i + 1)  # probe + reads incl. the skewed one
-        index_done = segment_start + (accessed[-1] if accessed else 0) + 1
-
-        # Step 3: data retrieval — the bucket header carries the stamp too.
-        self._notify("data", attempt)
-        if self.server.version != version:
-            raise _Skew(1 + len(accessed) + 1)
-        bucket_start = schedule.next_bucket_arrival(
-            trace.region_id, float(index_done)
-        )
-        bucket_end = bucket_start + schedule.bucket_packets
-
-        index_tuning = trace.tuning_time
-        return DynamicAccessResult(
-            region_id=trace.region_id,
-            access_latency=bucket_end - issue_time,
-            index_tuning_time=index_tuning,
-            total_tuning_time=wasted
-            + 1
-            + index_tuning
-            + schedule.bucket_packets,
-            trace=trace,
-            version=version,
-            attempts=attempt,
-            wasted_tuning=wasted,
-        )
-
-    def _notify(self, stage: str, attempt: int) -> None:
-        if self.on_packet_read is not None:
-            self.on_packet_read(stage, attempt)
-
-    def run_workload(
-        self,
-        points: Sequence[Point],
-        *,
-        issue_times: Optional[Sequence[float]] = None,
-        seed: int = 0,
-        rng: Optional[random.Random] = None,
-    ) -> List[DynamicAccessResult]:
-        return run_workload(
-            self, points, issue_times=issue_times, seed=seed, rng=rng
-        )
+    return BroadcastClient(
+        server.paged,
+        server,
+        max_attempts=max_attempts,
+        on_packet_read=on_packet_read,
+    )

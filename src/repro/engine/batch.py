@@ -36,10 +36,10 @@ from repro.broadcast.metrics import (
     indexing_efficiency,
     no_index_latency,
 )
-from repro.broadcast.channels import ChannelHoppingClient
+from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.plan import BroadcastPlan
+from repro.broadcast.plan import BroadcastPlan, single_channel_view
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.geometry.point import Point
 from repro.engine.trace import batched_trace
@@ -157,17 +157,17 @@ class QueryEngine:
 
     A K=1 plan is unwrapped to its single channel's schedule, so it runs
     the vectorized single-channel path bit for bit; a K>1 plan is
-    evaluated query by query through the
-    :class:`~repro.broadcast.channels.ChannelHoppingClient`.
+    evaluated query by query through the access walker
+    (:class:`~repro.broadcast.client.BroadcastClient`) with its hop effect.
     """
 
     def __init__(self, paged_index: PagedIndex, schedule) -> None:
-        self._hopping = None
-        if isinstance(schedule, BroadcastPlan):
-            if schedule.is_single_channel:
-                schedule = schedule.primary_schedule
-            else:
-                self._hopping = ChannelHoppingClient(paged_index, schedule)
+        schedule = single_channel_view(schedule)
+        self._hopping = (
+            BroadcastClient(paged_index, schedule)
+            if isinstance(schedule, BroadcastPlan)
+            else None
+        )
         if len(paged_index.packets) != schedule.index_packet_count:
             raise BroadcastError(
                 f"schedule built for {schedule.index_packet_count} index "
@@ -325,8 +325,8 @@ class QueryEngine:
             )
 
     def _run_plan(self, points: Sequence[Point], times: np.ndarray) -> BatchResult:
-        """Multi-channel (K>1) evaluation: one channel-hopping client
-        query per point.  The schedule attribute is the plan itself, so
+        """Multi-channel (K>1) evaluation: one channel-hopping walk per
+        point.  The schedule attribute is the plan itself, so
         :meth:`BatchResult.summary` reports the plan's headline m and
         cycle length."""
         n = len(points)

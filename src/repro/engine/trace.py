@@ -226,10 +226,11 @@ class _CompiledDTree:
     Every per-node attribute the descent needs — partition bounds,
     partition bucket (dimension x described side), slice of the shared
     segment pool, packet-span charging constants, child codes — lives in
-    one array indexed by ``node_id``, so the traversal advances a whole
-    frontier with gathers instead of touching Python node objects.
-    Child codes are the child's ``node_id`` for internal children and
-    ``~region_id`` (always negative) for data pointers.
+    one array indexed by the node's position in ``node_id`` order, so the
+    traversal advances a whole frontier with gathers instead of touching
+    Python node objects.  Child codes are the child's position for
+    internal children and ``~region_id`` (always negative) for data
+    pointers.
     """
 
     __slots__ = (
@@ -274,11 +275,12 @@ def _compile_dtree(paged) -> _CompiledDTree:
 
     nodes = sorted(paged.tree.iter_nodes(), key=lambda nd: nd.node_id)
     count = len(nodes)
-    if [nd.node_id for nd in nodes] != list(range(count)):
-        raise QueryError("paged D-tree node ids are not dense — rebuild it")
+    # Node ids need not be dense (a maintainer splice retires a subtree's
+    # ids): the arrays are indexed by each node's position in id order.
+    position = {nd.node_id: i for i, nd in enumerate(nodes)}
 
     ct = _CompiledDTree()
-    ct.root = paged.tree.root.node_id
+    ct.root = position[paged.tree.root.node_id]
     ct.dim_y = np.empty(count, bool)
     ct.described = np.empty(count, bool)
     ct.bucket = np.empty(count, np.int8)
@@ -318,7 +320,9 @@ def _compile_dtree(paged) -> _CompiledDTree:
         ct.span_bad[i] = any(b < a for a, b in zip(packets, packets[1:]))
         for code_arr, child in ((ct.left_code, node.left), (ct.right_code, node.right)):
             code_arr[i] = (
-                child.node_id if isinstance(child, DTreeNode) else ~int(child)
+                position[child.node_id]
+                if isinstance(child, DTreeNode)
+                else ~int(child)
             )
 
     empty = np.zeros(0, np.float64)

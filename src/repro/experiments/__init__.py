@@ -11,8 +11,6 @@ RMC/LMC early-termination layout, top-down paging, the (1, m) scheme).
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     INDEX_KINDS,
-    build_index,
-    page_index,
     run_cell,
     CellResult,
     ExperimentMatrix,
@@ -30,8 +28,6 @@ from repro.experiments.report import render_matrix, render_series
 __all__ = [
     "ExperimentConfig",
     "INDEX_KINDS",
-    "build_index",
-    "page_index",
     "run_cell",
     "CellResult",
     "ExperimentMatrix",

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.broadcast.caching import CachingBroadcastClient
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.disks import (
     SkewedBroadcastSchedule,
@@ -180,7 +179,7 @@ def extension_cache_warmup(
     times = [rng.uniform(0, schedule.cycle_length) for _ in points]
 
     cold = BroadcastClient(paged, schedule)
-    cached = CachingBroadcastClient(paged, schedule, cache_packets=cache_packets)
+    cached = BroadcastClient(paged, schedule, cache_packets=cache_packets)
 
     cold_series = [
         cold.query(p, t).index_tuning_time for p, t in zip(points, times)

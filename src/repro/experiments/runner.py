@@ -4,9 +4,7 @@ Index construction goes through the :class:`~repro.engine.AirIndex`
 protocol and :data:`~repro.engine.INDEX_REGISTRY` — the runner has no
 per-kind special cases, so a fifth index family registered via
 :func:`repro.engine.register_index` is swept by every figure
-automatically.  The old string-dispatch helpers :func:`build_index` and
-:func:`page_index` remain importable here but live (with every other
-deprecated spelling) in :mod:`repro._deprecated`.
+automatically.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
-from repro._deprecated import build_index, page_index  # noqa: F401
 from repro.broadcast.metrics import MetricsSummary, evaluate_index
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters

@@ -24,7 +24,6 @@ from repro.mobility.exitbound import RegionBoundaryIndex
 from repro.mobility.client import (
     ClientOutcome,
     evaluate_trajectory,
-    make_query_client,
 )
 from repro.mobility.continuous import (
     ContinuousWindowQuery,
@@ -51,7 +50,6 @@ __all__ = [
     "RegionBoundaryIndex",
     "ClientOutcome",
     "evaluate_trajectory",
-    "make_query_client",
     "ContinuousWindowQuery",
     "NearestRegionQuery",
     "run_continuous_query",

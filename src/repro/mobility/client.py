@@ -25,46 +25,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.broadcast.caching import CachingBroadcastClient
-from repro.broadcast.client import BroadcastClient
 from repro.geometry.point import Point
 from repro.obs import active_collector
 from repro.mobility.exitbound import RegionBoundaryIndex
 from repro.mobility.trajectory import Trajectory
-
-
-def make_query_client(
-    paged_index,
-    schedule,
-    cache_packets: int = 0,
-    error_model=None,
-    policy: str = "retry-next-segment",
-    energy_model=None,
-):
-    """A fresh single-client query stack for one trajectory.
-
-    Error-free without *error_model* (plain or caching broadcast
-    client); the lossy :class:`UnreliableBroadcastClient` otherwise.
-    The cache, when enabled, is per-client — it persists across the
-    client's own re-tunes (the cross-cycle answer cache), never across
-    clients.
-    """
-    if error_model is not None:
-        from repro.simulation.client import UnreliableBroadcastClient
-
-        return UnreliableBroadcastClient(
-            paged_index,
-            schedule,
-            error_model=error_model,
-            policy=policy,
-            energy_model=energy_model,
-            cache_packets=cache_packets,
-        )
-    if cache_packets > 0:
-        return CachingBroadcastClient(
-            paged_index, schedule, cache_packets=cache_packets
-        )
-    return BroadcastClient(paged_index, schedule)
 
 
 class ClientOutcome:
@@ -173,8 +137,8 @@ def evaluate_trajectory(
     while e < n:
         res = client.query(Point(float(xs[e]), float(ys[e])), float(times[e]))
         out.retunes += 1
-        out.attempts += int(getattr(res, "read_attempts", res.total_tuning_time))
-        out.losses += int(getattr(res, "packet_losses", 0))
+        out.attempts += int(res.read_attempts)
+        out.losses += int(res.packet_losses)
         out.latency_sum += float(res.access_latency)
         out.tuning_sum += int(res.total_tuning_time)
         out.last_latency = float(res.access_latency)

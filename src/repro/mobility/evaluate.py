@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.broadcast.client import BroadcastClient
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.errors import BroadcastError, ReproError
 from repro.simulation.energy import EnergyModel
@@ -26,7 +27,6 @@ from repro.simulation.faults import make_error_model
 from repro.mobility.client import (
     ClientOutcome,
     evaluate_trajectory,
-    make_query_client,
 )
 from repro.mobility.exitbound import RegionBoundaryIndex
 from repro.mobility.trajectory import Trajectory
@@ -185,8 +185,8 @@ def evaluate_trajectory_workload(
     answer sequence — prediction changes when clients tune, never what
     they answer.
 
-    A positive *error_rate* runs every re-tune through the lossy
-    :class:`~repro.simulation.client.UnreliableBroadcastClient`; all
+    A positive *error_rate* runs every re-tune through the access
+    walker's loss effect (:class:`~repro.broadcast.client.BroadcastClient`); all
     clients of the batch share one error-model stream seeded by
     ``random.Random(f"channel:{seed}")``, the simulator's convention.
     Each client gets a fresh query stack (its own packet cache when
@@ -224,13 +224,15 @@ def evaluate_trajectory_workload(
 
     outcomes: List[ClientOutcome] = []
     for trajectory in trajectories:
-        client = make_query_client(
+        # A fresh client per trajectory: its cache, when enabled, persists
+        # across the client's own re-tunes, never across clients.
+        client = BroadcastClient(
             paged_index,
             schedule,
-            cache_packets=cache_packets,
+            cache_packets=cache_packets if cache_packets > 0 else None,
             error_model=channel,
             policy=policy,
-            energy_model=energy_model,
+            energy_model=energy_model if channel is not None else None,
         )
         outcomes.append(
             evaluate_trajectory(

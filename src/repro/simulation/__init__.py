@@ -11,8 +11,9 @@ with joule-level energy accounting and tail-percentile reporting:
 * :mod:`~repro.simulation.policies` — ``retry-next-segment``,
   ``retry-next-cycle`` and ``upper-bound-fallback`` recovery;
 * :mod:`~repro.simulation.energy` — doze/receive power states, joules;
-* :mod:`~repro.simulation.client` / :mod:`~repro.simulation.simulator`
-  — the per-query event walk and the workload driver;
+* :mod:`~repro.simulation.simulator` — the workload driver around the
+  access walker's loss effect
+  (:class:`~repro.broadcast.client.BroadcastClient`);
 * :mod:`~repro.simulation.report` — :class:`SimulationReport` with
   p50/p95/p99 of latency, tuning and energy.
 
@@ -27,7 +28,6 @@ from repro.simulation.candidates import (
     candidate_provider,
     register_candidate_provider,
 )
-from repro.simulation.client import SimAccessResult, UnreliableBroadcastClient
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import (
     ERROR_MODEL_KINDS,
@@ -61,9 +61,7 @@ __all__ = [
     "RecoveryPolicy",
     "RetryNextCycle",
     "RetryNextSegment",
-    "SimAccessResult",
     "SimulationReport",
-    "UnreliableBroadcastClient",
     "UpperBoundFallback",
     "candidate_provider",
     "make_error_model",

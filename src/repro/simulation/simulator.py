@@ -1,8 +1,8 @@
 """The discrete-event channel simulator: workloads over a lossy channel.
 
-:class:`ChannelSimulator` drives an
-:class:`~repro.simulation.client.UnreliableBroadcastClient` through a
-whole workload and reduces the per-query outcomes to a
+:class:`ChannelSimulator` drives the access walker
+(:class:`~repro.broadcast.client.BroadcastClient` with its loss effect
+on) through a whole workload and reduces the per-query outcomes to a
 :class:`~repro.simulation.report.SimulationReport`.  It accepts any
 paged index satisfying the :class:`~repro.broadcast.packets.PagedIndex`
 protocol — all four registered :class:`~repro.engine.AirIndex` families
@@ -26,12 +26,12 @@ import numpy as np
 
 from repro.errors import BroadcastError
 from repro.obs import active_collector, null_span
+from repro.broadcast.client import AccessResult, BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
-from repro.simulation.client import SimAccessResult, UnreliableBroadcastClient
 from repro.simulation.energy import EnergyModel
-from repro.simulation.faults import ErrorModel, make_error_model
+from repro.simulation.faults import ErrorModel, PerfectChannel, make_error_model
 from repro.simulation.policies import RecoveryPolicy
 from repro.simulation.report import SimulationReport
 
@@ -61,17 +61,17 @@ class ChannelSimulator:
         cache_packets: int = 0,
         index_kind: str = "?",
     ) -> None:
-        self.client = UnreliableBroadcastClient(
+        self.client = BroadcastClient(
             paged_index,
             schedule,
-            error_model=error_model,
+            error_model=error_model if error_model is not None else PerfectChannel(),
             policy=policy,
             energy_model=energy_model,
-            cache_packets=cache_packets,
+            cache_packets=cache_packets if cache_packets > 0 else None,
         )
         # A K=1 plan is unwrapped by the client; mirror its view so the
         # issue-time horizon (cycle_length) matches bit for bit.
-        self.schedule = self.client.plan if self.client.plan is not None else self.client.schedule
+        self.schedule = self.client.schedule
         self.index_kind = index_kind
 
     def run_workload(
@@ -129,7 +129,7 @@ class ChannelSimulator:
             col.count(f"sim.index.{self.index_kind}.queries", n)
             col.observe("sim.batch_size", n)
         with col.span("sim.run") if col is not None else null_span(""):
-            results: List[SimAccessResult] = [
+            results: List[AccessResult] = [
                 self.client.query(point, t)
                 for point, t in zip(points, issue_times)
             ]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.broadcast.caching import CachingBroadcastClient, PacketCache
+from repro.broadcast.caching import PacketCache
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
@@ -61,7 +61,7 @@ def stack(voronoi60):
 class TestCachingClient:
     def test_answers_match_oracle(self, stack):
         sub, paged, schedule = stack
-        client = CachingBroadcastClient(paged, schedule, cache_packets=8)
+        client = BroadcastClient(paged, schedule, cache_packets=8)
         rng = random.Random(1)
         for p in random_points_in(sub, 100, seed=2):
             result = client.query(p, rng.uniform(0, schedule.cycle_length))
@@ -70,7 +70,7 @@ class TestCachingClient:
     def test_warm_cache_reduces_tuning(self, stack):
         sub, paged, schedule = stack
         cold = BroadcastClient(paged, schedule)
-        warm = CachingBroadcastClient(paged, schedule, cache_packets=16)
+        warm = BroadcastClient(paged, schedule, cache_packets=16)
         rng = random.Random(3)
         points = random_points_in(sub, 200, seed=4)
         times = [rng.uniform(0, schedule.cycle_length) for _ in points]
@@ -84,7 +84,7 @@ class TestCachingClient:
 
     def test_repeated_query_becomes_free(self, stack):
         sub, paged, schedule = stack
-        client = CachingBroadcastClient(paged, schedule, cache_packets=32)
+        client = BroadcastClient(paged, schedule, cache_packets=32)
         p = Point(0.41, 0.63)
         first = client.query(p, 10.0)
         second = client.query(p, 500.0)
@@ -94,7 +94,7 @@ class TestCachingClient:
 
     def test_fully_cached_query_can_beat_cold_latency(self, stack):
         sub, paged, schedule = stack
-        client = CachingBroadcastClient(paged, schedule, cache_packets=64)
+        client = BroadcastClient(paged, schedule, cache_packets=64)
         cold = BroadcastClient(paged, schedule)
         p = Point(0.41, 0.63)
         client.query(p, 10.0)  # warm up
@@ -110,7 +110,7 @@ class TestCachingClient:
     def test_cache_capacity_zero_equals_plain_client(self, stack):
         sub, paged, schedule = stack
         plain = BroadcastClient(paged, schedule)
-        uncached = CachingBroadcastClient(paged, schedule, cache_packets=0)
+        uncached = BroadcastClient(paged, schedule, cache_packets=0)
         rng = random.Random(6)
         for p in random_points_in(sub, 60, seed=7):
             t = rng.uniform(0, schedule.cycle_length)
@@ -141,7 +141,7 @@ class TestRebindAcrossUpdates:
         }
         sub0 = sites_subdivision(sites, SERVICE_AREA)
         server = DynamicBroadcastServer("dtree", sub0, packet_capacity=256)
-        client = CachingBroadcastClient(
+        client = BroadcastClient(
             server.paged, server.schedule, cache_packets=64
         )
         p = Point(0.41, 0.63)

@@ -12,8 +12,6 @@ from repro.broadcast import (
     BroadcastClient,
     BroadcastPlan,
     BroadcastSchedule,
-    CachingBroadcastClient,
-    ChannelHoppingClient,
     SystemParameters,
     allocation_strategy,
     available_allocations,
@@ -105,7 +103,7 @@ class TestK1Parity:
         )
         plain = BroadcastClient(paged, schedule)
         via_plan = BroadcastClient(paged, plan)
-        hopping = ChannelHoppingClient(paged, plan)
+        hopping = BroadcastClient(paged, plan)
         rng = random.Random(3)
         for point in random_points_in(voronoi60, 25, seed=5):
             t = rng.uniform(0, schedule.cycle_length)
@@ -131,8 +129,8 @@ class TestK1Parity:
         rng = random.Random(8)
         times = [rng.uniform(0, schedule.cycle_length) for _ in points]
         for capacity in (0, 6):
-            plain = CachingBroadcastClient(paged, schedule, capacity)
-            via_plan = CachingBroadcastClient(paged, plan, capacity)
+            plain = BroadcastClient(paged, schedule, cache_packets=capacity)
+            via_plan = BroadcastClient(paged, plan, cache_packets=capacity)
             got_plain = plain.run_session(points, times)
             got_plan = via_plan.run_session(points, times)
             assert [_as_tuple(r) for r in got_plan] == [
@@ -307,7 +305,7 @@ class TestChannelHopping:
             voronoi60, params, paged, channels=4,
             index_placement="distributed", hop_cost=2.0,
         )
-        client = ChannelHoppingClient(paged, plan)
+        client = BroadcastClient(paged, plan)
         rng = random.Random(1)
         results = [
             client.query(p, rng.uniform(0, plan.cycle_length))
@@ -322,7 +320,7 @@ class TestChannelHopping:
     def test_replicated_search_never_hops_mid_search(self, voronoi60):
         paged, params = _paged("dtree", voronoi60)
         plan = self._plan(voronoi60, params, paged, channels=4)
-        client = ChannelHoppingClient(paged, plan)
+        client = BroadcastClient(paged, plan)
         rng = random.Random(2)
         for p in random_points_in(voronoi60, 40, seed=6):
             r = client.query(p, rng.uniform(0, plan.cycle_length))
@@ -343,7 +341,7 @@ class TestChannelHopping:
             voronoi60, params, paged, channels=4,
             index_placement="distributed",
         )
-        client = ChannelHoppingClient(paged, plan)
+        client = BroadcastClient(paged, plan)
         rng = random.Random(4)
         for p in random_points_in(voronoi60, 30, seed=8):
             t = rng.uniform(0, schedule.cycle_length)
@@ -363,7 +361,7 @@ class TestChannelHopping:
         )
         # Packets 0-3 on channel 0, 4-7 on channel 1.
         paged = _StubPaged(8, path=[1, 7], region_id=0)
-        client = ChannelHoppingClient(paged, plan, cache_packets=0)
+        client = BroadcastClient(paged, plan, cache_packets=0)
         sched0 = plan.channels[0].schedule
         sched1 = plan.channels[1].schedule
         target_offset = plan.index_home(7, 0)[1]
@@ -401,7 +399,7 @@ class TestChannelHopping:
             voronoi60, params, paged, channels=3,
             index_placement="distributed", hop_cost=0.0,
         )
-        client = ChannelHoppingClient(paged, plan)
+        client = BroadcastClient(paged, plan)
         r = client.query(random_points_in(voronoi60, 1, seed=1)[0], 0.0)
         assert r.hop_slots == 0.0
 
@@ -409,7 +407,7 @@ class TestChannelHopping:
         paged, params = _paged("dtree", voronoi60)
         plan = self._plan(voronoi60, params, paged, channels=2)
         with pytest.raises(BroadcastError, match="start channel"):
-            ChannelHoppingClient(paged, plan, start_channel=2)
+            BroadcastClient(paged, plan, start_channel=2)
 
 
 class TestMultiChannelEndToEnd:
@@ -498,26 +496,12 @@ class TestMultiChannelEndToEnd:
 
 
 class TestRunWorkloadUnification:
-    def test_positional_arguments_deprecated(self, voronoi60):
-        paged, params = _paged("dtree", voronoi60)
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged.packets),
-            region_ids=voronoi60.region_ids,
-            params=params,
-        )
-        client = BroadcastClient(paged, schedule)
-        points = random_points_in(voronoi60, 5, seed=1)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = client.run_workload(points, 13)
-        modern = client.run_workload(points, seed=13)
-        assert [_as_tuple(r) for r in legacy] == [_as_tuple(r) for r in modern]
-
     def test_rng_injection_matches_seed(self, voronoi60):
         paged, params = _paged("dtree", voronoi60)
         plan = BroadcastPlan(
             len(paged.packets), voronoi60.region_ids, params, channels=2
         )
-        client = ChannelHoppingClient(paged, plan)
+        client = BroadcastClient(paged, plan)
         points = random_points_in(voronoi60, 10, seed=2)
         via_seed = client.run_workload(points, seed=21)
         via_rng = client.run_workload(points, rng=random.Random(21))
@@ -530,7 +514,7 @@ class TestRunWorkloadUnification:
         plan = BroadcastPlan(
             len(paged.packets), voronoi60.region_ids, params, channels=2
         )
-        client = ChannelHoppingClient(paged, plan)
+        client = BroadcastClient(paged, plan)
         points = random_points_in(voronoi60, 3, seed=2)
         with pytest.raises(BroadcastError, match="issue times"):
             client.run_workload(points, issue_times=[0.0])

@@ -20,20 +20,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "figure10", "--scale", "huge"])
 
-    def test_legacy_spelling_warns_and_forwards(self, monkeypatch):
-        # `repro figure10` still works but deprecates to `repro run ...`.
-        import repro.cli as cli_mod
-
-        seen = {}
-
-        def fake_run(args):
-            seen["target"] = args.target
-            return 0
-
-        monkeypatch.setattr(cli_mod, "_cmd_run", fake_run)
-        with pytest.warns(DeprecationWarning, match="repro run figure10"):
-            assert main(["figure10", "--scale", "quick"]) == 0
-        assert seen["target"] == "figure10"
+    def test_legacy_spelling_rejected(self, capsys):
+        # The pre-subcommand `repro figure10` spelling was removed in 2.0.
+        with pytest.raises(SystemExit):
+            main(["figure10", "--scale", "quick"])
+        assert "run" in capsys.readouterr().err
 
     def test_figure11_quick_runs(self, capsys, monkeypatch):
         # Shrink the quick config further so the CLI test stays fast.

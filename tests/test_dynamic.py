@@ -273,6 +273,47 @@ class TestDTreeMaintainer:
         ids = [n.node_id for n in tree.iter_nodes()]
         assert len(ids) == len(set(ids))
 
+    def test_spliced_tree_compiles_and_matches_walker(self):
+        """Regression: a splice retires node ids, and the engine used to
+        refuse to compile the non-dense paged tree.  After every splice
+        the batched engine must equal the per-query walker."""
+        from repro.engine import QueryEngine
+
+        sites = _sites(40, seed=21)
+        server = DynamicBroadcastServer(
+            "dtree",
+            sites_subdivision(sites, AREA),
+            packet_capacity=128,
+            staleness_budget=float("inf"),
+        )
+        rng = random.Random(5)
+        for _, new, batch in _churn_chain(
+            sites, steps=3, seed=21, n_move=1, move_scale=MOVE_SCALE
+        ):
+            server.apply_updates(new, batch)
+            ids = sorted(n.node_id for n in server.index.iter_nodes())
+            points = new.random_points(80, rng)
+            times = [rng.uniform(0, server.schedule.cycle_length) for _ in points]
+            batch_result = QueryEngine(server.paged, server.schedule).run(
+                points, issue_times=times
+            )
+            walker = BroadcastClient(server.paged, server.schedule)
+            for i, (p, t) in enumerate(zip(points, times)):
+                r = walker.query(p, t)
+                assert (
+                    batch_result.region_ids[i],
+                    batch_result.access_latency[i],
+                    batch_result.index_tuning_time[i],
+                    batch_result.total_tuning_time[i],
+                ) == (
+                    r.region_id,
+                    r.access_latency,
+                    r.index_tuning_time,
+                    r.total_tuning_time,
+                )
+        assert server.maintainer.incremental_applies == 3
+        assert ids != list(range(len(ids)))  # the splices left id gaps
+
     def test_zero_budget_always_rebuilds(self):
         sites = _sites(30, seed=2)
         maintainer = DTreeMaintainer(staleness_budget=0.0)

@@ -8,7 +8,6 @@ the reduced :class:`MetricsSummary` alike — for all four index families.
 """
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -294,31 +293,22 @@ class TestRegistryExtension:
             INDEX_REGISTRY.pop("toygrid", None)
 
 
-class TestDeprecatedShims:
-    def test_build_index_warns_and_still_works(self, grid4x4):
-        from repro.experiments.runner import build_index
+class TestFamilyBuildAndPage:
+    """``index_family(kind).build`` / ``.page`` — the spelling that
+    replaced the removed string-dispatch helpers."""
 
-        with pytest.warns(DeprecationWarning, match="build_index is deprecated"):
-            tree = build_index("dtree", grid4x4, seed=1)
+    def test_build_locates(self, grid4x4):
+        tree = index_family("dtree").build(grid4x4, seed=1)
         assert tree.locate(Point(0.1, 0.1)) in set(grid4x4.region_ids)
 
-    def test_page_index_warns_and_still_works(self, grid4x4):
-        from repro.experiments.runner import build_index, page_index
-
+    def test_page_yields_packets(self, grid4x4):
         params = index_family("dtree").parameters(256)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            tree = build_index("dtree", grid4x4)
-        with pytest.warns(DeprecationWarning, match="page_index is deprecated"):
-            paged = page_index("dtree", tree, params)
+        paged = index_family("dtree").build(grid4x4).page(params)
         assert len(paged.packets) >= 1
 
-    def test_page_index_accepts_raw_subdivision_for_rstar(self, grid4x4):
-        from repro.experiments.runner import page_index
-
-        params = index_family("rstar").parameters(256)
-        with pytest.warns(DeprecationWarning):
-            paged = page_index("rstar", grid4x4, params)
+    def test_rstar_builds_and_pages(self, grid4x4):
+        family = index_family("rstar")
+        paged = family.build(grid4x4).page(family.parameters(256))
         assert len(paged.packets) >= 1
 
 

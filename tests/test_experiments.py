@@ -16,11 +16,9 @@ from repro.experiments.report import render_matrix, render_series
 from repro.experiments.runner import (
     INDEX_KINDS,
     ExperimentMatrix,
-    build_index,
-    page_index,
     run_cell,
 )
-from repro.broadcast.params import SystemParameters
+from repro.engine import index_family
 
 
 @pytest.fixture(scope="module")
@@ -37,17 +35,12 @@ def tiny_matrix(tiny_config):
 
 class TestRunner:
     def test_build_index_kinds(self, voronoi60):
-        # build_index is a deprecated shim; the suite runs with
-        # error::DeprecationWarning, so assert the warning explicitly.
         for kind in INDEX_KINDS:
-            with pytest.warns(DeprecationWarning):
-                assert build_index(kind, voronoi60) is not None
+            assert index_family(kind).build(voronoi60) is not None
 
     def test_unknown_kind(self, voronoi60):
-        with pytest.raises(ReproError), pytest.warns(DeprecationWarning):
-            build_index("btree", voronoi60)
-        with pytest.raises(ReproError), pytest.warns(DeprecationWarning):
-            page_index("btree", None, SystemParameters())
+        with pytest.raises(ReproError):
+            index_family("btree")
 
     def test_run_cell_smoke(self):
         ds = uniform_dataset(n=30, seed=1)

@@ -197,7 +197,7 @@ class TestChannelHoppingCycleWrap:
     def _world():
         import math
 
-        from repro.broadcast.channels import ChannelHoppingClient
+        from repro.broadcast.client import BroadcastClient
         from repro.broadcast.plan import BroadcastPlan
         from repro.datasets.catalog import uniform_dataset
         from repro.engine import index_family
@@ -225,7 +225,7 @@ class TestChannelHoppingCycleWrap:
                 *[c.schedule.cycle_length for c in plan.channels]
             )
             worlds.append(
-                (ChannelHoppingClient(paged, plan), period, dataset)
+                (BroadcastClient(paged, plan), period, dataset)
             )
         return worlds
 

@@ -1,6 +1,8 @@
 """The public API contract: everything exported exists and is documented."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +62,19 @@ class TestPublicCallablesAreDocumented:
             if callable(obj) and not (obj.__doc__ or "").strip():
                 missing.append(name)
         assert not missing, f"undocumented public symbols: {missing}"
+
+
+class TestImportIsWarningFree:
+    def test_importing_repro_emits_no_deprecation_warning(self):
+        """Every module imports clean even under
+        -W error::DeprecationWarning."""
+        code = (
+            "import repro, repro.cli, repro.experiments.runner, "
+            "repro.broadcast.client, repro.fleet, repro.mobility"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.broadcast.caching import CachingBroadcastClient
+from repro.broadcast.client import BroadcastClient
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.engine import evaluate_workload, index_family
 from repro.errors import BroadcastError
@@ -25,7 +25,6 @@ from repro.simulation import (
     PerfectChannel,
     RECOVERY_POLICIES,
     SimulationReport,
-    UnreliableBroadcastClient,
     candidate_provider,
     make_error_model,
     recovery_policy,
@@ -356,8 +355,10 @@ class TestCacheInSimulator:
         points = random_points_in(sub, 80, seed=61)
         times = [rng.uniform(0, schedule.cycle_length) for _ in points]
 
-        ref = CachingBroadcastClient(paged, schedule, cache_packets=8)
-        sim = UnreliableBroadcastClient(paged, schedule, cache_packets=8)
+        ref = BroadcastClient(paged, schedule, cache_packets=8)
+        sim = BroadcastClient(
+            paged, schedule, error_model=PerfectChannel(), cache_packets=8
+        )
         for point, t in zip(points, times):
             a = ref.query(point, t)
             b = sim.query(point, t)
@@ -370,7 +371,7 @@ class TestCacheInSimulator:
         schedule = BroadcastSchedule(
             len(paged.packets), sub.region_ids, params
         )
-        client = UnreliableBroadcastClient(
+        client = BroadcastClient(
             paged,
             schedule,
             error_model=BernoulliLoss(0.5, rng=random.Random(1)),
@@ -393,7 +394,7 @@ class TestCacheInSimulator:
         point = random_points_in(sub, 1, seed=63)[0]
         accessed = paged.trace(point).packets_accessed
         assert accessed, "need a non-trivial trace for this test"
-        ref = CachingBroadcastClient(paged, schedule, cache_packets=64)
+        ref = BroadcastClient(paged, schedule, cache_packets=64)
         warm_latency = None
         ref.query(point, 0.0)
         # Evict nothing; the whole path is cached except what we remove.
@@ -403,7 +404,7 @@ class TestCacheInSimulator:
         # wait must be anchored at that packet, not the next segment.
         issue = 1.0
         warm_latency = ref.query(point, issue).access_latency
-        cold = CachingBroadcastClient(paged, schedule, cache_packets=0)
+        cold = BroadcastClient(paged, schedule, cache_packets=0)
         cold_latency = cold.query(point, issue).access_latency
         assert warm_latency <= cold_latency
 

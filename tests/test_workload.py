@@ -1,10 +1,15 @@
 """Tests for the query-workload generators (extension)."""
 
 import collections
+import random
 
+import numpy as np
 import pytest
 
+from repro.datasets.catalog import uniform_dataset
 from repro.errors import ReproError
+from repro.geometry.point import Point
+from repro.workload.generators import _point_in_polygon
 from repro.workload import (
     hotspot_workload,
     uniform_workload,
@@ -107,3 +112,48 @@ class TestWorkloadsDriveMetrics:
             )
             assert metrics.queries == 100
             assert metrics.mean_index_tuning >= 1.0
+
+
+class TestRejectionSamplerStreamCompat:
+    """_point_in_polygon classifies via the compiled kernel; the
+    random.Random draw stream must be unchanged from the historical
+    scalar-geometry implementation."""
+
+    @staticmethod
+    def _reference(polygon, rng):
+        # The pre-kernel implementation, verbatim.
+        bb = polygon.bbox
+        for _ in range(10000):
+            p = Point(
+                rng.uniform(bb.min_x, bb.max_x),
+                rng.uniform(bb.min_y, bb.max_y),
+            )
+            if polygon.contains_point(p, include_boundary=False):
+                return p
+        raise RuntimeError("rejection sampling failed")
+
+    def test_stream_identical_to_scalar_implementation(self):
+        sub = uniform_dataset(n=24, seed=3).subdivision
+        r_new, r_old = random.Random(17), random.Random(17)
+        for region in sub.regions[:10]:
+            for _ in range(5):
+                a = _point_in_polygon(region.polygon, r_new)
+                b = self._reference(region.polygon, r_old)
+                assert (a.x, a.y) == (b.x, b.y)
+        # Not just the same points: the same number of draws consumed.
+        assert r_new.getstate() == r_old.getstate()
+
+    def test_zipf_workload_unchanged(self):
+        sub = uniform_dataset(n=24, seed=3).subdivision
+        a = zipf_region_workload(sub, 120, seed=19)
+        b = zipf_region_workload(sub, 120, seed=19)
+        assert [(p.x, p.y) for p in a.points] == [
+            (p.x, p.y) for p in b.points
+        ]
+
+    def test_numpy_generator_batched_path(self):
+        sub = uniform_dataset(n=24, seed=3).subdivision
+        g = np.random.default_rng(23)
+        for region in sub.regions[:10]:
+            p = _point_in_polygon(region.polygon, g)
+            assert region.polygon.contains_point(p, include_boundary=False)
