@@ -5,12 +5,9 @@ benchmark suite:
 
 * ``CompiledSubdivision.locate_batch`` >= 10x a per-point
   ``Subdivision.locate`` loop at 10_000 points;
-* the kernel-based D-tree tracer makes end-to-end
-  :func:`~repro.engine.evaluate_workload` >= 1.5x the PR 1 batched
-  path (the ``_trace_batch_dtree_reference`` tracer plus the old
-  per-query issue-time draws) at 10_000 queries;
-* the compiled trap/trian tracers are each >= 4x the per-point generic
-  fallback at 10_000 queries, with array-exact answers.
+* the compiled D-tree, trap and trian tracers are each >= 4x the
+  per-point generic fallback (``_trace_batch_generic``, the scalar
+  oracle) end to end at 10_000 queries, with array-exact answers.
 
 Timing-key convention in ``BENCH_kernels.json``: every entry under
 ``cases`` is a median in milliseconds (keys that feed a speedup
@@ -34,15 +31,10 @@ import time
 
 import pytest
 
-from repro.broadcast.schedule import BroadcastSchedule
 from repro.core.paging import PagedDTree
 from repro.datasets.catalog import uniform_dataset
 from repro.engine import evaluate_workload, index_family, register_tracer
-from repro.engine.trace import (
-    _trace_batch_dtree_reference,
-    _trace_batch_trap_reference,
-    _trace_batch_trian_reference,
-)
+from repro.engine.trace import _trace_batch_generic
 from repro.pointloc.kirkpatrick import PagedTrianTree
 from repro.pointloc.trapezoidal import PagedTrapTree
 
@@ -53,7 +45,7 @@ POINT_SIZES = (1_000,) if SMOKE else (1_000, 10_000)
 
 
 class _ReferencePagedDTree(PagedDTree):
-    """A PagedDTree that dispatches to the PR 1 reference tracer."""
+    """A PagedDTree that dispatches to the per-point generic tracer."""
 
 
 class _ReferencePagedTrapTree(PagedTrapTree):
@@ -64,9 +56,9 @@ class _ReferencePagedTrianTree(PagedTrianTree):
     """A PagedTrianTree that dispatches to the per-point generic tracer."""
 
 
-register_tracer(_ReferencePagedDTree, _trace_batch_dtree_reference)
-register_tracer(_ReferencePagedTrapTree, _trace_batch_trap_reference)
-register_tracer(_ReferencePagedTrianTree, _trace_batch_trian_reference)
+register_tracer(_ReferencePagedDTree, _trace_batch_generic)
+register_tracer(_ReferencePagedTrapTree, _trace_batch_generic)
+register_tracer(_ReferencePagedTrianTree, _trace_batch_generic)
 
 _REFERENCE_CLASS = {
     "dtree": _ReferencePagedDTree,
@@ -172,22 +164,6 @@ def bench_locate_batch_speedup_10k(benchmark, subdivision):
     assert speedup >= 10.0, f"locate_batch only {speedup:.1f}x the scalar loop"
 
 
-def _reference_evaluate(paged, region_ids, params, points, seed=3):
-    """The PR 1 batched path: reference D-tree tracer (partition segment
-    arrays rebuilt per call) + per-query ``rng.uniform`` issue draws."""
-    from repro.engine.batch import QueryEngine
-
-    schedule = BroadcastSchedule(
-        index_packet_count=len(paged.packets),
-        region_ids=list(region_ids),
-        params=params,
-    )
-    engine = QueryEngine(paged, schedule)
-    rng = random.Random(seed)
-    issue_times = [rng.uniform(0, schedule.cycle_length) for _ in points]
-    return engine.run(points, issue_times=issue_times)
-
-
 @pytest.mark.parametrize("n", POINT_SIZES)
 def bench_dtree_e2e_kernel(benchmark, subdivision, dtree_cell, n):
     paged, params = dtree_cell
@@ -204,77 +180,12 @@ def bench_dtree_e2e_kernel(benchmark, subdivision, dtree_cell, n):
     assert len(result) == n
 
 
-@pytest.mark.parametrize("n", POINT_SIZES)
-def bench_dtree_e2e_pr1(benchmark, subdivision, dtree_cell, n):
-    paged, params = dtree_cell
-    reference = _as_reference(paged)
-    points = _points(subdivision, n)
-    result = run_recorded(
-        benchmark,
-        lambda: _reference_evaluate(
-            reference, subdivision.region_ids, params, points
-        ),
-        "kernels",
-        f"dtree_e2e_pr1-{n}",
-        rounds=3,
-    )
-    assert len(result) == n
-
-
-def _as_reference(paged, kind="dtree"):
+def _as_reference(paged, kind):
     """A shallow re-classed view of *paged* dispatching to the
-    family's reference (per-point) tracer."""
+    per-point generic tracer."""
     reference = copy.copy(paged)
     reference.__class__ = _REFERENCE_CLASS[kind]
     return reference
-
-
-def bench_dtree_e2e_speedup_10k(benchmark, subdivision, dtree_cell):
-    """Acceptance bar: kernel tracer >= 1.5x the PR 1 batched path at 10k."""
-    if SMOKE:
-        pytest.skip("smoke mode runs 1k sizes only")
-    n = 10_000
-    paged, params = dtree_cell
-    reference = _as_reference(paged)
-    region_ids = subdivision.region_ids
-    points = _points(subdivision, n)
-
-    # Median of 3 per side: both paths are milliseconds-scale here, and a
-    # single stray scheduler tick would otherwise decide the assertion.
-    pr1_s = min(
-        _timed(lambda: _reference_evaluate(reference, region_ids, params, points))
-        for _ in range(3)
-    )
-    kernel_s = min(
-        _timed(
-            lambda: evaluate_workload(paged, region_ids, params, points, seed=3)
-        )
-        for _ in range(3)
-    )
-    run_recorded(
-        benchmark,
-        lambda: evaluate_workload(paged, region_ids, params, points, seed=3),
-        "kernels",
-        "dtree_e2e_speedup_kernel_ms-10000",
-        rounds=3,
-    )
-    record_case(
-        "kernels", "dtree_e2e_speedup_pr1_baseline_ms-10000", pr1_s * 1000.0
-    )
-
-    kernel = evaluate_workload(paged, region_ids, params, points, seed=3)
-    pr1 = _reference_evaluate(reference, region_ids, params, points)
-    assert kernel.region_ids.tolist() == pr1.region_ids.tolist()
-    assert kernel.access_latency.tolist() == pr1.access_latency.tolist()
-    assert kernel.index_tuning_time.tolist() == pr1.index_tuning_time.tolist()
-
-    speedup = pr1_s / kernel_s
-    record_ratio("kernels", "dtree_e2e_speedup_x-10000", speedup)
-    print(
-        f"\n[dtree e2e @ 10k queries] PR1 batched {pr1_s*1000:.1f}ms, "
-        f"kernel {kernel_s*1000:.1f}ms -> {speedup:.2f}x"
-    )
-    assert speedup >= 1.5, f"kernel tracer only {speedup:.2f}x the PR 1 path"
 
 
 @pytest.mark.parametrize("kind", ("trap", "trian"))
@@ -311,10 +222,10 @@ def bench_family_e2e_generic(benchmark, subdivision, request, kind, n):
     assert len(result) == n
 
 
-@pytest.mark.parametrize("kind", ("trap", "trian"))
+@pytest.mark.parametrize("kind", ("dtree", "trap", "trian"))
 def bench_family_e2e_speedup_10k(benchmark, subdivision, request, kind):
-    """Acceptance bar: compiled trap/trian tracer >= 4x the per-point
-    generic fallback at 10k queries, answers array-exact."""
+    """Acceptance bar: compiled tracer >= 4x the per-point generic
+    fallback at 10k queries, answers array-exact."""
     if SMOKE:
         pytest.skip("smoke mode runs 1k sizes only")
     n = 10_000

@@ -37,9 +37,9 @@ guaranteeing results identical to the per-query path:
   :func:`repro.engine.register_index` work unchanged; they can opt into
   batching with :func:`register_tracer`.
 
-The PR 1 tracers (pure-Python per-node loops, no compiled caches) are
-kept as ``*_reference`` functions: they are the regression oracle the
-kernel tracers are property-tested against, and the baseline the
+The per-point fallback :func:`_trace_batch_generic` is the one oracle:
+every compiled tracer is property-tested against it, defers to it to
+raise the scalar path's exact error, and is the baseline the
 ``benchmarks/bench_kernels.py`` speedup assertions compare to.
 
 Every tracer applies the same forward-only channel check as
@@ -265,8 +265,9 @@ def _compile_dtree(paged) -> _CompiledDTree:
     so ``len(set(path))`` accumulates as distinct-per-span minus a
     duplicate adjustment where one span's first packet equals the
     previous span's last.  ``span_bad`` marks nodes whose own packet
-    span moves backwards; the tracer defers to the reference
-    implementation to raise the scalar path's exact error.
+    span moves backwards; the tracer defers to the per-point path
+    (:func:`_trace_batch_generic`) to raise the scalar path's exact
+    error.
     """
     compiled = _cached_compiled(paged, "_compiled_dtree", None)
     if compiled is not None:
@@ -397,34 +398,6 @@ def _pair_parity(
     return odd if described else ~odd
 
 
-def _materialize_prefixes(
-    n: int,
-    prefixes: List[tuple],
-    final_prefix: np.ndarray,
-    regions: np.ndarray,
-) -> TraceBatch:
-    """Expand each distinct packet path once and scatter last/tuning."""
-    memo: Dict[int, tuple] = {0: ()}
-
-    def full_path(pid: int) -> tuple:
-        known = memo.get(pid)
-        if known is None:
-            parent, appended = prefixes[pid]
-            known = full_path(parent) + appended
-            memo[pid] = known
-        return known
-
-    last = np.empty(n, np.int64)
-    tuning = np.empty(n, np.int64)
-    for pid in np.unique(final_prefix):
-        accessed = dedupe_consecutive(full_path(int(pid)))
-        _check_forward(accessed)
-        mask = final_prefix == pid
-        last[mask] = accessed[-1] if accessed else 0
-        tuning[mask] = len(set(accessed))
-    return TraceBatch(regions, last, tuning)
-
-
 def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
     """Level-synchronous traversal of the paged D-tree.
 
@@ -501,9 +474,9 @@ def _trace_batch_dtree(paged, points: Sequence[Point]) -> TraceBatch:
         pf = ct.pkt_first[nd]
         use_long = ct.multi[nd] & interlocked if early else ct.multi[nd]
         if (alast > pf).any() or ct.span_bad[nd].any():
-            # Backwards broadcast order: the reference tracer rebuilds
+            # Backwards broadcast order: the per-point path rebuilds
             # the offending path and raises the scalar client's error.
-            _trace_batch_dtree_reference(paged, points)
+            _trace_batch_generic(paged, points)
             raise BroadcastError(
                 "index traversal moved backwards on the broadcast channel"
             )
@@ -695,7 +668,7 @@ def _compile_trap(paged):
     precede a parent's packet — guaranteed by the allocator, which
     places every node at or after its latest parent packet.  Returns
     None (cached) when the invariants do not hold, sending the tracer
-    to the per-point reference path.
+    to the per-point path (:func:`_trace_batch_generic`).
     """
     compiled = _cached_compiled(paged, "_compiled_trap", _UNCOMPILED)
     if compiled is not _UNCOMPILED:
@@ -816,12 +789,12 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
     nondecreasing packets along every root-to-leaf path (checked at
     compile time), so distinct-packet tuning time is simply the count
     of packet changes.  Any query ending in an uncovered sliver defers
-    to the per-point reference, which raises the scalar error for the
+    to the per-point path, which raises the scalar error for the
     earliest failing point.
     """
     ct = _compile_trap(paged)
     if ct is None:
-        return _trace_batch_trap_reference(paged, points)
+        return _trace_batch_generic(paged, points)
     from repro.pointloc.trapezoidal import SHEAR
 
     n = len(points)
@@ -887,9 +860,9 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
         anode = np.where(cond, ct.on_true[nd], ct.on_false[nd]).astype(np.int64)
 
     if (regions < 0).any():
-        # Uncovered sliver: the reference path raises the scalar
+        # Uncovered sliver: the per-point path raises the scalar
         # QueryError for the earliest failing point.
-        _trace_batch_trap_reference(paged, points)
+        _trace_batch_generic(paged, points)
         raise QueryError("trap-tree descent failed")  # pragma: no cover
     return TraceBatch(regions, last_out, tuning_out)
 
@@ -938,7 +911,7 @@ def _compile_trian(paged):
     relies on: every child's packet at or after its parent's (the
     greedy level-order allocator guarantees this) and a non-empty root
     level.  Returns None (cached) otherwise, deferring to the
-    per-point reference path.
+    per-point path (:func:`_trace_batch_generic`).
     """
     compiled = _cached_compiled(paged, "_compiled_trian", _UNCOMPILED)
     if compiled is not _UNCOMPILED:
@@ -1035,12 +1008,12 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
     ``child_distinct[f]`` distinct packets, minus one when the scan's
     first packet repeats the previous level's last.  A point whose scan
     finds no containing triangle, or which terminates in a gap
-    triangle, defers the whole batch to the per-point reference to
+    triangle, defers the whole batch to the per-point path to
     raise the scalar error for the earliest failing point.
     """
     ct = _compile_trian(paged)
     if ct is None:
-        return _trace_batch_trian_reference(paged, points)
+        return _trace_batch_generic(paged, points)
     n = len(points)
     xs, ys = point_coords(points)
     col = active_collector()
@@ -1094,9 +1067,9 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
             np.where(contains, flat, flat_sentinel), offsets - counts
         )
         if (f == flat_sentinel).any():
-            # No containing child: the reference raises the scalar
+            # No containing child: the per-point path raises the scalar
             # "outside the super-triangle" / "descent lost" error.
-            _trace_batch_trian_reference(paged, points)
+            _trace_batch_generic(paged, points)
             raise QueryError("trian-tree descent failed")  # pragma: no cover
         # §4.4: the scan read child slots 0..f, touching
         # child_distinct[f] distinct packets; the first one may repeat
@@ -1109,7 +1082,7 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
             treg = ct.region[anode[term]]
             if (treg < 0).any():
                 # Gap triangle: "outside the subdivided area" per point.
-                _trace_batch_trian_reference(paged, points)
+                _trace_batch_generic(paged, points)
                 raise QueryError("trian-tree descent failed")  # pragma: no cover
             done = apt[term]
             regions[done] = treg
@@ -1122,230 +1095,3 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
             atun = atun[keep]
 
     return TraceBatch(regions, last_out, tuning_out)
-
-
-# -- PR 1 reference tracers (regression oracle + benchmark baseline) ---------
-
-
-def _trace_batch_trap_reference(paged, points: Sequence[Point]) -> TraceBatch:
-    """The pre-compilation trap-tree path: one scalar ``trace`` per point.
-
-    Kept as the parity oracle and benchmark baseline for
-    :func:`_trace_batch_trap`; not registered for dispatch.
-    """
-    return _trace_batch_generic(paged, points)
-
-
-def _trace_batch_trian_reference(paged, points: Sequence[Point]) -> TraceBatch:
-    """The pre-compilation trian-tree path: one scalar ``trace`` per point.
-
-    Kept as the parity oracle and benchmark baseline for
-    :func:`_trace_batch_trian`; not registered for dispatch.
-    """
-    return _trace_batch_generic(paged, points)
-
-
-def _early_sides(partition, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized ``Partition.early_side_of``: 1 = first, 2 = second,
-    0 = interlocking zone D2 (full partition needed)."""
-    if partition.dimension == "y":
-        first = xs <= partition.first_bound
-        second = ~first & (xs >= partition.second_bound)
-    else:
-        first = ys >= partition.first_bound
-        second = ~first & (ys <= partition.second_bound)
-    out = np.zeros(len(xs), np.int8)
-    out[first] = 1
-    out[second] = 2
-    return out
-
-
-def _parity_sides(partition, xs, ys, segments) -> np.ndarray:
-    """Vectorized ``Partition.side_of`` ray-parity step for D2 queries.
-
-    Replicates the scalar arithmetic expression for the crossing abscissa
-    exactly (same IEEE-754 operation order), so batched and per-query
-    decisions agree bit for bit.
-    """
-    ax, ay, bx, by = segments
-    described_first = partition.style.described == "first"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if partition.dimension == "y":
-            cond = (ay[:, None] > ys) != (by[:, None] > ys)
-            t_at = ax[:, None] + (ys - ay[:, None]) / (
-                by[:, None] - ay[:, None]
-            ) * (bx[:, None] - ax[:, None])
-            hit = cond & ((t_at > xs) if described_first else (t_at < xs))
-        else:
-            cond = (ax[:, None] > xs) != (bx[:, None] > xs)
-            t_at = ay[:, None] + (xs - ax[:, None]) / (
-                bx[:, None] - ax[:, None]
-            ) * (by[:, None] - ay[:, None])
-            hit = cond & ((t_at < ys) if described_first else (t_at > ys))
-    odd = hit.sum(axis=0) % 2 == 1
-    if described_first:
-        return np.where(odd, 1, 2).astype(np.int8)
-    return np.where(odd, 2, 1).astype(np.int8)
-
-
-def _partition_segments(partition):
-    """Flat endpoint arrays of all partition polyline segments."""
-    ax: List[float] = []
-    ay: List[float] = []
-    bx: List[float] = []
-    by: List[float] = []
-    for polyline in partition.polylines:
-        for a, b in polyline.segment_endpoints():
-            ax.append(a.x)
-            ay.append(a.y)
-            bx.append(b.x)
-            by.append(b.y)
-    return (
-        np.asarray(ax, np.float64),
-        np.asarray(ay, np.float64),
-        np.asarray(bx, np.float64),
-        np.asarray(by, np.float64),
-    )
-
-
-def _trace_batch_dtree_reference(paged, points: Sequence[Point]) -> TraceBatch:
-    """The PR 1 D-tree tracer: vectorized per node, but rebuilding the
-    partition segment arrays from Python ``Point`` objects on every call.
-
-    Kept verbatim as the parity oracle and benchmark baseline for
-    :func:`_trace_batch_dtree`; not registered for dispatch.
-    """
-    tree = paged.tree
-    n = len(points)
-    if tree.root is None:
-        only = tree.subdivision.regions[0].region_id
-        zero = np.zeros(n, np.int64)
-        return TraceBatch(np.full(n, only, np.int64), zero, zero.copy())
-
-    xs, ys = point_coords(points)
-    regions = np.empty(n, np.int64)
-    final_prefix = np.empty(n, np.int64)
-
-    prefixes: List[tuple] = [(-1, ())]
-    interned: Dict[tuple, int] = {}
-
-    def extend_prefix(parent: int, appended: tuple) -> int:
-        key = (parent, appended)
-        pid = interned.get(key)
-        if pid is None:
-            pid = len(prefixes)
-            prefixes.append(key)
-            interned[key] = pid
-        return pid
-
-    segment_cache: Dict[int, tuple] = {}
-    stack = [(tree.root, np.arange(n), 0)]
-    while stack:
-        node, idxs, prefix = stack.pop()
-        packet_ids = paged._node_packets[node.node_id]
-        partition = node.partition
-        x = xs[idxs]
-        y = ys[idxs]
-
-        sides = _early_sides(partition, x, y)
-        interlocked = sides == 0
-        if interlocked.any():
-            segments = segment_cache.get(node.node_id)
-            if segments is None:
-                segments = _partition_segments(partition)
-                segment_cache[node.node_id] = segments
-            sides[interlocked] = _parity_sides(
-                partition, x[interlocked], y[interlocked], segments
-            )
-
-        short_prefix = extend_prefix(prefix, (packet_ids[0],))
-        if len(packet_ids) == 1:
-            extended = np.zeros(len(idxs), bool)
-            long_prefix = short_prefix
-        else:
-            # Multi-packet node: D2 queries (or all of them, when §4.4
-            # early termination is disabled) read the whole span.
-            extended = (
-                interlocked
-                if paged.early_termination
-                else np.ones(len(idxs), bool)
-            )
-            long_prefix = extend_prefix(prefix, tuple(packet_ids))
-
-        for side_code, child in ((1, node.left), (2, node.right)):
-            on_side = sides == side_code
-            for mask, child_prefix in (
-                (on_side & ~extended, short_prefix),
-                (on_side & extended, long_prefix),
-            ):
-                if not mask.any():
-                    continue
-                sub = idxs[mask]
-                if hasattr(child, "node_id"):  # DTreeNode
-                    stack.append((child, sub, child_prefix))
-                else:  # data pointer: the region id
-                    regions[sub] = child
-                    final_prefix[sub] = child_prefix
-
-    return _materialize_prefixes(n, prefixes, final_prefix, regions)
-
-
-def _trace_batch_rstar_reference(paged, points: Sequence[Point]) -> TraceBatch:
-    """The PR 1 R*-tree tracer: per-entry MBR tests and per-point scalar
-    polygon containment at the leaves.
-
-    Kept verbatim as the parity oracle and benchmark baseline for
-    :func:`_trace_batch_rstar`; not registered for dispatch.
-    """
-    n = len(points)
-    xs, ys = point_coords(points)
-    regions = np.full(n, -1, np.int64)
-    accesses: List[List[int]] = [[] for _ in range(n)]
-    subdivision = paged.tree.subdivision
-
-    def search(node, idxs: np.ndarray) -> None:
-        packet = paged._node_packet[id(node)]
-        for i in idxs.tolist():
-            accesses[i].append(packet)
-        unresolved = idxs
-        for entry in node.entries:
-            if unresolved.size == 0:
-                break
-            mbr = entry.mbr
-            ux = xs[unresolved]
-            uy = ys[unresolved]
-            inside = (
-                (mbr.min_x <= ux)
-                & (ux <= mbr.max_x)
-                & (mbr.min_y <= uy)
-                & (uy <= mbr.max_y)
-            )
-            if not inside.any():
-                continue
-            candidates = unresolved[inside]
-            if node.is_leaf:
-                shape_packets = paged._shape_packets[entry.region_id]
-                polygon = subdivision.region(entry.region_id).polygon
-                for qi in candidates.tolist():
-                    accesses[qi].extend(shape_packets)
-                    if polygon.contains_point(points[qi]):
-                        regions[qi] = entry.region_id
-            else:
-                search(entry.child, candidates)
-            unresolved = unresolved[regions[unresolved] < 0]
-
-    search(paged.tree.root, np.arange(n))
-    if (regions < 0).any():
-        missing = int(np.argmax(regions < 0))
-        raise QueryError(
-            f"{points[missing]!r} not found in the paged R*-tree"
-        )
-
-    last = np.empty(n, np.int64)
-    tuning = np.empty(n, np.int64)
-    for i, raw in enumerate(accesses):
-        accessed = dedupe_consecutive(raw)
-        _check_forward(accessed)
-        last[i] = accessed[-1] if accessed else 0
-        tuning[i] = len(set(accessed))
-    return TraceBatch(regions, last, tuning)

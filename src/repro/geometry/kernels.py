@@ -415,11 +415,6 @@ class CompiledPartition:
             return first, None
         return first, interlocked
 
-    def _parity_sides(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Ray-parity side codes for D2 points (scalar-parity arithmetic)."""
-        first = self._parity_first(xs, ys)
-        return np.where(first, SIDE_FIRST, SIDE_SECOND)
-
     def _parity_first(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Ray-parity membership in the first subspace for D2 points."""
         ax = self.ax[:, None]

@@ -116,31 +116,6 @@ class MobilityBatchResult:
     def __len__(self) -> int:
         return int(self.retunes.size)
 
-    @property
-    def retunes_per_km(self) -> float:
-        km = float(np.sum(self.distance_km))
-        return float(np.sum(self.retunes)) / km if km > 0 else float("nan")
-
-    def summary(self) -> dict:
-        total_epochs = int(np.sum(self.epochs))
-        return {
-            "clients": len(self),
-            "epochs": total_epochs,
-            "retunes": int(np.sum(self.retunes)),
-            "skips": int(np.sum(self.skips)),
-            "skip_ratio": (
-                float(np.sum(self.skips)) / total_epochs
-                if total_epochs
-                else float("nan")
-            ),
-            "crossings": int(np.sum(self.crossings)),
-            "losses": int(np.sum(self.losses)),
-            "distance_km": float(np.sum(self.distance_km)),
-            "retunes_per_km": self.retunes_per_km,
-            "stale_slots": float(np.sum(self.stale_slots)),
-            "energy_j": float(np.sum(self.energy_joules)),
-        }
-
     def __repr__(self) -> str:
         return (
             f"MobilityBatchResult(clients={len(self)}, "

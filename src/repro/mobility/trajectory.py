@@ -18,6 +18,11 @@ import numpy as np
 
 from repro.errors import ReproError
 
+#: Largest epoch grid :meth:`Trajectory.epoch_times` materialises — far
+#: above realistic grids (a walking-speed path across the unit square
+#: needs about 4k epochs), far below what exhausts memory.
+MAX_EPOCH_GRID = 2**24
+
 
 class Trajectory:
     """One client's path: waypoints, a constant speed, an issue time."""
@@ -75,13 +80,19 @@ class Trajectory:
 
         Covers the traversal (last epoch at or before arrival), always
         includes epoch 0, and is truncated to *max_epochs* when positive
-        — the bound that keeps fleet-scale evaluation affordable.
+        — the bound that keeps fleet-scale evaluation affordable.  A
+        grid longer than :data:`MAX_EPOCH_GRID` is refused.
         """
         if epoch_slots <= 0.0:
             raise ReproError(f"epoch_slots must be > 0, got {epoch_slots}")
         epochs = int(self.duration_slots / epoch_slots) + 1
         if max_epochs > 0:
             epochs = min(epochs, max_epochs)
+        if epochs > MAX_EPOCH_GRID:
+            raise ReproError(
+                f"epoch grid of {epochs} epochs exceeds {MAX_EPOCH_GRID}: "
+                f"set max_epochs (got {max_epochs}) to bound it"
+            )
         return self.issue_time + epoch_slots * np.arange(epochs, dtype=np.float64)
 
     def __repr__(self) -> str:

@@ -147,6 +147,19 @@ class TestCli:
         assert "fleet: 600 queries over 3 chunks" in out
         assert "latency" in out and "energy" in out
 
+    def test_mobility_unbounded_epoch_grid_rejected(self):
+        # Slow clients with no epoch cap would need ~4e8 epochs each.
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="max_epochs"):
+            main(
+                [
+                    "mobility", "--clients", "2", "--regions", "30",
+                    "--speed-min", "0.0001", "--speed-max", "0.0002",
+                    "--max-epochs", "0",
+                ]
+            )
+
     def test_fleet_simulate_with_profile(self, capsys, tmp_path):
         from repro.obs import validate_profile
 

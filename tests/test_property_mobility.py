@@ -1,15 +1,18 @@
 """Property-based tests (hypothesis) for the mobility layer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.catalog import SERVICE_AREA, uniform_dataset
+from repro.errors import ReproError
 from repro.mobility import (
     BoundaryHuggingWorkload,
     RandomWaypointWorkload,
     Trajectory,
 )
+from repro.mobility.trajectory import MAX_EPOCH_GRID
 
 SUBDIVISION = uniform_dataset(n=30, seed=13).subdivision
 
@@ -112,13 +115,19 @@ class TestTrajectoryProperties:
             )
         )
         t = Trajectory(xs, ys, speed=speed, issue_time=3.0)
-        times = t.epoch_times(epoch)
-        assert times[0] == t.issue_time
-        assert times.size == int(t.duration_slots / epoch) + 1
-        # The grid reaches the arrival: one more epoch would overshoot.
-        assert times[-1] <= t.issue_time + t.duration_slots + epoch
+        grid = int(t.duration_slots / epoch) + 1
+        if grid > MAX_EPOCH_GRID:
+            # Slow clients on long paths: refused, never allocated.
+            with pytest.raises(ReproError, match="max_epochs"):
+                t.epoch_times(epoch)
+        else:
+            times = t.epoch_times(epoch)
+            assert times[0] == t.issue_time
+            assert times.size == grid
+            # The grid reaches the arrival: one more epoch would overshoot.
+            assert times[-1] <= t.issue_time + t.duration_slots + epoch
         capped = t.epoch_times(epoch, max_epochs=4)
-        assert capped.size == min(times.size, 4)
+        assert capped.size == min(grid, 4)
 
     @given(coords, st.data())
     @settings(max_examples=40, deadline=None)
