@@ -169,20 +169,11 @@ class _WorkerState:
         self.spec = spec
         self.arena = arena  # held so the mapping outlives the views
         views = arena.views() if arena is not None else {}
-        if spec.mode == "mobility":
-            # Per-trajectory client stacks are built per chunk (each
-            # client owns its cache/session); no compiled-engine state.
-            self.engine = None
-            self.simulator = None
-        elif spec.mode == "engine":
+        self.engine = None
+        self.simulator = None
+        if spec.mode == "engine":
             self.engine = QueryEngine(spec.paged_index, spec.schedule)
-            self.simulator = None
-            if views:
-                attach_compiled_state(
-                    spec.paged_index, views, meta or {}, engine=self.engine
-                )
-        else:
-            self.engine = None
+        elif spec.mode == "simulate":
             self.simulator = ChannelSimulator(
                 spec.paged_index,
                 spec.schedule,
@@ -194,8 +185,10 @@ class _WorkerState:
                 cache_packets=spec.cache_packets,
                 index_kind=spec.index_kind,
             )
-            if views:
-                attach_compiled_state(spec.paged_index, views, meta or {})
+        if views:
+            attach_compiled_state(
+                spec.paged_index, views, meta or {}, engine=self.engine
+            )
 
     def labels(self) -> Dict[str, str]:
         if self.spec.mode == "engine":
@@ -433,16 +426,12 @@ class FleetRunner:
 
         spec = self.spec
         # Compile once in the parent; workers reattach the arrays.
-        # Mobility chunks walk the paged index's scalar structures per
-        # re-tune, so there is no compiled state worth sharing.
-        if spec.mode == "engine":
-            parent_engine = QueryEngine(spec.paged_index, spec.schedule)
-        else:
-            parent_engine = None
-        if spec.mode == "mobility":
-            arrays, meta = {}, None
-        else:
-            arrays, meta = export_compiled_state(spec.paged_index, parent_engine)
+        parent_engine = (
+            QueryEngine(spec.paged_index, spec.schedule)
+            if spec.mode == "engine"
+            else None
+        )
+        arrays, meta = export_compiled_state(spec.paged_index, parent_engine)
         arena = ShmArena.create(arrays) if arrays else None
         spec_bytes = pickle.dumps(spec)
         ctx = mp.get_context(self.start_method)

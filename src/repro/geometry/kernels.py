@@ -23,9 +23,12 @@ so repeated batch queries pay only for the array sweeps:
   ``classify_batch`` / ``contains_batch``;
 * :class:`CompiledPartition` — D1/D3 bounds plus flattened polyline
   segments of one D-tree partition with a vectorized ``sides`` test;
-* :class:`CompiledSubdivision` — per-region compiled polygons and a
-  bounding-box structure-of-arrays with ``locate_batch``, the batched
-  equivalent of the brute-force :meth:`Subdivision.locate` oracle.
+* :class:`RegionEdges` — every region's boundary edges in one flat CSR
+  table with the ragged (region, point) pair classification;
+* :class:`CompiledSubdivision` — per-region compiled polygons, a
+  bounding-box structure-of-arrays and a :class:`RegionEdges` table
+  with ``locate_batch``, the batched equivalent of the brute-force
+  :meth:`Subdivision.locate` oracle.
 
 This module sits at the bottom of the geometry layer: it imports only
 numpy and the scalar tolerance, and accepts the scalar objects
@@ -51,10 +54,12 @@ __all__ = [
     "rect_contains_batch",
     "mbrs_contain_batch",
     "point_segment_distance_batch",
+    "ragged_ranges",
     "point_in_triangles_batch",
     "points_in_polygon",
     "CompiledPolygon",
     "CompiledPartition",
+    "RegionEdges",
     "CompiledSubdivision",
 ]
 
@@ -154,6 +159,26 @@ def mbrs_contain_batch(
         & (min_y[:, None] <= ys)
         & (ys <= max_y[:, None])
     )
+
+
+def ragged_ranges(
+    starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated index ranges ``starts[i] : starts[i] + lengths[i]``.
+
+    Returns ``(flat, owner, first)``: the indices of every range in
+    range order, the range each index belongs to, and each range's first
+    position in ``flat`` (the ``reduceat`` offsets when no range is
+    empty).
+    """
+    lengths = np.asarray(lengths, np.int64)
+    offsets = np.concatenate((np.zeros(1, np.int64), np.cumsum(lengths)))
+    first = offsets[:-1]
+    flat = np.repeat(np.asarray(starts, np.int64) - first, lengths) + np.arange(
+        offsets[-1], dtype=np.int64
+    )
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    return flat, owner, first
 
 
 def point_segment_distance_batch(px, py, ax, ay, bx, by) -> np.ndarray:
@@ -434,6 +459,105 @@ class CompiledPartition:
         return odd if self.described_first else ~odd
 
 
+class RegionEdges:
+    """Every region's directed boundary edges in one flat CSR table.
+
+    Region slot ``s`` owns the edges ``start[s]:start[s + 1]`` — its
+    vertex ring in order, closing edge included — so a batch of
+    (region, point) pairs expands into one flat edge-test array.
+    :meth:`classify_pairs` is the one copy of the ragged containment
+    arithmetic: :class:`CompiledSubdivision` locates with it and the
+    mobility exit bound (:class:`~repro.mobility.exitbound.RegionBoundaryIndex`)
+    tests strict interiority with it.
+    """
+
+    __slots__ = (
+        "counts",
+        "start",
+        "ax",
+        "ay",
+        "bx",
+        "by",
+        "dx",
+        "dy",
+        "lo_x",
+        "hi_x",
+        "lo_y",
+        "hi_y",
+    )
+
+    def __init__(self, ax: np.ndarray, ay: np.ndarray, counts: np.ndarray) -> None:
+        """*ax*/*ay* are the vertex rings concatenated, *counts* the
+        ring lengths in slot order."""
+        self.counts = np.asarray(counts, np.int64)
+        self.start = np.concatenate(
+            (np.zeros(1, np.int64), np.cumsum(self.counts))
+        )
+        self.ax = np.asarray(ax, np.float64)
+        self.ay = np.asarray(ay, np.float64)
+        # Each edge ends at the next vertex of its own ring: the ring's
+        # last vertex wraps to its first (a per-ring ``np.roll(-1)``).
+        following = np.arange(1, len(self.ax) + 1, dtype=np.int64)
+        following[self.start[1:] - 1] = self.start[:-1]
+        self.bx = self.ax[following]
+        self.by = self.ay[following]
+        self.dx = self.bx - self.ax
+        self.dy = self.by - self.ay
+        # Each edge's bounding interval widened by the on-segment
+        # tolerance, exactly as the scalar test widens it.
+        self.lo_x = np.minimum(self.ax, self.bx) - EPS
+        self.hi_x = np.maximum(self.ax, self.bx) + EPS
+        self.lo_y = np.minimum(self.ay, self.by) - EPS
+        self.hi_y = np.maximum(self.ay, self.by) + EPS
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __repr__(self) -> str:
+        return f"RegionEdges(regions={len(self.counts)}, edges={len(self.ax)})"
+
+    def expand(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`ragged_ranges` over the rings of a pair batch: the edge
+        indices of every pair's ring in pair order, the pair each edge
+        belongs to, and each pair's first position in that array."""
+        return ragged_ranges(self.start[slots], self.counts[slots])
+
+    def classify_pairs(
+        self, slots: np.ndarray, px: np.ndarray, py: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Boundary and ray-parity flags of (region slot, point) pairs.
+
+        Runs the :meth:`CompiledPolygon.classify_batch` arithmetic over
+        the expanded edges and reduces per pair with ``reduceat``:
+        ``on_edge[i]`` is "pair *i*'s point lies on its ring" and
+        ``odd[i]`` the crossing parity, so ``~on_edge & odd`` equals the
+        scalar ``contains_point(p, include_boundary=False)`` for a point
+        inside the ring's bounding box (the caller's gate).  Also returns
+        the :meth:`expand` arrays ``(edge, owner, first)`` for follow-up
+        per-edge work.  Needs at least one pair.
+        """
+        edge, owner, first = self.expand(slots)
+        px = px[owner]
+        py = py[owner]
+        ax = self.ax[edge]
+        ay = self.ay[edge]
+        by = self.by[edge]
+        cross = self.dx[edge] * (py - ay) - self.dy[edge] * (px - ax)
+        on_edge = (
+            (np.abs(cross) <= EPS)
+            & (self.lo_x[edge] <= px)
+            & (px <= self.hi_x[edge])
+            & (self.lo_y[edge] <= py)
+            & (py <= self.hi_y[edge])
+        )
+        straddle = (ay > py) != (by > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_at = ax + (py - ay) / (by - ay) * (self.bx[edge] - ax)
+        on_edge_pair = np.logical_or.reduceat(on_edge, first)
+        odd_pair = np.logical_xor.reduceat(straddle & (x_at > px), first)
+        return on_edge_pair, odd_pair, edge, owner, first
+
+
 class CompiledSubdivision:
     """Structure-of-arrays form of a subdivision for batched point location.
 
@@ -475,29 +599,12 @@ class CompiledSubdivision:
         # Flattened edges of every region, concatenated in scan order:
         # locate runs one ragged pass over (candidate region, point)
         # pairs instead of a per-region Python loop.
-        self.edge_counts = np.fromiter(
-            (len(p.ax) for p in self.polygons), np.int64, count=len(regions)
-        )
-        self.edge_start = np.concatenate(
-            (np.zeros(1, np.int64), np.cumsum(self.edge_counts))
-        )
-        self.all_ax = np.concatenate([p.ax for p in self.polygons])
-        self.all_ay = np.concatenate([p.ay for p in self.polygons])
-        self.all_bx = np.concatenate([p.bx for p in self.polygons])
-        self.all_by = np.concatenate([p.by for p in self.polygons])
-        self.all_dx = np.concatenate([p.dx for p in self.polygons])
-        self.all_dy = np.concatenate([p.dy for p in self.polygons])
-        self.all_edge_min_x = np.concatenate(
-            [p.edge_min_x for p in self.polygons]
-        )
-        self.all_edge_max_x = np.concatenate(
-            [p.edge_max_x for p in self.polygons]
-        )
-        self.all_edge_min_y = np.concatenate(
-            [p.edge_min_y for p in self.polygons]
-        )
-        self.all_edge_max_y = np.concatenate(
-            [p.edge_max_y for p in self.polygons]
+        self.edges = RegionEdges(
+            np.concatenate([p.ax for p in self.polygons]),
+            np.concatenate([p.ay for p in self.polygons]),
+            np.fromiter(
+                (len(p.ax) for p in self.polygons), np.int64, count=len(regions)
+            ),
         )
         self._build_grid()
 
@@ -610,17 +717,13 @@ class CompiledSubdivision:
             ((ys - area.min_y) * self.inv_cell_y).astype(np.int64), 0, grid - 1
         )
         cell = cell_y * grid + cell_x
-        counts = self.cell_counts[cell]
-        offsets = np.concatenate((np.zeros(1, np.int64), np.cumsum(counts)))
-        total = int(offsets[-1])
+        candidates, pt, _ = ragged_ranges(
+            self.cell_start[cell], self.cell_counts[cell]
+        )
         interior_pos = np.full(n, count, np.int64)
         boundary_pos = np.full(n, count, np.int64)
-        if total:
-            pt = np.repeat(np.arange(n, dtype=np.int64), counts)
-            reg = self.cell_flat[
-                np.repeat(self.cell_start[cell] - offsets[:-1], counts)
-                + np.arange(total, dtype=np.int64)
-            ]
+        if candidates.size:
+            reg = self.cell_flat[candidates]
             px = xs[pt]
             py = ys[pt]
             keep = (
@@ -659,48 +762,12 @@ class CompiledSubdivision:
         interior_pos: np.ndarray,
         boundary_pos: np.ndarray,
     ) -> None:
-        """Classify candidate (region, point) pairs in one ragged pass.
-
-        Expands each pair into its region's edges, runs the
-        :meth:`CompiledPolygon.classify_batch` arithmetic over the flat
-        edge-test arrays, reduces per pair with ``reduceat``, and folds
-        the interior/boundary hits into the per-point minimum region
-        positions.
-        """
-        edge_counts = self.edge_counts[reg]
-        edge_offsets = np.concatenate(
-            (np.zeros(1, np.int64), np.cumsum(edge_counts))
-        )
-        total_edges = int(edge_offsets[-1])
-        edge = np.repeat(
-            self.edge_start[reg] - edge_offsets[:-1], edge_counts
-        ) + np.arange(total_edges, dtype=np.int64)
-        ppt = np.repeat(pt, edge_counts)
-        px = xs[ppt]
-        py = ys[ppt]
-        ax = self.all_ax[edge]
-        ay = self.all_ay[edge]
-        bx = self.all_bx[edge]
-        by = self.all_by[edge]
-        cross = self.all_dx[edge] * (py - ay) - self.all_dy[edge] * (px - ax)
-        on_edge = (
-            (cross <= EPS)
-            & (cross >= -EPS)
-            & (self.all_edge_min_x[edge] - EPS <= px)
-            & (px <= self.all_edge_max_x[edge] + EPS)
-            & (self.all_edge_min_y[edge] - EPS <= py)
-            & (py <= self.all_edge_max_y[edge] + EPS)
-        )
-        straddle = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = ax + (py - ay) / (by - ay) * (bx - ax)
-        crossing = straddle & (x_at > px)
-
-        starts = edge_offsets[:-1]
-        on_edge_pair = np.logical_or.reduceat(on_edge, starts)
-        odd_pair = (
-            np.add.reduceat(crossing.astype(np.int64), starts) % 2
-        ).astype(bool)
+        """Classify candidate (region, point) pairs in one ragged pass
+        (:meth:`RegionEdges.classify_pairs`) and fold the interior and
+        boundary hits into the per-point minimum region positions."""
+        on_edge_pair, odd_pair = self.edges.classify_pairs(
+            reg, xs[pt], ys[pt]
+        )[:2]
         interior_sel = ~on_edge_pair & odd_pair
         np.minimum.at(interior_pos, pt[interior_sel], reg[interior_sel])
         np.minimum.at(boundary_pos, pt[on_edge_pair], reg[on_edge_pair])

@@ -11,6 +11,11 @@ tunes, never *what* it answers: the logical per-epoch answer sequence is
 identical for both clients (property-tested in
 ``tests/test_mobility.py``).
 
+:func:`evaluate_trajectory` walks one client's session query by query.
+It runs lossy and cached sessions, and it is the oracle the batched
+epoch waves of :mod:`repro.mobility.evaluate` are tested against
+(``tests/test_mobility_waves.py``).
+
 Staleness is measured against delivery times: the answer of a re-tune
 issued at ``t`` is *delivered* at ``t + access_latency``, and an epoch
 is stale when, at its end, the latest delivered answer differs from the

@@ -24,56 +24,98 @@ Two conservative guards keep the bound sound in floating point:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
-from repro.geometry.kernels import point_coords, point_segment_distance_batch
-from repro.geometry.point import Point
+from repro.geometry.kernels import RegionEdges, point_segment_distance_batch
 
 
 class RegionBoundaryIndex:
-    """Per-region flattened boundary-edge arrays for exit bounds.
+    """Every region's boundary edges as one flat CSR table, for exit
+    bounds over whole batches of (answer, position) pairs.
 
-    Built once per subdivision and shipped to fleet workers inside the
-    :class:`~repro.fleet.runner.FleetSpec` (plain arrays + polygons,
-    picklable whole).
+    Holds a :class:`~repro.geometry.kernels.RegionEdges` table, the
+    per-region bounding boxes (the scalar ``contains_point`` gate) and a
+    dense region-id -> slot map.  Built once per subdivision and shipped
+    to fleet workers inside the :class:`~repro.fleet.runner.FleetSpec`
+    (plain arrays, picklable whole).
     """
 
-    __slots__ = ("_regions",)
+    __slots__ = ("edges", "min_x", "min_y", "max_x", "max_y", "_base", "_slot_of")
 
     def __init__(self, subdivision) -> None:
-        self._regions: Dict[int, Tuple] = {}
-        for region in subdivision.regions:
-            polygon = region.polygon
-            ax, ay = point_coords(polygon.vertices)
-            self._regions[region.region_id] = (
-                polygon,
-                ax,
-                ay,
-                np.roll(ax, -1),
-                np.roll(ay, -1),
-            )
+        rings = [region.polygon.vertices for region in subdivision.regions]
+        counts = np.fromiter((len(r) for r in rings), np.int64, count=len(rings))
+        total = int(counts.sum())
+        xs = np.fromiter((v.x for r in rings for v in r), np.float64, count=total)
+        ys = np.fromiter((v.y for r in rings for v in r), np.float64, count=total)
+        self.edges = RegionEdges(xs, ys, counts)
+        first = self.edges.start[:-1]
+        self.min_x = np.minimum.reduceat(xs, first)
+        self.min_y = np.minimum.reduceat(ys, first)
+        self.max_x = np.maximum.reduceat(xs, first)
+        self.max_y = np.maximum.reduceat(ys, first)
+        ids = np.fromiter(
+            (region.region_id for region in subdivision.regions),
+            np.int64,
+            count=len(rings),
+        )
+        # Dense id -> slot map over [min id, max id], padded by one entry
+        # each side: a clipped lookup of any unknown id lands on -1.
+        self._base = int(ids.min()) - 1
+        self._slot_of = np.full(int(ids.max()) - self._base + 2, -1, np.int64)
+        self._slot_of[ids - self._base] = np.arange(len(ids), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self.edges)
 
-    def exit_bound(self, region_id: int, x: float, y: float) -> float:
-        """Sound skip radius around ``(x, y)`` for answer *region_id*.
+    def exit_bounds(self, region_ids, xs, ys) -> np.ndarray:
+        """Sound skip radius around each ``(xs[i], ys[i])`` for answer
+        ``region_ids[i]``, in one ragged pass over the answers' edges.
 
         0 means "no skip" — unknown region, or the position is not
         strictly interior to the answered polygon.
         """
-        entry = self._regions.get(region_id)
-        if entry is None:
-            return 0.0
-        polygon, ax, ay, bx, by = entry
-        if not polygon.contains_point(Point(x, y), include_boundary=False):
-            return 0.0
-        d = float(np.min(point_segment_distance_batch(x, y, ax, ay, bx, by)))
+        slots = self._slot_of.take(
+            np.asarray(region_ids, np.int64) - self._base, mode="clip"
+        )
+        known = slots >= 0
+        slots = np.where(known, slots, 0)
+        xs = np.asarray(xs, np.float64)
+        ys = np.asarray(ys, np.float64)
+        # Polygon.contains_point's bounding-box gate, then its edge test
+        # (run on every pair; the gate masks the answer afterwards).
+        inside = (
+            known
+            & (self.min_x[slots] <= xs)
+            & (xs <= self.max_x[slots])
+            & (self.min_y[slots] <= ys)
+            & (ys <= self.max_y[slots])
+        )
+        if not inside.any():
+            return np.zeros(len(slots), np.float64)
+        edges = self.edges
+        on_edge, odd, edge, owner, first = edges.classify_pairs(slots, xs, ys)
+        inside &= ~on_edge & odd
+        distance = np.minimum.reduceat(
+            point_segment_distance_batch(
+                xs[owner],
+                ys[owner],
+                edges.ax[edge],
+                edges.ay[edge],
+                edges.bx[edge],
+                edges.by[edge],
+            ),
+            first,
+        )
         # One ulp of slack: np.hypot and math.hypot may disagree in the
         # last bit, and the bound must never exceed the true distance.
-        return max(0.0, float(np.nextafter(d, 0.0)))
+        return np.where(
+            inside, np.maximum(0.0, np.nextafter(distance, 0.0)), 0.0
+        )
+
+    def exit_bound(self, region_id: int, x: float, y: float) -> float:
+        """:meth:`exit_bounds` of one answer and position."""
+        return float(self.exit_bounds([region_id], [x], [y])[0])
 
     def __repr__(self) -> str:
-        return f"RegionBoundaryIndex(regions={len(self._regions)})"
+        return f"RegionBoundaryIndex(regions={len(self)})"

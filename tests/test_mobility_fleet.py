@@ -13,6 +13,7 @@ from repro.engine import index_family
 from repro.errors import ReproError
 from repro.fleet import FleetRunner, FleetSpec, run_fleet
 from repro.fleet.report import FleetReport
+from repro.fleet.shm import ShmArena
 from repro.mobility import (
     MobilityReport,
     RandomWaypointWorkload,
@@ -122,6 +123,23 @@ class TestWorkerInvariance:
             solo.merged_answers(), fanned.merged_answers()
         )
         assert solo.summary() == fanned.summary()
+
+    def test_pool_ships_compiled_state(self, mobility_world, monkeypatch):
+        """Mobility workers attach the parent's compiled D-tree from the
+        shared-memory arena, like engine-mode workers."""
+        created = []
+
+        class SpyArena(ShmArena):
+            @classmethod
+            def create(cls, arrays):
+                created.append(sorted(arrays))
+                return super().create(arrays)
+
+        monkeypatch.setattr("repro.fleet.runner.ShmArena", SpyArena)
+        spec = _spec(mobility_world)
+        FleetRunner(spec, chunk_size=100, workers=2, start_method="fork").run(200)
+        assert len(created) == 1
+        assert any(name.startswith("dtree.") for name in created[0])
 
     def test_runner_matches_inline_evaluation(self, mobility_world):
         spec = _spec(mobility_world)
