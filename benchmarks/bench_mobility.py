@@ -94,12 +94,14 @@ def bench_mobility_prediction_savings(benchmark):
     )
 
     pred_runner = FleetRunner(_spec(predictive=True), chunk_size=CHUNK_SIZE)
+    start = time.perf_counter()
     pred = run_recorded(
         benchmark,
         lambda: pred_runner.run(SAVINGS_CLIENTS),
         "mobility",
         f"predictive-{SAVINGS_CLIENTS}-clients",
     )
+    pred_seconds = time.perf_counter() - start
 
     # Same trajectories, same per-epoch answers — prediction only skips
     # re-tunes it can prove redundant.
@@ -111,7 +113,9 @@ def bench_mobility_prediction_savings(benchmark):
     print(
         f"\nmobility {SAVINGS_CLIENTS} clients: naive "
         f"{naive.retunes_per_km:.2f} retunes/km, predictive "
-        f"{pred.retunes_per_km:.2f} retunes/km ({savings:.2f}x savings)"
+        f"{pred.retunes_per_km:.2f} retunes/km ({savings:.2f}x savings; "
+        f"wall time {naive_seconds:.2f}s vs {pred_seconds:.2f}s, "
+        f"{naive_seconds / pred_seconds:.2f}x)"
     )
     assert savings >= 3.0, (
         f"scope-exit prediction saves only {savings:.2f}x re-tunes/km "
