@@ -13,12 +13,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from repro.errors import BroadcastError
 from repro.geometry.point import Point
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.schedule import resolve_schedule
 
 
 def no_index_latency(n_regions: int, params: SystemParameters) -> float:
@@ -90,6 +89,42 @@ class MetricsSummary:
         )
 
 
+def metrics_summary(
+    access_latency: Sequence[float],
+    index_tuning: Sequence[int],
+    total_tuning: Sequence[int],
+    index_packets: int,
+    schedule,
+    n_regions: int,
+    params: SystemParameters,
+) -> MetricsSummary:
+    """Reduce per-query values to the metrics of one cell.
+
+    The one reduction behind :meth:`repro.engine.BatchResult.summary` and
+    :func:`evaluate_index_per_query`.  The means are plain left-to-right
+    Python sums in query order, so both paths produce bit-identical
+    summaries from equal per-query values.
+    """
+    n = len(access_latency)
+    mean_latency = sum(access_latency) / n
+    mean_total_tuning = sum(total_tuning) / n
+    data_packets = n_regions * params.data_packets_per_instance
+    return MetricsSummary(
+        index_packets=index_packets,
+        m=schedule.m,
+        cycle_length=schedule.cycle_length,
+        mean_access_latency=mean_latency,
+        normalized_latency=mean_latency / no_index_latency(n_regions, params),
+        mean_index_tuning=sum(index_tuning) / n,
+        mean_total_tuning=mean_total_tuning,
+        efficiency=indexing_efficiency(
+            mean_total_tuning, mean_latency, n_regions, params
+        ),
+        normalized_index_size=index_packets / data_packets,
+        queries=n,
+    )
+
+
 def evaluate_index(
     paged_index: PagedIndex,
     region_ids: Sequence[int],
@@ -141,42 +176,19 @@ def evaluate_index_per_query(
     (``tests/test_engine.py``); prefer :func:`evaluate_index` everywhere
     else.
     """
-    if not query_points:
-        raise BroadcastError("need at least one query point")
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    schedule = resolve_schedule(
+        paged_index, region_ids, params, query_points, m=m, schedule=schedule
+    )
     client = BroadcastClient(paged_index, schedule)
     rng = random.Random(seed)
     issue_times = [rng.uniform(0, schedule.cycle_length) for _ in query_points]
     results = client.run_workload(query_points, issue_times=issue_times)
-
-    n = len(results)
-    n_regions = len(region_ids)
-    mean_latency = sum(r.access_latency for r in results) / n
-    optimal = no_index_latency(n_regions, params)
-    mean_index_tuning = sum(r.index_tuning_time for r in results) / n
-    mean_total_tuning = sum(r.total_tuning_time for r in results) / n
-    data_packets = n_regions * params.data_packets_per_instance
-    return MetricsSummary(
-        index_packets=len(paged_index.packets),
-        m=schedule.m,
-        cycle_length=schedule.cycle_length,
-        mean_access_latency=mean_latency,
-        normalized_latency=mean_latency / optimal,
-        mean_index_tuning=mean_index_tuning,
-        mean_total_tuning=mean_total_tuning,
-        efficiency=indexing_efficiency(
-            mean_total_tuning, mean_latency, n_regions, params
-        ),
-        normalized_index_size=len(paged_index.packets) / data_packets,
-        queries=n,
+    return metrics_summary(
+        [r.access_latency for r in results],
+        [r.index_tuning_time for r in results],
+        [r.total_tuning_time for r in results],
+        len(paged_index.packets),
+        schedule,
+        len(region_ids),
+        params,
     )

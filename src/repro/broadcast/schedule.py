@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BroadcastError
 from repro.broadcast.params import SystemParameters
@@ -168,3 +168,39 @@ class BroadcastSchedule:
             f"BroadcastSchedule(m={self.m}, index={self.index_packet_count}p, "
             f"data={self.data_packet_count}p, cycle={self.cycle_length}p)"
         )
+
+
+def resolve_schedule(
+    paged_index,
+    region_ids: Sequence[int],
+    params: SystemParameters,
+    queries: Sequence,
+    m: Optional[int] = None,
+    schedule=None,
+    plan=None,
+):
+    """The broadcast timeline a workload front door evaluates against.
+
+    Rejects an empty workload (*queries* are its points or trajectories)
+    and ``schedule=`` together with ``plan=``; builds the flat (1, m)
+    :class:`BroadcastSchedule` when neither is given; rejects a schedule
+    (or plan) built for another index size.
+    """
+    if not queries:
+        raise BroadcastError("need at least one query point")
+    if plan is not None:
+        if schedule is not None:
+            raise BroadcastError("pass either schedule= or plan=, not both")
+        schedule = plan
+    if schedule is None:
+        return BroadcastSchedule(
+            index_packet_count=len(paged_index.packets),
+            region_ids=list(region_ids),
+            params=params,
+            m=m,
+        )
+    if schedule.index_packet_count != len(paged_index.packets):
+        raise BroadcastError(
+            "provided schedule was built for a different index size"
+        )
+    return schedule

@@ -31,25 +31,17 @@ import numpy as np
 
 from repro.errors import BroadcastError
 from repro.obs import active_collector, null_span
-from repro.broadcast.metrics import (
-    MetricsSummary,
-    indexing_efficiency,
-    no_index_latency,
-)
+from repro.broadcast.metrics import MetricsSummary, metrics_summary
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.plan import BroadcastPlan, single_channel_view
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.schedule import BroadcastSchedule, resolve_schedule
 from repro.geometry.point import Point
 from repro.engine.trace import batched_trace
-from repro.workload.generators import QueryWorkload
+from repro.workload.generators import QueryWorkload, workload_points
 
 Workload = Union[QueryWorkload, Sequence[Point]]
-
-
-def _workload_points(workload: Workload) -> Sequence[Point]:
-    return workload.points if isinstance(workload, QueryWorkload) else workload
 
 
 def _uniform_issue_times(rng: random.Random, n: int, length: float) -> np.ndarray:
@@ -116,38 +108,21 @@ class BatchResult:
     ) -> MetricsSummary:
         """Reduce to the aggregated metrics of one experiment cell.
 
-        Matches the legacy per-query reduction exactly: the means are
-        plain left-to-right Python sums over the per-query values, so the
-        summary is bit-for-bit the one ``evaluate_index`` always returned.
+        Matches the per-query reduction exactly: both go through
+        :func:`~repro.broadcast.metrics.metrics_summary`, whose means are
+        plain left-to-right Python sums over the per-query values.
         """
         col = active_collector()
         with col.span("engine.summary") if col is not None else null_span(""):
-            return self._summary(region_ids, params)
-
-    def _summary(
-        self, region_ids: Sequence[int], params: SystemParameters
-    ) -> MetricsSummary:
-        n = len(self)
-        n_regions = len(region_ids)
-        mean_latency = sum(self.access_latency.tolist()) / n
-        optimal = no_index_latency(n_regions, params)
-        mean_index_tuning = sum(self.index_tuning_time.tolist()) / n
-        mean_total_tuning = sum(self.total_tuning_time.tolist()) / n
-        data_packets = n_regions * params.data_packets_per_instance
-        return MetricsSummary(
-            index_packets=self.index_packet_count,
-            m=self.schedule.m,
-            cycle_length=self.schedule.cycle_length,
-            mean_access_latency=mean_latency,
-            normalized_latency=mean_latency / optimal,
-            mean_index_tuning=mean_index_tuning,
-            mean_total_tuning=mean_total_tuning,
-            efficiency=indexing_efficiency(
-                mean_total_tuning, mean_latency, n_regions, params
-            ),
-            normalized_index_size=self.index_packet_count / data_packets,
-            queries=n,
-        )
+            return metrics_summary(
+                self.access_latency.tolist(),
+                self.index_tuning_time.tolist(),
+                self.total_tuning_time.tolist(),
+                self.index_packet_count,
+                self.schedule,
+                len(region_ids),
+                params,
+            )
 
 
 class QueryEngine:
@@ -238,7 +213,7 @@ class QueryEngine:
     ) -> BatchResult:
         """Evaluate every query of *workload* through the full access
         protocol (probe, index search, data retrieval) in bulk."""
-        points = _workload_points(workload)
+        points = workload_points(workload)
         n = len(points)
         if n == 0:
             raise BroadcastError("need at least one query point")
@@ -372,24 +347,11 @@ def evaluate_workload(
     :class:`~repro.broadcast.plan.BroadcastPlan` instead (a K=1 plan is
     bit-for-bit the single-channel path).
     """
-    points = _workload_points(workload)
-    if not points:
-        raise BroadcastError("need at least one query point")
-    if plan is not None:
-        if schedule is not None:
-            raise BroadcastError("pass either schedule= or plan=, not both")
-        schedule = plan
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    points = workload_points(workload)
+    schedule = resolve_schedule(
+        paged_index, region_ids, params, points, m=m, schedule=schedule,
+        plan=plan,
+    )
     engine = QueryEngine(paged_index, schedule)
     issue_times = _uniform_issue_times(
         random.Random(seed), len(points), schedule.cycle_length

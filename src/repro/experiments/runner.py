@@ -48,6 +48,28 @@ class CellResult:
         )
 
 
+def _paged_cell(
+    dataset: Dataset,
+    index_kind: str,
+    packet_capacity: int,
+    seed: int,
+    logical_index=None,
+) -> Tuple[Subdivision, SystemParameters, PagedIndex]:
+    """The cell's subdivision, packet parameters and paged index, built
+    from *logical_index* when one is given."""
+    family = index_family(index_kind)
+    params = family.parameters(packet_capacity)
+    if logical_index is None:
+        logical_index = family.build(dataset.subdivision, seed=seed)
+    return dataset.subdivision, params, logical_index.page(params)
+
+
+def _cell_points(subdivision: Subdivision, queries: int, seed: int):
+    """The cell's *queries* uniform query points, drawn from *seed*."""
+    rng = random.Random(seed)
+    return [subdivision.random_point(rng) for _ in range(queries)]
+
+
 def run_cell(
     dataset: Dataset,
     index_kind: str,
@@ -57,20 +79,14 @@ def run_cell(
     logical_index=None,
 ) -> CellResult:
     """Build (or reuse), page, schedule and measure one cell."""
-    subdivision = dataset.subdivision
-    family = index_family(index_kind)
-    params = family.parameters(packet_capacity)
-    if logical_index is None:
-        logical_index = family.build(subdivision, seed=seed)
-    paged = logical_index.page(params)
-
-    rng = random.Random(seed)
-    points = [subdivision.random_point(rng) for _ in range(queries)]
+    subdivision, params, paged = _paged_cell(
+        dataset, index_kind, packet_capacity, seed, logical_index
+    )
     metrics = evaluate_index(
         paged,
         subdivision.region_ids,
         params,
-        points,
+        _cell_points(subdivision, queries, seed),
         seed=seed,
     )
     return CellResult(dataset.name, index_kind, packet_capacity, metrics)
@@ -99,20 +115,14 @@ def run_faulty_cell(
     """
     from repro.simulation import simulate_workload
 
-    subdivision = dataset.subdivision
-    family = index_family(index_kind)
-    params = family.parameters(packet_capacity)
-    if logical_index is None:
-        logical_index = family.build(subdivision, seed=seed)
-    paged = logical_index.page(params)
-
-    rng = random.Random(seed)
-    points = [subdivision.random_point(rng) for _ in range(queries)]
+    subdivision, params, paged = _paged_cell(
+        dataset, index_kind, packet_capacity, seed, logical_index
+    )
     return simulate_workload(
         paged,
         subdivision.region_ids,
         params,
-        points,
+        _cell_points(subdivision, queries, seed),
         error_rate=error_rate,
         error_model=error_model,
         mean_burst=mean_burst,
@@ -149,12 +159,9 @@ def run_multichannel_cell(
     from repro.broadcast.plan import BroadcastPlan
     from repro.engine import evaluate_workload
 
-    subdivision = dataset.subdivision
-    family = index_family(index_kind)
-    params = family.parameters(packet_capacity)
-    if logical_index is None:
-        logical_index = family.build(subdivision, seed=seed)
-    paged = logical_index.page(params)
+    subdivision, params, paged = _paged_cell(
+        dataset, index_kind, packet_capacity, seed, logical_index
+    )
 
     centroids = {}
     for region in subdivision.regions:
@@ -171,8 +178,7 @@ def run_multichannel_cell(
         hop_cost=hop_cost,
         centroids=centroids,
     )
-    rng = random.Random(seed)
-    points = [subdivision.random_point(rng) for _ in range(queries)]
+    points = _cell_points(subdivision, queries, seed)
     result = evaluate_workload(
         paged, subdivision.region_ids, params, points, seed=seed, plan=plan
     )
@@ -209,47 +215,30 @@ def run_mobility_cell(
     """
     from repro.broadcast.schedule import BroadcastSchedule
     from repro.mobility import (
-        BoundaryHuggingWorkload,
         MobilityReport,
-        RandomWaypointWorkload,
         RegionBoundaryIndex,
         evaluate_trajectory_workload,
-        units_per_slot,
     )
+    from repro.mobility.report import channel_label
+    from repro.mobility.workloads import trajectory_workload
 
-    subdivision = dataset.subdivision
-    family = index_family(index_kind)
-    params = family.parameters(packet_capacity)
-    if logical_index is None:
-        logical_index = family.build(subdivision, seed=seed)
-    paged = logical_index.page(params)
+    subdivision, params, paged = _paged_cell(
+        dataset, index_kind, packet_capacity, seed, logical_index
+    )
     schedule = BroadcastSchedule(
         index_packet_count=len(paged.packets),
         region_ids=list(subdivision.region_ids),
         params=params,
     )
-    speed_range = tuple(
-        units_per_slot(s, packet_capacity) for s in speed_kmh
+    gen = trajectory_workload(
+        workload,
+        subdivision,
+        schedule.cycle_length,
+        packet_capacity,
+        waypoints=waypoints,
+        speed_kmh=speed_kmh,
+        seed=seed,
     )
-    if workload == "random-waypoint":
-        gen = RandomWaypointWorkload(
-            subdivision.service_area,
-            schedule.cycle_length,
-            waypoints=waypoints,
-            speed_range=speed_range,
-            seed=seed,
-        )
-    elif workload == "boundary-hugging":
-        gen = BoundaryHuggingWorkload(
-            subdivision,
-            schedule.cycle_length,
-            waypoints=waypoints,
-            speed_range=speed_range,
-            seed=seed,
-        )
-    else:
-        raise ValueError(f"unknown mobility workload {workload!r}")
-
     batch = evaluate_trajectory_workload(
         paged,
         list(subdivision.region_ids),
@@ -270,9 +259,7 @@ def run_mobility_cell(
     report = MobilityReport(
         index_kind=index_kind,
         client="predictive" if predictive else "naive",
-        error_model=f"{error_model}({error_rate:g})"
-        if error_rate > 0
-        else "perfect",
+        error_model=channel_label(error_model, error_rate, mean_burst),
     )
     report.observe_chunk(0, batch)
     return report

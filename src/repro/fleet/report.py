@@ -1,23 +1,24 @@
 """Streaming, mergeable fleet reports.
 
-A :class:`~repro.simulation.report.SimulationReport` keeps every
-per-query array — the right call for a 10k-query experiment, fatal for a
-10M-query fleet.  The fleet layer instead folds each chunk into a
-:class:`FleetReport` the moment it is evaluated: per-metric counts,
-compensated sums, exact min/max and a mergeable quantile sketch, plus
-the (small) per-query answer array for parity checking.  A worker ships
-a few kilobytes back to the parent regardless of chunk size.
+A :class:`~repro.simulation.report.SimulationReport` is the per-query
+record of one simulator run — the right call for a 10k-query
+experiment, fatal for a 10M-query fleet.  The fleet layer instead folds
+each chunk into a :class:`FleetReport` the moment it is evaluated:
+per-metric counts, compensated sums, exact min/max and a mergeable
+quantile sketch, plus the (small) per-query answer array for parity
+checking.  A worker ships a few kilobytes back to the parent regardless
+of chunk size.
 
 Merge algebra
 -------------
 
-``_StreamingReport`` holds the merge shared by the fleet and the
-mobility reports.  ``merge`` is associative with the empty report as identity,
-and — because chunk results are folded **in chunk order** and sums use
-Neumaier-compensated accumulation — a merged fleet report is exactly
-equal (counters, sums, sketches) to the report a single worker would
-have produced over the same chunking.  Worker count therefore never
-changes a reported number; see DESIGN.md §12.
+``_StreamingReport`` holds the one report merge in the package, shared
+by the fleet and the mobility reports.  ``merge`` is associative with
+the empty report as identity, and — because chunk results are folded
+**in chunk order** and sums use Neumaier-compensated accumulation — a
+merged fleet report is exactly equal (counters, sums, sketches) to the
+report a single worker would have produced over the same chunking.
+Worker count therefore never changes a reported number; see DESIGN.md §12.
 """
 
 from __future__ import annotations
@@ -252,6 +253,19 @@ class _StreamingReport:
         agg = self.metrics[metric]
         return {f"p{q}": agg.percentile(q) for q in PERCENTILES}
 
+    def metric_line(
+        self, metric: str, label: str, unit: str, scale: float = 1.0
+    ) -> str:
+        """One ``label mean= p50= p95= p99= unit`` line of a CLI block,
+        every value multiplied by *scale*."""
+        mean = self.metrics[metric].mean * scale
+        p = self.percentiles(metric)
+        return (
+            f"  {label:<8} mean={mean:.2f} "
+            f"p50={p['p50'] * scale:.2f} p95={p['p95'] * scale:.2f} "
+            f"p99={p['p99'] * scale:.2f} {unit}"
+        )
+
     def to_dict(self) -> dict:
         """JSON-ready summary (answers and attempts excluded; answers
         are a parity artifact, not a result)."""
@@ -332,7 +346,6 @@ class FleetReport(_StreamingReport):
 
 def render_fleet_report(report: FleetReport) -> str:
     """Human-readable block for the CLI."""
-    s = report.summary()
     lines: List[str] = [
         f"fleet: {report.queries} queries over {report.chunk_count} chunks "
         f"({report.mode}, index={report.index_kind})",
@@ -348,16 +361,9 @@ def render_fleet_report(report: FleetReport) -> str:
             f"  elapsed: {report.elapsed_seconds:.2f}s "
             f"({rate:,.0f} queries/s)"
         )
-    for metric, label, unit in (
-        ("access_latency", "latency", "packets"),
-        ("tuning_time", "tuning", "reads"),
-        ("energy_joules", "energy", "mJ"),
-    ):
-        scale = 1000.0 if unit == "mJ" else 1.0
-        p = report.percentiles(metric)
-        lines.append(
-            f"  {label:<8} mean={report.metrics[metric].mean * scale:.2f} "
-            f"p50={p['p50'] * scale:.2f} p95={p['p95'] * scale:.2f} "
-            f"p99={p['p99'] * scale:.2f} {unit}"
-        )
+    lines += [
+        report.metric_line("access_latency", "latency", "packets"),
+        report.metric_line("tuning_time", "tuning", "reads"),
+        report.metric_line("energy_joules", "energy", "mJ", scale=1000.0),
+    ]
     return "\n".join(lines)

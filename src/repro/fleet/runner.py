@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -191,19 +192,16 @@ class _WorkerState:
             )
 
     def labels(self) -> Dict[str, str]:
-        if self.spec.mode == "engine":
-            return {
-                "mode": "engine",
-                "index_kind": self.spec.index_kind,
-                "policy": "none",
-                "error_model": "error-free",
-            }
-        client = self.simulator.client
+        """The fleet report labels of an engine or simulate worker."""
+        policy, error_model = "none", "error-free"
+        if self.simulator is not None:
+            client = self.simulator.client
+            policy, error_model = client.policy.name, repr(client.error_model)
         return {
-            "mode": "simulate",
+            "mode": self.spec.mode,
             "index_kind": self.spec.index_kind,
-            "policy": client.policy.name,
-            "error_model": repr(client.error_model),
+            "policy": policy,
+            "error_model": error_model,
         }
 
     def _evaluate_mobility(
@@ -212,23 +210,15 @@ class _WorkerState:
         """Evaluate one trajectory chunk into a
         :class:`~repro.mobility.report.MobilityReport`."""
         from repro.mobility.evaluate import evaluate_trajectory_workload
-        from repro.mobility.report import MobilityReport
-        from repro.simulation.faults import PerfectChannel
+        from repro.mobility.report import MobilityReport, channel_label
 
         spec = self.spec
-        channel_label = (
-            repr(
-                make_error_model(
-                    spec.error_model_name, spec.error_rate, spec.mean_burst
-                )
-            )
-            if spec.error_rate > 0.0
-            else repr(PerfectChannel())
-        )
         report = MobilityReport(
             index_kind=spec.index_kind,
             client="predictive" if spec.predictive else "naive",
-            error_model=channel_label,
+            error_model=channel_label(
+                spec.error_model_name, spec.error_rate, spec.mean_burst
+            ),
             alpha=spec.alpha,
         )
         if size == 0:
@@ -277,30 +267,23 @@ class _WorkerState:
             energy = spec.energy_model.batch_joules(
                 tuning, result.access_latency, spec.params.packet_capacity
             )
-            report.observe_chunk(
-                chunk_index,
-                result.region_ids,
-                result.access_latency,
-                tuning,
-                energy,
-                losses=0,
-                attempts=int(np.sum(tuning)),
-                keep_answers=spec.keep_answers,
-            )
+            losses, attempts = 0, tuning
         else:
-            sim = self.simulator.run(
+            result = self.simulator.run(
                 points, issue_times=issue_times, seed=channel_seed
             )
-            report.observe_chunk(
-                chunk_index,
-                sim.region_ids,
-                sim.access_latency,
-                sim.tuning_time,
-                sim.energy_joules,
-                losses=sim.total_losses,
-                attempts=int(np.sum(sim.read_attempts)),
-                keep_answers=spec.keep_answers,
-            )
+            tuning, energy = result.tuning_time, result.energy_joules
+            losses, attempts = result.total_losses, result.read_attempts
+        report.observe_chunk(
+            chunk_index,
+            result.region_ids,
+            result.access_latency,
+            tuning,
+            energy,
+            losses=losses,
+            attempts=int(np.sum(attempts)),
+            keep_answers=spec.keep_answers,
+        )
         return report
 
 
@@ -322,17 +305,23 @@ def _init_worker(
     _WORKER = _WorkerState(spec, arena, meta)
 
 
+def _evaluate_task(state: _WorkerState, task: _ChunkTask):
+    """Evaluate one chunk task: ``(chunk index, report, collector)``.
+
+    The inline path and the pool workers both run chunks through here.
+    With profiling on, each chunk gets a fresh collector, shipped back
+    for an explicit merge at join — ambient collectors never cross
+    process boundaries.
+    """
+    chunk_index, start, size, channel_seed, profile = task
+    with collecting() if profile else nullcontext() as col:
+        report = state.evaluate(chunk_index, start, size, channel_seed)
+    return chunk_index, report, col
+
+
 def _run_chunk(task: _ChunkTask):
     """Pool map function: evaluate one chunk in this worker."""
-    chunk_index, start, size, channel_seed, profile = task
-    worker = _WORKER
-    if profile:
-        # Fresh collector per chunk, shipped back for an explicit merge
-        # at join — ambient collectors never cross process boundaries.
-        with collecting() as col:
-            report = worker.evaluate(chunk_index, start, size, channel_seed)
-        return chunk_index, report, col
-    return chunk_index, worker.evaluate(chunk_index, start, size, channel_seed), None
+    return _evaluate_task(_WORKER, task)
 
 
 class FleetRunner:
@@ -404,21 +393,7 @@ class FleetRunner:
         """Single-process path — also the oracle the fan-out is tested
         against.  Runs the identical per-chunk evaluation code."""
         state = _WorkerState(self.spec, arena=None, meta=None)
-        outcomes = []
-        for chunk_index, start, size, channel_seed, profile in tasks:
-            if profile:
-                with collecting() as chunk_col:
-                    rep = state.evaluate(chunk_index, start, size, channel_seed)
-                outcomes.append((chunk_index, rep, chunk_col))
-            else:
-                outcomes.append(
-                    (
-                        chunk_index,
-                        state.evaluate(chunk_index, start, size, channel_seed),
-                        None,
-                    )
-                )
-        return outcomes
+        return [_evaluate_task(state, task) for task in tasks]
 
     def _run_pool(self, tasks: List[_ChunkTask]) -> List[tuple]:
         """Fan chunks out over a process pool with shared compiled state."""
@@ -512,41 +487,23 @@ def run_fleet(
     )
     boundary_index = None
     if mode == "mobility":
-        from repro.mobility import (
-            BoundaryHuggingWorkload,
-            RandomWaypointWorkload,
-            RegionBoundaryIndex,
-            units_per_slot,
-        )
+        from repro.mobility import RegionBoundaryIndex
         from repro.mobility.units import DEFAULT_KM_PER_UNIT
+        from repro.mobility.workloads import trajectory_workload
 
         if km_per_unit is None:
             km_per_unit = DEFAULT_KM_PER_UNIT
-        speed_range = tuple(
-            units_per_slot(s, packet_capacity, km_per_unit)
-            for s in speed_kmh
+        workload = trajectory_workload(
+            mobility_workload,
+            subdivision,
+            schedule.cycle_length,
+            packet_capacity,
+            waypoints=waypoints,
+            speed_kmh=speed_kmh,
+            km_per_unit=km_per_unit,
+            hug_offset=hug_offset,
+            seed=seed,
         )
-        if mobility_workload == "random-waypoint":
-            workload = RandomWaypointWorkload(
-                SERVICE_AREA,
-                schedule.cycle_length,
-                waypoints=waypoints,
-                speed_range=speed_range,
-                seed=seed,
-            )
-        elif mobility_workload == "boundary-hugging":
-            workload = BoundaryHuggingWorkload(
-                subdivision,
-                schedule.cycle_length,
-                waypoints=waypoints,
-                speed_range=speed_range,
-                offset=hug_offset,
-                seed=seed,
-            )
-        else:
-            raise ReproError(
-                f"unknown mobility workload {mobility_workload!r}"
-            )
         if predictive:
             boundary_index = RegionBoundaryIndex(subdivision)
     else:

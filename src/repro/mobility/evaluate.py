@@ -33,9 +33,9 @@ import numpy as np
 
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.plan import BroadcastPlan, single_channel_view
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.schedule import resolve_schedule
 from repro.engine import QueryEngine
-from repro.errors import BroadcastError, ReproError
+from repro.errors import ReproError
 from repro.geometry.kernels import ragged_ranges
 from repro.geometry.point import Point
 from repro.obs import active_collector
@@ -187,17 +187,9 @@ def evaluate_trajectory_workload(
                 "predictive evaluation needs subdivision= or boundary_index="
             )
         boundary_index = RegionBoundaryIndex(subdivision)
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    schedule = resolve_schedule(
+        paged_index, region_ids, params, trajectories, m=m, schedule=schedule
+    )
     if epoch_slots is None:
         epoch_slots = default_epoch_slots(schedule.cycle_length)
     energy_model = energy_model or EnergyModel()

@@ -21,6 +21,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.fleet.report import _StreamingReport
+from repro.simulation.faults import PerfectChannel, make_error_model
 from repro.simulation.report import summary_columns
 
 #: The per-client metrics every mobility report aggregates.
@@ -32,6 +33,16 @@ MOBILITY_METRIC_FIELDS = (
     "distance_km",
     "retunes_per_km",
 )
+
+
+def channel_label(
+    error_model: str, error_rate: float, mean_burst: float
+) -> str:
+    """The ``error_model`` label of a mobility run: the repr of the
+    channel its clients read through (perfect at a zero error rate)."""
+    if error_rate <= 0.0:
+        return repr(PerfectChannel())
+    return repr(make_error_model(error_model, error_rate, mean_burst))
 
 
 class MobilityReport(_StreamingReport):
@@ -142,16 +153,11 @@ def render_mobility_report(report: MobilityReport) -> str:
         f"({report.retunes_per_km:.2f}/km over {report.distance_km:.1f} km, "
         f"skip ratio {report.skip_ratio:.1%})"
     )
-    lines.append(f"  crossings: {report.crossings}")
-    for metric, label, scale, unit in (
-        ("stale_slots", "stale", 1.0, "slots/client"),
-        ("energy_joules", "energy", 1000.0, "mJ/client"),
-    ):
-        agg = report.metrics[metric]
-        p = report.percentiles(metric)
-        lines.append(
-            f"  {label:<8} mean={agg.mean * scale:.2f} "
-            f"p50={p['p50'] * scale:.2f} p95={p['p95'] * scale:.2f} "
-            f"p99={p['p99'] * scale:.2f} {unit}"
-        )
+    lines += [
+        f"  crossings: {report.crossings}",
+        report.metric_line("stale_slots", "stale", "slots/client"),
+        report.metric_line(
+            "energy_joules", "energy", "mJ/client", scale=1000.0
+        ),
+    ]
     return "\n".join(lines)

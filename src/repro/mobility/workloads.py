@@ -16,17 +16,21 @@ Two families:
 * :class:`BoundaryHuggingWorkload` — the adversarial counterpart: every
   waypoint sits a small offset off a subdivision edge, so clients spend
   their lives near scope boundaries where the exit bound is smallest.
+
+:func:`trajectory_workload` builds either one by name from road speeds
+in km/h, for the fleet runner and the experiment cells alike.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.geometry.rect import Rect
 from repro.mobility.trajectory import Trajectory
+from repro.mobility.units import DEFAULT_KM_PER_UNIT, units_per_slot
 
 #: uint64 outputs per Philox counter block — the advance() unit.
 _WORDS_PER_BLOCK = 4
@@ -185,3 +189,45 @@ class BoundaryHuggingWorkload(_TrajectoryWorkloadBase):
             np.clip(xs, area.min_x, area.max_x),
             np.clip(ys, area.min_y, area.max_y),
         )
+
+
+def trajectory_workload(
+    name: str,
+    subdivision,
+    cycle_length: int,
+    packet_capacity: int,
+    *,
+    waypoints: int = 3,
+    speed_kmh: Tuple[float, float] = (30.0, 90.0),
+    km_per_unit: float = DEFAULT_KM_PER_UNIT,
+    hug_offset: float = 0.01,
+    seed: int = 0,
+) -> _TrajectoryWorkloadBase:
+    """The trajectory workload called *name* over *subdivision*'s service
+    area: ``"random-waypoint"`` or ``"boundary-hugging"``, with speeds
+    drawn uniformly from the ``speed_kmh`` range, converted to
+    service-area units per packet slot."""
+    speed_range = tuple(
+        units_per_slot(s, packet_capacity, km_per_unit) for s in speed_kmh
+    )
+    if name == RandomWaypointWorkload.kind:
+        return RandomWaypointWorkload(
+            subdivision.service_area,
+            cycle_length,
+            waypoints=waypoints,
+            speed_range=speed_range,
+            seed=seed,
+        )
+    if name == BoundaryHuggingWorkload.kind:
+        return BoundaryHuggingWorkload(
+            subdivision,
+            cycle_length,
+            waypoints=waypoints,
+            speed_range=speed_range,
+            offset=hug_offset,
+            seed=seed,
+        )
+    raise ReproError(
+        f"unknown mobility workload {name!r}; expected "
+        f"{RandomWaypointWorkload.kind!r} or {BoundaryHuggingWorkload.kind!r}"
+    )

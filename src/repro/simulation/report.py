@@ -8,6 +8,13 @@ keeps the full per-query arrays and reports p50/p95/p99 alongside the
 mean, for all three metrics (latency in packets, tuning in read
 attempts, energy in joules).
 
+A report is the per-query record of one
+:meth:`~repro.simulation.ChannelSimulator.run`, the way
+:class:`~repro.engine.BatchResult` is for the engine; it is never merged.
+Runs that span chunks fold each chunk into a streaming
+:class:`~repro.fleet.report.FleetReport`, whose ``_StreamingReport``
+merge is the only report merge in the package.
+
 Reports compare equal exactly (array-for-array), which is what the
 deterministic-replay guarantee is asserted against: same seed, same
 report.
@@ -68,6 +75,7 @@ def query_summary(
 class SimulationReport:
     """Outcome of one simulated workload over an unreliable channel."""
 
+    #: The three labels, then the per-query arrays.
     __slots__ = (
         "index_kind",
         "policy",
@@ -94,21 +102,6 @@ class SimulationReport:
         packet_losses: np.ndarray,
         read_attempts: np.ndarray,
     ) -> None:
-        # n == 0 is legal: an empty chunk (or an all-filtered workload)
-        # produces an empty report, the identity of :meth:`merge`.
-        n = len(region_ids)
-        for name, array in (
-            ("issue_times", issue_times),
-            ("access_latency", access_latency),
-            ("tuning_time", tuning_time),
-            ("energy_joules", energy_joules),
-            ("packet_losses", packet_losses),
-            ("read_attempts", read_attempts),
-        ):
-            if len(array) != n:
-                raise BroadcastError(
-                    f"{name} has {len(array)} entries for {n} queries"
-                )
         self.index_kind = index_kind
         self.policy = policy
         #: Repr of the error model the run used (self-describing label).
@@ -123,6 +116,14 @@ class SimulationReport:
         self.energy_joules = energy_joules
         self.packet_losses = packet_losses
         self.read_attempts = read_attempts
+        # n == 0 is legal: percentiles and summary are NaN-safe on it.
+        n = len(region_ids)
+        for name in self.__slots__[3:]:
+            size = len(getattr(self, name))
+            if size != n:
+                raise BroadcastError(
+                    f"{name} has {size} entries for {n} queries"
+                )
 
     def __len__(self) -> int:
         return len(self.region_ids)
@@ -137,137 +138,15 @@ class SimulationReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationReport):
             return NotImplemented
-        if (
-            self.index_kind != other.index_kind
-            or self.policy != other.policy
-            or self.error_model != other.error_model
-        ):
-            return False
+        labels, arrays = self.__slots__[:3], self.__slots__[3:]
         return all(
+            getattr(self, name) == getattr(other, name) for name in labels
+        ) and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (
-                "issue_times",
-                "region_ids",
-                "access_latency",
-                "tuning_time",
-                "energy_joules",
-                "packet_losses",
-                "read_attempts",
-            )
+            for name in arrays
         )
 
     __hash__ = None  # mutable arrays inside
-
-    #: The per-query arrays carried by every report, in declaration order.
-    _ARRAY_FIELDS = (
-        "issue_times",
-        "region_ids",
-        "access_latency",
-        "tuning_time",
-        "energy_joules",
-        "packet_losses",
-        "read_attempts",
-    )
-
-    #: dtype of each per-query array, as the simulator produces them.
-    _ARRAY_DTYPES = {
-        "issue_times": np.float64,
-        "region_ids": np.int64,
-        "access_latency": np.float64,
-        "tuning_time": np.int64,
-        "energy_joules": np.float64,
-        "packet_losses": np.int64,
-        "read_attempts": np.int64,
-    }
-
-    @classmethod
-    def empty(
-        cls,
-        index_kind: str = "?",
-        policy: str = "?",
-        error_model: str = "?",
-    ) -> "SimulationReport":
-        """A zero-query report with the simulator's canonical dtypes —
-        the identity element of :meth:`merge`."""
-        return cls(
-            index_kind=index_kind,
-            policy=policy,
-            error_model=error_model,
-            **{
-                name: np.zeros(0, dtype)
-                for name, dtype in cls._ARRAY_DTYPES.items()
-            },
-        )
-
-    # -- merging ------------------------------------------------------------
-
-    def merge(self, other: "SimulationReport") -> "SimulationReport":
-        """Concatenate two reports into a new one (exact, order-preserving).
-
-        The merge algebra is what fleet fan-out relies on: it is
-        associative, has :meth:`empty` as identity, and merging per-chunk
-        reports in chunk order reproduces the monolithic run's arrays
-        bit for bit (same per-query values, same order).  Labels must
-        agree unless one side is empty with placeholder labels, in which
-        case the non-empty side's labels win.
-        """
-        if not isinstance(other, SimulationReport):
-            raise BroadcastError(
-                f"cannot merge SimulationReport with {type(other).__name__}"
-            )
-        labels: Dict[str, str] = {}
-        for name in ("index_kind", "policy", "error_model"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if mine == theirs:
-                labels[name] = mine
-            elif len(self) == 0:
-                labels[name] = theirs
-            elif len(other) == 0:
-                labels[name] = mine
-            else:
-                raise BroadcastError(
-                    f"cannot merge reports with different {name}: "
-                    f"{mine!r} vs {theirs!r}"
-                )
-        return SimulationReport(
-            **labels,
-            **{
-                name: np.concatenate(
-                    [getattr(self, name), getattr(other, name)]
-                )
-                for name in self._ARRAY_FIELDS
-            },
-        )
-
-    # -- (de)serialization --------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable dict; :meth:`from_dict` round-trips it to
-        an equal report (arrays restored with their original dtypes)."""
-        out: Dict[str, object] = {
-            "index_kind": self.index_kind,
-            "policy": self.policy,
-            "error_model": self.error_model,
-        }
-        for name in self._ARRAY_FIELDS:
-            array = getattr(self, name)
-            out[name] = array.tolist()
-            out[f"{name}_dtype"] = str(array.dtype)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimulationReport":
-        """Inverse of :meth:`to_dict`."""
-        arrays = {
-            name: np.asarray(data[name], dtype=data[f"{name}_dtype"])
-            for name in cls._ARRAY_FIELDS
-        }
-        return cls(
-            index_kind=data["index_kind"],
-            policy=data["policy"],
-            error_model=data["error_model"],
-            **arrays,
-        )
 
     # -- reductions ---------------------------------------------------------
 

@@ -29,22 +29,12 @@ from repro.obs import active_collector, null_span
 from repro.broadcast.client import AccessResult, BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.schedule import BroadcastSchedule
+from repro.broadcast.schedule import resolve_schedule
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import ErrorModel, PerfectChannel, make_error_model
 from repro.simulation.policies import RecoveryPolicy
 from repro.simulation.report import SimulationReport
-
-try:  # pragma: no cover - mirror the engine's Workload union
-    from repro.workload.generators import QueryWorkload
-except ImportError:  # pragma: no cover
-    QueryWorkload = None  # type: ignore[assignment]
-
-
-def _workload_points(workload) -> Sequence:
-    if QueryWorkload is not None and isinstance(workload, QueryWorkload):
-        return workload.points
-    return workload
+from repro.workload.generators import workload_points
 
 
 class ChannelSimulator:
@@ -105,7 +95,7 @@ class ChannelSimulator:
         rng is re-derived from the seed, so repeated calls with one seed
         replay the identical fault schedule.
         """
-        points = _workload_points(workload)
+        points = workload_points(workload)
         n = len(points)
         if n == 0:
             raise BroadcastError("need at least one query point")
@@ -185,24 +175,11 @@ def simulate_workload(
     :class:`~repro.broadcast.plan.BroadcastPlan`) to simulate a
     multi-channel broadcast instead of a single timeline.
     """
-    points = _workload_points(workload)
-    if not points:
-        raise BroadcastError("need at least one query point")
-    if plan is not None:
-        if schedule is not None:
-            raise BroadcastError("pass either schedule= or plan=, not both")
-        schedule = plan
-    if schedule is None:
-        schedule = BroadcastSchedule(
-            index_packet_count=len(paged_index.packets),
-            region_ids=list(region_ids),
-            params=params,
-            m=m,
-        )
-    elif schedule.index_packet_count != len(paged_index.packets):
-        raise BroadcastError(
-            "provided schedule was built for a different index size"
-        )
+    points = workload_points(workload)
+    schedule = resolve_schedule(
+        paged_index, region_ids, params, points, m=m, schedule=schedule,
+        plan=plan,
+    )
     if isinstance(error_model, str):
         error_model = make_error_model(error_model, error_rate, mean_burst)
     simulator = ChannelSimulator(

@@ -43,6 +43,12 @@ class QueryWorkload:
         return f"QueryWorkload({self.name!r}, n={len(self.points)})"
 
 
+def workload_points(workload) -> Sequence[Point]:
+    """The query points of a :class:`QueryWorkload` or of a plain point
+    sequence (returned as is)."""
+    return workload.points if isinstance(workload, QueryWorkload) else workload
+
+
 def uniform_workload(
     subdivision: Subdivision,
     n: int,

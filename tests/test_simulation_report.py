@@ -1,12 +1,9 @@
 """Unit tests for :class:`repro.simulation.report.SimulationReport`:
-single-query degenerate arrays, dict round-trip, equality semantics."""
-
-import json
+single-query and zero-query degenerate arrays, equality semantics."""
 
 import numpy as np
 import pytest
 
-from repro.errors import BroadcastError
 from repro.simulation.report import PERCENTILES, SimulationReport, render_reports
 
 
@@ -52,103 +49,27 @@ class TestSingleQuery:
         assert "retry-next-segment" in table
 
 class TestEmptyReport:
-    """Regression: a zero-query report used to raise on construction,
-    which broke merge folds whose first operand is the identity."""
+    """Regression: a zero-query report used to raise on construction."""
 
     def test_empty_report_constructible(self):
         report = _report(n=0)
         assert len(report) == 0
         assert report.total_losses == 0
 
-    def test_empty_classmethod(self):
-        report = SimulationReport.empty()
-        assert len(report) == 0
-        for name, dtype in SimulationReport._ARRAY_DTYPES.items():
-            assert getattr(report, name).dtype == dtype
-
     def test_empty_percentiles_are_nan(self):
-        report = SimulationReport.empty()
+        report = _report(n=0)
         for metric in ("access_latency", "tuning_time", "energy_joules"):
             pct = report.percentiles(metric)
             assert set(pct) == {f"p{q}" for q in PERCENTILES}
             assert all(np.isnan(v) for v in pct.values())
 
     def test_empty_summary_nan_safe(self):
-        s = SimulationReport.empty().summary()
+        s = _report(n=0).summary()
         assert s["queries"] == 0.0
         assert s["losses"] == 0.0
         assert np.isnan(s["mean_attempts"])
         assert np.isnan(s["latency_mean"])
         assert np.isnan(s["energy_j_p99"])
-
-    def test_empty_round_trips(self):
-        report = SimulationReport.empty("dtree", "p", "m")
-        assert SimulationReport.from_dict(report.to_dict()) == report
-
-
-class TestMergeAlgebra:
-    def test_identity_left_and_right(self):
-        report = _report(n=4)
-        assert SimulationReport.empty().merge(report) == report
-        assert report.merge(SimulationReport.empty()) == report
-
-    def test_identity_adopts_labels(self):
-        merged = SimulationReport.empty().merge(_report(n=2, kind="rstar"))
-        assert merged.index_kind == "rstar"
-        assert merged.policy == "retry-next-segment"
-
-    def test_associativity(self):
-        a = _report(n=2, latency=10.0)
-        b = _report(n=3, latency=20.0, seed_offset=100.0)
-        c = _report(n=4, latency=30.0, seed_offset=200.0)
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    def test_merge_concatenates_in_order(self):
-        a = _report(n=2, latency=10.0)
-        b = _report(n=3, latency=20.0)
-        merged = a.merge(b)
-        assert len(merged) == 5
-        np.testing.assert_array_equal(
-            merged.access_latency, [10.0, 10.0, 20.0, 20.0, 20.0]
-        )
-
-    def test_merge_is_pure(self):
-        a = _report(n=2)
-        b = _report(n=3)
-        a.merge(b)
-        assert len(a) == 2 and len(b) == 3
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(BroadcastError):
-            _report(n=1, kind="dtree").merge(_report(n=1, kind="rstar"))
-
-    def test_merge_rejects_other_types(self):
-        with pytest.raises(BroadcastError):
-            _report(n=1).merge("not a report")
-
-
-class TestDictRoundTrip:
-    def test_round_trip_equality(self):
-        report = _report(n=5)
-        again = SimulationReport.from_dict(report.to_dict())
-        assert again == report
-        assert report == again
-
-    def test_round_trip_preserves_dtypes(self):
-        report = _report(n=3)
-        again = SimulationReport.from_dict(report.to_dict())
-        for name in SimulationReport._ARRAY_FIELDS:
-            assert getattr(again, name).dtype == getattr(report, name).dtype
-
-    def test_dict_is_json_serializable(self):
-        report = _report(n=4)
-        text = json.dumps(report.to_dict())
-        again = SimulationReport.from_dict(json.loads(text))
-        assert again == report
-
-    def test_round_trip_single_query(self):
-        report = _report(n=1)
-        assert SimulationReport.from_dict(report.to_dict()) == report
 
 
 class TestEquality:
