@@ -21,6 +21,8 @@ import bisect
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import BroadcastError
 from repro.broadcast.params import SystemParameters
 
@@ -122,8 +124,8 @@ class BroadcastSchedule:
         negative *time* (which :meth:`segment_for_offset` produces when
         the cached prefix is longer than the elapsed cycle fraction), so
         the bisect below — first start ``>= offset``, same semantics as
-        ``np.searchsorted(side="left")`` in the engine's vectorized
-        twin — needs no special cases.
+        ``np.searchsorted(side="left")`` in the vectorized twin
+        :meth:`next_index_starts` — needs no special cases.
         """
         cycle, offset = divmod(time, self.cycle_length)
         starts = self.index_segment_starts
@@ -157,6 +159,55 @@ class BroadcastSchedule:
         if in_cycle >= offset:
             return int(cycle) * self.cycle_length + in_cycle
         return (int(cycle) + 1) * self.cycle_length + in_cycle
+
+    # -- vectorized timeline ------------------------------------------------
+
+    def timeline_arrays(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(segment starts, dense region id -> bucket position)`` as
+        int64 arrays, memoized once per schedule.  The position map is
+        None when a region id is negative (no dense map exists), and
+        ``-1`` marks ids the schedule does not air."""
+        arrays = getattr(self, "_timeline_arrays", None)
+        if arrays is None:
+            starts = np.asarray(self.index_segment_starts, np.int64)
+            positions = None
+            if min(self.region_ids) >= 0:
+                positions = np.full(max(self.region_ids) + 1, -1, np.int64)
+                for region_id, position in self.bucket_position.items():
+                    positions[region_id] = position
+            arrays = self._timeline_arrays = (starts, positions)
+        return arrays
+
+    def next_index_starts(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`next_index_start` over an array of times, negative ones
+        included: ``np.divmod`` on floats is CPython's ``divmod``
+        (fmod, sign fix-up, floor with the same rounding guard), and
+        ``searchsorted(side="left")`` is ``bisect_left``."""
+        length = self.cycle_length
+        starts = self.timeline_arrays()[0]
+        cycles, offsets = np.divmod(times, length)
+        idx = np.searchsorted(starts, offsets, side="left")
+        wraps = idx == len(starts)
+        segment = starts[np.where(wraps, 0, idx)]
+        return (cycles.astype(np.int64) + wraps) * length + segment
+
+    def next_bucket_arrivals(
+        self, region_ids: np.ndarray, times: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`next_bucket_arrival` over arrays of regions and (integer
+        or float) times; needs the dense position map of
+        :meth:`timeline_arrays`."""
+        length = self.cycle_length
+        table = self.timeline_arrays()[1]
+        out_of_range = region_ids >= len(table)
+        positions = table[np.where(out_of_range, 0, region_ids)]
+        bad = out_of_range | (positions < 0)
+        if bad.any():
+            missing = int(region_ids[np.argmax(bad)])
+            raise BroadcastError(f"region {missing} not in schedule")
+        cycles, offsets = np.divmod(times, length)
+        cycles = cycles.astype(np.int64)
+        return np.where(positions >= offsets, cycles, cycles + 1) * length + positions
 
     @property
     def index_overhead_packets(self) -> int:

@@ -9,8 +9,9 @@ in bulk:
   (:func:`repro.engine.trace.batched_trace` — shared packet-prefix
   traversal for the D-tree, vectorized MBR tests for the R*-tree);
 * the broadcast timeline (probe → next index segment → data bucket) is
-  numpy-vectorized against a :class:`BroadcastSchedule`, with the
-  per-bucket arrival offsets memoized into a dense array once per engine;
+  numpy-vectorized against a :class:`BroadcastSchedule` through its
+  array methods, with the per-bucket arrival offsets memoized into a
+  dense array once per schedule;
 * duck-typed schedules (e.g. the skewed broadcast-disks program) fall
   back to their own per-query timeline methods, so the engine accepts
   anything the per-query path accepted.
@@ -131,9 +132,11 @@ class QueryEngine:
     :class:`~repro.broadcast.plan.BroadcastPlan`).
 
     A K=1 plan is unwrapped to its single channel's schedule, so it runs
-    the vectorized single-channel path bit for bit; a K>1 plan is
-    evaluated query by query through the access walker
-    (:class:`~repro.broadcast.client.BroadcastClient`) with its hop effect.
+    the vectorized single-channel path bit for bit; a K>1 plan runs
+    through the access walker's batched front door
+    (:meth:`~repro.broadcast.client.BroadcastClient.run_batch`): the
+    compiled tracers emit each query's packet path and one vectorised
+    pass over the plan's channels applies the hop effect.
     """
 
     def __init__(self, paged_index: PagedIndex, schedule) -> None:
@@ -153,55 +156,10 @@ class QueryEngine:
         # The vectorized timeline assumes the flat (1, m) layout of
         # BroadcastSchedule; duck-typed schedules (broadcast disks, ...)
         # keep their own per-query timeline methods.
-        self._vectorized = type(schedule) is BroadcastSchedule
-        if self._vectorized:
-            self._segment_starts = np.asarray(
-                schedule.index_segment_starts, np.int64
-            )
-            self._bucket_position = self._memoize_bucket_positions(schedule)
-            if self._bucket_position is None:
-                self._vectorized = False
-
-    @staticmethod
-    def _memoize_bucket_positions(schedule) -> Optional[np.ndarray]:
-        """Dense region-id -> first-packet-position map (memoized once)."""
-        region_ids = schedule.region_ids
-        if not region_ids or min(region_ids) < 0:
-            return None
-        positions = np.full(max(region_ids) + 1, -1, np.int64)
-        for region_id, position in schedule.bucket_position.items():
-            positions[region_id] = position
-        return positions
-
-    # -- vectorized timeline ------------------------------------------------
-
-    def _next_index_starts(self, issue_times: np.ndarray) -> np.ndarray:
-        """Vectorized ``schedule.next_index_start`` (same float semantics:
-        ``divmod`` is fmod + floor, exactly as CPython computes it)."""
-        length = self.schedule.cycle_length
-        offsets = np.fmod(issue_times, length)
-        cycles = np.floor((issue_times - offsets) / length).astype(np.int64)
-        starts = self._segment_starts
-        idx = np.searchsorted(starts, offsets, side="left")
-        wraps = idx == len(starts)
-        segment = starts[np.where(wraps, 0, idx)]
-        return np.where(wraps, cycles + 1, cycles) * length + segment
-
-    def _next_bucket_arrivals(
-        self, region_ids: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized ``schedule.next_bucket_arrival`` for integer times."""
-        length = self.schedule.cycle_length
-        out_of_range = region_ids >= len(self._bucket_position)
-        positions = self._bucket_position[
-            np.where(out_of_range, 0, region_ids)
-        ]
-        bad = out_of_range | (positions < 0)
-        if bad.any():
-            missing = int(region_ids[np.argmax(bad)])
-            raise BroadcastError(f"region {missing} not in schedule")
-        cycles, offsets = np.divmod(times, length)
-        return np.where(positions >= offsets, cycles, cycles + 1) * length + positions
+        self._vectorized = (
+            type(schedule) is BroadcastSchedule
+            and schedule.timeline_arrays()[1] is not None
+        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -249,9 +207,9 @@ class QueryEngine:
             # schedule is the flat (1, m) program.
             with span("engine.timeline"):
                 if self._vectorized:
-                    segment_starts = self._next_index_starts(times)
+                    segment_starts = self.schedule.next_index_starts(times)
                     index_done = segment_starts + traces.last_packet + 1
-                    bucket_starts = self._next_bucket_arrivals(
+                    bucket_starts = self.schedule.next_bucket_arrivals(
                         traces.region_ids, index_done
                     )
                 else:
@@ -300,28 +258,18 @@ class QueryEngine:
             )
 
     def _run_plan(self, points: Sequence[Point], times: np.ndarray) -> BatchResult:
-        """Multi-channel (K>1) evaluation: one channel-hopping walk per
-        point.  The schedule attribute is the plan itself, so
-        :meth:`BatchResult.summary` reports the plan's headline m and
-        cycle length."""
-        n = len(points)
-        results = [
-            self._hopping.query(p, t) for p, t in zip(points, times.tolist())
-        ]
+        """Multi-channel (K>1) evaluation through the walker's batched
+        front door (:meth:`BroadcastClient.run_batch`: compiled packet
+        paths, then one vectorised hop pass).  The schedule attribute is
+        the plan itself, so :meth:`BatchResult.summary` reports the
+        plan's headline m and cycle length."""
+        batch = self._hopping.run_batch(points, times)
         return BatchResult(
             issue_times=times,
-            region_ids=np.fromiter(
-                (r.region_id for r in results), np.int64, count=n
-            ),
-            access_latency=np.fromiter(
-                (r.access_latency for r in results), np.float64, count=n
-            ),
-            index_tuning_time=np.fromiter(
-                (r.index_tuning_time for r in results), np.int64, count=n
-            ),
-            total_tuning_time=np.fromiter(
-                (r.total_tuning_time for r in results), np.int64, count=n
-            ),
+            region_ids=batch.region_ids,
+            access_latency=batch.access_latency,
+            index_tuning_time=batch.index_tuning_time,
+            total_tuning_time=batch.total_tuning_time,
             index_packet_count=len(self.paged_index.packets),
             schedule=self.schedule,
         )

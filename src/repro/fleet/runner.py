@@ -311,11 +311,20 @@ def _evaluate_task(state: _WorkerState, task: _ChunkTask):
     The inline path and the pool workers both run chunks through here.
     With profiling on, each chunk gets a fresh collector, shipped back
     for an explicit merge at join — ambient collectors never cross
-    process boundaries.
+    process boundaries.  A failing chunk raises a :class:`ReproError`
+    naming its identity (index, start, size, channel seed), enough to
+    replay it inline, chained to the original exception.
     """
     chunk_index, start, size, channel_seed, profile = task
-    with collecting() if profile else nullcontext() as col:
-        report = state.evaluate(chunk_index, start, size, channel_seed)
+    try:
+        with collecting() if profile else nullcontext() as col:
+            report = state.evaluate(chunk_index, start, size, channel_seed)
+    except Exception as exc:
+        raise ReproError(
+            f"fleet chunk {chunk_index} (start {start}, size {size}, "
+            f"channel seed {channel_seed}) failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     return chunk_index, report, col
 
 

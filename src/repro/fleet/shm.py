@@ -26,8 +26,9 @@ Three groups of arrays travel through the arena:
   :class:`~repro.engine.trace._CompiledTrianTree` (the CSR child
   directory plus per-slot triangle vertices; the root-directory packet
   lives on the pickled paged index itself);
-* ``schedule.*`` — the :class:`~repro.engine.QueryEngine` memoized
-  timeline arrays (index-segment starts, dense region->position map).
+* ``schedule.*`` — the engine schedule's memoized timeline arrays
+  (:meth:`~repro.broadcast.schedule.BroadcastSchedule.timeline_arrays`:
+  index-segment starts, dense region->position map).
 
 All four index families therefore fan out zero-copy.  A paged index
 whose compile step declines (``_compile_* -> None``) falls back to the
@@ -248,8 +249,9 @@ def export_compiled_state(paged, engine) -> Tuple[Dict[str, np.ndarray], dict]:
             for slot in _TRIAN_SLOTS:
                 arrays[f"trian.{slot}"] = getattr(ct, slot)
     if getattr(engine, "_vectorized", False):
-        arrays["schedule.segment_starts"] = engine._segment_starts
-        arrays["schedule.bucket_position"] = engine._bucket_position
+        starts, positions = engine.schedule.timeline_arrays()
+        arrays["schedule.segment_starts"] = starts
+        arrays["schedule.bucket_position"] = positions
     meta["index_version"] = _index_version(paged)
     return arrays, meta
 
@@ -299,5 +301,7 @@ def attach_compiled_state(
             setattr(ct, slot, views[f"trian.{slot}"])
         _store_compiled(paged, "_compiled_trian", ct)
     if engine is not None and "schedule.segment_starts" in views:
-        engine._segment_starts = views["schedule.segment_starts"]
-        engine._bucket_position = views["schedule.bucket_position"]
+        engine.schedule._timeline_arrays = (
+            views["schedule.segment_starts"],
+            views["schedule.bucket_position"],
+        )

@@ -197,7 +197,7 @@ def evaluate_trajectory_workload(
     if (
         error_rate <= 0.0
         and cache_packets <= 0
-        # A K>1 plan walks query by query either way.
+        # The wave counters replay single-channel walks (no hop effect).
         and not isinstance(single_channel_view(schedule), BroadcastPlan)
     ):
         session = _evaluate_waves(

@@ -18,14 +18,28 @@ Two classic models are provided:
 
 All randomness flows through one injected ``random.Random`` so a
 simulation run is reproducible from a single seed.
+
+Each model also describes, through :meth:`ErrorModel.loss_free_draws`,
+the draws a read sequence consumes if none of its reads is lost, and
+the threshold each draw must clear for that to hold.  The batched
+walker (:meth:`~repro.broadcast.client.BroadcastClient.run_batch`)
+checks whole workloads against that layout and walks only the queries
+a loss touches, keeping the shared stream bit-identical.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.errors import BroadcastError
+
+#: ``(draw_offsets, thresholds)``: query *i* consumes draws
+#: ``draw_offsets[i] : draw_offsets[i + 1]`` of the stream, and every
+#: draw must be ``>= thresholds[k]`` for its read sequence to be loss-free.
+DrawLayout = Tuple[np.ndarray, np.ndarray]
 
 
 class ErrorModel:
@@ -55,12 +69,31 @@ class ErrorModel:
         """
         raise NotImplementedError
 
+    def loss_free_draws(
+        self, slots: np.ndarray, read_offsets: np.ndarray
+    ) -> Optional[DrawLayout]:
+        """The draw layout of loss-free read sequences, or None.
+
+        Query *i* reads broadcast slots ``slots[read_offsets[i] :
+        read_offsets[i + 1]]`` in order (one :meth:`start_query`, then
+        one :meth:`packet_lost` per slot).  Returns the
+        :data:`DrawLayout` under which that sequence consumes exactly
+        the given draws and loses nothing.  A subclass that changes
+        :meth:`start_query` or :meth:`packet_lost` must override this
+        too; the default None makes every query walk one by one.
+        """
+        return None
+
 
 class PerfectChannel(ErrorModel):
     """The paper's assumption: every read succeeds."""
 
     def packet_lost(self, slot: int) -> bool:
         return False
+
+    def loss_free_draws(self, slots, read_offsets) -> DrawLayout:
+        """No draws at all."""
+        return np.zeros(len(read_offsets), np.int64), np.zeros(0, np.float64)
 
     def __repr__(self) -> str:
         return "PerfectChannel()"
@@ -77,6 +110,10 @@ class BernoulliLoss(ErrorModel):
 
     def packet_lost(self, slot: int) -> bool:
         return self._rng.random() < self.rate
+
+    def loss_free_draws(self, slots, read_offsets) -> DrawLayout:
+        """One draw per read, each at least ``rate``."""
+        return np.array(read_offsets, np.int64), np.full(len(slots), self.rate)
 
     def __repr__(self) -> str:
         return f"BernoulliLoss(rate={self.rate:g})"
@@ -158,13 +195,15 @@ class GilbertElliott(ErrorModel):
         self._bad = self._rng.random() < self.stationary_bad
         self._slot = None
 
-    def _bad_probability_after(self, steps: int) -> float:
-        """P(bad after *steps* slots | current state), in closed form:
-        pi_bad + (1{bad} - pi_bad) * lambda^steps with
-        lambda = 1 - p_good_to_bad - p_bad_to_good."""
+    def _bad_probability_after(
+        self, steps: int, bad: Optional[bool] = None
+    ) -> float:
+        """P(bad after *steps* slots | state *bad* now, default the
+        current state), in closed form: pi_bad + (1{bad} - pi_bad) *
+        lambda^steps with lambda = 1 - p_good_to_bad - p_bad_to_good."""
         pi_bad = self.stationary_bad
         lam = 1.0 - self.p_good_to_bad - self.p_bad_to_good
-        start = 1.0 if self._bad else 0.0
+        start = 1.0 if (self._bad if bad is None else bad) else 0.0
         return pi_bad + (start - pi_bad) * lam**steps
 
     def packet_lost(self, slot: int) -> bool:
@@ -175,6 +214,36 @@ class GilbertElliott(ErrorModel):
         self._slot = slot
         loss = self.loss_bad if self._bad else self.loss_good
         return self._rng.random() < loss
+
+    def loss_free_draws(self, slots, read_offsets) -> DrawLayout:
+        """The sequences that stay in the good state throughout: a start
+        draw of at least ``stationary_bad``; per read after the first
+        that moves the clock, a transition draw of at least the
+        good-state ``_bad_probability_after(steps)``; per read, a loss
+        draw of at least ``loss_good``."""
+        read_offsets = np.asarray(read_offsets, np.int64)
+        n = len(read_offsets) - 1
+        counts = np.diff(read_offsets)
+        steps = np.zeros(len(slots), np.int64)
+        steps[1:] = np.diff(slots)
+        steps[read_offsets[:-1][counts > 0]] = 0  # a query's first read
+        moves = steps > 0
+        per_read = 1 + moves
+        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+        read_draw = np.cumsum(per_read) - per_read + owner + 1
+        moved = np.zeros(len(slots) + 1, np.int64)
+        np.cumsum(moves, out=moved[1:])
+        draw_offsets = read_offsets + moved[read_offsets] + np.arange(n + 1)
+        thresholds = np.empty(int(draw_offsets[-1]), np.float64)
+        thresholds[draw_offsets[:-1]] = self.stationary_bad
+        distinct, inverse = np.unique(steps[moves], return_inverse=True)
+        table = np.array(
+            [self._bad_probability_after(int(s), False) for s in distinct.tolist()],
+            np.float64,
+        )
+        thresholds[read_draw[moves]] = table[inverse]
+        thresholds[read_draw + moves] = self.loss_good
+        return draw_offsets, thresholds
 
     def __repr__(self) -> str:
         return (

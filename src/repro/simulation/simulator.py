@@ -2,12 +2,15 @@
 
 :class:`ChannelSimulator` drives the access walker
 (:class:`~repro.broadcast.client.BroadcastClient` with its loss effect
-on) through a whole workload and reduces the per-query outcomes to a
-:class:`~repro.simulation.report.SimulationReport`.  It accepts any
-paged index satisfying the :class:`~repro.broadcast.packets.PagedIndex`
-protocol — all four registered :class:`~repro.engine.AirIndex` families
-run under *identical* fault schedules because the error model's rng is
-reseeded per run from the workload seed, independently of the index.
+on) through a whole workload — its batched front door
+:meth:`~repro.broadcast.client.BroadcastClient.run_batch`, which walks
+only the queries a loss touches one by one — and records the per-query
+outcomes as a :class:`~repro.simulation.report.SimulationReport`.  It
+accepts any paged index satisfying the
+:class:`~repro.broadcast.packets.PagedIndex` protocol — all four
+registered :class:`~repro.engine.AirIndex` families run under
+*identical* fault schedules because the error model's rng is reseeded
+per run from the workload seed, independently of the index.
 
 Determinism contract: ``run(...)`` with the same seed (and the same
 simulator configuration) produces an identical report, bit for bit —
@@ -20,13 +23,13 @@ stream derived from the seed but not shared with it.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import BroadcastError
 from repro.obs import active_collector, null_span
-from repro.broadcast.client import AccessResult, BroadcastClient
+from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import resolve_schedule
@@ -119,33 +122,18 @@ class ChannelSimulator:
             col.count(f"sim.index.{self.index_kind}.queries", n)
             col.observe("sim.batch_size", n)
         with col.span("sim.run") if col is not None else null_span(""):
-            results: List[AccessResult] = [
-                self.client.query(point, t)
-                for point, t in zip(points, issue_times)
-            ]
+            batch = self.client.run_batch(points, issue_times)
         return SimulationReport(
             index_kind=self.index_kind,
             policy=self.client.policy.name,
             error_model=repr(self.client.error_model),
             issue_times=np.asarray(issue_times, np.float64),
-            region_ids=np.fromiter(
-                (r.region_id for r in results), np.int64, count=n
-            ),
-            access_latency=np.fromiter(
-                (r.access_latency for r in results), np.float64, count=n
-            ),
-            tuning_time=np.fromiter(
-                (r.total_tuning_time for r in results), np.int64, count=n
-            ),
-            energy_joules=np.fromiter(
-                (r.energy_joules for r in results), np.float64, count=n
-            ),
-            packet_losses=np.fromiter(
-                (r.packet_losses for r in results), np.int64, count=n
-            ),
-            read_attempts=np.fromiter(
-                (r.read_attempts for r in results), np.int64, count=n
-            ),
+            region_ids=batch.region_ids,
+            access_latency=batch.access_latency,
+            tuning_time=batch.total_tuning_time,
+            energy_joules=batch.energy_joules,
+            packet_losses=batch.packet_losses,
+            read_attempts=batch.read_attempts,
         )
 
 

@@ -12,7 +12,6 @@ from repro.broadcast.schedule import (
     expected_latency_formula,
     optimal_m,
 )
-from repro.engine.batch import QueryEngine
 
 PARAMS_1K = SystemParameters(packet_capacity=1024)  # 1 packet per bucket
 
@@ -138,18 +137,13 @@ def _linear_next_index_start(sched, time):
 
 
 def _vectorized_next_index_starts(sched, times):
-    """``QueryEngine._next_index_starts`` on a stub (no index needed)."""
-
-    class _Stub:
-        schedule = sched
-        _segment_starts = np.asarray(sched.index_segment_starts, np.int64)
-
-    return QueryEngine._next_index_starts(_Stub(), np.asarray(times, np.float64))
+    """The schedule's vectorized ``next_index_starts`` (no index needed)."""
+    return sched.next_index_starts(np.asarray(times, np.float64))
 
 
 class TestNextIndexStartBisect:
     """schedule.next_index_start moved from a linear scan to bisect; pin
-    it against the old scan and the engine's vectorized twin."""
+    it against the old scan and its vectorized twin."""
 
     def _schedules(self):
         for m in (1, 2, 3, 7):

@@ -3,12 +3,15 @@
 The integration suites exercise the tracers through the query engine;
 these tests pin down the module's own contracts: TraceBatch shape,
 batched-vs-scalar agreement per family, the shared-prefix optimisation
-of the D-tree tracer, the forward-only channel assertion, and the
-registry dispatch (exact class, subclass via MRO, generic fallback).
+of the D-tree tracer, the forward-only channel assertion, the registry
+dispatch (exact class, subclass via MRO, generic fallback), and the
+packet-path CSR of ``paths=True``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.packets import QueryTrace, dedupe_consecutive
 from repro.engine import batched_trace, index_family, register_tracer
@@ -250,3 +253,97 @@ class TestStructureGeneration:
         assert _cached_compiled(holder, "_c", missing) is missing
         _store_compiled(holder, "_c", "fresh")
         assert _cached_compiled(holder, "_c", missing) == "fresh"
+
+
+def _paths(batch):
+    offsets, packets = batch.path_offsets, batch.path_packets
+    return [packets[offsets[i] : offsets[i + 1]].tolist() for i in range(len(batch))]
+
+
+class TestPacketPaths:
+    """``batched_trace(..., paths=True)``: every family returns each
+    query's distinct index packets in read order as a CSR, equal to the
+    scalar client's deduplicated ``packets_accessed``, without changing
+    any other field."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_path_csr_matches_scalar_trace(self, paged, voronoi60, seed):
+        points = random_points_in(voronoi60, 40, seed=seed % 10_000)
+        batch = batched_trace(paged, points, paths=True)
+        plain = batched_trace(paged, points)
+        expected = [
+            list(dict.fromkeys(paged.trace(p).packets_accessed)) for p in points
+        ]
+        assert _paths(batch) == expected
+        assert batch.path_offsets.dtype == batch.path_packets.dtype == np.int64
+        assert np.array_equal(batch.region_ids, plain.region_ids)
+        assert np.array_equal(batch.last_packet, plain.last_packet)
+        assert np.array_equal(batch.tuning_time, plain.tuning_time)
+        assert np.array_equal(np.diff(batch.path_offsets), plain.tuning_time)
+
+    def test_without_paths_nothing_is_built(self, paged, voronoi60):
+        batch = batched_trace(paged, random_points_in(voronoi60, 5, seed=3))
+        assert batch.path_offsets is None and batch.path_packets is None
+
+    def test_single_region_tree_has_empty_paths(self):
+        from repro.geometry.point import Point
+        from repro.geometry.polygon import Polygon
+        from repro.tessellation.subdivision import DataRegion, Subdivision
+
+        square = Polygon([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
+        sub = Subdivision([DataRegion(7, square)])
+        family = index_family("dtree")
+        paged = family.build(sub, seed=0).page(family.parameters(256))
+        points = [Point(0.2, 0.3), Point(0.7, 0.9)]
+        batch = batched_trace(paged, points, paths=True)
+        plain = batched_trace(paged, points)
+        assert batch.path_offsets.tolist() == [0, 0, 0]
+        assert batch.path_packets.tolist() == []
+        assert batch.region_ids.tolist() == plain.region_ids.tolist() == [7, 7]
+        assert batch.last_packet.tolist() == plain.last_packet.tolist()
+        assert batch.tuning_time.tolist() == plain.tuning_time.tolist() == [0, 0]
+
+    def test_generic_paths_deduplicate(self):
+        fake = FakePaged(
+            [QueryTrace(region_id=3, packets_accessed=[0, 2, 2, 5])]
+        )
+        batch = batched_trace(fake, [object()], paths=True)
+        assert _paths(batch) == [[0, 2, 5]]
+
+    def test_backwards_trace_raises_as_before(self):
+        fake = FakePaged([QueryTrace(region_id=1, packets_accessed=[5, 2])])
+        with pytest.raises(BroadcastError) as plain:
+            batched_trace(fake, [object()])
+        with pytest.raises(BroadcastError) as with_paths:
+            batched_trace(fake, [object()], paths=True)
+        assert str(with_paths.value) == str(plain.value)
+
+    def test_backwards_dtree_raises_as_before(self, voronoi60):
+        from repro.core.dtree import DTreeNode
+        from repro.engine.trace import bump_structure_generation
+
+        family = index_family("dtree")
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        points = random_points_in(voronoi60, 200, seed=29)
+        # Re-point a node below a nonzero packet at packet 0.
+        stack = [(paged.tree.root, 0)]
+        while stack:
+            node, high = stack.pop()
+            if high > 0:
+                break
+            high = max(high, *paged._node_packets[node.node_id])
+            stack.extend(
+                (child, high)
+                for child in (node.left, node.right)
+                if isinstance(child, DTreeNode)
+            )
+        assert high > 0
+        paged._node_packets[node.node_id] = [0]
+        bump_structure_generation(paged)
+        with pytest.raises(BroadcastError) as plain:
+            batched_trace(paged, points)
+        with pytest.raises(BroadcastError) as with_paths:
+            batched_trace(paged, points, paths=True)
+        assert str(with_paths.value) == str(plain.value)
+        assert "moved backwards" in str(plain.value)

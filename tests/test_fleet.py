@@ -305,6 +305,39 @@ class TestRunnerEdges:
             assert clone.schedule.cycle_length == spec.schedule.cycle_length
 
 
+class _FailingWorkload(UniformFleetWorkload):
+    """A uniform workload whose chunk starting at *fail_at* raises."""
+
+    def __init__(self, cycle_length, fail_at):
+        super().__init__(SERVICE_AREA, cycle_length, seed=9)
+        self.fail_at = fail_at
+
+    def chunk(self, start, size):
+        if start == self.fail_at:
+            raise ValueError(f"no queries at {start}")
+        return super().chunk(start, size)
+
+
+class TestChunkFailures:
+    """A failing chunk surfaces as a ReproError naming its identity."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["engine", "simulate"])
+    def test_failure_names_the_chunk(self, fleet_world, workers, mode):
+        spec = _spec(fleet_world, mode=mode)
+        spec.workload = _FailingWorkload(spec.schedule.cycle_length, fail_at=200)
+        with pytest.raises(ReproError) as err:
+            FleetRunner(spec, chunk_size=100, workers=workers).run(400)
+        seed = spawned_seed(9, 2)
+        assert str(err.value) == (
+            f"fleet chunk 2 (start 200, size 100, channel seed {seed}) "
+            "failed: ValueError: no queries at 200"
+        )
+        assert err.value.__cause__ is not None
+        if workers == 1:
+            assert isinstance(err.value.__cause__, ValueError)
+
+
 class TestRunFleetEndToEnd:
     def test_run_fleet_quickstart(self):
         report = run_fleet(

@@ -276,6 +276,41 @@ class TestInstrumentationSmoke:
         assert col.counters["sim.energy.doze_j"] > 0
         assert "sim.run" in {s.name for s in col.spans}
 
+    @pytest.mark.parametrize("error_rate", [0.0, 0.05, 0.5])
+    def test_walk_counters_split_the_simulated_queries(
+        self, voronoi60, error_rate
+    ):
+        from repro.broadcast.params import SystemParameters
+        from repro.engine import index_family
+        from repro.simulation import simulate_workload
+
+        from tests.conftest import random_points_in
+
+        params = SystemParameters.for_index("dtree", 256)
+        paged = index_family("dtree").build(voronoi60, seed=0).page(params)
+        points = random_points_in(voronoi60, 60, seed=6)
+
+        def run():
+            return simulate_workload(
+                paged, voronoi60.region_ids, params, points, seed=8,
+                error_rate=error_rate, error_model="gilbert",
+                index_kind="dtree",
+            )
+
+        plain = run()
+        with collecting() as col:
+            observed = run()
+        assert observed == plain
+        counters = col.counters
+        batched = counters.get("walk.batched_queries", 0)
+        replayed = counters.get("walk.replayed_queries", 0)
+        assert batched + replayed == counters["sim.queries"] == 60
+        if error_rate == 0.0:
+            assert replayed == 0
+        else:
+            assert replayed > 0
+            assert replayed >= int((observed.packet_losses > 0).sum())
+
     def test_kernel_histograms(self, voronoi60):
         from repro.geometry.kernels import CompiledSubdivision
 
