@@ -15,8 +15,9 @@ slots from — while guaranteeing results identical to the per-query path:
   arrays once per paged tree and cached, and queries that follow the
   same packet path share one interned *prefix*, so the per-query Python
   bookkeeping of the scalar path disappears entirely.
-* **R*-tree** — batched DFS over a compiled node layout: MBR
-  containment runs as one structure-of-arrays matrix test per node
+* **R*-tree** — batched DFS over the tree flattened to arrays in DFS
+  preorder (:class:`_CompiledRStarTree`): MBR containment runs as one
+  structure-of-arrays matrix test per node
   (:func:`~repro.geometry.kernels.mbrs_contain_batch`) and the exact
   leaf test uses the region's cached
   :class:`~repro.geometry.kernels.CompiledPolygon`, whose boundary
@@ -108,6 +109,9 @@ Tracer = Callable[[PagedIndex, Sequence[Point]], TraceBatch]
 #: Paged-index class -> batched tracer.  Populated lazily with the
 #: built-ins; extended via :func:`register_tracer`.
 TRACER_REGISTRY: Dict[type, Tracer] = {}
+#: Paged-index class -> (family, compile step) of the built-in families;
+#: ``_compile_<family>`` caches its result under ``_compiled_<family>``.
+_COMPILERS: Dict[type, tuple] = {}
 _BUILTINS_LOADED = False
 
 
@@ -174,7 +178,28 @@ def _load_builtin_tracers() -> None:
     TRACER_REGISTRY.setdefault(PagedRStarTree, _trace_batch_rstar)
     TRACER_REGISTRY.setdefault(PagedTrapTree, _trace_batch_trap)
     TRACER_REGISTRY.setdefault(PagedTrianTree, _trace_batch_trian)
+    _COMPILERS.update({
+        PagedDTree: ("dtree", _compile_dtree),
+        PagedRStarTree: ("rstar", _compile_rstar),
+        PagedTrapTree: ("trap", _compile_trap),
+        PagedTrianTree: ("trian", _compile_trian),
+    })
     _BUILTINS_LOADED = True
+
+
+def compiled_form(paged):
+    """``(family, compiled)``: *paged*'s compiled form, cached on it under
+    ``"_compiled_" + family``, or None when its class has no compiled
+    form or the compile step declines.  Every slot of *compiled* holds
+    an ndarray, except scalar ones such as the D-tree's ``root``."""
+    if not _BUILTINS_LOADED:
+        _load_builtin_tracers()
+    for cls in type(paged).__mro__:
+        if cls in _COMPILERS:
+            family, compile_step = _COMPILERS[cls]
+            compiled = compile_step(paged)
+            return None if compiled is None else (family, compiled)
+    return None
 
 
 def batched_trace(
@@ -577,64 +602,70 @@ def _trace_batch_dtree(
     return batch
 
 
-# -- R*-tree: batched DFS over compiled nodes -------------------------------
+# -- R*-tree: batched DFS over the flat compiled layout ----------------------
 
 
-class _CompiledRStarNode:
-    """One R*-tree node flattened for the batched DFS."""
+class _CompiledRStarTree:
+    """The paged R*-tree flattened to arrays for the batched DFS.
+
+    Nodes are indexed in DFS preorder, root at 0.  ``packet`` is each
+    node's broadcast packet and node *i*'s entries are
+    ``entry_start[i] : entry_start[i + 1]`` of the per-entry arrays: the
+    entry MBR (``min_x`` .. ``max_y``) and ``child``, the child node's
+    index for an internal entry or ``~region_id`` (always negative) for a
+    leaf entry.  A leaf entry's shape packets are
+    ``shape_packets[shape_start[e] : shape_start[e + 1]]`` (an empty
+    slice for internal entries).
+    """
 
     __slots__ = (
         "packet",
+        "entry_start",
         "min_x",
         "min_y",
         "max_x",
         "max_y",
-        "is_leaf",
-        "children",
-        "region_ids",
+        "child",
+        "shape_start",
         "shape_packets",
-        "polygons",
     )
 
 
-def _compile_rstar(paged) -> "_CompiledRStarNode":
-    """Compile the paged R*-tree (node MBR arrays, shape-packet tuples,
-    compiled leaf polygons), built once and cached on the paged tree."""
+def _compile_rstar(paged) -> _CompiledRStarTree:
+    """Compile the paged R*-tree, built once and cached on the paged tree."""
     compiled = _cached_compiled(paged, "_compiled_rstar", None)
     if compiled is not None:
         return compiled
-    subdivision = paged.tree.subdivision
+    nodes = paged._nodes_preorder()
+    position = {id(node): i for i, node in enumerate(nodes)}
+    mbrs = []
+    child: List[int] = []
+    shapes: List[Sequence[int]] = []
+    for node in nodes:
+        for entry in node.entries:
+            mbrs.append(entry.mbr)
+            if node.is_leaf:
+                child.append(~entry.region_id)
+                shapes.append(paged._shape_packets[entry.region_id])
+            else:
+                child.append(position[id(entry.child)])
+                shapes.append(())
 
-    def convert(node) -> _CompiledRStarNode:
-        cn = _CompiledRStarNode()
-        cn.packet = paged._node_packet[id(node)]
-        entries = node.entries
-        count = len(entries)
-        cn.min_x = np.fromiter((e.mbr.min_x for e in entries), np.float64, count)
-        cn.min_y = np.fromiter((e.mbr.min_y for e in entries), np.float64, count)
-        cn.max_x = np.fromiter((e.mbr.max_x for e in entries), np.float64, count)
-        cn.max_y = np.fromiter((e.mbr.max_y for e in entries), np.float64, count)
-        cn.is_leaf = node.is_leaf
-        if node.is_leaf:
-            cn.children = None
-            cn.region_ids = [e.region_id for e in entries]
-            cn.shape_packets = [
-                tuple(paged._shape_packets[e.region_id]) for e in entries
-            ]
-            cn.polygons = [
-                subdivision.region(e.region_id).polygon.compiled()
-                for e in entries
-            ]
-        else:
-            cn.children = [convert(e.child) for e in entries]
-            cn.region_ids = None
-            cn.shape_packets = None
-            cn.polygons = None
-        return cn
-
-    compiled = convert(paged.tree.root)
-    _store_compiled(paged, "_compiled_rstar", compiled)
-    return compiled
+    ct = _CompiledRStarTree()
+    ct.packet = np.fromiter(
+        (paged._node_packet[id(node)] for node in nodes), np.int64, len(nodes)
+    )
+    ct.entry_start = np.zeros(len(nodes) + 1, np.int64)
+    np.cumsum([len(node.entries) for node in nodes], out=ct.entry_start[1:])
+    for field in ("min_x", "min_y", "max_x", "max_y"):
+        setattr(
+            ct,
+            field,
+            np.fromiter((getattr(m, field) for m in mbrs), np.float64, len(mbrs)),
+        )
+    ct.child = np.asarray(child, np.int64)
+    ct.shape_start, ct.shape_packets = _path_csr(shapes)
+    return _store_compiled(paged, "_compiled_rstar", ct)
 
 
 def _trace_batch_rstar(
@@ -642,51 +673,60 @@ def _trace_batch_rstar(
 ) -> TraceBatch:
     """Batched DFS over the compiled paged R*-tree.
 
-    Point-in-MBR tests run as one structure-of-arrays matrix per node;
-    the exact polygon containment at the leaves (boundary semantics
-    included) uses the compiled polygon kernel on the few surviving
+    Point-in-MBR tests run as one structure-of-arrays matrix per node
+    over the node's slice of the entry arrays; the exact polygon
+    containment at the leaves (boundary semantics included) uses the
+    region polygon's cached compiled kernel on the few surviving
     candidates.  The DFS already records every query's packet reads,
     so ``paths=True`` only packs them into the CSR.
     """
     n = len(points)
     xs, ys = point_coords(points)
-    root = _compile_rstar(paged)
+    ct = _compile_rstar(paged)
+    subdivision = paged.tree.subdivision
+    node_packet = ct.packet.tolist()
+    entry_start = ct.entry_start.tolist()
+    child = ct.child.tolist()
+    shape_start = ct.shape_start.tolist()
+    shape_packets = ct.shape_packets.tolist()
     col = active_collector()
     regions = np.full(n, -1, np.int64)
     accesses: List[List[int]] = [[] for _ in range(n)]
 
-    def search(cn: _CompiledRStarNode, idxs: np.ndarray) -> None:
+    def search(node: int, idxs: np.ndarray) -> None:
         if col is not None:
             col.count("trace.rstar.nodes_visited")
             col.observe("trace.rstar.node_batch", idxs.size)
-        packet = cn.packet
+        packet = node_packet[node]
         for i in idxs.tolist():
             accesses[i].append(packet)
+        lo, hi = entry_start[node], entry_start[node + 1]
         inside = mbrs_contain_batch(
-            cn.min_x, cn.min_y, cn.max_x, cn.max_y, xs[idxs], ys[idxs]
+            ct.min_x[lo:hi], ct.min_y[lo:hi], ct.max_x[lo:hi], ct.max_y[lo:hi],
+            xs[idxs], ys[idxs],
         )
         unresolved = np.ones(idxs.size, bool)
-        for entry in range(inside.shape[0]):
+        for entry in range(lo, hi):
             if not unresolved.any():
                 break
-            local = np.flatnonzero(inside[entry] & unresolved)
+            local = np.flatnonzero(inside[entry - lo] & unresolved)
             if local.size == 0:
                 continue
             candidates = idxs[local]
-            if cn.is_leaf:
-                shape_packets = cn.shape_packets[entry]
+            code = child[entry]
+            if code < 0:
+                shape = shape_packets[shape_start[entry] : shape_start[entry + 1]]
                 for qi in candidates.tolist():
-                    accesses[qi].extend(shape_packets)
-                hits = cn.polygons[entry].contains_batch(
-                    xs[candidates], ys[candidates]
-                )
-                regions[candidates[hits]] = cn.region_ids[entry]
+                    accesses[qi].extend(shape)
+                polygon = subdivision.region(~code).polygon.compiled()
+                hits = polygon.contains_batch(xs[candidates], ys[candidates])
+                regions[candidates[hits]] = ~code
                 unresolved[local[hits]] = False
             else:
-                search(cn.children[entry], candidates)
+                search(code, candidates)
                 unresolved[local] = regions[candidates] < 0
 
-    search(root, np.arange(n))
+    search(0, np.arange(n))
     if (regions < 0).any():
         missing = int(np.argmax(regions < 0))
         raise QueryError(

@@ -14,9 +14,10 @@ more than one chunk of per-query state:
   mode — chunks of trajectories folded into a
   :class:`~repro.mobility.report.MobilityReport`) and is immediately
   folded into the mode's streaming report;
-* with ``workers > 1`` chunks fan out over a ``multiprocessing`` pool
-  whose workers attach the parent's compiled index/schedule arrays
-  zero-copy from a :class:`~repro.fleet.shm.ShmArena`.
+* with ``workers > 1`` chunks fan out over a
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers attach
+  the parent's compiled index/schedule arrays zero-copy from a
+  :class:`~repro.fleet.shm.ShmArena`.
 
 Determinism contract (tested in ``tests/test_fleet.py``):
 
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
@@ -169,7 +172,10 @@ class _WorkerState:
     ) -> None:
         self.spec = spec
         self.arena = arena  # held so the mapping outlives the views
-        views = arena.views() if arena is not None else {}
+        if arena is not None:
+            attach_compiled_state(
+                spec.paged_index, arena.views(), meta, spec.schedule
+            )
         self.engine = None
         self.simulator = None
         if spec.mode == "engine":
@@ -185,10 +191,6 @@ class _WorkerState:
                 energy_model=spec.energy_model,
                 cache_packets=spec.cache_packets,
                 index_kind=spec.index_kind,
-            )
-        if views:
-            attach_compiled_state(
-                spec.paged_index, views, meta or {}, engine=self.engine
             )
 
     def labels(self) -> Dict[str, str]:
@@ -329,7 +331,7 @@ def _evaluate_task(state: _WorkerState, task: _ChunkTask):
 
 
 def _run_chunk(task: _ChunkTask):
-    """Pool map function: evaluate one chunk in this worker."""
+    """Pool task: evaluate one chunk in this worker."""
     return _evaluate_task(_WORKER, task)
 
 
@@ -405,23 +407,24 @@ class FleetRunner:
         return [_evaluate_task(state, task) for task in tasks]
 
     def _run_pool(self, tasks: List[_ChunkTask]) -> List[tuple]:
-        """Fan chunks out over a process pool with shared compiled state."""
+        """Fan chunks out over a process pool with shared compiled state.
+
+        A worker that dies breaks the pool; that surfaces as a
+        :class:`ReproError` naming the chunks still in flight, and the
+        arena is unlinked either way.
+        """
         import multiprocessing as mp
 
         spec = self.spec
         # Compile once in the parent; workers reattach the arrays.
-        parent_engine = (
-            QueryEngine(spec.paged_index, spec.schedule)
-            if spec.mode == "engine"
-            else None
-        )
-        arrays, meta = export_compiled_state(spec.paged_index, parent_engine)
+        arrays, meta = export_compiled_state(spec.paged_index, spec.schedule)
         arena = ShmArena.create(arrays) if arrays else None
         spec_bytes = pickle.dumps(spec)
-        ctx = mp.get_context(self.start_method)
+        outcomes: List[tuple] = []
         try:
-            with ctx.Pool(
-                processes=self.workers,
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=mp.get_context(self.start_method),
                 initializer=_init_worker,
                 initargs=(
                     spec_bytes,
@@ -429,12 +432,25 @@ class FleetRunner:
                     arena.manifest if arena is not None else None,
                     meta,
                 ),
-            ) as pool:
-                return list(pool.imap_unordered(_run_chunk, tasks))
+            )
+            try:
+                futures = [pool.submit(_run_chunk, task) for task in tasks]
+                for future in as_completed(futures):
+                    outcomes.append(future.result())
+            except BrokenProcessPool as exc:
+                finished = {outcome[0] for outcome in outcomes}
+                unfinished = [t[0] for t in tasks if t[0] not in finished]
+                raise ReproError(
+                    "a fleet worker process died; chunks "
+                    f"{unfinished} were still in flight"
+                ) from exc
+            finally:
+                pool.shutdown(cancel_futures=True)
         finally:
             if arena is not None:
                 arena.close()
                 arena.unlink()
+        return outcomes
 
 
 def run_fleet(

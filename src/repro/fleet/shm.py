@@ -9,52 +9,35 @@ and hands workers a *manifest* — ``name -> (offset, dtype, shape)`` —
 from which each worker reconstructs numpy views into the very same
 pages.  No per-worker copy, no per-worker recompilation, O(1) attach.
 
-Three groups of arrays travel through the arena:
+Two groups of arrays travel through the arena:
 
-* ``dtree.*`` — every array slot of
-  :class:`~repro.engine.trace._CompiledDTree` (the scalar ``root`` rides
-  in the meta dict);
-* ``rstar.*`` — the per-entry MBR arrays of all
-  :class:`~repro.engine.trace._CompiledRStarNode` nodes pooled in DFS
-  preorder (node structure, packet ids and leaf payloads ride in the
-  meta dict; leaf polygons are recompiled per worker from the pickled
-  subdivision — they are small and their compiled form caches itself);
-* ``trap.*`` — every array slot of
-  :class:`~repro.engine.trace._CompiledTrapTree` (the flattened
-  trapezoidal-map DAG is pure SoA, nothing rides in the meta dict);
-* ``trian.*`` — every array slot of
-  :class:`~repro.engine.trace._CompiledTrianTree` (the CSR child
-  directory plus per-slot triangle vertices; the root-directory packet
-  lives on the pickled paged index itself);
-* ``schedule.*`` — the engine schedule's memoized timeline arrays
+* ``{family}.{slot}`` — every ndarray slot of the paged index's compiled
+  form (:func:`~repro.engine.trace.compiled_form`; scalar slots such as
+  the D-tree's ``root`` ride in the meta dict).  The compiled forms of
+  all four built-in families hold nothing but arrays, so each fans out
+  zero-copy and is rebuilt in a worker by setting its slots;
+* ``schedule.*`` — the timeline's memoized arrays
   (:meth:`~repro.broadcast.schedule.BroadcastSchedule.timeline_arrays`:
-  index-segment starts, dense region->position map).
+  index-segment starts, dense region->position map), shipped whenever
+  the timeline's single-channel view is a flat schedule with a dense
+  position map.
 
-All four index families therefore fan out zero-copy.  A paged index
-whose compile step declines (``_compile_* -> None``) falls back to the
-``generic`` family: workers share the ``schedule.*`` arrays only and
-trace through the per-point reference path.
+A paged index without a compiled form, or whose compile step declines,
+falls back to the ``generic`` family: workers share the ``schedule.*``
+arrays only and trace through the per-point reference path.
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.engine.trace import (
-    _CompiledDTree,
-    _CompiledRStarNode,
-    _CompiledTrapTree,
-    _CompiledTrianTree,
-    _compile_dtree,
-    _compile_rstar,
-    _compile_trap,
-    _compile_trian,
-    _store_compiled,
-)
+from repro.broadcast.plan import single_channel_view
+from repro.broadcast.schedule import BroadcastSchedule
+from repro.engine.trace import _store_compiled, compiled_form
 
 #: Byte alignment of every array inside the arena block.
 _ALIGN = 64
@@ -62,15 +45,6 @@ _ALIGN = 64
 #: Manifest entry: (byte offset, dtype string, shape tuple).
 ManifestEntry = Tuple[int, str, Tuple[int, ...]]
 Manifest = Dict[str, ManifestEntry]
-
-#: Array slots of _CompiledDTree shipped through the arena (everything
-#: except the scalar ``root``).
-_DTREE_SLOTS = tuple(s for s in _CompiledDTree.__slots__ if s != "root")
-
-#: Array slots of the compiled trap/trian trees — pure SoA, every slot
-#: is an ndarray, so the whole compiled object ships through the arena.
-_TRAP_SLOTS = tuple(_CompiledTrapTree.__slots__)
-_TRIAN_SLOTS = tuple(_CompiledTrianTree.__slots__)
 
 
 def _align(offset: int) -> int:
@@ -155,101 +129,34 @@ class ShmArena:
 # -- compiled-state export / attach ------------------------------------------
 
 
-def _export_rstar(root: _CompiledRStarNode) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Pool the compiled R*-tree's MBR arrays in DFS preorder."""
-    nodes: List[_CompiledRStarNode] = []
-
-    def walk(cn: _CompiledRStarNode) -> None:
-        nodes.append(cn)
-        if not cn.is_leaf:
-            for child in cn.children:
-                walk(child)
-
-    walk(root)
-    counts = [len(cn.min_x) for cn in nodes]
-    arrays = {
-        f"rstar.{field}": np.concatenate([getattr(cn, field) for cn in nodes])
-        for field in ("min_x", "min_y", "max_x", "max_y")
-    }
-    meta = {
-        "entry_counts": counts,
-        "is_leaf": [cn.is_leaf for cn in nodes],
-        "packets": [cn.packet for cn in nodes],
-        "leaf_regions": [cn.region_ids if cn.is_leaf else None for cn in nodes],
-        "leaf_shapes": [
-            cn.shape_packets if cn.is_leaf else None for cn in nodes
-        ],
-    }
-    return arrays, meta
+def _dense_schedule(timeline) -> Optional[BroadcastSchedule]:
+    """*timeline*'s single-channel view when it is a flat schedule with a
+    dense region->position map (the vectorised timeline), else None."""
+    schedule = single_channel_view(timeline)
+    if (
+        type(schedule) is BroadcastSchedule
+        and schedule.timeline_arrays()[1] is not None
+    ):
+        return schedule
+    return None
 
 
-def _attach_rstar(paged, views: Dict[str, np.ndarray], meta: dict) -> None:
-    """Rebuild the compiled R*-tree node graph over shared MBR views."""
-    subdivision = paged.tree.subdivision
-    counts = meta["entry_counts"]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    cursor = [0]  # preorder index of the next node to materialize
-
-    def build() -> _CompiledRStarNode:
-        i = cursor[0]
-        cursor[0] += 1
-        cn = _CompiledRStarNode()
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        for field in ("min_x", "min_y", "max_x", "max_y"):
-            setattr(cn, field, views[f"rstar.{field}"][lo:hi])
-        cn.packet = meta["packets"][i]
-        cn.is_leaf = meta["is_leaf"][i]
-        if cn.is_leaf:
-            cn.children = None
-            cn.region_ids = meta["leaf_regions"][i]
-            cn.shape_packets = meta["leaf_shapes"][i]
-            cn.polygons = [
-                subdivision.region(rid).polygon.compiled()
-                for rid in cn.region_ids
-            ]
-        else:
-            cn.children = [build() for _ in range(hi - lo)]
-            cn.region_ids = None
-            cn.shape_packets = None
-            cn.polygons = None
-        return cn
-
-    _store_compiled(paged, "_compiled_rstar", build())
-
-
-def export_compiled_state(paged, engine) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Arrays + meta describing *paged*'s compiled form and *engine*'s
-    memoized schedule arrays, ready for :meth:`ShmArena.create`."""
-    from repro.core.paging import PagedDTree
-    from repro.pointloc.kirkpatrick import PagedTrianTree
-    from repro.pointloc.trapezoidal import PagedTrapTree
-    from repro.rstar.paged import PagedRStarTree
-
+def export_compiled_state(paged, schedule) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Arrays + meta describing *paged*'s compiled form and *schedule*'s
+    memoized timeline arrays, ready for :meth:`ShmArena.create`."""
     arrays: Dict[str, np.ndarray] = {}
     meta: dict = {"family": "generic"}
-    if isinstance(paged, PagedDTree):
-        ct = _compile_dtree(paged)
-        meta = {"family": "dtree", "root": int(ct.root)}
-        for slot in _DTREE_SLOTS:
-            arrays[f"dtree.{slot}"] = getattr(ct, slot)
-    elif isinstance(paged, PagedRStarTree):
-        rstar_arrays, rstar_meta = _export_rstar(_compile_rstar(paged))
-        arrays.update(rstar_arrays)
-        meta = {"family": "rstar", **rstar_meta}
-    elif isinstance(paged, PagedTrapTree):
-        ct = _compile_trap(paged)
-        if ct is not None:
-            meta = {"family": "trap"}
-            for slot in _TRAP_SLOTS:
-                arrays[f"trap.{slot}"] = getattr(ct, slot)
-    elif isinstance(paged, PagedTrianTree):
-        ct = _compile_trian(paged)
-        if ct is not None:
-            meta = {"family": "trian"}
-            for slot in _TRIAN_SLOTS:
-                arrays[f"trian.{slot}"] = getattr(ct, slot)
-    if getattr(engine, "_vectorized", False):
-        starts, positions = engine.schedule.timeline_arrays()
+    form = compiled_form(paged)
+    if form is not None:
+        family, compiled = form
+        meta = {"family": family, "layout": type(compiled)}
+        for slot in type(compiled).__slots__:
+            value = getattr(compiled, slot)
+            target = arrays if isinstance(value, np.ndarray) else meta
+            target[f"{family}.{slot}"] = value
+    dense = _dense_schedule(schedule)
+    if dense is not None:
+        starts, positions = dense.timeline_arrays()
         arrays["schedule.segment_starts"] = starts
         arrays["schedule.bucket_position"] = positions
     meta["index_version"] = _index_version(paged)
@@ -263,10 +170,10 @@ def _index_version(paged) -> int:
 
 
 def attach_compiled_state(
-    paged, views: Dict[str, np.ndarray], meta: dict, engine=None
+    paged, views: Dict[str, np.ndarray], meta: dict, schedule=None
 ) -> None:
-    """Install shared-memory views as *paged*'s compiled caches (and the
-    engine's schedule arrays), so the worker never recompiles.
+    """Install shared-memory views as *paged*'s compiled cache (and
+    *schedule*'s timeline arrays), so the worker never recompiles.
 
     The arena is keyed by index version: attaching compiled state that
     was exported for a different version of the index (the parent
@@ -281,27 +188,16 @@ def attach_compiled_state(
             f"the paged index is at version {current} — re-export after "
             "applying updates"
         )
-    family = meta.get("family")
-    if family == "dtree":
-        ct = _CompiledDTree()
-        ct.root = meta["root"]
-        for slot in _DTREE_SLOTS:
-            setattr(ct, slot, views[f"dtree.{slot}"])
-        _store_compiled(paged, "_compiled_dtree", ct)
-    elif family == "rstar":
-        _attach_rstar(paged, views, meta)
-    elif family == "trap":
-        ct = _CompiledTrapTree()
-        for slot in _TRAP_SLOTS:
-            setattr(ct, slot, views[f"trap.{slot}"])
-        _store_compiled(paged, "_compiled_trap", ct)
-    elif family == "trian":
-        ct = _CompiledTrianTree()
-        for slot in _TRIAN_SLOTS:
-            setattr(ct, slot, views[f"trian.{slot}"])
-        _store_compiled(paged, "_compiled_trian", ct)
-    if engine is not None and "schedule.segment_starts" in views:
-        engine.schedule._timeline_arrays = (
+    layout = meta.get("layout")
+    if layout is not None:
+        family = meta["family"]
+        compiled = layout.__new__(layout)
+        for slot in layout.__slots__:
+            key = f"{family}.{slot}"
+            setattr(compiled, slot, views[key] if key in views else meta[key])
+        _store_compiled(paged, f"_compiled_{family}", compiled)
+    if schedule is not None and "schedule.segment_starts" in views:
+        single_channel_view(schedule)._timeline_arrays = (
             views["schedule.segment_starts"],
             views["schedule.bucket_position"],
         )

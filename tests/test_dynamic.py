@@ -482,7 +482,7 @@ class TestShmVersionKeying:
         from repro.fleet.shm import attach_compiled_state, export_compiled_state
 
         paged, engine = self._stack(voronoi60)
-        arrays, meta = export_compiled_state(paged, engine)
+        arrays, meta = export_compiled_state(paged, engine.schedule)
         assert meta["index_version"] == 0
         stamp_version(paged, 3)  # the index moved on after the export
         with pytest.raises(ReproError, match="index version"):
@@ -493,6 +493,6 @@ class TestShmVersionKeying:
 
         paged, engine = self._stack(voronoi60)
         stamp_version(paged, 5)
-        arrays, meta = export_compiled_state(paged, engine)
+        arrays, meta = export_compiled_state(paged, engine.schedule)
         assert meta["index_version"] == 5
         attach_compiled_state(paged, arrays, meta)  # no raise

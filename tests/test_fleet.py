@@ -4,14 +4,19 @@ profile merging.  The single-process runner is the oracle every
 multi-process configuration is compared against."""
 
 import math
+import multiprocessing as mp
+import os
 import pickle
+import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import BroadcastSchedule
-from repro.engine import QueryEngine, index_family
+from repro.engine import QueryEngine, batched_trace, index_family
 from repro.errors import ReproError
 from repro.fleet import (
     FleetRunner,
@@ -21,7 +26,7 @@ from repro.fleet import (
     run_fleet,
     spawned_seed,
 )
-from repro.fleet.shm import export_compiled_state
+from repro.fleet.shm import attach_compiled_state, export_compiled_state
 from repro.obs import collecting
 from repro.datasets.catalog import SERVICE_AREA, uniform_dataset
 
@@ -112,21 +117,55 @@ class TestShmArena:
     def test_export_compiled_state_dtree(self, fleet_world):
         _, world = fleet_world
         paged, schedule, _ = world["dtree"]
-        engine = QueryEngine(paged, schedule)
-        arrays, meta = export_compiled_state(paged, engine)
+        arrays, meta = export_compiled_state(paged, schedule)
         assert meta["family"] == "dtree"
         assert any(name.startswith("dtree.") for name in arrays)
         assert "schedule.segment_starts" in arrays
 
-    @pytest.mark.parametrize("kind", ("trap", "trian"))
+    @pytest.mark.parametrize("kind", ("trap", "trian", "rstar"))
     def test_export_compiled_state_trap_trian(self, fleet_world, kind):
         _, world = fleet_world
         paged, schedule, _ = world[kind]
-        engine = QueryEngine(paged, schedule)
-        arrays, meta = export_compiled_state(paged, engine)
+        arrays, meta = export_compiled_state(paged, schedule)
         assert meta["family"] == kind
         assert any(name.startswith(f"{kind}.") for name in arrays)
         assert "schedule.segment_starts" in arrays
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_attach_round_trip_is_zero_copy(self, fleet_world, kind):
+        """Export, unpickle the paged index as a spawn worker would,
+        attach from a real arena: the worker's traces equal the parent's
+        bit for bit, and its compiled arrays are the arena's pages."""
+        _, world = fleet_world
+        paged, schedule, _ = world[kind]
+        points, _ = UniformFleetWorkload(
+            SERVICE_AREA, schedule.cycle_length, seed=4
+        ).chunk(0, 300)
+        expected = [batched_trace(paged, points, paths=p) for p in (False, True)]
+        arrays, meta = export_compiled_state(paged, schedule)
+        arena = ShmArena.create(arrays)
+        attached = ShmArena.attach(arena.shm.name, arena.manifest)
+        try:
+            worker = pickle.loads(pickle.dumps(paged))
+            attach_compiled_state(worker, attached.views(), meta)
+            compiled = getattr(worker, f"_compiled_{kind}")
+            for want, paths in zip(expected, (False, True)):
+                got = batched_trace(worker, points, paths=paths)
+                for field in type(got).__slots__:
+                    np.testing.assert_array_equal(
+                        getattr(got, field), getattr(want, field), err_msg=field
+                    )
+            assert getattr(worker, f"_compiled_{kind}") is compiled
+            block = np.frombuffer(attached.shm.buf, np.uint8)
+            for slot in type(compiled).__slots__:
+                value = getattr(compiled, slot)
+                if isinstance(value, np.ndarray) and value.size:
+                    assert np.shares_memory(value, block), slot
+            del compiled, worker, block
+        finally:
+            attached.close()
+            arena.close()
+            arena.unlink()
 
 
 class TestEngineModeDeterminism:
@@ -203,11 +242,11 @@ class TestEngineModeDeterminism:
 
 
 class TestTrapTrianWorkerParity:
-    """The compiled trap/trian state fans out through the arena with
+    """Every family's compiled state fans out through the arena with
     exact worker-count invariance: answers array-exact, every summary
     float bit-identical, under both start methods."""
 
-    @pytest.mark.parametrize("kind", ("trap", "trian"))
+    @pytest.mark.parametrize("kind", ("trap", "trian", "dtree", "rstar"))
     @pytest.mark.parametrize("start_method", ("fork", "spawn"))
     def test_workers_1_vs_8(self, fleet_world, kind, start_method):
         spec = _spec(fleet_world, kind=kind)
@@ -336,6 +375,55 @@ class TestChunkFailures:
         assert err.value.__cause__ is not None
         if workers == 1:
             assert isinstance(err.value.__cause__, ValueError)
+
+
+class _DyingWorkload(UniformFleetWorkload):
+    """A uniform workload whose chunk starting at *die_at* kills the
+    worker process outright."""
+
+    def __init__(self, cycle_length, die_at):
+        super().__init__(SERVICE_AREA, cycle_length, seed=9)
+        self.die_at = die_at
+
+    def chunk(self, start, size):
+        if start == self.die_at:
+            os._exit(3)
+        return super().chunk(start, size)
+
+
+def _shm_segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the fleet run hung after a worker died")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or "fork" not in mp.get_all_start_methods(),
+    reason="needs fork and a /dev/shm mount",
+)
+class TestWorkerDeath:
+    def test_dead_worker_raises_and_leaks_no_segment(self, fleet_world):
+        spec = _spec(fleet_world)
+        spec.workload = _DyingWorkload(spec.schedule.cycle_length, die_at=200)
+        before = _shm_segments()
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ReproError) as err:
+                FleetRunner(
+                    spec, chunk_size=100, workers=2, start_method="fork"
+                ).run(400)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert isinstance(err.value.__cause__, BrokenProcessPool)
+        assert re.search(
+            r"chunks \[[\d, ]*\b2\b[\d, ]*\] were still in flight",
+            str(err.value),
+        ), str(err.value)
+        assert _shm_segments() <= before
 
 
 class TestRunFleetEndToEnd:
