@@ -15,13 +15,14 @@ slots from — while guaranteeing results identical to the per-query path:
   arrays once per paged tree and cached, and queries that follow the
   same packet path share one interned *prefix*, so the per-query Python
   bookkeeping of the scalar path disappears entirely.
-* **R*-tree** — batched DFS over the tree flattened to arrays in DFS
-  preorder (:class:`_CompiledRStarTree`): MBR containment runs as one
-  structure-of-arrays matrix test per node
-  (:func:`~repro.geometry.kernels.mbrs_contain_batch`) and the exact
-  leaf test uses the region's cached
-  :class:`~repro.geometry.kernels.CompiledPolygon`, whose boundary
-  semantics equal the scalar predicate bit for bit.
+* **R*-tree** — level-synchronous frontier over the tree flattened to
+  arrays in DFS preorder (:class:`_CompiledRStarTree`): each level runs
+  the closed MBR test on the frontier's (query, entry) pairs, and every
+  leaf candidate of a query block goes through one
+  :meth:`~repro.geometry.kernels.RegionEdges.classify_pairs` call, whose
+  boundary semantics equal the scalar predicate bit for bit.  The
+  scalar DFS's read order and early exit are recovered from preorder
+  keys, so no query recurses.
 * **trap-tree** — flat-frontier descent over the trapezoidal-map DAG
   compiled to packed structure-of-arrays form
   (:class:`_CompiledTrapTree`): x-node comparisons and y-node
@@ -56,11 +57,11 @@ import numpy as np
 
 from repro.errors import BroadcastError, QueryError
 from repro.obs import active_collector
-from repro.broadcast.packets import PagedIndex, dedupe_consecutive
+from repro.broadcast.packets import PagedIndex
 from repro.geometry.kernels import (
     CompiledPartition,
+    RegionEdges,
     cross_batch,
-    mbrs_contain_batch,
     point_coords,
     ragged_ranges,
 )
@@ -602,11 +603,14 @@ def _trace_batch_dtree(
     return batch
 
 
-# -- R*-tree: batched DFS over the flat compiled layout ----------------------
+# -- R*-tree: level-synchronous frontier over the flat compiled layout -------
+
+#: Queries per R*-tree frontier block (bounds its (query, entry) pair arrays).
+_RSTAR_BLOCK_QUERIES = 2048
 
 
 class _CompiledRStarTree:
-    """The paged R*-tree flattened to arrays for the batched DFS.
+    """The paged R*-tree flattened to arrays for the batched frontier.
 
     Nodes are indexed in DFS preorder, root at 0.  ``packet`` is each
     node's broadcast packet and node *i*'s entries are
@@ -614,8 +618,9 @@ class _CompiledRStarTree:
     entry MBR (``min_x`` .. ``max_y``) and ``child``, the child node's
     index for an internal entry or ``~region_id`` (always negative) for a
     leaf entry.  A leaf entry's shape packets are
-    ``shape_packets[shape_start[e] : shape_start[e + 1]]`` (an empty
-    slice for internal entries).
+    ``shape_packets[shape_start[e] : shape_start[e + 1]]`` and its
+    region's vertex ring is ``ring_x`` / ``ring_y[ring_start[e] :
+    ring_start[e + 1]]`` (both empty slices for internal entries).
     """
 
     __slots__ = (
@@ -628,6 +633,9 @@ class _CompiledRStarTree:
         "child",
         "shape_start",
         "shape_packets",
+        "ring_start",
+        "ring_x",
+        "ring_y",
     )
 
 
@@ -636,20 +644,25 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
     compiled = _cached_compiled(paged, "_compiled_rstar", None)
     if compiled is not None:
         return compiled
+    subdivision = paged.tree.subdivision
     nodes = paged._nodes_preorder()
     position = {id(node): i for i, node in enumerate(nodes)}
     mbrs = []
     child: List[int] = []
     shapes: List[Sequence[int]] = []
+    rings: List[Sequence[Point]] = []
     for node in nodes:
         for entry in node.entries:
             mbrs.append(entry.mbr)
             if node.is_leaf:
                 child.append(~entry.region_id)
                 shapes.append(paged._shape_packets[entry.region_id])
+                region = subdivision.region(entry.region_id)
+                rings.append(region.polygon.vertices)
             else:
                 child.append(position[id(entry.child)])
                 shapes.append(())
+                rings.append(())
 
     ct = _CompiledRStarTree()
     ct.packet = np.fromiter(
@@ -665,85 +678,205 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
         )
     ct.child = np.asarray(child, np.int64)
     ct.shape_start, ct.shape_packets = _path_csr(shapes)
+    ct.ring_start = np.zeros(len(rings) + 1, np.int64)
+    np.cumsum([len(ring) for ring in rings], out=ct.ring_start[1:])
+    ct.ring_x, ct.ring_y = point_coords([p for ring in rings for p in ring])
     return _store_compiled(paged, "_compiled_rstar", ct)
+
+
+class _RStarLeaves:
+    """Per-call tables of the leaf kernel, derived from the compiled
+    rings: one :class:`~repro.geometry.kernels.RegionEdges` slot per
+    entry, each leaf entry's ring bounding box (bit-equal to
+    ``polygon.bbox``, the scalar containment test's gate), and
+    ``packet`` followed by ``shape_packets`` as one read table."""
+
+    __slots__ = ("edges", "min_x", "min_y", "max_x", "max_y", "table")
+
+    def __init__(self, ct: _CompiledRStarTree) -> None:
+        self.edges = RegionEdges(ct.ring_x, ct.ring_y, np.diff(ct.ring_start))
+        leaf = ct.child < 0
+        first = ct.ring_start[:-1][leaf]
+        for field, ring, reduce in (
+            ("min_x", ct.ring_x, np.minimum),
+            ("min_y", ct.ring_y, np.minimum),
+            ("max_x", ct.ring_x, np.maximum),
+            ("max_y", ct.ring_y, np.maximum),
+        ):
+            box = np.zeros(len(ct.child), np.float64)
+            if first.size:
+                box[leaf] = reduce.reduceat(ring, first)
+            setattr(self, field, box)
+        self.table = np.concatenate((ct.packet, ct.shape_packets))
+
+
+def _trace_rstar_block(
+    ct: _CompiledRStarTree, leaves: _RStarLeaves, xs, ys, col
+):
+    """Trace one block of queries down the compiled R*-tree.
+
+    Returns ``(regions, path_query, path_packets)``: each query's region,
+    then every query's consecutive-deduplicated packet reads in read
+    order, grouped by query.  If any query misses, ``regions`` only
+    marks the misses with ``-1`` and both path arrays are None.
+    """
+    m = len(xs)
+    node_q: List[np.ndarray] = []
+    node_v: List[np.ndarray] = []
+    leaf_q: List[np.ndarray] = []
+    leaf_e: List[np.ndarray] = []
+    fq = np.arange(m, dtype=np.int64)
+    fv = np.zeros(m, np.int64)
+    while fq.size:
+        if col is not None:
+            col.count("trace.rstar.levels")
+            col.observe("trace.rstar.frontier_width", fq.size)
+        node_q.append(fq)
+        node_v.append(fv)
+        lo = ct.entry_start[fv]
+        pe, owner, _ = ragged_ranges(lo, ct.entry_start[fv + 1] - lo)
+        pq = fq[owner]
+        px = xs[pq]
+        py = ys[pq]
+        inside = np.flatnonzero(
+            (ct.min_x[pe] <= px)
+            & (px <= ct.max_x[pe])
+            & (ct.min_y[pe] <= py)
+            & (py <= ct.max_y[pe])
+        )
+        pe = pe[inside]
+        pq = pq[inside]
+        code = ct.child[pe]
+        leaf = code < 0
+        leaf_q.append(pq[leaf])
+        leaf_e.append(pe[leaf])
+        fq = pq[~leaf]
+        fv = code[~leaf]
+
+    # Leaf kernel: every candidate pair inside its polygon's closed
+    # bbox (the entry MBR, up to ulps of region drift since insertion)
+    # in one ragged polygon test.
+    cq = np.concatenate(leaf_q)
+    ce = np.concatenate(leaf_e)
+    px = xs[cq]
+    py = ys[cq]
+    gated = np.flatnonzero(
+        (leaves.min_x[ce] <= px)
+        & (px <= leaves.max_x[ce])
+        & (leaves.min_y[ce] <= py)
+        & (py <= leaves.max_y[ce])
+    )
+    # Leaf entries follow their node in preorder, so the scalar DFS
+    # tests them in entry order and stops at the first hit: the
+    # smallest hit entry.
+    hit_entry = np.full(m, len(ct.child), np.int64)
+    if gated.size:
+        on_edge, odd = leaves.edges.classify_pairs(
+            ce[gated], px[gated], py[gated]
+        )[:2]
+        hit = gated[on_edge | odd]
+        np.minimum.at(hit_entry, cq[hit], ce[hit])
+    if col is not None:
+        col.count("trace.rstar.leaf_pairs", ce.size)
+    if (hit_entry == len(ct.child)).any():
+        regions = np.where(hit_entry < len(ct.child), 0, -1)
+        return regions, None, None
+    regions = ~ct.child[hit_entry]
+    hit_node = np.searchsorted(ct.entry_start, hit_entry, side="right") - 1
+
+    # DFS order without recursion: node v is read at key v +
+    # entry_start[v] and leaf entry e of node u tested at key u + 1 + e.
+    # A query's reads are its events up to its hit, in key order; the
+    # events past the hit are the ones the scalar early exit skips.
+    nq = np.concatenate(node_q)
+    nv = np.concatenate(node_v)
+    keep = nv <= hit_node[nq]
+    nq = nq[keep]
+    nv = nv[keep]
+    past = ce > hit_entry[cq]
+    if col is not None:
+        col.count("trace.rstar.leaf_pairs_past_hit", int(past.sum()))
+    cq = cq[~past]
+    ce = ce[~past]
+    cu = np.searchsorted(ct.entry_start, ce, side="right") - 1
+    event_q = np.concatenate((nq, cq))
+    key = np.concatenate((nv + ct.entry_start[nv], cu + 1 + ce))
+    start = np.concatenate((nv, len(ct.packet) + ct.shape_start[ce]))
+    count = np.concatenate(
+        (np.ones(nv.size, np.int64), ct.shape_start[ce + 1] - ct.shape_start[ce])
+    )
+    order = np.argsort(event_q * (len(ct.packet) + len(ct.child) + 1) + key)
+    flat, owner, _ = ragged_ranges(start[order], count[order])
+    path_q = event_q[order][owner]
+    packets = leaves.table[flat]
+    fresh = np.ones(packets.size, bool)
+    fresh[1:] = (packets[1:] != packets[:-1]) | (path_q[1:] != path_q[:-1])
+    return regions, path_q[fresh], packets[fresh]
 
 
 def _trace_batch_rstar(
     paged, points: Sequence[Point], paths: bool = False
 ) -> TraceBatch:
-    """Batched DFS over the compiled paged R*-tree.
+    """Level-synchronous frontier over the compiled paged R*-tree.
 
-    Point-in-MBR tests run as one structure-of-arrays matrix per node
-    over the node's slice of the entry arrays; the exact polygon
-    containment at the leaves (boundary semantics included) uses the
-    region polygon's cached compiled kernel on the few surviving
-    candidates.  The DFS already records every query's packet reads,
-    so ``paths=True`` only packs them into the CSR.
+    Blocks of at most :data:`_RSTAR_BLOCK_QUERIES` queries descend
+    together: each level expands every (query, node) pair of the
+    frontier into its node's entries with :func:`ragged_ranges` and runs
+    the closed MBR test on the pairs; surviving internal entries form
+    the next frontier and surviving leaf entries become candidates.  All
+    candidates are then classified in one
+    :meth:`~repro.geometry.kernels.RegionEdges.classify_pairs` call,
+    boundary semantics included.  The scalar DFS's order and early exit
+    are recovered from the preorder layout (see
+    :func:`_trace_rstar_block`), so packet reads, tuning time and the
+    ``paths=True`` CSR come out of flat arrays.  A miss raises the
+    scalar path's :class:`QueryError`; a read moving backwards defers
+    to the per-point path for the scalar error.
     """
+    ct = _compile_rstar(paged)
+    leaves = _RStarLeaves(ct)
     n = len(points)
     xs, ys = point_coords(points)
-    ct = _compile_rstar(paged)
-    subdivision = paged.tree.subdivision
-    node_packet = ct.packet.tolist()
-    entry_start = ct.entry_start.tolist()
-    child = ct.child.tolist()
-    shape_start = ct.shape_start.tolist()
-    shape_packets = ct.shape_packets.tolist()
     col = active_collector()
-    regions = np.full(n, -1, np.int64)
-    accesses: List[List[int]] = [[] for _ in range(n)]
-
-    def search(node: int, idxs: np.ndarray) -> None:
-        if col is not None:
-            col.count("trace.rstar.nodes_visited")
-            col.observe("trace.rstar.node_batch", idxs.size)
-        packet = node_packet[node]
-        for i in idxs.tolist():
-            accesses[i].append(packet)
-        lo, hi = entry_start[node], entry_start[node + 1]
-        inside = mbrs_contain_batch(
-            ct.min_x[lo:hi], ct.min_y[lo:hi], ct.max_x[lo:hi], ct.max_y[lo:hi],
-            xs[idxs], ys[idxs],
-        )
-        unresolved = np.ones(idxs.size, bool)
-        for entry in range(lo, hi):
-            if not unresolved.any():
-                break
-            local = np.flatnonzero(inside[entry - lo] & unresolved)
-            if local.size == 0:
-                continue
-            candidates = idxs[local]
-            code = child[entry]
-            if code < 0:
-                shape = shape_packets[shape_start[entry] : shape_start[entry + 1]]
-                for qi in candidates.tolist():
-                    accesses[qi].extend(shape)
-                polygon = subdivision.region(~code).polygon.compiled()
-                hits = polygon.contains_batch(xs[candidates], ys[candidates])
-                regions[candidates[hits]] = ~code
-                unresolved[local[hits]] = False
-            else:
-                search(code, candidates)
-                unresolved[local] = regions[candidates] < 0
-
-    search(0, np.arange(n))
-    if (regions < 0).any():
-        missing = int(np.argmax(regions < 0))
-        raise QueryError(
-            f"{points[missing]!r} not found in the paged R*-tree"
-        )
-
+    regions = np.empty(n, np.int64)
     last = np.empty(n, np.int64)
     tuning = np.empty(n, np.int64)
-    for i, raw in enumerate(accesses):
-        accessed = dedupe_consecutive(raw)
-        _check_forward(accessed)
-        last[i] = accessed[-1] if accessed else 0
-        tuning[i] = len(set(accessed))
-        accesses[i] = accessed
+    path_blocks: List[np.ndarray] = []
+    backwards = False
+    for lo in range(0, n, _RSTAR_BLOCK_QUERIES):
+        hi = min(n, lo + _RSTAR_BLOCK_QUERIES)
+        block_regions, path_q, packets = _trace_rstar_block(
+            ct, leaves, xs[lo:hi], ys[lo:hi], col
+        )
+        if path_q is None:
+            missing = lo + int(np.argmax(block_regions < 0))
+            raise QueryError(
+                f"{points[missing]!r} not found in the paged R*-tree"
+            )
+        same = path_q[1:] == path_q[:-1]
+        if backwards or (same & (packets[1:] < packets[:-1])).any():
+            # Keep scanning: a later miss still raises its QueryError.
+            backwards = True
+            continue
+        regions[lo:hi] = block_regions
+        # Forward-only and free of consecutive repeats: every read is a
+        # distinct packet, and a query's last read ends its run.
+        tuning[lo:hi] = np.bincount(path_q, minlength=hi - lo)
+        last[lo:hi] = packets[np.flatnonzero(np.append(~same, True))]
+        if paths:
+            path_blocks.append(packets)
+    if backwards:
+        # The per-point path rebuilds the offending path and raises the
+        # scalar client's error.
+        _trace_batch_generic(paged, points)
+        raise BroadcastError(
+            "index traversal moved backwards on the broadcast channel"
+        )
     if paths:
-        # Forward-only and free of consecutive repeats: already distinct.
-        return TraceBatch(regions, last, tuning, *_path_csr(accesses))
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(tuning, out=offsets[1:])
+        packets = np.concatenate(path_blocks or [np.zeros(0, np.int64)])
+        return TraceBatch(regions, last, tuning, offsets, packets)
     return TraceBatch(regions, last, tuning)
 
 

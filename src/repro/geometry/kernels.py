@@ -150,8 +150,7 @@ def mbrs_contain_batch(
     """Closed containment of every point in every MBR.
 
     The MBR bounds are ``(R,)`` arrays and the coordinates ``(k,)``
-    arrays; the result is an ``(R, k)`` boolean matrix — the R*-tree
-    node test for a whole query frontier at once.
+    arrays; the result is an ``(R, k)`` boolean matrix.
     """
     return (
         (min_x[:, None] <= xs)
@@ -464,11 +463,14 @@ class RegionEdges:
 
     Region slot ``s`` owns the edges ``start[s]:start[s + 1]`` — its
     vertex ring in order, closing edge included — so a batch of
-    (region, point) pairs expands into one flat edge-test array.
+    (region, point) pairs expands into one flat edge-test array.  A slot
+    may own an empty ring, as long as no pair names it.
     :meth:`classify_pairs` is the one copy of the ragged containment
-    arithmetic: :class:`CompiledSubdivision` locates with it and the
+    arithmetic: :class:`CompiledSubdivision` locates with it, the
     mobility exit bound (:class:`~repro.mobility.exitbound.RegionBoundaryIndex`)
-    tests strict interiority with it.
+    tests strict interiority with it, and the R*-tree tracer
+    (:func:`repro.engine.trace._trace_batch_rstar`) tests every leaf
+    candidate of a query batch with it, one slot per tree entry.
     """
 
     __slots__ = (
@@ -497,8 +499,10 @@ class RegionEdges:
         self.ay = np.asarray(ay, np.float64)
         # Each edge ends at the next vertex of its own ring: the ring's
         # last vertex wraps to its first (a per-ring ``np.roll(-1)``).
+        # An empty ring has no last vertex.
         following = np.arange(1, len(self.ax) + 1, dtype=np.int64)
-        following[self.start[1:] - 1] = self.start[:-1]
+        ring = self.counts > 0
+        following[self.start[1:][ring] - 1] = self.start[:-1][ring]
         self.bx = self.ax[following]
         self.by = self.ay[following]
         self.dx = self.bx - self.ax

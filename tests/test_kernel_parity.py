@@ -345,6 +345,41 @@ class TestOracleFallbacks:
             batch_err.value
         )
 
+    def test_backwards_rstar_node_raises_scalar_error(self, voronoi60):
+        family = index_family("rstar")
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        points = random_points_in(voronoi60, 200, seed=29)
+        batched_trace(paged, points)  # compile and cache the sound tree
+        # Re-point one node below a nonzero packet at packet 0, so every
+        # query through it reads the channel backwards.
+        stack = [(paged.tree.root, 0)]
+        while stack:
+            node, high = stack.pop()
+            if high > 0:
+                break
+            high = max(high, paged._node_packet[id(node)])
+            if not node.is_leaf:
+                stack.extend((entry.child, high) for entry in node.entries)
+        assert high > 0
+        paged._node_packet[id(node)] = 0
+        bump_structure_generation(paged)
+
+        failing = [
+            p for p in points
+            if paged.trace(p).packets_accessed
+            != sorted(paged.trace(p).packets_accessed)
+        ]
+        assert failing and failing[0] is not points[0]
+        with pytest.raises(BroadcastError) as scalar_err:
+            _trace_batch_generic(paged, points)
+        for paths in (False, True):
+            with pytest.raises(BroadcastError) as batch_err:
+                batched_trace(paged, points, paths=paths)
+            assert str(batch_err.value) == str(scalar_err.value)
+        assert str(paged.trace(failing[0]).packets_accessed) in str(
+            batch_err.value
+        )
+
     @pytest.mark.parametrize("kind", REJECTING_KINDS)
     def test_uncompiled_tree_uses_per_point_path(self, dataset, cells, kind):
         from repro.obs import collecting
@@ -360,6 +395,90 @@ class TestOracleFallbacks:
         _assert_traces_equal(got, _trace_batch_generic(paged, points))
 
 
+class TestRStarBlockSeams:
+    """The R*-tree tracer works in blocks of queries; with tiny blocks
+    every seam must still reproduce the per-point oracle exactly."""
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        import repro.engine.trace as trace_module
+
+        monkeypatch.setattr(trace_module, "_RSTAR_BLOCK_QUERIES", 7)
+
+    def _assert_paths_equal(self, paged, points):
+        got = batched_trace(paged, points, paths=True)
+        want = _trace_batch_generic(paged, points, paths=True)
+        _assert_traces_equal(got, want)
+        assert got.path_offsets.tolist() == want.path_offsets.tolist()
+        assert got.path_packets.tolist() == want.path_packets.tolist()
+
+    def test_blocks_match_per_point_oracle(self, dataset, cells, tiny_blocks):
+        _, subdivision = dataset
+        paged, _ = cells["rstar"]
+        self._assert_paths_equal(paged, _query_points(subdivision, "rstar"))
+
+    def test_empty_and_single_query_batches(self, dataset, cells, tiny_blocks):
+        _, subdivision = dataset
+        paged, _ = cells["rstar"]
+        self._assert_paths_equal(paged, [])
+        self._assert_paths_equal(paged, random_points_in(subdivision, 1, seed=3))
+
+    def test_miss_in_a_later_block_raises_scalar_error(
+        self, dataset, cells, tiny_blocks
+    ):
+        from repro.geometry.point import Point
+
+        _, subdivision = dataset
+        paged, _ = cells["rstar"]
+        area = subdivision.service_area
+        outside = Point(area.max_x + 1.0, area.max_y + 1.0)
+        points = random_points_in(subdivision, 20, seed=31)
+        points.insert(17, outside)
+        with pytest.raises(QueryError) as scalar_err:
+            paged.trace(outside)
+        for paths in (False, True):
+            with pytest.raises(QueryError) as batch_err:
+                batched_trace(paged, points, paths=paths)
+            assert str(batch_err.value) == str(scalar_err.value)
+
+
+class TestRStarDriftedLeafMBR:
+    """After dynamic updates a leaf entry's MBR can trail its region's
+    ring by ulps.  The scalar path gates the polygon test on the ring's
+    own bounding box, so the batched leaf kernel must too."""
+
+    def test_points_in_mbr_but_outside_ring_box_match_oracle(self, voronoi60):
+        from repro.geometry.point import Point
+        from repro.geometry.rect import Rect
+
+        family = index_family("rstar")
+        paged = family.build(voronoi60, seed=7).page(family.parameters(256))
+        widen = 1e-9
+        for node in paged._nodes_preorder():
+            if node.is_leaf:
+                for entry in node.entries:
+                    m = entry.mbr
+                    entry.mbr = Rect(
+                        m.min_x - widen, m.min_y - widen,
+                        m.max_x + widen, m.max_y + widen,
+                    )
+        # Just past each region's extreme vertices: inside the widened
+        # MBR, outside the ring's box, within EPS of the ring.
+        probes = []
+        for region in voronoi60.regions:
+            vs = region.polygon.vertices
+            right = max(vs, key=lambda v: v.x)
+            top = max(vs, key=lambda v: v.y)
+            probes.append(Point(right.x + widen / 2, right.y))
+            probes.append(Point(top.x, top.y + widen / 2))
+        points = [p for p in probes if _accepts(paged, p)]
+        points += random_points_in(voronoi60, 50, seed=37)
+        got = batched_trace(paged, points, paths=True)
+        want = _trace_batch_generic(paged, points, paths=True)
+        _assert_traces_equal(got, want)
+        assert got.path_packets.tolist() == want.path_packets.tolist()
+
+
 class TestTraceObservability:
     """The kernel tracers publish per-descent counters and
     frontier-width histograms mirroring the D-tree instrumentation
@@ -368,11 +487,13 @@ class TestTraceObservability:
 
     COUNTERS = {
         "dtree": ("trace.dtree.levels",),
+        "rstar": ("trace.rstar.levels", "trace.rstar.leaf_pairs"),
         "trap": ("trace.trap.levels",),
         "trian": ("trace.trian.levels",),
     }
     HISTOGRAMS = {
         "dtree": ("trace.dtree.frontier_width",),
+        "rstar": ("trace.rstar.frontier_width",),
         "trap": ("trace.trap.frontier_width",),
         "trian": ("trace.trian.frontier_width", "trace.trian.scan_width"),
     }
@@ -392,3 +513,18 @@ class TestTraceObservability:
             hist = col.histograms[name]
             assert hist.count > 0, name
             assert hist.total > 0, name
+
+    def test_rstar_leaf_pairs_past_hit_are_a_share_of_leaf_pairs(
+        self, dataset, cells
+    ):
+        from repro.obs import collecting
+
+        _, subdivision = dataset
+        paged, _ = cells["rstar"]
+        points = _query_points(subdivision, "rstar", paged)
+        with collecting() as col:
+            batched_trace(paged, points)
+        past = col.counters["trace.rstar.leaf_pairs_past_hit"]
+        # Every query tests at least the leaf entry that answers it.
+        assert 0 <= past <= col.counters["trace.rstar.leaf_pairs"] - len(points)
+
