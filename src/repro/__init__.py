@@ -69,7 +69,7 @@ from repro.broadcast import (
 
 # Single source of truth — pyproject.toml reads it via
 # ``[tool.setuptools.dynamic] version = {attr = "repro.__version__"}``.
-__version__ = "4.0.0"
+__version__ = "4.1.0"
 
 #: Engine names resolved lazily (PEP 562): ``repro.engine`` imports the
 #: index families, which import the broadcast substrate, so an eager

@@ -789,7 +789,7 @@ class BroadcastClient:
     # -- the batched front door ---------------------------------------------
 
     def run_batch(
-        self, points: Sequence[Point], issue_times: Sequence[float]
+        self, points: Sequence[Point], issue_times: Sequence[float], trace=None
     ) -> AccessBatch:
         """:meth:`query` for every point at its issue time, as arrays.
 
@@ -803,7 +803,10 @@ class BroadcastClient:
         timeline, duck-typed schedules, a lossy plan, a model without a
         layout) walks query by query.  ``walk.batched_queries`` and
         ``walk.replayed_queries`` count the queries answered by the
-        vectorised pass and by the scalar walk.
+        vectorised pass and by the scalar walk.  *trace*, the points'
+        :class:`~repro.engine.trace.TraceBatch` when the caller has it,
+        saves re-tracing them unless the pass needs packet paths it
+        lacks; results are the same without it.
         """
         n = len(points)
         if n == 0:
@@ -812,6 +815,8 @@ class BroadcastClient:
             raise BroadcastError(
                 f"{len(issue_times)} issue times for {n} query points"
             )
+        if trace is not None and len(trace) != n:
+            raise BroadcastError(f"{len(trace)} traces for {n} query points")
         times = np.asarray(issue_times, np.float64)
         col = active_collector()
         if not self._batchable():
@@ -825,10 +830,9 @@ class BroadcastClient:
         from repro.engine.trace import batched_trace
 
         model = self.error_model
-        trace = batched_trace(
-            self.paged_index, points,
-            paths=model is not None or self._homes is not None,
-        )
+        paths = model is not None or self._homes is not None
+        if trace is None or (paths and trace.path_offsets is None):
+            trace = batched_trace(self.paged_index, points, paths=paths)
         bucket_packets = self.schedule.bucket_packets
         if self.plan is None:
             hops = np.zeros(n, np.int64)

@@ -12,9 +12,9 @@ identical for both clients (property-tested in
 ``tests/test_mobility.py``).
 
 :func:`evaluate_trajectory` walks one client's session query by query.
-It runs lossy and cached sessions, and it is the oracle the batched
-epoch waves of :mod:`repro.mobility.evaluate` are tested against
-(``tests/test_mobility_waves.py``).
+It is only the oracle: every session runs in the epoch waves of
+:mod:`repro.mobility.evaluate`, which are tested against it under every
+channel effect (``tests/test_mobility_waves.py``).
 
 Staleness is measured against delivery times: the answer of a re-tune
 issued at ``t`` is *delivered* at ``t + access_latency``, and an epoch

@@ -10,41 +10,35 @@ scale goes through :func:`repro.fleet.run_fleet` with
 ``mode="mobility"``, which folds the same per-chunk evaluation into a
 streaming :class:`~repro.mobility.report.MobilityReport`.
 
-Error-free, cache-free sessions run in *epoch waves* (DESIGN.md §13):
-every client's epoch grid is sampled once into flat arrays, and each
-wave answers all clients due to re-tune with one compiled
-:class:`~repro.engine.QueryEngine` run, bounds them all with one
+Every session runs in *epoch waves* (DESIGN.md §13).  Each wave answers
+the clients due to re-tune with one batched trace, bounds them with one
 :meth:`~repro.mobility.exitbound.RegionBoundaryIndex.exit_bounds` call
-and advances each to its first epoch outside its exit disk.  Lossy or
-cached sessions keep the per-client
-:func:`~repro.mobility.client.evaluate_trajectory` walk, the oracle the
-waves are tested against: their shared error-model stream is drawn in
-client order and their packet caches persist across a client's own
-re-tunes.
+and advances each to its first epoch outside its exit disk.  Loss,
+caching and channel hops change when an answer arrives, never what it
+is, so the waves fix the re-tune schedule; one protocol pass then runs
+every re-tune through :class:`~repro.broadcast.client.BroadcastClient`
+in client order — the query order, and so the error-model stream, of
+the per-client :func:`~repro.mobility.client.evaluate_trajectory` walk,
+which is kept as the oracle.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import random
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.broadcast.client import BroadcastClient
-from repro.broadcast.plan import BroadcastPlan, single_channel_view
+from repro.broadcast.client import AccessBatch, BroadcastClient
 from repro.broadcast.schedule import resolve_schedule
-from repro.engine import QueryEngine
+from repro.engine.trace import TraceBatch, batched_trace
 from repro.errors import ReproError
 from repro.geometry.kernels import ragged_ranges
 from repro.geometry.point import Point
 from repro.obs import active_collector
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import make_error_model
-from repro.mobility.client import (
-    ClientOutcome,
-    evaluate_trajectory,
-)
 from repro.mobility.exitbound import RegionBoundaryIndex
 from repro.mobility.trajectory import Trajectory, sample_epochs
 from repro.mobility.units import DEFAULT_KM_PER_UNIT
@@ -163,14 +157,15 @@ def evaluate_trajectory_workload(
     answer sequence — prediction changes when clients tune, never what
     they answer.
 
-    A positive *error_rate* runs every re-tune through the access
-    walker's loss effect (:class:`~repro.broadcast.client.BroadcastClient`); all
-    clients of the batch share one error-model stream seeded by
+    A nonzero *error_rate* runs every re-tune through the access
+    walker's loss effect (:class:`~repro.broadcast.client.BroadcastClient`;
+    an out-of-range rate is a :class:`~repro.errors.BroadcastError`);
+    all clients share one error-model stream seeded by
     ``random.Random(f"channel:{seed}")``, the simulator's convention.
-    Each client gets a fresh query stack (its own packet cache when
-    *cache_packets* is set).  Error-free, cache-free sessions over a
-    single-channel timeline run in epoch waves instead, with identical
-    results (see the module docstring).
+    With *cache_packets* set, each client's packet cache persists across
+    its own re-tunes.  Every session takes one path, the epoch waves
+    (module docstring); a loop of per-client
+    :func:`~repro.mobility.client.evaluate_trajectory` walks is its oracle.
 
     *boundary_index* is a :class:`RegionBoundaryIndex` or anything with
     its ``exit_bound(region_id, x, y)`` method; a duck type without the
@@ -194,22 +189,14 @@ def evaluate_trajectory_workload(
         epoch_slots = default_epoch_slots(schedule.cycle_length)
     energy_model = energy_model or EnergyModel()
 
-    if (
-        error_rate <= 0.0
-        and cache_packets <= 0
-        # The wave counters replay single-channel walks (no hop effect).
-        and not isinstance(single_channel_view(schedule), BroadcastPlan)
-    ):
-        session = _evaluate_waves(
-            paged_index, schedule, trajectories, boundary_index,
-            epoch_slots, max_epochs,
-        )
-    else:
-        session = _evaluate_per_client(
-            paged_index, schedule, trajectories, boundary_index,
-            epoch_slots, max_epochs, cache_packets, error_rate,
-            error_model, mean_burst, policy, energy_model, seed,
-        )
+    channel = None
+    if error_rate != 0.0:
+        channel = make_error_model(error_model, error_rate, mean_burst)
+        channel.reset(random.Random(f"channel:{seed}"))
+    session = _evaluate_waves(
+        paged_index, schedule, trajectories, boundary_index, epoch_slots,
+        max_epochs, cache_packets, channel, policy, energy_model,
+    )
     last_latency = session.pop("last_latency")
     # Session energy: every read attempt at receive power, the rest of
     # the session (first epoch through last delivery) dozing.
@@ -226,62 +213,6 @@ def evaluate_trajectory_workload(
         km_per_unit=km_per_unit,
         **session,
     )
-
-
-def _evaluate_per_client(
-    paged_index, schedule, trajectories, boundary_index, epoch_slots,
-    max_epochs, cache_packets, error_rate, error_model, mean_burst,
-    policy, energy_model, seed,
-) -> dict:
-    """The per-client walk: one fresh access walker per trajectory,
-    every re-tune a scalar query, in client order."""
-    channel = None
-    if error_rate > 0.0:
-        channel = make_error_model(error_model, error_rate, mean_burst)
-        channel.reset(random.Random(f"channel:{seed}"))
-
-    outcomes: List[ClientOutcome] = []
-    for trajectory in trajectories:
-        # A fresh client per trajectory: its cache, when enabled, persists
-        # across the client's own re-tunes, never across clients.
-        client = BroadcastClient(
-            paged_index,
-            schedule,
-            cache_packets=cache_packets if cache_packets > 0 else None,
-            error_model=channel,
-            policy=policy,
-            energy_model=energy_model if channel is not None else None,
-        )
-        outcomes.append(
-            evaluate_trajectory(
-                trajectory,
-                client,
-                boundary_index,
-                epoch_slots,
-                predictive=boundary_index is not None,
-                max_epochs=max_epochs,
-            )
-        )
-
-    def column(field: str, dtype) -> np.ndarray:
-        return np.fromiter(
-            (getattr(o, field) for o in outcomes), dtype, count=len(outcomes)
-        )
-
-    return {
-        "epochs": column("epochs", np.int64),
-        "retunes": column("retunes", np.int64),
-        "crossings": column("crossings", np.int64),
-        "stale_epochs": column("stale_epochs", np.int64),
-        "attempts": column("attempts", np.int64),
-        "losses": column("losses", np.int64),
-        "first_latency": column("first_latency", np.float64),
-        "first_index_tuning": column("first_index_tuning", np.int64),
-        "first_tuning": column("first_tuning", np.int64),
-        "last_latency": column("last_latency", np.float64),
-        "distance_units": column("distance_units", np.float64),
-        "answers": [o.answers for o in outcomes],
-    }
 
 
 # -- epoch waves ----------------------------------------------------------------
@@ -344,14 +275,16 @@ def _advance(xs, ys, at, last, regions, exit_bounds):
 
 def _evaluate_waves(
     paged_index, schedule, trajectories, boundary_index, epoch_slots,
-    max_epochs,
+    max_epochs, cache_packets, channel, policy, energy_model,
 ) -> dict:
-    """Error-free, cache-free sessions, all clients advanced in waves.
+    """Every session, all clients advanced in waves.
 
-    Every wave answers the clients due to re-tune with one compiled
-    engine run, computes all their exit bounds in one call, advances
-    each to its next re-tune and fills the answers of the epochs it
-    skipped.  Results equal the per-client walk's, bit for bit.
+    Every wave answers the clients due to re-tune with one batched
+    trace, computes all their exit bounds in one call, advances each to
+    its next re-tune and fills the answers of the epochs it skipped.
+    The re-tune schedule is then fixed, and :func:`_protocol_pass` runs
+    it through the access walker in client order.  Results equal the
+    per-client walk's, bit for bit.
     """
     times, xs, ys, epochs = sample_epochs(trajectories, epoch_slots, max_epochs)
     n = len(trajectories)
@@ -359,7 +292,6 @@ def _evaluate_waves(
     last = first + epochs - 1
     epoch_owner = np.repeat(np.arange(n, dtype=np.int64), epochs)
 
-    engine = QueryEngine(paged_index, schedule)
     exit_bounds = (
         _batched_exit_bounds(boundary_index)
         if boundary_index is not None
@@ -370,18 +302,16 @@ def _evaluate_waves(
     due = np.arange(n, dtype=np.int64)
     at = first
     while due.size:
-        result = engine.run(
-            [Point(x, y) for x, y in zip(xs[at].tolist(), ys[at].tolist())],
-            issue_times=times[at],
-        )
-        regions = result.region_ids
+        points = [Point(x, y) for x, y in zip(xs[at].tolist(), ys[at].tolist())]
+        trace = batched_trace(paged_index, points)
+        regions = trace.region_ids
         if exit_bounds is None:
             nxt, slack = at + 1, np.full(at.size, np.nan)
         else:
             nxt, slack = _advance(xs, ys, at, last[due], regions, exit_bounds)
         filled, owner, _ = ragged_ranges(at, nxt - at)
         answers[filled] = regions[owner]
-        waves.append((at, result, slack))
+        waves.append((at, points, trace, slack))
         more = nxt <= last[due]
         due, at = due[more], nxt[more]
 
@@ -390,18 +320,23 @@ def _evaluate_waves(
     at = np.concatenate([w[0] for w in waves])
     order = np.argsort(at, kind="stable")
     at = at[order]
-
-    def gather(field: str) -> np.ndarray:
-        return np.concatenate([getattr(w[1], field) for w in waves])[order]
-
-    latency = gather("access_latency")
-    index_tuning = gather("index_tuning_time")
-    tuning = gather("total_tuning_time")
-    regions = gather("region_ids")
-    slack = np.concatenate([w[2] for w in waves])[order]
+    points = [p for w in waves for p in w[1]]
+    points = [points[i] for i in order.tolist()]
+    trace = TraceBatch(
+        *(
+            np.concatenate([getattr(w[2], field) for w in waves])[order]
+            for field in ("region_ids", "last_packet", "tuning_time")
+        )
+    )
+    slack = np.concatenate([w[3] for w in waves])[order]
     retunes = np.bincount(epoch_owner[at], minlength=n).astype(np.int64)
     head = np.concatenate((np.zeros(1, np.int64), np.cumsum(retunes)[:-1]))
     tail = head + retunes - 1
+    access = _protocol_pass(
+        paged_index, schedule, points, times[at], trace, head, retunes,
+        cache_packets, channel, policy, energy_model,
+    )
+    latency = access.access_latency
 
     # Crossings: answer changes between consecutive epochs of a client.
     changes = np.concatenate(
@@ -410,7 +345,7 @@ def _evaluate_waves(
     crossings = changes[last] - changes[first]
     stale = _stale_epoch_counts(
         times + epoch_slots, answers, epoch_owner, times[at] + latency,
-        regions, epoch_owner[at], head,
+        trace.region_ids, epoch_owner[at], head,
     )
     spans = np.where(epochs > 1, times[last] - times[first], 0.0)
     speed = np.fromiter((t.speed for t in trajectories), np.float64, count=n)
@@ -422,11 +357,11 @@ def _evaluate_waves(
         "retunes": retunes,
         "crossings": crossings,
         "stale_epochs": stale,
-        "attempts": np.add.reduceat(tuning, head),
-        "losses": np.zeros(n, np.int64),
+        "attempts": np.add.reduceat(access.read_attempts, head),
+        "losses": np.add.reduceat(access.packet_losses, head),
         "first_latency": latency[head],
-        "first_index_tuning": index_tuning[head],
-        "first_tuning": tuning[head],
+        "first_index_tuning": access.index_tuning_time[head],
+        "first_tuning": access.total_tuning_time[head],
         "last_latency": latency[tail],
         "distance_units": np.minimum(speed * spans, length),
         "answers": [
@@ -435,11 +370,33 @@ def _evaluate_waves(
     }
     col = active_collector()
     if col is not None:
-        _report_waves(
-            col, schedule.bucket_packets, head, latency, index_tuning,
-            tuning, slack, session,
-        )
+        _report_mobility(col, session, slack)
     return session
+
+
+def _protocol_pass(
+    paged_index, schedule, points, issue_times, trace, head, retunes,
+    cache_packets, channel, policy, energy_model,
+) -> AccessBatch:
+    """Every re-tune through the access walker, in client-major order:
+    one :meth:`~repro.broadcast.client.BroadcastClient.run_batch` over
+    the waves' *trace* without a cache, else a fresh cached walker per
+    client over its own re-tunes (a cache never crosses clients).
+    Either way the clients share *channel*'s stream in the walk's order.
+    """
+    walker = functools.partial(
+        BroadcastClient, paged_index, schedule, error_model=channel,
+        policy=policy,
+        energy_model=energy_model if channel is not None else None,
+    )
+    if cache_packets <= 0:
+        return walker().run_batch(points, issue_times, trace=trace)
+    times = issue_times.tolist()
+    results = []
+    for a, b in zip(head.tolist(), (head + retunes).tolist()):
+        client = walker(cache_packets=cache_packets)
+        results += [client.query(p, t) for p, t in zip(points[a:b], times[a:b])]
+    return AccessBatch.from_results(results)
 
 
 def _stale_epoch_counts(
@@ -480,40 +437,21 @@ def _stale_epoch_counts(
     ).astype(np.int64)
 
 
-def _report_waves(
-    col, bucket_packets, head, latency, index_tuning, tuning, slack, session
-) -> None:
-    """Replay the per-client walk's counters into *col*, in its order.
+def _report_mobility(col, session, slack) -> None:
+    """The per-client walk's ``mobility.*`` counters, in its order.
 
-    The walk reports each re-tune's ``client.*`` counters as it goes and
-    each client's ``mobility.*`` counters when its session ends; floats
-    accumulate in that order, so the replay walks the re-tunes client by
-    client.
+    The walk reports each client's counters when its session ends and
+    each skip's exit-bound slack as it goes; histograms sum floats in
+    that order, so both are observed client by client.
     """
-    latency = latency.tolist()
-    index_tuning = index_tuning.tolist()
-    tuning = tuning.tolist()
-    slack = slack.tolist()
-    head = head.tolist()
-    for c, (epochs, retunes, crossings) in enumerate(
-        zip(
-            session["epochs"].tolist(),
-            session["retunes"].tolist(),
-            session["crossings"].tolist(),
-        )
-    ):
-        for k in range(head[c], head[c] + retunes):
-            col.count("client.queries")
-            col.count("client.probes", 1)
-            col.count("client.packets.index", index_tuning[k])
-            col.count("client.packets.data", bucket_packets)
-            col.count("client.doze_slots", latency[k] - tuning[k])
-            if not math.isnan(slack[k]):
-                col.observe("mobility.exit_bound_slack", slack[k])
-        skips = epochs - retunes
-        col.count("mobility.clients")
-        col.count("mobility.epochs", epochs)
-        col.count("mobility.retunes", retunes)
-        col.count("mobility.skips", skips)
-        col.count("mobility.crossings", crossings)
-        col.observe("mobility.skip_ratio", skips / epochs)
+    epochs = session["epochs"]
+    skips = epochs - session["retunes"]
+    col.count("mobility.clients", int(epochs.size))
+    col.count("mobility.epochs", int(epochs.sum()))
+    col.count("mobility.retunes", int(session["retunes"].sum()))
+    col.count("mobility.skips", int(skips.sum()))
+    col.count("mobility.crossings", int(session["crossings"].sum()))
+    slack = slack[~np.isnan(slack)]
+    if slack.size:
+        col.observe_each("mobility.exit_bound_slack", slack.tolist())
+    col.observe_each("mobility.skip_ratio", (skips / epochs).tolist())

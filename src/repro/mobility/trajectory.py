@@ -12,6 +12,7 @@ engine (the zero-velocity parity contract of DESIGN.md §13).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -84,8 +85,10 @@ class Trajectory:
         — the bound that keeps fleet-scale evaluation affordable.  A
         grid longer than :data:`MAX_EPOCH_GRID` is refused.
         """
-        if epoch_slots <= 0.0:
-            raise ReproError(f"epoch_slots must be > 0, got {epoch_slots}")
+        if not 0.0 < epoch_slots < math.inf:
+            raise ReproError(
+                f"epoch_slots must be finite and > 0, got {epoch_slots}"
+            )
         epochs = int(self.duration_slots / epoch_slots) + 1
         if max_epochs > 0:
             epochs = min(epochs, max_epochs)

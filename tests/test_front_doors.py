@@ -6,8 +6,11 @@ and ``evaluate_trajectory_workload`` all go through
 schedule built for another index size and an empty workload, and the
 two that take ``plan=`` reject it together with ``schedule=``.  The
 mobility workload factory rejects unknown names with a ``ReproError``
-at every entry point.
+at every entry point, and the mobility front doors reject a
+non-finite epoch grid and an out-of-range loss rate the same way.
 """
+
+import math
 
 import pytest
 
@@ -151,3 +154,30 @@ class TestTrajectoryWorkloadFactory:
             error_rate=rate,
         )
         assert cell.error_model == fleet.error_model == label
+
+
+#: Mobility inputs that once ran silently (NaN issue times, an
+#: error-free channel) or failed with a bare ``ValueError``.
+BAD_MOBILITY_INPUTS = [
+    ("epoch_slots", math.nan, "epoch_slots must be finite and > 0"),
+    ("epoch_slots", math.inf, "epoch_slots must be finite and > 0"),
+    ("error_rate", -0.1, "loss rate must be in"),
+    ("error_rate", math.nan, "loss rate must be in"),
+]
+
+
+class TestBadMobilityInputs:
+    @pytest.mark.parametrize("name, value, message", BAD_MOBILITY_INPUTS)
+    def test_workload_rejects(self, cell, name, value, message):
+        paged, subdivision, params = cell
+        with pytest.raises(ReproError, match=message):
+            evaluate_trajectory_workload(
+                paged, subdivision.region_ids, params,
+                _trajectories(subdivision), subdivision=subdivision,
+                **{name: value},
+            )
+
+    @pytest.mark.parametrize("name, value, message", BAD_MOBILITY_INPUTS)
+    def test_fleet_rejects(self, name, value, message):
+        with pytest.raises(ReproError, match=message):
+            run_fleet(3, regions=12, seed=1, mode="mobility", **{name: value})

@@ -8,6 +8,7 @@ per-client :func:`evaluate_trajectory` walk over a fresh
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import repro.mobility.client as client_module
 import repro.mobility.evaluate as evaluate_module
 from repro.broadcast.client import BroadcastClient
+from repro.broadcast.plan import BroadcastPlan
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.datasets.catalog import SERVICE_AREA, uniform_dataset
 from repro.engine import available_index_kinds, index_family
@@ -34,7 +36,10 @@ from repro.mobility import (
     units_per_slot,
 )
 from repro.mobility.trajectory import sample_epochs
+from repro.obs import collecting
 from repro.simulation.energy import EnergyModel
+from repro.simulation.faults import make_error_model
+from repro.simulation.policies import RECOVERY_POLICIES
 from repro.tessellation.grid import grid_subdivision
 
 DATASET = uniform_dataset(n=30, seed=13)
@@ -74,14 +79,36 @@ class PerPointBoundary:
         return self.inner.exit_bound(region_id, x, y)
 
 
-def _oracle(kind, trajectories, boundary, predictive, max_epochs):
-    """Every batch field from a loop of per-client walks."""
+def _oracle(kind, trajectories, boundary, predictive, max_epochs, **effects):
+    """Every batch field from a loop of per-client walks, and the
+    walks' shared error model (None on a perfect channel).
+
+    *effects* are :func:`evaluate_trajectory_workload`'s channel
+    arguments (``schedule``, ``cache_packets``, ``error_rate``,
+    ``error_model``, ``policy``, ``seed``), turned into walker
+    arguments the way its docstring describes.
+    """
     paged, params, schedule = STACKS[kind]
-    epoch_slots = default_epoch_slots(schedule.cycle_length)
+    timeline = effects.get("schedule", schedule)
+    cache_packets = effects.get("cache_packets", 0)
+    channel = None
+    if effects.get("error_rate", 0.0):
+        channel = make_error_model(
+            effects.get("error_model", "bernoulli"), effects["error_rate"]
+        )
+        channel.reset(random.Random(f"channel:{effects.get('seed', 0)}"))
+    epoch_slots = default_epoch_slots(timeline.cycle_length)
     outcomes = [
         evaluate_trajectory(
             t,
-            BroadcastClient(paged, schedule),
+            BroadcastClient(
+                paged,
+                timeline,
+                cache_packets=cache_packets or None,
+                error_model=channel,
+                policy=effects.get("policy", "retry-next-segment"),
+                energy_model=EnergyModel() if channel is not None else None,
+            ),
             boundary,
             epoch_slots,
             predictive=predictive,
@@ -113,23 +140,51 @@ def _oracle(kind, trajectories, boundary, predictive, max_epochs):
         "answers": [o.answers for o in outcomes],
         "epoch_slots": epoch_slots,
         "km_per_unit": KM_PER_UNIT,
-    }
+    }, channel
+
+
+#: The counter and histogram families a session reports.
+OBSERVED = ("client.", "sim.", "cache.", "mobility.")
+
+
+def _observed(col):
+    return (
+        {k: v for k, v in col.counters.items() if k.startswith(OBSERVED)},
+        {
+            k: h.to_dict()
+            for k, h in col.histograms.items()
+            if k.startswith(OBSERVED)
+        },
+    )
 
 
 def _assert_matches_oracle(
-    kind, trajectories, predictive=True, max_epochs=32, boundary=BOUNDARY
+    kind, trajectories, predictive=True, max_epochs=32, boundary=BOUNDARY,
+    **effects,
 ):
+    """The waves equal the oracle walks: every batch field, the
+    observed counters and histograms, and the error model's stream
+    after the run."""
     paged, params, schedule = STACKS[kind]
-    batch = evaluate_trajectory_workload(
-        paged, [], params, trajectories,
-        boundary_index=boundary if predictive else None,
-        predictive=predictive, max_epochs=max_epochs, schedule=schedule,
-        km_per_unit=KM_PER_UNIT,
-    )
-    expected = _oracle(
-        kind, trajectories, BOUNDARY if predictive else None, predictive,
-        max_epochs,
-    )
+    models = []
+
+    def spy(*args, **kwargs):
+        models.append(make_error_model(*args, **kwargs))
+        return models[-1]
+
+    with mock.patch.object(evaluate_module, "make_error_model", spy):
+        with collecting() as col:
+            batch = evaluate_trajectory_workload(
+                paged, [], params, trajectories,
+                boundary_index=boundary if predictive else None,
+                predictive=predictive, max_epochs=max_epochs,
+                km_per_unit=KM_PER_UNIT, **{"schedule": schedule, **effects},
+            )
+    with collecting() as oracle_col:
+        expected, channel = _oracle(
+            kind, trajectories, BOUNDARY if predictive else None, predictive,
+            max_epochs, **effects,
+        )
     assert set(expected) == set(type(batch).__slots__)
     for field, want in expected.items():
         got = getattr(batch, field)
@@ -141,6 +196,12 @@ def _assert_matches_oracle(
             np.testing.assert_array_equal(got, np.asarray(want), err_msg=field)
             if isinstance(got, np.ndarray):
                 assert got.dtype == np.asarray(want).dtype, field
+    assert _observed(col) == _observed(oracle_col)
+    if channel is None:
+        assert not models
+    else:
+        (model,) = models
+        assert model._rng.getstate() == channel._rng.getstate()
     return batch
 
 
@@ -220,6 +281,76 @@ class TestWaveParity:
             "dtree", trajectories, predictive, boundary=duck
         )
         assert (duck.calls > 0) == predictive
+
+
+def _plan(kind, placement):
+    """A K=4 region-locality plan over *kind*'s paged index."""
+    paged, params, _ = STACKS[kind]
+    return BroadcastPlan(
+        len(paged.packets),
+        SUBDIVISION.region_ids,
+        params,
+        channels=4,
+        allocation="region-locality",
+        index_placement=placement,
+        centroids={
+            r.region_id: (r.polygon.centroid.x, r.polygon.centroid.y)
+            for r in SUBDIVISION.regions
+        },
+    )
+
+
+class TestEffectParity:
+    """Loss, packet caches and channel hops: the waves fix the re-tune
+    schedule, then replay it through the walker in client order."""
+
+    TRAJECTORIES = _off_border(_workload("boundary-hugging", 9).chunk(0, 16))
+
+    @pytest.mark.parametrize("kind", sorted(STACKS))
+    @pytest.mark.parametrize("cache_packets", [0, 8])
+    @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+    @pytest.mark.parametrize("error_rate", [0.01, 0.1])
+    @pytest.mark.parametrize("error_model", ["bernoulli", "gilbert"])
+    def test_lossy_and_cached(
+        self, kind, cache_packets, policy, error_rate, error_model
+    ):
+        _assert_matches_oracle(
+            kind, self.TRAJECTORIES, cache_packets=cache_packets,
+            error_rate=error_rate, error_model=error_model, policy=policy,
+            seed=7,
+        )
+
+    @pytest.mark.parametrize("cache_packets", [0, 8])
+    def test_cache_without_loss(self, cache_packets):
+        batch = _assert_matches_oracle(
+            "dtree", self.TRAJECTORIES, cache_packets=cache_packets
+        )
+        assert not batch.losses.any()
+
+    @pytest.mark.parametrize("kind", sorted(STACKS))
+    @pytest.mark.parametrize("placement", ["replicated", "distributed"])
+    @pytest.mark.parametrize("error_rate", [0.0, 0.1])
+    @pytest.mark.parametrize("cache_packets", [0, 8])
+    def test_k4_plans(self, kind, placement, error_rate, cache_packets):
+        _assert_matches_oracle(
+            kind, self.TRAJECTORIES, schedule=_plan(kind, placement),
+            error_rate=error_rate, error_model="gilbert",
+            cache_packets=cache_packets, seed=2,
+        )
+
+    @pytest.mark.parametrize(
+        "effects", [dict(error_rate=0.1), dict(cache_packets=8)]
+    )
+    def test_unlocatable_point_fails_like_the_walk(self, effects):
+        paged, params, schedule = STACKS["trian"]
+        border = Trajectory([0.0, 0.5], [0.3, 0.3], speed=SPEEDS[1])
+        with pytest.raises(QueryError, match="outside the subdivided area"):
+            _oracle("trian", [border], BOUNDARY, True, 32, **effects)
+        with pytest.raises(QueryError, match="outside the subdivided area"):
+            evaluate_trajectory_workload(
+                paged, [], params, [border], boundary_index=BOUNDARY,
+                schedule=schedule, **effects,
+            )
 
 
 @pytest.mark.parametrize("max_epochs", [0, 1, 7])
@@ -347,6 +478,32 @@ class TestWaveParityProperties:
     @settings(max_examples=40, deadline=None)
     def test_any_trajectories(self, trajectories, kind, predictive, max_epochs):
         _assert_matches_oracle(kind, trajectories, predictive, max_epochs)
+
+    @given(
+        st.lists(trajectory, min_size=1, max_size=6),
+        st.sampled_from(sorted(STACKS)),
+        st.booleans(),
+        st.sampled_from(
+            [
+                dict(error_rate=0.1),
+                dict(error_rate=0.1, error_model="gilbert", policy="upper-bound-fallback"),
+                dict(cache_packets=8),
+                dict(cache_packets=8, error_rate=0.01, error_model="gilbert"),
+                dict(placement="replicated"),
+                dict(placement="distributed", error_rate=0.1),
+            ]
+        ),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_trajectories_under_effects(
+        self, trajectories, kind, predictive, effects, seed
+    ):
+        effects = dict(effects, seed=seed)
+        placement = effects.pop("placement", None)
+        if placement is not None:
+            effects["schedule"] = _plan(kind, placement)
+        _assert_matches_oracle(kind, trajectories, predictive, **effects)
 
 
 def _reference_bound(region_id, x, y):

@@ -14,11 +14,12 @@ plus version skew for the dynamic binding.  Whatever the combination:
 * the batched front door ``run_batch`` equals a loop of ``query`` —
   fields, counters and the error model's stream — on lossy K=1
   timelines, error-free K>1 plans and every configuration it walks
-  query by query.
+  query by query, with or without the points' trace handed in.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,8 @@ from repro.dynamic import (
     sites_subdivision,
 )
 from repro.engine import INDEX_REGISTRY, QueryEngine
+from repro.engine.trace import batched_trace
+from repro.errors import BroadcastError
 from repro.geometry.point import Point
 from repro.obs import collecting
 from repro.simulation import ChannelSimulator, make_error_model
@@ -258,17 +261,19 @@ def _hop_plan(kind, placement, hop_cost):
 
 
 def _batch_matches_loop(paged, timeline, points, times, loss=None, seed=0,
-                        start_channel=0):
+                        start_channel=0, traced=False):
     """Run ``run_batch`` and a loop of ``query`` on twin clients; assert
-    equal fields, counters and error-model stream.  Returns the batched
+    equal fields, counters and error-model stream.  *traced* hands
+    ``run_batch`` the points' path-less trace.  Returns the batched
     run's collector."""
 
     batched, looped = (
         _client(paged, timeline, None, loss, seed, start_channel)
         for _ in range(2)
     )
+    trace = batched_trace(paged, points) if traced else None
     with collecting() as batch_col:
-        batch = batched.run_batch(points, times)
+        batch = batched.run_batch(points, times, trace=trace)
     with collecting() as loop_col:
         results = [looped.query(p, t) for p, t in zip(points, times)]
     assert len(batch) == len(results)
@@ -308,16 +313,18 @@ class TestBatchedWalker:
         st.sampled_from([0.0, 0.01, 0.1, 0.5]),
         st.sampled_from(sorted(RECOVERY_POLICIES)),
         seeds,
+        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
     def test_k1_lossy_run_matches_walk(
-        self, kind, name, model, rate, policy, seed
+        self, kind, name, model, rate, policy, seed, traced
     ):
         sub, paged, timelines = _world(kind)
         timeline = timelines[name]
         points, times = _queries(sub, timeline, seed, n=30)
         col = _batch_matches_loop(
-            paged, timeline, points, times, (model, rate, policy), seed
+            paged, timeline, points, times, (model, rate, policy), seed,
+            traced=traced,
         )
         if rate == 0.0:
             assert col.counters["walk.batched_queries"] == len(points)
@@ -349,16 +356,18 @@ class TestBatchedWalker:
         st.sampled_from([0.0, 0.3, 1.0, 2.5]),
         st.integers(min_value=0, max_value=3),
         seeds,
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_error_free_plan_matches_walk(
-        self, kind, placement, hop_cost, start_channel, seed
+        self, kind, placement, hop_cost, start_channel, seed, traced
     ):
         sub, paged, _ = _world(kind)
         plan = _hop_plan(kind, placement, hop_cost)
         points, times = _queries(sub, plan, seed, n=30)
         col = _batch_matches_loop(
-            paged, plan, points, times, start_channel=start_channel
+            paged, plan, points, times, start_channel=start_channel,
+            traced=traced,
         )
         assert col.counters["walk.batched_queries"] == len(points)
 
@@ -404,6 +413,15 @@ class TestBatchedWalker:
         results = [looped.query(p, t) for p, t in zip(points, times)]
         assert batch.access_latency.tolist() == [r.access_latency for r in results]
         assert col.counters["walk.replayed_queries"] == len(points)
+
+    def test_trace_of_other_points_rejected(self):
+        sub, paged, timelines = _world("dtree")
+        points, times = _queries(sub, timelines["schedule"], seed=1, n=5)
+        client = _client(paged, timelines["schedule"], None, None, 0)
+        with pytest.raises(BroadcastError, match="4 traces for 5 query points"):
+            client.run_batch(
+                points, times, trace=batched_trace(paged, points[:4])
+            )
 
     def test_simulator_leaves_the_channel_stream_where_the_walk_does(self):
         sub, paged, timelines = _world("dtree")

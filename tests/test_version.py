@@ -49,4 +49,4 @@ def test_pyproject_points_at_package_attribute():
 
 
 def test_current_version():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "4.1.0"
