@@ -63,13 +63,14 @@ from repro.broadcast import (
     SystemParameters,
     BroadcastSchedule,
     BroadcastClient,
+    AccessBatch,
     evaluate_index,
     evaluate_index_per_query,
 )
 
 # Single source of truth — pyproject.toml reads it via
 # ``[tool.setuptools.dynamic] version = {attr = "repro.__version__"}``.
-__version__ = "4.1.0"
+__version__ = "5.0.0"
 
 #: Engine names resolved lazily (PEP 562): ``repro.engine`` imports the
 #: index families, which import the broadcast substrate, so an eager
@@ -81,7 +82,6 @@ _ENGINE_EXPORTS = (
     "available_index_kinds",
     "index_family",
     "register_index",
-    "BatchResult",
     "QueryEngine",
     "evaluate_workload",
     "TraceBatch",
@@ -173,6 +173,7 @@ __all__ = [
     "SystemParameters",
     "BroadcastSchedule",
     "BroadcastClient",
+    "AccessBatch",
     "evaluate_index",
     "evaluate_index_per_query",
     "AirIndex",
@@ -181,7 +182,6 @@ __all__ = [
     "available_index_kinds",
     "index_family",
     "register_index",
-    "BatchResult",
     "QueryEngine",
     "evaluate_workload",
     "TraceBatch",

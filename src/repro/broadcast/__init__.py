@@ -12,7 +12,12 @@ indexing efficiency.
 from repro.broadcast.params import SystemParameters, PACKET_CAPACITIES
 from repro.broadcast.packets import Packet, PacketStore, QueryTrace, PagedIndex
 from repro.broadcast.schedule import BroadcastSchedule, optimal_m
-from repro.broadcast.client import BroadcastClient, AccessResult, run_workload
+from repro.broadcast.client import (
+    AccessBatch,
+    AccessResult,
+    BroadcastClient,
+    run_workload,
+)
 from repro.broadcast.caching import PacketCache
 from repro.broadcast.plan import (
     ALLOCATION_REGISTRY,
@@ -59,6 +64,7 @@ __all__ = [
     "optimal_m",
     "BroadcastClient",
     "AccessResult",
+    "AccessBatch",
     "PacketCache",
     "SkewedBroadcastSchedule",
     "square_root_frequencies",

@@ -40,13 +40,17 @@ decides where each is read, and loss decides how often.
 :meth:`BroadcastClient.run_batch` is the batched front door over a whole
 workload, returning an :class:`AccessBatch` of per-query arrays equal to
 a loop of :meth:`~BroadcastClient.query`, counters and channel stream
-included.  On a flat :class:`~repro.broadcast.schedule.BroadcastSchedule`
-(under an error model with a draw layout) and on an error-free K>1 plan
-it runs in three layers: the compiled tracers emit each query's packet
-path, one vectorised timeline pass turns paths into read slots (hopping
-channels on a plan), and the queries whose channel draws show a loss are
-replayed one by one through the scalar walk.  Every other configuration
-walks query by query.
+included; :class:`~repro.engine.QueryEngine` and
+:class:`~repro.simulation.ChannelSimulator` are thin resolvers over it.
+On a flat :class:`~repro.broadcast.schedule.BroadcastSchedule` (under an
+error model with a draw layout) and on an error-free K>1 plan it runs in
+three layers: the compiled tracers emit each query's packet path, one
+vectorised timeline pass turns paths into read slots (hopping channels
+on a plan), and the queries whose channel draws show a loss are
+replayed one by one through the scalar walk.  An error-free run on a
+duck-typed schedule traces in one batch and asks the schedule's own
+timeline methods query by query.  Every other configuration walks
+query by query.
 """
 
 from __future__ import annotations
@@ -59,10 +63,41 @@ import numpy as np
 
 from repro.errors import BroadcastError
 from repro.geometry.point import Point
-from repro.obs import active_collector
+from repro.obs import active_collector, null_span
 from repro.broadcast.caching import PacketCache
 from repro.broadcast.packets import PagedIndex, QueryTrace
 from repro.broadcast.schedule import BroadcastSchedule
+
+
+def _uniform_issue_times(rng: random.Random, n: int, length: float) -> np.ndarray:
+    """*n* draws of ``rng.uniform(0, length)`` as one float64 array.
+
+    ``uniform(0, b)`` is ``0.0 + (b - 0.0) * random()``, which for the
+    positive cycle length reduces to ``b * random()`` under IEEE-754, so
+    scaling a raw ``random()`` array is bit-identical to the per-query
+    draws — and consumes the rng stream identically (one ``random()``
+    per query).
+    """
+    draws = np.fromiter((rng.random() for _ in range(n)), np.float64, count=n)
+    return draws * float(length)
+
+
+def resolve_issue_times(
+    n: int,
+    length: float,
+    issue_times: Optional[Sequence[float]] = None,
+    seed: int = 0,
+    rng: Optional[random.Random] = None,
+):
+    """The issue times of an *n*-query batch: *issue_times* when given
+    (:meth:`BroadcastClient.run_batch` checks them), else one uniform
+    instant of ``[0, length)`` per query from *rng*, or from
+    ``random.Random(seed)`` without it."""
+    if issue_times is not None:
+        return issue_times
+    return _uniform_issue_times(
+        rng if rng is not None else random.Random(seed), n, length
+    )
 
 
 def run_workload(
@@ -176,10 +211,12 @@ class AccessResult:
 
 
 class AccessBatch:
-    """Per-query arrays of one :meth:`BroadcastClient.run_batch`: the
-    :class:`AccessResult` fields of a static timeline, element *i* equal
-    to query *i*'s.  ``energy_joules`` is None unless the walk priced
-    energy."""
+    """The record of one batched run (:meth:`BroadcastClient.run_batch`,
+    and so every :class:`~repro.engine.QueryEngine` run): per-query
+    arrays of the :class:`AccessResult` fields of a static timeline,
+    element *i* equal to query *i*'s, plus the ``issue_times`` and the
+    walked ``schedule``.  ``energy_joules`` is None unless the walk
+    priced energy."""
 
     __slots__ = (
         "region_ids",
@@ -191,14 +228,20 @@ class AccessBatch:
         "energy_joules",
         "hops",
         "hop_slots",
+        "issue_times",
+        "schedule",
     )
 
-    def __init__(self, **arrays) -> None:
-        for name in self.__slots__:
+    def __init__(self, *, issue_times=None, schedule=None, **arrays) -> None:
+        for name in _ARRAY_FIELDS:
             setattr(self, name, arrays[name])
+        self.issue_times = issue_times
+        self.schedule = schedule
 
     @classmethod
-    def from_results(cls, results: Sequence[AccessResult]) -> "AccessBatch":
+    def from_results(
+        cls, results: Sequence[AccessResult], issue_times=None, schedule=None
+    ) -> "AccessBatch":
         """Stack per-query walk results."""
         n = len(results)
 
@@ -208,19 +251,45 @@ class AccessBatch:
 
         arrays = {
             name: column(name, np.float64 if name in _FLOAT_FIELDS else np.int64)
-            for name in cls.__slots__
+            for name in _ARRAY_FIELDS
             if name != "energy_joules"
         }
         priced = n > 0 and results[0].energy_joules is not None
         arrays["energy_joules"] = (
             column("energy_joules", np.float64) if priced else None
         )
-        return cls(**arrays)
+        return cls(issue_times=issue_times, schedule=schedule, **arrays)
 
     def __len__(self) -> int:
         return len(self.region_ids)
 
+    def summary(self, region_ids: Sequence[int], params):
+        """Reduce to the aggregated
+        :class:`~repro.broadcast.metrics.MetricsSummary` of one
+        experiment cell.
 
+        Matches the per-query reduction exactly: both go through
+        :func:`~repro.broadcast.metrics.metrics_summary`, whose means are
+        plain left-to-right Python sums over the per-query values.  The
+        index size is the walked schedule's.
+        """
+        from repro.broadcast.metrics import metrics_summary
+
+        col = active_collector()
+        with col.span("engine.summary") if col is not None else null_span(""):
+            return metrics_summary(
+                self.access_latency.tolist(),
+                self.index_tuning_time.tolist(),
+                self.total_tuning_time.tolist(),
+                self.schedule.index_packet_count,
+                self.schedule,
+                len(region_ids),
+                params,
+            )
+
+
+#: The per-query AccessBatch arrays.
+_ARRAY_FIELDS = AccessBatch.__slots__[:-2]
 #: The float64 AccessBatch arrays (the others are int64).
 _FLOAT_FIELDS = ("access_latency", "energy_joules", "hop_slots")
 #: AccessBatch array -> AccessResult attribute, where the names differ.
@@ -334,6 +403,14 @@ def _segment_for_offset(schedule, offset: int, time: float) -> int:
     if method is not None:
         return method(offset, time)
     return schedule.next_index_start(time - offset)
+
+
+def _vectorised(schedule) -> bool:
+    """Does *schedule* offer the flat (1, m) layout's array timeline?"""
+    return (
+        type(schedule) is BroadcastSchedule
+        and schedule.timeline_arrays()[1] is not None
+    )
 
 
 class BroadcastClient:
@@ -798,15 +875,18 @@ class BroadcastClient:
         and the same error-model stream afterwards.  Batched on a flat
         :class:`~repro.broadcast.schedule.BroadcastSchedule` under any
         error model with a draw layout
-        (:meth:`~repro.simulation.faults.ErrorModel.loss_free_draws`) and
-        on an error-free K>1 plan; everything else (a cache, a live
-        timeline, duck-typed schedules, a lossy plan, a model without a
-        layout) walks query by query.  ``walk.batched_queries`` and
+        (:meth:`~repro.simulation.faults.ErrorModel.loss_free_draws`), on
+        an error-free K>1 plan and on an error-free duck-typed schedule
+        (one batched trace, then the schedule's own timeline methods per
+        query); everything else (a cache, a live timeline, a lossy plan,
+        a lossy duck-typed schedule, a model without a layout) walks
+        query by query.  ``walk.batched_queries`` and
         ``walk.replayed_queries`` count the queries answered by the
-        vectorised pass and by the scalar walk.  *trace*, the points'
+        batched pass and by the scalar walk.  *trace*, the points'
         :class:`~repro.engine.trace.TraceBatch` when the caller has it,
         saves re-tracing them unless the pass needs packet paths it
-        lacks; results are the same without it.
+        lacks (:attr:`needs_paths`); results are the same without it.
+        Issue times must be finite, one per point.
         """
         n = len(points)
         if n == 0:
@@ -815,13 +895,24 @@ class BroadcastClient:
             raise BroadcastError(
                 f"{len(issue_times)} issue times for {n} query points"
             )
+        try:
+            times = np.asarray(issue_times, np.float64)
+        except (TypeError, ValueError):
+            raise BroadcastError("issue times must be numbers") from None
+        if times.ndim != 1:
+            raise BroadcastError(
+                f"issue times must be one number per query, got shape {times.shape}"
+            )
+        if not np.isfinite(times).all():
+            raise BroadcastError("issue times must be finite")
         if trace is not None and len(trace) != n:
             raise BroadcastError(f"{len(trace)} traces for {n} query points")
-        times = np.asarray(issue_times, np.float64)
         col = active_collector()
         if not self._batchable():
             batch = AccessBatch.from_results(
-                [self.query(p, t) for p, t in zip(points, times.tolist())]
+                [self.query(p, t) for p, t in zip(points, times.tolist())],
+                times,
+                self.schedule,
             )
             if col is not None:
                 col.count("walk.replayed_queries", n)
@@ -833,15 +924,32 @@ class BroadcastClient:
         paths = model is not None or self._homes is not None
         if trace is None or (paths and trace.path_offsets is None):
             trace = batched_trace(self.paged_index, points, paths=paths)
-        bucket_packets = self.schedule.bucket_packets
-        if self.plan is None:
-            hops = np.zeros(n, np.int64)
-            base = self.schedule.next_index_starts(times)
-            start = self.schedule.next_bucket_arrivals(
-                trace.region_ids, base + trace.last_packet + 1
-            )
-        else:
+        schedule = self.schedule
+        bucket_packets = schedule.bucket_packets
+        if self.plan is not None:
             hops, start = self._hop_timeline(trace, times)
+        else:
+            hops = np.zeros(n, np.int64)
+            if _vectorised(schedule):
+                base = schedule.next_index_starts(times)
+                start = schedule.next_bucket_arrivals(
+                    trace.region_ids, base + trace.last_packet + 1
+                )
+            else:
+                # A duck-typed schedule's own timeline, query by query,
+                # in the walk's float arithmetic.
+                base = np.fromiter(
+                    map(schedule.next_index_start, times.tolist()), np.float64, n
+                )
+                start = np.fromiter(
+                    map(
+                        schedule.next_bucket_arrival,
+                        trace.region_ids.tolist(),
+                        (base + trace.last_packet + 1).tolist(),
+                    ),
+                    np.float64,
+                    n,
+                )
         tuning = trace.tuning_time
         reads = 1 + tuning + bucket_packets
         batch = AccessBatch(
@@ -854,6 +962,8 @@ class BroadcastClient:
             energy_joules=None,
             hops=hops,
             hop_slots=hops * float(self._hop_cost),
+            issue_times=times,
+            schedule=schedule,
         )
         walked, replayed = None, 0
         if model is not None:
@@ -900,7 +1010,7 @@ class BroadcastClient:
         return batch
 
     def _batchable(self) -> bool:
-        """Can :meth:`run_batch` take the vectorised path?"""
+        """Can :meth:`run_batch` take the batched path?"""
         if self.server is not None or self.cache is not None:
             return False
         model = self.error_model
@@ -910,10 +1020,18 @@ class BroadcastClient:
                 np.zeros(0, np.int64), np.zeros(1, np.int64)
             ) is None:
                 return False
-        return all(
-            type(s) is BroadcastSchedule and s.timeline_arrays()[1] is not None
-            for s in self._schedules
-        )
+        elif self.plan is None:
+            return True
+        return all(_vectorised(s) for s in self._schedules)
+
+    @property
+    def needs_paths(self) -> bool:
+        """Does :meth:`run_batch`'s batched pass read the points' packet
+        paths (a loss layout, or a distributed plan's hop pass)?  A trace
+        handed to it saves a re-trace only if it carries them."""
+        return (
+            self.error_model is not None or self._homes is not None
+        ) and self._batchable()
 
     def _hop_timeline(self, trace, times: np.ndarray):
         """The hop effect over a whole K>1 workload: ``(hops, bucket
@@ -1063,17 +1181,24 @@ class BroadcastClient:
     def _count_batch(self, col, batch: AccessBatch, walked) -> None:
         """The per-query counters of a batched run, in query order."""
         n = len(batch)
+        if self.error_model is None:
+            # One count per name; float sums keep the walk's order.
+            col.count("client.queries", n)
+            col.count("client.probes", n)
+            col.count("client.packets.index", int(batch.index_tuning_time.sum()))
+            col.count("client.packets.data", n * self.schedule.bucket_packets)
+            doze = batch.access_latency - batch.read_attempts
+            if self.plan is not None:
+                col.count("client.hops", int(batch.hops.sum()))
+                col.count_each("client.hop_slots", batch.hop_slots)
+                doze -= batch.hop_slots
+            col.count_each("client.doze_slots", doze)
+            return
         lat = batch.access_latency.tolist()
         hops = batch.hops.tolist()
         hop_slots = batch.hop_slots.tolist()
         index = batch.index_tuning_time.tolist()
         reads = batch.read_attempts.tolist()
-        if self.error_model is None:
-            for i in range(n):
-                self._count_client(
-                    col, 1, index[i], lat[i], reads[i], hops[i], hop_slots[i]
-                )
-            return
         losses = batch.packet_losses.tolist()
         probe = walked["probe"].tolist()
         retries = walked["retries"].tolist()

@@ -100,7 +100,7 @@ def metrics_summary(
 ) -> MetricsSummary:
     """Reduce per-query values to the metrics of one cell.
 
-    The one reduction behind :meth:`repro.engine.BatchResult.summary` and
+    The one reduction behind :meth:`repro.broadcast.client.AccessBatch.summary` and
     :func:`evaluate_index_per_query`.  The means are plain left-to-right
     Python sums in query order, so both paths produce bit-identical
     summaries from equal per-query values.

@@ -5,10 +5,11 @@ Public surface:
 * :class:`AirIndex` / :class:`IndexFamily` / :data:`INDEX_REGISTRY` —
   one build/page/locate protocol implemented by all index families, with
   a registry replacing the old per-kind ``if``/``elif`` dispatch;
-* :class:`QueryEngine` / :class:`BatchResult` /
-  :func:`evaluate_workload` — bulk evaluation of query workloads,
-  bit-for-bit equivalent to (and several times faster than) the legacy
-  per-query path;
+* :class:`QueryEngine` / :func:`evaluate_workload` — bulk evaluation of
+  query workloads, a thin resolver over the access walker's batched
+  front door that returns its
+  :class:`~repro.broadcast.client.AccessBatch`, bit-for-bit equivalent
+  to (and several times faster than) the per-query path;
 * :func:`batched_trace` / :func:`register_tracer` — per-family batched
   index traversal, extensible by third-party families.
 """
@@ -26,11 +27,7 @@ from repro.engine.trace import (
     batched_trace,
     register_tracer,
 )
-from repro.engine.batch import (
-    BatchResult,
-    QueryEngine,
-    evaluate_workload,
-)
+from repro.engine.batch import QueryEngine, evaluate_workload
 
 __all__ = [
     "AirIndex",
@@ -42,7 +39,6 @@ __all__ = [
     "TraceBatch",
     "batched_trace",
     "register_tracer",
-    "BatchResult",
     "QueryEngine",
     "evaluate_workload",
     "evaluate_trajectory_workload",

@@ -152,7 +152,7 @@ def run_multichannel_cell(
     Builds the cell's paged index, assembles a
     :class:`~repro.broadcast.plan.BroadcastPlan` (feeding region
     centroids to location-aware allocation strategies) and evaluates the
-    workload through the batched engine.  Returns ``(plan, BatchResult)``;
+    workload through the batched engine.  Returns ``(plan, AccessBatch)``;
     with ``channels=1`` the result is bit-for-bit the single-channel
     :func:`run_cell` workload.
     """

@@ -193,9 +193,14 @@ def evaluate_trajectory_workload(
     if error_rate != 0.0:
         channel = make_error_model(error_model, error_rate, mean_burst)
         channel.reset(random.Random(f"channel:{seed}"))
+    walker = functools.partial(
+        BroadcastClient, paged_index, schedule, error_model=channel,
+        policy=policy,
+        energy_model=energy_model if channel is not None else None,
+    )
     session = _evaluate_waves(
-        paged_index, schedule, trajectories, boundary_index, epoch_slots,
-        max_epochs, cache_packets, channel, policy, energy_model,
+        paged_index, trajectories, boundary_index, epoch_slots, max_epochs,
+        walker, cache_packets,
     )
     last_latency = session.pop("last_latency")
     # Session energy: every read attempt at receive power, the rest of
@@ -274,8 +279,8 @@ def _advance(xs, ys, at, last, regions, exit_bounds):
 
 
 def _evaluate_waves(
-    paged_index, schedule, trajectories, boundary_index, epoch_slots,
-    max_epochs, cache_packets, channel, policy, energy_model,
+    paged_index, trajectories, boundary_index, epoch_slots, max_epochs,
+    walker, cache_packets,
 ) -> dict:
     """Every session, all clients advanced in waves.
 
@@ -283,8 +288,10 @@ def _evaluate_waves(
     trace, computes all their exit bounds in one call, advances each to
     its next re-tune and fills the answers of the epochs it skipped.
     The re-tune schedule is then fixed, and :func:`_protocol_pass` runs
-    it through the access walker in client order.  Results equal the
-    per-client walk's, bit for bit.
+    it through the access walker (*walker* builds one) in client order.
+    The waves trace with packet paths when the uncached walker reads
+    them, so no re-tune is traced twice.  Results equal the per-client
+    walk's, bit for bit.
     """
     times, xs, ys, epochs = sample_epochs(trajectories, epoch_slots, max_epochs)
     n = len(trajectories)
@@ -297,13 +304,15 @@ def _evaluate_waves(
         if boundary_index is not None
         else None
     )
+    client = walker() if cache_packets <= 0 else None
+    paths = client is not None and client.needs_paths
     answers = np.empty(times.size, np.int64)
     waves = []
     due = np.arange(n, dtype=np.int64)
     at = first
     while due.size:
         points = [Point(x, y) for x, y in zip(xs[at].tolist(), ys[at].tolist())]
-        trace = batched_trace(paged_index, points)
+        trace = batched_trace(paged_index, points, paths=paths)
         regions = trace.region_ids
         if exit_bounds is None:
             nxt, slack = at + 1, np.full(at.size, np.nan)
@@ -326,15 +335,15 @@ def _evaluate_waves(
         *(
             np.concatenate([getattr(w[2], field) for w in waves])[order]
             for field in ("region_ids", "last_packet", "tuning_time")
-        )
+        ),
+        *(_client_major_paths([w[2] for w in waves], order) if paths else ()),
     )
     slack = np.concatenate([w[3] for w in waves])[order]
     retunes = np.bincount(epoch_owner[at], minlength=n).astype(np.int64)
     head = np.concatenate((np.zeros(1, np.int64), np.cumsum(retunes)[:-1]))
     tail = head + retunes - 1
     access = _protocol_pass(
-        paged_index, schedule, points, times[at], trace, head, retunes,
-        cache_packets, channel, policy, energy_model,
+        walker, client, points, times[at], trace, head, retunes, cache_packets
     )
     latency = access.access_latency
 
@@ -374,28 +383,36 @@ def _evaluate_waves(
     return session
 
 
+def _client_major_paths(traces, order):
+    """The waves' packet-path CSRs as one ``(offsets, packets)`` CSR,
+    rows taken in *order* (an order over the waves' concatenated rows)."""
+    bases = np.cumsum([0] + [len(t.path_packets) for t in traces[:-1]])
+    starts = np.concatenate(
+        [t.path_offsets[:-1] + base for t, base in zip(traces, bases.tolist())]
+    )[order]
+    lengths = np.concatenate([np.diff(t.path_offsets) for t in traces])[order]
+    flat, _, first = ragged_ranges(starts, lengths)
+    packets = np.concatenate([t.path_packets for t in traces])[flat]
+    return np.append(first, len(flat)), packets
+
+
 def _protocol_pass(
-    paged_index, schedule, points, issue_times, trace, head, retunes,
-    cache_packets, channel, policy, energy_model,
+    walker, client, points, issue_times, trace, head, retunes, cache_packets
 ) -> AccessBatch:
     """Every re-tune through the access walker, in client-major order:
-    one :meth:`~repro.broadcast.client.BroadcastClient.run_batch` over
-    the waves' *trace* without a cache, else a fresh cached walker per
-    client over its own re-tunes (a cache never crosses clients).
-    Either way the clients share *channel*'s stream in the walk's order.
+    one :meth:`~repro.broadcast.client.BroadcastClient.run_batch` of
+    *client* over the waves' *trace* without a cache, else a fresh
+    cached walker per client over its own re-tunes (a cache never
+    crosses clients).  Either way the clients share the error model's
+    stream in the walk's order.
     """
-    walker = functools.partial(
-        BroadcastClient, paged_index, schedule, error_model=channel,
-        policy=policy,
-        energy_model=energy_model if channel is not None else None,
-    )
     if cache_packets <= 0:
-        return walker().run_batch(points, issue_times, trace=trace)
+        return client.run_batch(points, issue_times, trace=trace)
     times = issue_times.tolist()
     results = []
     for a, b in zip(head.tolist(), (head + retunes).tolist()):
-        client = walker(cache_packets=cache_packets)
-        results += [client.query(p, t) for p, t in zip(points[a:b], times[a:b])]
+        cached = walker(cache_packets=cache_packets)
+        results += [cached.query(p, t) for p, t in zip(points[a:b], times[a:b])]
     return AccessBatch.from_results(results)
 
 

@@ -24,6 +24,8 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 
 class Histogram:
     """A power-of-two bucketed value distribution (count/sum/min/max).
@@ -215,6 +217,15 @@ class Collector:
         """Add *value* to the named counter (creating it at 0)."""
         counters = self.counters
         counters[name] = counters.get(name, 0) + value
+
+    def count_each(self, name: str, values: np.ndarray) -> None:
+        """Add every value of a float64 array to the named counter, left
+        to right: the sum one :meth:`count` per value would leave, bit
+        for bit (a running ``np.add.accumulate``, not ``np.sum``'s
+        pairwise order or 3.12+ ``sum()``'s compensated one)."""
+        if len(values):
+            running = np.concatenate(([self.counters.get(name, 0)], values))
+            self.counters[name] = float(np.add.accumulate(running)[-1])
 
     def observe(self, name: str, value: float) -> None:
         """Record one value into the named histogram."""

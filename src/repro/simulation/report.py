@@ -10,7 +10,8 @@ attempts, energy in joules).
 
 A report is the per-query record of one
 :meth:`~repro.simulation.ChannelSimulator.run`, the way
-:class:`~repro.engine.BatchResult` is for the engine; it is never merged.
+:class:`~repro.broadcast.client.AccessBatch` is for the engine; it is
+never merged.
 Runs that span chunks fold each chunk into a streaming
 :class:`~repro.fleet.report.FleetReport`, whose ``_StreamingReport``
 merge is the only report merge in the package.

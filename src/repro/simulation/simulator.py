@@ -1,10 +1,11 @@
 """The discrete-event channel simulator: workloads over a lossy channel.
 
-:class:`ChannelSimulator` drives the access walker
+:class:`ChannelSimulator` is a thin resolver over the access walker
 (:class:`~repro.broadcast.client.BroadcastClient` with its loss effect
-on) through a whole workload — its batched front door
+on): it resolves the issue times, resets the error model's stream and
+runs the whole workload through the walker's batched front door
 :meth:`~repro.broadcast.client.BroadcastClient.run_batch`, which walks
-only the queries a loss touches one by one — and records the per-query
+only the queries a loss touches one by one, then labels the per-query
 outcomes as a :class:`~repro.simulation.report.SimulationReport`.  It
 accepts any paged index satisfying the
 :class:`~repro.broadcast.packets.PagedIndex` protocol — all four
@@ -14,9 +15,10 @@ per run from the workload seed, independently of the index.
 
 Determinism contract: ``run(...)`` with the same seed (and the same
 simulator configuration) produces an identical report, bit for bit —
-issue times come from ``random.Random(seed)`` (the same stream the
-batched :class:`~repro.engine.QueryEngine` uses, so the zero-error
-property test can compare elementwise) and channel randomness from a
+issue times come from ``random.Random(seed)`` (the same resolver,
+:func:`~repro.broadcast.client.resolve_issue_times`, as the batched
+:class:`~repro.engine.QueryEngine`, so the zero-error property test can
+compare elementwise) and channel randomness from a
 stream derived from the seed but not shared with it.
 """
 
@@ -25,11 +27,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from repro.errors import BroadcastError
 from repro.obs import active_collector, null_span
-from repro.broadcast.client import BroadcastClient
+from repro.broadcast.client import BroadcastClient, resolve_issue_times
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
 from repro.broadcast.schedule import resolve_schedule
@@ -100,18 +99,9 @@ class ChannelSimulator:
         """
         points = workload_points(workload)
         n = len(points)
-        if n == 0:
-            raise BroadcastError("need at least one query point")
-        if issue_times is None:
-            if rng is None:
-                rng = random.Random(seed)
-            issue_times = [
-                rng.uniform(0, self.schedule.cycle_length) for _ in range(n)
-            ]
-        elif len(issue_times) != n:
-            raise BroadcastError(
-                f"{len(issue_times)} issue times for {n} query points"
-            )
+        times = resolve_issue_times(
+            n, self.schedule.cycle_length, issue_times, seed, rng
+        )
         # Independent, reproducible channel stream: a fresh rng seeded
         # from the run seed but offset so it never mirrors issue times.
         self.client.error_model.reset(random.Random(f"channel:{seed}"))
@@ -122,12 +112,12 @@ class ChannelSimulator:
             col.count(f"sim.index.{self.index_kind}.queries", n)
             col.observe("sim.batch_size", n)
         with col.span("sim.run") if col is not None else null_span(""):
-            batch = self.client.run_batch(points, issue_times)
+            batch = self.client.run_batch(points, times)
         return SimulationReport(
             index_kind=self.index_kind,
             policy=self.client.policy.name,
             error_model=repr(self.client.error_model),
-            issue_times=np.asarray(issue_times, np.float64),
+            issue_times=batch.issue_times,
             region_ids=batch.region_ids,
             access_latency=batch.access_latency,
             tuning_time=batch.total_tuning_time,

@@ -8,17 +8,22 @@ two that take ``plan=`` reject it together with ``schedule=``.  The
 mobility workload factory rejects unknown names with a ``ReproError``
 at every entry point, and the mobility front doors reject a
 non-finite epoch grid and an out-of-range loss rate the same way.
+Every batched door rejects non-finite or non-1-D issue times with the
+walker's ``BroadcastError``.
 """
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
+from repro.broadcast.client import BroadcastClient
 from repro.broadcast.metrics import evaluate_index_per_query
 from repro.broadcast.plan import BroadcastPlan
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.datasets.catalog import uniform_dataset
-from repro.engine import evaluate_workload, index_family
+from repro.engine import QueryEngine, evaluate_workload, index_family
 from repro.errors import BroadcastError, ReproError
 from repro.experiments.runner import run_mobility_cell
 from repro.fleet import run_fleet
@@ -29,7 +34,7 @@ from repro.mobility import (
     evaluate_trajectory_workload,
 )
 from repro.mobility.workloads import trajectory_workload
-from repro.simulation import simulate_workload
+from repro.simulation import ChannelSimulator, make_error_model, simulate_workload
 
 from tests.conftest import random_points_in
 
@@ -181,3 +186,73 @@ class TestBadMobilityInputs:
     def test_fleet_rejects(self, name, value, message):
         with pytest.raises(ReproError, match=message):
             run_fleet(3, regions=12, seed=1, mode="mobility", **{name: value})
+
+
+class _EndlessCycle:
+    """A schedule whose cycle length is not finite, so the front doors
+    that draw issue times from it draw non-finite ones."""
+
+    def __init__(self, schedule, cycle_length):
+        self._schedule = schedule
+        self.cycle_length = cycle_length
+
+    def __getattr__(self, name):
+        return getattr(self._schedule, name)
+
+
+def _lossy():
+    return make_error_model("bernoulli", 0.1)
+
+
+#: Issue-time doors: name -> call(paged, schedule, points, issue_times).
+ISSUE_TIME_DOORS = {
+    "engine": lambda paged, schedule, points, times: QueryEngine(
+        paged, schedule
+    ).run(points, issue_times=times),
+    "simulator": lambda paged, schedule, points, times: ChannelSimulator(
+        paged, schedule, error_model=_lossy()
+    ).run(points, issue_times=times),
+    "run_batch": lambda paged, schedule, points, times: BroadcastClient(
+        paged, schedule
+    ).run_batch(points, times),
+}
+#: Workload doors draw issue times over the cycle: name -> call.
+WORKLOAD_DOORS = {
+    "evaluate_workload": evaluate_workload,
+    "simulate_workload": functools.partial(simulate_workload, error_rate=0.1),
+}
+BAD_ISSUE_TIMES = {
+    "nan": [0.0, math.nan, 1.0],
+    "inf": [0.0, math.inf, 1.0],
+    "-inf": [-math.inf, 0.0, 1.0],
+    "column": np.array([[0.0], [1.0], [2.0]]),
+    "text": ["0.0", "noon", "1.0"],
+}
+
+
+class TestBadIssueTimes:
+    """Non-finite issue times, a non-1-D array and values that are not
+    numbers are one ``BroadcastError``, raised by ``run_batch`` behind
+    every door."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ISSUE_TIMES))
+    @pytest.mark.parametrize("door", sorted(ISSUE_TIME_DOORS))
+    def test_issue_times_rejected(self, cell, door, bad):
+        paged, subdivision, params = cell
+        points = random_points_in(subdivision, 3, seed=3)
+        with pytest.raises(BroadcastError, match="issue times must be"):
+            ISSUE_TIME_DOORS[door](
+                paged, _schedule(paged, subdivision, params), points,
+                BAD_ISSUE_TIMES[bad],
+            )
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("door", sorted(WORKLOAD_DOORS))
+    def test_non_finite_cycle_rejected(self, cell, door, length):
+        paged, subdivision, params = cell
+        schedule = _EndlessCycle(_schedule(paged, subdivision, params), length)
+        with pytest.raises(BroadcastError, match="issue times must be finite"):
+            WORKLOAD_DOORS[door](
+                paged, subdivision.region_ids, params, _points(subdivision),
+                schedule=schedule,
+            )

@@ -27,7 +27,8 @@ from repro.engine import (
     index_family,
     register_tracer,
 )
-from repro.engine.batch import QueryEngine, _uniform_issue_times
+from repro.broadcast.client import _uniform_issue_times
+from repro.engine.batch import QueryEngine
 from repro.core.dtree import DTreeNode
 from repro.engine.trace import (
     _store_compiled,

@@ -339,6 +339,30 @@ class TestEffectParity:
         )
 
     @pytest.mark.parametrize(
+        "effects",
+        [
+            dict(error_rate=0.1, seed=7),
+            dict(placement="distributed"),
+            dict(placement="distributed", error_rate=0.1, seed=2),
+        ],
+    )
+    def test_each_retune_traced_once(self, effects):
+        # The waves trace with the packet paths the walker reads (a
+        # loss layout, a distributed plan's hop pass), so run_batch
+        # never traces a re-tune again.
+        effects = dict(effects)
+        if "placement" in effects:
+            effects["schedule"] = _plan("dtree", effects.pop("placement"))
+        paged, params, schedule = STACKS["dtree"]
+        with collecting() as col:
+            batch = evaluate_trajectory_workload(
+                paged, [], params, self.TRAJECTORIES, boundary_index=BOUNDARY,
+                **{"schedule": schedule, **effects},
+            )
+        assert col.counters["trace.PagedDTree.queries"] == batch.retunes.sum()
+        _assert_matches_oracle("dtree", self.TRAJECTORIES, **effects)
+
+    @pytest.mark.parametrize(
         "effects", [dict(error_rate=0.1), dict(cache_packets=8)]
     )
     def test_unlocatable_point_fails_like_the_walk(self, effects):

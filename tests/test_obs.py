@@ -8,6 +8,7 @@ validates against its own schema checker.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -87,6 +88,21 @@ class TestCollector:
         col = Collector()
         col.observe_each("x", [1, 2, 3])
         assert col.histograms["x"].count == 3
+
+    def test_count_each_adds_left_to_right(self):
+        # Bit for bit a loop of count(), which np.sum's pairwise order
+        # is not.
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000)
+        looped, batched = Collector(), Collector()
+        looped.count("x", 3)
+        batched.count("x", 3)
+        for value in values.tolist():
+            looped.count("x", value)
+        batched.count_each("x", values)
+        assert batched.counters == looped.counters
+        batched.count_each("y", values[:0])
+        assert "y" not in batched.counters
 
     def test_spans_record_nesting_and_timing(self):
         col = Collector()
@@ -236,8 +252,8 @@ class TestInstrumentationSmoke:
             result.summary(voronoi60.region_ids, params)
         assert col.counters["engine.runs"] == 1
         assert col.counters["engine.queries"] == 30
-        assert col.counters["engine.probes"] == 30
-        assert col.counters["engine.packets.index"] > 0
+        assert col.counters["client.probes"] == 30
+        assert col.counters["client.packets.index"] > 0
         assert col.counters["trace.PagedDTree.queries"] == 30
         assert col.histograms["engine.batch_size"].count == 1
         assert col.histograms["trace.dtree.frontier_width"].count > 0
@@ -247,6 +263,38 @@ class TestInstrumentationSmoke:
         parents = {s.name: s.parent for s in col.spans}
         assert parents["engine.trace"] == "engine.run"
         assert parents["engine.timeline"] == "engine.run"
+
+    @pytest.mark.parametrize(
+        "timeline", ["schedule", "disks", "replicated", "distributed"]
+    )
+    @pytest.mark.parametrize("kind", ["dtree", "trap"])
+    def test_engine_traces_each_query_once(self, voronoi60, kind, timeline):
+        from repro.broadcast.disks import SkewedBroadcastSchedule
+        from repro.broadcast.params import SystemParameters
+        from repro.broadcast.plan import BroadcastPlan
+        from repro.broadcast.schedule import BroadcastSchedule
+        from repro.engine import QueryEngine, index_family
+
+        from tests.conftest import random_points_in
+
+        params = SystemParameters.for_index(kind, 256)
+        paged = index_family(kind).build(voronoi60, seed=0).page(params)
+        size, regions = len(paged.packets), voronoi60.region_ids
+        if timeline == "schedule":
+            timeline = BroadcastSchedule(size, regions, params)
+        elif timeline == "disks":
+            weights = {rid: 1.0 + rid % 3 for rid in regions}
+            timeline = SkewedBroadcastSchedule(size, weights, params)
+        else:
+            timeline = BroadcastPlan(
+                size, regions, params, channels=4, index_placement=timeline
+            )
+        points = random_points_in(voronoi60, 40, seed=5)
+        with collecting() as col:
+            QueryEngine(paged, timeline).run(points, seed=1)
+        assert col.counters[f"trace.{type(paged).__name__}.queries"] == 40
+        assert col.counters["walk.batched_queries"] == 40
+        assert col.counters["client.queries"] == 40
 
     def test_simulation_counters(self, voronoi60):
         from repro.broadcast.params import SystemParameters

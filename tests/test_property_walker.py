@@ -13,8 +13,10 @@ plus version skew for the dynamic binding.  Whatever the combination:
 * a cached walk never reads more index packets than an uncached one;
 * the batched front door ``run_batch`` equals a loop of ``query`` —
   fields, counters and the error model's stream — on lossy K=1
-  timelines, error-free K>1 plans and every configuration it walks
-  query by query, with or without the points' trace handed in.
+  timelines, error-free K>1 plans, error-free duck-typed schedules
+  (broadcast disks, a multiplexed service's slice) and every
+  configuration it walks query by query, with or without the points'
+  trace handed in.
 """
 
 import random
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from repro.broadcast import client as client_module
 from repro.broadcast.client import BroadcastClient, _DrawStream, _random_draws
 from repro.broadcast.disks import SkewedBroadcastSchedule
+from repro.broadcast.multiplex import MultiplexedBroadcast, Service
 from repro.broadcast.plan import BroadcastPlan
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.datasets.catalog import SERVICE_AREA
@@ -81,6 +84,18 @@ def _world(kind):
         }
         _WORLDS[kind] = (sub, paged, timelines)
     return _WORLDS[kind]
+
+
+def _mux_slice(kind):
+    """*kind*'s slice of a channel multiplexing two services (it airs
+    second, after another family's program)."""
+    other = "rstar" if kind == "dtree" else "dtree"
+    services = []
+    for k in (other, kind):
+        sub, paged, _ = _world(k)
+        params = INDEX_REGISTRY[k].parameters(128)
+        services.append(Service(k, paged, sub.region_ids, params))
+    return MultiplexedBroadcast(services)._walkers[kind].schedule
 
 
 kinds = st.sampled_from(sorted(INDEX_REGISTRY))
@@ -378,6 +393,18 @@ class TestBatchedWalker:
         timeline = timelines[name]
         points, times = _queries(sub, timeline, seed, n=30)
         _batch_matches_loop(paged, timeline, points, times)
+
+    @given(kinds, st.sampled_from(["disks", "mux"]), seeds, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_error_free_duck_typed_schedule_matches_walk(
+        self, kind, name, seed, traced
+    ):
+        # One batched trace, then the schedule's own timeline methods.
+        sub, paged, timelines = _world(kind)
+        timeline = timelines["disks"] if name == "disks" else _mux_slice(kind)
+        points, times = _queries(sub, timeline, seed, n=30)
+        col = _batch_matches_loop(paged, timeline, points, times, traced=traced)
+        assert col.counters["walk.batched_queries"] == len(points)
 
     @given(kinds, st.sampled_from(sorted(RECOVERY_POLICIES)), seeds)
     @settings(max_examples=20, deadline=None)

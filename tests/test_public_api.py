@@ -41,6 +41,13 @@ class TestTopLevel:
     def test_module_docstring_mentions_paper(self):
         assert "ICDE 2003" in repro.__doc__
 
+    def test_access_batch_is_the_one_batched_record(self):
+        # 5.0.0 folded the engine's BatchResult into AccessBatch.
+        assert repro.AccessBatch is repro.broadcast.AccessBatch
+        assert "BatchResult" not in repro.__all__
+        assert not hasattr(repro, "BatchResult")
+        assert not hasattr(importlib.import_module("repro.engine"), "BatchResult")
+
 
 @pytest.mark.parametrize("module_name", SUBPACKAGES)
 class TestSubpackages:
