@@ -12,6 +12,7 @@ Run with::
 """
 
 import random
+import statistics
 import time
 
 import pytest
@@ -122,9 +123,14 @@ def bench_engine_profiled_overhead_dtree_10k(benchmark, subdivision, cells):
     """The observability acceptance bar: an installed Collector costs
     <= 5 % on the batched D-tree at 10k queries (DESIGN.md §10).
 
-    Min-of-5 timing on both sides so scheduler noise cannot fail the
-    assertion spuriously; the recorded cases land in BENCH_engine.json's
-    history alongside the plain batched numbers.
+    Plain and profiled runs are interleaved, alternating which goes
+    first, in 11 blocks of three runs each; a block's ratio is its best
+    profiled run over its best plain run, and the bound applies to the
+    median of the block ratios.  Host drift then lands on both sides of
+    a ratio instead of on one block of runs, and the best-of-three drops
+    the single runs a neighbouring process slowed.  The recorded cases
+    land in BENCH_engine.json's history alongside the plain batched
+    numbers.
     """
     from repro.obs import Collector, collecting
 
@@ -141,21 +147,31 @@ def bench_engine_profiled_overhead_dtree_10k(benchmark, subdivision, cells):
         with collecting(Collector()):
             return plain()
 
-    def best_of(fn, rounds=5):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
 
     plain()  # warm every lazy cache before timing either side
-    plain_s = best_of(plain)
-    profiled_s = best_of(profiled)
+    plain_best, profiled_best, ratios = [], [], []
+    for block in range(11):
+        plain_times, profiled_times = [], []
+        for run in range(3):
+            if (block + run) % 2:
+                profiled_times.append(timed(profiled))
+                plain_times.append(timed(plain))
+            else:
+                plain_times.append(timed(plain))
+                profiled_times.append(timed(profiled))
+        plain_best.append(min(plain_times))
+        profiled_best.append(min(profiled_times))
+        ratios.append(profiled_best[-1] / plain_best[-1])
+    plain_s = statistics.median(plain_best)
+    profiled_s = statistics.median(profiled_best)
     run_recorded(benchmark, profiled, "engine", "profiled-dtree-10000")
     record_case("engine", "profiled-dtree-10000-plain", plain_s * 1000.0)
     record_case("engine", "profiled-dtree-10000-enabled", profiled_s * 1000.0)
-    overhead = profiled_s / plain_s - 1.0
+    overhead = statistics.median(ratios) - 1.0
     record_case("engine", "profiled-dtree-10000-overhead-pct", overhead * 100.0)
     print(
         f"\n[dtree @ 10k queries] plain {plain_s * 1000:.2f}ms, "

@@ -45,7 +45,7 @@ def bench_build_trian(benchmark, subdivision):
 
 def bench_build_rstar(benchmark, subdivision):
     fanout = rstar_fanout(SystemParameters.for_index("rstar", 256))
-    tree = benchmark(RStarTree.build, subdivision, fanout)
+    tree = benchmark(lambda: RStarTree.build(subdivision, fanout).ensure_built())
     tree.check_invariants()
 
 

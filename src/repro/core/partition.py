@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import IndexBuildError
 from repro.geometry.point import Point
-from repro.geometry.polyline import Polyline, chain_segments, total_coordinate_count
-from repro.geometry.segment import Segment
-from repro.tessellation.subdivision import Subdivision
+from repro.geometry.polyline import Polyline, chain_keyed, total_coordinate_count
+from repro.tessellation.subdivision import EdgeTable, Subdivision, vertex_key
 
 
 class PartitionStyle:
@@ -243,61 +244,60 @@ def evaluate_style(
     segments that lie entirely inside the first subspace's exclusive zone
     D1 — the side test's ray can never reach them — and truncates segments
     crossing the D1 boundary line.
+
+    Both phases read the subdivision's :class:`EdgeTable`: the extent is a
+    list of edge-table entries, and the kept segments are chained on
+    vertex ids, so only the cut points made by pruning are quantised here.
     """
-    ordered = _sort_regions(subdivision, region_ids, style)
-    first_ids = ordered[: style.first_count]
-    second_ids = ordered[style.first_count :]
-    if not first_ids or not second_ids:
+    table, rows = subdivision.edge_rows(region_ids)
+    ordered = _sort_rows(table, region_ids, rows, style)
+    first = ordered[: style.first_count]
+    second = ordered[style.first_count :]
+    if not first or not second:
         raise IndexBuildError(
             f"style {style!r} yields an empty subspace for {len(ordered)} regions"
         )
+    first_rows = [row for _, row in first]
+    second_rows = [row for _, row in second]
+    all_rows = first_rows + second_rows
 
-    described_ids = first_ids if style.described == "first" else second_ids
-    extent = subdivision.boundary_of_subset(described_ids)
+    described_first = style.described == "first"
+    extent = table.boundary(first_rows if described_first else second_rows)
 
     if style.dimension == "y":
         # D1: x <= first_bound (nothing of the second subspace is there).
-        first_bound = min(
-            subdivision.region(rid).polygon.leftmost_x for rid in second_ids
-        )
-        second_bound = max(
-            subdivision.region(rid).polygon.rightmost_x for rid in first_ids
-        )
-        if style.described == "first":
+        first_bound = min(map(table.min_x.__getitem__, second_rows))
+        second_bound = max(map(table.max_x.__getitem__, first_rows))
+        if described_first:
             # Keep the first subspace's boundary right of the D1 line
             # (reachable by the rightward ray).
-            kept = _prune_extent_y(extent, first_bound, keep="right")
+            kept = _prune_extent_y(table, extent, first_bound, keep="right")
         else:
             # Keep the second subspace's boundary left of the D3 line
             # (reachable by the leftward ray).
-            kept = _prune_extent_y(extent, second_bound, keep="left")
-        axis_lo = min(subdivision.region(rid).polygon.leftmost_x for rid in ordered)
-        axis_hi = max(subdivision.region(rid).polygon.rightmost_x for rid in ordered)
+            kept = _prune_extent_y(table, extent, second_bound, keep="left")
+        axis_lo = min(map(table.min_x.__getitem__, all_rows))
+        axis_hi = max(map(table.max_x.__getitem__, all_rows))
         overlap = max(0.0, second_bound - first_bound)
     else:
         # D1: y >= first_bound.
-        first_bound = max(
-            subdivision.region(rid).polygon.uppermost_y for rid in second_ids
-        )
-        second_bound = min(
-            subdivision.region(rid).polygon.lowest_y for rid in first_ids
-        )
-        if style.described == "first":
-            kept = _prune_extent_x(extent, first_bound, keep="below")
+        first_bound = max(map(table.max_y.__getitem__, second_rows))
+        second_bound = min(map(table.min_y.__getitem__, first_rows))
+        if described_first:
+            kept = _prune_extent_x(table, extent, first_bound, keep="below")
         else:
-            kept = _prune_extent_x(extent, second_bound, keep="above")
-        axis_lo = min(subdivision.region(rid).polygon.lowest_y for rid in ordered)
-        axis_hi = max(subdivision.region(rid).polygon.uppermost_y for rid in ordered)
+            kept = _prune_extent_x(table, extent, second_bound, keep="above")
+        axis_lo = min(map(table.min_y.__getitem__, all_rows))
+        axis_hi = max(map(table.max_y.__getitem__, all_rows))
         overlap = max(0.0, first_bound - second_bound)
 
     span = max(axis_hi - axis_lo, 1e-12)
     inter_prob = min(1.0, overlap / span)
-    polylines = chain_segments(kept)
     return Partition(
         style=style,
-        first_ids=list(first_ids),
-        second_ids=list(second_ids),
-        polylines=polylines,
+        first_ids=[rid for rid, _ in first],
+        second_ids=[rid for rid, _ in second],
+        polylines=chain_keyed(*kept),
         first_bound=first_bound,
         second_bound=second_bound,
         inter_prob=inter_prob,
@@ -335,75 +335,128 @@ def _sort_regions(
     descending y (first = upper).  Region id breaks sort-key ties so the
     construction is deterministic.
     """
+    table, rows = subdivision.edge_rows(region_ids)
+    return [rid for rid, _ in _sort_rows(table, region_ids, rows, style)]
+
+
+def _sort_rows(
+    table: EdgeTable,
+    region_ids: Sequence[int],
+    rows: Sequence[int],
+    style: PartitionStyle,
+) -> List[Tuple[int, int]]:
+    """:func:`_sort_regions` as ``(region id, table row)`` pairs."""
     if style.dimension == "y":
-        if style.sort_key == "far":
-            key = lambda rid: (subdivision.region(rid).polygon.rightmost_x, rid)
-        else:
-            key = lambda rid: (subdivision.region(rid).polygon.leftmost_x, rid)
-        return sorted(region_ids, key=key)
-    if style.sort_key == "far":
-        key = lambda rid: (-subdivision.region(rid).polygon.lowest_y, rid)
+        values = table.max_x if style.sort_key == "far" else table.min_x
+        keyed = [(values[row], rid, row) for rid, row in zip(region_ids, rows)]
     else:
-        key = lambda rid: (-subdivision.region(rid).polygon.uppermost_y, rid)
-    return sorted(region_ids, key=key)
+        values = table.min_y if style.sort_key == "far" else table.max_y
+        keyed = [(-values[row], rid, row) for rid, row in zip(region_ids, rows)]
+    keyed.sort()  # region ids are unique: ties never reach the row
+    return [(rid, row) for _, rid, row in keyed]
+
+
+#: Segments kept by pruning, as the four parallel lists
+#: :func:`~repro.geometry.polyline.chain_keyed` takes: start points, end
+#: points, start keys, end keys.
+KeptSegments = Tuple[List[Point], List[Point], List[int], List[int]]
 
 
 def _prune_extent_y(
-    extent: Sequence[Segment], line_x: float, keep: str = "right"
-) -> List[Segment]:
+    table: EdgeTable, extent: np.ndarray, line_x: float, keep: str = "right"
+) -> KeptSegments:
     """Keep the extent parts on one side of a vertical line (dimension "y"
     pruning, Algorithm 1 lines 5-16; ``keep="left"`` is the mirrored
-    complement-extent variant)."""
+    complement-extent variant).  *extent* holds edge-table entries."""
     right = keep == "right"
-    kept: List[Segment] = []
-    for seg in extent:
-        if (seg.min_x >= line_x) if right else (seg.max_x <= line_x):
+    kept: KeptSegments = ([], [], [], [])
+    keep_a, keep_b, keep_ka, keep_kb = (part.append for part in kept)
+    cut_key = _cut_keys(table)
+    for a, b, ka, kb in _extent_segments(table, extent):
+        lo, hi = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        if (lo >= line_x) if right else (hi <= line_x):
             # Entirely on the kept side — includes a division segment
             # lying exactly on the line.
-            kept.append(seg)
+            keep_a(a)
+            keep_b(b)
+            keep_ka(ka)
+            keep_kb(kb)
             continue
-        if (seg.max_x <= line_x) if right else (seg.min_x >= line_x):
+        if (hi <= line_x) if right else (lo >= line_x):
             continue  # the test ray cannot reach it
-        cut = _cut_at_x(seg, line_x)
+        t = (line_x - a.x) / (b.x - a.x)
+        cut = Point(line_x, a.y + t * (b.y - a.y))
         if right:
-            far = seg.a if seg.a.x > seg.b.x else seg.b
+            far, k_far = (a, ka) if a.x > b.x else (b, kb)
         else:
-            far = seg.a if seg.a.x < seg.b.x else seg.b
+            far, k_far = (a, ka) if a.x < b.x else (b, kb)
         if far != cut:
-            kept.append(Segment(cut, far))
+            keep_a(cut)
+            keep_b(far)
+            keep_ka(cut_key(cut))
+            keep_kb(k_far)
     return kept
 
 
 def _prune_extent_x(
-    extent: Sequence[Segment], line_y: float, keep: str = "below"
-) -> List[Segment]:
+    table: EdgeTable, extent: np.ndarray, line_y: float, keep: str = "below"
+) -> KeptSegments:
     """Keep the extent parts on one side of a horizontal line (dimension
     "x" pruning; ``keep="above"`` is the mirrored complement variant)."""
     below = keep == "below"
-    kept: List[Segment] = []
-    for seg in extent:
-        if (seg.max_y <= line_y) if below else (seg.min_y >= line_y):
-            kept.append(seg)
+    kept: KeptSegments = ([], [], [], [])
+    keep_a, keep_b, keep_ka, keep_kb = (part.append for part in kept)
+    cut_key = _cut_keys(table)
+    for a, b, ka, kb in _extent_segments(table, extent):
+        lo, hi = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        if (hi <= line_y) if below else (lo >= line_y):
+            keep_a(a)
+            keep_b(b)
+            keep_ka(ka)
+            keep_kb(kb)
             continue
-        if (seg.min_y >= line_y) if below else (seg.max_y <= line_y):
+        if (lo >= line_y) if below else (hi <= line_y):
             continue  # the test ray cannot reach it
-        cut = _cut_at_y(seg, line_y)
+        t = (line_y - a.y) / (b.y - a.y)
+        cut = Point(a.x + t * (b.x - a.x), line_y)
         if below:
-            far = seg.a if seg.a.y < seg.b.y else seg.b
+            far, k_far = (a, ka) if a.y < b.y else (b, kb)
         else:
-            far = seg.a if seg.a.y > seg.b.y else seg.b
+            far, k_far = (a, ka) if a.y > b.y else (b, kb)
         if far != cut:
-            kept.append(Segment(cut, far))
+            keep_a(cut)
+            keep_b(far)
+            keep_ka(cut_key(cut))
+            keep_kb(k_far)
     return kept
 
 
-def _cut_at_x(seg: Segment, x: float) -> Point:
-    """Point where *seg* crosses the vertical line at *x*."""
-    t = (x - seg.a.x) / (seg.b.x - seg.a.x)
-    return Point(x, seg.a.y + t * (seg.b.y - seg.a.y))
+def _extent_segments(table: EdgeTable, extent: np.ndarray):
+    """``(a, b, vertex id of a, vertex id of b)`` of each extent entry."""
+    ends = table.succ[extent]
+    points = table.points.__getitem__
+    return zip(
+        map(points, extent.tolist()),
+        map(points, ends.tolist()),
+        table.vertex[extent].tolist(),
+        table.vertex[ends].tolist(),
+    )
 
 
-def _cut_at_y(seg: Segment, y: float) -> Point:
-    """Point where *seg* crosses the horizontal line at *y*."""
-    t = (y - seg.a.y) / (seg.b.y - seg.a.y)
-    return Point(seg.a.x + t * (seg.b.x - seg.a.x), y)
+def _cut_keys(table: EdgeTable):
+    """Vertex-id keys for fresh cut points.
+
+    A cut point quantising onto an existing vertex takes that vertex's
+    id; any other gets a new id past the table's, equal for equal keys.
+    """
+    vertex_ids = table.vertex_ids
+    fresh = {}
+
+    def key(p: Point) -> int:
+        q = vertex_key(p)
+        vid = vertex_ids.get(q)
+        if vid is None:
+            vid = fresh.setdefault(q, len(vertex_ids) + len(fresh))
+        return vid
+
+    return key

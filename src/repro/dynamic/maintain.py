@@ -92,7 +92,11 @@ class RStarMaintainer(IndexMaintainer):
 
         if self.params is None:
             return RStarTree.build(subdivision, seed=self.seed)
-        return RStarTree.build(subdivision, rstar_fanout(self.params))
+        # The server reads a maintained tree at once, and this build is
+        # the from-scratch rebuild incremental maintenance is weighed
+        # against (E12): insert now rather than on first read.
+        tree = RStarTree.build(subdivision, rstar_fanout(self.params))
+        return tree.ensure_built()
 
     def apply(self, index, new_subdivision: Subdivision, batch: UpdateBatch):
         if batch.is_empty:

@@ -10,7 +10,7 @@ which is exactly what the paper's coordinate-count size measure assumes.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
@@ -95,47 +95,72 @@ def chain_segments(segments: Iterable[Segment]) -> List[Polyline]:
     closed polylines covering every input segment exactly once.
     """
     seg_list = list(segments)
-    if not seg_list:
+    return chain_keyed(
+        [seg.a for seg in seg_list],
+        [seg.b for seg in seg_list],
+        [quantize_point(seg.a) for seg in seg_list],
+        [quantize_point(seg.b) for seg in seg_list],
+    )
+
+
+def chain_keyed(
+    a_points: Sequence[Point],
+    b_points: Sequence[Point],
+    a_keys: Sequence[Hashable],
+    b_keys: Sequence[Hashable],
+) -> List[Polyline]:
+    """:func:`chain_segments` over segments given as endpoint lists.
+
+    Segment ``i`` runs from ``a_points[i]`` to ``b_points[i]``; two
+    endpoints join when their keys are equal.  Any keys will do whose
+    equality is that of the quantised points (the subdivision's vertex
+    ids, say), so the rounding is done once per vertex, not per visit.
+    """
+    n = len(a_points)
+    if not n:
         return []
 
-    adjacency: Dict[Tuple[float, float], List[int]] = defaultdict(list)
-    for idx, seg in enumerate(seg_list):
-        adjacency[quantize_point(seg.a)].append(idx)
-        adjacency[quantize_point(seg.b)].append(idx)
+    adjacency: Dict[Hashable, List[int]] = defaultdict(list)
+    for idx in range(n):
+        adjacency[a_keys[idx]].append(idx)
+        adjacency[b_keys[idx]].append(idx)
 
-    used = [False] * len(seg_list)
+    used = [False] * n
     polylines: List[Polyline] = []
 
-    def walk(start_idx: int, start_point: Point) -> List[Point]:
+    def next_of(key: Hashable) -> int:
+        """The one unused segment through a clean degree-2 joint, or -1."""
+        around = adjacency[key]
+        if len(around) != 2:
+            return -1
+        candidates = [j for j in around if not used[j]]
+        return candidates[0] if len(candidates) == 1 else -1
+
+    def walk(idx: int, start_point: Point, key: Hashable) -> List[Point]:
         """Follow degree-2 joints from one endpoint of a seed segment."""
         chain = [start_point]
-        idx = start_idx
-        current = start_point
         while True:
             used[idx] = True
-            seg = seg_list[idx]
-            nxt = seg.b if quantize_point(seg.a) == quantize_point(current) else seg.a
-            chain.append(nxt)
-            key = quantize_point(nxt)
-            candidates = [j for j in adjacency[key] if not used[j]]
+            if a_keys[idx] == key:
+                chain.append(b_points[idx])
+                key = b_keys[idx]
+            else:
+                chain.append(a_points[idx])
+                key = a_keys[idx]
             # Only continue through clean degree-2 joints; branch points
             # terminate the polyline.
-            if len(adjacency[key]) != 2 or len(candidates) != 1:
-                break
-            idx = candidates[0]
-            current = nxt
-        return chain
+            idx = next_of(key)
+            if idx < 0:
+                return chain
 
-    for seed in range(len(seg_list)):
+    for seed in range(n):
         if used[seed]:
             continue
-        seg = seg_list[seed]
         # Grow forward from a, then extend backwards from a if possible.
-        forward = walk(seed, seg.a)
-        back_key = quantize_point(forward[0])
-        candidates = [j for j in adjacency[back_key] if not used[j]]
-        if len(adjacency[back_key]) == 2 and len(candidates) == 1:
-            backward = walk(candidates[0], forward[0])
+        forward = walk(seed, a_points[seed], a_keys[seed])
+        back = next_of(a_keys[seed])
+        if back >= 0:
+            backward = walk(back, forward[0], a_keys[seed])
             # backward starts at forward[0]; prepend it reversed.
             forward = backward[::-1][:-1] + forward
         polylines.append(Polyline(forward))

@@ -420,13 +420,15 @@ class PagedTrianTree:
         else:
             packet.allocate(size, "root-directory")
         self._root_dir_packet = 0
-        for node in self._order:
+        for ordinal, node in enumerate(self._order):
             size = self.node_size(node)
             if size > capacity:
                 raise PagingError("trian-tree node exceeds packet capacity")
             if size > packet.free:
                 packet = self._store.new_packet()
-            packet.allocate(size, f"trinode@{id(node):x}")
+            # Labelled by level-order ordinal (the broadcast order), so
+            # equal DAGs page to equal packet contents.
+            packet.allocate(size, f"trinode#{ordinal}")
             self._node_packet[id(node)] = packet.packet_id
 
     def __getstate__(self) -> dict:

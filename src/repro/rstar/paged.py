@@ -93,7 +93,9 @@ class PagedRStarTree:
             if size > capacity:
                 raise PagingError("R*-tree node exceeds the packet capacity")
             packet = self._store.new_packet()
-            packet.allocate(size, f"rnode@{id(node):x}")
+            # Labelled by preorder ordinal, so equal trees page to equal
+            # packet contents.
+            packet.allocate(size, f"rnode#{len(self._node_packet)}")
             self._node_packet[id(node)] = packet.packet_id
             if node.is_leaf:
                 open_packet = packet

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from repro.errors import IndexBuildError, QueryError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -84,8 +86,19 @@ class RStarTree:
         self.min_entries = max(2, int(round(0.4 * max_entries)))
         if self.min_entries > max_entries // 2:
             self.min_entries = max(1, max_entries // 2)
-        self.root = RStarNode(level=0)
+        #: Region MBRs :meth:`build` deferred, inserted on first read.
+        self._pending: Optional[List[Tuple[int, Rect]]] = None
+        self._root = RStarNode(level=0)
         self._reinserted_levels: Set[int] = set()
+
+    @property
+    def root(self) -> RStarNode:
+        """The root node; a deferred :meth:`build` is carried out here."""
+        return self.ensure_built()._root
+
+    @root.setter
+    def root(self, node: RStarNode) -> None:
+        self._root = node
 
     # -- construction -------------------------------------------------------
 
@@ -102,17 +115,31 @@ class RStarTree:
 
         ``max_entries`` defaults to :data:`DEFAULT_MAX_ENTRIES`; when the
         tree goes on the air, :meth:`page` re-fits the fan-out to the
-        packet capacity so one node always fills one packet.  ``seed`` is
-        part of the :class:`~repro.engine.AirIndex` protocol; insertion
-        order is deterministic, so it is accepted and ignored.
+        packet capacity so one node always fills one packet.  The MBRs
+        are taken now and inserted when the tree is first read, so a
+        tree that :meth:`page` replaces at the packet fan-out is never
+        built.  ``seed`` is part of the :class:`~repro.engine.AirIndex`
+        protocol; insertion order is deterministic, so it is accepted
+        and ignored.
         """
         del seed  # deterministic insertion order
         if max_entries is None:
             max_entries = cls.DEFAULT_MAX_ENTRIES
         tree = cls(subdivision, max_entries)
-        for region in subdivision.regions:
-            tree.insert(region.region_id, region.polygon.bbox)
+        tree._pending = [
+            (region.region_id, region.polygon.bbox) for region in subdivision.regions
+        ]
         return tree
+
+    def ensure_built(self) -> "RStarTree":
+        """Carry out the insertions :meth:`build` deferred, if any; return
+        the tree.  Reading the tree does this implicitly; call it to pay
+        for the construction at a chosen point."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            for region_id, mbr in pending:
+                self.insert(region_id, mbr)
+        return self
 
     def page(self, params) -> "PagedRStarTree":
         """Allocate to fixed-capacity packets — the
@@ -121,7 +148,9 @@ class RStarTree:
         The R*-tree's structure depends on its fan-out and therefore on
         the packet capacity: the tree is rebuilt at
         :func:`~repro.rstar.paged.rstar_fanout` entries per node unless it
-        already matches, then laid out in DFS order.
+        already matches, then laid out in DFS order.  A tree fresh from
+        :meth:`build` has not inserted anything yet, so the regions are
+        inserted once, at the packet fan-out.
         """
         from repro.rstar.paged import PagedRStarTree, rstar_fanout
 
@@ -133,6 +162,7 @@ class RStarTree:
 
     def insert(self, region_id: int, mbr: Rect) -> None:
         """Insert one region MBR (R* InsertData)."""
+        self.ensure_built()
         self._reinserted_levels = set()
         self._insert_entry(RStarEntry(mbr, region_id=region_id), level=0)
 
@@ -304,22 +334,45 @@ class RStarTree:
     def _least_overlap_enlargement(
         entries: Sequence[RStarEntry], mbr: Rect
     ) -> RStarEntry:
-        def overlap_sum(candidate: RStarEntry, rect: Rect) -> float:
-            return sum(
-                rect.overlap_area(other.mbr)
-                for other in entries
-                if other is not candidate
-            )
+        """R* ChooseSubtree over leaf children: least overlap enlargement,
+        then least area enlargement, then least area, first entry on ties.
 
-        def key(e: RStarEntry) -> Tuple[float, float, float]:
-            grown = e.mbr.union(mbr)
-            return (
-                overlap_sum(e, grown) - overlap_sum(e, e.mbr),
-                e.mbr.enlargement_for(mbr),
-                e.mbr.area,
-            )
+        The children's MBRs are one float64 ``(n, 4)`` array.  Each
+        overlap is the ``max``/``min``/subtract/multiply of
+        :meth:`Rect.intersection` and :meth:`Rect.area` (0 when
+        disjoint), and each row is added with the built-in ``sum()`` in
+        entry order, so every interpreter sees the sums of the scalar
+        loop: Python 3.12+ compensates ``sum()`` of floats and
+        ``np.sum`` would not.  The zeroed diagonal stands for the
+        skipped candidate; adding +0.0 changes neither kind of sum.
+        """
+        boxes = np.array(
+            [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y) for e in entries]
+        )
+        lo_x, lo_y, hi_x, hi_y = boxes.T
+        grown_lo_x = np.minimum(lo_x, mbr.min_x)
+        grown_lo_y = np.minimum(lo_y, mbr.min_y)
+        grown_hi_x = np.maximum(hi_x, mbr.max_x)
+        grown_hi_y = np.maximum(hi_y, mbr.max_y)
 
-        return min(entries, key=key)
+        def overlap_sums(c_lo_x, c_lo_y, c_hi_x, c_hi_y) -> List[float]:
+            width = np.minimum(c_hi_x[:, None], hi_x) - np.maximum(c_lo_x[:, None], lo_x)
+            height = np.minimum(c_hi_y[:, None], hi_y) - np.maximum(c_lo_y[:, None], lo_y)
+            overlap = np.where((width >= 0.0) & (height >= 0.0), width * height, 0.0)
+            np.fill_diagonal(overlap, 0.0)
+            return [sum(row) for row in overlap.tolist()]
+
+        grown = overlap_sums(grown_lo_x, grown_lo_y, grown_hi_x, grown_hi_y)
+        own = overlap_sums(lo_x, lo_y, hi_x, hi_y)
+        area = ((hi_x - lo_x) * (hi_y - lo_y)).tolist()
+        grown_area = (
+            (grown_hi_x - grown_lo_x) * (grown_hi_y - grown_lo_y)
+        ).tolist()
+        best = min(
+            range(len(entries)),
+            key=lambda i: (grown[i] - own[i], grown_area[i] - area[i], area[i]),
+        )
+        return entries[best]
 
     def _reinsert(self, node: RStarNode, path: List[RStarNode]) -> None:
         """Forced reinsertion: evict the 30% of entries furthest from the

@@ -11,13 +11,14 @@ D-tree partition algorithm is built on.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import QueryError, SubdivisionError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.predicates import quantize_point
+from repro.geometry.predicates import QUANTIZE_DECIMALS
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 
@@ -43,6 +44,125 @@ class DataRegion:
         return self.polygon.contains_point(p)
 
 
+def vertex_key(p: Point) -> complex:
+    """The :func:`~repro.geometry.predicates.quantize_point` key of *p*,
+    packed into one ``complex``: equal exactly when the tuples are, at a
+    third of the memory."""
+    return complex(round(p.x, QUANTIZE_DECIMALS), round(p.y, QUANTIZE_DECIMALS))
+
+
+class EdgeTable:
+    """Every region edge keyed once, as integer ids in one CSR table.
+
+    Row ``r`` (region order) owns the entries ``offsets[r]:offsets[r+1]``,
+    one per edge in :meth:`Polygon.edges` order.  Entry ``k`` is the edge
+    from ``points[k]`` to ``points[succ[k]]`` (the next vertex of the same
+    ring); ``edge[k]`` is its undirected edge id and ``vertex[k]`` the
+    vertex id of ``points[k]``.  Vertex ids number the distinct
+    :func:`vertex_key` keys (``vertex_ids``) and edge ids the distinct
+    :meth:`Segment.canonical_key` keys, both in order of first
+    occurrence, so two ids are equal exactly when the ``round``-based keys
+    are.  ``points`` references the rings' own :class:`Point` objects;
+    ``min_x``/``max_x``/``min_y``/``max_y`` are the rows' bounding boxes
+    (the §4.2 sort keys).
+    """
+
+    __slots__ = (
+        "polygons",
+        "rings",
+        "row_of",
+        "offsets",
+        "points",
+        "succ",
+        "edge",
+        "vertex",
+        "n_edges",
+        "vertex_ids",
+        "min_x",
+        "max_x",
+        "min_y",
+        "max_y",
+    )
+
+    def __init__(self, regions: Sequence[DataRegion]) -> None:
+        self.polygons = [r.polygon for r in regions]
+        self.rings = [poly.vertices for poly in self.polygons]
+        self.row_of = {r.region_id: row for row, r in enumerate(regions)}
+        vertex_ids: Dict[complex, int] = {}
+        edge_ids: Dict[Tuple[int, int], int] = {}
+        points: List[Point] = []
+        vertex: List[int] = []
+        edge: List[int] = []
+        counts = []
+        for ring in self.rings:
+            ids = [vertex_ids.setdefault(vertex_key(v), len(vertex_ids)) for v in ring]
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                edge.append(
+                    edge_ids.setdefault((a, b) if a <= b else (b, a), len(edge_ids))
+                )
+            points.extend(ring)
+            vertex.extend(ids)
+            counts.append(len(ring))
+        lengths = np.asarray(counts, np.int64)
+        self.offsets = np.concatenate((np.zeros(1, np.int64), np.cumsum(lengths)))
+        succ = np.arange(1, len(points) + 1, dtype=np.int64)
+        succ[self.offsets[1:] - 1] = self.offsets[:-1]
+        self.points = points
+        self.succ = succ.astype(np.int32)
+        self.edge = np.asarray(edge, np.int32)
+        self.vertex = np.asarray(vertex, np.int32)
+        self.n_edges = len(edge_ids)
+        self.vertex_ids = vertex_ids
+        boxes = [poly.bbox for poly in self.polygons]
+        self.min_x = [box.min_x for box in boxes]
+        self.max_x = [box.max_x for box in boxes]
+        self.min_y = [box.min_y for box in boxes]
+        self.max_y = [box.max_y for box in boxes]
+
+    def is_current(self, regions: Sequence[DataRegion], rows: Iterable[int]) -> bool:
+        """True when none of *rows* had its polygon or ring replaced."""
+        polygons = self.polygons
+        rings = self.rings
+        for row in rows:
+            poly = regions[row].polygon
+            if poly is not polygons[row] or poly.vertices is not rings[row]:
+                return False
+        return True
+
+    def entries_of(self, rows: Sequence[int]) -> np.ndarray:
+        """Entry indices of *rows*, concatenated in the given row order."""
+        rows_arr = np.asarray(rows, np.int64)
+        starts = self.offsets[rows_arr]
+        lengths = self.offsets[rows_arr + 1] - starts
+        shift = starts - (np.cumsum(lengths) - lengths)
+        return np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
+
+    def boundary(self, rows: Sequence[int]) -> np.ndarray:
+        """Entries of *rows* whose edge occurs once among them.
+
+        Kept in concatenation order, which is the order of first
+        occurrence the dict-based edge cancellation produced.
+        """
+        entries = self.entries_of(rows)
+        edges = self.edge[entries]
+        counts = np.bincount(edges, minlength=self.n_edges)[edges]
+        if counts.max(initial=0) > 2:
+            raise SubdivisionError(
+                "edge shared by more than two regions — regions do not "
+                "form an edge-to-edge subdivision"
+            )
+        return entries[counts == 1]
+
+    def segment(self, entry: int) -> Segment:
+        """The :class:`Segment` of one entry, as :meth:`Polygon.edges` makes it."""
+        return Segment(self.points[entry], self.points[self.succ[entry]])
+
+    def first_entries(self) -> np.ndarray:
+        """For each edge id, the entry where it first occurs."""
+        _, first = np.unique(self.edge, return_index=True)
+        return first
+
+
 class Subdivision:
     """A set of data regions tiling a rectangular service area."""
 
@@ -62,6 +182,14 @@ class Subdivision:
         self.service_area = service_area
         self._by_id: Dict[int, DataRegion] = {r.region_id: r for r in self.regions}
         self._compiled = None
+        self._edges: Optional[EdgeTable] = None
+
+    def __getstate__(self) -> dict:
+        # The edge table is derived state, rebuilt on first use: it is
+        # not shipped with the subdivision (fleet specs pickle it).
+        state = dict(self.__dict__)
+        state["_edges"] = None
+        return state
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -178,45 +306,74 @@ class Subdivision:
 
     # -- boundary extraction -----------------------------------------------------
 
+    def edge_table(self) -> EdgeTable:
+        """The integer edge table (built once, cached).
+
+        Invalidated by the same identity key as :meth:`compiled`: a
+        region whose polygon or ring was replaced gets a fresh table.
+        """
+        table = self._edges
+        if table is None or not table.is_current(self.regions, range(len(self.regions))):
+            table = self._edges = EdgeTable(self.regions)
+        return table
+
+    def edge_rows(self, region_ids: Iterable[int]) -> Tuple[EdgeTable, List[int]]:
+        """The edge table plus the rows of *region_ids*, in the given order.
+
+        Only the named rows are checked against the identity key, so a
+        caller pays for the regions it reads, not for the subdivision.
+        """
+        table = self._edges
+        if table is None:
+            table = self._edges = EdgeTable(self.regions)
+        row_of = table.row_of
+        try:
+            rows = [row_of[rid] for rid in region_ids]
+        except KeyError as exc:
+            raise SubdivisionError(f"unknown region id {exc.args[0]}") from None
+        if not table.is_current(self.regions, rows):
+            table = self._edges = EdgeTable(self.regions)
+        return table, rows
+
     def boundary_of_subset(self, region_ids: Iterable[int]) -> List[Segment]:
         """Boundary of the union of the given regions, by edge cancellation.
 
         Every region edge whose canonical key occurs exactly once within the
         subset is boundary; keys occurring twice are interior shared edges.
         Exact for subdivisions whose neighbours share whole edges (Voronoi
-        diagrams, grids).
+        diagrams, grids).  Segments come in order of first occurrence
+        (regions in the given order, each ring in :meth:`Polygon.edges`
+        order).
         """
-        counter: Dict[EdgeKey, List[Segment]] = defaultdict(list)
-        for rid in region_ids:
-            for edge in self.region(rid).polygon.edges():
-                counter[edge.canonical_key()].append(edge)
-        boundary: List[Segment] = []
-        for edges in counter.values():
-            if len(edges) == 1:
-                boundary.append(edges[0])
-            elif len(edges) > 2:
-                raise SubdivisionError(
-                    "edge shared by more than two regions — regions do not "
-                    "form an edge-to-edge subdivision"
-                )
-        return boundary
+        table, rows = self.edge_rows(region_ids)
+        return [table.segment(k) for k in table.boundary(rows).tolist()]
 
     def shared_edge_counts(self) -> Dict[EdgeKey, int]:
         """Multiplicity of every edge key over all regions (diagnostics)."""
-        counter: Dict[EdgeKey, int] = defaultdict(int)
-        for r in self.regions:
-            for edge in r.polygon.edges():
-                counter[edge.canonical_key()] += 1
-        return dict(counter)
+        table = self.edge_table()
+        keys = [(key.real, key.imag) for key in table.vertex_ids]
+        first = table.first_entries()
+        counts = np.bincount(table.edge, minlength=table.n_edges).tolist()
+        out: Dict[EdgeKey, int] = {}
+        starts = table.vertex[first].tolist()
+        ends = table.vertex[table.succ[first]].tolist()
+        for count, a, b in zip(counts, starts, ends):
+            ka = keys[a]
+            kb = keys[b]
+            out[(ka, kb) if ka <= kb else (kb, ka)] = count
+        return out
 
     def adjacency(self) -> Dict[int, List[int]]:
         """Region adjacency graph (ids of regions sharing an edge)."""
-        owners: Dict[EdgeKey, List[int]] = defaultdict(list)
-        for r in self.regions:
-            for edge in r.polygon.edges():
-                owners[edge.canonical_key()].append(r.region_id)
+        table = self.edge_table()
+        owners: List[List[int]] = [[] for _ in range(table.n_edges)]
+        row_ids = np.repeat(
+            np.asarray(self.region_ids, np.int64), np.diff(table.offsets)
+        )
+        for eid, rid in zip(table.edge.tolist(), row_ids.tolist()):
+            owners[eid].append(rid)
         neigh: Dict[int, set] = {r.region_id: set() for r in self.regions}
-        for ids in owners.values():
+        for ids in owners:
             if len(ids) == 2:
                 a, b = ids
                 if a != b:
@@ -226,11 +383,8 @@ class Subdivision:
 
     def all_edges(self) -> List[Segment]:
         """Each distinct undirected edge of the subdivision exactly once."""
-        seen: Dict[EdgeKey, Segment] = {}
-        for r in self.regions:
-            for edge in r.polygon.edges():
-                seen.setdefault(edge.canonical_key(), edge)
-        return list(seen.values())
+        table = self.edge_table()
+        return [table.segment(k) for k in table.first_entries().tolist()]
 
     def random_point(self, rng: random.Random) -> Point:
         """Uniform random point in the service area (the paper's query model)."""

@@ -1,0 +1,609 @@
+"""Construction parity: the array construction kernels build the same trees.
+
+The D-tree's Algorithm 1 reads the subdivision's integer edge table and
+chains on vertex ids; the R*-tree's ChooseSubtree sums overlap rows taken
+from an ndarray; ``RStarTree.build`` defers its insertions to the first
+read.  None of that may change a single tree.  The scalar code each of
+them replaced is kept here as the oracle — per-edge ``canonical_key``
+cancellation, chaining that re-quantises every visited endpoint, ``Rect``
+overlap sums, eager insertion — and monkeypatched in to build the
+reference.  Both builds run on the running interpreter: ``sum()`` of
+floats is compensated on Python 3.12+ and plain before, so the bits of
+an overlap sum (and with them a tie-break) may differ between
+interpreters but never between the two builds.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import defaultdict
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.broadcast.params import SystemParameters
+from repro.core import imbalanced as imbalanced_mod
+from repro.core import partition as partition_mod
+from repro.core.dtree import DTree, DTreeNode
+from repro.core.imbalanced import build_imbalanced_dtree
+from repro.core.partition import (
+    Partition,
+    PartitionStyle,
+    enumerate_styles,
+    evaluate_style,
+)
+from repro.core.serialize import SerializedDTree
+from repro.datasets.catalog import (
+    SERVICE_AREA,
+    hospital_dataset,
+    park_dataset,
+    uniform_dataset,
+)
+from repro.dynamic import (
+    DynamicBroadcastServer,
+    churn_sites,
+    diff_subdivisions,
+    maintainer_for,
+    sites_subdivision,
+)
+from repro.engine import index_family
+from repro.engine.trace import compiled_form
+from repro.errors import IndexBuildError, SubdivisionError
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline, chain_segments
+from repro.geometry.predicates import quantize_point
+from repro.geometry.rect import Rect
+from repro.geometry.segment import Segment
+from repro.rstar.paged import rstar_fanout
+from repro.rstar.tree import RStarEntry, RStarTree
+from repro.tessellation.subdivision import DataRegion, Subdivision
+
+PACKET_CAPACITY = 256
+
+
+# -- the scalar oracles --------------------------------------------------------
+
+
+def scalar_boundary_of_subset(
+    subdivision: Subdivision, region_ids: Sequence[int]
+) -> List[Segment]:
+    """Edge cancellation keyed by ``Segment.canonical_key``, per call."""
+    counter: Dict[tuple, List[Segment]] = defaultdict(list)
+    for rid in region_ids:
+        for edge in subdivision.region(rid).polygon.edges():
+            counter[edge.canonical_key()].append(edge)
+    boundary: List[Segment] = []
+    for edges in counter.values():
+        if len(edges) == 1:
+            boundary.append(edges[0])
+        elif len(edges) > 2:
+            raise SubdivisionError("edge shared by more than two regions")
+    return boundary
+
+
+def scalar_chain_segments(segments) -> List[Polyline]:
+    """Segment chaining that quantises every endpoint on every visit."""
+    seg_list = list(segments)
+    if not seg_list:
+        return []
+    adjacency: Dict[Tuple[float, float], List[int]] = defaultdict(list)
+    for idx, seg in enumerate(seg_list):
+        adjacency[quantize_point(seg.a)].append(idx)
+        adjacency[quantize_point(seg.b)].append(idx)
+    used = [False] * len(seg_list)
+    polylines: List[Polyline] = []
+
+    def walk(start_idx: int, start_point: Point) -> List[Point]:
+        chain = [start_point]
+        idx = start_idx
+        current = start_point
+        while True:
+            used[idx] = True
+            seg = seg_list[idx]
+            nxt = seg.b if quantize_point(seg.a) == quantize_point(current) else seg.a
+            chain.append(nxt)
+            key = quantize_point(nxt)
+            candidates = [j for j in adjacency[key] if not used[j]]
+            if len(adjacency[key]) != 2 or len(candidates) != 1:
+                break
+            idx = candidates[0]
+            current = nxt
+        return chain
+
+    for seed in range(len(seg_list)):
+        if used[seed]:
+            continue
+        seg = seg_list[seed]
+        forward = walk(seed, seg.a)
+        back_key = quantize_point(forward[0])
+        candidates = [j for j in adjacency[back_key] if not used[j]]
+        if len(adjacency[back_key]) == 2 and len(candidates) == 1:
+            backward = walk(candidates[0], forward[0])
+            forward = backward[::-1][:-1] + forward
+        polylines.append(Polyline(forward))
+    return polylines
+
+
+def _scalar_sort_regions(subdivision, region_ids, style) -> List[int]:
+    def poly(rid):
+        return subdivision.region(rid).polygon
+
+    if style.dimension == "y":
+        if style.sort_key == "far":
+            key = lambda rid: (poly(rid).rightmost_x, rid)
+        else:
+            key = lambda rid: (poly(rid).leftmost_x, rid)
+        return sorted(region_ids, key=key)
+    if style.sort_key == "far":
+        key = lambda rid: (-poly(rid).lowest_y, rid)
+    else:
+        key = lambda rid: (-poly(rid).uppermost_y, rid)
+    return sorted(region_ids, key=key)
+
+
+def _scalar_prune_y(extent, line_x, keep):
+    right = keep == "right"
+    kept = []
+    for seg in extent:
+        if (seg.min_x >= line_x) if right else (seg.max_x <= line_x):
+            kept.append(seg)
+            continue
+        if (seg.max_x <= line_x) if right else (seg.min_x >= line_x):
+            continue
+        t = (line_x - seg.a.x) / (seg.b.x - seg.a.x)
+        cut = Point(line_x, seg.a.y + t * (seg.b.y - seg.a.y))
+        if right:
+            far = seg.a if seg.a.x > seg.b.x else seg.b
+        else:
+            far = seg.a if seg.a.x < seg.b.x else seg.b
+        if far != cut:
+            kept.append(Segment(cut, far))
+    return kept
+
+
+def _scalar_prune_x(extent, line_y, keep):
+    below = keep == "below"
+    kept = []
+    for seg in extent:
+        if (seg.max_y <= line_y) if below else (seg.min_y >= line_y):
+            kept.append(seg)
+            continue
+        if (seg.min_y >= line_y) if below else (seg.max_y <= line_y):
+            continue
+        t = (line_y - seg.a.y) / (seg.b.y - seg.a.y)
+        cut = Point(seg.a.x + t * (seg.b.x - seg.a.x), line_y)
+        if below:
+            far = seg.a if seg.a.y < seg.b.y else seg.b
+        else:
+            far = seg.a if seg.a.y > seg.b.y else seg.b
+        if far != cut:
+            kept.append(Segment(cut, far))
+    return kept
+
+
+def scalar_evaluate_style(
+    subdivision: Subdivision, region_ids: Sequence[int], style: PartitionStyle
+) -> Partition:
+    """Algorithm 1 over ``Segment`` objects and per-polygon bounding boxes."""
+    ordered = _scalar_sort_regions(subdivision, region_ids, style)
+    first_ids = ordered[: style.first_count]
+    second_ids = ordered[style.first_count :]
+    if not first_ids or not second_ids:
+        raise IndexBuildError("empty subspace")
+
+    def poly(rid):
+        return subdivision.region(rid).polygon
+
+    described_ids = first_ids if style.described == "first" else second_ids
+    extent = scalar_boundary_of_subset(subdivision, described_ids)
+    if style.dimension == "y":
+        first_bound = min(poly(rid).leftmost_x for rid in second_ids)
+        second_bound = max(poly(rid).rightmost_x for rid in first_ids)
+        if style.described == "first":
+            kept = _scalar_prune_y(extent, first_bound, "right")
+        else:
+            kept = _scalar_prune_y(extent, second_bound, "left")
+        axis_lo = min(poly(rid).leftmost_x for rid in ordered)
+        axis_hi = max(poly(rid).rightmost_x for rid in ordered)
+        overlap = max(0.0, second_bound - first_bound)
+    else:
+        first_bound = max(poly(rid).uppermost_y for rid in second_ids)
+        second_bound = min(poly(rid).lowest_y for rid in first_ids)
+        if style.described == "first":
+            kept = _scalar_prune_x(extent, first_bound, "below")
+        else:
+            kept = _scalar_prune_x(extent, second_bound, "above")
+        axis_lo = min(poly(rid).lowest_y for rid in ordered)
+        axis_hi = max(poly(rid).uppermost_y for rid in ordered)
+        overlap = max(0.0, first_bound - second_bound)
+    span = max(axis_hi - axis_lo, 1e-12)
+    return Partition(
+        style=style,
+        first_ids=list(first_ids),
+        second_ids=list(second_ids),
+        polylines=scalar_chain_segments(kept),
+        first_bound=first_bound,
+        second_bound=second_bound,
+        inter_prob=min(1.0, overlap / span),
+    )
+
+
+def scalar_least_overlap_enlargement(
+    entries: Sequence[RStarEntry], mbr: Rect
+) -> RStarEntry:
+    """R* ChooseSubtree at leaf parents, one ``Rect.overlap_area`` at a time."""
+
+    def overlap_sum(candidate: RStarEntry, rect: Rect) -> float:
+        return sum(
+            rect.overlap_area(other.mbr) for other in entries if other is not candidate
+        )
+
+    def key(e: RStarEntry):
+        grown = e.mbr.union(mbr)
+        return (
+            overlap_sum(e, grown) - overlap_sum(e, e.mbr),
+            e.mbr.enlargement_for(mbr),
+            e.mbr.area,
+        )
+
+    return min(entries, key=key)
+
+
+def scalar_rstar_build(subdivision, max_entries=None, *, seed=0):
+    """``RStarTree.build`` inserting every region at once."""
+    del seed
+    tree = RStarTree(subdivision, max_entries or RStarTree.DEFAULT_MAX_ENTRIES)
+    for region in subdivision.regions:
+        tree.insert(region.region_id, region.polygon.bbox)
+    return tree
+
+
+@pytest.fixture
+def scalar_kernels(monkeypatch):
+    """Route both constructions through the scalar oracles."""
+
+    def install():
+        monkeypatch.setattr(partition_mod, "evaluate_style", scalar_evaluate_style)
+        monkeypatch.setattr(imbalanced_mod, "evaluate_style", scalar_evaluate_style)
+        monkeypatch.setattr(imbalanced_mod, "_sort_regions", _scalar_sort_regions)
+        monkeypatch.setattr(
+            RStarTree,
+            "_least_overlap_enlargement",
+            staticmethod(scalar_least_overlap_enlargement),
+        )
+        monkeypatch.setattr(RStarTree, "build", classmethod(
+            lambda cls, *a, **k: scalar_rstar_build(*a, **k)
+        ))
+
+    return install
+
+
+# -- what "identical" means ----------------------------------------------------
+
+
+def observable(paged) -> dict:
+    """Everything a paged index puts on the air or hands the tracers."""
+    packets = [(p.used, list(p.contents)) for p in paged.packets]
+    form = compiled_form(paged)
+    compiled = None
+    if form is not None:
+        family, obj = form
+        slots = getattr(type(obj), "__slots__", None) or sorted(vars(obj))
+        compiled = {"family": family}
+        for name in slots:
+            value = getattr(obj, name)
+            if isinstance(value, np.ndarray):
+                compiled[name] = (value.dtype.str, value.shape, value.tobytes())
+            else:
+                compiled[name] = repr(value)
+    state = {"packets": packets, "compiled": compiled}
+    if hasattr(paged.tree, "nodes_breadth_first"):
+        serialized = SerializedDTree(
+            paged.tree, SystemParameters.for_index("dtree", PACKET_CAPACITY)
+        )
+        state["wire"] = list(serialized.packets)
+    return state
+
+
+def build_paged(kind: str, subdivision: Subdivision):
+    family = index_family(kind)
+    return family.build(subdivision, seed=0).page(family.parameters(PACKET_CAPACITY))
+
+
+DATASETS = {
+    "PARK": lambda: park_dataset().subdivision,
+    "HOSPITAL": lambda: hospital_dataset().subdivision,
+    "UNIFORM-1000": lambda: uniform_dataset(n=1000).subdivision,
+}
+
+
+@pytest.mark.parametrize("kind", ["dtree", "rstar"])
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
+    array_state = observable(build_paged(kind, DATASETS[dataset]()))
+    scalar_kernels()
+    scalar_state = observable(build_paged(kind, DATASETS[dataset]()))
+    assert array_state["packets"] == scalar_state["packets"]
+    assert array_state["compiled"] == scalar_state["compiled"]
+    assert array_state.get("wire") == scalar_state.get("wire")
+
+
+def dtree_shape(tree: DTree) -> list:
+    """Every node's partition, in node-id order."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, DTreeNode):
+            continue
+        part = node.partition
+        out.append((
+            node.node_id,
+            repr(part.style),
+            part.first_ids,
+            part.second_ids,
+            [pl.vertices for pl in part.polylines],
+            part.first_bound,
+            part.second_bound,
+            part.inter_prob,
+        ))
+        stack.extend((node.right, node.left))
+    return sorted(out, key=lambda row: row[0])
+
+
+def _partition_fields(part: Partition) -> tuple:
+    return (
+        repr(part.style),
+        part.first_ids,
+        part.second_ids,
+        [pl.vertices for pl in part.polylines],
+        part.size,
+        part.first_bound,
+        part.second_bound,
+        part.inter_prob,
+    )
+
+
+def test_every_style_matches_scalar_evaluation():
+    """All 4/8 styles, both described subspaces, on contiguous and
+    scattered subsets (scattered ones leave many cut segments)."""
+    sub = hospital_dataset().subdivision
+    rng = random.Random(11)
+    subsets = [sub.region_ids, rng.sample(sub.region_ids, 40)]
+    subsets += [rng.sample(sub.region_ids, n) for n in (2, 3, 7, 64)]
+    for subset in subsets:
+        for style in enumerate_styles(len(subset), extended=True):
+            got = _partition_fields(evaluate_style(sub, subset, style))
+            want = _partition_fields(scalar_evaluate_style(sub, subset, style))
+            assert got == want, style
+
+
+def _brick_wall(rows: int = 4, bricks: int = 4) -> Subdivision:
+    """Brick rows offset by half a brick: every vertical joint ends in the
+    middle of a neighbouring row's horizontal edge (a T-junction)."""
+    regions = []
+    height = 1.0 / rows
+    width = 1.0 / bricks
+    for r in range(rows):
+        y0, y1 = r * height, (r + 1) * height
+        xs = [i * width for i in range(bricks + 1)]
+        if r % 2:
+            xs = [0.0] + [x + width / 2.0 for x in xs[:-1]] + [1.0]
+        for x0, x1 in zip(xs, xs[1:]):
+            ring = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
+            regions.append(DataRegion(len(regions), Polygon(ring)))
+    return Subdivision(regions, service_area=SERVICE_AREA)
+
+
+def test_cut_points_on_existing_vertices_chain_like_scalar():
+    """Pruning cuts horizontal brick edges exactly at the joints of the
+    neighbouring rows, so a cut point's key is an existing vertex key."""
+    sub = _brick_wall()
+    rng = random.Random(2)
+    subsets = [sub.region_ids] + [rng.sample(sub.region_ids, n) for n in (5, 9, 13)]
+    for subset in subsets:
+        for style in enumerate_styles(len(subset), extended=True):
+            got = _partition_fields(evaluate_style(sub, subset, style))
+            want = _partition_fields(scalar_evaluate_style(sub, subset, style))
+            assert got == want, style
+
+
+def test_extended_and_imbalanced_dtrees_identical_to_scalar_build(scalar_kernels):
+    """Complement-extent styles prune to the left and above; the
+    imbalanced build sorts through ``_sort_regions``."""
+    sub = hospital_dataset().subdivision
+    weights = {rid: 1.0 + (rid * 7919) % 13 for rid in sub.region_ids}
+
+    def builds():
+        return (
+            dtree_shape(DTree.build(sub, extended_styles=True)),
+            dtree_shape(DTree.build(sub, tie_break_inter_prob=False)),
+            dtree_shape(build_imbalanced_dtree(sub, weights)),
+        )
+
+    array_builds = builds()
+    scalar_kernels()
+    assert array_builds == builds()
+
+
+def _churn_run(kind: str) -> dict:
+    """The E12 churn: 200 uniform sites, one site moved per cycle (seed 7),
+    maintained through the family's maintainer and re-paged each cycle."""
+    width = SERVICE_AREA.max_x - SERVICE_AREA.min_x
+    sites = dict(enumerate(uniform_dataset(n=200, seed=42).points))
+    kwargs = {"staleness_budget": 0.5} if kind == "dtree" else {}
+    server = DynamicBroadcastServer(
+        kind,
+        sites_subdivision(sites, SERVICE_AREA),
+        packet_capacity=PACKET_CAPACITY,
+        seed=0,
+        **kwargs,
+    )
+    rng = random.Random(7)
+    read_rng = random.Random(1)
+    reads = [Point(read_rng.random(), read_rng.random()) for _ in range(400)]
+    states = [observable(server.paged)]
+    answers = []
+    for _ in range(4):
+        sites = churn_sites(
+            sites, SERVICE_AREA, n_move=1, move_scale=0.02 * width, rng=rng
+        )
+        new = sites_subdivision(sites, SERVICE_AREA)
+        server.apply_updates(
+            new, diff_subdivisions(server.subdivision, new, tolerance=1e-9 * width)
+        )
+        states.append(observable(server.paged))
+        answers.append([server.paged.trace(p).region_id for p in reads])
+    return {
+        "states": states,
+        "answers": answers,
+        "full_rebuilds": server.maintainer.full_rebuilds,
+        "incremental_applies": server.maintainer.incremental_applies,
+    }
+
+
+@pytest.mark.parametrize("kind", ["dtree", "rstar"])
+def test_churn_maintenance_identical_to_scalar_build(kind, scalar_kernels):
+    array_run = _churn_run(kind)
+    scalar_kernels()
+    scalar_run = _churn_run(kind)
+    assert array_run["full_rebuilds"] == scalar_run["full_rebuilds"]
+    assert array_run["incremental_applies"] == scalar_run["incremental_applies"]
+    assert array_run["answers"] == scalar_run["answers"]
+    for cycle, (got, want) in enumerate(zip(array_run["states"], scalar_run["states"])):
+        assert got == want, f"cycle {cycle}"
+
+
+def test_boundary_matches_scalar_in_order():
+    """Segments in the same order — the order seeds the chained polylines."""
+    sub = hospital_dataset().subdivision
+    ids = sub.region_ids
+    rng = random.Random(3)
+    for n in (1, 2, 3, 17, len(ids) // 2, len(ids)):
+        subset = rng.sample(ids, n)
+        got = sub.boundary_of_subset(subset)
+        want = scalar_boundary_of_subset(sub, subset)
+        assert [(s.a, s.b) for s in got] == [(s.a, s.b) for s in want]
+
+
+def test_chain_segments_matches_scalar():
+    sub = hospital_dataset().subdivision
+    rng = random.Random(5)
+    for _ in range(20):
+        segs = scalar_boundary_of_subset(sub, rng.sample(sub.region_ids, 9))
+        rng.shuffle(segs)
+        got = [pl.vertices for pl in chain_segments(segs)]
+        assert got == [pl.vertices for pl in scalar_chain_segments(segs)]
+
+
+# -- ChooseSubtree on arrays ---------------------------------------------------
+
+#: Coordinates on a coarse, non-dyadic lattice, so equal, touching and
+#: nested edges are common and the areas are inexact floats.
+_coord = st.integers(0, 12).map(lambda i: i / 7.0)
+
+
+@st.composite
+def _rect(draw):
+    x0, x1 = sorted((draw(_coord), draw(_coord)))
+    y0, y1 = sorted((draw(_coord), draw(_coord)))
+    return Rect(x0, y0, x1, y1)
+
+
+@st.composite
+def _child_sets(draw):
+    rects = draw(st.lists(_rect(), min_size=1, max_size=14))
+    # Duplicates and nested copies of drawn rectangles.
+    for rect in list(rects):
+        choice = draw(st.integers(0, 3))
+        if choice == 1:
+            rects.append(Rect(rect.min_x, rect.min_y, rect.max_x, rect.max_y))
+        elif choice == 2:
+            rects.append(
+                Rect(
+                    rect.min_x,
+                    rect.min_y,
+                    (rect.min_x + rect.max_x) / 2.0,
+                    (rect.min_y + rect.max_y) / 2.0,
+                )
+            )
+    order = draw(st.permutations(range(len(rects))))
+    return [rects[i] for i in order], draw(_rect())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_child_sets())
+def test_choose_subtree_picks_the_scalar_entry(case):
+    rects, mbr = case
+    entries = [RStarEntry(r, region_id=i) for i, r in enumerate(rects)]
+    got = RStarTree._least_overlap_enlargement(entries, mbr)
+    assert got is scalar_least_overlap_enlargement(entries, mbr)
+
+
+def test_build_defers_insertion_until_read(voronoi60):
+    tree = RStarTree.build(voronoi60, 6)
+    assert tree._pending is not None
+    eager = scalar_rstar_build(voronoi60, 6)
+    assert [len(n.entries) for n in tree.nodes_depth_first()] == [
+        len(n.entries) for n in eager.nodes_depth_first()
+    ]
+    assert tree._pending is None
+    tree.check_invariants()
+
+
+def _rstar_shape(tree: RStarTree) -> list:
+    return [
+        [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y, e.region_id)
+         for e in node.entries]
+        for node in tree.nodes_depth_first()
+    ]
+
+
+def test_insert_into_unread_tree_matches_eager_insert(voronoi60):
+    """The deferred insertions run before the new one, which then starts
+    with its own forced-reinsertion state, as after an eager build."""
+    for i in range(9):
+        for j in range(9):
+            extra = Rect(i / 10.0, j / 10.0, i / 10.0 + 0.05, j / 10.0 + 0.05)
+            lazy = RStarTree.build(voronoi60, 8)
+            lazy.insert(10_000, extra)
+            eager = scalar_rstar_build(voronoi60, 8)
+            eager.insert(10_000, extra)
+            assert _rstar_shape(lazy) == _rstar_shape(eager), extra
+
+
+def test_page_builds_once_at_the_packet_fanout(voronoi60):
+    family = index_family("rstar")
+    params = family.parameters(PACKET_CAPACITY)
+    logical = family.build(voronoi60, seed=0)
+    paged = logical.page(params)
+    assert paged.tree.max_entries == rstar_fanout(params)
+    assert paged.tree._pending is None
+    # The protocol's default-fan-out tree was never read, so never built.
+    assert logical._pending is not None
+    assert _rstar_shape(paged.tree) == _rstar_shape(
+        scalar_rstar_build(voronoi60, rstar_fanout(params))
+    )
+
+
+def test_maintainer_build_is_a_whole_build(voronoi60):
+    """E12 times the maintainer's build as the from-scratch rebuild."""
+    params = index_family("rstar").parameters(PACKET_CAPACITY)
+    tree = maintainer_for("rstar", params=params).build(voronoi60)
+    assert tree._pending is None
+    assert _rstar_shape(tree) == _rstar_shape(
+        scalar_rstar_build(voronoi60, rstar_fanout(params))
+    )
+
+
+def test_packet_labels_are_deterministic(voronoi60):
+    for kind in ("rstar", "trian"):
+        first = build_paged(kind, voronoi60)
+        second = build_paged(kind, voronoi60)
+        assert [p.contents for p in first.packets] == [
+            p.contents for p in second.packets
+        ]

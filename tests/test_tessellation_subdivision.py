@@ -1,5 +1,6 @@
 """Unit tests for the subdivision model (Definition 1 + boundary extraction)."""
 
+import pickle
 import random
 
 import pytest
@@ -119,6 +120,86 @@ class TestBoundaryExtraction:
         adj = grid4x4.adjacency()
         assert sorted(adj[5]) == [1, 4, 6, 9]  # interior cell: 4 neighbours
         assert sorted(adj[0]) == [1, 4]        # corner cell: 2 neighbours
+
+
+def _scalar_edge_keys(sub):
+    """Every region edge's canonical key, in region and ring order."""
+    return [e.canonical_key() for r in sub.regions for e in r.polygon.edges()]
+
+
+class TestEdgeTable:
+    """The edge table keys every edge once; its readers agree with keying
+    each ``Segment`` on its own."""
+
+    def test_shared_edge_counts_match_scalar_keys(self, voronoi60):
+        keys = _scalar_edge_keys(voronoi60)
+        expected = {}
+        for key in keys:
+            expected[key] = expected.get(key, 0) + 1
+        counts = voronoi60.shared_edge_counts()
+        assert counts == expected
+        assert list(counts) == list(expected)
+
+    def test_all_edges_first_occurrences_in_order(self, voronoi60):
+        first = {}
+        for r in voronoi60.regions:
+            for e in r.polygon.edges():
+                first.setdefault(e.canonical_key(), (e.a, e.b))
+        assert [(e.a, e.b) for e in voronoi60.all_edges()] == list(first.values())
+
+    def test_replaced_polygon_rebuilds_the_table(self):
+        sub = grid_subdivision(2, 2)
+        assert len(sub.boundary_of_subset([0])) == 4
+        table = sub.edge_table()
+        region = sub.region(0)
+        box = region.polygon.bbox
+        mid = Point((box.min_x + box.max_x) / 2.0, box.min_y)
+        region.polygon = Polygon(
+            [Point(box.min_x, box.min_y), mid, Point(box.max_x, box.min_y),
+             Point(box.max_x, box.max_y), Point(box.min_x, box.max_y)]
+        )
+        # The subset read sees the new ring, and so does a full read.
+        assert len(sub.boundary_of_subset([0])) == 5
+        assert sub.edge_table() is not table
+        assert len(sub.all_edges()) == len(set(_scalar_edge_keys(sub)))
+
+    def test_replaced_ring_rebuilds_the_table(self):
+        sub = grid_subdivision(2, 2)
+        sub.adjacency()
+        table = sub.edge_table()
+        poly = sub.region(1).polygon
+        poly.vertices = poly.vertices[1:] + poly.vertices[:1]
+        assert sub.edge_table() is not table
+
+    def test_three_way_shared_edge_raises(self):
+        base = [Point(0.0, 0.0), Point(1.0, 0.0)]
+        regions = [
+            DataRegion(i, Polygon(base + [Point(0.5, h)]))
+            for i, h in enumerate((1.0, -1.0, 2.0))
+        ]
+        sub = Subdivision(regions)
+        with pytest.raises(SubdivisionError):
+            sub.boundary_of_subset([0, 1, 2])
+        # Two of the three still cancel their shared edge.
+        assert len(sub.boundary_of_subset([0, 1])) == 4
+        # The diagnostics read the same table without raising.
+        assert sub.shared_edge_counts()[((0.0, 0.0), (1.0, 0.0))] == 3
+        assert sub.adjacency() == {0: [], 1: [], 2: []}
+
+    def test_unknown_region_id_raises(self, grid4x4):
+        with pytest.raises(SubdivisionError):
+            grid4x4.boundary_of_subset([0, 99])
+
+    def test_pickle_does_not_carry_the_table(self):
+        sub = grid_subdivision(4, 4)
+        before = len(pickle.dumps(sub))
+        sub.edge_table()
+        sub.boundary_of_subset([0, 1, 5])
+        assert len(pickle.dumps(sub)) == before
+        clone = pickle.loads(pickle.dumps(sub))
+        assert [(s.a, s.b) for s in clone.boundary_of_subset([0, 1, 5])] == [
+            (s.a, s.b) for s in sub.boundary_of_subset([0, 1, 5])
+        ]
 
 
 class TestEdgeRegionAbove:
