@@ -119,33 +119,17 @@ def bench_engine_speedup_dtree_10k(benchmark, subdivision, cells):
     assert speedup >= 3.0, f"batched engine only {speedup:.1f}x"
 
 
-def bench_engine_profiled_overhead_dtree_10k(benchmark, subdivision, cells):
-    """The observability acceptance bar: an installed Collector costs
-    <= 5 % on the batched D-tree at 10k queries (DESIGN.md §10).
+def _collector_overhead(plain, profiled):
+    """``(plain_s, profiled_s, overhead)`` of an installed Collector.
 
     Plain and profiled runs are interleaved, alternating which goes
     first, in 11 blocks of three runs each; a block's ratio is its best
-    profiled run over its best plain run, and the bound applies to the
-    median of the block ratios.  Host drift then lands on both sides of
-    a ratio instead of on one block of runs, and the best-of-three drops
-    the single runs a neighbouring process slowed.  The recorded cases
-    land in BENCH_engine.json's history alongside the plain batched
-    numbers.
+    profiled run over its best plain run, and *overhead* is the median
+    of the block ratios minus one.  Host drift then lands on both sides
+    of a ratio instead of on one block of runs, and the best-of-three
+    drops the single runs a neighbouring process slowed.  The times are
+    the medians of the blocks' best runs.
     """
-    from repro.obs import Collector, collecting
-
-    paged, params = cells["dtree"]
-    points = _points(subdivision, 10_000)
-    region_ids = subdivision.region_ids
-
-    def plain():
-        return evaluate_workload(
-            paged, region_ids, params, points, seed=3
-        ).summary(region_ids, params)
-
-    def profiled():
-        with collecting(Collector()):
-            return plain()
 
     def timed(fn):
         start = time.perf_counter()
@@ -166,15 +150,84 @@ def bench_engine_profiled_overhead_dtree_10k(benchmark, subdivision, cells):
         plain_best.append(min(plain_times))
         profiled_best.append(min(profiled_times))
         ratios.append(profiled_best[-1] / plain_best[-1])
-    plain_s = statistics.median(plain_best)
-    profiled_s = statistics.median(profiled_best)
+    return (
+        statistics.median(plain_best),
+        statistics.median(profiled_best),
+        statistics.median(ratios) - 1.0,
+    )
+
+
+def bench_engine_profiled_overhead_dtree_10k(benchmark, subdivision, cells):
+    """The observability acceptance bar: an installed Collector costs
+    <= 5 % on the batched D-tree at 10k queries (DESIGN.md §10), by
+    :func:`_collector_overhead`.  The recorded cases land in
+    BENCH_engine.json's history alongside the plain batched numbers.
+    """
+    from repro.obs import Collector, collecting
+
+    paged, params = cells["dtree"]
+    points = _points(subdivision, 10_000)
+    region_ids = subdivision.region_ids
+
+    def plain():
+        return evaluate_workload(
+            paged, region_ids, params, points, seed=3
+        ).summary(region_ids, params)
+
+    def profiled():
+        with collecting(Collector()):
+            return plain()
+
+    plain_s, profiled_s, overhead = _collector_overhead(plain, profiled)
     run_recorded(benchmark, profiled, "engine", "profiled-dtree-10000")
     record_case("engine", "profiled-dtree-10000-plain", plain_s * 1000.0)
     record_case("engine", "profiled-dtree-10000-enabled", profiled_s * 1000.0)
-    overhead = statistics.median(ratios) - 1.0
     record_case("engine", "profiled-dtree-10000-overhead-pct", overhead * 100.0)
     print(
         f"\n[dtree @ 10k queries] plain {plain_s * 1000:.2f}ms, "
+        f"collected {profiled_s * 1000:.2f}ms -> {overhead * 100:+.2f}%"
+    )
+    assert overhead <= 0.05, (
+        f"collector overhead {overhead * 100:.2f}% exceeds the 5% budget"
+    )
+
+
+@pytest.mark.parametrize("kind", ("dtree", "rstar"))
+def bench_lossy_profiled_overhead_k1(benchmark, kind):
+    """The same <= 5 % collector bar on the lossy K=1 walker: 5,000
+    UNIFORM-1000 queries through ``ChannelSimulator.run`` (the batched
+    loss-free layout plus the replay of lossy queries) at 1 %
+    Gilbert-Elliott loss under retry-next-segment.  Nothing is recorded
+    in BENCH_engine.json."""
+    from repro.broadcast.schedule import BroadcastSchedule
+    from repro.obs import Collector, collecting
+    from repro.simulation import ChannelSimulator, make_error_model
+
+    subdivision = uniform_dataset(n=1000, seed=42).subdivision
+    family = index_family(kind)
+    params = family.parameters(packet_capacity=256)
+    paged = family.build(subdivision, seed=7).page(params)
+    schedule = BroadcastSchedule(len(paged.packets), subdivision.region_ids, params)
+    simulator = ChannelSimulator(
+        paged,
+        schedule,
+        error_model=make_error_model("gilbert", 0.01),
+        policy="retry-next-segment",
+        index_kind=kind,
+    )
+    points = _points(subdivision, 5_000)
+
+    def plain():
+        return simulator.run(points, seed=3)
+
+    def profiled():
+        with collecting(Collector()):
+            return plain()
+
+    plain_s, profiled_s, overhead = _collector_overhead(plain, profiled)
+    benchmark.pedantic(profiled, rounds=1, iterations=1, warmup_rounds=0)
+    print(
+        f"\n[{kind} lossy K=1 @ 5k queries] plain {plain_s * 1000:.2f}ms, "
         f"collected {profiled_s * 1000:.2f}ms -> {overhead * 100:+.2f}%"
     )
     assert overhead <= 0.05, (

@@ -503,17 +503,17 @@ class BroadcastClient:
         self._hop_tables = None
         if self.cache is not None:
             self.cache.set_version(self.version)
-        # Per-query counters, as each walk has always reported them: the
-        # loss effect reports sim.*; stamped walks and single-channel
-        # cached walks report none (cache.* lookups aside).
+        #: The counter family :meth:`_count_batch` reports: the loss
+        #: effect counts ``sim.*``; stamped walks and single-channel
+        #: cached walks count none (``cache.*`` lookups aside).
         if self.error_model is not None:
-            self._report = self._report_sim
+            self._counts = "sim"
         elif self.server is not None or (
             self.cache is not None and self.plan is None
         ):
-            self._report = None
+            self._counts = None
         else:
-            self._report = self._report_client
+            self._counts = "client"
 
     def rebind(self, paged_index: PagedIndex, timeline) -> None:
         """Point the client at a new paged index + timeline (an index
@@ -534,20 +534,20 @@ class BroadcastClient:
     def query(self, point: Point, issue_time: float) -> AccessResult:
         """Run the access protocol for a query issued at *issue_time*
         (absolute packet slot, channel-independent), reporting its
-        per-query counters to an installed collector."""
-        if self.server is None:
-            # A static timeline never skews: one attempt.
-            result = self._attempt(point, issue_time, issue_time, 1, 0)
-        else:
-            result = self.walk(point, issue_time)
-        if self._report is not None:
-            col = active_collector()
-            if col is not None:
-                self._report(col, result)
+        counters to an installed collector."""
+        result = self.walk(point, issue_time)
+        col = active_collector() if self._counts is not None else None
+        if col is not None:
+            self._count_batch(
+                col, AccessBatch.from_results([result]), [self._walk_counts()]
+            )
         return result
 
     def walk(self, point: Point, issue_time: float) -> AccessResult:
-        """:meth:`query` without the per-query counters."""
+        """:meth:`query` without the counters."""
+        if self.server is None:
+            # A static timeline never skews: one attempt.
+            return self._attempt(point, issue_time, issue_time, 1, 0)
         t = issue_time
         wasted = 0
         for attempt in range(1, self.max_attempts + 1):
@@ -649,7 +649,8 @@ class BroadcastClient:
             )
         self._needed = needed
         self._accessed = accessed
-        self._probe_count = probe
+        if not per_read:
+            self._probe_reads = probe
         return AccessResult(
             region,
             access_latency,
@@ -908,12 +909,17 @@ class BroadcastClient:
         if trace is not None and len(trace) != n:
             raise BroadcastError(f"{len(trace)} traces for {n} query points")
         col = active_collector()
+        counting = col is not None and self._counts is not None
+        walked = []  # the scalar walks' _walk_counts rows, when counting
         if not self._batchable():
-            batch = AccessBatch.from_results(
-                [self.query(p, t) for p, t in zip(points, times.tolist())],
-                times,
-                self.schedule,
-            )
+            results = []
+            for p, t in zip(points, times.tolist()):
+                results.append(self.walk(p, t))
+                if counting:
+                    walked.append(self._walk_counts())
+            batch = AccessBatch.from_results(results, times, self.schedule)
+            if counting:
+                self._count_batch(col, batch, walked)
             if col is not None:
                 col.count("walk.replayed_queries", n)
             return batch
@@ -965,14 +971,8 @@ class BroadcastClient:
             issue_times=times,
             schedule=schedule,
         )
-        walked, replayed = None, 0
+        replayed = 0
         if model is not None:
-            # The loss effect's per-query bookkeeping, for its counters.
-            walked = {
-                "probe": np.ones(n, np.int64),
-                "retries": np.zeros(n, np.int64),
-                "fell_back": np.zeros(n, bool),
-            }
             offsets, packets = trace.path_offsets, trace.path_packets
 
             def replay(i: int) -> None:
@@ -984,9 +984,8 @@ class BroadcastClient:
                     getattr(batch, name)[i] = getattr(
                         result, _RESULT_FIELD.get(name, name)
                     )
-                walked["probe"][i] = self._probe_reads
-                walked["retries"][i] = self._retries
-                walked["fell_back"][i] = self._fell_back
+                if counting:
+                    walked.append(self._walk_counts())
 
             for lo in range(0, n, _LAYOUT_QUERIES):
                 hi = min(n, lo + _LAYOUT_QUERIES)
@@ -1003,8 +1002,9 @@ class BroadcastClient:
                 batch.read_attempts, batch.access_latency,
                 self.schedule.params.packet_capacity,
             )
-        if col is not None:
+        if counting:
             self._count_batch(col, batch, walked)
+        if col is not None:
             col.count("walk.batched_queries", n - replayed)
             col.count("walk.replayed_queries", replayed)
         return batch
@@ -1178,92 +1178,74 @@ class BroadcastClient:
             stream.settle()
         return replayed
 
-    def _count_batch(self, col, batch: AccessBatch, walked) -> None:
-        """The per-query counters of a batched run, in query order."""
-        n = len(batch)
-        if self.error_model is None:
-            # One count per name; float sums keep the walk's order.
-            col.count("client.queries", n)
-            col.count("client.probes", n)
-            col.count("client.packets.index", int(batch.index_tuning_time.sum()))
-            col.count("client.packets.data", n * self.schedule.bucket_packets)
-            doze = batch.access_latency - batch.read_attempts
-            if self.plan is not None:
-                col.count("client.hops", int(batch.hops.sum()))
-                col.count_each("client.hop_slots", batch.hop_slots)
-                doze -= batch.hop_slots
-            col.count_each("client.doze_slots", doze)
-            return
-        lat = batch.access_latency.tolist()
-        hops = batch.hops.tolist()
-        hop_slots = batch.hop_slots.tolist()
-        index = batch.index_tuning_time.tolist()
-        reads = batch.read_attempts.tolist()
-        losses = batch.packet_losses.tolist()
-        probe = walked["probe"].tolist()
-        retries = walked["retries"].tolist()
-        fell_back = walked["fell_back"].tolist()
-        for i in range(n):
-            self._count_sim(
-                col, lat[i], reads[i], losses[i], probe[i], index[i],
-                retries[i], fell_back[i], hops[i], hop_slots[i],
-            )
-
     # -- counters and workloads ---------------------------------------------
 
-    def _report_client(self, col, result: AccessResult) -> None:
-        self._count_client(
-            col, self._probe_count, result.index_tuning_time,
-            result.access_latency, result.total_tuning_time, result.hops,
-            result.hop_slots,
+    def _walk_counts(self) -> tuple:
+        """What the counters need of the walk just done beyond its
+        :class:`AccessResult`: ``(probe reads, retries, fell back,
+        cache hits, cache misses)``."""
+        lossy = self.error_model is not None
+        return (
+            self._probe_reads,
+            self._retries if lossy else 0,
+            self._fell_back,
+            len(self._accessed) - len(self._needed),
+            len(self._needed),
         )
 
-    def _count_client(
-        self, col, probes, index_tuning, latency, total_tuning, hops, hop_slots
-    ) -> None:
-        col.count("client.queries")
-        col.count("client.probes", probes)
-        col.count("client.packets.index", index_tuning)
-        col.count("client.packets.data", self.schedule.bucket_packets)
+    def _count_batch(self, col, batch: AccessBatch, walked) -> None:
+        """Every ``client.*``/``sim.*`` counter of a run, one ``count``
+        per name, as one count per query in query order would leave
+        them: integer counters are sums, float ones go left to right
+        through ``Collector.count_each``.  *walked* holds the
+        :meth:`_walk_counts` rows of the queries the scalar walk
+        answered; the batched pass answered the rest (one probe read
+        each, no retry, no fallback).
+
+        A loss-free walk counts ``client.*``, a lossy one ``sim.*``
+        (``sim.cache.*`` with a cache); ``sim.fallbacks`` only when a
+        query fell back, the hop counters only on a K>1 plan."""
+        n = len(batch)
+        probes, retries, fallbacks, hits, misses = (
+            [sum(column) for column in zip(*walked)] if walked else (0,) * 5
+        )
+        probes += n - len(walked)
+        index = int(batch.index_tuning_time.sum())
+        reads = batch.read_attempts
+        doze = batch.access_latency - reads
         if self.plan is not None:
-            col.count("client.hops", hops)
-            col.count("client.hop_slots", hop_slots)
-        col.count("client.doze_slots", latency - total_tuning - hop_slots)
-
-    def _report_sim(self, col, result: AccessResult) -> None:
-        """Pure observation: every value is read from the bookkeeping the
-        walk already did, so enabled runs stay bit-for-bit identical."""
-        self._count_sim(
-            col, result.access_latency, result.read_attempts,
-            result.packet_losses, self._probe_reads, self._index_reads,
-            self._retries, self._fell_back, result.hops, result.hop_slots,
-        )
-        if self.cache is not None:
-            col.count("sim.cache.hits", len(self._accessed) - len(self._needed))
-            col.count("sim.cache.misses", len(self._needed))
-
-    def _count_sim(
-        self, col, latency, reads, losses, probe_reads, index_reads, retries,
-        fell_back, hops, hop_slots,
-    ) -> None:
-        col.count("sim.queries")
-        col.count("sim.losses", losses)
-        col.count("sim.read_attempts", reads)
-        col.count("sim.reads.probe", probe_reads)
-        col.count("sim.reads.index", index_reads)
-        col.count("sim.reads.data", reads - probe_reads - index_reads)
-        col.count("sim.retries", retries)
-        if fell_back:
-            col.count("sim.fallbacks")
+            doze -= batch.hop_slots
+        family = self._counts
+        if family == "client":
+            col.count("client.queries", n)
+            col.count("client.probes", probes)
+            col.count("client.packets.index", index)
+            col.count("client.packets.data", n * self.schedule.bucket_packets)
+        else:
+            total = int(reads.sum())
+            col.count("sim.queries", n)
+            col.count("sim.losses", int(batch.packet_losses.sum()))
+            col.count("sim.read_attempts", total)
+            col.count("sim.reads.probe", probes)
+            col.count("sim.reads.index", index)
+            col.count("sim.reads.data", total - probes - index)
+            col.count("sim.retries", retries)
+            if fallbacks:
+                col.count("sim.fallbacks", fallbacks)
+            np.maximum(doze, 0.0, out=doze)
         if self.plan is not None:
-            col.count("sim.hops", hops)
-            col.count("sim.hop_slots", hop_slots)
-        col.count("sim.doze_slots", max(latency - reads - hop_slots, 0.0))
-        receive_j, doze_j = self.energy_model.query_components(
-            reads, latency, self.schedule.params.packet_capacity
-        )
-        col.count("sim.energy.receive_j", receive_j)
-        col.count("sim.energy.doze_j", doze_j)
+            col.count(f"{family}.hops", int(batch.hops.sum()))
+            col.count_each(f"{family}.hop_slots", batch.hop_slots)
+        col.count_each(f"{family}.doze_slots", doze)
+        if family == "sim":
+            receive_j, doze_j = self.energy_model.batch_components(
+                reads, batch.access_latency, self.schedule.params.packet_capacity
+            )
+            col.count_each("sim.energy.receive_j", receive_j)
+            col.count_each("sim.energy.doze_j", doze_j)
+            if self.cache is not None:
+                col.count("sim.cache.hits", hits)
+                col.count("sim.cache.misses", misses)
 
     def run_workload(
         self,

@@ -41,6 +41,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import figure10, figure11, figure12, figure13
 from repro.experiments.report import render_matrix
 from repro.experiments.runner import ExperimentMatrix
+from repro.simulation.faults import ERROR_MODEL_KINDS
+from repro.simulation.policies import RECOVERY_POLICIES
 
 _FIGURES = {
     "figure10": figure10,
@@ -326,6 +328,42 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _add_channel_options(parser: argparse.ArgumentParser) -> None:
+    """The lossy-channel and packet-cache options of ``simulate``,
+    ``fleet`` and ``mobility``: loss-free and uncached unless the
+    subcommand's ``set_defaults`` says otherwise."""
+    parser.add_argument(
+        "--error-rate",
+        type=float,
+        default=0.0,
+        help="packet loss probability (long-run rate for both models)",
+    )
+    parser.add_argument(
+        "--error-model",
+        default="bernoulli",
+        choices=ERROR_MODEL_KINDS,
+        help="i.i.d. loss or Gilbert-Elliott bursty loss",
+    )
+    parser.add_argument(
+        "--policy",
+        default="retry-next-segment",
+        choices=tuple(RECOVERY_POLICIES),
+        help="client recovery policy for lost index packets",
+    )
+    parser.add_argument(
+        "--burst",
+        type=float,
+        default=4.0,
+        help="mean burst length for the gilbert model, packets",
+    )
+    parser.add_argument(
+        "--cache",
+        type=int,
+        default=0,
+        help="client LRU packet-cache capacity (0 = no cache)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -388,28 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--queries", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=7)
-    simulate.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.05,
-        help="packet loss probability (long-run rate for both models)",
-    )
-    simulate.add_argument(
-        "--error-model",
-        default="bernoulli",
-        choices=("bernoulli", "gilbert"),
-        help="i.i.d. loss or Gilbert-Elliott bursty loss",
-    )
-    simulate.add_argument(
-        "--policy",
-        default="retry-next-segment",
-        choices=(
-            "retry-next-segment",
-            "retry-next-cycle",
-            "upper-bound-fallback",
-        ),
-        help="client recovery policy for lost index packets",
-    )
+    _add_channel_options(simulate)
     simulate.add_argument(
         "--index",
         default="all",
@@ -424,19 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--capacity", type=int, default=256, help="packet capacity, bytes"
     )
-    simulate.add_argument(
-        "--cache",
-        type=int,
-        default=0,
-        help="client LRU packet-cache capacity (0 = no cache)",
-    )
-    simulate.add_argument(
-        "--burst",
-        type=float,
-        default=4.0,
-        help="mean burst length for the gilbert model, packets",
-    )
-    simulate.set_defaults(func=_cmd_simulate)
+    simulate.set_defaults(func=_cmd_simulate, error_rate=0.05)
 
     fleet = sub.add_parser(
         "fleet",
@@ -484,38 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--capacity", type=int, default=256, help="packet capacity, bytes"
     )
     fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="packet loss probability (simulate mode)",
-    )
-    fleet.add_argument(
-        "--error-model",
-        default="bernoulli",
-        choices=("bernoulli", "gilbert"),
-    )
-    fleet.add_argument(
-        "--policy",
-        default="retry-next-segment",
-        choices=(
-            "retry-next-segment",
-            "retry-next-cycle",
-            "upper-bound-fallback",
-        ),
-    )
-    fleet.add_argument(
-        "--cache",
-        type=int,
-        default=0,
-        help="client LRU packet-cache capacity (simulate mode)",
-    )
-    fleet.add_argument(
-        "--burst",
-        type=float,
-        default=4.0,
-        help="mean burst length for the gilbert model, packets",
-    )
+    _add_channel_options(fleet)
     fleet.add_argument(
         "--drop-answers",
         action="store_true",
@@ -608,38 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--capacity", type=int, default=256, help="packet capacity, bytes"
     )
     mobility.add_argument("--seed", type=int, default=7)
-    mobility.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="packet loss probability (missed re-tunes extend staleness)",
-    )
-    mobility.add_argument(
-        "--error-model",
-        default="bernoulli",
-        choices=("bernoulli", "gilbert"),
-    )
-    mobility.add_argument(
-        "--policy",
-        default="retry-next-segment",
-        choices=(
-            "retry-next-segment",
-            "retry-next-cycle",
-            "upper-bound-fallback",
-        ),
-    )
-    mobility.add_argument(
-        "--cache",
-        type=int,
-        default=0,
-        help="client LRU packet-cache capacity (0 = no cache)",
-    )
-    mobility.add_argument(
-        "--burst",
-        type=float,
-        default=4.0,
-        help="mean burst length for the gilbert model, packets",
-    )
+    _add_channel_options(mobility)
     mobility.add_argument(
         "--drop-answers",
         action="store_true",

@@ -114,6 +114,10 @@ class DynamicBroadcastServer:
         if batch.is_empty:
             return batch
         self.index = self.maintainer.apply(self.index, new_subdivision, batch)
+        if new_subdivision is not self.subdivision:
+            # History keeps the past version to answer from; its edge
+            # table served maintenance only.
+            self.subdivision.release_edge_table()
         self.subdivision = new_subdivision
         self.version += 1
         self._page_and_schedule()

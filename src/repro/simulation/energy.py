@@ -88,6 +88,35 @@ class EnergyModel:
         IEEE-754 expression evaluated elementwise), so fleet chunks can
         charge a whole chunk in one call.  Returns a float64 array.
         """
+        active_s, doze_s = self._airtime(
+            read_attempts, access_latency, packet_capacity
+        )
+        return (self.receive_mw * active_s + self.doze_mw * doze_s) / 1000.0
+
+    def batch_components(
+        self,
+        read_attempts,
+        access_latency,
+        packet_capacity: int,
+    ):
+        """``(receive_joules, doze_joules)`` float64 arrays: the energy
+        of each query split by radio state.
+
+        Observability-only breakdown: summing the two components may
+        differ from :meth:`batch_joules` in the last ulp, so the walker
+        keeps charging through ``batch_joules`` and reports this split
+        purely as profile counters.
+        """
+        active_s, doze_s = self._airtime(
+            read_attempts, access_latency, packet_capacity
+        )
+        return (
+            self.receive_mw * active_s / 1000.0,
+            self.doze_mw * doze_s / 1000.0,
+        )
+
+    def _airtime(self, read_attempts, access_latency, packet_capacity: int):
+        """Per-query seconds receiving and dozing, as float64 arrays."""
         attempts = np.asarray(read_attempts, np.float64)
         latency = np.asarray(access_latency, np.float64)
         if attempts.size and float(attempts.min()) < 0:
@@ -95,31 +124,4 @@ class EnergyModel:
                 f"read attempts must be >= 0, got {float(attempts.min())}"
             )
         slot = self.packet_seconds(packet_capacity)
-        active_s = attempts * slot
-        doze_s = np.maximum(latency - attempts, 0.0) * slot
-        return (self.receive_mw * active_s + self.doze_mw * doze_s) / 1000.0
-
-    def query_components(
-        self,
-        read_attempts: int,
-        access_latency: float,
-        packet_capacity: int,
-    ) -> "tuple[float, float]":
-        """``(receive_joules, doze_joules)`` of one query.
-
-        Observability-only breakdown: summing the two components may
-        differ from :meth:`query_joules` in the last ulp, so the
-        simulator keeps charging through ``query_joules`` and reports
-        this split purely as profile counters.
-        """
-        if read_attempts < 0:
-            raise BroadcastError(
-                f"read attempts must be >= 0, got {read_attempts}"
-            )
-        slot = self.packet_seconds(packet_capacity)
-        active_s = read_attempts * slot
-        doze_s = max(access_latency - read_attempts, 0.0) * slot
-        return (
-            self.receive_mw * active_s / 1000.0,
-            self.doze_mw * doze_s / 1000.0,
-        )
+        return attempts * slot, np.maximum(latency - attempts, 0.0) * slot

@@ -317,6 +317,11 @@ class Subdivision:
             table = self._edges = EdgeTable(self.regions)
         return table
 
+    def release_edge_table(self) -> None:
+        """Free the cached edge table; the next caller rebuilds it.  For
+        a subdivision kept only to answer from (a past version)."""
+        self._edges = None
+
     def edge_rows(self, region_ids: Iterable[int]) -> Tuple[EdgeTable, List[int]]:
         """The edge table plus the rows of *region_ids*, in the given order.
 

@@ -102,3 +102,31 @@ class TestClient:
         points = [Point(0, 0)] * 3
         results = client.run_workload(points, issue_times=[0.0, 0.0, 0.0])
         assert len({r.access_latency for r in results}) == 1
+
+
+class TestDozeCounters:
+    """The probe reads the packet in flight, so a walk that reads every
+    slot from the probe to the end of its bucket is shorter than its
+    reads: cycle ``[i0 i1 b0 b1 b2 b3]``, issued at 5.9, probe at slot
+    5, index at 6-7, bucket 0 at 8 -> latency 3.1 for 4 reads."""
+
+    def _walk(self, **effects):
+        from repro.obs import collecting
+
+        client = BroadcastClient(StubIndex(2, [0, 1]), make_schedule(), **effects)
+        with collecting() as col:
+            result = client.query(Point(0, 0), issue_time=5.9)
+        assert result.access_latency == pytest.approx(3.1)
+        assert result.total_tuning_time == 4
+        return col.counters
+
+    def test_loss_effect_clamps_doze_at_zero(self):
+        from repro.simulation import PerfectChannel
+
+        counters = self._walk(error_model=PerfectChannel())
+        assert counters["sim.doze_slots"] == 0.0
+        assert counters["sim.energy.doze_j"] == 0.0
+
+    def test_error_free_doze_is_the_plain_difference(self):
+        counters = self._walk()
+        assert counters["client.doze_slots"] == (9 - 5.9) - 4

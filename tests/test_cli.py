@@ -188,3 +188,66 @@ class TestCli:
         assert validate_profile(doc)
         assert doc["counters"]["fleet.queries"] == 300
         assert doc["counters"]["sim.queries"] == 300
+
+
+#: Every default of the subcommands that take the channel options.
+CHANNEL_DEFAULTS = {
+    "simulate": {
+        "command": "simulate", "profile": None, "queries": None, "seed": 7,
+        "error_rate": 0.05, "error_model": "bernoulli",
+        "policy": "retry-next-segment", "index": "all", "regions": 60,
+        "capacity": 256, "cache": 0, "burst": 4.0,
+    },
+    "fleet": {
+        "command": "fleet", "profile": None, "queries": 1_000_000,
+        "workers": 1, "chunk_size": 50_000, "start_method": None,
+        "mode": "engine", "index": "dtree", "regions": 200, "capacity": 256,
+        "seed": 7, "error_rate": 0.0, "error_model": "bernoulli",
+        "policy": "retry-next-segment", "cache": 0, "burst": 4.0,
+        "drop_answers": False,
+    },
+    "mobility": {
+        "command": "mobility", "profile": None, "clients": 10_000,
+        "workload": "random-waypoint", "waypoints": 3, "speed_min": 30.0,
+        "speed_max": 90.0, "epoch_slots": None, "max_epochs": 32,
+        "naive": False, "compare": False, "workers": 1, "chunk_size": 50_000,
+        "start_method": None, "index": "dtree", "regions": 200,
+        "capacity": 256, "seed": 7, "error_rate": 0.0,
+        "error_model": "bernoulli", "policy": "retry-next-segment",
+        "cache": 0, "burst": 4.0, "drop_answers": False,
+    },
+}
+
+
+class TestChannelOptions:
+    """``simulate``, ``fleet`` and ``mobility`` share the channel options
+    (``--error-rate/--error-model/--policy/--burst/--cache``), each with
+    its own defaults."""
+
+    @pytest.mark.parametrize("command", sorted(CHANNEL_DEFAULTS))
+    def test_default_namespace(self, command):
+        import repro.cli as cli_mod
+
+        parsed = vars(cli_mod._build_parser().parse_args([command]))
+        assert parsed.pop("func") is getattr(cli_mod, f"_cmd_{command}")
+        assert parsed == CHANNEL_DEFAULTS[command]
+        assert [type(parsed[k]) for k in sorted(parsed)] == [
+            type(CHANNEL_DEFAULTS[command][k]) for k in sorted(parsed)
+        ]
+
+    @pytest.mark.parametrize("command", sorted(CHANNEL_DEFAULTS))
+    def test_choices_come_from_the_registries(self, command):
+        from repro.cli import _build_parser
+        from repro.simulation.faults import ERROR_MODEL_KINDS
+        from repro.simulation.policies import RECOVERY_POLICIES
+
+        parser = _build_parser()
+        for policy in RECOVERY_POLICIES:
+            assert parser.parse_args([command, "--policy", policy]).policy == policy
+        for kind in ERROR_MODEL_KINDS:
+            parsed = parser.parse_args([command, "--error-model", kind])
+            assert parsed.error_model == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--policy", "retry-never"])
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--error-model", "erasure"])

@@ -461,6 +461,56 @@ class TestDynamicService:
             server.apply_updates(new, batch)
         assert sorted(server.history) == [2, 3]
 
+    def test_past_versions_release_their_edge_tables(self, kind, monkeypatch):
+        """A version leaving the current slot drops its edge table (it
+        rebuilds on demand); maintenance and answers are unchanged."""
+        from repro.engine import QueryEngine
+        from repro.tessellation.subdivision import Subdivision
+
+        chain = _churn_chain(
+            _sites(60, seed=7), steps=4, seed=8,
+            n_insert=1, n_delete=1, n_move=2, move_scale=MOVE_SCALE,
+        )
+        rng = random.Random(3)
+        points = chain[0][0].random_points(80, rng)
+        times = [rng.uniform(0, 500.0) for _ in points]
+
+        def replay():
+            server = DynamicBroadcastServer(kind, chain[0][0], packet_capacity=128)
+            answers = []
+            for _, new, batch in chain:
+                server.apply_updates(new, batch)
+                run = QueryEngine(server.paged, server.schedule).run(
+                    points, issue_times=times
+                )
+                answers.append(
+                    [run.region_ids.tolist(), run.access_latency.tolist(),
+                     run.total_tuning_time.tolist()]
+                )
+            maintainer = server.maintainer
+            counts = [
+                getattr(maintainer, name, None)
+                for name in ("full_rebuilds", "incremental_applies")
+            ]
+            tables = [v for v, h in server.history.items() if h[0]._edges is not None]
+            return server, answers, counts, tables
+
+        released, answers, counts, tables = replay()
+        with monkeypatch.context() as patch:
+            patch.setattr(Subdivision, "release_edge_table", lambda self: None)
+            kept, kept_answers, kept_counts, kept_tables = replay()
+        assert answers == kept_answers
+        assert counts == kept_counts
+        assert sorted(released.history) == [0, 1, 2, 3, 4]
+        assert tables == [v for v in kept_tables if v == released.version]
+        if kind == "dtree":
+            assert tables == [4] and kept_tables == [0, 1, 2, 3, 4]
+        # A released table rebuilds on demand, equal to the kept one.
+        old, held = released.history[1][0], kept.history[1][0]
+        assert [(e.a, e.b) for e in old.all_edges()] == [
+            (e.a, e.b) for e in held.all_edges()
+        ]
+
 
 class TestShmVersionKeying:
     @staticmethod

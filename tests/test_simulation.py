@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.schedule import BroadcastSchedule
@@ -427,6 +429,22 @@ class TestCacheInSimulator:
             schedule.segment_for_offset(-1, 0.0)
 
 
+def _query_components(model, read_attempts, access_latency, packet_capacity):
+    """The scalar energy split of one query: the oracle of
+    :meth:`EnergyModel.batch_components`."""
+    slot = model.packet_seconds(packet_capacity)
+    active_s = read_attempts * slot
+    doze_s = max(access_latency - read_attempts, 0.0) * slot
+    return (
+        model.receive_mw * active_s / 1000.0,
+        model.doze_mw * doze_s / 1000.0,
+    )
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
 class TestEnergyModel:
     def test_defaults_and_slot_duration(self):
         model = EnergyModel()
@@ -460,6 +478,49 @@ class TestEnergyModel:
             EnergyModel().packet_seconds(0)
         with pytest.raises(BroadcastError):
             EnergyModel().query_joules(-1, 10.0, 256)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.builds(
+            EnergyModel,
+            receive_mw=st.floats(50.0, 500.0),
+            doze_mw=st.floats(0.5, 50.0),
+            bandwidth_kbps=st.floats(1.0, 10_000.0),
+        ),
+        capacity=st.integers(1, 4096),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 10_000),
+                st.floats(0.0, 1e6, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_batch_components_match_the_scalar_split(self, model, capacity, rows):
+        attempts = np.array([a for a, _ in rows], np.int64)
+        latency = np.array([lat for _, lat in rows], np.float64)
+        receive, doze = model.batch_components(attempts, latency, capacity)
+        expected = [
+            _query_components(model, a, lat, capacity) for a, lat in rows
+        ]
+        assert _bits(receive) == _bits([r for r, _ in expected])
+        assert _bits(doze) == _bits([d for _, d in expected])
+
+    def test_batch_components_edges(self):
+        model = EnergyModel()
+        # Zero attempts; latency below, at and above the attempts (doze
+        # clamped to 0 in the first two).
+        rows = [(0, 0.0), (0, 7.5), (12, 3.25), (5, 5.0), (3, 11.0)]
+        receive, doze = model.batch_components(
+            [a for a, _ in rows], [lat for _, lat in rows], 256
+        )
+        expected = [_query_components(model, a, lat, 256) for a, lat in rows]
+        assert _bits(receive) == _bits([r for r, _ in expected])
+        assert _bits(doze) == _bits([d for _, d in expected])
+        assert receive[0] == 0.0 and doze[2] == 0.0 and doze[3] == 0.0
+        with pytest.raises(BroadcastError):
+            model.batch_components([1, -1], [2.0, 2.0], 256)
 
     def test_energy_grows_with_error_rate(self, dtree_cell):
         paged, sub, params = dtree_cell
