@@ -35,7 +35,7 @@ from repro.errors import (
     UpdateError,
     BroadcastError,
 )
-from repro.geometry import Point, Segment, Polygon, Polyline, Rect
+from repro.geometry import Point, PointBatch, Segment, Polygon, Polyline, Rect
 from repro.tessellation import (
     DataRegion,
     Subdivision,
@@ -70,7 +70,7 @@ from repro.broadcast import (
 
 # Single source of truth — pyproject.toml reads it via
 # ``[tool.setuptools.dynamic] version = {attr = "repro.__version__"}``.
-__version__ = "6.0.0"
+__version__ = "6.1.0"
 
 #: Engine names resolved lazily (PEP 562): ``repro.engine`` imports the
 #: index families, which import the broadcast substrate, so an eager
@@ -142,6 +142,7 @@ __all__ = [
     "QueryError",
     "BroadcastError",
     "Point",
+    "PointBatch",
     "Segment",
     "Polygon",
     "Polyline",

@@ -260,6 +260,18 @@ class AccessBatch:
         )
         return cls(issue_times=issue_times, schedule=schedule, **arrays)
 
+    @classmethod
+    def concatenate(cls, batches: Sequence["AccessBatch"]) -> "AccessBatch":
+        """Join runs of one walk configuration end to end, in order
+        (the schedule is the first run's)."""
+        first = batches[0]
+        joined = {
+            name: None if getattr(first, name) is None
+            else np.concatenate([getattr(b, name) for b in batches])
+            for name in _ARRAY_FIELDS + ("issue_times",)
+        }
+        return cls(schedule=first.schedule, **joined)
+
     def __len__(self) -> int:
         return len(self.region_ids)
 

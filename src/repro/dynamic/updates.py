@@ -211,11 +211,20 @@ def sites_subdivision(
     (which numbers regions by site position), the mapping here is
     id-stable: a site keeps its region id across churn, so diffing two
     churned subdivisions yields genuine insert/delete/reshape batches
-    instead of a wholesale renumbering.
+    instead of a wholesale renumbering.  Two sites at one position
+    would tessellate into two identical regions, so they raise an
+    :class:`~repro.errors.UpdateError` naming both ids.
     """
     if not sites:
         raise UpdateError("no sites to tessellate")
     ids = sorted(sites)
+    owner: Dict[Point, int] = {}
+    for rid in ids:
+        other = owner.setdefault(sites[rid], rid)
+        if other != rid:
+            raise UpdateError(
+                f"sites {other} and {rid} coincide at {sites[rid]!r}"
+            )
     cells = bounded_voronoi([sites[i] for i in ids], service_area)
     regions = [
         DataRegion(region_id=rid, polygon=cell, payload_size=payload_size)

@@ -23,12 +23,12 @@ way to derive independent child streams without coordination.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.geometry.point import Point
+from repro.geometry.point import PointBatch
 from repro.geometry.rect import Rect
 
 #: uint64 outputs per Philox counter block — the advance() unit.
@@ -74,9 +74,10 @@ class UniformFleetWorkload:
         bg.advance(start)  # counts 128-bit blocks == queries
         return np.random.Generator(bg)
 
-    def chunk(self, start: int, size: int) -> Tuple[List[Point], np.ndarray]:
-        """Queries ``[start, start + size)`` of the workload: a list of
-        points and their issue times (float packets within one cycle).
+    def chunk(self, start: int, size: int) -> Tuple[PointBatch, np.ndarray]:
+        """Queries ``[start, start + size)`` of the workload: their points,
+        as one array-backed :class:`~repro.geometry.point.PointBatch`, and
+        their issue times (float packets within one cycle).
 
         ``chunk(0, n)`` equals ``chunk(0, k)`` + ``chunk(k, n - k)``
         concatenated, bit for bit, for every split point ``k``.
@@ -91,8 +92,7 @@ class UniformFleetWorkload:
         ys = self.area.min_y + u[:, 1] * (self.area.max_y - self.area.min_y)
         issue_times = u[:, 2] * self.cycle_length
         # u[:, 3] is discarded: the price of block alignment.
-        points = [Point(float(x), float(y)) for x, y in zip(xs, ys)]
-        return points, issue_times
+        return PointBatch(xs, ys), issue_times
 
     def __repr__(self) -> str:
         return (

@@ -11,7 +11,7 @@ so that edges produced by the same construction (e.g. a Voronoi diagram)
 compare equal.
 """
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, PointBatch
 from repro.geometry.segment import Segment
 from repro.geometry.polyline import Polyline, chain_segments
 from repro.geometry.rect import Rect
@@ -41,6 +41,7 @@ from repro.geometry.kernels import (
 
 __all__ = [
     "Point",
+    "PointBatch",
     "Segment",
     "Polyline",
     "chain_segments",

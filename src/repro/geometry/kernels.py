@@ -31,9 +31,9 @@ so repeated batch queries pay only for the array sweeps:
   :meth:`Subdivision.locate` oracle.
 
 This module sits at the bottom of the geometry layer: it imports only
-numpy and the scalar tolerance, and accepts the scalar objects
-duck-typed (anything with ``vertices``/``regions``/``polylines``), so
-higher layers can compile their structures without import cycles.
+numpy, the scalar tolerance and the point types, and accepts the scalar
+objects duck-typed (anything with ``vertices``/``regions``/``polylines``),
+so higher layers can compile their structures without import cycles.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.obs import active_collector
+from repro.geometry.point import PointBatch
 from repro.geometry.predicates import EPS
 
 __all__ = [
@@ -65,7 +66,11 @@ __all__ = [
 
 
 def point_coords(points: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    """Structure-of-arrays coordinates ``(xs, ys)`` of a point sequence."""
+    """Structure-of-arrays coordinates ``(xs, ys)`` of a point sequence:
+    a :class:`~repro.geometry.point.PointBatch`'s own (read-only)
+    arrays, else one float64 array per axis gathered from the points."""
+    if isinstance(points, PointBatch):
+        return points.xs, points.ys
     n = len(points)
     xs = np.fromiter((p.x for p in points), np.float64, count=n)
     ys = np.fromiter((p.y for p in points), np.float64, count=n)

@@ -35,7 +35,7 @@ from repro.broadcast.schedule import resolve_schedule
 from repro.engine.trace import TraceBatch, batched_trace
 from repro.errors import ReproError
 from repro.geometry.kernels import ragged_ranges
-from repro.geometry.point import Point
+from repro.geometry.point import PointBatch
 from repro.obs import active_collector
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import make_error_model
@@ -311,8 +311,9 @@ def _evaluate_waves(
     due = np.arange(n, dtype=np.int64)
     at = first
     while due.size:
-        points = [Point(x, y) for x, y in zip(xs[at].tolist(), ys[at].tolist())]
-        trace = batched_trace(paged_index, points, paths=paths)
+        trace = batched_trace(
+            paged_index, PointBatch(xs[at], ys[at]), paths=paths
+        )
         regions = trace.region_ids
         if exit_bounds is None:
             nxt, slack = at + 1, np.full(at.size, np.nan)
@@ -320,7 +321,7 @@ def _evaluate_waves(
             nxt, slack = _advance(xs, ys, at, last[due], regions, exit_bounds)
         filled, owner, _ = ragged_ranges(at, nxt - at)
         answers[filled] = regions[owner]
-        waves.append((at, points, trace, slack))
+        waves.append((at, trace, slack))
         more = nxt <= last[due]
         due, at = due[more], nxt[more]
 
@@ -329,16 +330,15 @@ def _evaluate_waves(
     at = np.concatenate([w[0] for w in waves])
     order = np.argsort(at, kind="stable")
     at = at[order]
-    points = [p for w in waves for p in w[1]]
-    points = [points[i] for i in order.tolist()]
+    points = PointBatch(xs[at], ys[at])
     trace = TraceBatch(
         *(
-            np.concatenate([getattr(w[2], field) for w in waves])[order]
+            np.concatenate([getattr(w[1], field) for w in waves])[order]
             for field in ("region_ids", "last_packet", "tuning_time")
         ),
-        *(_client_major_paths([w[2] for w in waves], order) if paths else ()),
+        *(_client_major_paths([w[1] for w in waves], order) if paths else ()),
     )
-    slack = np.concatenate([w[3] for w in waves])[order]
+    slack = np.concatenate([w[2] for w in waves])[order]
     retunes = np.bincount(epoch_owner[at], minlength=n).astype(np.int64)
     head = np.concatenate((np.zeros(1, np.int64), np.cumsum(retunes)[:-1]))
     tail = head + retunes - 1
@@ -401,19 +401,19 @@ def _protocol_pass(
 ) -> AccessBatch:
     """Every re-tune through the access walker, in client-major order:
     one :meth:`~repro.broadcast.client.BroadcastClient.run_batch` of
-    *client* over the waves' *trace* without a cache, else a fresh
-    cached walker per client over its own re-tunes (a cache never
-    crosses clients).  Either way the clients share the error model's
-    stream in the walk's order.
+    *client* over the waves' *trace* without a cache, else one
+    ``run_batch`` of a fresh cached walker per client over its own
+    re-tunes (a cache never crosses clients).  Either way the clients
+    share the error model's stream in the walk's order.
     """
     if cache_packets <= 0:
         return client.run_batch(points, issue_times, trace=trace)
-    times = issue_times.tolist()
-    results = []
-    for a, b in zip(head.tolist(), (head + retunes).tolist()):
-        cached = walker(cache_packets=cache_packets)
-        results += [cached.query(p, t) for p, t in zip(points[a:b], times[a:b])]
-    return AccessBatch.from_results(results)
+    return AccessBatch.concatenate([
+        walker(cache_packets=cache_packets).run_batch(
+            points[a:b], issue_times[a:b]
+        )
+        for a, b in zip(head.tolist(), (head + retunes).tolist())
+    ])
 
 
 def _stale_epoch_counts(

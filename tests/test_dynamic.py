@@ -152,6 +152,17 @@ class TestChurnSites:
         churn_sites(sites, AREA, n_insert=1, n_delete=1, n_move=2, seed=3)
         assert sites == before
 
+    def test_coincident_sites_rejected_by_name(self):
+        """Churn drawing from the stream that placed the sites can land
+        an inserted site on an existing one: here site 60 on site 3."""
+        churned = churn_sites(
+            _sites(60, seed=7), AREA, rng=random.Random(7),
+            n_insert=1, n_delete=1, n_move=2, move_scale=MOVE_SCALE,
+        )
+        assert churned[60] == churned[3]
+        with pytest.raises(UpdateError, match="sites 3 and 60 coincide"):
+            sites_subdivision(churned, AREA)
+
 
 DATASETS = [
     pytest.param(lambda: uniform_dataset(n=60, seed=42), id="uniform"),
