@@ -70,7 +70,7 @@ from repro.broadcast import (
 
 # Single source of truth — pyproject.toml reads it via
 # ``[tool.setuptools.dynamic] version = {attr = "repro.__version__"}``.
-__version__ = "6.1.0"
+__version__ = "6.2.0"
 
 #: Engine names resolved lazily (PEP 562): ``repro.engine`` imports the
 #: index families, which import the broadcast substrate, so an eager

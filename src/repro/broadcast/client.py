@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +127,34 @@ def run_workload(
         rng = random.Random(seed)
     length = client.cycle_length
     return [client.query(p, rng.uniform(0, length)) for p in points]
+
+
+def run_sessions(sessions: Iterable[tuple]) -> "AccessBatch":
+    """One :meth:`BroadcastClient.run_batch` per ``(walker, points,
+    issue_times)`` session, in order, joined into one batch.
+
+    Answers, the error-model stream and every ``client.*``/``sim.*``/
+    ``walk.*`` counter equal those of the separate runs; the counters
+    are reduced once, over the joined batch.  The walkers must share one
+    configuration (index, timeline, loss and energy models, a cache or
+    none: the fresh walkers of one factory) and walk query by query, as
+    a cached walker does.  There is at least one session; *issue_times*
+    are float64 arrays.
+    """
+    col = active_collector()
+    batches = []
+    walked: list = []
+    for walker, points, times in sessions:
+        counting = col is not None and walker._counts is not None
+        batches.append(
+            walker._walk_each(points, times, walked if counting else None)
+        )
+    batch = AccessBatch.concatenate(batches)
+    if col is not None:
+        if walker._counts is not None:
+            walker._count_batch(col, batch, walked)
+        col.count("walk.replayed_queries", len(batch))
+    return batch
 
 
 class AccessResult:
@@ -924,12 +952,7 @@ class BroadcastClient:
         counting = col is not None and self._counts is not None
         walked = []  # the scalar walks' _walk_counts rows, when counting
         if not self._batchable():
-            results = []
-            for p, t in zip(points, times.tolist()):
-                results.append(self.walk(p, t))
-                if counting:
-                    walked.append(self._walk_counts())
-            batch = AccessBatch.from_results(results, times, self.schedule)
+            batch = self._walk_each(points, times, walked if counting else None)
             if counting:
                 self._count_batch(col, batch, walked)
             if col is not None:
@@ -1020,6 +1043,18 @@ class BroadcastClient:
             col.count("walk.batched_queries", n - replayed)
             col.count("walk.replayed_queries", replayed)
         return batch
+
+    def _walk_each(
+        self, points: Sequence[Point], times: np.ndarray, walked: Optional[list]
+    ) -> AccessBatch:
+        """The scalar walk of every query, in order, as one batch; each
+        walk's :meth:`_walk_counts` row goes to *walked* when given."""
+        results = []
+        for p, t in zip(points, times.tolist()):
+            results.append(self.walk(p, t))
+            if walked is not None:
+                walked.append(self._walk_counts())
+        return AccessBatch.from_results(results, times, self.schedule)
 
     def _batchable(self) -> bool:
         """Can :meth:`run_batch` take the batched path?"""

@@ -41,6 +41,16 @@ class Triangle:
     def __hash__(self) -> int:
         return hash(frozenset((self.a, self.b, self.c)))
 
+    @classmethod
+    def from_ccw(cls, a: Point, b: Point, c: Point) -> "Triangle":
+        """A triangle from vertices already in strict counter-clockwise
+        order (as :func:`ear_clip` returns them), stored as given."""
+        tri = cls.__new__(cls)
+        tri.a = a
+        tri.b = b
+        tri.c = c
+        return tri
+
     @property
     def vertices(self) -> Tuple[Point, Point, Point]:
         return (self.a, self.b, self.c)
@@ -102,34 +112,57 @@ def triangulate_polygon(vertices: Sequence[Point]) -> List[Triangle]:
     (Voronoi cells rarely exceed ~20 vertices).
     """
     ring = list(vertices)
-    if len(ring) >= 2 and ring[0] == ring[-1]:
-        ring = ring[:-1]
-    if len(ring) < 3:
+    return [
+        Triangle.from_ccw(ring[i], ring[j], ring[k])
+        for i, j, k in ear_clip([p.x for p in ring], [p.y for p in ring])
+    ]
+
+
+def ear_clip(
+    xs: Sequence[float], ys: Sequence[float]
+) -> List[Tuple[int, int, int]]:
+    """Ear clipping of the ring ``(xs[i], ys[i])`` (any orientation; a
+    repeated closing vertex is ignored).
+
+    Returns the triangles as index triples into the ring, each in the
+    counter-clockwise order a :class:`Triangle` stores.  Every corner
+    test is :func:`~repro.geometry.predicates.orientation`'s arithmetic
+    written out on the coordinates.
+    """
+    n = len(xs)
+    if n >= 2 and xs[0] == xs[-1] and ys[0] == ys[-1]:
+        n -= 1
+    if n < 3:
         raise GeometryError("cannot triangulate fewer than 3 vertices")
-    if _signed_area2(ring) < 0:
-        ring.reverse()
+    area2 = 0.0
+    for i in range(n):
+        j = (i + 1) % n
+        area2 += xs[i] * ys[j] - ys[i] * xs[j]
+    indices = list(range(n))
+    if area2 < 0:
+        indices.reverse()
 
-    triangles: List[Triangle] = []
-    indices = list(range(len(ring)))
+    def cross(a: int, b: int, c: int) -> float:
+        return (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
 
+    triangles: List[Tuple[int, int, int]] = []
     guard = 0
-    max_iterations = len(ring) * len(ring) + 10
+    max_iterations = n * n + 10
     while len(indices) > 3:
         guard += 1
         if guard > max_iterations:
             raise GeometryError("ear clipping failed to converge (non-simple ring?)")
         ear_found = False
-        n = len(indices)
-        for k in range(n):
-            i_prev = indices[(k - 1) % n]
-            i_cur = indices[k]
-            i_next = indices[(k + 1) % n]
-            a, b, c = ring[i_prev], ring[i_cur], ring[i_next]
-            if orientation(a, b, c) <= 0:
+        m = len(indices)
+        for k in range(m):
+            a = indices[(k - 1) % m]
+            b = indices[k]
+            c = indices[(k + 1) % m]
+            if not cross(a, b, c) > EPS:
                 continue  # reflex or collinear corner, not an ear
-            if _any_point_inside(ring, indices, i_prev, i_cur, i_next):
+            if _any_point_inside(xs, ys, indices, a, b, c):
                 continue
-            triangles.append(Triangle(a, b, c))
+            triangles.append((a, b, c))
             indices.pop(k)
             ear_found = True
             break
@@ -137,11 +170,10 @@ def triangulate_polygon(vertices: Sequence[Point]) -> List[Triangle]:
             # Collinear chains can block every strictly-convex ear; drop one
             # exactly-collinear vertex and retry.
             dropped = False
-            for k in range(len(indices)):
-                i_prev = indices[(k - 1) % len(indices)]
-                i_cur = indices[k]
-                i_next = indices[(k + 1) % len(indices)]
-                if orientation(ring[i_prev], ring[i_cur], ring[i_next]) == 0:
+            m = len(indices)
+            for k in range(m):
+                value = cross(indices[(k - 1) % m], indices[k], indices[(k + 1) % m])
+                if not (value > EPS or value < -EPS):
                     indices.pop(k)
                     dropped = True
                     break
@@ -149,14 +181,22 @@ def triangulate_polygon(vertices: Sequence[Point]) -> List[Triangle]:
                 raise GeometryError("no ear found: ring is not a simple polygon")
 
     if len(indices) == 3:
-        a, b, c = (ring[indices[0]], ring[indices[1]], ring[indices[2]])
-        if orientation(a, b, c) != 0:
-            triangles.append(Triangle(a, b, c))
+        a, b, c = indices
+        value = cross(a, b, c)
+        if value > EPS:
+            triangles.append((a, b, c))
+        elif value < -EPS:
+            triangles.append((a, c, b))
     return triangles
 
 
 def _any_point_inside(
-    ring: Sequence[Point], indices: Sequence[int], i_prev: int, i_cur: int, i_next: int
+    xs: Sequence[float],
+    ys: Sequence[float],
+    indices: Sequence[int],
+    a: int,
+    b: int,
+    c: int,
 ) -> bool:
     """True if any other active vertex lies in the closed candidate ear.
 
@@ -165,25 +205,20 @@ def _any_point_inside(
     invalidates the ear — clipping it would leave a self-overlapping ring.
     Vertices that merely coincide with the ear's corners do not block.
     """
-    a, b, c = ring[i_prev], ring[i_cur], ring[i_next]
+    ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
     for idx in indices:
-        if idx in (i_prev, i_cur, i_next):
-            continue
-        p = ring[idx]
-        if p == a or p == b or p == c:
-            continue
+        px = xs[idx]
+        py = ys[idx]
         if (
-            orientation(a, b, p) >= 0
-            and orientation(b, c, p) >= 0
-            and orientation(c, a, p) >= 0
+            not (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -EPS
+            and not (cx - bx) * (py - by) - (cy - by) * (px - bx) < -EPS
+            and not (ax - cx) * (py - cy) - (ay - cy) * (px - cx) < -EPS
+            and idx != a
+            and idx != b
+            and idx != c
+            and not (px == ax and py == ay)
+            and not (px == bx and py == by)
+            and not (px == cx and py == cy)
         ):
             return True
     return False
-
-
-def _signed_area2(vertices: Sequence[Point]) -> float:
-    total = 0.0
-    n = len(vertices)
-    for i in range(n):
-        total += vertices[i].cross(vertices[(i + 1) % n])
-    return total

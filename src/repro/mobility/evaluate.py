@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.broadcast.client import AccessBatch, BroadcastClient
+from repro.broadcast.client import AccessBatch, BroadcastClient, run_sessions
 from repro.broadcast.schedule import resolve_schedule
 from repro.engine.trace import TraceBatch, batched_trace
 from repro.errors import ReproError
@@ -401,19 +401,18 @@ def _protocol_pass(
 ) -> AccessBatch:
     """Every re-tune through the access walker, in client-major order:
     one :meth:`~repro.broadcast.client.BroadcastClient.run_batch` of
-    *client* over the waves' *trace* without a cache, else one
-    ``run_batch`` of a fresh cached walker per client over its own
-    re-tunes (a cache never crosses clients).  Either way the clients
-    share the error model's stream in the walk's order.
+    *client* over the waves' *trace* without a cache, else a session of
+    a fresh cached walker per client over its own re-tunes (a cache
+    never crosses clients), counted once
+    (:func:`~repro.broadcast.client.run_sessions`).  Either way the
+    clients share the error model's stream in the walk's order.
     """
     if cache_packets <= 0:
         return client.run_batch(points, issue_times, trace=trace)
-    return AccessBatch.concatenate([
-        walker(cache_packets=cache_packets).run_batch(
-            points[a:b], issue_times[a:b]
-        )
+    return run_sessions(
+        (walker(cache_packets=cache_packets), points[a:b], issue_times[a:b])
         for a, b in zip(head.tolist(), (head + retunes).tolist())
-    ])
+    )
 
 
 def _stale_epoch_counts(

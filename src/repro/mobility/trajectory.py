@@ -41,10 +41,16 @@ class Trajectory:
             )
         if self.xs.size < 1:
             raise ReproError("a trajectory needs at least one waypoint")
-        if not (speed >= 0.0):
-            raise ReproError(f"speed must be >= 0, got {speed}")
-        if not (issue_time >= 0.0):
-            raise ReproError(f"issue time must be >= 0, got {issue_time}")
+        for axis, values in (("x", self.xs), ("y", self.ys)):
+            if not all(map(math.isfinite, values.tolist())):
+                bad = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise ReproError(
+                    f"waypoint {bad} has non-finite {axis} = {float(values[bad])}"
+                )
+        if not 0.0 <= speed < math.inf:
+            raise ReproError(f"speed must be finite and >= 0, got {speed}")
+        if not 0.0 <= issue_time < math.inf:
+            raise ReproError(f"issue time must be finite and >= 0, got {issue_time}")
         self.speed = float(speed)
         self.issue_time = float(issue_time)
         seg = np.hypot(self.xs[1:] - self.xs[:-1], self.ys[1:] - self.ys[:-1])

@@ -19,20 +19,21 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import IndexBuildError, PagingError, QueryError
+import numpy as np
+
+from repro.errors import GeometryError, IndexBuildError, PagingError, QueryError
+from repro.geometry.kernels import ragged_ranges
 from repro.geometry.point import Point
-from repro.geometry.predicates import quantize_point
-from repro.geometry.triangulate import Triangle, triangulate_polygon
+from repro.geometry.predicates import EPS, quantize_point
+from repro.geometry.triangulate import Triangle, ear_clip
 from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
-from repro.tessellation.subdivision import Subdivision
+from repro.tessellation.subdivision import Subdivision, vertex_key
 
 #: Maximum vertex degree eligible for removal (Kirkpatrick's constant; any
 #: value >= 7 guarantees a constant-fraction independent set in a planar
 #: triangulation).
 MAX_REMOVABLE_DEGREE = 10
-
-VKey = Tuple[float, float]
 
 
 class TrianNode:
@@ -91,119 +92,66 @@ class TrianTree:
     # -- construction -------------------------------------------------------------
 
     def _build(self) -> None:
-        area = self.subdivision.service_area
-        corners = _super_triangle_corners(area)
-        corner_keys = {quantize_point(c) for c in corners}
+        """The rounds of Figure 3 on integer ids.
 
-        current: List[TrianNode] = []
-        for region in self.subdivision.regions:
-            for tri in triangulate_polygon(region.polygon.vertices):
-                current.append(TrianNode(tri, region.region_id, 0))
-        border_vertices = self._border_vertices()
-        for tri in _gap_triangles(area, corners, border_vertices):
-            current.append(TrianNode(tri, None, 0))
+        Every point is keyed once (:class:`_Vertices`); a level is an
+        ``(n, 3)`` point-id array in the vertex order each
+        :class:`Triangle` stores, with ``current`` naming the level's
+        rows in ``triangles``, every triangle the build made.  A round
+        removes an independent set of vertices, re-triangulates their
+        holes and links every new triangle to the star triangles it
+        overlaps; the :class:`TrianNode` DAG is made once, at the end.
+        """
+        vertices, level, regions = _base_level(self.subdivision)
+        triangles: List[Tuple[int, int, int]] = list(map(tuple, level.tolist()))
+        rounds: List[int] = [0] * len(triangles)
+        children: Dict[int, List[int]] = {}
+        current = np.arange(len(triangles))
 
         round_index = 0
         while len(current) > self.t_min:
             round_index += 1
-            removable = self._independent_set(current, corner_keys)
+            vertex_level = vertices.vid[level]
+            stars = _vertex_stars(vertex_level, len(vertices.corner))
+            removable = _independent_set(vertex_level, stars, vertices)
             if not removable:
                 break  # no further coarsening possible
-            coarser = self._remove_vertices(current, removable, round_index)
-            if len(coarser) >= len(current):
+            removed, new_rows, links = _remove_vertices(
+                level, vertex_level, stars, removable, vertices
+            )
+            survivors = ~removed
+            if int(survivors.sum()) + len(new_rows) >= len(current):
                 break  # every candidate failed; stop rather than spin
-            current = coarser
-        self.roots = current
+            new_ids = np.arange(len(triangles), len(triangles) + len(new_rows))
+            for tri_id, linked in zip(new_ids.tolist(), links):
+                children[tri_id] = current[linked].tolist()
+            triangles.extend(new_rows)
+            rounds.extend([round_index] * len(new_rows))
+            current = np.concatenate((current[survivors], new_ids))
+            level = np.concatenate(
+                (level[survivors], np.asarray(new_rows, np.int64).reshape(-1, 3))
+            )
+
+        points = vertices.points
+        regions.extend([None] * (len(triangles) - len(regions)))
+        nodes = [
+            TrianNode(
+                Triangle.from_ccw(points[a], points[b], points[c]), region, r
+            )
+            for (a, b, c), region, r in zip(triangles, regions, rounds)
+        ]
+        for tri_id, linked in children.items():
+            nodes[tri_id].children = [nodes[i] for i in linked]
+        self.roots = [nodes[i] for i in current.tolist()]
         self.rounds = round_index
 
     def _border_vertices(self) -> List[Point]:
         """Every distinct subdivision vertex lying on the service-area
         border (the gap triangulation must conform to them)."""
-        area = self.subdivision.service_area
-        seen: Dict[VKey, Point] = {}
-        for region in self.subdivision.regions:
-            for v in region.polygon.vertices:
-                if (
-                    abs(v.x - area.min_x) < 1e-9
-                    or abs(v.x - area.max_x) < 1e-9
-                    or abs(v.y - area.min_y) < 1e-9
-                    or abs(v.y - area.max_y) < 1e-9
-                ):
-                    seen.setdefault(quantize_point(v), v)
-        return list(seen.values())
-
-    @staticmethod
-    def _vertex_stars(
-        nodes: Sequence[TrianNode],
-    ) -> Dict[VKey, List[TrianNode]]:
-        stars: Dict[VKey, List[TrianNode]] = defaultdict(list)
-        for node in nodes:
-            for v in node.triangle.vertices:
-                stars[quantize_point(v)].append(node)
-        return stars
-
-    def _independent_set(
-        self, nodes: Sequence[TrianNode], corner_keys: Set[VKey]
-    ) -> Dict[VKey, List[TrianNode]]:
-        """Greedy independent set of removable low-degree vertices, with
-        their stars."""
-        stars = self._vertex_stars(nodes)
-        neighbors: Dict[VKey, Set[VKey]] = defaultdict(set)
-        for node in nodes:
-            keys = [quantize_point(v) for v in node.triangle.vertices]
-            for i in range(3):
-                for j in range(3):
-                    if i != j:
-                        neighbors[keys[i]].add(keys[j])
-
-        candidates = sorted(
-            (
-                key
-                for key, star in stars.items()
-                if key not in corner_keys and len(star) <= MAX_REMOVABLE_DEGREE
-            ),
-            key=lambda key: (len(stars[key]), key),
+        table = self.subdivision.edge_table()
+        return _border_points(
+            self.subdivision.service_area, table, *_coordinates(table.points)
         )
-        chosen: Dict[VKey, List[TrianNode]] = {}
-        blocked: Set[VKey] = set()
-        for key in candidates:
-            if key in blocked:
-                continue
-            chosen[key] = stars[key]
-            blocked.add(key)
-            blocked.update(neighbors[key])
-        return chosen
-
-    def _remove_vertices(
-        self,
-        nodes: List[TrianNode],
-        removable: Dict[VKey, List[TrianNode]],
-        round_index: int,
-    ) -> List[TrianNode]:
-        removed_nodes: Set[int] = set()
-        new_nodes: List[TrianNode] = []
-        for key, star in removable.items():
-            ring = _star_ring(key, star)
-            if ring is None:
-                continue  # open star (should not happen inside the super-triangle)
-            try:
-                hole_triangles = triangulate_polygon(ring)
-            except Exception:
-                continue  # keep the vertex if its hole resists ear clipping
-            for node in star:
-                removed_nodes.add(id(node))
-            for tri in hole_triangles:
-                new_node = TrianNode(tri, None, round_index)
-                new_node.children = [
-                    old for old in star if tri.overlaps_interior(old.triangle)
-                ]
-                if not new_node.children:
-                    raise IndexBuildError(
-                        "re-triangulated triangle overlaps none of the star"
-                    )
-                new_nodes.append(new_node)
-        survivors = [n for n in nodes if id(n) not in removed_nodes]
-        return survivors + new_nodes
 
     # -- queries ----------------------------------------------------------------
 
@@ -272,6 +220,251 @@ def _first_containing(
     return None
 
 
+class _Vertices:
+    """Every point of a build, keyed once.
+
+    A vertex id numbers a ``round``-based key
+    (:func:`~repro.tessellation.subdivision.vertex_key`): the edge
+    table's vertex ids, then the super-triangle corners.  A point id
+    numbers a distinct (vertex, coordinates) pair, and a level holds
+    point ids: a key almost always has one coordinate pair, but the gap
+    triangulation uses the exact service-area corners, which a region's
+    corner vertex may miss in the last bit.  Stars, the independent set
+    and ring closure read vertex ids (``vid[point]``); ear clipping and
+    the overlap test read coordinates (``x[point]``, ``y[point]``), so
+    every triangle keeps the coordinates the scalar construction gives
+    it.  Removal never creates a point, so the ids hold for the whole
+    build.
+    """
+
+    __slots__ = ("points", "vid", "x", "y", "qx", "qy", "corner")
+
+    def __init__(self, points, vid, x, y, keys, corners) -> None:
+        self.points: List[Point] = points
+        self.vid = vid
+        self.x = x
+        self.y = y
+        self.qx = np.fromiter((k.real for k in keys), np.float64, len(keys))
+        self.qy = np.fromiter((k.imag for k in keys), np.float64, len(keys))
+        self.corner = np.zeros(len(keys), bool)
+        self.corner[corners] = True
+
+
+def _base_level(
+    subdivision: Subdivision,
+) -> Tuple[_Vertices, np.ndarray, List[Optional[int]]]:
+    """Level 0: each region's ear-clipped triangles (regions in order),
+    then the gap triangles up to the super-triangle, as an ``(n, 3)``
+    point-id array, with each triangle's region (None in the gap)."""
+    area = subdivision.service_area
+    table = subdivision.edge_table()
+    corners = _super_triangle_corners(area)
+    x, y = _coordinates(table.points)
+    gap = _gap_triangles(area, corners, _border_points(area, table, x, y))
+    ids = dict(table.vertex_ids)
+    gap_points = [v for tri in gap for v in tri.vertices]
+    gap_vids = [ids.setdefault(vertex_key(v), len(ids)) for v in gap_points]
+    every = table.points + gap_points
+    gap_x, gap_y = _coordinates(gap_points)
+    x = np.concatenate((x, gap_x))
+    y = np.concatenate((y, gap_y))
+    vids = np.concatenate((table.vertex, np.asarray(gap_vids, np.int32)))
+    distinct, first, point_of = np.unique(
+        np.stack((vids, x.view(np.int64), y.view(np.int64)), axis=1),
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+    )
+    point_of = point_of.reshape(-1)
+    vertices = _Vertices(
+        [every[i] for i in first.tolist()],
+        distinct[:, 0],
+        distinct[:, 1].view(np.float64),
+        distinct[:, 2].view(np.float64),
+        list(ids),
+        [ids[vertex_key(c)] for c in corners],
+    )
+
+    rows: List[Tuple[int, int, int]] = []
+    regions: List[Optional[int]] = []
+    entry_point = point_of.tolist()
+    xs = x.tolist()
+    ys = y.tolist()
+    offsets = table.offsets.tolist()
+    for row, region in enumerate(subdivision.regions):
+        lo, hi = offsets[row], offsets[row + 1]
+        ring = entry_point[lo:hi]
+        for i, j, k in ear_clip(xs[lo:hi], ys[lo:hi]):
+            rows.append((ring[i], ring[j], ring[k]))
+        regions.extend([region.region_id] * (len(rows) - len(regions)))
+    gap_rows = point_of[len(table.points) :].reshape(-1, 3)
+    regions.extend([None] * len(gap_rows))
+    level = np.concatenate((np.asarray(rows, np.int64).reshape(-1, 3), gap_rows))
+    return vertices, level, regions
+
+
+def _coordinates(points: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
+    n = len(points)
+    return (
+        np.fromiter((p.x for p in points), np.float64, n),
+        np.fromiter((p.y for p in points), np.float64, n),
+    )
+
+
+def _border_points(area, table, x: np.ndarray, y: np.ndarray) -> List[Point]:
+    """Every distinct table vertex on the border of the service *area*
+    (*x*, *y* are the entries' coordinates): the point of its first
+    border entry, in entry order."""
+    on = np.flatnonzero(
+        (np.abs(x - area.min_x) < 1e-9)
+        | (np.abs(x - area.max_x) < 1e-9)
+        | (np.abs(y - area.min_y) < 1e-9)
+        | (np.abs(y - area.max_y) < 1e-9)
+    )
+    first = np.sort(np.unique(table.vertex[on], return_index=True)[1])
+    return [table.points[k] for k in on[first].tolist()]
+
+
+def _vertex_stars(
+    vertex_level: np.ndarray, n_vertices: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every vertex's star as a CSR over the level's corner slots.
+
+    Returns ``(offsets, slots)``: vertex ``v``'s star is the slots
+    ``slots[offsets[v]:offsets[v + 1]]`` of ``vertex_level.ravel()``, in
+    level order (slot ``s`` is corner ``s % 3`` of triangle ``s // 3``),
+    so its degree is ``offsets[v + 1] - offsets[v]``.
+    """
+    flat = vertex_level.ravel()
+    offsets = np.zeros(n_vertices + 1, np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_vertices), out=offsets[1:])
+    return offsets, np.argsort(flat, kind="stable")
+
+
+def _independent_set(
+    vertex_level: np.ndarray,
+    stars: Tuple[np.ndarray, np.ndarray],
+    vertices: _Vertices,
+) -> List[int]:
+    """Greedy independent set of removable low-degree vertices: the
+    non-corner vertices of degree at most :data:`MAX_REMOVABLE_DEGREE`,
+    in order of (degree, key), each taken unless a chosen vertex shares
+    a triangle with it."""
+    offsets, slots = stars
+    degree = np.diff(offsets)
+    candidates = np.flatnonzero(
+        (degree > 0) & (degree <= MAX_REMOVABLE_DEGREE) & ~vertices.corner
+    )
+    candidates = candidates[
+        np.lexsort(
+            (vertices.qy[candidates], vertices.qx[candidates], degree[candidates])
+        )
+    ]
+    # The corners of v's star triangles: near[offsets[v] : offsets[v + 1]].
+    near = vertex_level[slots // 3]
+    bounds = offsets.tolist()
+    chosen: List[int] = []
+    blocked: Set[int] = set()
+    for v in candidates.tolist():
+        if v in blocked:
+            continue
+        chosen.append(v)
+        blocked.update(near[bounds[v] : bounds[v + 1]].ravel().tolist())
+    return chosen
+
+
+def _remove_vertices(
+    level: np.ndarray,
+    vertex_level: np.ndarray,
+    stars: Tuple[np.ndarray, np.ndarray],
+    removable: Sequence[int],
+    vertices: _Vertices,
+) -> Tuple[np.ndarray, List[Tuple[int, int, int]], List[List[int]]]:
+    """Remove *removable* from the level: ``(removed, new, links)``.
+
+    ``removed`` masks the level triangles of the removed stars; ``new``
+    holds the re-triangulated holes (point-id triples), star by star,
+    and ``links[i]`` the level rows of the star triangles ``new[i]``
+    overlaps, in star order.  A vertex whose star does not close one
+    ring, or whose hole resists ear clipping, stays.
+    """
+    offsets, slots = stars
+    chosen = np.asarray(removable, np.int64)
+    degree = offsets[chosen + 1] - offsets[chosen]
+    flat, _, first = ragged_ranges(offsets[chosen], degree)
+    star_slots = slots[flat]
+    tri = star_slots // 3
+    # Each star triangle's two other corners, in its stored order.
+    at = star_slots % 3
+    cols = ((at == 0).astype(np.int64), 2 - (at == 2))
+    first_v, second_v = (vertex_level[tri, c].tolist() for c in cols)
+    first_p, second_p = (level[tri, c].tolist() for c in cols)
+    tri_list = tri.tolist()
+    bounds = np.append(first, len(flat)).tolist()
+    xs = vertices.x.tolist()
+    ys = vertices.y.tolist()
+    removed = np.zeros(len(level), bool)
+    new: List[Tuple[int, int, int]] = []
+    pair_new: List[int] = []
+    pair_old: List[int] = []
+    for s in range(len(removable)):
+        lo, hi = bounds[s], bounds[s + 1]
+        ring = _star_ring(
+            first_v[lo:hi], second_v[lo:hi], first_p[lo:hi], second_p[lo:hi]
+        )
+        if ring is None:
+            continue  # open star (should not happen inside the super-triangle)
+        try:
+            hole = ear_clip([xs[u] for u in ring], [ys[u] for u in ring])
+        except GeometryError:
+            continue  # keep the vertex if its hole resists ear clipping
+        star = tri_list[lo:hi]
+        removed[star] = True
+        for i, j, k in hole:
+            pair_new.extend([len(new)] * len(star))
+            pair_old.extend(star)
+            new.append((ring[i], ring[j], ring[k]))
+    if not new:
+        return removed, new, []
+    pair_new_arr = np.asarray(pair_new, np.int64)
+    pair_old_arr = np.asarray(pair_old, np.int64)
+    new_rows = np.asarray(new, np.int64)[pair_new_arr]
+    old_rows = level[pair_old_arr]
+    x, y = vertices.x, vertices.y
+    overlap = _overlaps_interior(x[new_rows], y[new_rows], x[old_rows], y[old_rows])
+    linked = np.bincount(pair_new_arr[overlap], minlength=len(new))
+    if not linked.all():
+        raise IndexBuildError("re-triangulated triangle overlaps none of the star")
+    linked_old = pair_old_arr[overlap].tolist()
+    ends = np.cumsum(linked).tolist()
+    return removed, new, [linked_old[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _overlaps_interior(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> np.ndarray:
+    """:meth:`Triangle.overlaps_interior` for every pair of rows of the
+    ``(P, 3)`` coordinate arrays: the same separating-axis test on the six
+    edge normals, each projection ``nx * x + ny * y`` and each ``EPS``
+    comparison the scalar test's float arithmetic, element by element."""
+    a = (list(ax.T), list(ay.T))
+    b = (list(bx.T), list(by.T))
+    separated = np.zeros(len(ax), bool)
+    for (ux, uy), (vx, vy) in ((a, b), (b, a)):
+        for i in range(3):
+            j = (i + 1) % 3
+            nx = uy[j] - uy[i]
+            ny = ux[i] - ux[j]
+            proj1 = [nx * ux[k] + ny * uy[k] for k in range(3)]
+            proj2 = [nx * vx[k] + ny * vy[k] for k in range(3)]
+            min1 = np.minimum(np.minimum(proj1[0], proj1[1]), proj1[2])
+            max1 = np.maximum(np.maximum(proj1[0], proj1[1]), proj1[2])
+            min2 = np.minimum(np.minimum(proj2[0], proj2[1]), proj2[2])
+            max2 = np.maximum(np.maximum(proj2[0], proj2[1]), proj2[2])
+            separated |= (min2 >= max1 - EPS) | (min1 >= max2 - EPS)
+    return ~separated
+
+
 def _super_triangle_corners(area) -> Tuple[Point, Point, Point]:
     """A triangle comfortably containing the service area."""
     w, h = area.width, area.height
@@ -332,50 +525,42 @@ def _gap_triangles(
     return triangles
 
 
-def _star_ring(key: VKey, star: Sequence[TrianNode]) -> Optional[List[Point]]:
-    """Ordered ring of the neighbours of a vertex, from its star triangles.
+def _star_ring(
+    first: Sequence[int],
+    second: Sequence[int],
+    first_point: Sequence[int],
+    second_point: Sequence[int],
+) -> Optional[List[int]]:
+    """Ordered ring of the neighbours of a vertex, from its star.
 
-    Each star triangle contributes the edge opposite the vertex; chaining
-    those edges yields the hole polygon left by the removal.  Returns None
-    when the edges do not close a single ring.
+    Star triangle ``i`` contributes the edge opposite the vertex, from
+    vertex ``first[i]`` to ``second[i]`` (at points ``first_point[i]``
+    and ``second_point[i]``); chaining those edges, from ``first[0]``
+    along edge 0, yields the hole polygon left by the removal, as the
+    points of the edges it walks.  Returns None when the edges do not
+    close a single ring.
     """
-    edges: List[Tuple[Point, Point]] = []
-    for node in star:
-        verts = [
-            v for v in node.triangle.vertices if quantize_point(v) != key
-        ]
-        if len(verts) != 2:
-            return None
-        edges.append((verts[0], verts[1]))
-    if len(edges) < 3:
+    if len(first) < 3:
         return None
-
-    adjacency: Dict[VKey, List[Tuple[Point, int]]] = defaultdict(list)
-    for idx, (a, b) in enumerate(edges):
-        adjacency[quantize_point(a)].append((b, idx))
-        adjacency[quantize_point(b)].append((a, idx))
+    adjacency: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
+    for idx, (a, b) in enumerate(zip(first, second)):
+        adjacency[a].append((b, second_point[idx], idx))
+        adjacency[b].append((a, first_point[idx], idx))
     if any(len(v) != 2 for v in adjacency.values()):
         return None
-
-    used = [False] * len(edges)
-    start = edges[0][0]
-    ring = [start]
-    current = start
-    for _ in range(len(edges)):
-        options = [
-            (other, idx)
-            for other, idx in adjacency[quantize_point(current)]
-            if not used[idx]
-        ]
-        if not options:
+    used = [False] * len(first)
+    current = first[0]
+    ring = [first_point[0]]
+    for _ in range(len(first)):
+        for other, point, idx in adjacency[current]:
+            if not used[idx]:
+                break
+        else:
             return None
-        other, idx = options[0]
         used[idx] = True
-        ring.append(other)
+        ring.append(point)
         current = other
-    if quantize_point(ring[0]) != quantize_point(ring[-1]):
-        return None
-    if not all(used):
+    if current != first[0] or not all(used):
         return None
     return ring[:-1]
 

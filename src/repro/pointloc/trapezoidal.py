@@ -162,13 +162,12 @@ class TrapTree:
     # -- construction -----------------------------------------------------------
 
     def _build(self, seed: int) -> None:
-        above_map = self.subdivision.directed_edge_region_above()
-        segments: List[_Seg] = []
-        for edge in self.subdivision.all_edges():
-            above = above_map.get(edge.canonical_key())
-            segments.append(
-                _Seg(_shear(edge.a), _shear(edge.b), above)
+        segments = [
+            _Seg(_shear(edge.a), _shear(edge.b), above)
+            for edge, above in zip(
+                self.subdivision.all_edges(), self.subdivision.edge_region_above()
             )
+        ]
         if not segments:
             raise IndexBuildError("subdivision has no edges")
         rng = random.Random(seed)

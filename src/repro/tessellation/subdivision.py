@@ -415,22 +415,45 @@ class Subdivision:
             return [Point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         return [self.random_point(rng) for _ in range(n)]
 
-    def directed_edge_region_above(self) -> Dict[EdgeKey, Optional[int]]:
-        """Map each non-vertical undirected edge to the region above it.
+    def edge_region_above(self) -> List[Optional[int]]:
+        """The region above each edge, indexed by edge-table edge id.
 
         For a CCW polygon the interior lies to the left of each directed
         edge, so a left-to-right directed edge has its region *above* it.
         The trapezoidal map uses this to map a trapezoid (which knows its
-        bottom segment) to the containing data region.
+        bottom segment) to the containing data region.  Vertical edges,
+        and edges no region runs left to right (the top border), map to
+        None.
         """
-        above: Dict[EdgeKey, Optional[int]] = {}
-        for r in self.regions:
-            for a, b in r.polygon.directed_edges():
-                if a.x == b.x:
-                    continue  # vertical edges never bound a trapezoid below
-                key = Segment(a, b).canonical_key()
-                if a.x < b.x:
-                    above[key] = r.region_id
-                else:
-                    above.setdefault(key, None)
+        table = self.edge_table()
+        points = table.points
+        x = np.fromiter((p.x for p in points), np.float64, len(points))
+        entries = np.flatnonzero(x < x[table.succ])
+        region_of_entry = np.repeat(
+            np.asarray(self.region_ids, np.int64), np.diff(table.offsets)
+        )
+        above: List[Optional[int]] = [None] * table.n_edges
+        # In entry order, so the last region running an edge left to
+        # right wins.
+        for edge, region in zip(
+            table.edge[entries].tolist(), region_of_entry[entries].tolist()
+        ):
+            above[edge] = region
         return above
+
+    def directed_edge_region_above(self) -> Dict[EdgeKey, Optional[int]]:
+        """:meth:`edge_region_above` keyed by each non-vertical edge's
+        :meth:`Segment.canonical_key` (diagnostics)."""
+        table = self.edge_table()
+        keys = [(key.real, key.imag) for key in table.vertex_ids]
+        first = table.first_entries().tolist()
+        starts = table.vertex[first].tolist()
+        ends = table.vertex[table.succ[first]].tolist()
+        out: Dict[EdgeKey, Optional[int]] = {}
+        for k, a, b, region in zip(first, starts, ends, self.edge_region_above()):
+            if table.points[k].x == table.points[table.succ[k]].x:
+                continue  # vertical edges never bound a trapezoid below
+            ka = keys[a]
+            kb = keys[b]
+            out[(ka, kb) if ka <= kb else (kb, ka)] = region
+        return out

@@ -3,11 +3,15 @@
 The D-tree's Algorithm 1 reads the subdivision's integer edge table and
 chains on vertex ids; the R*-tree's ChooseSubtree sums overlap rows taken
 from an ndarray; ``RStarTree.build`` defers its insertions to the first
-read.  None of that may change a single tree.  The scalar code each of
-them replaced is kept here as the oracle — per-edge ``canonical_key``
-cancellation, chaining that re-quantises every visited endpoint, ``Rect``
-overlap sums, eager insertion — and monkeypatched in to build the
-reference.  Both builds run on the running interpreter: ``sum()`` of
+read; the trian-tree's Kirkpatrick rounds run on integer vertex ids with
+one batched overlap test per round; the trap-tree reads each edge's
+region above from the edge table.  None of that may change a single
+tree.  The scalar code each of them replaced is kept here as the oracle
+— per-edge ``canonical_key`` cancellation, chaining that re-quantises
+every visited endpoint, ``Rect`` overlap sums, eager insertion, the
+``TrianNode``/``quantize_point`` rounds with one ``overlaps_interior``
+call per pair and Point-based ear clipping — and monkeypatched in to
+build the reference.  Both builds run on the running interpreter: ``sum()`` of
 floats is compensated on Python 3.12+ and plain before, so the bits of
 an overlap sum (and with them a tie-break) may differ between
 interpreters but never between the two builds.
@@ -42,6 +46,7 @@ from repro.datasets.catalog import (
     park_dataset,
     uniform_dataset,
 )
+from repro.datasets.generators import uniform_points
 from repro.dynamic import (
     DynamicBroadcastServer,
     churn_sites,
@@ -51,16 +56,28 @@ from repro.dynamic import (
 )
 from repro.engine import index_family
 from repro.engine.trace import compiled_form
-from repro.errors import IndexBuildError, SubdivisionError
+from repro.errors import GeometryError, IndexBuildError, SubdivisionError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline, chain_segments
-from repro.geometry.predicates import quantize_point
+from repro.geometry.predicates import orientation, quantize_point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
+from repro.geometry.triangulate import Triangle, triangulate_polygon
+from repro.pointloc import trapezoidal as trap_mod
+from repro.pointloc.kirkpatrick import (
+    MAX_REMOVABLE_DEGREE,
+    TrianNode,
+    TrianTree,
+    _gap_triangles,
+    _super_triangle_corners,
+)
+from repro.pointloc.trapezoidal import TrapTree
 from repro.rstar.paged import rstar_fanout
 from repro.rstar.tree import RStarEntry, RStarTree
+from repro.tessellation.grid import grid_subdivision
 from repro.tessellation.subdivision import DataRegion, Subdivision
+from repro.tessellation.voronoi import voronoi_subdivision
 
 PACKET_CAPACITY = 256
 
@@ -262,9 +279,258 @@ def scalar_rstar_build(subdivision, max_entries=None, *, seed=0):
     return tree
 
 
+# -- the trian-tree's scalar build ----------------------------------------------
+
+
+def scalar_triangulate_polygon(vertices: Sequence[Point]) -> List[Triangle]:
+    """Ear clipping over :class:`Point` objects, one ``orientation`` call
+    per corner test."""
+    ring = list(vertices)
+    if len(ring) >= 2 and ring[0] == ring[-1]:
+        ring = ring[:-1]
+    if len(ring) < 3:
+        raise GeometryError("cannot triangulate fewer than 3 vertices")
+    if sum(ring[i].cross(ring[(i + 1) % len(ring)]) for i in range(len(ring))) < 0:
+        ring.reverse()
+
+    def any_point_inside(indices, i_prev, i_cur, i_next) -> bool:
+        a, b, c = ring[i_prev], ring[i_cur], ring[i_next]
+        for idx in indices:
+            if idx in (i_prev, i_cur, i_next):
+                continue
+            p = ring[idx]
+            if p == a or p == b or p == c:
+                continue
+            if (
+                orientation(a, b, p) >= 0
+                and orientation(b, c, p) >= 0
+                and orientation(c, a, p) >= 0
+            ):
+                return True
+        return False
+
+    triangles: List[Triangle] = []
+    indices = list(range(len(ring)))
+    guard = 0
+    max_iterations = len(ring) * len(ring) + 10
+    while len(indices) > 3:
+        guard += 1
+        if guard > max_iterations:
+            raise GeometryError("ear clipping failed to converge (non-simple ring?)")
+        ear_found = False
+        n = len(indices)
+        for k in range(n):
+            i_prev = indices[(k - 1) % n]
+            i_cur = indices[k]
+            i_next = indices[(k + 1) % n]
+            a, b, c = ring[i_prev], ring[i_cur], ring[i_next]
+            if orientation(a, b, c) <= 0:
+                continue
+            if any_point_inside(indices, i_prev, i_cur, i_next):
+                continue
+            triangles.append(Triangle(a, b, c))
+            indices.pop(k)
+            ear_found = True
+            break
+        if not ear_found:
+            dropped = False
+            for k in range(len(indices)):
+                i_prev = indices[(k - 1) % len(indices)]
+                i_cur = indices[k]
+                i_next = indices[(k + 1) % len(indices)]
+                if orientation(ring[i_prev], ring[i_cur], ring[i_next]) == 0:
+                    indices.pop(k)
+                    dropped = True
+                    break
+            if not dropped:
+                raise GeometryError("no ear found: ring is not a simple polygon")
+    if len(indices) == 3:
+        a, b, c = (ring[indices[0]], ring[indices[1]], ring[indices[2]])
+        if orientation(a, b, c) != 0:
+            triangles.append(Triangle(a, b, c))
+    return triangles
+
+
+def scalar_vertex_stars(nodes: Sequence[TrianNode]) -> Dict[tuple, List[TrianNode]]:
+    stars: Dict[tuple, List[TrianNode]] = defaultdict(list)
+    for node in nodes:
+        for v in node.triangle.vertices:
+            stars[quantize_point(v)].append(node)
+    return stars
+
+
+def scalar_independent_set(nodes, corner_keys) -> Dict[tuple, List[TrianNode]]:
+    """Greedy independent set keyed by ``quantize_point``, re-keying every
+    triangle vertex of the level."""
+    stars = scalar_vertex_stars(nodes)
+    neighbors: Dict[tuple, set] = defaultdict(set)
+    for node in nodes:
+        keys = [quantize_point(v) for v in node.triangle.vertices]
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    neighbors[keys[i]].add(keys[j])
+    candidates = sorted(
+        (
+            key
+            for key, star in stars.items()
+            if key not in corner_keys and len(star) <= MAX_REMOVABLE_DEGREE
+        ),
+        key=lambda key: (len(stars[key]), key),
+    )
+    chosen: Dict[tuple, List[TrianNode]] = {}
+    blocked: set = set()
+    for key in candidates:
+        if key in blocked:
+            continue
+        chosen[key] = stars[key]
+        blocked.add(key)
+        blocked.update(neighbors[key])
+    return chosen
+
+
+def scalar_star_ring(key, star: Sequence[TrianNode]):
+    """The hole ring of a vertex, chained by ``quantize_point`` keys."""
+    edges = []
+    for node in star:
+        verts = [v for v in node.triangle.vertices if quantize_point(v) != key]
+        if len(verts) != 2:
+            return None
+        edges.append((verts[0], verts[1]))
+    if len(edges) < 3:
+        return None
+    adjacency: Dict[tuple, list] = defaultdict(list)
+    for idx, (a, b) in enumerate(edges):
+        adjacency[quantize_point(a)].append((b, idx))
+        adjacency[quantize_point(b)].append((a, idx))
+    if any(len(v) != 2 for v in adjacency.values()):
+        return None
+    used = [False] * len(edges)
+    start = edges[0][0]
+    ring = [start]
+    current = start
+    for _ in range(len(edges)):
+        options = [
+            (other, idx)
+            for other, idx in adjacency[quantize_point(current)]
+            if not used[idx]
+        ]
+        if not options:
+            return None
+        other, idx = options[0]
+        used[idx] = True
+        ring.append(other)
+        current = other
+    if quantize_point(ring[0]) != quantize_point(ring[-1]):
+        return None
+    if not all(used):
+        return None
+    return ring[:-1]
+
+
+def scalar_remove_vertices(nodes, removable, round_index) -> List[TrianNode]:
+    """Re-triangulate each star and link every new triangle to the star
+    triangles it overlaps, one ``overlaps_interior`` call per pair."""
+    removed_nodes: set = set()
+    new_nodes: List[TrianNode] = []
+    for key, star in removable.items():
+        ring = scalar_star_ring(key, star)
+        if ring is None:
+            continue
+        try:
+            hole_triangles = scalar_triangulate_polygon(ring)
+        except Exception:
+            continue
+        for node in star:
+            removed_nodes.add(id(node))
+        for tri in hole_triangles:
+            new_node = TrianNode(tri, None, round_index)
+            new_node.children = [
+                old for old in star if tri.overlaps_interior(old.triangle)
+            ]
+            if not new_node.children:
+                raise IndexBuildError(
+                    "re-triangulated triangle overlaps none of the star"
+                )
+            new_nodes.append(new_node)
+    survivors = [n for n in nodes if id(n) not in removed_nodes]
+    return survivors + new_nodes
+
+
+def scalar_trian_build(self: TrianTree) -> None:
+    """``TrianTree._build`` over :class:`TrianNode` lists and tuple keys."""
+    area = self.subdivision.service_area
+    corners = _super_triangle_corners(area)
+    corner_keys = {quantize_point(c) for c in corners}
+    current: List[TrianNode] = []
+    for region in self.subdivision.regions:
+        for tri in scalar_triangulate_polygon(region.polygon.vertices):
+            current.append(TrianNode(tri, region.region_id, 0))
+    for tri in _gap_triangles(area, corners, self._border_vertices()):
+        current.append(TrianNode(tri, None, 0))
+    round_index = 0
+    while len(current) > self.t_min:
+        round_index += 1
+        removable = scalar_independent_set(current, corner_keys)
+        if not removable:
+            break
+        coarser = scalar_remove_vertices(current, removable, round_index)
+        if len(coarser) >= len(current):
+            break
+        current = coarser
+    self.roots = current
+    self.rounds = round_index
+
+
+# -- the trap-tree's scalar build -------------------------------------------------
+
+
+def scalar_directed_edge_region_above(subdivision: Subdivision) -> dict:
+    """Region above each non-vertical edge, keyed by ``canonical_key``."""
+    above: dict = {}
+    for r in subdivision.regions:
+        for a, b in r.polygon.directed_edges():
+            if a.x == b.x:
+                continue
+            key = Segment(a, b).canonical_key()
+            if a.x < b.x:
+                above[key] = r.region_id
+            else:
+                above.setdefault(key, None)
+    return above
+
+
+def scalar_trap_build(self: TrapTree, seed: int) -> None:
+    """``TrapTree._build`` keying every edge through ``canonical_key``."""
+    above_map = scalar_directed_edge_region_above(self.subdivision)
+    segments = [
+        trap_mod._Seg(
+            trap_mod._shear(edge.a),
+            trap_mod._shear(edge.b),
+            above_map.get(edge.canonical_key()),
+        )
+        for edge in self.subdivision.all_edges()
+    ]
+    if not segments:
+        raise IndexBuildError("subdivision has no edges")
+    rng = random.Random(seed)
+    rng.shuffle(segments)
+    xs = [s.p.x for s in segments] + [s.q.x for s in segments]
+    ys = [s.p.y for s in segments] + [s.q.y for s in segments]
+    pad_x = (max(xs) - min(xs)) * 0.1 + 1.0
+    pad_y = (max(ys) - min(ys)) * 0.1 + 1.0
+    lo = Point(min(xs) - pad_x, min(ys) - pad_y)
+    hi = Point(max(xs) + pad_x, max(ys) + pad_y)
+    bottom = trap_mod._Seg(Point(lo.x, lo.y), Point(hi.x, lo.y), None)
+    top = trap_mod._Seg(Point(lo.x, hi.y), Point(hi.x, hi.y), None)
+    self.root = trap_mod._Leaf(trap_mod._Trapezoid(top, bottom, lo, hi))
+    for seg in segments:
+        self._insert(seg)
+
+
 @pytest.fixture
 def scalar_kernels(monkeypatch):
-    """Route both constructions through the scalar oracles."""
+    """Route every construction through the scalar oracles."""
 
     def install():
         monkeypatch.setattr(partition_mod, "evaluate_style", scalar_evaluate_style)
@@ -278,6 +544,8 @@ def scalar_kernels(monkeypatch):
         monkeypatch.setattr(RStarTree, "build", classmethod(
             lambda cls, *a, **k: scalar_rstar_build(*a, **k)
         ))
+        monkeypatch.setattr(TrianTree, "_build", scalar_trian_build)
+        monkeypatch.setattr(TrapTree, "_build", scalar_trap_build)
 
     return install
 
@@ -288,6 +556,14 @@ def scalar_kernels(monkeypatch):
 def observable(paged) -> dict:
     """Everything a paged index puts on the air or hands the tracers."""
     packets = [(p.used, list(p.contents)) for p in paged.packets]
+    if isinstance(paged.tree, TrapTree):
+        # Trap-tree labels carry ``id(node)``; name nodes by their
+        # topological ordinal instead.
+        ordinal = {
+            f"trapnode@{id(node):x}": f"trapnode#{i}"
+            for i, node in enumerate(paged.tree.nodes_topological())
+        }
+        packets = [(used, [ordinal[c] for c in contents]) for used, contents in packets]
     form = compiled_form(paged)
     compiled = None
     if form is not None:
@@ -301,12 +577,30 @@ def observable(paged) -> dict:
             else:
                 compiled[name] = repr(value)
     state = {"packets": packets, "compiled": compiled}
+    if isinstance(paged.tree, TrianTree):
+        state["trian"] = trian_shape(paged.tree)
     if hasattr(paged.tree, "nodes_breadth_first"):
         serialized = SerializedDTree(
             paged.tree, SystemParameters.for_index("dtree", PACKET_CAPACITY)
         )
         state["wire"] = list(serialized.packets)
     return state
+
+
+def trian_shape(tree: TrianTree) -> list:
+    """Every node in broadcast order: its triangle's vertices in stored
+    order, region, round and children (as broadcast ordinals, in order)."""
+    order = tree.nodes_level_order()
+    ordinal = {id(node): i for i, node in enumerate(order)}
+    return [
+        (
+            [(v.x, v.y) for v in node.triangle.vertices],
+            node.region_id,
+            node.round_index,
+            [ordinal[id(child)] for child in node.children],
+        )
+        for node in order
+    ] + [("roots", [ordinal[id(root)] for root in tree.roots], tree.rounds)]
 
 
 def build_paged(kind: str, subdivision: Subdivision):
@@ -321,7 +615,7 @@ DATASETS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["dtree", "rstar"])
+@pytest.mark.parametrize("kind", ["dtree", "rstar", "trian", "trap"])
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     array_state = observable(build_paged(kind, DATASETS[dataset]()))
@@ -330,6 +624,72 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     assert array_state["packets"] == scalar_state["packets"]
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
+    assert array_state.get("trian") == scalar_state.get("trian")
+
+
+def _trian_and_trap_states(subdivision: Subdivision, t_min: int) -> tuple:
+    family = index_family("trap")
+    trap = family.build(subdivision, seed=3).page(family.parameters(PACKET_CAPACITY))
+    trian = TrianTree(subdivision, t_min=t_min).page(
+        index_family("trian").parameters(PACKET_CAPACITY)
+    )
+    return observable(trian), observable(trap)
+
+
+@st.composite
+def _small_subdivisions(draw):
+    """Random Voronoi diagrams, and rectilinear grids, whose collinear
+    cell corners make ear clipping drop collinear hole vertices."""
+    if draw(st.booleans()):
+        sites = uniform_points(
+            draw(st.integers(2, 40)), draw(st.integers(0, 10_000)), SERVICE_AREA
+        )
+        return voronoi_subdivision(sites, SERVICE_AREA)
+    return grid_subdivision(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_subdivisions(), st.integers(1, 16))
+def test_trian_and_trap_identical_to_scalar_build_on_random_subdivisions(
+    subdivision, t_min
+):
+    array_states = _trian_and_trap_states(subdivision, t_min)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TrianTree, "_build", scalar_trian_build)
+        patch.setattr(TrapTree, "_build", scalar_trap_build)
+        scalar_states = _trian_and_trap_states(subdivision, t_min)
+    assert array_states == scalar_states
+
+
+#: Lattice coordinates: collinear, repeated and self-crossing rings abound.
+_lattice = st.integers(0, 4).map(float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.builds(Point, _lattice, _lattice), max_size=9))
+def test_ear_clipping_matches_scalar(ring):
+    def outcome(triangulate):
+        try:
+            return [tri.vertices for tri in triangulate(ring)]
+        except GeometryError as exc:
+            return str(exc)
+
+    assert outcome(triangulate_polygon) == outcome(scalar_triangulate_polygon)
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_edge_region_above_matches_scalar(dataset):
+    sub = DATASETS[dataset]()
+    assert sub.directed_edge_region_above() == scalar_directed_edge_region_above(sub)
+
+
+def test_edge_region_above_skips_vertical_edges():
+    sub = grid_subdivision(3, 4)
+    above = sub.directed_edge_region_above()
+    assert above == scalar_directed_edge_region_above(sub)
+    # 3 rows x 4 columns: 4 x 4 horizontal edges, 3 x 5 vertical ones.
+    assert len(above) == 16
+    assert sum(region is None for region in sub.edge_region_above()) == 4 + 15
 
 
 def dtree_shape(tree: DTree) -> list:

@@ -7,8 +7,11 @@ from repro.geometry.triangulate import Triangle
 from repro.pointloc.kirkpatrick import (
     MAX_REMOVABLE_DEGREE,
     TrianTree,
+    _base_level,
     _gap_triangles,
+    _independent_set,
     _super_triangle_corners,
+    _vertex_stars,
 )
 from repro.tessellation.grid import grid_subdivision
 
@@ -47,37 +50,38 @@ class TestGapTriangulation:
                 assert not t1.overlaps_interior(t2)
 
 
+def _first_round(subdivision):
+    """Level 0 of the build and the first round's independent set."""
+    vertices, level, _ = _base_level(subdivision)
+    vertex_level = vertices.vid[level]
+    stars = _vertex_stars(vertex_level, len(vertices.corner))
+    return vertices, vertex_level, stars, _independent_set(
+        vertex_level, stars, vertices
+    )
+
+
 class TestIndependentSet:
     def test_chosen_vertices_are_independent(self, voronoi60):
-        tree = TrianTree(voronoi60)
-        # Rebuild the base triangulation and query one round's selection.
-        base = [
-            n for n in tree.nodes_level_order() if n.round_index == 0
-        ]
-        area = voronoi60.service_area
-        corner_keys = {
-            quantize_point(c) for c in _super_triangle_corners(area)
-        }
-        chosen = tree._independent_set(base, corner_keys)
+        _, vertex_level, (offsets, slots), chosen = _first_round(voronoi60)
+        assert chosen
         keys = set(chosen)
-        for key, star in chosen.items():
+        for v in chosen:
+            star = slots[offsets[v] : offsets[v + 1]] // 3
             assert len(star) <= MAX_REMOVABLE_DEGREE
             # No neighbour of a chosen vertex is also chosen.
-            for node in star:
-                for v in node.triangle.vertices:
-                    vk = quantize_point(v)
-                    if vk != key:
-                        assert vk not in keys or vk == key
+            for u in vertex_level[star].ravel().tolist():
+                assert u == v or u not in keys
 
     def test_super_triangle_corners_never_chosen(self, voronoi60):
-        tree = TrianTree(voronoi60)
-        base = [n for n in tree.nodes_level_order() if n.round_index == 0]
-        area = voronoi60.service_area
-        corner_keys = {
-            quantize_point(c) for c in _super_triangle_corners(area)
+        vertices, _, _, chosen = _first_round(voronoi60)
+        corners = _super_triangle_corners(voronoi60.service_area)
+        corner_ids = {
+            int(vertices.vid[i])
+            for i, p in enumerate(vertices.points)
+            if p in corners
         }
-        chosen = tree._independent_set(base, corner_keys)
-        assert not corner_keys & set(chosen)
+        assert len(corner_ids) == 3
+        assert not corner_ids & set(chosen)
 
 
 class TestHierarchyShape:

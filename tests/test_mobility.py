@@ -365,6 +365,23 @@ class TestTrajectory:
         with pytest.raises(ReproError):
             Trajectory([0.0], [0.0], speed=1.0).epoch_times(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waypoints_rejected_by_name(self, bad):
+        with pytest.raises(ReproError, match=r"waypoint 1 has non-finite x"):
+            Trajectory([0.1, bad], [0.2, 0.3], speed=1e-3)
+        with pytest.raises(ReproError, match=r"waypoint 0 has non-finite y"):
+            Trajectory([0.1, 0.2], [bad, 0.3], speed=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_speed_rejected_by_name(self, bad):
+        with pytest.raises(ReproError, match=r"^speed must be finite"):
+            Trajectory([0.1, 0.2], [0.2, 0.3], speed=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_issue_time_rejected_by_name(self, bad):
+        with pytest.raises(ReproError, match=r"^issue time must be finite"):
+            Trajectory([0.1, 0.2], [0.2, 0.3], speed=1e-3, issue_time=bad)
+
 
 class TestUnits:
     def test_kmh_to_units_per_slot(self):
