@@ -17,11 +17,11 @@ import time
 
 import pytest
 
-from repro.broadcast.metrics import evaluate_index_per_query
 from repro.datasets.catalog import uniform_dataset
 from repro.engine import evaluate_workload, index_family
 
 from _recorder import record_case, run_recorded
+from tests.oracles import evaluate_index_per_query
 
 WORKLOAD_SIZES = (100, 1_000, 10_000)
 

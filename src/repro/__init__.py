@@ -65,12 +65,11 @@ from repro.broadcast import (
     BroadcastClient,
     AccessBatch,
     evaluate_index,
-    evaluate_index_per_query,
 )
 
 # Single source of truth — pyproject.toml reads it via
 # ``[tool.setuptools.dynamic] version = {attr = "repro.__version__"}``.
-__version__ = "6.2.0"
+__version__ = "7.0.0"
 
 #: Engine names resolved lazily (PEP 562): ``repro.engine`` imports the
 #: index families, which import the broadcast substrate, so an eager
@@ -176,7 +175,6 @@ __all__ = [
     "BroadcastClient",
     "AccessBatch",
     "evaluate_index",
-    "evaluate_index_per_query",
     "AirIndex",
     "IndexFamily",
     "INDEX_REGISTRY",

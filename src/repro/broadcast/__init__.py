@@ -12,12 +12,7 @@ indexing efficiency.
 from repro.broadcast.params import SystemParameters, PACKET_CAPACITIES
 from repro.broadcast.packets import Packet, PacketStore, QueryTrace, PagedIndex
 from repro.broadcast.schedule import BroadcastSchedule, optimal_m
-from repro.broadcast.client import (
-    AccessBatch,
-    AccessResult,
-    BroadcastClient,
-    run_workload,
-)
+from repro.broadcast.client import AccessBatch, AccessResult, BroadcastClient
 from repro.broadcast.caching import PacketCache
 from repro.broadcast.plan import (
     ALLOCATION_REGISTRY,
@@ -38,7 +33,6 @@ from repro.broadcast.disks import (
 from repro.broadcast.metrics import (
     MetricsSummary,
     evaluate_index,
-    evaluate_index_per_query,
     no_index_tuning_time,
     no_index_latency,
     indexing_efficiency,
@@ -53,7 +47,6 @@ __all__ = [
     "allocation_strategy",
     "available_allocations",
     "register_allocation",
-    "run_workload",
     "SystemParameters",
     "PACKET_CAPACITIES",
     "Packet",
@@ -72,7 +65,6 @@ __all__ = [
     "region_weights_from_workload",
     "MetricsSummary",
     "evaluate_index",
-    "evaluate_index_per_query",
     "no_index_tuning_time",
     "no_index_latency",
     "indexing_efficiency",

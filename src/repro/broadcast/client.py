@@ -100,35 +100,6 @@ def resolve_issue_times(
     )
 
 
-def run_workload(
-    client,
-    points: Sequence[Point],
-    *,
-    issue_times: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-) -> List["AccessResult"]:
-    """The workload runner: query each point at a uniform-random instant
-    of the broadcast cycle.
-
-    *client* needs only a ``query(point, issue_time)`` method and a
-    ``cycle_length``.  Pass *rng* to draw issue times from an externally
-    owned stream (one shared across components for reproducible runs);
-    otherwise a fresh ``random.Random(seed)`` is used.  Explicit
-    *issue_times* bypass the rng entirely.
-    """
-    if issue_times is not None:
-        if len(issue_times) != len(points):
-            raise BroadcastError(
-                f"{len(issue_times)} issue times for {len(points)} query points"
-            )
-        return [client.query(p, t) for p, t in zip(points, issue_times)]
-    if rng is None:
-        rng = random.Random(seed)
-    length = client.cycle_length
-    return [client.query(p, rng.uniform(0, length)) for p in points]
-
-
 def run_sessions(sessions: Iterable[tuple]) -> "AccessBatch":
     """One :meth:`BroadcastClient.run_batch` per ``(walker, points,
     issue_times)`` session, in order, joined into one batch.
@@ -575,6 +546,8 @@ class BroadcastClient:
         """Run the access protocol for a query issued at *issue_time*
         (absolute packet slot, channel-independent), reporting its
         counters to an installed collector."""
+        if not math.isfinite(issue_time):
+            raise BroadcastError("issue times must be finite")
         result = self.walk(point, issue_time)
         col = active_collector() if self._counts is not None else None
         if col is not None:
@@ -1295,24 +1268,18 @@ class BroadcastClient:
                 col.count("sim.cache.misses", misses)
 
     def run_workload(
-        self,
-        points: Sequence[Point],
-        *,
-        issue_times: Optional[Sequence[float]] = None,
-        seed: int = 0,
-        rng: Optional[random.Random] = None,
+        self, points: Sequence[Point], *, issue_times: Sequence[float]
     ) -> List[AccessResult]:
-        """Query each point at a uniform-random instant in the cycle (see
-        the module-level :func:`run_workload`).  A lossy walk draws from
-        its error model's current stream — reseed it, or run through
+        """:meth:`query` for every point at its issue time, as a list.
+
+        :meth:`run_batch` is the front door; this loop stays for a
+        caller that must walk without the compiled tracers (an index
+        whose recompile failed).  A lossy walk draws from its error
+        model's current stream — reseed it, or run through
         :class:`~repro.simulation.ChannelSimulator`, for a reproducible
         fault schedule."""
-        return run_workload(
-            self, points, issue_times=issue_times, seed=seed, rng=rng
-        )
-
-    def run_session(
-        self, points: Sequence[Point], issue_times: Sequence[float]
-    ) -> List[AccessResult]:
-        """A sequence of queries sharing the client's cache (a session)."""
-        return self.run_workload(points, issue_times=issue_times)
+        if len(issue_times) != len(points):
+            raise BroadcastError(
+                f"{len(issue_times)} issue times for {len(points)} query points"
+            )
+        return [self.query(p, t) for p, t in zip(points, issue_times)]

@@ -10,14 +10,11 @@
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Sequence
 
 from repro.geometry.point import Point
-from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import PagedIndex
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.schedule import resolve_schedule
 
 
 def no_index_latency(n_regions: int, params: SystemParameters) -> float:
@@ -100,10 +97,10 @@ def metrics_summary(
 ) -> MetricsSummary:
     """Reduce per-query values to the metrics of one cell.
 
-    The one reduction behind :meth:`repro.broadcast.client.AccessBatch.summary` and
-    :func:`evaluate_index_per_query`.  The means are plain left-to-right
-    Python sums in query order, so both paths produce bit-identical
-    summaries from equal per-query values.
+    The one reduction behind :meth:`repro.broadcast.client.AccessBatch.summary`
+    and the per-query oracle in ``tests/oracles.py``.  The means are
+    plain left-to-right Python sums in query order, so both paths
+    produce bit-identical summaries from equal per-query values.
     """
     n = len(access_latency)
     mean_latency = sum(access_latency) / n
@@ -142,9 +139,9 @@ def evaluate_index(
 
     Evaluation is delegated to the batched
     :class:`~repro.engine.QueryEngine`, which produces per-query results
-    identical to the per-query reference path
-    (:func:`evaluate_index_per_query`) — the engine is property-tested
-    against it — several times faster.
+    identical to a loop of :meth:`~repro.broadcast.client.BroadcastClient.query`
+    (property-tested against the per-query oracle in ``tests/oracles.py``),
+    several times faster.
     """
     from repro.engine.batch import evaluate_workload
 
@@ -159,36 +156,3 @@ def evaluate_index(
     )
     return batch.summary(region_ids, params)
 
-
-def evaluate_index_per_query(
-    paged_index: PagedIndex,
-    region_ids: Sequence[int],
-    params: SystemParameters,
-    query_points: List[Point],
-    seed: int = 0,
-    m: Optional[int] = None,
-    schedule=None,
-) -> MetricsSummary:
-    """Reference implementation of :func:`evaluate_index`: one client
-    query at a time through :class:`BroadcastClient`.
-
-    Kept as the oracle the batched engine is property-tested against
-    (``tests/test_engine.py``); prefer :func:`evaluate_index` everywhere
-    else.
-    """
-    schedule = resolve_schedule(
-        paged_index, region_ids, params, query_points, m=m, schedule=schedule
-    )
-    client = BroadcastClient(paged_index, schedule)
-    rng = random.Random(seed)
-    issue_times = [rng.uniform(0, schedule.cycle_length) for _ in query_points]
-    results = client.run_workload(query_points, issue_times=issue_times)
-    return metrics_summary(
-        [r.access_latency for r in results],
-        [r.index_tuning_time for r in results],
-        [r.total_tuning_time for r in results],
-        len(paged_index.packets),
-        schedule,
-        len(region_ids),
-        params,
-    )

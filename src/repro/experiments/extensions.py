@@ -181,12 +181,8 @@ def extension_cache_warmup(
     cold = BroadcastClient(paged, schedule)
     cached = BroadcastClient(paged, schedule, cache_packets=cache_packets)
 
-    cold_series = [
-        cold.query(p, t).index_tuning_time for p, t in zip(points, times)
-    ]
-    cached_series = [
-        r.index_tuning_time for r in cached.run_session(points, times)
-    ]
+    cold_series = cold.run_batch(points, times).index_tuning_time.tolist()
+    cached_series = cached.run_batch(points, times).index_tuning_time.tolist()
 
     def windows(series: List[int], width: int = 20) -> List[float]:
         return [

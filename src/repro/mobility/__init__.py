@@ -7,8 +7,8 @@ whose answers stay valid until a scope boundary is crossed:
 
 * :class:`Trajectory` + the chunked Philox workload generators
   (:class:`RandomWaypointWorkload`, :class:`BoundaryHuggingWorkload`);
-* the continuous-query client with sound scope-exit prediction
-  (:mod:`repro.mobility.client`, :mod:`repro.mobility.exitbound`);
+* sound scope-exit prediction for the continuous-query client
+  (:mod:`repro.mobility.exitbound`);
 * continuous window / nearest-region variants
   (:mod:`repro.mobility.continuous`);
 * :func:`evaluate_trajectory_workload` + the fleet-mergeable
@@ -21,10 +21,6 @@ from repro.mobility.workloads import (
     RandomWaypointWorkload,
 )
 from repro.mobility.exitbound import RegionBoundaryIndex
-from repro.mobility.client import (
-    ClientOutcome,
-    evaluate_trajectory,
-)
 from repro.mobility.continuous import (
     ContinuousWindowQuery,
     NearestRegionQuery,
@@ -48,8 +44,6 @@ __all__ = [
     "RandomWaypointWorkload",
     "BoundaryHuggingWorkload",
     "RegionBoundaryIndex",
-    "ClientOutcome",
-    "evaluate_trajectory",
     "ContinuousWindowQuery",
     "NearestRegionQuery",
     "run_continuous_query",

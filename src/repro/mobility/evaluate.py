@@ -18,8 +18,8 @@ caching and channel hops change when an answer arrives, never what it
 is, so the waves fix the re-tune schedule; one protocol pass then runs
 every re-tune through :class:`~repro.broadcast.client.BroadcastClient`
 in client order — the query order, and so the error-model stream, of
-the per-client :func:`~repro.mobility.client.evaluate_trajectory` walk,
-which is kept as the oracle.
+a per-client walk, re-tune by re-tune (the oracle ``evaluate_trajectory``
+in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def evaluate_trajectory_workload(
     ``random.Random(f"channel:{seed}")``, the simulator's convention.
     With *cache_packets* set, each client's packet cache persists across
     its own re-tunes.  Every session takes one path, the epoch waves
-    (module docstring); a loop of per-client
-    :func:`~repro.mobility.client.evaluate_trajectory` walks is its oracle.
+    (module docstring); a loop of per-client walks (``evaluate_trajectory``
+    in ``tests/oracles.py``) is its oracle.
 
     *boundary_index* is a :class:`RegionBoundaryIndex` or anything with
     its ``exit_bound(region_id, x, y)`` method; a duck type without the
@@ -420,8 +420,9 @@ def _stale_epoch_counts(
 ) -> np.ndarray:
     """Per-client stale epochs, vectorized over a whole batch.
 
-    The rule of :func:`repro.mobility.client._stale_epochs`: an epoch is
-    stale when, at its end, no re-tune of its client has been delivered,
+    The rule of the per-client oracle (``_stale_epochs`` in
+    ``tests/oracles.py``): an epoch is stale when, at its end, no re-tune
+    of its client has been delivered (issue time plus access latency),
     or the latest-issued delivered one answered differently.  Epochs
     (*ends*, *answers*, *epoch_owner*) are flat and client-major; so are
     the re-tunes (*deliveries*, *regions*, *owner*), client ``c``'s

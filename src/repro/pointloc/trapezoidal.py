@@ -484,7 +484,7 @@ class PagedTrapTree:
             for child in _children_of(node):
                 parent_packets.setdefault(id(child), [])
         capacity = self.params.packet_capacity
-        for node in order:
+        for ordinal, node in enumerate(order):
             size = self.node_size(node)
             if size > capacity:
                 raise PagingError("trap-tree node exceeds packet capacity")
@@ -498,7 +498,7 @@ class PagedTrapTree:
                     placed = candidate
             if placed is None:
                 placed = self._store.new_packet()
-            placed.allocate(size, f"trapnode@{id(node):x}")
+            placed.allocate(size, f"trapnode#{ordinal}")
             self._node_packet[id(node)] = placed.packet_id
             for child in _children_of(node):
                 parent_packets.setdefault(id(child), []).append(placed.packet_id)

@@ -13,13 +13,16 @@ registered :class:`~repro.engine.AirIndex` families run under
 *identical* fault schedules because the error model's rng is reseeded
 per run from the workload seed, independently of the index.
 
+:meth:`ChannelSimulator.run` is the simulator's one front door.
 Determinism contract: ``run(...)`` with the same seed (and the same
 simulator configuration) produces an identical report, bit for bit —
 issue times come from ``random.Random(seed)`` (the same resolver,
 :func:`~repro.broadcast.client.resolve_issue_times`, as the batched
 :class:`~repro.engine.QueryEngine`, so the zero-error property test can
 compare elementwise) and channel randomness from a
-stream derived from the seed but not shared with it.
+stream derived from the seed but not shared with it.  An injected
+``rng=`` replaces only the issue-time stream: ``run(w, rng=Random(s))``
+draws the issue times of ``run(w, seed=s)``.
 """
 
 from __future__ import annotations
@@ -65,22 +68,6 @@ class ChannelSimulator:
         # issue-time horizon (cycle_length) matches bit for bit.
         self.schedule = self.client.schedule
         self.index_kind = index_kind
-
-    def run_workload(
-        self,
-        workload,
-        *,
-        issue_times: Optional[Sequence[float]] = None,
-        seed: int = 0,
-        rng=None,
-    ) -> SimulationReport:
-        """Simulate *workload* under the shared keyword-only workload
-        signature (see :func:`repro.broadcast.client.run_workload`).
-
-        ``rng`` injects the issue-time stream; without it the stream is
-        ``random.Random(seed)``, the exact stream of the batched engine.
-        """
-        return self.run(workload, issue_times=issue_times, seed=seed, rng=rng)
 
     def run(
         self,

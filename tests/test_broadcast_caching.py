@@ -77,9 +77,7 @@ class TestCachingClient:
         cold_total = sum(
             cold.query(p, t).index_tuning_time for p, t in zip(points, times)
         )
-        warm_total = sum(
-            r.index_tuning_time for r in warm.run_session(points, times)
-        )
+        warm_total = int(warm.run_batch(points, times).index_tuning_time.sum())
         assert warm_total < cold_total
 
     def test_repeated_query_becomes_free(self, stack):

@@ -21,7 +21,7 @@ from repro.broadcast.multiplex import MultiplexedBroadcast, Service
 from repro.broadcast.packets import QueryTrace
 from repro.engine import INDEX_REGISTRY, evaluate_workload
 from repro.errors import BroadcastError
-from repro.simulation import simulate_workload
+from repro.simulation import ChannelSimulator, simulate_workload
 from repro.simulation.policies import RECOVERY_POLICIES
 
 from tests.conftest import random_points_in
@@ -131,11 +131,15 @@ class TestK1Parity:
         for capacity in (0, 6):
             plain = BroadcastClient(paged, schedule, cache_packets=capacity)
             via_plan = BroadcastClient(paged, plan, cache_packets=capacity)
-            got_plain = plain.run_session(points, times)
-            got_plan = via_plan.run_session(points, times)
-            assert [_as_tuple(r) for r in got_plan] == [
-                _as_tuple(r) for r in got_plain
-            ]
+            got_plain = plain.run_batch(points, times)
+            got_plan = via_plan.run_batch(points, times)
+            for name in (
+                "region_ids", "access_latency", "index_tuning_time",
+                "total_tuning_time",
+            ):
+                assert np.array_equal(
+                    getattr(got_plan, name), getattr(got_plain, name)
+                ), name
 
     @pytest.mark.parametrize("fixture", ["voronoi60", "clustered40"])
     def test_engine_arrays_exact(self, fixture, request):
@@ -496,18 +500,26 @@ class TestMultiChannelEndToEnd:
 
 
 class TestRunWorkloadUnification:
+    """``ChannelSimulator.run`` draws issue times from ``seed`` or from an
+    injected ``rng``, on one channel or K; every door checks that there
+    is one issue time per point."""
+
+    @staticmethod
+    def _assert_same_run(a, b):
+        assert np.array_equal(a.issue_times, b.issue_times)
+        for name in ("region_ids", "access_latency", "tuning_time"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_rng_injection_matches_seed(self, voronoi60):
         paged, params = _paged("dtree", voronoi60)
         plan = BroadcastPlan(
             len(paged.packets), voronoi60.region_ids, params, channels=2
         )
-        client = BroadcastClient(paged, plan)
+        sim = ChannelSimulator(paged, plan)
         points = random_points_in(voronoi60, 10, seed=2)
-        via_seed = client.run_workload(points, seed=21)
-        via_rng = client.run_workload(points, rng=random.Random(21))
-        assert [_as_tuple(r) for r in via_seed] == [
-            _as_tuple(r) for r in via_rng
-        ]
+        self._assert_same_run(
+            sim.run(points, seed=21), sim.run(points, rng=random.Random(21))
+        )
 
     def test_issue_times_length_checked(self, voronoi60):
         paged, params = _paged("dtree", voronoi60)
@@ -517,23 +529,23 @@ class TestRunWorkloadUnification:
         client = BroadcastClient(paged, plan)
         points = random_points_in(voronoi60, 3, seed=2)
         with pytest.raises(BroadcastError, match="issue times"):
+            client.run_batch(points, [0.0])
+        with pytest.raises(BroadcastError, match="issue times"):
             client.run_workload(points, issue_times=[0.0])
+        with pytest.raises(BroadcastError, match="issue times"):
+            ChannelSimulator(paged, plan).run(points, issue_times=[0.0])
 
-    def test_simulator_run_workload_keyword_only(self, voronoi60):
+    def test_simulator_rng_injection_on_flat_schedule(self, voronoi60):
         paged, params = _paged("dtree", voronoi60)
-        from repro.simulation.simulator import ChannelSimulator
-
         sim = ChannelSimulator(paged, BroadcastSchedule(
             index_packet_count=len(paged.packets),
             region_ids=voronoi60.region_ids,
             params=params,
         ))
         points = random_points_in(voronoi60, 8, seed=3)
-        a = sim.run_workload(points, seed=5)
-        b = sim.run(points, seed=5)
-        assert np.array_equal(a.access_latency, b.access_latency)
-        c = sim.run_workload(points, rng=random.Random(5))
-        assert np.array_equal(a.access_latency, c.access_latency)
+        self._assert_same_run(
+            sim.run(points, seed=5), sim.run(points, rng=random.Random(5))
+        )
 
 
 class TestMultiplexPlanAndBisect:

@@ -19,6 +19,7 @@ interpreters but never between the two builds.
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
@@ -72,7 +73,7 @@ from repro.pointloc.kirkpatrick import (
     _gap_triangles,
     _super_triangle_corners,
 )
-from repro.pointloc.trapezoidal import TrapTree
+from repro.pointloc.trapezoidal import PagedTrapTree, TrapTree
 from repro.rstar.paged import rstar_fanout
 from repro.rstar.tree import RStarEntry, RStarTree
 from repro.tessellation.grid import grid_subdivision
@@ -556,14 +557,6 @@ def scalar_kernels(monkeypatch):
 def observable(paged) -> dict:
     """Everything a paged index puts on the air or hands the tracers."""
     packets = [(p.used, list(p.contents)) for p in paged.packets]
-    if isinstance(paged.tree, TrapTree):
-        # Trap-tree labels carry ``id(node)``; name nodes by their
-        # topological ordinal instead.
-        ordinal = {
-            f"trapnode@{id(node):x}": f"trapnode#{i}"
-            for i, node in enumerate(paged.tree.nodes_topological())
-        }
-        packets = [(used, [ordinal[c] for c in contents]) for used, contents in packets]
     form = compiled_form(paged)
     compiled = None
     if form is not None:
@@ -625,6 +618,20 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
     assert array_state.get("trian") == scalar_state.get("trian")
+
+
+def test_trap_packet_labels_do_not_depend_on_the_build():
+    """Trap-tree packets are labelled by topological ordinal, so two
+    same-seed builds, and a tree re-paged after a pickle round trip,
+    page to equal ``Packet.contents``."""
+    subdivision = DATASETS["PARK"]()
+    first = build_paged("trap", subdivision)
+    second = build_paged("trap", subdivision)
+    unpickled = PagedTrapTree(pickle.loads(pickle.dumps(first.tree)), first.params)
+    contents = [list(p.contents) for p in first.packets]
+    assert contents[0][0] == "trapnode#0"
+    for other in (second, unpickled):
+        assert [list(p.contents) for p in other.packets] == contents
 
 
 def _trian_and_trap_states(subdivision: Subdivision, t_min: int) -> tuple:

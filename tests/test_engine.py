@@ -3,7 +3,7 @@
 The core guarantee under test: :func:`repro.engine.evaluate_workload`
 (and hence the rewired :func:`repro.broadcast.evaluate_index`) is
 *bit-for-bit identical* to the per-query reference path
-:func:`repro.broadcast.evaluate_index_per_query` — per-query arrays and
+:func:`tests.oracles.evaluate_index_per_query` — per-query arrays and
 the reduced :class:`MetricsSummary` alike — for all four index families.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import repro
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.disks import SkewedBroadcastSchedule
-from repro.broadcast.metrics import evaluate_index, evaluate_index_per_query
+from repro.broadcast.metrics import evaluate_index
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.engine import (
     INDEX_REGISTRY,
@@ -33,6 +33,7 @@ from repro.errors import BroadcastError, ReproError
 from repro.geometry.point import Point
 
 from tests.conftest import random_points_in
+from tests.oracles import evaluate_index_per_query
 
 ALL_KINDS = ("dtree", "trian", "trap", "rstar")
 

@@ -9,7 +9,8 @@ mobility workload factory rejects unknown names with a ``ReproError``
 at every entry point, and the mobility front doors reject a
 non-finite epoch grid and an out-of-range loss rate the same way.
 Every batched door rejects non-finite or non-1-D issue times with the
-walker's ``BroadcastError``.
+walker's ``BroadcastError``, and the scalar ``query`` rejects a
+non-finite issue time with the same error.
 """
 
 import functools
@@ -19,10 +20,10 @@ import numpy as np
 import pytest
 
 from repro.broadcast.client import BroadcastClient
-from repro.broadcast.metrics import evaluate_index_per_query
 from repro.broadcast.plan import BroadcastPlan
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.datasets.catalog import uniform_dataset
+from repro.dynamic import DynamicBroadcastClient, DynamicBroadcastServer
 from repro.engine import QueryEngine, evaluate_workload, index_family
 from repro.errors import BroadcastError, ReproError
 from repro.experiments.runner import run_mobility_cell
@@ -37,6 +38,7 @@ from repro.mobility.workloads import trajectory_workload
 from repro.simulation import ChannelSimulator, make_error_model, simulate_workload
 
 from tests.conftest import random_points_in
+from tests.oracles import evaluate_index_per_query
 
 
 def _points(subdivision):
@@ -245,6 +247,20 @@ class TestBadIssueTimes:
                 paged, _schedule(paged, subdivision, params), points,
                 BAD_ISSUE_TIMES[bad],
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("live", [False, True], ids=["static", "dynamic"])
+    def test_scalar_query_rejects_non_finite_time(self, cell, live, bad):
+        paged, subdivision, params = cell
+        if live:
+            client = DynamicBroadcastClient(
+                DynamicBroadcastServer("dtree", subdivision, packet_capacity=64)
+            )
+        else:
+            client = BroadcastClient(paged, _schedule(paged, subdivision, params))
+        point = random_points_in(subdivision, 1, seed=3)[0]
+        with pytest.raises(BroadcastError, match="issue times must be finite"):
+            client.query(point, bad)
 
     @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("door", sorted(WORKLOAD_DOORS))

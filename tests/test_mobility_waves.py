@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.mobility.client as client_module
 import repro.mobility.evaluate as evaluate_module
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.plan import BroadcastPlan
@@ -31,7 +30,6 @@ from repro.mobility import (
     RegionBoundaryIndex,
     Trajectory,
     default_epoch_slots,
-    evaluate_trajectory,
     evaluate_trajectory_workload,
     units_per_slot,
 )
@@ -41,6 +39,9 @@ from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import make_error_model
 from repro.simulation.policies import RECOVERY_POLICIES
 from repro.tessellation.grid import grid_subdivision
+
+import tests.oracles as oracles
+from tests.oracles import evaluate_trajectory
 
 DATASET = uniform_dataset(n=30, seed=13)
 SUBDIVISION = DATASET.subdivision
@@ -450,7 +451,7 @@ def test_vectorized_staleness_matches_sweep(clients, epoch_slots):
         ans = (np.arange(n) % (region_count + 1)).astype(np.int64)
         regs = [d % (region_count + 1) for d in dts]
         expected.append(
-            client_module._stale_epochs(
+            oracles._stale_epochs(
                 grid, epoch_slots, ans, [float(d) for d in dts], regs
             )
         )

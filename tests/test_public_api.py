@@ -48,6 +48,26 @@ class TestTopLevel:
         assert not hasattr(repro, "BatchResult")
         assert not hasattr(importlib.import_module("repro.engine"), "BatchResult")
 
+    def test_oracles_and_alias_doors_are_not_exported(self):
+        # 7.0.0 moved the per-query oracles into tests/oracles.py and
+        # removed the list door beside run_batch.
+        broadcast = importlib.import_module("repro.broadcast")
+        mobility = importlib.import_module("repro.mobility")
+        for module, name in (
+            (repro, "evaluate_index_per_query"),
+            (broadcast, "evaluate_index_per_query"),
+            (broadcast, "run_workload"),
+            (importlib.import_module("repro.broadcast.client"), "run_workload"),
+            (repro.BroadcastClient, "run_session"),
+            (repro.ChannelSimulator, "run_workload"),
+            (mobility, "evaluate_trajectory"),
+            (mobility, "ClientOutcome"),
+        ):
+            assert name not in getattr(module, "__all__", ()), name
+            assert not hasattr(module, name), name
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.mobility.client")
+
 
 @pytest.mark.parametrize("module_name", SUBPACKAGES)
 class TestSubpackages:
