@@ -8,7 +8,7 @@ import pytest
 from repro.broadcast.params import SystemParameters
 from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
-from repro.datasets.catalog import uniform_dataset
+from repro.datasets.catalog import park_dataset, uniform_dataset
 from repro.pointloc.kirkpatrick import TrianTree
 from repro.pointloc.trapezoidal import TrapTree
 from repro.rstar.paged import rstar_fanout
@@ -26,9 +26,20 @@ def query_points(subdivision):
     return [subdivision.random_point(rng) for _ in range(200)]
 
 
-def bench_build_dtree(benchmark, subdivision):
+#: The level-synchronous D-tree build on the default set and on the
+#: paper's largest one.
+DTREE_BUILD_SETS = {
+    "UNIFORM-150": lambda: uniform_dataset(n=150, seed=42).subdivision,
+    "PARK": lambda: park_dataset().subdivision,
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(DTREE_BUILD_SETS))
+def bench_build_dtree(benchmark, dataset):
+    subdivision = DTREE_BUILD_SETS[dataset]()
     tree = benchmark(DTree.build, subdivision)
     assert tree.node_count == len(subdivision) - 1
+    assert tree.check_height_balanced()
 
 
 def bench_build_trap(benchmark, subdivision):

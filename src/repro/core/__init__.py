@@ -10,9 +10,10 @@ or, inside the interlocking zone D2, a ray-crossing parity test.
 Modules:
 
 * :mod:`repro.core.partition` — Algorithm 1 (PartitionSize) over the 4/8
-  partition styles with the inter-prob tie-break.
-* :mod:`repro.core.dtree` — recursive construction of the binary D-tree and
-  the logical query procedure (Algorithm 2).
+  partition styles with the inter-prob tie-break, for a whole tree level
+  in one array pass.
+* :mod:`repro.core.dtree` — level-by-level construction of the binary
+  D-tree and the logical query procedure (Algorithm 2).
 * :mod:`repro.core.paging` — Algorithm 3: top-down packet allocation, leaf
   merging, and the RMC/LMC early-termination layout for large nodes.
 """

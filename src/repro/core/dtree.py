@@ -8,14 +8,36 @@ than one region) or a bare region id (data pointer).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import IndexBuildError, QueryError
 from repro.geometry.point import Point
 from repro.tessellation.subdivision import Subdivision
-from repro.core.partition import Partition, best_partition
+from repro.core.partition import (
+    Partition,
+    PartitionStyle,
+    best_partitions,
+    enumerate_styles,
+)
 
 Child = Union["DTreeNode", int]
+
+
+def paper_styles(
+    extended_styles: bool = False,
+) -> Callable[[Sequence[int]], List[PartitionStyle]]:
+    """The candidates of the paper's build (§4.2): :func:`enumerate_styles`
+    of each node's region count, made once per count."""
+    made: Dict[int, List[PartitionStyle]] = {}
+
+    def styles_for(region_ids: Sequence[int]) -> List[PartitionStyle]:
+        n = len(region_ids)
+        styles = made.get(n)
+        if styles is None:
+            styles = made[n] = enumerate_styles(n, extended=extended_styles)
+        return styles
+
+    return styles_for
 
 
 class DTreeNode:
@@ -82,7 +104,7 @@ class DTree:
         *,
         seed: int = 0,
     ) -> "DTree":
-        """Recursively partition the subdivision into a binary D-tree.
+        """Partition the subdivision into a binary D-tree.
 
         ``tie_break_inter_prob`` switches the §4.2 tie-break (the A1
         ablation disables it).  ``extended_styles`` also considers
@@ -92,30 +114,65 @@ class DTree:
         deterministic, so it is accepted and ignored.
         """
         del seed  # deterministic construction
-        counter = [0]
-
-        def make(region_ids: Sequence[int], level: int) -> Child:
-            if len(region_ids) == 1:
-                return region_ids[0]
-            partition = best_partition(
-                subdivision,
-                region_ids,
-                tie_break_inter_prob=tie_break_inter_prob,
-                extended_styles=extended_styles,
-            )
-            node_id = counter[0]
-            counter[0] += 1
-            left = make(partition.first_ids, level + 1)
-            right = make(partition.second_ids, level + 1)
-            return DTreeNode(node_id, partition, left, right, level)
-
         ids = subdivision.region_ids
         if len(ids) == 1:
             return cls(subdivision, None)
-        root = make(ids, 0)
+        root = cls.grow(
+            subdivision, ids, paper_styles(extended_styles), tie_break_inter_prob
+        )
         if not isinstance(root, DTreeNode):
             raise IndexBuildError("D-tree build produced no root node")
         return cls(subdivision, root)
+
+    @staticmethod
+    def grow(
+        subdivision: Subdivision,
+        region_ids: Sequence[int],
+        styles_for: Callable[[Sequence[int]], Sequence[PartitionStyle]],
+        tie_break_inter_prob: bool = True,
+        *,
+        first_id: int = 0,
+        level: int = 0,
+    ) -> Child:
+        """The subtree over *region_ids*, built one tree level at a time.
+
+        Every node of a level is split by one :func:`best_partitions`
+        call over the candidates ``styles_for(node's region ids)``; the
+        winners' subspaces are the next level.  Node ids are then given
+        in pre-order from *first_id*, and the root sits at *level*.  A
+        single region is returned as its bare id.
+        """
+        if len(region_ids) == 1:
+            return region_ids[0]
+        root: List[DTreeNode] = []
+        # (region ids, parent node, side) of each node of the level.
+        frontier = [(list(region_ids), None, "")]
+        while frontier:
+            parts = best_partitions(
+                subdivision,
+                [ids for ids, _, _ in frontier],
+                [styles_for(ids) for ids, _, _ in frontier],
+                tie_break_inter_prob,
+            )
+            below = []
+            for (_, parent, side), part in zip(frontier, parts):
+                node = DTreeNode(-1, part, None, None, level)
+                if parent is None:
+                    root.append(node)
+                else:
+                    setattr(parent, side, node)
+                children = ((part.first_ids, "left"), (part.second_ids, "right"))
+                for ids, child_side in children:
+                    if len(ids) == 1:
+                        setattr(node, child_side, ids[0])
+                    else:
+                        below.append((ids, node, child_side))
+            frontier = below
+            level += 1
+        preorder = DTree(subdivision, root[0]).iter_nodes()
+        for node_id, node in enumerate(preorder, first_id):
+            node.node_id = node_id
+        return root[0]
 
     def page(self, params) -> "PagedDTree":
         """Allocate the tree to fixed-capacity packets (Algorithm 3) —

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import IndexBuildError
 from repro.core.dtree import Child, DTree, DTreeNode
-from repro.core.partition import PartitionStyle, _sort_regions, evaluate_style
+from repro.core.partition import PartitionStyle, _sort_regions
 from repro.tessellation.subdivision import Subdivision
 
 
@@ -50,8 +50,6 @@ def build_imbalanced_dtree(
     if len(ids) == 1:
         return DTree(subdivision, None)
 
-    counter = [0]
-
     def floored(region_ids: Sequence[int]) -> Dict[int, float]:
         uniform = 1.0 / len(region_ids)
         total = sum(weights[rid] for rid in region_ids) or 1.0
@@ -72,27 +70,17 @@ def build_imbalanced_dtree(
                 return min(max(i + 1, 1), len(ordered) - 1)
         return len(ordered) - 1
 
-    def make(region_ids: Sequence[int], level: int) -> Child:
-        if len(region_ids) == 1:
-            return region_ids[0]
-        candidates = []
+    def styles_for(region_ids: Sequence[int]) -> List[PartitionStyle]:
+        styles = []
         for dimension in ("y", "x"):
             for sort_key in ("near", "far"):
                 probe = PartitionStyle(dimension, sort_key, 1)
                 ordered = _sort_regions(subdivision, region_ids, probe)
                 count = weighted_first_count(ordered)
-                style = PartitionStyle(dimension, sort_key, count)
-                candidates.append(
-                    evaluate_style(subdivision, region_ids, style)
-                )
-        partition = min(candidates, key=lambda c: (c.size, c.inter_prob))
-        node_id = counter[0]
-        counter[0] += 1
-        left = make(partition.first_ids, level + 1)
-        right = make(partition.second_ids, level + 1)
-        return DTreeNode(node_id, partition, left, right, level)
+                styles.append(PartitionStyle(dimension, sort_key, count))
+        return styles
 
-    root = make(list(ids), 0)
+    root = DTree.grow(subdivision, list(ids), styles_for)
     if not isinstance(root, DTreeNode):
         raise IndexBuildError("imbalanced build produced no root node")
     return DTree(subdivision, root)

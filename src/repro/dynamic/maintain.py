@@ -36,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Type, Union
 
 from repro.errors import UpdateError
 from repro.broadcast.params import SystemParameters
-from repro.core.dtree import Child, DTree, DTreeNode
-from repro.core.partition import best_partition
+from repro.core.dtree import Child, DTree, DTreeNode, paper_styles
 from repro.dynamic.updates import UpdateBatch
 from repro.engine.protocol import index_family
 from repro.tessellation.subdivision import Subdivision
@@ -240,24 +239,14 @@ class DTreeMaintainer(IndexMaintainer):
         """
         if not region_ids:
             raise UpdateError("subtree rebuild with no regions")
-        counter = [max((n.node_id for n in index.iter_nodes()), default=-1) + 1]
-
-        def make(ids: Sequence[int], lvl: int) -> Child:
-            if len(ids) == 1:
-                return ids[0]
-            partition = best_partition(
-                new_subdivision,
-                ids,
-                tie_break_inter_prob=self.tie_break_inter_prob,
-                extended_styles=self.extended_styles,
-            )
-            node_id = counter[0]
-            counter[0] += 1
-            left = make(partition.first_ids, lvl + 1)
-            right = make(partition.second_ids, lvl + 1)
-            return DTreeNode(node_id, partition, left, right, lvl)
-
-        return make(list(region_ids), level)
+        return DTree.grow(
+            new_subdivision,
+            list(region_ids),
+            paper_styles(self.extended_styles),
+            self.tie_break_inter_prob,
+            first_id=max((n.node_id for n in index.iter_nodes()), default=-1) + 1,
+            level=level,
+        )
 
 
 def _leaf_ids(child: Child) -> Set[int]:

@@ -470,5 +470,5 @@ def _report_mobility(col, session, slack) -> None:
     col.count("mobility.crossings", int(session["crossings"].sum()))
     slack = slack[~np.isnan(slack)]
     if slack.size:
-        col.observe_each("mobility.exit_bound_slack", slack.tolist())
-    col.observe_each("mobility.skip_ratio", (skips / epochs).tolist())
+        col.observe_each("mobility.exit_bound_slack", slack)
+    col.observe_each("mobility.skip_ratio", skips / epochs)

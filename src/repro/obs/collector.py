@@ -68,6 +68,35 @@ class Histogram:
         le = self.bucket_of(value)
         self.buckets[le] = self.buckets.get(le, 0) + 1
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` of every value, in array passes.
+
+        ``total`` is a left-to-right ``np.add.accumulate`` (not a pairwise
+        sum), and a bucket is read off ``np.frexp``'s exact exponent, so
+        the result is bit-equal to observing the values one by one.
+        """
+        arr = np.asarray(values, np.float64).ravel()
+        if not arr.size:
+            return
+        self.count += arr.size
+        self.total = float(np.add.accumulate(np.r_[self.total, arr])[-1])
+        # argmin/argmax return the first extreme, as the strict
+        # comparisons of observe() keep it.
+        lo = float(arr[arr.argmin()])
+        hi = float(arr[arr.argmax()])
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
+        # value = mantissa * 2**exp with mantissa in [0.5, 1): the bound is
+        # 2**exp, or 2**(exp - 1) when value is itself a power of two.
+        mantissa, exp = np.frexp(arr)
+        exp = np.where(arr > 1, exp - (mantissa == 0.5), 0)
+        found, counts = np.unique(exp, return_counts=True)
+        for e, n in zip(found.tolist(), counts.tolist()):
+            le = 1 << e
+            self.buckets[le] = self.buckets.get(le, 0) + n
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -239,8 +268,7 @@ class Collector:
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram()
-        for value in values:
-            hist.observe(value)
+        hist.observe_many(values)
 
     def span(self, name: str) -> _SpanContext:
         """A ``with``-block span timed with ``perf_counter``."""

@@ -51,6 +51,19 @@ def vertex_key(p: Point) -> complex:
     return complex(round(p.x, QUANTIZE_DECIMALS), round(p.y, QUANTIZE_DECIMALS))
 
 
+def vertex_keys(xs: Sequence[float], ys: Sequence[float]) -> List[complex]:
+    """:func:`vertex_key` of each point ``(xs[i], ys[i])``.
+
+    Python's ``round`` on Python floats, as :func:`vertex_key`: NumPy's
+    ``np.round`` scales by a power of ten first and can land on the
+    other side of a rounding boundary.
+    """
+    return [
+        complex(round(x, QUANTIZE_DECIMALS), round(y, QUANTIZE_DECIMALS))
+        for x, y in zip(xs, ys)
+    ]
+
+
 class EdgeTable:
     """Every region edge keyed once, as integer ids in one CSR table.
 
@@ -62,9 +75,10 @@ class EdgeTable:
     :func:`vertex_key` keys (``vertex_ids``) and edge ids the distinct
     :meth:`Segment.canonical_key` keys, both in order of first
     occurrence, so two ids are equal exactly when the ``round``-based keys
-    are.  ``points`` references the rings' own :class:`Point` objects;
+    are.  ``points`` references the rings' own :class:`Point` objects
+    and ``xs``/``ys`` hold their coordinates.
     ``min_x``/``max_x``/``min_y``/``max_y`` are the rows' bounding boxes
-    (the §4.2 sort keys).
+    (the §4.2 sort keys); ``boxes`` stacks them as a ``(4, rows)`` array.
     """
 
     __slots__ = (
@@ -78,10 +92,13 @@ class EdgeTable:
         "vertex",
         "n_edges",
         "vertex_ids",
+        "xs",
+        "ys",
         "min_x",
         "max_x",
         "min_y",
         "max_y",
+        "boxes",
     )
 
     def __init__(self, regions: Sequence[DataRegion]) -> None:
@@ -113,11 +130,16 @@ class EdgeTable:
         self.vertex = np.asarray(vertex, np.int32)
         self.n_edges = len(edge_ids)
         self.vertex_ids = vertex_ids
+        self.xs = np.fromiter((p.x for p in points), np.float64, len(points))
+        self.ys = np.fromiter((p.y for p in points), np.float64, len(points))
         boxes = [poly.bbox for poly in self.polygons]
         self.min_x = [box.min_x for box in boxes]
         self.max_x = [box.max_x for box in boxes]
         self.min_y = [box.min_y for box in boxes]
         self.max_y = [box.max_y for box in boxes]
+        self.boxes = np.array(
+            [self.min_x, self.max_x, self.min_y, self.max_y], np.float64
+        ).reshape(4, len(boxes))
 
     def is_current(self, regions: Sequence[DataRegion], rows: Iterable[int]) -> bool:
         """True when none of *rows* had its polygon or ring replaced."""
@@ -426,9 +448,7 @@ class Subdivision:
         None.
         """
         table = self.edge_table()
-        points = table.points
-        x = np.fromiter((p.x for p in points), np.float64, len(points))
-        entries = np.flatnonzero(x < x[table.succ])
+        entries = np.flatnonzero(table.xs < table.xs[table.succ])
         region_of_entry = np.repeat(
             np.asarray(self.region_ids, np.int64), np.diff(table.offsets)
         )

@@ -1,13 +1,15 @@
 """Construction parity: the array construction kernels build the same trees.
 
-The D-tree's Algorithm 1 reads the subdivision's integer edge table and
-chains on vertex ids; the R*-tree's ChooseSubtree sums overlap rows taken
+The D-tree runs Algorithm 1 for a whole tree level in one array pass
+over the subdivision's integer edge table, sizes styles from vertex
+degrees and chains only the winners; the R*-tree's ChooseSubtree sums overlap rows taken
 from an ndarray; ``RStarTree.build`` defers its insertions to the first
 read; the trian-tree's Kirkpatrick rounds run on integer vertex ids with
 one batched overlap test per round; the trap-tree reads each edge's
 region above from the edge table.  None of that may change a single
 tree.  The scalar code each of them replaced is kept here as the oracle
-— per-edge ``canonical_key`` cancellation, chaining that re-quantises
+— the depth-first D-tree recursion over one Algorithm 1 run per style,
+per-edge ``canonical_key`` cancellation, chaining that re-quantises
 every visited endpoint, ``Rect`` overlap sums, eager insertion, the
 ``TrianNode``/``quantize_point`` rounds with one ``overlaps_interior``
 call per pair and Point-based ear clipping — and monkeypatched in to
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -55,12 +57,18 @@ from repro.dynamic import (
     maintainer_for,
     sites_subdivision,
 )
+from repro.dynamic.maintain import _leaf_ids
 from repro.engine import index_family
 from repro.engine.trace import compiled_form
 from repro.errors import GeometryError, IndexBuildError, SubdivisionError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.polyline import Polyline, chain_segments
+from repro.geometry.polyline import (
+    Polyline,
+    chain_keyed,
+    chain_segments,
+    total_coordinate_count,
+)
 from repro.geometry.predicates import orientation, quantize_point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -203,10 +211,15 @@ def _scalar_prune_x(extent, line_y, keep):
     return kept
 
 
+#: Scalar Algorithm 1 runs since the last ``scalar_kernels`` install.
+SCALAR_RUNS: Counter = Counter()
+
+
 def scalar_evaluate_style(
     subdivision: Subdivision, region_ids: Sequence[int], style: PartitionStyle
 ) -> Partition:
     """Algorithm 1 over ``Segment`` objects and per-polygon bounding boxes."""
+    SCALAR_RUNS["evaluate_style"] += 1
     ordered = _scalar_sort_regions(subdivision, region_ids, style)
     first_ids = ordered[: style.first_count]
     second_ids = ordered[style.first_count :]
@@ -529,13 +542,52 @@ def scalar_trap_build(self: TrapTree, seed: int) -> None:
         self._insert(seg)
 
 
+def scalar_grow(
+    subdivision,
+    region_ids,
+    styles_for,
+    tie_break_inter_prob=True,
+    *,
+    first_id=0,
+    level=0,
+):
+    """``DTree.grow`` as the depth-first recursion it replaced: every
+    candidate of a node through :func:`scalar_evaluate_style`, the same
+    ``min`` rule, node ids in pre-order."""
+    counter = [first_id]
+    if tie_break_inter_prob:
+        rank = lambda part: (part.size, part.inter_prob)
+    else:
+        rank = lambda part: part.size
+
+    def make(ids, lvl):
+        if len(ids) == 1:
+            return ids[0]
+        candidates = [
+            scalar_evaluate_style(subdivision, ids, style) for style in styles_for(ids)
+        ]
+        partition = min(candidates, key=rank)
+        node_id = counter[0]
+        counter[0] += 1
+        left = make(partition.first_ids, lvl + 1)
+        right = make(partition.second_ids, lvl + 1)
+        return DTreeNode(node_id, partition, left, right, lvl)
+
+    return make(list(region_ids), level)
+
+
 @pytest.fixture
 def scalar_kernels(monkeypatch):
-    """Route every construction through the scalar oracles."""
+    """Route every construction through the scalar oracles.
+
+    Returns the installer, which also zeroes :data:`SCALAR_RUNS`, so a
+    test can check that the oracle, not the production path, built its
+    reference.
+    """
 
     def install():
-        monkeypatch.setattr(partition_mod, "evaluate_style", scalar_evaluate_style)
-        monkeypatch.setattr(imbalanced_mod, "evaluate_style", scalar_evaluate_style)
+        SCALAR_RUNS.clear()
+        monkeypatch.setattr(DTree, "grow", staticmethod(scalar_grow))
         monkeypatch.setattr(imbalanced_mod, "_sort_regions", _scalar_sort_regions)
         monkeypatch.setattr(
             RStarTree,
@@ -614,6 +666,7 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     array_state = observable(build_paged(kind, DATASETS[dataset]()))
     scalar_kernels()
     scalar_state = observable(build_paged(kind, DATASETS[dataset]()))
+    assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
     assert array_state["packets"] == scalar_state["packets"]
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
@@ -749,34 +802,171 @@ def test_every_style_matches_scalar_evaluation():
             assert got == want, style
 
 
-def _brick_wall(rows: int = 4, bricks: int = 4) -> Subdivision:
+def _brick_wall(rows: int = 4, bricks: int = 4, nudge: bool = False) -> Subdivision:
     """Brick rows offset by half a brick: every vertical joint ends in the
-    middle of a neighbouring row's horizontal edge (a T-junction)."""
+    middle of a neighbouring row's horizontal edge (a T-junction).
+
+    ``nudge`` moves every inner joint and row edge up to the nearest
+    value whose 7th-decimal rounding ``np.round`` gets wrong, so a cut
+    point keyed other than through Python's ``round`` misses the vertex
+    it lands on."""
+    move = _np_round_trap if nudge else float
     regions = []
     height = 1.0 / rows
     width = 1.0 / bricks
+    ys = [0.0] + [move(r * height) for r in range(1, rows)] + [1.0]
     for r in range(rows):
-        y0, y1 = r * height, (r + 1) * height
+        y0, y1 = ys[r], ys[r + 1]
         xs = [i * width for i in range(bricks + 1)]
         if r % 2:
             xs = [0.0] + [x + width / 2.0 for x in xs[:-1]] + [1.0]
+        xs = [0.0] + [move(x) for x in xs[1:-1]] + [1.0]
         for x0, x1 in zip(xs, xs[1:]):
             ring = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
             regions.append(DataRegion(len(regions), Polygon(ring)))
     return Subdivision(regions, service_area=SERVICE_AREA)
 
 
+def _np_round_trap(value: float) -> float:
+    """The first tie at the 8th decimal from *value* up where
+    ``np.round(v, 7)``, which rounds ``v * 1e7``, differs from
+    ``round(v, 7)``, which rounds the exact decimal."""
+    k = int(value * 1e7)
+    while True:
+        v = (k + 0.5) / 1e7
+        if float(np.round(v, 7)) != round(v, 7):
+            return v
+        k += 1
+
+
 def test_cut_points_on_existing_vertices_chain_like_scalar():
     """Pruning cuts horizontal brick edges exactly at the joints of the
-    neighbouring rows, so a cut point's key is an existing vertex key."""
-    sub = _brick_wall()
-    rng = random.Random(2)
-    subsets = [sub.region_ids] + [rng.sample(sub.region_ids, n) for n in (5, 9, 13)]
-    for subset in subsets:
-        for style in enumerate_styles(len(subset), extended=True):
-            got = _partition_fields(evaluate_style(sub, subset, style))
-            want = _partition_fields(scalar_evaluate_style(sub, subset, style))
-            assert got == want, style
+    neighbouring rows, so a cut point's key is an existing vertex key; on
+    the nudged wall it finds that key only through Python's ``round``."""
+    for sub in (_brick_wall(), _brick_wall(nudge=True)):
+        rng = random.Random(2)
+        subsets = [sub.region_ids] + [rng.sample(sub.region_ids, n) for n in (5, 9, 13)]
+        for subset in subsets:
+            for style in enumerate_styles(len(subset), extended=True):
+                got = _partition_fields(evaluate_style(sub, subset, style))
+                want = _partition_fields(scalar_evaluate_style(sub, subset, style))
+                assert got == want, style
+
+
+# -- the level pass ---------------------------------------------------------------
+
+
+@st.composite
+def _level_subdivisions(draw):
+    """Random Voronoi diagrams, grids and brick walls (plain or with
+    rounding-trap coordinates)."""
+    kind = draw(st.sampled_from(("voronoi", "grid", "bricks")))
+    if kind == "voronoi":
+        sites = uniform_points(
+            draw(st.integers(2, 60)), draw(st.integers(0, 10_000)), SERVICE_AREA
+        )
+        return voronoi_subdivision(sites, SERVICE_AREA)
+    if kind == "grid":
+        return grid_subdivision(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    return _brick_wall(
+        draw(st.integers(2, 5)), draw(st.integers(2, 5)), nudge=draw(st.booleans())
+    )
+
+
+def _dtree_builds(sub: Subdivision) -> list:
+    """The default, A1 and extended-style builds, plus a maintainer
+    rebuild of the root's larger child with fresh ids at level 1."""
+    builds = [
+        dtree_shape(DTree.build(sub, **kwargs))
+        for kwargs in ({}, {"tie_break_inter_prob": False}, {"extended_styles": True})
+    ]
+    tree = DTree.build(sub)
+    if tree.root is not None:
+        child = max((tree.root.left, tree.root.right), key=lambda c: len(_leaf_ids(c)))
+        maintainer = maintainer_for("dtree", extended_styles=True)
+        rebuilt = maintainer._build_subtree(tree, sub, sorted(_leaf_ids(child)), 1)
+        if isinstance(rebuilt, DTreeNode):
+            subtree = DTree(sub, rebuilt)
+            builds.append(dtree_shape(subtree))
+            builds.append([(n.node_id, n.level) for n in subtree.iter_nodes()])
+        else:
+            builds.append(rebuilt)
+    return builds
+
+
+@settings(max_examples=25, deadline=None)
+@given(_level_subdivisions())
+def test_level_builds_identical_to_scalar_recursion(sub):
+    level_builds = _dtree_builds(sub)
+    with pytest.MonkeyPatch.context() as patch:
+        SCALAR_RUNS.clear()
+        patch.setattr(DTree, "grow", staticmethod(scalar_grow))
+        scalar_builds = _dtree_builds(sub)
+    assert (SCALAR_RUNS["evaluate_style"] > 0) == (len(sub) > 1)
+    assert level_builds == scalar_builds
+
+
+def _style_chains(level, s: int) -> List[Polyline]:
+    """Style *s*'s kept segments chained, as the winner's would be."""
+    segs = np.flatnonzero(level.seg_style == s)
+    points = level.table.points
+    line = float(level.st_line[s])
+    cut = (lambda v: Point(line, v)) if level.st_dimy[s] else (lambda v: Point(v, line))
+    a_points = [
+        points[e] if e >= 0 else cut(v)
+        for e, v in zip(level.seg_a[segs].tolist(), level.seg_v[segs].tolist())
+    ]
+    b_points = [points[e] for e in level.seg_b[segs].tolist()]
+    return chain_keyed(
+        a_points, b_points, level.seg_ka[segs].tolist(), level.seg_kb[segs].tolist()
+    )
+
+
+def _scattered_level(sub: Subdivision, rng: random.Random, max_nodes: int) -> list:
+    """Disjoint random region sets of at least two regions each."""
+    ids = sub.region_ids
+    rng.shuffle(ids)
+    nodes = []
+    while len(ids) >= 2 and len(nodes) < max_nodes:
+        take = rng.randint(2, max(2, len(ids) // 2))
+        nodes.append(ids[:take])
+        ids = ids[take:]
+    return nodes
+
+
+def _check_level_sizes(sub: Subdivision, nodes: list) -> Counter:
+    """Every style's degree-count size against its chained size; counts
+    the closed rings and the cuts landing on existing vertices seen."""
+    styles = [enumerate_styles(len(node), extended=True) for node in nodes]
+    level = partition_mod._LevelPass(sub, nodes, styles)
+    seen: Counter = Counter()
+    for s in range(len(level.st_node)):
+        chains = _style_chains(level, s)
+        assert level.st_size[s] == total_coordinate_count(chains), s
+        seen["rings"] += sum(pl.is_closed for pl in chains)
+    cut_ids = level.seg_ka[level.seg_a < 0]
+    seen["vertex cuts"] += int((cut_ids < len(level.table.vertex_ids)).sum())
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(_level_subdivisions(), st.integers(0, 10_000))
+def test_degree_count_size_is_the_chained_size(sub, seed):
+    nodes = _scattered_level(sub, random.Random(seed), max_nodes=6)
+    if nodes:
+        _check_level_sizes(sub, nodes)
+
+
+def test_degree_count_sizes_cover_rings_and_vertex_cuts():
+    """Scattered node sets leave whole region rings on the kept side, and
+    the brick walls' cuts land on T-junction vertices."""
+    seen: Counter = Counter()
+    rng = random.Random(9)
+    for sub in (grid_subdivision(5, 6), _brick_wall(), _brick_wall(5, 4, nudge=True)):
+        for _ in range(4):
+            seen += _check_level_sizes(sub, _scattered_level(sub, rng, max_nodes=4))
+    assert seen["rings"] > 0
+    assert seen["vertex cuts"] > 0
 
 
 def test_extended_and_imbalanced_dtrees_identical_to_scalar_build(scalar_kernels):
@@ -795,6 +985,7 @@ def test_extended_and_imbalanced_dtrees_identical_to_scalar_build(scalar_kernels
     array_builds = builds()
     scalar_kernels()
     assert array_builds == builds()
+    assert SCALAR_RUNS["evaluate_style"] > 0
 
 
 def _churn_run(kind: str) -> dict:
@@ -838,6 +1029,7 @@ def test_churn_maintenance_identical_to_scalar_build(kind, scalar_kernels):
     array_run = _churn_run(kind)
     scalar_kernels()
     scalar_run = _churn_run(kind)
+    assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
     assert array_run["full_rebuilds"] == scalar_run["full_rebuilds"]
     assert array_run["incremental_applies"] == scalar_run["incremental_applies"]
     assert array_run["answers"] == scalar_run["answers"]

@@ -89,6 +89,34 @@ class TestCollector:
         col.observe_each("x", [1, 2, 3])
         assert col.histograms["x"].count == 3
 
+    def test_observe_each_is_a_loop_of_observe(self):
+        # Values at or below 1, exact powers of two and their float
+        # neighbours (bucket edges), negatives and a wide spread, whose
+        # left-to-right total np.sum's pairwise order would not match.
+        powers = 2.0 ** np.arange(-3, 40)
+        rng = np.random.default_rng(4)
+        values = np.concatenate((
+            [1.0, 0.5, 0.0, -0.0, -1.0, -3.5, 1e-300],
+            powers,
+            np.nextafter(powers, np.inf),
+            np.nextafter(powers, -np.inf),
+            rng.standard_normal(500) * 10.0 ** rng.integers(-8, 12, 500),
+        ))
+        looped = Histogram()
+        looped.observe(7.25)
+        for value in values.tolist():
+            looped.observe(value)
+        batched = Collector()
+        batched.observe("x", 7.25)
+        batched.observe_each("x", values)
+        hist = batched.histograms["x"]
+        assert hist.buckets == looped.buckets
+        assert hist.total.hex() == looped.total.hex()
+        for field in ("count", "min", "max"):
+            assert getattr(hist, field) == getattr(looped, field)
+        batched.observe_each("x", [])
+        assert batched.histograms["x"].count == looped.count
+
     def test_count_each_adds_left_to_right(self):
         # Bit for bit a loop of count(), which np.sum's pairwise order
         # is not.
