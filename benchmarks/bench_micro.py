@@ -54,10 +54,31 @@ def bench_build_trian(benchmark, subdivision):
     assert len(tree.roots) >= 1
 
 
-def bench_build_rstar(benchmark, subdivision):
+#: R* insertion at the packet fan-out on the default set, on UNIFORM and
+#: on the paper's largest set.
+RSTAR_BUILD_SETS = {
+    "UNIFORM-150": lambda: uniform_dataset(n=150, seed=42).subdivision,
+    "UNIFORM-1000": lambda: uniform_dataset().subdivision,
+    "PARK": lambda: park_dataset().subdivision,
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(RSTAR_BUILD_SETS))
+def bench_build_rstar(benchmark, dataset):
+    subdivision = RSTAR_BUILD_SETS[dataset]()
     fanout = rstar_fanout(SystemParameters.for_index("rstar", 256))
     tree = benchmark(lambda: RStarTree.build(subdivision, fanout).ensure_built())
     tree.check_invariants()
+
+
+#: The separated point draws of the catalog generators.
+POINT_SETS = {"UNIFORM": uniform_dataset, "PARK": park_dataset}
+
+
+@pytest.mark.parametrize("dataset", sorted(POINT_SETS))
+def bench_build_points(benchmark, dataset):
+    built = benchmark(POINT_SETS[dataset])
+    assert len(built.points) == built.n
 
 
 def bench_page_dtree(benchmark, subdivision):

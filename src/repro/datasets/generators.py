@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import SubdivisionError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -21,20 +23,17 @@ def uniform_points(
     if service_area is None:
         service_area = Rect(0.0, 0.0, 1.0, 1.0)
     rng = random.Random(seed)
-    min_sep = _min_separation(service_area)
-    points: List[Point] = []
+    placed = _SeparatedPoints(n, service_area)
     attempts = 0
-    while len(points) < n:
+    while placed.count < n:
         attempts += 1
         if attempts > 100 * n:
             raise SubdivisionError(f"could not place {n} separated points")
-        p = Point(
+        placed.add_if_separated(
             rng.uniform(service_area.min_x, service_area.max_x),
             rng.uniform(service_area.min_y, service_area.max_y),
         )
-        if _far_enough(p, points, min_sep):
-            points.append(p)
-    return points
+    return placed.points()
 
 
 def clustered_points(
@@ -58,28 +57,23 @@ def clustered_points(
     if not cluster_centers:
         raise SubdivisionError("clustered_points needs at least one center")
     rng = random.Random(seed)
-    min_sep = _min_separation(service_area)
-    points: List[Point] = []
+    placed = _SeparatedPoints(n, service_area)
     attempts = 0
-    while len(points) < n:
+    while placed.count < n:
         attempts += 1
         if attempts > 1000 * n:
             raise SubdivisionError(f"could not place {n} separated points")
         if rng.random() < noise_fraction:
-            p = Point(
-                rng.uniform(service_area.min_x, service_area.max_x),
-                rng.uniform(service_area.min_y, service_area.max_y),
-            )
+            x = rng.uniform(service_area.min_x, service_area.max_x)
+            y = rng.uniform(service_area.min_y, service_area.max_y)
         else:
             cx, cy = cluster_centers[rng.randrange(len(cluster_centers))]
-            p = Point(
-                rng.gauss(cx, cluster_spread), rng.gauss(cy, cluster_spread)
-            )
-            if not service_area.contains_point(p):
+            x = rng.gauss(cx, cluster_spread)
+            y = rng.gauss(cy, cluster_spread)
+            if not service_area.contains_point(Point(x, y)):
                 continue
-        if _far_enough(p, points, min_sep):
-            points.append(p)
-    return points
+        placed.add_if_separated(x, y)
+    return placed.points()
 
 
 def _min_separation(service_area: Rect) -> float:
@@ -87,6 +81,32 @@ def _min_separation(service_area: Rect) -> float:
     return diagonal * MIN_SEPARATION_FACTOR
 
 
-def _far_enough(p: Point, existing: Sequence[Point], min_sep: float) -> bool:
-    min_sep2 = min_sep * min_sep
-    return all(p.squared_distance_to(q) >= min_sep2 for q in existing)
+class _SeparatedPoints:
+    """The points placed so far, as two preallocated float64 arrays.
+
+    A draw is kept when its squared distance to every placed point,
+    ``dx * dx + dy * dy`` with ``dx = x - placed_x`` as in
+    :meth:`Point.squared_distance_to`, is at least the squared minimum
+    separation: the same IEEE operations over the whole prefix at once.
+    """
+
+    def __init__(self, n: int, service_area: Rect) -> None:
+        min_sep = _min_separation(service_area)
+        self.min_sep2 = min_sep * min_sep
+        self.xs = np.empty(n)
+        self.ys = np.empty(n)
+        self.count = 0
+
+    def add_if_separated(self, x: float, y: float) -> None:
+        k = self.count
+        dx = x - self.xs[:k]
+        dy = y - self.ys[:k]
+        if (dx * dx + dy * dy >= self.min_sep2).all():
+            self.xs[k] = x
+            self.ys[k] = y
+            self.count = k + 1
+
+    def points(self) -> List[Point]:
+        return [
+            Point(x, y) for x, y in zip(self.xs.tolist(), self.ys.tolist())
+        ]

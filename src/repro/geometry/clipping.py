@@ -8,7 +8,7 @@ Sutherland–Hodgman is exact).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -49,18 +49,23 @@ def clip_polygon_halfplane(
     return result
 
 
-def clip_polygon_rect(vertices: Sequence[Point], rect: Rect) -> Optional[Polygon]:
-    """Clip a polygon ring to *rect*; None if the intersection is empty or
-    degenerate."""
-    ring: List[Point] = list(vertices)
+def rect_halfplanes(rect: Rect) -> List[Tuple[float, float, float]]:
+    """The four half-planes ``a*x + b*y + c >= 0`` whose intersection is
+    *rect*, in the order :func:`clip_polygon_rect` clips against them."""
     # left: x >= min_x ; right: x <= max_x ; bottom: y >= min_y ; top: y <= max_y
-    halfplanes = [
+    return [
         (1.0, 0.0, -rect.min_x),
         (-1.0, 0.0, rect.max_x),
         (0.0, 1.0, -rect.min_y),
         (0.0, -1.0, rect.max_y),
     ]
-    for a, b, c in halfplanes:
+
+
+def clip_polygon_rect(vertices: Sequence[Point], rect: Rect) -> Optional[Polygon]:
+    """Clip a polygon ring to *rect*; None if the intersection is empty or
+    degenerate."""
+    ring: List[Point] = list(vertices)
+    for a, b, c in rect_halfplanes(rect):
         ring = clip_polygon_halfplane(ring, a, b, c)
         if len(ring) < 3:
             return None

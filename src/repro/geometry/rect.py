@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.errors import GeometryError
@@ -52,10 +53,7 @@ class Rect:
         if not pts:
             raise GeometryError("cannot bound an empty point set")
         return cls(
-            min(p.x for p in pts),
-            min(p.y for p in pts),
-            max(p.x for p in pts),
-            max(p.y for p in pts),
+            min(map(_X, pts)), min(map(_Y, pts)), max(map(_X, pts)), max(map(_Y, pts))
         )
 
     @classmethod
@@ -65,10 +63,10 @@ class Rect:
         if not rect_list:
             raise GeometryError("cannot bound an empty rectangle set")
         return cls(
-            min(r.min_x for r in rect_list),
-            min(r.min_y for r in rect_list),
-            max(r.max_x for r in rect_list),
-            max(r.max_y for r in rect_list),
+            min(map(_MIN_X, rect_list)),
+            min(map(_MIN_Y, rect_list)),
+            max(map(_MAX_X, rect_list)),
+            max(map(_MAX_Y, rect_list)),
         )
 
     # -- measures ------------------------------------------------------------
@@ -150,3 +148,8 @@ class Rect:
     def distance_to_center_of(self, other: "Rect") -> float:
         """Distance between rectangle centers (used by forced reinsert)."""
         return self.center.distance_to(other.center)
+
+
+_X, _Y = attrgetter("x"), attrgetter("y")
+_MIN_X, _MIN_Y = attrgetter("min_x"), attrgetter("min_y")
+_MAX_X, _MAX_Y = attrgetter("max_x"), attrgetter("max_y")

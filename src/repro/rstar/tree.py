@@ -9,7 +9,7 @@ is how the paper fits R*-tree nodes to packets.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,11 +47,21 @@ class RStarEntry:
 class RStarNode:
     """A leaf (level 0) or internal node."""
 
-    __slots__ = ("level", "entries")
+    __slots__ = ("level", "entries", "_boxes")
 
     def __init__(self, level: int, entries: Optional[List[RStarEntry]] = None):
         self.level = level
         self.entries: List[RStarEntry] = list(entries) if entries else []
+        #: ChooseSubtree's arrays over the entry MBRs (leaf parents only).
+        self._boxes: Optional[_ChildBoxes] = None
+
+    def __getstate__(self) -> Tuple[int, List[RStarEntry]]:
+        # The ChooseSubtree arrays are derived; pickles leave them out.
+        return self.level, self.entries
+
+    def __setstate__(self, state: Tuple[int, List[RStarEntry]]) -> None:
+        self.level, self.entries = state
+        self._boxes = None
 
     @property
     def is_leaf(self) -> bool:
@@ -61,10 +71,103 @@ class RStarNode:
     def mbr(self) -> Rect:
         if not self.entries:
             raise IndexBuildError("empty node has no MBR")
-        return Rect.union_of(e.mbr for e in self.entries)
+        return Rect.union_of([e.mbr for e in self.entries])
+
+    def child_boxes(self) -> "_ChildBoxes":
+        """ChooseSubtree's arrays over the entry MBRs, brought up to date
+        with the entries first."""
+        rects = [e.mbr for e in self.entries]
+        boxes = self._boxes
+        if boxes is None or len(boxes.rects) != len(rects):
+            boxes = self._boxes = _ChildBoxes(rects)
+        elif boxes.rects != rects:
+            boxes.update(rects)
+        return boxes
 
     def __repr__(self) -> str:
         return f"RStarNode(level={self.level}, entries={len(self.entries)})"
+
+
+def _overlap_rows(
+    c_lo: np.ndarray, c_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Overlap area of each candidate box (row) with each box (column).
+
+    Boxes are ``(2, n)`` arrays of lower and of upper corners (x row,
+    y row).  An overlap is the ``max``/``min``/subtract/multiply of
+    :meth:`Rect.intersection` and :meth:`Rect.area`, and 0 when either
+    extent is negative.
+    """
+    extent = np.minimum(c_hi[:, :, None], hi[:, None]) - np.maximum(
+        c_lo[:, :, None], lo[:, None]
+    )
+    np.maximum(extent, 0.0, out=extent)
+    return extent[0] * extent[1]
+
+
+def _corners(rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(2, n)`` lower and upper corner arrays of *rects*."""
+    lo = np.array([[r.min_x for r in rects], [r.min_y for r in rects]])
+    hi = np.array([[r.max_x for r in rects], [r.max_y for r in rects]])
+    return lo, hi
+
+
+def _areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    extent = hi - lo
+    return extent[0] * extent[1]
+
+
+class _ChildBoxes:
+    """A leaf parent's entry MBRs as ``(2, n)`` corner arrays, with each
+    entry's area and its overlaps with the other entries.
+
+    ``rows[i]`` lists entry *i*'s overlap with every entry in entry
+    order, its own place holding 0.0, and ``own[i]`` is that row's
+    built-in ``sum()``: Python 3.12+ compensates ``sum()`` of floats and
+    ``np.sum`` would not, so every interpreter sees the sums of the
+    scalar loop (adding +0.0 changes neither kind of sum).  The arrays
+    describe :attr:`rects`; :meth:`RStarNode.child_boxes` compares those
+    with the entries before every use, so splits, forced reinsertion and
+    deletes need not know of the cache.
+    """
+
+    __slots__ = ("rects", "lo", "hi", "area", "rows", "own")
+
+    def __init__(self, rects: List[Rect]) -> None:
+        self.rects = rects
+        self.lo, self.hi = _corners(rects)
+        self.area = _areas(self.lo, self.hi)
+        self.rows = _overlap_rows(self.lo, self.hi, self.lo, self.hi).tolist()
+        for i, row in enumerate(self.rows):
+            row[i] = 0.0
+        self.own = list(map(sum, self.rows))
+
+    def update(self, rects: List[Rect]) -> None:
+        """Re-describe the same number of entries after some MBRs
+        changed: recompute the changed entries' rows and, in every other
+        row, the terms whose value moved, then re-sum the rows touched.
+        Overlaps are symmetric, so entry *k*'s row also holds column *k*."""
+        changed = [
+            k for k, (new, old) in enumerate(zip(rects, self.rects)) if new != old
+        ]
+        self.rects = rects
+        lo, hi = _corners([rects[k] for k in changed])
+        self.lo[:, changed] = lo
+        self.hi[:, changed] = hi
+        self.area[changed] = _areas(lo, hi)
+        fresh = _overlap_rows(lo, hi, self.lo, self.hi).tolist()
+        rows = self.rows
+        dirty = set(changed)
+        for k, row in zip(changed, fresh):
+            row[k] = 0.0
+            rows[k] = row
+        for k, row in zip(changed, fresh):
+            for i, value in enumerate(row):
+                if rows[i][k] != value:
+                    rows[i][k] = value
+                    dirty.add(i)
+        for i in dirty:
+            self.own[i] = sum(rows[i])
 
 
 class RStarTree:
@@ -313,7 +416,7 @@ class RStarTree:
         while node.level > level:
             if node.level == 1:
                 # Children are leaves: R* uses minimum overlap enlargement.
-                best = self._least_overlap_enlargement(node.entries, mbr)
+                best = self._least_overlap_enlargement(node, mbr)
             else:
                 best = self._least_area_enlargement(node.entries, mbr)
             path.append(node)
@@ -331,48 +434,27 @@ class RStarTree:
         )
 
     @staticmethod
-    def _least_overlap_enlargement(
-        entries: Sequence[RStarEntry], mbr: Rect
-    ) -> RStarEntry:
+    def _least_overlap_enlargement(node: RStarNode, mbr: Rect) -> RStarEntry:
         """R* ChooseSubtree over leaf children: least overlap enlargement,
         then least area enlargement, then least area, first entry on ties.
 
-        The children's MBRs are one float64 ``(n, 4)`` array.  Each
-        overlap is the ``max``/``min``/subtract/multiply of
-        :meth:`Rect.intersection` and :meth:`Rect.area` (0 when
-        disjoint), and each row is added with the built-in ``sum()`` in
-        entry order, so every interpreter sees the sums of the scalar
-        loop: Python 3.12+ compensates ``sum()`` of floats and
-        ``np.sum`` would not.  The zeroed diagonal stands for the
-        skipped candidate; adding +0.0 changes neither kind of sum.
+        The entries' own overlap sums come from the node's cached
+        :class:`_ChildBoxes`; only the overlaps of the entries grown to
+        cover *mbr* are computed per call, and each grown row is added
+        with the built-in ``sum()`` in entry order, as the own rows are.
         """
-        boxes = np.array(
-            [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y) for e in entries]
-        )
-        lo_x, lo_y, hi_x, hi_y = boxes.T
-        grown_lo_x = np.minimum(lo_x, mbr.min_x)
-        grown_lo_y = np.minimum(lo_y, mbr.min_y)
-        grown_hi_x = np.maximum(hi_x, mbr.max_x)
-        grown_hi_y = np.maximum(hi_y, mbr.max_y)
-
-        def overlap_sums(c_lo_x, c_lo_y, c_hi_x, c_hi_y) -> List[float]:
-            width = np.minimum(c_hi_x[:, None], hi_x) - np.maximum(c_lo_x[:, None], lo_x)
-            height = np.minimum(c_hi_y[:, None], hi_y) - np.maximum(c_lo_y[:, None], lo_y)
-            overlap = np.where((width >= 0.0) & (height >= 0.0), width * height, 0.0)
-            np.fill_diagonal(overlap, 0.0)
-            return [sum(row) for row in overlap.tolist()]
-
-        grown = overlap_sums(grown_lo_x, grown_lo_y, grown_hi_x, grown_hi_y)
-        own = overlap_sums(lo_x, lo_y, hi_x, hi_y)
-        area = ((hi_x - lo_x) * (hi_y - lo_y)).tolist()
-        grown_area = (
-            (grown_hi_x - grown_lo_x) * (grown_hi_y - grown_lo_y)
-        ).tolist()
-        best = min(
-            range(len(entries)),
-            key=lambda i: (grown[i] - own[i], grown_area[i] - area[i], area[i]),
-        )
-        return entries[best]
+        boxes = node.child_boxes()
+        grown_lo = np.minimum(boxes.lo, [[mbr.min_x], [mbr.min_y]])
+        grown_hi = np.maximum(boxes.hi, [[mbr.max_x], [mbr.max_y]])
+        overlap = _overlap_rows(grown_lo, grown_hi, boxes.lo, boxes.hi)
+        overlap.flat[:: len(overlap) + 1] = 0.0
+        grown = map(sum, overlap.tolist())
+        area = boxes.area.tolist()
+        enlargement = (_areas(grown_lo, grown_hi) - boxes.area).tolist()
+        overlap_growth = [g - o for g, o in zip(grown, boxes.own)]
+        # The index breaks ties towards the first entry, as min() does.
+        best = min(zip(overlap_growth, enlargement, area, range(len(area))))
+        return node.entries[best[3]]
 
     def _reinsert(self, node: RStarNode, path: List[RStarNode]) -> None:
         """Forced reinsertion: evict the 30% of entries furthest from the
@@ -397,30 +479,55 @@ class RStarTree:
 
         Mutates *node* to keep the first group and returns a new node with
         the second group.
+
+        The four sort orders (by lower then upper x bound, upper then
+        lower x, and the same in y) are stable ``lexsort`` rows.  Each
+        distribution keeps the first ``k`` entries of an order; both
+        groups' MBRs are running ``minimum``/``maximum`` unions from the
+        front and from the back.  Per order, the distributions' margins
+        (``r1.margin + r2.margin``) are totalled left to right, the
+        order with the least total wins (the first on ties), and within
+        it the distribution of least (overlap, area sum), the first on
+        ties.
         """
         m = self.min_entries
         entries = node.entries
-        best: Optional[Tuple[float, float, List[RStarEntry], List[RStarEntry]]] = None
+        n = len(entries)
+        boxes = np.array(
+            [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y) for e in entries]
+        )
+        # lexsort's last key is the primary one.
+        orders = np.lexsort(
+            (boxes[:, _SPLIT_SECONDARY].T, boxes[:, _SPLIT_PRIMARY].T), axis=-1
+        )
+        ordered = boxes[orders]
+        lo, hi = ordered[..., :2], ordered[..., 2:]
+        cuts = np.arange(m, n - m + 1)
+        lo1 = np.minimum.accumulate(lo, axis=1)[:, cuts - 1]
+        hi1 = np.maximum.accumulate(hi, axis=1)[:, cuts - 1]
+        lo2 = np.minimum.accumulate(lo[:, ::-1], axis=1)[:, ::-1][:, cuts]
+        hi2 = np.maximum.accumulate(hi[:, ::-1], axis=1)[:, ::-1][:, cuts]
+        extent1 = hi1 - lo1
+        extent2 = hi2 - lo2
+        margins = (extent1[..., 0] + extent1[..., 1]) + (
+            extent2[..., 0] + extent2[..., 1]
+        )
+        totals = np.add.accumulate(margins, axis=1)[:, -1].tolist()
+        inter = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
+        overlap = np.where(
+            (inter >= 0.0).all(axis=2), inter[..., 0] * inter[..., 1], 0.0
+        )
+        area = extent1[..., 0] * extent1[..., 1] + extent2[..., 0] * extent2[..., 1]
 
-        for axis in ("x", "y"):
-            for bound in ("lo", "hi"):
-                ordered = sorted(entries, key=_sort_key(axis, bound))
-                margin_total = 0.0
-                candidates = []
-                for k in range(m, len(ordered) - m + 1):
-                    g1 = ordered[:k]
-                    g2 = ordered[k:]
-                    r1 = Rect.union_of(e.mbr for e in g1)
-                    r2 = Rect.union_of(e.mbr for e in g2)
-                    margin_total += r1.margin + r2.margin
-                    candidates.append((r1.overlap_area(r2), r1.area + r2.area, g1, g2))
-                axis_best = min(candidates, key=lambda c: (c[0], c[1]))
-                if best is None or margin_total < best[0]:
-                    best = (margin_total, axis_best[0], axis_best[2], axis_best[3])
-
-        assert best is not None
-        node.entries = list(best[2])
-        return RStarNode(level=node.level, entries=list(best[3]))
+        best = min(range(len(totals)), key=totals.__getitem__)
+        best_overlap = overlap[best].tolist()
+        best_area = area[best].tolist()
+        cut = min(
+            range(len(cuts)), key=lambda j: (best_overlap[j], best_area[j])
+        ) + m
+        order = orders[best].tolist()
+        node.entries = [entries[i] for i in order[:cut]]
+        return RStarNode(level=node.level, entries=[entries[i] for i in order[cut:]])
 
     # -- logical query -----------------------------------------------------------
 
@@ -497,11 +604,9 @@ class RStarTree:
         walk(self.root, True)
 
 
-def _sort_key(axis: str, bound: str):
-    if axis == "x":
-        if bound == "lo":
-            return lambda e: (e.mbr.min_x, e.mbr.max_x)
-        return lambda e: (e.mbr.max_x, e.mbr.min_x)
-    if bound == "lo":
-        return lambda e: (e.mbr.min_y, e.mbr.max_y)
-    return lambda e: (e.mbr.max_y, e.mbr.min_y)
+#: The split's sort orders as (primary, secondary) columns of the
+#: ``(min_x, min_y, max_x, max_y)`` box rows: x by lower then upper
+#: bound, x by upper then lower, y by lower then upper, y by upper then
+#: lower.
+_SPLIT_PRIMARY = [0, 2, 1, 3]
+_SPLIT_SECONDARY = [2, 0, 3, 1]

@@ -17,10 +17,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import Voronoi
 
-from repro.errors import SubdivisionError
-from repro.geometry.clipping import clip_polygon_rect
+from repro.errors import GeometryError, SubdivisionError
+from repro.geometry.clipping import clip_polygon_rect, rect_halfplanes
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.predicates import EPS
 from repro.geometry.rect import Rect
 from repro.tessellation.subdivision import DataRegion, Subdivision
 
@@ -45,6 +46,16 @@ def bounded_voronoi(
     all_sites = np.vstack([coords, mirrored])
     vor = Voronoi(all_sites)
 
+    # Whether each Voronoi vertex passes all four of clip_polygon_rect's
+    # half-plane tests (the same expression, one array pass per side).  A
+    # ring made only of such vertices comes out of the clipping unchanged.
+    xs, ys = vor.vertices[:, 0], vor.vertices[:, 1]
+    inside = np.ones(len(vor.vertices), dtype=bool)
+    for a, b, c in rect_halfplanes(service_area):
+        inside &= a * xs + b * ys + c >= -EPS
+    inside_list = inside.tolist()
+    vertex_x, vertex_y = xs.tolist(), ys.tolist()
+
     cells: List[Polygon] = []
     for i in range(len(sites)):
         region_index = vor.point_region[i]
@@ -54,8 +65,14 @@ def bounded_voronoi(
                 f"unbounded or degenerate Voronoi cell for site {sites[i]!r} "
                 "(duplicate sites?)"
             )
-        ring = [Point(*vor.vertices[j]) for j in vertex_indices]
-        clipped = clip_polygon_rect(ring, service_area)
+        ring = [Point(vertex_x[j], vertex_y[j]) for j in vertex_indices]
+        if all(inside_list[j] for j in vertex_indices):
+            try:
+                clipped: Optional[Polygon] = Polygon(ring)
+            except GeometryError:
+                clipped = None
+        else:
+            clipped = clip_polygon_rect(ring, service_area)
         if clipped is None:
             raise SubdivisionError(f"empty clipped cell for site {sites[i]!r}")
         cells.append(clipped)

@@ -2,25 +2,32 @@
 
 The D-tree runs Algorithm 1 for a whole tree level in one array pass
 over the subdivision's integer edge table, sizes styles from vertex
-degrees and chains only the winners; the R*-tree's ChooseSubtree sums overlap rows taken
-from an ndarray; ``RStarTree.build`` defers its insertions to the first
-read; the trian-tree's Kirkpatrick rounds run on integer vertex ids with
+degrees and chains only the winners; the R*-tree's ChooseSubtree keeps
+each leaf parent's overlap rows cached across insertions and its split
+scores every distribution of the four sort orders at once;
+``RStarTree.build`` defers its insertions to the first read; the
+trian-tree's Kirkpatrick rounds run on integer vertex ids with
 one batched overlap test per round; the trap-tree reads each edge's
 region above from the edge table.  None of that may change a single
 tree.  The scalar code each of them replaced is kept here as the oracle
 — the depth-first D-tree recursion over one Algorithm 1 run per style,
 per-edge ``canonical_key`` cancellation, chaining that re-quantises
-every visited endpoint, ``Rect`` overlap sums, eager insertion, the
+every visited endpoint, R* insertion on ``Rect`` objects, eager insertion, the
 ``TrianNode``/``quantize_point`` rounds with one ``overlaps_interior``
 call per pair and Point-based ear clipping — and monkeypatched in to
 build the reference.  Both builds run on the running interpreter: ``sum()`` of
 floats is compensated on Python 3.12+ and plain before, so the bits of
 an overlap sum (and with them a tie-break) may differ between
-interpreters but never between the two builds.
+interpreters but never between the two builds.  The R* ChooseSubtree
+and insert/delete property tests run under both kinds of ``sum()``,
+whatever the interpreter.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import math
 import pickle
 import random
 from collections import Counter, defaultdict
@@ -83,7 +90,14 @@ from repro.pointloc.kirkpatrick import (
 )
 from repro.pointloc.trapezoidal import PagedTrapTree, TrapTree
 from repro.rstar.paged import rstar_fanout
-from repro.rstar.tree import RStarEntry, RStarTree
+from repro.rstar import tree as rstar_tree_mod
+from repro.rstar.tree import (
+    REINSERT_FRACTION,
+    RStarEntry,
+    RStarNode,
+    RStarTree,
+    _ChildBoxes,
+)
 from repro.tessellation.grid import grid_subdivision
 from repro.tessellation.subdivision import DataRegion, Subdivision
 from repro.tessellation.voronoi import voronoi_subdivision
@@ -263,6 +277,31 @@ def scalar_evaluate_style(
     )
 
 
+# -- the R*-tree's scalar insertion ---------------------------------------------
+#
+# R* insertion as it ran on ``Rect`` objects: node MBRs from four generator
+# passes, ChooseSubtree one ``Rect.overlap_area`` at a time, and each split
+# distribution's groups re-unioned from scratch.  ``ScalarRStarTree`` runs
+# it; ``scalar_kernels`` installs the same functions on ``RStarTree`` and
+# ``RStarNode``, so delete, CondenseTree and forced reinsertion run it too.
+
+
+def scalar_union(rects) -> Rect:
+    rect_list = list(rects)
+    return Rect(
+        min(r.min_x for r in rect_list),
+        min(r.min_y for r in rect_list),
+        max(r.max_x for r in rect_list),
+        max(r.max_y for r in rect_list),
+    )
+
+
+def scalar_node_mbr(node: RStarNode) -> Rect:
+    if not node.entries:
+        raise IndexBuildError("empty node has no MBR")
+    return scalar_union(e.mbr for e in node.entries)
+
+
 def scalar_least_overlap_enlargement(
     entries: Sequence[RStarEntry], mbr: Rect
 ) -> RStarEntry:
@@ -282,6 +321,126 @@ def scalar_least_overlap_enlargement(
         )
 
     return min(entries, key=key)
+
+
+def scalar_choose_subtree(self, mbr: Rect, level: int):
+    node = self.root
+    path: List[RStarNode] = []
+    while node.level > level:
+        if node.level == 1:
+            best = scalar_least_overlap_enlargement(node.entries, mbr)
+        else:
+            best = min(
+                node.entries,
+                key=lambda e: (e.mbr.enlargement_for(mbr), e.mbr.area),
+            )
+        path.append(node)
+        node = best.child
+    return node, path
+
+
+def scalar_insert_entry(self, entry: RStarEntry, level: int) -> None:
+    node, path = self._choose_subtree(entry.mbr, level)
+    node.entries.append(entry)
+    self._overflow_chain(node, path)
+
+
+def scalar_overflow_chain(self, node: RStarNode, path: List[RStarNode]) -> None:
+    while len(node.entries) > self.max_entries:
+        is_root = not path
+        if not is_root and node.level not in self._reinserted_levels:
+            self._reinserted_levels.add(node.level)
+            self._reinsert(node, path)
+            return
+        split_off = self._split(node)
+        if is_root:
+            new_root = RStarNode(level=node.level + 1)
+            new_root.entries.append(RStarEntry(scalar_node_mbr(node), child=node))
+            new_root.entries.append(
+                RStarEntry(scalar_node_mbr(split_off), child=split_off)
+            )
+            self.root = new_root
+            return
+        parent = path[-1]
+        self._refresh_parent_mbr(parent, node)
+        parent.entries.append(RStarEntry(scalar_node_mbr(split_off), child=split_off))
+        node = parent
+        path = path[:-1]
+    child = node
+    for parent in reversed(path):
+        self._refresh_parent_mbr(parent, child)
+        child = parent
+
+
+def scalar_refresh_parent_mbr(self, parent: RStarNode, child: RStarNode) -> None:
+    for e in parent.entries:
+        if e.child is child:
+            e.mbr = scalar_node_mbr(child)
+            return
+    raise IndexBuildError("parent does not reference child")
+
+
+def scalar_reinsert(self, node: RStarNode, path: List[RStarNode]) -> None:
+    center = scalar_node_mbr(node).center
+    node.entries.sort(key=lambda e: e.mbr.center.distance_to(center), reverse=True)
+    count = max(1, int(round(REINSERT_FRACTION * len(node.entries))))
+    evicted = node.entries[:count]
+    node.entries = node.entries[count:]
+    child = node
+    for parent in reversed(path):
+        self._refresh_parent_mbr(parent, child)
+        child = parent
+    for entry in reversed(evicted):
+        self._insert_entry(entry, level=node.level)
+
+
+def _scalar_split_key(axis: str, bound: str):
+    if axis == "x":
+        if bound == "lo":
+            return lambda e: (e.mbr.min_x, e.mbr.max_x)
+        return lambda e: (e.mbr.max_x, e.mbr.min_x)
+    if bound == "lo":
+        return lambda e: (e.mbr.min_y, e.mbr.max_y)
+    return lambda e: (e.mbr.max_y, e.mbr.min_y)
+
+
+def scalar_split(self, node: RStarNode) -> RStarNode:
+    SCALAR_RUNS["rstar_split"] += 1
+    m = self.min_entries
+    entries = node.entries
+    best = None
+    for axis in ("x", "y"):
+        for bound in ("lo", "hi"):
+            ordered = sorted(entries, key=_scalar_split_key(axis, bound))
+            margin_total = 0.0
+            candidates = []
+            for k in range(m, len(ordered) - m + 1):
+                g1 = ordered[:k]
+                g2 = ordered[k:]
+                r1 = scalar_union(e.mbr for e in g1)
+                r2 = scalar_union(e.mbr for e in g2)
+                margin_total += r1.margin + r2.margin
+                candidates.append((r1.overlap_area(r2), r1.area + r2.area, g1, g2))
+            axis_best = min(candidates, key=lambda c: (c[0], c[1]))
+            if best is None or margin_total < best[0]:
+                best = (margin_total, axis_best[0], axis_best[2], axis_best[3])
+    node.entries = list(best[2])
+    return RStarNode(level=node.level, entries=list(best[3]))
+
+
+#: The scalar insertion, by the name it replaces on ``RStarTree``.
+SCALAR_RSTAR_METHODS = {
+    "_choose_subtree": scalar_choose_subtree,
+    "_insert_entry": scalar_insert_entry,
+    "_overflow_chain": scalar_overflow_chain,
+    "_refresh_parent_mbr": scalar_refresh_parent_mbr,
+    "_reinsert": scalar_reinsert,
+    "_split": scalar_split,
+}
+
+
+#: An ``RStarTree`` whose insertion is the scalar oracle's.
+ScalarRStarTree = type("ScalarRStarTree", (RStarTree,), dict(SCALAR_RSTAR_METHODS))
 
 
 def scalar_rstar_build(subdivision, max_entries=None, *, seed=0):
@@ -589,11 +748,9 @@ def scalar_kernels(monkeypatch):
         SCALAR_RUNS.clear()
         monkeypatch.setattr(DTree, "grow", staticmethod(scalar_grow))
         monkeypatch.setattr(imbalanced_mod, "_sort_regions", _scalar_sort_regions)
-        monkeypatch.setattr(
-            RStarTree,
-            "_least_overlap_enlargement",
-            staticmethod(scalar_least_overlap_enlargement),
-        )
+        for name, method in SCALAR_RSTAR_METHODS.items():
+            monkeypatch.setattr(RStarTree, name, method)
+        monkeypatch.setattr(RStarNode, "mbr", property(scalar_node_mbr))
         monkeypatch.setattr(RStarTree, "build", classmethod(
             lambda cls, *a, **k: scalar_rstar_build(*a, **k)
         ))
@@ -667,6 +824,7 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     scalar_kernels()
     scalar_state = observable(build_paged(kind, DATASETS[dataset]()))
     assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
+    assert (SCALAR_RUNS["rstar_split"] > 0) == (kind == "rstar")
     assert array_state["packets"] == scalar_state["packets"]
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
@@ -1030,6 +1188,7 @@ def test_churn_maintenance_identical_to_scalar_build(kind, scalar_kernels):
     scalar_kernels()
     scalar_run = _churn_run(kind)
     assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
+    assert (SCALAR_RUNS["rstar_split"] > 0) == (kind == "rstar")
     assert array_run["full_rebuilds"] == scalar_run["full_rebuilds"]
     assert array_run["incremental_applies"] == scalar_run["incremental_applies"]
     assert array_run["answers"] == scalar_run["answers"]
@@ -1073,10 +1232,8 @@ def _rect(draw):
     return Rect(x0, y0, x1, y1)
 
 
-@st.composite
-def _child_sets(draw):
-    rects = draw(st.lists(_rect(), min_size=1, max_size=14))
-    # Duplicates and nested copies of drawn rectangles.
+def _with_copies(draw, rects: List[Rect]) -> List[Rect]:
+    """*rects* plus duplicates and nested copies of some of them."""
     for rect in list(rects):
         choice = draw(st.integers(0, 3))
         if choice == 1:
@@ -1090,8 +1247,56 @@ def _child_sets(draw):
                     (rect.min_y + rect.max_y) / 2.0,
                 )
             )
+    return rects
+
+
+@st.composite
+def _child_sets(draw):
+    rects = _with_copies(draw, draw(st.lists(_rect(), min_size=1, max_size=14)))
     order = draw(st.permutations(range(len(rects))))
     return [rects[i] for i in order], draw(_rect())
+
+
+def _plain_sum(values):
+    """``sum()`` of floats before Python 3.12: left to right."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _compensated_sum(values):
+    """``sum()`` of floats from Python 3.12 on: Neumaier's compensated
+    sum, the compensation added at the end when it is finite and not 0."""
+    total = 0.0
+    comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+#: Both kinds of ``sum()`` the supported interpreters have, so that each
+#: interpreter checks the ChooseSubtree sums against both.
+SUMMATIONS = {"plain": _plain_sum, "compensated": _compensated_sum}
+
+
+@contextlib.contextmanager
+def _summation(add):
+    """Run the R*-tree module and the oracles here with *add* as ``sum``."""
+    rstar_tree_mod.sum = add
+    globals()["sum"] = add
+    try:
+        yield
+    finally:
+        del rstar_tree_mod.sum
+        del globals()["sum"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1099,8 +1304,91 @@ def _child_sets(draw):
 def test_choose_subtree_picks_the_scalar_entry(case):
     rects, mbr = case
     entries = [RStarEntry(r, region_id=i) for i, r in enumerate(rects)]
-    got = RStarTree._least_overlap_enlargement(entries, mbr)
-    assert got is scalar_least_overlap_enlargement(entries, mbr)
+    for add in SUMMATIONS.values():
+        with _summation(add):
+            got = RStarTree._least_overlap_enlargement(RStarNode(1, entries), mbr)
+            assert got is scalar_least_overlap_enlargement(entries, mbr)
+
+
+@st.composite
+def _rstar_histories(draw):
+    """A fan-out and a run of inserts and deletes of lattice rectangles
+    (duplicate, nested and zero-width ones among them)."""
+    fanout = draw(st.sampled_from([3, 4, 8, 25]))
+    # At least one more rectangle than a node holds, so the root splits.
+    rects = _with_copies(
+        draw, draw(st.lists(_rect(), min_size=fanout + 1, max_size=3 * fanout + 10))
+    )
+    order = draw(st.permutations(range(len(rects))))
+    ops: List[tuple] = []
+    live: List[int] = []
+    for region_id in order:
+        ops.append(("insert", region_id, rects[region_id]))
+        live.append(region_id)
+        if draw(st.integers(0, 3)) == 0:
+            gone = live.pop(draw(st.integers(0, len(live) - 1)))
+            ops.append(("delete", gone, rects[gone]))
+    return fanout, ops
+
+
+def _check_child_boxes(tree: RStarTree) -> None:
+    """Every ChooseSubtree cache, brought up to date, equals a fresh one.
+    A copy is brought up to date, so the tree's own caches meet the
+    changes of several steps at once, as in a build."""
+    for node in tree.nodes_depth_first():
+        if node._boxes is None:
+            continue
+        probe = RStarNode(node.level, node.entries)
+        probe._boxes = copy.deepcopy(node._boxes)
+        cached = probe.child_boxes()
+        fresh = _ChildBoxes([e.mbr for e in node.entries])
+        assert cached.rows == fresh.rows
+        assert cached.own == fresh.own
+        for name in ("lo", "hi", "area"):
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+@pytest.mark.parametrize("summation", sorted(SUMMATIONS))
+@settings(max_examples=60, deadline=None)
+@given(history=_rstar_histories())
+def test_insert_and_delete_match_the_scalar_insertion(summation, history):
+    fanout, ops = history
+    sub = grid_subdivision(2, 2)  # only for the constructor
+    tree = RStarTree(sub, fanout)
+    scalar = ScalarRStarTree(sub, fanout)
+    with _summation(SUMMATIONS[summation]):
+        for op, region_id, rect in ops:
+            for t in (tree, scalar):
+                if op == "insert":
+                    t.insert(region_id, rect)
+                else:
+                    t.delete(region_id, rect)
+            assert _rstar_shape(tree) == _rstar_shape(scalar), (op, region_id)
+            tree.check_invariants()
+            _check_child_boxes(tree)
+
+
+def test_split_matches_the_scalar_split():
+    """All four sort orders and every distribution, on nodes whose
+    boxes tie in every key."""
+    rng = random.Random(11)
+    sub = grid_subdivision(2, 2)
+    for fanout in (3, 4, 8, 25):
+        for _ in range(40):
+            rects = []
+            for _ in range(fanout + 1):
+                x0, x1 = sorted(rng.choices(range(4), k=2))
+                y0, y1 = sorted(rng.choices(range(4), k=2))
+                rects.append(Rect(x0 / 3.0, y0 / 3.0, x1 / 3.0, y1 / 3.0))
+            nodes = [
+                RStarNode(0, [RStarEntry(r, region_id=i) for i, r in enumerate(rects)])
+                for _ in range(2)
+            ]
+            kept = [RStarTree(sub, fanout)._split(nodes[0]), nodes[0]]
+            want = [ScalarRStarTree(sub, fanout)._split(nodes[1]), nodes[1]]
+            assert [[e.region_id for e in n.entries] for n in kept] == [
+                [e.region_id for e in n.entries] for n in want
+            ]
 
 
 def test_build_defers_insertion_until_read(voronoi60):
@@ -1133,6 +1421,16 @@ def test_insert_into_unread_tree_matches_eager_insert(voronoi60):
             eager = scalar_rstar_build(voronoi60, 8)
             eager.insert(10_000, extra)
             assert _rstar_shape(lazy) == _rstar_shape(eager), extra
+
+
+def test_pickles_leave_the_choose_subtree_cache_out(voronoi60):
+    tree = RStarTree.build(voronoi60, 6).ensure_built()
+    assert any(node._boxes is not None for node in tree.nodes_depth_first())
+    clone = pickle.loads(pickle.dumps(tree))
+    assert all(node._boxes is None for node in clone.nodes_depth_first())
+    for t in (tree, clone):
+        t.insert(10_000, Rect(0.4, 0.4, 0.45, 0.45))
+    assert _rstar_shape(clone) == _rstar_shape(tree)
 
 
 def test_page_builds_once_at_the_packet_fanout(voronoi60):

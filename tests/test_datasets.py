@@ -1,9 +1,12 @@
 """Unit tests for dataset generators and the §5 catalog."""
 
+import random
+
 import pytest
 
 from repro.errors import ReproError, SubdivisionError
 from repro.datasets.catalog import (
+    _SOCAL_CLUSTERS,
     DATASET_NAMES,
     SERVICE_AREA,
     dataset_by_name,
@@ -11,7 +14,74 @@ from repro.datasets.catalog import (
     park_dataset,
     uniform_dataset,
 )
-from repro.datasets.generators import clustered_points, uniform_points
+from repro.datasets.generators import (
+    MIN_SEPARATION_FACTOR,
+    clustered_points,
+    uniform_points,
+)
+from repro.geometry.point import Point
+
+
+# -- the per-point generators, as the oracle -------------------------------------
+#
+# The generators test a draw against every placed point at once, on arrays.
+# These are the loops they replaced: one ``Point.squared_distance_to`` call
+# per placed point, in the same RNG call order.
+
+
+def _far_enough(p, existing, min_sep):
+    min_sep2 = min_sep * min_sep
+    return all(p.squared_distance_to(q) >= min_sep2 for q in existing)
+
+
+def _min_sep(area):
+    return (area.width ** 2 + area.height ** 2) ** 0.5 * MIN_SEPARATION_FACTOR
+
+
+def oracle_uniform_points(n, seed, area=SERVICE_AREA):
+    rng = random.Random(seed)
+    points = []
+    attempts = 0
+    while len(points) < n:
+        attempts += 1
+        if attempts > 100 * n:
+            raise SubdivisionError(f"could not place {n} separated points")
+        p = Point(
+            rng.uniform(area.min_x, area.max_x), rng.uniform(area.min_y, area.max_y)
+        )
+        if _far_enough(p, points, _min_sep(area)):
+            points.append(p)
+    return points
+
+
+def oracle_clustered_points(
+    n, seed, cluster_centers, cluster_spread, noise_fraction=0.1, area=SERVICE_AREA
+):
+    """The clustered loop; also returns how many draws the separation
+    test rejected."""
+    rng = random.Random(seed)
+    points = []
+    rejected = 0
+    attempts = 0
+    while len(points) < n:
+        attempts += 1
+        if attempts > 1000 * n:
+            raise SubdivisionError(f"could not place {n} separated points")
+        if rng.random() < noise_fraction:
+            p = Point(
+                rng.uniform(area.min_x, area.max_x),
+                rng.uniform(area.min_y, area.max_y),
+            )
+        else:
+            cx, cy = cluster_centers[rng.randrange(len(cluster_centers))]
+            p = Point(rng.gauss(cx, cluster_spread), rng.gauss(cy, cluster_spread))
+            if not area.contains_point(p):
+                continue
+        if _far_enough(p, points, _min_sep(area)):
+            points.append(p)
+        else:
+            rejected += 1
+    return points, rejected
 
 
 class TestUniformPoints:
@@ -33,7 +103,11 @@ class TestUniformPoints:
             for i, a in enumerate(pts)
             for b in pts[i + 1 :]
         )
-        assert min_d2 > 0
+        assert min_d2 >= _min_sep(SERVICE_AREA) ** 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 977])
+    def test_matches_the_per_point_loop(self, seed):
+        assert uniform_points(300, seed) == oracle_uniform_points(300, seed)
 
 
 class TestClusteredPoints:
@@ -59,12 +133,47 @@ class TestClusteredPoints:
         with pytest.raises(SubdivisionError):
             clustered_points(10, seed=0, cluster_centers=[], cluster_spread=0.1)
 
+    @pytest.mark.parametrize(
+        "seed, spread, noise",
+        [(0, 0.05, 0.1), (7, 0.02, 0.0), (3, 1e-4, 0.5), (5, 1e-4, 0.7)],
+    )
+    def test_matches_the_per_point_loop(self, seed, spread, noise):
+        centers = [(0.3, 0.3), (0.7, 0.6)]
+        want, rejected = oracle_clustered_points(40, seed, centers, spread, noise)
+        got = clustered_points(
+            40, seed, cluster_centers=centers, cluster_spread=spread,
+            noise_fraction=noise,
+        )
+        assert got == want
+        if spread < _min_sep(SERVICE_AREA):
+            assert rejected > 0  # the separation test really turned draws down
+
+    def test_attempt_budget_exhausted(self):
+        # Every draw lands on the center, so only the first one is placed.
+        with pytest.raises(SubdivisionError):
+            clustered_points(
+                5,
+                seed=0,
+                cluster_centers=[(0.5, 0.5)],
+                cluster_spread=0.0,
+                noise_fraction=0.0,
+            )
+
 
 class TestCatalog:
     def test_paper_cardinalities(self):
         assert uniform_dataset().n == 1000
         assert hospital_dataset().n == 185
         assert park_dataset().n == 1102
+
+    def test_catalog_points_match_the_per_point_loop(self):
+        assert uniform_dataset().points == oracle_uniform_points(1000, 42)
+        for factory, n, seed, spread, noise in (
+            (hospital_dataset, 185, 185, 0.05, 0.12),
+            (park_dataset, 1102, 1102, 0.06, 0.10),
+        ):
+            want, _ = oracle_clustered_points(n, seed, _SOCAL_CLUSTERS, spread, noise)
+            assert factory().points == want
 
     def test_by_name(self):
         for name in DATASET_NAMES:

@@ -2,18 +2,81 @@
 
 import random
 
+import numpy as np
 import pytest
+from scipy.spatial import Voronoi
 
+from repro.datasets.catalog import hospital_dataset, park_dataset, uniform_dataset
 from repro.errors import SubdivisionError
+from repro.geometry.clipping import clip_polygon_rect
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.tessellation import voronoi as voronoi_mod
 from repro.tessellation.voronoi import (
+    _mirror_sites,
     bounded_voronoi,
     nearest_site,
     voronoi_subdivision,
 )
 
 AREA = Rect(0, 0, 1, 1)
+
+
+def clip_every_cell(sites, area):
+    """The cells with every ring sent through ``clip_polygon_rect``."""
+    coords = np.array([[p.x, p.y] for p in sites], dtype=float)
+    vor = Voronoi(np.vstack([coords, _mirror_sites(coords, area)]))
+    return [
+        clip_polygon_rect(
+            [Point(*vor.vertices[j]) for j in vor.regions[vor.point_region[i]]],
+            area,
+        )
+        for i in range(len(sites))
+    ]
+
+
+def _random_sites(seed, area, n):
+    rng = random.Random(seed)
+    sites = [
+        Point(rng.uniform(area.min_x, area.max_x), rng.uniform(area.min_y, area.max_y))
+        for _ in range(n)
+    ]
+    # Sites on the border put Voronoi vertices on it, within EPS of it.
+    sites.append(Point(area.min_x, rng.uniform(area.min_y, area.max_y)))
+    sites.append(Point(rng.uniform(area.min_x, area.max_x), area.max_y))
+    return sites
+
+
+SITE_SETS = {
+    "UNIFORM": lambda: (uniform_dataset().points, AREA),
+    "PARK": lambda: (park_dataset().points, AREA),
+    "HOSPITAL": lambda: (hospital_dataset().points, AREA),
+    "random-unit": lambda: (_random_sites(1, AREA, 200), AREA),
+    "random-offset": lambda: (
+        _random_sites(2, Rect(-2.0, 1.0, 3.0, 2.5), 150),
+        Rect(-2.0, 1.0, 3.0, 2.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SITE_SETS))
+def test_unclipped_cells_match_the_clipped_ring(name, monkeypatch):
+    """A cell whose vertices all pass the four half-plane tests skips the
+    clipping and comes out with the same vertices."""
+    sites, area = SITE_SETS[name]()
+    clipped = []
+
+    def spy(ring, rect):
+        clipped.append(len(ring))
+        return clip_polygon_rect(ring, rect)
+
+    monkeypatch.setattr(voronoi_mod, "clip_polygon_rect", spy)
+    got = bounded_voronoi(sites, area)
+    want = clip_every_cell(sites, area)
+    assert [c.vertices for c in got] == [c.vertices for c in want]
+    assert len(clipped) < len(sites)
+    if name.startswith("random"):
+        assert clipped  # border sites leave vertices for the clipping
 
 
 class TestBoundedVoronoi:
