@@ -9,6 +9,7 @@ from repro.broadcast.params import SystemParameters
 from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
 from repro.datasets.catalog import park_dataset, uniform_dataset
+from repro.engine.trace import compiled_form
 from repro.pointloc.kirkpatrick import TrianTree
 from repro.pointloc.trapezoidal import TrapTree
 from repro.rstar.paged import rstar_fanout
@@ -26,25 +27,41 @@ def query_points(subdivision):
     return [subdivision.random_point(rng) for _ in range(200)]
 
 
-#: The level-synchronous D-tree build on the default set and on the
-#: paper's largest one.
-DTREE_BUILD_SETS = {
+#: The level-synchronous D-tree build and the trap-tree's integer DAG on
+#: the default set and on the paper's largest one.
+BUILD_SETS = {
     "UNIFORM-150": lambda: uniform_dataset(n=150, seed=42).subdivision,
     "PARK": lambda: park_dataset().subdivision,
 }
 
 
-@pytest.mark.parametrize("dataset", sorted(DTREE_BUILD_SETS))
+@pytest.mark.parametrize("dataset", sorted(BUILD_SETS))
 def bench_build_dtree(benchmark, dataset):
-    subdivision = DTREE_BUILD_SETS[dataset]()
+    subdivision = BUILD_SETS[dataset]()
     tree = benchmark(DTree.build, subdivision)
     assert tree.node_count == len(subdivision) - 1
     assert tree.check_height_balanced()
 
 
-def bench_build_trap(benchmark, subdivision):
+@pytest.mark.parametrize("dataset", sorted(BUILD_SETS))
+def bench_build_trap(benchmark, dataset):
+    subdivision = BUILD_SETS[dataset]()
     tree = benchmark(lambda: TrapTree(subdivision, seed=0))
     assert tree.node_counts()["leaf"] > 0
+
+
+def bench_build_page_compile_trap(benchmark):
+    """The trap-tree's whole set-up on PARK: build, page, compile."""
+    subdivision = park_dataset().subdivision
+    params = SystemParameters.for_index("trap", 256)
+
+    def setup():
+        paged = TrapTree(subdivision, seed=0).page(params)
+        return paged, compiled_form(paged)
+
+    paged, (family, compiled) = benchmark(setup)
+    assert family == "trap"
+    assert len(compiled.kind) == len(paged.node_packet)
 
 
 def bench_build_trian(benchmark, subdivision):

@@ -888,6 +888,7 @@ _PATH_TRACERS = (_trace_batch_generic, _trace_batch_dtree, _trace_batch_rstar)
 
 _UNCOMPILED = object()
 
+#: ``repro.pointloc.trapezoidal``'s node kinds (X_NODE, Y_NODE, LEAF).
 _TRAP_XNODE = np.int8(0)
 _TRAP_YNODE = np.int8(1)
 _TRAP_LEAF = np.int8(2)
@@ -922,66 +923,33 @@ class _CompiledTrapTree:
 def _compile_trap(paged):
     """Compile the paged trap-tree, built once and cached on it.
 
-    Validates at compile time what the incremental §4.4 charging relies
-    on: a dense DAG (no dangling children) whose child packets never
-    precede a parent's packet — guaranteed by the allocator, which
-    places every node at or after its latest parent packet.  Returns
-    None (cached) when the invariants do not hold, sending the tracer
-    to the per-point path (:func:`_trace_batch_generic`).
+    The tree's node arrays are already in broadcast order, so compiling
+    is array assembly.  Validates at compile time what the incremental
+    §4.4 charging relies on: every child's ordinal after its parent's
+    (so the root is node 0) and child packets never preceding a
+    parent's packet — guaranteed by the allocator, which places every
+    node at or after its latest parent packet.  Returns None (cached)
+    when the invariants do not hold, sending the tracer to the
+    per-point path (:func:`_trace_batch_generic`).
     """
     compiled = _cached_compiled(paged, "_compiled_trap", _UNCOMPILED)
     if compiled is not _UNCOMPILED:
         return compiled
-    from repro.pointloc.trapezoidal import _Leaf, _XNode
+    tree = paged.tree
+    kind = tree.kind
+    is_x = kind == _TRAP_XNODE
+    on_true = np.where(is_x, tree.child1, tree.child0)
+    on_false = np.where(is_x, tree.child0, tree.child1)
+    packet = paged.node_packet
 
-    nodes = paged.tree.nodes_topological()
-    count = len(nodes)
-    pos = {id(node): i for i, node in enumerate(nodes)}
-    kind = np.empty(count, np.int8)
-    ax = np.zeros(count, np.float64)
-    ay = np.zeros(count, np.float64)
-    bx = np.zeros(count, np.float64)
-    by = np.zeros(count, np.float64)
-    on_true = np.zeros(count, np.int32)
-    on_false = np.zeros(count, np.int32)
-    packet = np.empty(count, np.int32)
-    region = np.full(count, -1, np.int32)
-
-    ok = count > 0 and pos.get(id(paged.tree.root)) == 0
-    for i, node in enumerate(nodes):
-        if not ok:
-            break
-        packet[i] = paged._node_packet[id(node)]
-        if isinstance(node, _Leaf):
-            kind[i] = _TRAP_LEAF
-            if node.trap.region is not None:
-                region[i] = node.trap.region
-        elif isinstance(node, _XNode):
-            kind[i] = _TRAP_XNODE
-            ax[i] = node.point.x
-            ay[i] = node.point.y
-            if node.left is None or node.right is None:
-                ok = False
-                break
-            on_true[i] = pos[id(node.right)]
-            on_false[i] = pos[id(node.left)]
-        else:  # _YNode
-            kind[i] = _TRAP_YNODE
-            seg = node.seg
-            ax[i] = seg.p.x
-            ay[i] = seg.p.y
-            bx[i] = seg.q.x
-            by[i] = seg.q.y
-            if node.above is None or node.below is None:
-                ok = False
-                break
-            on_true[i] = pos[id(node.above)]
-            on_false[i] = pos[id(node.below)]
-
+    ok = len(kind) > 0
     if ok:
-        internal = kind != _TRAP_LEAF
+        internal = np.flatnonzero(kind != _TRAP_LEAF)
         for child in (on_true[internal], on_false[internal]):
-            if not (packet[child] >= packet[internal]).all():
+            if not (
+                (child > internal).all()
+                and (packet[child] >= packet[internal]).all()
+            ):
                 ok = False
                 break
 
@@ -989,14 +957,14 @@ def _compile_trap(paged):
     if ok:
         ct = _CompiledTrapTree()
         ct.kind = kind
-        ct.ax = ax
-        ct.ay = ay
-        ct.bx = bx
-        ct.by = by
+        ct.ax = tree.ax
+        ct.ay = tree.ay
+        ct.bx = tree.bx
+        ct.by = tree.by
         ct.on_true = on_true
         ct.on_false = on_false
         ct.packet = packet
-        ct.region = region
+        ct.region = tree.region
         compiled = ct
     _store_compiled(paged, "_compiled_trap", compiled)
     return compiled

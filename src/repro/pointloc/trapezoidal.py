@@ -15,16 +15,25 @@ to break ties at y-nodes through whose segment it passes.
 
 A trapezoid's containing data region is the region above its bottom
 segment, which the subdivision knows from its CCW polygon orientations.
+
+The DAG is integer-addressed.  The build appends every node to parallel
+lists; when the last segment is in, the live nodes are numbered once in
+topological (Kahn, FIFO) order and compacted into flat arrays, so node
+``k`` is the ``k``-th node on the air (packet label ``trapnode#k``) and
+the root is node 0.  Paging, compiling, pickling and the scalar walks
+read those arrays.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import IndexBuildError, PagingError, QueryError
 from repro.geometry.point import Point
-from repro.geometry.segment import Segment
 from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
 from repro.tessellation.subdivision import Subdivision
@@ -33,6 +42,11 @@ from repro.tessellation.subdivision import Subdivision
 #: (>= 1e-3 in the unit square) yet large enough to separate distinct
 #: vertices sharing an x-coordinate.
 SHEAR = 1e-7
+
+#: Node kinds of the search DAG (:attr:`TrapTree.kind`).  An x-node's
+#: children are (left, right), a y-node's (above, below), in
+#: ``child0``/``child1``.
+X_NODE, Y_NODE, LEAF = 0, 1, 2
 
 
 class _Seg:
@@ -82,7 +96,8 @@ class _Trapezoid:
         self.bottom = bottom
         self.leftp = leftp
         self.rightp = rightp
-        self.leaf: Optional["_Leaf"] = None
+        #: Build-time id of the trapezoid's leaf node.
+        self.leaf = -1
 
     @property
     def region(self) -> Optional[int]:
@@ -95,51 +110,207 @@ class _Trapezoid:
         )
 
 
-class _Node:
-    """DAG node base: tracks parents for in-place subtree replacement."""
+class _DagBuilder:
+    """The search DAG during the incremental build, as parallel lists.
 
-    __slots__ = ("parents",)
+    Node *i* has ``kind[i]``, children ``child0[i]``/``child1[i]`` and a
+    ``payload[i]``: an x-node's :class:`Point`, a y-node's :class:`_Seg`
+    or a leaf's :class:`_Trapezoid`.  Only leaves are ever replaced, so
+    only leaves chain their in-edges: edge ``e`` is ``2 * parent + slot``
+    in ``edge_link[e]``, ``first_edge[leaf]`` is the leaf's last edge
+    and ``edge_next[e]`` the one before (-1 ends a chain).  Flat int
+    lists, not a list per leaf, so the build allocates no container per
+    node for the cyclic garbage collector to scan.  A replaced leaf
+    stays behind, unreachable.
+    """
 
-    def __init__(self) -> None:
-        self.parents: List[Tuple["_Node", str]] = []
+    __slots__ = (
+        "kind", "child0", "child1", "payload",
+        "first_edge", "edge_link", "edge_next", "root",
+    )
 
+    def __init__(self, first: _Trapezoid) -> None:
+        self.kind: List[int] = []
+        self.child0: List[int] = []
+        self.child1: List[int] = []
+        self.payload: list = []
+        self.first_edge: List[int] = []
+        self.edge_link: List[int] = []
+        self.edge_next: List[int] = []
+        self.root = self._leaf(first)
 
-class _XNode(_Node):
-    __slots__ = ("point", "left", "right")
+    def _leaf(self, trap: _Trapezoid) -> int:
+        node = len(self.kind)
+        self.kind.append(LEAF)
+        self.child0.append(-1)
+        self.child1.append(-1)
+        self.payload.append(trap)
+        self.first_edge.append(-1)
+        trap.leaf = node
+        return node
 
-    def __init__(self, point: Point) -> None:
-        super().__init__()
-        self.point = point
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
+    def _inner(self, kind: int, payload, child0: int, child1: int) -> int:
+        node = len(self.kind)
+        self.kind.append(kind)
+        self.child0.append(child0)
+        self.child1.append(child1)
+        self.payload.append(payload)
+        first_edge = self.first_edge
+        first_edge.append(-1)
+        for link, child in ((2 * node, child0), (2 * node + 1, child1)):
+            if self.kind[child] == LEAF:
+                self.edge_next.append(first_edge[child])
+                first_edge[child] = len(self.edge_link)
+                self.edge_link.append(link)
+        return node
 
+    def insert(self, s: _Seg) -> None:
+        crossed = self._follow(s)
+        if len(crossed) == 1:
+            self._split_single(s, crossed[0])
+        else:
+            self._split_multi(s, crossed)
 
-class _YNode(_Node):
-    __slots__ = ("seg", "above", "below")
+    def _descend(self, pt: Point, slope: float) -> int:
+        """Leaf reached by an insertion endpoint or boundary probe."""
+        kind, child0, child1, payload = (
+            self.kind, self.child0, self.child1, self.payload
+        )
+        x, y = pt.x, pt.y
+        node = self.root
+        while True:
+            k = kind[node]
+            if k == X_NODE:
+                # Pure x comparison, ties to the right: an insertion
+                # endpoint or boundary probe always continues rightward
+                # from the vertical line it sits on.  (The shear makes all
+                # distinct vertices have distinct x.)
+                node = child1[node] if x >= payload[node].x else child0[node]
+            elif k == Y_NODE:
+                seg = payload[node]
+                p, q = seg.p, seg.q
+                cross = (q.x - p.x) * (y - p.y) - (q.y - p.y) * (x - p.x)
+                if cross > 0:
+                    node = child0[node]
+                elif cross < 0:
+                    node = child1[node]
+                else:
+                    # pt on the segment's line: it is a shared left endpoint
+                    # of the segment being inserted — compare slopes.
+                    node = child0[node] if slope >= seg.slope else child1[node]
+            else:
+                return node
 
-    def __init__(self, seg: _Seg) -> None:
-        super().__init__()
-        self.seg = seg
-        self.above: Optional[_Node] = None
-        self.below: Optional[_Node] = None
+    def _follow(self, s: _Seg) -> List[_Trapezoid]:
+        """The trapezoids crossed by *s*, left to right."""
+        payload = self.payload
+        first = payload[self._descend(s.p, s.slope)]
+        crossed = [first]
+        current = first
+        while current.rightp.x < s.q.x:
+            probe = Point(current.rightp.x, s.y_at(current.rightp.x))
+            nxt = payload[self._descend(probe, s.slope)]
+            if nxt is current:
+                raise IndexBuildError("segment following made no progress")
+            crossed.append(nxt)
+            current = nxt
+        return crossed
 
+    def _replace_leaf(self, leaf: int, subtree: int) -> None:
+        if leaf == self.root:
+            self.root = subtree
+            return
+        edge = self.first_edge[leaf]
+        if edge < 0:
+            raise IndexBuildError("non-root leaf without parents")
+        while edge >= 0:
+            link = self.edge_link[edge]
+            (self.child1 if link & 1 else self.child0)[link >> 1] = subtree
+            edge = self.edge_next[edge]
+        self.first_edge[leaf] = -1
 
-class _Leaf(_Node):
-    __slots__ = ("trap",)
+    def _split_single(self, s: _Seg, old: _Trapezoid) -> None:
+        upper = _Trapezoid(old.top, s, s.p, s.q)
+        lower = _Trapezoid(s, old.bottom, s.p, s.q)
+        subtree = self._inner(Y_NODE, s, self._leaf(upper), self._leaf(lower))
+        if s.q.x < old.rightp.x:
+            right = _Trapezoid(old.top, old.bottom, s.q, old.rightp)
+            subtree = self._inner(X_NODE, s.q, subtree, self._leaf(right))
+        if old.leftp.x < s.p.x:
+            left = _Trapezoid(old.top, old.bottom, old.leftp, s.p)
+            subtree = self._inner(X_NODE, s.p, self._leaf(left), subtree)
+        self._replace_leaf(old.leaf, subtree)
 
-    def __init__(self, trap: _Trapezoid) -> None:
-        super().__init__()
-        self.trap = trap
-        trap.leaf = self
+    def _split_multi(self, s: _Seg, crossed: Sequence[_Trapezoid]) -> None:
+        first, last = crossed[0], crossed[-1]
 
+        # Open upper/lower runs, merged while top/bottom stay the same.
+        upper = _Trapezoid(first.top, s, s.p, s.q)
+        lower = _Trapezoid(s, first.bottom, s.p, s.q)
+        upper_leaf = self._leaf(upper)
+        lower_leaf = self._leaf(lower)
 
-def _set_child(parent: _Node, slot: str, child: _Node) -> None:
-    setattr(parent, slot, child)
-    child.parents.append((parent, slot))
+        for i, old in enumerate(crossed):
+            if i > 0:
+                if old.top is not upper.top:
+                    upper.rightp = old.leftp
+                    upper = _Trapezoid(old.top, s, old.leftp, s.q)
+                    upper_leaf = self._leaf(upper)
+                if old.bottom is not lower.bottom:
+                    lower.rightp = old.leftp
+                    lower = _Trapezoid(s, old.bottom, old.leftp, s.q)
+                    lower_leaf = self._leaf(lower)
+
+            subtree = self._inner(Y_NODE, s, upper_leaf, lower_leaf)
+            if old is last and s.q.x < old.rightp.x:
+                right = _Trapezoid(old.top, old.bottom, s.q, old.rightp)
+                subtree = self._inner(X_NODE, s.q, subtree, self._leaf(right))
+            if old is first and old.leftp.x < s.p.x:
+                left = _Trapezoid(old.top, old.bottom, old.leftp, s.p)
+                subtree = self._inner(X_NODE, s.p, self._leaf(left), subtree)
+            self._replace_leaf(old.leaf, subtree)
+
+        # Close the final runs at the segment's right endpoint.
+        upper.rightp = s.q
+        lower.rightp = s.q
+
+    def topological(self) -> List[int]:
+        """Live node ids, every parent before each of its children.
+
+        Kahn's algorithm from the root with a FIFO frontier, children in
+        slot order and in-degrees counted per edge, so a leaf shared by
+        two parents is released by its second edge.
+        """
+        kind, child0, child1 = self.kind, self.child0, self.child1
+        indegree = [0] * len(kind)
+        for node, k in enumerate(kind):
+            if k != LEAF:
+                indegree[child0[node]] += 1
+                indegree[child1[node]] += 1
+        live = len(kind) - indegree.count(0) + 1
+        order = [self.root]
+        for node in order:  # the list is its own FIFO queue
+            if kind[node] == LEAF:
+                continue
+            for child in (child0[node], child1[node]):
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    order.append(child)
+        if len(order) != live:
+            raise IndexBuildError("trapezoidal search structure is not a DAG")
+        return order
 
 
 class TrapTree:
-    """The trapezoidal-map search structure over a subdivision."""
+    """The trapezoidal-map search structure over a subdivision.
+
+    Node ``k`` (0 the root) is described by ``kind[k]`` (:data:`X_NODE`,
+    :data:`Y_NODE` or :data:`LEAF`), its children ``child0[k]`` and
+    ``child1[k]`` (left/right at an x-node, above/below at a y-node;
+    always ordinals greater than ``k``), its test geometry — an x-node's
+    vertex in ``ax/ay``, a y-node's segment ``ax/ay -> bx/by`` — and a
+    leaf's data ``region`` (-1 for the slivers outside the subdivision).
+    """
 
     def __init__(self, subdivision: Subdivision, seed: int = 0) -> None:
         self.subdivision = subdivision
@@ -182,147 +353,73 @@ class TrapTree:
         hi = Point(max(xs) + pad_x, max(ys) + pad_y)
         bottom = _Seg(Point(lo.x, lo.y), Point(hi.x, lo.y), None)
         top = _Seg(Point(lo.x, hi.y), Point(hi.x, hi.y), None)
-        first = _Trapezoid(top, bottom, lo, hi)
-        self.root: _Node = _Leaf(first)
-
+        dag = _DagBuilder(_Trapezoid(top, bottom, lo, hi))
         for seg in segments:
-            self._insert(seg)
+            dag.insert(seg)
+        self._compact(dag)
 
-    def _insert(self, s: _Seg) -> None:
-        crossed = self._follow(s)
-        if len(crossed) == 1:
-            self._split_single(s, crossed[0])
-        else:
-            self._split_multi(s, crossed)
-
-    # -- locating --------------------------------------------------------------
-
-    def _descend(self, pt: Point, slope: Optional[float]) -> _Leaf:
-        """DAG search with the insertion tie rules (slope is None for plain
-        point queries)."""
-        node = self.root
-        while not isinstance(node, _Leaf):
-            if isinstance(node, _XNode):
-                # Pure x comparison, ties to the right: an insertion
-                # endpoint or boundary probe always continues rightward
-                # from the vertical line it sits on.  (The shear makes all
-                # distinct vertices have distinct x.)
-                node = node.right if pt.x >= node.point.x else node.left
-            else:
-                assert isinstance(node, _YNode)
-                cross = _cross(node.seg.p, node.seg.q, pt)
-                if cross > 0:
-                    node = node.above
-                elif cross < 0:
-                    node = node.below
-                else:
-                    # pt on the segment's line: it is a shared left endpoint
-                    # of the segment being inserted — compare slopes.
-                    if slope is None or slope == node.seg.slope:
-                        node = node.above
-                    else:
-                        node = node.above if slope > node.seg.slope else node.below
-            if node is None:
-                raise IndexBuildError("dangling DAG pointer")
-        return node
-
-    def _follow(self, s: _Seg) -> List[_Trapezoid]:
-        """The trapezoids crossed by *s*, left to right."""
-        first = self._descend(s.p, s.slope).trap
-        crossed = [first]
-        current = first
-        while current.rightp.x < s.q.x:
-            probe = Point(current.rightp.x, s.y_at(current.rightp.x))
-            nxt = self._descend(probe, s.slope).trap
-            if nxt is current:
-                raise IndexBuildError("segment following made no progress")
-            crossed.append(nxt)
-            current = nxt
-        return crossed
-
-    # -- splitting ---------------------------------------------------------------
-
-    def _replace_leaf(self, leaf: _Leaf, subtree: _Node) -> None:
-        if leaf is self.root:
-            self.root = subtree
-            return
-        if not leaf.parents:
-            raise IndexBuildError("non-root leaf without parents")
-        for parent, slot in leaf.parents:
-            setattr(parent, slot, subtree)
-            subtree.parents.append((parent, slot))
-        leaf.parents = []
-
-    def _split_single(self, s: _Seg, old: _Trapezoid) -> None:
-        upper = _Trapezoid(old.top, s, s.p, s.q)
-        lower = _Trapezoid(s, old.bottom, s.p, s.q)
-        ynode = _YNode(s)
-        _set_child(ynode, "above", _Leaf(upper))
-        _set_child(ynode, "below", _Leaf(lower))
-        subtree: _Node = ynode
-        if s.q.x < old.rightp.x:
-            right = _Trapezoid(old.top, old.bottom, s.q, old.rightp)
-            xq = _XNode(s.q)
-            _set_child(xq, "left", subtree)
-            _set_child(xq, "right", _Leaf(right))
-            subtree = xq
-        if old.leftp.x < s.p.x:
-            left = _Trapezoid(old.top, old.bottom, old.leftp, s.p)
-            xp = _XNode(s.p)
-            _set_child(xp, "left", _Leaf(left))
-            _set_child(xp, "right", subtree)
-            subtree = xp
-        self._replace_leaf(old.leaf, subtree)
-
-    def _split_multi(self, s: _Seg, crossed: Sequence[_Trapezoid]) -> None:
-        first, last = crossed[0], crossed[-1]
-
-        # Open upper/lower runs, merged while top/bottom stay the same.
-        upper = _Trapezoid(first.top, s, s.p, s.q)
-        lower = _Trapezoid(s, first.bottom, s.p, s.q)
-        upper_leaf = _Leaf(upper)
-        lower_leaf = _Leaf(lower)
-
-        for i, old in enumerate(crossed):
-            if i > 0:
-                if old.top is not upper.top:
-                    upper.rightp = old.leftp
-                    upper = _Trapezoid(old.top, s, old.leftp, s.q)
-                    upper_leaf = _Leaf(upper)
-                if old.bottom is not lower.bottom:
-                    lower.rightp = old.leftp
-                    lower = _Trapezoid(s, old.bottom, old.leftp, s.q)
-                    lower_leaf = _Leaf(lower)
-
-            ynode = _YNode(s)
-            _set_child(ynode, "above", upper_leaf)
-            _set_child(ynode, "below", lower_leaf)
-            subtree: _Node = ynode
-            if old is last and s.q.x < old.rightp.x:
-                right = _Trapezoid(old.top, old.bottom, s.q, old.rightp)
-                xq = _XNode(s.q)
-                _set_child(xq, "left", subtree)
-                _set_child(xq, "right", _Leaf(right))
-                subtree = xq
-            if old is first and old.leftp.x < s.p.x:
-                left = _Trapezoid(old.top, old.bottom, old.leftp, s.p)
-                xp = _XNode(s.p)
-                _set_child(xp, "left", _Leaf(left))
-                _set_child(xp, "right", subtree)
-                subtree = xp
-            self._replace_leaf(old.leaf, subtree)
-
-        # Close the final runs at the segment's right endpoint.
-        upper.rightp = s.q
-        lower.rightp = s.q
+    def _compact(self, dag: _DagBuilder) -> None:
+        """Renumber *dag*'s live nodes in topological order into arrays."""
+        order = dag.topological()
+        count = len(order)
+        ordinal = np.zeros(len(dag.kind), np.int32)
+        ordinal[order] = np.arange(count, dtype=np.int32)
+        ids = np.array(order)
+        self.kind = np.array(dag.kind, np.int8)[ids]
+        inner = self.kind != LEAF
+        for name, links in (("child0", dag.child0), ("child1", dag.child1)):
+            child = np.zeros(count, np.int32)
+            child[inner] = ordinal[np.array(links)[ids[inner]]]
+            setattr(self, name, child)
+        payload = dag.payload
+        self.ax, self.ay, self.bx, self.by = (np.zeros(count) for _ in range(4))
+        is_x = self.kind == X_NODE
+        points = [payload[node] for node in ids[is_x].tolist()]
+        self.ax[is_x] = [p.x for p in points]
+        self.ay[is_x] = [p.y for p in points]
+        is_y = self.kind == Y_NODE
+        segs = [payload[node] for node in ids[is_y].tolist()]
+        self.ax[is_y] = [s.p.x for s in segs]
+        self.ay[is_y] = [s.p.y for s in segs]
+        self.bx[is_y] = [s.q.x for s in segs]
+        self.by[is_y] = [s.q.y for s in segs]
+        self.region = np.full(count, -1, np.int32)
+        regions = [payload[node].region for node in ids[~inner].tolist()]
+        self.region[~inner] = [-1 if r is None else r for r in regions]
 
     # -- public API --------------------------------------------------------------
 
+    @cached_property
+    def _lists(self) -> tuple:
+        """Python-list mirrors of the node arrays for the scalar walks."""
+        return tuple(
+            array.tolist()
+            for array in (
+                self.kind, self.child0, self.child1,
+                self.ax, self.ay, self.bx, self.by, self.region,
+            )
+        )
+
+    def _region_at(self, x: float, y: float) -> int:
+        """Leaf region of a plain point query (-1 in a sliver): x ties go
+        right, a zero cross product goes above."""
+        kind, child0, child1, ax, ay, bx, by, region = self._lists
+        node = 0
+        while kind[node] != LEAF:
+            if kind[node] == X_NODE:
+                node = child1[node] if x >= ax[node] else child0[node]
+            else:
+                x0 = ax[node]
+                y0 = ay[node]
+                cross = (bx[node] - x0) * (y - y0) - (by[node] - y0) * (x - x0)
+                node = child1[node] if cross < 0 else child0[node]
+        return region[node]
+
     def locate(self, p: Point) -> int:
         """Data region containing *p*."""
-        leaf = self._descend(self.effective_point(p), None)
-        region = leaf.trap.region
-        if region is None:
+        pt = self.effective_point(p)
+        region = self._region_at(pt.x, pt.y)
+        if region < 0:
             raise QueryError(f"{p!r} outside the subdivided area")
         return region
 
@@ -336,119 +433,24 @@ class TrapTree:
         original boundary point, up to tolerance).
         """
         sheared = _shear(p)
-        if self._descend(sheared, None).trap.region is not None:
+        if self._region_at(sheared.x, sheared.y) >= 0:
             return sheared
         for factor in (1.0, -1.0, 2.0, -2.0):
             nudged = Point(sheared.x + factor * 1e-9, sheared.y + factor * 1e-9)
-            if self._descend(nudged, None).trap.region is not None:
+            if self._region_at(nudged.x, nudged.y) >= 0:
                 return nudged
         return sheared
 
-    def nodes_topological(self) -> List[_Node]:
-        """All DAG nodes, every parent before each of its children."""
-        indegree: Dict[int, int] = {}
-        children: Dict[int, List[_Node]] = {}
-        seen: Dict[int, _Node] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen[id(node)] = node
-            indegree.setdefault(id(node), 0)
-            for child in _children_of(node):
-                indegree[id(child)] = indegree.get(id(child), 0) + 1
-                children.setdefault(id(node), []).append(child)
-                stack.append(child)
-        order: List[_Node] = []
-        frontier = [self.root]
-        while frontier:
-            node = frontier.pop(0)
-            order.append(node)
-            for child in children.get(id(node), []):
-                indegree[id(child)] -= 1
-                if indegree[id(child)] == 0:
-                    frontier.append(child)
-        if len(order) != len(seen):
-            raise IndexBuildError("trapezoidal search structure is not a DAG")
-        return order
-
     def __getstate__(self) -> dict:
-        """Serialize the DAG as a flat node table.
-
-        Default recursive pickling overflows the interpreter stack on
-        the node/parent-link chains of a realistic map, so the DAG is
-        flattened to ``(kind, payload, child, child)`` rows indexed in
-        topological order and rebuilt iteratively on restore.  The
-        construction-only ``parents`` / ``trap.leaf`` back-references
-        are re-established by the rebuild.
-        """
+        """Pickle the node arrays without their list mirrors."""
         state = dict(self.__dict__)
-        nodes = self.nodes_topological()
-        index = {id(node): i for i, node in enumerate(nodes)}
-        table: List[tuple] = []
-        for node in nodes:
-            if isinstance(node, _XNode):
-                table.append(
-                    ("x", node.point, index[id(node.left)], index[id(node.right)])
-                )
-            elif isinstance(node, _YNode):
-                table.append(
-                    ("y", node.seg, index[id(node.above)], index[id(node.below)])
-                )
-            else:
-                trap = node.trap
-                table.append(
-                    (
-                        "leaf",
-                        (trap.top, trap.bottom, trap.leftp, trap.rightp),
-                        None,
-                        None,
-                    )
-                )
-        state.pop("root")
-        state["_dag_table"] = table
+        state.pop("_lists", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        table = state.pop("_dag_table")
-        self.__dict__.update(state)
-        nodes: List[_Node] = []
-        for kind, payload, _, _ in table:
-            if kind == "x":
-                nodes.append(_XNode(payload))
-            elif kind == "y":
-                nodes.append(_YNode(payload))
-            else:
-                nodes.append(_Leaf(_Trapezoid(*payload)))
-        for (kind, _, first, second), node in zip(table, nodes):
-            if kind == "x":
-                _set_child(node, "left", nodes[first])
-                _set_child(node, "right", nodes[second])
-            elif kind == "y":
-                _set_child(node, "above", nodes[first])
-                _set_child(node, "below", nodes[second])
-        self.root = nodes[0]
 
     def node_counts(self) -> Dict[str, int]:
         """Number of x-nodes, y-nodes and leaves (diagnostics)."""
-        counts = {"x": 0, "y": 0, "leaf": 0}
-        for node in self.nodes_topological():
-            if isinstance(node, _XNode):
-                counts["x"] += 1
-            elif isinstance(node, _YNode):
-                counts["y"] += 1
-            else:
-                counts["leaf"] += 1
-        return counts
-
-
-def _children_of(node: _Node) -> List[_Node]:
-    if isinstance(node, _XNode):
-        return [c for c in (node.left, node.right) if c is not None]
-    if isinstance(node, _YNode):
-        return [c for c in (node.above, node.below) if c is not None]
-    return []
+        counts = np.bincount(self.kind, minlength=3).tolist()
+        return dict(zip(("x", "y", "leaf"), counts))
 
 
 def _shear(p: Point) -> Point:
@@ -456,103 +458,97 @@ def _shear(p: Point) -> Point:
 
 
 class PagedTrapTree:
-    """The trap-tree allocated to packets (top-down, topological order)."""
+    """The trap-tree allocated to packets (top-down, topological order).
+
+    ``node_packet[k]`` is node ``k``'s packet.
+    """
 
     def __init__(self, tree: TrapTree, params: SystemParameters) -> None:
         self.tree = tree
         self.params = params
         self._store = PacketStore(params.packet_capacity)
-        self._node_packet: Dict[int, int] = {}
         self._allocate()
         self.packets = self._store.packets
 
-    def node_size(self, node: _Node) -> int:
+    def node_size(self, kind: int) -> int:
         """x-node: bid + one axis value + 2 pointers; y-node: bid + one
         segment (2 coordinate pairs) + 2 pointers; leaf: bid + data
         pointer."""
         p = self.params
-        if isinstance(node, _XNode):
+        if kind == X_NODE:
             return p.bid_size + p.scalar_size + 2 * p.pointer_size
-        if isinstance(node, _YNode):
+        if kind == Y_NODE:
             return p.bid_size + 2 * p.coordinate_size + 2 * p.pointer_size
         return p.bid_size + p.pointer_size
 
     def _allocate(self) -> None:
-        order = self.tree.nodes_topological()
-        parent_packets: Dict[int, List[int]] = {}
-        for node in order:
-            for child in _children_of(node):
-                parent_packets.setdefault(id(child), [])
-        capacity = self.params.packet_capacity
-        for ordinal, node in enumerate(order):
-            size = self.node_size(node)
-            if size > capacity:
-                raise PagingError("trap-tree node exceeds packet capacity")
+        kind, child0, child1 = self.tree._lists[:3]
+        sizes = [self.node_size(k) for k in (X_NODE, Y_NODE, LEAF)]
+        if max(sizes[k] for k in set(kind)) > self.params.packet_capacity:
+            raise PagingError("trap-tree node exceeds packet capacity")
+        packets = self._store.packets
+        # Latest packet of a parent placed so far (-1: none yet).
+        latest = [-1] * len(kind)
+        node_packet = []
+        for ordinal, k in enumerate(kind):
+            size = sizes[k]
             placed = None
-            parents = parent_packets.get(id(node), [])
-            if parents:
+            parent = latest[ordinal]
+            if parent >= 0:
                 # Monotonicity on the channel: place into the *latest*
                 # parent packet so the node never precedes any parent.
-                candidate = self._store.packets[max(parents)]
+                candidate = packets[parent]
                 if size <= candidate.free:
                     placed = candidate
             if placed is None:
                 placed = self._store.new_packet()
             placed.allocate(size, f"trapnode#{ordinal}")
-            self._node_packet[id(node)] = placed.packet_id
-            for child in _children_of(node):
-                parent_packets.setdefault(id(child), []).append(placed.packet_id)
-        # root handling: ensure it landed in packet 0
-        if self._node_packet[id(order[0])] != 0:
+            packet = placed.packet_id
+            node_packet.append(packet)
+            if k != LEAF:
+                for child in (child0[ordinal], child1[ordinal]):
+                    if latest[child] < packet:
+                        latest[child] = packet
+        if node_packet[0] != 0:
             raise PagingError("root not in the first packet")
+        self.node_packet = np.array(node_packet, np.int32)
+
+    @cached_property
+    def _packet_list(self) -> List[int]:
+        return self.node_packet.tolist()
 
     def __getstate__(self) -> dict:
-        """Make the paged DAG picklable (fleet workers under ``spawn``).
-
-        ``_node_packet`` is keyed by ``id(node)`` — meaningless in
-        another process — so it is shipped as a packet list in the
-        (structure-determined, hence pickle-stable) topological order
-        and re-keyed against the unpickled node objects on restore.
-        The compiled node arrays (``repro.engine.trace``) are dropped:
-        workers rebuild or attach them from a shared-memory arena.
-        """
+        """Pickle without the derived state: the compiled node arrays
+        (``repro.engine.trace``; fleet workers rebuild or attach them
+        from a shared-memory arena) and the list mirror."""
         state = dict(self.__dict__)
         state.pop("_compiled_trap", None)
-        state["_node_packet"] = [
-            self._node_packet[id(node)]
-            for node in self.tree.nodes_topological()
-        ]
+        state.pop("_packet_list", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        packets_ordered = state.pop("_node_packet")
-        self.__dict__.update(state)
-        self._node_packet = {
-            id(node): packet
-            for node, packet in zip(
-                self.tree.nodes_topological(), packets_ordered
-            )
-        }
 
     def trace(self, point: Point) -> QueryTrace:
         """Traced DAG descent (plain point query)."""
-        pt = self.tree.effective_point(point)
+        tree = self.tree
+        pt = tree.effective_point(point)
+        x, y = pt.x, pt.y
+        kind, child0, child1, ax, ay, bx, by, region = tree._lists
+        node_packet = self._packet_list
         accesses: List[int] = []
-        node = self.tree.root
-        while not isinstance(node, _Leaf):
-            accesses.append(self._node_packet[id(node)])
-            if isinstance(node, _XNode):
-                go_right = (pt.x, pt.y) >= (node.point.x, node.point.y)
-                node = node.right if go_right else node.left
+        node = 0
+        while kind[node] != LEAF:
+            accesses.append(node_packet[node])
+            if kind[node] == X_NODE:
+                go_right = (x, y) >= (ax[node], ay[node])
+                node = child1[node] if go_right else child0[node]
             else:
-                assert isinstance(node, _YNode)
-                cross = _cross(node.seg.p, node.seg.q, pt)
-                node = node.above if cross >= 0 else node.below
-        accesses.append(self._node_packet[id(node)])
-        region = node.trap.region
-        if region is None:
+                x0 = ax[node]
+                y0 = ay[node]
+                cross = (bx[node] - x0) * (y - y0) - (by[node] - y0) * (x - x0)
+                node = child0[node] if cross >= 0 else child1[node]
+        accesses.append(node_packet[node])
+        if region[node] < 0:
             raise QueryError(f"{point!r} outside the subdivided area")
-        return QueryTrace(region, dedupe_consecutive(accesses))
+        return QueryTrace(region[node], dedupe_consecutive(accesses))
 
     def __repr__(self) -> str:
         return (

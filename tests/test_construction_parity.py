@@ -8,13 +8,15 @@ scores every distribution of the four sort orders at once;
 ``RStarTree.build`` defers its insertions to the first read; the
 trian-tree's Kirkpatrick rounds run on integer vertex ids with
 one batched overlap test per round; the trap-tree reads each edge's
-region above from the edge table.  None of that may change a single
-tree.  The scalar code each of them replaced is kept here as the oracle
-— the depth-first D-tree recursion over one Algorithm 1 run per style,
-per-edge ``canonical_key`` cancellation, chaining that re-quantises
-every visited endpoint, R* insertion on ``Rect`` objects, eager insertion, the
-``TrianNode``/``quantize_point`` rounds with one ``overlaps_interior``
-call per pair and Point-based ear clipping — and monkeypatched in to
+region above from the edge table and builds, pages and compiles its
+search DAG as integer arrays numbered once in broadcast order.  None of
+that may change a single tree.  The scalar code each of them replaced
+is kept here as the oracle — the depth-first D-tree recursion over one
+Algorithm 1 run per style, per-edge ``canonical_key`` cancellation,
+chaining that re-quantises every visited endpoint, R* insertion on
+``Rect`` objects, eager insertion, the ``TrianNode``/``quantize_point``
+rounds with one ``overlaps_interior`` call per pair, Point-based ear
+clipping and the trap-tree's object DAG — and monkeypatched in to
 build the reference.  Both builds run on the running interpreter: ``sum()`` of
 floats is compensated on Python 3.12+ and plain before, so the bits of
 an overlap sum (and with them a tie-break) may differ between
@@ -31,13 +33,14 @@ import math
 import pickle
 import random
 from collections import Counter, defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
 from repro.core import imbalanced as imbalanced_mod
 from repro.core import partition as partition_mod
@@ -66,8 +69,27 @@ from repro.dynamic import (
 )
 from repro.dynamic.maintain import _leaf_ids
 from repro.engine import index_family
-from repro.engine.trace import compiled_form
-from repro.errors import GeometryError, IndexBuildError, SubdivisionError
+from repro.engine.trace import (
+    _COMPILERS,
+    _TRAP_LEAF,
+    _TRAP_XNODE,
+    _TRAP_YNODE,
+    _UNCOMPILED,
+    _CompiledTrapTree,
+    _cached_compiled,
+    _store_compiled,
+    _trace_batch_trap,
+    batched_trace,
+    compiled_form,
+    register_tracer,
+)
+from repro.errors import (
+    GeometryError,
+    IndexBuildError,
+    PagingError,
+    QueryError,
+    SubdivisionError,
+)
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import (
@@ -101,6 +123,8 @@ from repro.rstar.tree import (
 from repro.tessellation.grid import grid_subdivision
 from repro.tessellation.subdivision import DataRegion, Subdivision
 from repro.tessellation.voronoi import voronoi_subdivision
+
+from tests.conftest import random_points_in
 
 PACKET_CAPACITY = 256
 
@@ -655,7 +679,12 @@ def scalar_trian_build(self: TrianTree) -> None:
     self.rounds = round_index
 
 
-# -- the trap-tree's scalar build -------------------------------------------------
+# -- the trap-tree's object DAG ---------------------------------------------------
+#
+# The trap-tree as it was before its DAG moved onto integer arrays: the
+# build, the Kahn pass over ``id()``-keyed dicts, the paging that keys
+# packets by ``id(node)`` and the compile loop over the node objects.
+# ``scalar_kernels`` installs it as ``TrapTree.build``.
 
 
 def scalar_directed_edge_region_above(subdivision: Subdivision) -> dict:
@@ -673,7 +702,378 @@ def scalar_directed_edge_region_above(subdivision: Subdivision) -> dict:
     return above
 
 
-def scalar_trap_build(self: TrapTree, seed: int) -> None:
+class _Node:
+    """DAG node base: tracks parents for in-place subtree replacement."""
+
+    __slots__ = ("parents",)
+
+    def __init__(self) -> None:
+        self.parents: List[Tuple["_Node", str]] = []
+
+
+class _XNode(_Node):
+    __slots__ = ("point", "left", "right")
+
+    def __init__(self, point: Point) -> None:
+        super().__init__()
+        self.point = point
+        self.left: Optional[_Node] = None
+        self.right: Optional[_Node] = None
+
+
+class _YNode(_Node):
+    __slots__ = ("seg", "above", "below")
+
+    def __init__(self, seg: trap_mod._Seg) -> None:
+        super().__init__()
+        self.seg = seg
+        self.above: Optional[_Node] = None
+        self.below: Optional[_Node] = None
+
+
+class _Leaf(_Node):
+    __slots__ = ("trap",)
+
+    def __init__(self, trap: trap_mod._Trapezoid) -> None:
+        super().__init__()
+        self.trap = trap
+        trap.leaf = self
+
+
+def _set_child(parent: _Node, slot: str, child: _Node) -> None:
+    setattr(parent, slot, child)
+    child.parents.append((parent, slot))
+
+
+def _children_of(node: _Node) -> List[_Node]:
+    if isinstance(node, _XNode):
+        return [c for c in (node.left, node.right) if c is not None]
+    if isinstance(node, _YNode):
+        return [c for c in (node.above, node.below) if c is not None]
+    return []
+
+
+class ScalarTrapTree:
+    """The trap-tree as the object DAG that the integer arrays replaced:
+    one Python object per node, parent links for leaf replacement, and
+    a Kahn pass over ``id()``-keyed dicts for the broadcast order."""
+
+    def __init__(self, subdivision: Subdivision, seed: int = 0) -> None:
+        self.subdivision = subdivision
+        scalar_trap_build(self, seed)
+
+    def page(self, params) -> "ScalarPagedTrapTree":
+        return ScalarPagedTrapTree(self, params)
+
+    def _insert(self, s) -> None:
+        SCALAR_RUNS["trap_insert"] += 1
+        crossed = self._follow(s)
+        if len(crossed) == 1:
+            self._split_single(s, crossed[0])
+        else:
+            self._split_multi(s, crossed)
+
+    def _descend(self, pt: Point, slope: Optional[float]) -> _Leaf:
+        node = self.root
+        while not isinstance(node, _Leaf):
+            if isinstance(node, _XNode):
+                node = node.right if pt.x >= node.point.x else node.left
+            else:
+                assert isinstance(node, _YNode)
+                cross = trap_mod._cross(node.seg.p, node.seg.q, pt)
+                if cross > 0:
+                    node = node.above
+                elif cross < 0:
+                    node = node.below
+                else:
+                    if slope is None or slope == node.seg.slope:
+                        node = node.above
+                    else:
+                        node = node.above if slope > node.seg.slope else node.below
+            if node is None:
+                raise IndexBuildError("dangling DAG pointer")
+        return node
+
+    def _follow(self, s) -> list:
+        first = self._descend(s.p, s.slope).trap
+        crossed = [first]
+        current = first
+        while current.rightp.x < s.q.x:
+            probe = Point(current.rightp.x, s.y_at(current.rightp.x))
+            nxt = self._descend(probe, s.slope).trap
+            if nxt is current:
+                raise IndexBuildError("segment following made no progress")
+            crossed.append(nxt)
+            current = nxt
+        return crossed
+
+    def _replace_leaf(self, leaf: _Leaf, subtree: _Node) -> None:
+        if leaf is self.root:
+            self.root = subtree
+            return
+        if not leaf.parents:
+            raise IndexBuildError("non-root leaf without parents")
+        for parent, slot in leaf.parents:
+            setattr(parent, slot, subtree)
+            subtree.parents.append((parent, slot))
+        leaf.parents = []
+
+    def _split_single(self, s, old) -> None:
+        Trapezoid = trap_mod._Trapezoid
+        upper = Trapezoid(old.top, s, s.p, s.q)
+        lower = Trapezoid(s, old.bottom, s.p, s.q)
+        ynode = _YNode(s)
+        _set_child(ynode, "above", _Leaf(upper))
+        _set_child(ynode, "below", _Leaf(lower))
+        subtree: _Node = ynode
+        if s.q.x < old.rightp.x:
+            right = Trapezoid(old.top, old.bottom, s.q, old.rightp)
+            xq = _XNode(s.q)
+            _set_child(xq, "left", subtree)
+            _set_child(xq, "right", _Leaf(right))
+            subtree = xq
+        if old.leftp.x < s.p.x:
+            left = Trapezoid(old.top, old.bottom, old.leftp, s.p)
+            xp = _XNode(s.p)
+            _set_child(xp, "left", _Leaf(left))
+            _set_child(xp, "right", subtree)
+            subtree = xp
+        self._replace_leaf(old.leaf, subtree)
+
+    def _split_multi(self, s, crossed) -> None:
+        Trapezoid = trap_mod._Trapezoid
+        first, last = crossed[0], crossed[-1]
+        upper = Trapezoid(first.top, s, s.p, s.q)
+        lower = Trapezoid(s, first.bottom, s.p, s.q)
+        upper_leaf = _Leaf(upper)
+        lower_leaf = _Leaf(lower)
+
+        for i, old in enumerate(crossed):
+            if i > 0:
+                if old.top is not upper.top:
+                    upper.rightp = old.leftp
+                    upper = Trapezoid(old.top, s, old.leftp, s.q)
+                    upper_leaf = _Leaf(upper)
+                if old.bottom is not lower.bottom:
+                    lower.rightp = old.leftp
+                    lower = Trapezoid(s, old.bottom, old.leftp, s.q)
+                    lower_leaf = _Leaf(lower)
+
+            ynode = _YNode(s)
+            _set_child(ynode, "above", upper_leaf)
+            _set_child(ynode, "below", lower_leaf)
+            subtree: _Node = ynode
+            if old is last and s.q.x < old.rightp.x:
+                right = Trapezoid(old.top, old.bottom, s.q, old.rightp)
+                xq = _XNode(s.q)
+                _set_child(xq, "left", subtree)
+                _set_child(xq, "right", _Leaf(right))
+                subtree = xq
+            if old is first and old.leftp.x < s.p.x:
+                left = Trapezoid(old.top, old.bottom, old.leftp, s.p)
+                xp = _XNode(s.p)
+                _set_child(xp, "left", _Leaf(left))
+                _set_child(xp, "right", subtree)
+                subtree = xp
+            self._replace_leaf(old.leaf, subtree)
+
+        upper.rightp = s.q
+        lower.rightp = s.q
+
+    def locate(self, p: Point) -> int:
+        leaf = self._descend(self.effective_point(p), None)
+        region = leaf.trap.region
+        if region is None:
+            raise QueryError(f"{p!r} outside the subdivided area")
+        return region
+
+    def effective_point(self, p: Point) -> Point:
+        sheared = trap_mod._shear(p)
+        if self._descend(sheared, None).trap.region is not None:
+            return sheared
+        for factor in (1.0, -1.0, 2.0, -2.0):
+            nudged = Point(sheared.x + factor * 1e-9, sheared.y + factor * 1e-9)
+            if self._descend(nudged, None).trap.region is not None:
+                return nudged
+        return sheared
+
+    def nodes_topological(self) -> List[_Node]:
+        indegree: Dict[int, int] = {}
+        children: Dict[int, List[_Node]] = {}
+        seen: Dict[int, _Node] = {}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen[id(node)] = node
+            indegree.setdefault(id(node), 0)
+            for child in _children_of(node):
+                indegree[id(child)] = indegree.get(id(child), 0) + 1
+                children.setdefault(id(node), []).append(child)
+                stack.append(child)
+        order: List[_Node] = []
+        frontier = [self.root]
+        while frontier:
+            node = frontier.pop(0)
+            order.append(node)
+            for child in children.get(id(node), []):
+                indegree[id(child)] -= 1
+                if indegree[id(child)] == 0:
+                    frontier.append(child)
+        if len(order) != len(seen):
+            raise IndexBuildError("trapezoidal search structure is not a DAG")
+        return order
+
+
+class ScalarPagedTrapTree:
+    """Top-down paging of the object DAG, packet ids keyed by ``id()``."""
+
+    def __init__(self, tree: ScalarTrapTree, params: SystemParameters) -> None:
+        self.tree = tree
+        self.params = params
+        self._store = PacketStore(params.packet_capacity)
+        self._node_packet: Dict[int, int] = {}
+        self._allocate()
+        self.packets = self._store.packets
+
+    def node_size(self, node: _Node) -> int:
+        p = self.params
+        if isinstance(node, _XNode):
+            return p.bid_size + p.scalar_size + 2 * p.pointer_size
+        if isinstance(node, _YNode):
+            return p.bid_size + 2 * p.coordinate_size + 2 * p.pointer_size
+        return p.bid_size + p.pointer_size
+
+    def _allocate(self) -> None:
+        order = self.tree.nodes_topological()
+        parent_packets: Dict[int, List[int]] = {}
+        for node in order:
+            for child in _children_of(node):
+                parent_packets.setdefault(id(child), [])
+        capacity = self.params.packet_capacity
+        for ordinal, node in enumerate(order):
+            size = self.node_size(node)
+            if size > capacity:
+                raise PagingError("trap-tree node exceeds packet capacity")
+            placed = None
+            parents = parent_packets.get(id(node), [])
+            if parents:
+                candidate = self._store.packets[max(parents)]
+                if size <= candidate.free:
+                    placed = candidate
+            if placed is None:
+                placed = self._store.new_packet()
+            placed.allocate(size, f"trapnode#{ordinal}")
+            self._node_packet[id(node)] = placed.packet_id
+            for child in _children_of(node):
+                parent_packets.setdefault(id(child), []).append(placed.packet_id)
+        if self._node_packet[id(order[0])] != 0:
+            raise PagingError("root not in the first packet")
+
+    def trace(self, point: Point) -> QueryTrace:
+        pt = self.tree.effective_point(point)
+        accesses: List[int] = []
+        node = self.tree.root
+        while not isinstance(node, _Leaf):
+            accesses.append(self._node_packet[id(node)])
+            if isinstance(node, _XNode):
+                go_right = (pt.x, pt.y) >= (node.point.x, node.point.y)
+                node = node.right if go_right else node.left
+            else:
+                assert isinstance(node, _YNode)
+                cross = trap_mod._cross(node.seg.p, node.seg.q, pt)
+                node = node.above if cross >= 0 else node.below
+        accesses.append(self._node_packet[id(node)])
+        region = node.trap.region
+        if region is None:
+            raise QueryError(f"{point!r} outside the subdivided area")
+        return QueryTrace(region, dedupe_consecutive(accesses))
+
+
+def scalar_compile_trap(paged: ScalarPagedTrapTree):
+    """``_compile_trap`` as the loop over the object DAG it replaced."""
+    compiled = _cached_compiled(paged, "_compiled_trap", _UNCOMPILED)
+    if compiled is not _UNCOMPILED:
+        return compiled
+    nodes = paged.tree.nodes_topological()
+    count = len(nodes)
+    pos = {id(node): i for i, node in enumerate(nodes)}
+    kind = np.empty(count, np.int8)
+    ax = np.zeros(count, np.float64)
+    ay = np.zeros(count, np.float64)
+    bx = np.zeros(count, np.float64)
+    by = np.zeros(count, np.float64)
+    on_true = np.zeros(count, np.int32)
+    on_false = np.zeros(count, np.int32)
+    packet = np.empty(count, np.int32)
+    region = np.full(count, -1, np.int32)
+
+    ok = count > 0 and pos.get(id(paged.tree.root)) == 0
+    for i, node in enumerate(nodes):
+        if not ok:
+            break
+        packet[i] = paged._node_packet[id(node)]
+        if isinstance(node, _Leaf):
+            kind[i] = _TRAP_LEAF
+            if node.trap.region is not None:
+                region[i] = node.trap.region
+        elif isinstance(node, _XNode):
+            kind[i] = _TRAP_XNODE
+            ax[i] = node.point.x
+            ay[i] = node.point.y
+            if node.left is None or node.right is None:
+                ok = False
+                break
+            on_true[i] = pos[id(node.right)]
+            on_false[i] = pos[id(node.left)]
+        else:
+            kind[i] = _TRAP_YNODE
+            seg = node.seg
+            ax[i] = seg.p.x
+            ay[i] = seg.p.y
+            bx[i] = seg.q.x
+            by[i] = seg.q.y
+            if node.above is None or node.below is None:
+                ok = False
+                break
+            on_true[i] = pos[id(node.above)]
+            on_false[i] = pos[id(node.below)]
+
+    if ok:
+        internal = kind != _TRAP_LEAF
+        for child in (on_true[internal], on_false[internal]):
+            if not (packet[child] >= packet[internal]).all():
+                ok = False
+                break
+
+    compiled = None
+    if ok:
+        compiled = _CompiledTrapTree()
+        compiled.kind = kind
+        compiled.ax = ax
+        compiled.ay = ay
+        compiled.bx = bx
+        compiled.by = by
+        compiled.on_true = on_true
+        compiled.on_false = on_false
+        compiled.packet = packet
+        compiled.region = region
+    _store_compiled(paged, "_compiled_trap", compiled)
+    return compiled
+
+
+def scalar_trace_batch_trap(paged: ScalarPagedTrapTree, points):
+    """The compiled trap tracer, over :func:`scalar_compile_trap`'s arrays."""
+    scalar_compile_trap(paged)
+    return _trace_batch_trap(paged, points)
+
+
+_COMPILERS[ScalarPagedTrapTree] = ("trap", scalar_compile_trap)
+register_tracer(ScalarPagedTrapTree, scalar_trace_batch_trap)
+
+
+def scalar_trap_build(self: ScalarTrapTree, seed: int) -> None:
     """``TrapTree._build`` keying every edge through ``canonical_key``."""
     above_map = scalar_directed_edge_region_above(self.subdivision)
     segments = [
@@ -696,9 +1096,14 @@ def scalar_trap_build(self: TrapTree, seed: int) -> None:
     hi = Point(max(xs) + pad_x, max(ys) + pad_y)
     bottom = trap_mod._Seg(Point(lo.x, lo.y), Point(hi.x, lo.y), None)
     top = trap_mod._Seg(Point(lo.x, hi.y), Point(hi.x, hi.y), None)
-    self.root = trap_mod._Leaf(trap_mod._Trapezoid(top, bottom, lo, hi))
+    self.root = _Leaf(trap_mod._Trapezoid(top, bottom, lo, hi))
     for seg in segments:
         self._insert(seg)
+
+
+def scalar_trap_tree(cls, subdivision: Subdivision, *, seed: int = 0):
+    """``TrapTree.build`` replaced by the object-DAG oracle."""
+    return ScalarTrapTree(subdivision, seed)
 
 
 def scalar_grow(
@@ -755,7 +1160,7 @@ def scalar_kernels(monkeypatch):
             lambda cls, *a, **k: scalar_rstar_build(*a, **k)
         ))
         monkeypatch.setattr(TrianTree, "_build", scalar_trian_build)
-        monkeypatch.setattr(TrapTree, "_build", scalar_trap_build)
+        monkeypatch.setattr(TrapTree, "build", classmethod(scalar_trap_tree))
 
     return install
 
@@ -825,6 +1230,7 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     scalar_state = observable(build_paged(kind, DATASETS[dataset]()))
     assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
     assert (SCALAR_RUNS["rstar_split"] > 0) == (kind == "rstar")
+    assert (SCALAR_RUNS["trap_insert"] > 0) == (kind == "trap")
     assert array_state["packets"] == scalar_state["packets"]
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
@@ -874,9 +1280,91 @@ def test_trian_and_trap_identical_to_scalar_build_on_random_subdivisions(
     array_states = _trian_and_trap_states(subdivision, t_min)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TrianTree, "_build", scalar_trian_build)
-        patch.setattr(TrapTree, "_build", scalar_trap_build)
+        patch.setattr(TrapTree, "build", classmethod(scalar_trap_tree))
         scalar_states = _trian_and_trap_states(subdivision, t_min)
     assert array_states == scalar_states
+
+
+def _trap_answers(paged, points: Sequence[Point]) -> list:
+    """Scalar ``locate``/``trace`` per point and the batched answers, last
+    packets and tuning, each ``QueryError`` as its message."""
+
+    def outcome(call):
+        try:
+            return call()
+        except QueryError as exc:
+            return f"QueryError: {exc}"
+
+    def traced(p):
+        trace = paged.trace(p)
+        return trace.region_id, trace.packets_accessed
+
+    def batch(ps):
+        got = batched_trace(paged, ps)
+        return (
+            got.region_ids.tolist(), got.last_packet.tolist(), got.tuning_time.tolist()
+        )
+
+    scalar = [
+        (outcome(lambda: paged.tree.locate(p)), outcome(lambda: traced(p)))
+        for p in points
+    ]
+    answered = [p for p, (_, trace) in zip(points, scalar) if not isinstance(trace, str)]
+    return [scalar, outcome(lambda: batch(points)), batch(answered)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _small_subdivisions(),
+    st.integers(0, 10_000),
+    st.sampled_from([64, 128, 256]),
+    st.integers(0, 10_000),
+)
+def test_trap_answers_identical_to_object_dag_on_random_points(
+    subdivision, seed, capacity, point_seed
+):
+    """Random points, every subdivision vertex (the nudge path), points
+    just below a vertex on its sheared vertical line (the lexicographic
+    x tie of the paged trace) and every edge midpoint answer alike on
+    the integer DAG and on the object DAG it replaced."""
+    rng = random.Random(point_seed)
+    points = [subdivision.random_point(rng) for _ in range(100)]
+    vertices = list(dict.fromkeys(
+        v for region in subdivision.regions for v in region.polygon.vertices
+    ))
+    points += vertices
+    points += [
+        Point(v.x + trap_mod.SHEAR * d, v.y - d) for v in vertices for d in (1e-3, 1e-2)
+    ]
+    points += [
+        Point((e.a.x + e.b.x) / 2, (e.a.y + e.b.y) / 2)
+        for e in subdivision.all_edges()
+    ]
+    params = index_family("trap").parameters(capacity)
+    arrays = TrapTree.build(subdivision, seed=seed).page(params)
+    SCALAR_RUNS.clear()
+    scalar = ScalarTrapTree(subdivision, seed).page(params)
+    assert SCALAR_RUNS["trap_insert"] == len(subdivision.all_edges())
+    assert _trap_answers(arrays, points) == _trap_answers(scalar, points)
+
+
+def test_pickled_paged_trap_tree_keeps_packets_arrays_and_traces():
+    """The paged trap-tree pickles as its arrays: a round trip keeps every
+    packet, every compiled array and the scalar traces."""
+    subdivision = DATASETS["PARK"]()
+    points = random_points_in(subdivision, 300, seed=17)
+
+    def traces(paged):
+        return [(t.region_id, t.packets_accessed) for t in map(paged.trace, points)]
+
+    paged = build_paged("trap", subdivision)
+    # Compiled arrays and list mirrors exist before the pickle, which
+    # leaves them out.
+    state, answers = observable(paged), traces(paged)
+    restored = pickle.loads(pickle.dumps(paged))
+    assert not hasattr(restored, "_compiled_trap")
+    assert observable(restored) == state
+    assert traces(restored) == answers
 
 
 #: Lattice coordinates: collinear, repeated and self-crossing rings abound.
@@ -1189,6 +1677,7 @@ def test_churn_maintenance_identical_to_scalar_build(kind, scalar_kernels):
     scalar_run = _churn_run(kind)
     assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
     assert (SCALAR_RUNS["rstar_split"] > 0) == (kind == "rstar")
+    assert (SCALAR_RUNS["trap_insert"] > 0) == (kind == "trap")
     assert array_run["full_rebuilds"] == scalar_run["full_rebuilds"]
     assert array_run["incremental_applies"] == scalar_run["incremental_applies"]
     assert array_run["answers"] == scalar_run["answers"]

@@ -34,10 +34,11 @@ from repro.engine.trace import (
     _store_compiled,
     _trace_batch_generic,
     bump_structure_generation,
+    compiled_form,
 )
 from repro.errors import BroadcastError, QueryError
 from repro.pointloc.kirkpatrick import PagedTrianTree
-from repro.pointloc.trapezoidal import PagedTrapTree
+from repro.pointloc.trapezoidal import LEAF, PagedTrapTree
 from repro.rstar.paged import PagedRStarTree
 
 from tests.conftest import random_points_in
@@ -380,6 +381,30 @@ class TestOracleFallbacks:
         assert str(paged.trace(failing[0]).packets_accessed) in str(
             batch_err.value
         )
+
+    def test_backwards_trap_node_declines_compile(self, voronoi60):
+        family = index_family("trap")
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        points = random_points_in(voronoi60, 200, seed=29)
+        # Re-point the first node whose parent sits past packet 0 at
+        # packet 0, so every query through it reads the channel backwards.
+        tree = paged.tree
+        inner = np.flatnonzero((tree.kind != LEAF) & (paged.node_packet > 0))
+        node = min(tree.child0[inner].min(), tree.child1[inner].min())
+        paged.node_packet[node] = 0
+        assert compiled_form(paged) is None
+
+        failing = [
+            p for p in points
+            if paged.trace(p).packets_accessed
+            != sorted(paged.trace(p).packets_accessed)
+        ]
+        assert failing
+        with pytest.raises(BroadcastError) as scalar_err:
+            _trace_batch_generic(paged, points)
+        with pytest.raises(BroadcastError) as batch_err:
+            batched_trace(paged, points)
+        assert str(batch_err.value) == str(scalar_err.value)
 
     @pytest.mark.parametrize("kind", REJECTING_KINDS)
     def test_uncompiled_tree_uses_per_point_path(self, dataset, cells, kind):

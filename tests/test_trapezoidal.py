@@ -1,11 +1,12 @@
 """Unit tests for the trapezoidal map / trap-tree (§3.1)."""
 
+import numpy as np
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import PagingError, QueryError
 from repro.geometry.point import Point
 from repro.broadcast.params import SystemParameters
-from repro.pointloc.trapezoidal import PagedTrapTree, TrapTree, _shear
+from repro.pointloc.trapezoidal import LEAF, Y_NODE, PagedTrapTree, TrapTree, _shear
 from repro.tessellation.grid import grid_subdivision
 
 from tests.conftest import random_points_in
@@ -38,8 +39,11 @@ class TestConstruction:
 
     def test_dag_is_acyclic(self, voronoi60):
         tree = TrapTree(voronoi60, seed=0)
-        order = tree.nodes_topological()  # raises if not a DAG
-        assert len(order) == sum(tree.node_counts().values())
+        # Node ordinals are topological: every edge points forward.
+        inner = np.flatnonzero(tree.kind != LEAF)
+        assert (tree.child0[inner] > inner).all()
+        assert (tree.child1[inner] > inner).all()
+        assert len(tree.kind) == sum(tree.node_counts().values())
 
 
 class TestLogicalQuery:
@@ -95,6 +99,12 @@ class TestPaged:
         tree = TrapTree(voronoi60, seed=0)
         paged = PagedTrapTree(tree, params_for(128))
         assert paged.packets[0].used > 0
+
+    def test_node_larger_than_a_packet_is_refused(self, grid4x4):
+        tree = TrapTree(grid4x4, seed=0)
+        y_node = PagedTrapTree(tree, params_for(256)).node_size(Y_NODE)
+        with pytest.raises(PagingError, match="trap-tree node exceeds packet"):
+            PagedTrapTree(tree, params_for(y_node - 1))
 
     def test_no_packet_overflow(self, voronoi60):
         tree = TrapTree(voronoi60, seed=0)

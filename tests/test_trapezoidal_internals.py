@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.pointloc.trapezoidal import TrapTree, _Leaf, _XNode, _YNode
+from repro.geometry.point import Point
+from repro.pointloc.trapezoidal import LEAF, X_NODE, Y_NODE, TrapTree, _cross, _shear
 from repro.tessellation.grid import grid_subdivision
 
 from tests.conftest import random_points_in
@@ -25,26 +27,42 @@ class TestStructuralInvariants:
 
     def test_all_leaves_reachable_and_typed(self, voronoi60):
         tree = TrapTree(voronoi60, seed=0)
-        for node in tree.nodes_topological():
-            assert isinstance(node, (_XNode, _YNode, _Leaf))
-            if isinstance(node, _XNode):
-                assert node.left is not None and node.right is not None
-            if isinstance(node, _YNode):
-                assert node.above is not None and node.below is not None
+        count = len(tree.kind)
+        assert set(tree.kind.tolist()) <= {X_NODE, Y_NODE, LEAF}
+        inner = np.flatnonzero(tree.kind != LEAF)
+        for child in (tree.child0[inner], tree.child1[inner]):
+            assert ((child >= 0) & (child < count)).all()
+        # Every node but the root has a parent, so all of them are live.
+        indegree = np.bincount(
+            np.concatenate([tree.child0[inner], tree.child1[inner]]),
+            minlength=count,
+        )
+        assert indegree[0] == 0
+        assert (indegree[1:] >= 1).all()
 
     def test_leaves_have_no_children_in_topo_order(self, voronoi60):
+        """Nodes are numbered in topological order: the root is 0 and
+        every child's ordinal is greater than its parent's."""
         tree = TrapTree(voronoi60, seed=0)
-        order = tree.nodes_topological()
-        # Topological order ends only when every node is emitted once.
-        assert len(order) == len({id(n) for n in order})
+        assert tree.kind[0] != LEAF
+        inner = np.flatnonzero(tree.kind != LEAF)
+        for child in (tree.child0[inner], tree.child1[inner]):
+            assert (child > inner).all()
+        leaves = tree.kind == LEAF
+        assert not tree.child0[leaves].any() and not tree.child1[leaves].any()
 
     def test_trapezoid_regions_are_valid_ids(self, voronoi60):
         tree = TrapTree(voronoi60, seed=0)
         valid = set(voronoi60.region_ids)
-        for node in tree.nodes_topological():
-            if isinstance(node, _Leaf):
-                region = node.trap.region
-                assert region is None or region in valid
+        leaf_regions = tree.region[tree.kind == LEAF].tolist()
+        assert all(region == -1 or region in valid for region in leaf_regions)
+        assert (tree.region[tree.kind != LEAF] == -1).all()
+
+    def test_node_counts_count_the_kinds(self, voronoi60):
+        tree = TrapTree(voronoi60, seed=0)
+        counts = tree.node_counts()
+        assert sum(counts.values()) == len(tree.kind)
+        assert counts["leaf"] == int((tree.kind == LEAF).sum())
 
 
 class TestRandomizationRobustness:
@@ -72,20 +90,18 @@ class TestSearchDepth:
         rng = random.Random(3)
 
         def depth(p):
-            from repro.pointloc.trapezoidal import _shear, _Leaf
-
-            node = tree.root
-            steps = 0
             pt = _shear(p)
-            while not isinstance(node, _Leaf):
+            node = steps = 0
+            while tree.kind[node] != LEAF:
                 steps += 1
-                if isinstance(node, _XNode):
-                    node = node.right if pt.x >= node.point.x else node.left
+                if tree.kind[node] == X_NODE:
+                    go_true = pt.x >= tree.ax[node]
+                    node = tree.child1[node] if go_true else tree.child0[node]
                 else:
-                    from repro.pointloc.trapezoidal import _cross
-
-                    c = _cross(node.seg.p, node.seg.q, pt)
-                    node = node.above if c >= 0 else node.below
+                    a = Point(float(tree.ax[node]), float(tree.ay[node]))
+                    b = Point(float(tree.bx[node]), float(tree.by[node]))
+                    go_true = _cross(a, b, pt) >= 0
+                    node = tree.child0[node] if go_true else tree.child1[node]
             return steps
 
         depths = [depth(voronoi60.random_point(rng)) for _ in range(300)]
