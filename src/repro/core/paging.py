@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import PagingError
 from repro.geometry.point import Point
 from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
@@ -148,10 +147,15 @@ class PagedDTree:
         """
         parent_packet_of: Dict[int, int] = {}
         parent_of: Dict[int, int] = {}
+        children_of: Dict[int, List[int]] = {}
+        node_of: Dict[int, DTreeNode] = {}
         for node in self.tree.iter_nodes():
+            node_of[node.node_id] = node
+            children = children_of[node.node_id] = []
             for child in (node.left, node.right):
                 if isinstance(child, DTreeNode):
                     parent_of[child.node_id] = node.node_id
+                    children.append(child.node_id)
         for nid, pkts in self._node_packets.items():
             parent = parent_of.get(nid)
             if parent is not None:
@@ -180,12 +184,10 @@ class PagedDTree:
                 )
                 if parents_ok and packet.used <= target.free:
                     for nid in nids:
-                        size = self.node_size(self._node_by_id(nid))
-                        target.allocate(size, f"node{nid}")
+                        target.allocate(self.node_size(node_of[nid]), f"node{nid}")
                         self._node_packets[nid] = [open_pid]
-                        for child_nid, parent_nid in parent_of.items():
-                            if parent_nid == nid:
-                                parent_packet_of[child_nid] = open_pid
+                        for child_nid in children_of[nid]:
+                            parent_packet_of[child_nid] = open_pid
                     packet.used = 0
                     packet.contents = []
                     continue
@@ -202,12 +204,6 @@ class PagedDTree:
             nid: [remap[pid] for pid in pkts]
             for nid, pkts in self._node_packets.items()
         }
-
-    def _node_by_id(self, node_id: int) -> DTreeNode:
-        for node in self.tree.iter_nodes():
-            if node.node_id == node_id:
-                return node
-        raise PagingError(f"unknown node id {node_id}")
 
     # -- traced query -----------------------------------------------------------
 

@@ -7,14 +7,11 @@ containing region, the last index packet read and the tuning time, plus,
 on request, the packet path the access walker's batched front door reads
 slots from — while guaranteeing results identical to the per-query path:
 
-* **D-tree** — shared traversal: all queries descend the tree together,
-  splitting at each node with one
-  :class:`~repro.geometry.kernels.CompiledPartition` side test (D1/D3
-  exclusive zones plus the vectorized ray-parity test for the
-  interlocking zone).  The partitions are compiled to flat segment
-  arrays once per paged tree and cached, and queries that follow the
-  same packet path share one interned *prefix*, so the per-query Python
-  bookkeeping of the scalar path disappears entirely.
+* **D-tree** — level-synchronous frontier over the tree flattened to
+  arrays (:class:`_CompiledDTree`): each level runs the D1/D3
+  exclusive-zone comparisons on every live query, and one ray-parity
+  pass settles the level's interlocking-zone queries, each expanded
+  only into the partition segments of its slab cell.
 * **R*-tree** — level-synchronous frontier over the tree flattened to
   arrays in DFS preorder (:class:`_CompiledRStarTree`): each level runs
   the closed MBR test on the frontier's (query, entry) pairs, and every
@@ -26,9 +23,9 @@ slots from — while guaranteeing results identical to the per-query path:
 * **trap-tree** — flat-frontier descent over the trapezoidal-map DAG
   compiled to packed structure-of-arrays form
   (:class:`_CompiledTrapTree`): x-node comparisons and y-node
-  cross-product tests run vectorized over the whole frontier
-  (:func:`~repro.geometry.kernels.cross_batch`), with the degenerate
-  ``effective_point`` nudge resolved by a vectorized pre-pass.
+  cross-product tests run vectorized over the whole frontier in one
+  paged-rule descent; the degenerate ``effective_point`` nudge is
+  checked only for the queries that met an x tie or a sliver.
 * **trian-tree** — level-synchronous descent over the Kirkpatrick
   hierarchy compiled to CSR child arrays in broadcast order
   (:class:`_CompiledTrianTree`): each level expands the frontier's
@@ -286,46 +283,75 @@ def _trace_batch_generic(
 
 # -- D-tree: shared prefix traversal over compiled partitions ----------------
 
+#: Sentinel cached when a compile step declines (the tracer then defers
+#: to the per-point path).
+_UNCOMPILED = object()
+
 
 class _CompiledDTree:
     """The whole paged D-tree flattened to structure-of-arrays form.
 
-    Every per-node attribute the descent needs — partition bounds,
-    partition bucket (dimension x described side), slice of the shared
-    segment pool, packet-span charging constants, child codes — lives in
-    one array indexed by the node's position in ``node_id`` order, so the
-    traversal advances a whole frontier with gathers instead of touching
-    Python node objects.  Child codes are the child's position for
-    internal children and ``~region_id`` (always negative) for data
-    pointers.
+    Every per-node attribute the descent needs — signed partition
+    bounds, ray direction and side flip, slab grid, packet-span
+    charging constants, child codes — lives in one array indexed by the
+    node's position in ``node_id`` order, so the traversal advances a
+    whole frontier with gathers instead of touching Python node objects.
+    Child codes are the child's position for internal children and
+    ``~region_id`` (always negative) for data pointers.
+
+    Bounds are signed so one comparison serves both dimensions: the
+    tracer tests ``c = x`` (``dim_y`` nodes) or ``c = -y`` (``dim_x``)
+    against ``first_bound``/``second_bound`` (negated for ``dim_x``).
+
+    The partition segments sit in one pool in a *ray frame*:
+    ``seg_v0``/``seg_v1`` are the straddle coordinate (y for a ``dim_y``
+    node, x for a ``dim_x`` one) and ``seg_u0``/``seg_u1`` the compared
+    one.  A D2 point's ray crosses a segment when its ``u`` crossing
+    beyond the straddle lies above the point's ``u`` (``ray_up``) or
+    below it; the side is the crossing parity XOR ``flip``.  Node *i*'s
+    ``slab_count[i]`` equal-width slabs start at ``slab_min[i]`` and
+    are ``slab_width[i]`` wide; slab *k*'s segments are
+    ``cell_seg[cell_start[c] : cell_start[c + 1]]`` with ``c =
+    cell_first[i] + k``.
     """
 
     __slots__ = (
         "root",
         "dim_y",
-        "described",
-        "bucket",
+        "ray_up",
+        "flip",
         "first_bound",
         "second_bound",
-        "seg_start",
-        "seg_count",
         "left_code",
         "right_code",
         "pkt_first",
         "pkt_last",
         "pkt_distinct",
         "multi",
-        "span_bad",
         "span_start",
         "span_packets",
-        "seg_ax",
-        "seg_ay",
-        "seg_bx",
-        "seg_by",
+        "seg_u0",
+        "seg_v0",
+        "seg_u1",
+        "seg_v1",
+        "slab_min",
+        "slab_width",
+        "slab_count",
+        "cell_first",
+        "cell_start",
+        "cell_seg",
     )
 
 
-def _compile_dtree(paged) -> _CompiledDTree:
+def _slab_index(v, vmin, width, count):
+    """Slab of each value *v*: ``clip(floor((v - vmin) / width), 0,
+    count - 1)``, monotone in *v* (NaN lands in slab 0).  The one
+    expression for segment ends and query points."""
+    slab = np.fmin(np.fmax(np.floor((v - vmin) / width), 0.0), count - 1)
+    return slab.astype(np.int64)
+
+
+def _compile_dtree(paged) -> Optional[_CompiledDTree]:
     """Compile the paged D-tree, built once per paged tree and cached.
 
     Packet charging is reduced to three constants per node (first
@@ -333,14 +359,21 @@ def _compile_dtree(paged) -> _CompiledDTree:
     channel invariant, equal packets in a trace are always consecutive,
     so ``len(set(path))`` accumulates as distinct-per-span minus a
     duplicate adjustment where one span's first packet equals the
-    previous span's last.  ``span_bad`` marks nodes whose own packet
-    span moves backwards; the tracer defers to the per-point path
-    (:func:`_trace_batch_generic`) to raise the scalar path's exact
+    previous span's last.  That invariant is checked here, once: when a
+    node's own packet span moves backwards, or a parent's last packet
+    lies past an internal child's first, the compile declines (returns
+    None, cached) and the tracer defers to the per-point path
+    (:func:`_trace_batch_generic`), which raises the scalar path's exact
     error.  ``span_packets[span_start[i] : span_start[i + 1]]`` lists
     node *i*'s distinct packets in order, for the packet-path CSR.
+
+    The slab cells are built with array operations only: each segment
+    is listed in every slab its closed ``v`` range touches, so a query
+    in slab *k* finds every segment that can straddle it in cell *k*.
+    Segments with ``v0 == v1`` never straddle a ray and are left out.
     """
-    compiled = _cached_compiled(paged, "_compiled_dtree", None)
-    if compiled is not None:
+    compiled = _cached_compiled(paged, "_compiled_dtree", _UNCOMPILED)
+    if compiled is not _UNCOMPILED:
         return compiled
     from repro.core.dtree import DTreeNode
 
@@ -352,37 +385,29 @@ def _compile_dtree(paged) -> _CompiledDTree:
 
     ct = _CompiledDTree()
     ct.root = position[paged.tree.root.node_id]
-    ct.dim_y = np.empty(count, bool)
-    ct.described = np.empty(count, bool)
-    ct.bucket = np.empty(count, np.int8)
-    ct.first_bound = np.empty(count, np.float64)
-    ct.second_bound = np.empty(count, np.float64)
-    ct.seg_start = np.empty(count, np.int64)
-    ct.seg_count = np.empty(count, np.int64)
+    dim_y = np.empty(count, bool)
+    described = np.empty(count, bool)
+    first_bound = np.empty(count, np.float64)
+    second_bound = np.empty(count, np.float64)
+    seg_count = np.empty(count, np.int64)
     ct.left_code = np.empty(count, np.int64)
     ct.right_code = np.empty(count, np.int64)
     ct.pkt_first = np.empty(count, np.int64)
     ct.pkt_last = np.empty(count, np.int64)
     ct.pkt_distinct = np.empty(count, np.int64)
     ct.multi = np.empty(count, bool)
-    ct.span_bad = np.empty(count, bool)
     ct.span_start = np.zeros(count + 1, np.int64)
     span_packets: List[int] = []
+    forward = True
 
     segs: List[List[np.ndarray]] = [[], [], [], []]
-    offset = 0
     for i, node in enumerate(nodes):
         partition = CompiledPartition(node.partition)
-        ct.dim_y[i] = partition.dim_y
-        ct.described[i] = partition.described_first
-        ct.bucket[i] = (0 if partition.dim_y else 2) + (
-            0 if partition.described_first else 1
-        )
-        ct.first_bound[i] = partition.first_bound
-        ct.second_bound[i] = partition.second_bound
-        ct.seg_start[i] = offset
-        ct.seg_count[i] = len(partition.ax)
-        offset += len(partition.ax)
+        dim_y[i] = partition.dim_y
+        described[i] = partition.described_first
+        first_bound[i] = partition.first_bound
+        second_bound[i] = partition.second_bound
+        seg_count[i] = len(partition.ax)
         for pool, arr in zip(segs, (partition.ax, partition.ay, partition.bx, partition.by)):
             pool.append(arr)
         packets = list(paged._node_packets[node.node_id])
@@ -390,7 +415,7 @@ def _compile_dtree(paged) -> _CompiledDTree:
         ct.pkt_last[i] = packets[-1]
         ct.pkt_distinct[i] = len(set(packets))
         ct.multi[i] = len(packets) > 1
-        ct.span_bad[i] = any(b < a for a, b in zip(packets, packets[1:]))
+        forward = forward and packets == sorted(packets)
         span_packets.extend(dict.fromkeys(packets))
         ct.span_start[i + 1] = len(span_packets)
         for code_arr, child in ((ct.left_code, node.left), (ct.right_code, node.right)):
@@ -400,77 +425,98 @@ def _compile_dtree(paged) -> _CompiledDTree:
                 else ~int(child)
             )
 
+    for code in (ct.left_code, ct.right_code):
+        internal = np.flatnonzero(code >= 0)
+        forward = forward and bool(
+            (ct.pkt_last[internal] <= ct.pkt_first[code[internal]]).all()
+        )
+    if not forward:
+        return _store_compiled(paged, "_compiled_dtree", None)
+
     ct.span_packets = np.asarray(span_packets, np.int64)
-    empty = np.zeros(0, np.float64)
-    ct.seg_ax, ct.seg_ay, ct.seg_bx, ct.seg_by = (
-        np.concatenate(pool) if pool else empty for pool in segs
+    ct.dim_y = dim_y
+    # dim_y/first: ray right (u = x above); dim_y/second: left;
+    # dim_x/first: down (u = y below); dim_x/second: up.
+    ct.ray_up = dim_y == described
+    ct.flip = ~described
+    ct.first_bound = np.where(dim_y, first_bound, -first_bound)
+    ct.second_bound = np.where(dim_y, second_bound, -second_bound)
+
+    ax, ay, bx, by = (
+        np.concatenate(pool) if pool else np.zeros(0, np.float64) for pool in segs
     )
-    _store_compiled(paged, "_compiled_dtree", ct)
-    return ct
+    seg_node = np.repeat(np.arange(count, dtype=np.int64), seg_count)
+    seg_dim_y = dim_y[seg_node]
+    ct.seg_u0 = np.where(seg_dim_y, ax, ay)
+    ct.seg_v0 = np.where(seg_dim_y, ay, ax)
+    ct.seg_u1 = np.where(seg_dim_y, bx, by)
+    ct.seg_v1 = np.where(seg_dim_y, by, bx)
+
+    # ceil(c / 2) slabs per node of c segments; a node without segments
+    # gets one empty slab, so its D2 points see zero crossings.
+    lo_v = np.minimum(ct.seg_v0, ct.seg_v1)
+    hi_v = np.maximum(ct.seg_v0, ct.seg_v1)
+    has_segs = np.flatnonzero(seg_count > 0)
+    seg_first = np.cumsum(seg_count) - seg_count
+    vmin = np.zeros(count, np.float64)
+    vmax = np.zeros(count, np.float64)
+    if has_segs.size:
+        vmin[has_segs] = np.minimum.reduceat(lo_v, seg_first[has_segs])
+        vmax[has_segs] = np.maximum.reduceat(hi_v, seg_first[has_segs])
+    ct.slab_count = np.maximum((seg_count + 1) // 2, 1)
+    extent = vmax - vmin
+    ct.slab_min = vmin
+    ct.slab_width = np.where(extent > 0.0, extent / ct.slab_count, 1.0)
+    ct.cell_first = np.cumsum(ct.slab_count) - ct.slab_count
+    cells = int(ct.slab_count.sum())
+
+    grid = (ct.slab_min[seg_node], ct.slab_width[seg_node], ct.slab_count[seg_node])
+    first_slab = _slab_index(lo_v, *grid)
+    spans = np.where(
+        ct.seg_v0 == ct.seg_v1, 0, _slab_index(hi_v, *grid) - first_slab + 1
+    )
+    cell, owner, _ = ragged_ranges(ct.cell_first[seg_node] + first_slab, spans)
+    ct.cell_seg = owner[np.argsort(cell, kind="stable")]
+    ct.cell_start = np.zeros(cells + 1, np.int64)
+    np.cumsum(np.bincount(cell, minlength=cells), out=ct.cell_start[1:])
+    return _store_compiled(paged, "_compiled_dtree", ct)
 
 
-def _pair_parity(
-    ct: _CompiledDTree,
-    bucket: int,
-    nd: np.ndarray,
-    ex: np.ndarray,
-    ey: np.ndarray,
+def _slab_parity(
+    ct: _CompiledDTree, nd: np.ndarray, vq: np.ndarray, uq: np.ndarray, col
 ) -> np.ndarray:
-    """Ray-parity side decisions for (node, point) pairs of one bucket.
+    """Ray-parity "first side" answers of interlocked (node, point) pairs.
 
-    Each pair expands to its node's slice of the shared segment pool,
-    the scalar ``Partition.side_of`` crossing expressions run once over
-    the flat pair-segment arrays (identical IEEE-754 operation order),
-    and ``reduceat`` folds the hits back per pair.  Returns the boolean
-    "first side" answer per pair.
+    Each pair looks up its slab cell and expands only that cell's
+    segments; the scalar ``Partition.ray_crossings`` straddle test and
+    crossing expression (identical IEEE-754 operation order in the ray
+    frame) run once over the flat pair-segment arrays, and ``bincount``
+    folds the hits back per pair by ray direction.
     """
-    pair_start = ct.seg_start[nd]
-    pair_count = ct.seg_count[nd]
-    offsets = np.cumsum(pair_count)
-    total = int(offsets[-1])
-    edge = np.repeat(pair_start - offsets + pair_count, pair_count) + np.arange(
-        total, dtype=np.int64
+    cell = ct.cell_first[nd] + _slab_index(
+        vq, ct.slab_min[nd], ct.slab_width[nd], ct.slab_count[nd]
     )
-    rep = np.repeat(np.arange(len(ex), dtype=np.int64), pair_count)
-    dim_y = bucket < 2
-    described = bucket % 2 == 0
-    # Only the few edges whose ray-coordinate range straddles the query
-    # contribute a crossing; compress to those before the expensive
-    # crossing-abscissa arithmetic (the straddle makes the divisor
-    # provably nonzero, so no division guard is needed).
-    if dim_y:
-        say = ct.seg_ay[edge]
-        sby = ct.seg_by[edge]
-        er = ey[rep]
-        straddle = np.flatnonzero((say > er) != (sby > er))
-        say = say[straddle]
-        sby = sby[straddle]
-        hit_rep = rep[straddle]
-        hit_edge = edge[straddle]
-        sax = ct.seg_ax[hit_edge]
-        sbx = ct.seg_bx[hit_edge]
-        eyc = ey[hit_rep]
-        t_at = sax + (eyc - say) / (sby - say) * (sbx - sax)
-        exc = ex[hit_rep]
-        hit = (t_at > exc) if described else (t_at < exc)
-    else:
-        sax = ct.seg_ax[edge]
-        sbx = ct.seg_bx[edge]
-        er = ex[rep]
-        straddle = np.flatnonzero((sax > er) != (sbx > er))
-        sax = sax[straddle]
-        sbx = sbx[straddle]
-        hit_rep = rep[straddle]
-        hit_edge = edge[straddle]
-        say = ct.seg_ay[hit_edge]
-        sby = ct.seg_by[hit_edge]
-        exc = ex[hit_rep]
-        t_at = say + (exc - sax) / (sbx - sax) * (sby - say)
-        eyc = ey[hit_rep]
-        hit = (t_at < eyc) if described else (t_at > eyc)
-    crossings = np.bincount(hit_rep[hit], minlength=len(ex))
-    odd = (crossings % 2).astype(bool)
-    return odd if described else ~odd
+    lo = ct.cell_start[cell]
+    flat, owner, _ = ragged_ranges(lo, ct.cell_start[cell + 1] - lo)
+    if col is not None:
+        col.observe("kernels.pair_parity.size", nd.size)
+        col.count("trace.dtree.parity_segments", flat.size)
+    seg = ct.cell_seg[flat]
+    v0 = ct.seg_v0[seg]
+    v1 = ct.seg_v1[seg]
+    vr = vq[owner]
+    # The straddle makes the divisor provably nonzero.
+    straddle = np.flatnonzero((v0 > vr) != (v1 > vr))
+    owner = owner[straddle]
+    seg = seg[straddle]
+    v0 = v0[straddle]
+    u0 = ct.seg_u0[seg]
+    t_at = u0 + (vq[owner] - v0) / (v1[straddle] - v0) * (ct.seg_u1[seg] - u0)
+    ur = uq[owner]
+    above = np.bincount(owner[t_at > ur], minlength=nd.size)
+    below = np.bincount(owner[t_at < ur], minlength=nd.size)
+    crossings = np.where(ct.ray_up[nd], above, below)
+    return (crossings % 2 == 1) ^ ct.flip[nd]
 
 
 def _trace_batch_dtree(
@@ -480,19 +526,21 @@ def _trace_batch_dtree(
 
     The whole frontier advances one tree level per iteration over flat
     per-point state arrays (current node, last packet read, tuning so
-    far): the cheap D1/D3 exclusive-zone comparisons decide most points
-    with a handful of gathers, and the leftover interlocking-zone (D2)
-    points of the entire level are resolved by at most four
-    :func:`_pair_parity` ragged kernel calls — one per partition bucket
-    — instead of one broadcast per node.  Packet charging follows §4.4:
-    the first packet only, unless the node spans several packets and
-    the query needs the whole partition (D2, or early termination off);
-    tuning accumulates incrementally via the distinct-per-span
-    constants of :func:`_compile_dtree`, so unless ``paths=True`` asks
-    for them no per-query packet path is materialised.  With it, every
-    level emits the packets it charges (the node's distinct span, minus
-    a first packet repeating the previous level's last) tagged with the
-    query, and one stable sort by query assembles the path CSR.
+    far): the cheap D1/D3 exclusive-zone comparisons (one signed
+    comparison pair for both dimensions) decide most points with a
+    handful of gathers, and the leftover interlocking-zone (D2) points
+    of the entire level are resolved by one :func:`_slab_parity` call,
+    which expands each point only into the segments of its slab.
+    Packet charging follows §4.4: the first packet only, unless the
+    node spans several packets and the query needs the whole partition
+    (D2, or early termination off); tuning accumulates incrementally via
+    the distinct-per-span constants of :func:`_compile_dtree`, so unless
+    ``paths=True`` asks for them no per-query packet path is
+    materialised.  With it, every level emits the packets it charges
+    (the node's distinct span, minus a first packet repeating the
+    previous level's last) tagged with the query, and one stable sort by
+    query assembles the path CSR.  A tree whose broadcast order is not
+    forward-only (the compile step declines) goes to the per-point path.
     """
     tree = paged.tree
     n = len(points)
@@ -505,8 +553,10 @@ def _trace_batch_dtree(
             batch.path_packets = np.zeros(0, np.int64)
         return batch
 
-    xs, ys = point_coords(points)
     ct = _compile_dtree(paged)
+    if ct is None:
+        return _trace_batch_generic(paged, points, paths=paths)
+    xs, ys = point_coords(points)
     early = paged.early_termination
     col = active_collector()
     regions = np.empty(n, np.int64)
@@ -519,53 +569,37 @@ def _trace_batch_dtree(
     atun = np.zeros(n, np.int64)  # distinct packets read so far
     emitted_by: List[np.ndarray] = []  # packet-path emission: query ...
     emitted: List[np.ndarray] = []  # ... and packet, level by level
+    x = xs  # coordinates per active point
+    y = ys
 
     while apt.size:
         nd = anode
         if col is not None:
             col.count("trace.dtree.levels")
             col.observe("trace.dtree.frontier_width", apt.size)
-        x = xs[apt]
-        y = ys[apt]
 
-        # Early D1/D3 exclusive-zone tests, both dimensions at once.
+        # D1/D3 exclusive zones on signed bounds: -y >= -b is y <= b.
         dim_y = ct.dim_y[nd]
-        first = np.where(dim_y, x <= ct.first_bound[nd], y >= ct.first_bound[nd])
-        interlocked = ~first & np.where(
-            dim_y, x < ct.second_bound[nd], y > ct.second_bound[nd]
-        )
+        signed = np.where(dim_y, x, -y)
+        first = signed <= ct.first_bound[nd]
+        interlocked = ~first & (signed < ct.second_bound[nd])
+        d2 = np.flatnonzero(interlocked)
+        if d2.size:
+            # Ray frame: v is the straddle coordinate, u the compared one.
+            along_y = dim_y[d2]
+            x2 = x[d2]
+            y2 = y[d2]
+            first[d2] = _slab_parity(
+                ct,
+                nd[d2],
+                np.where(along_y, y2, x2),
+                np.where(along_y, x2, y2),
+                col,
+            )
 
-        if interlocked.any():
-            seg_count = ct.seg_count[nd]
-            zero_seg = interlocked & (seg_count == 0)
-            if zero_seg.any():
-                # Degenerate partition without boundary segments: the
-                # scalar parity test sees zero crossings (odd = False).
-                first[zero_seg] = ~ct.described[nd[zero_seg]]
-            d2 = np.flatnonzero(interlocked & (seg_count > 0))
-            if d2.size:
-                buckets = ct.bucket[nd[d2]]
-                for bucket in range(4):
-                    sel = d2[buckets == bucket]
-                    if sel.size:
-                        if col is not None:
-                            col.observe(
-                                "kernels.pair_parity.size", sel.size
-                            )
-                        first[sel] = _pair_parity(
-                            ct, bucket, nd[sel], x[sel], y[sel]
-                        )
-
-        # Packet charging (§4.4).
+        # Packet charging (§4.4); forward order was checked at compile.
         pf = ct.pkt_first[nd]
         use_long = ct.multi[nd] & interlocked if early else ct.multi[nd]
-        if (alast > pf).any() or ct.span_bad[nd].any():
-            # Backwards broadcast order: the per-point path rebuilds
-            # the offending path and raises the scalar client's error.
-            _trace_batch_generic(paged, points)
-            raise BroadcastError(
-                "index traversal moved backwards on the broadcast channel"
-            )
         repeat = alast == pf
         charged = np.where(use_long, ct.pkt_distinct[nd], 1) - repeat
         atun += charged
@@ -590,6 +624,8 @@ def _trace_batch_dtree(
             anode = code[keep]
             alast = alast[keep]
             atun = atun[keep]
+            x = x[keep]
+            y = y[keep]
         else:
             anode = code
 
@@ -886,8 +922,6 @@ _PATH_TRACERS = (_trace_batch_generic, _trace_batch_dtree, _trace_batch_rstar)
 
 # -- trap-tree: flat-frontier descent over the packed DAG --------------------
 
-_UNCOMPILED = object()
-
 #: ``repro.pointloc.trapezoidal``'s node kinds (X_NODE, Y_NODE, LEAF).
 _TRAP_XNODE = np.int8(0)
 _TRAP_YNODE = np.int8(1)
@@ -1004,56 +1038,40 @@ def _trap_tree_regions(
     return out
 
 
-def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
-    """Flat-frontier descent of the paged trap-tree.
+def _trap_paged_descent(
+    ct: _CompiledTrapTree,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    ex: np.ndarray,
+    ey: np.ndarray,
+    col,
+):
+    """Paged-trace descent of (sheared) points: lexicographic x ties,
+    zero cross above, each visited node's packet charged incrementally.
+    ``dx``/``dy`` are ``bx - ax``/``by - ay`` per node, the first
+    operations of the scalar cross product.
 
-    Two vectorized passes over the compiled DAG: first the tree-rule
-    descent of the sheared points replicates ``effective_point`` (the
-    rare degenerate hits fall back to the scalar nudge loop per point),
-    then the paged-trace descent — lexicographic x ties, zero cross
-    above — walks all queries level-synchronously, charging each
-    visited node's packet incrementally.  The allocator guarantees
-    nondecreasing packets along every root-to-leaf path (checked at
-    compile time), so distinct-packet tuning time is simply the count
-    of packet changes.  Any query ending in an uncovered sliver defers
-    to the per-point path, which raises the scalar error for the
-    earliest failing point.
+    Returns ``(regions, last, tuning, diverged)``; ``diverged`` marks
+    the points that met ``x == ax`` with ``y < ay`` at an x-node, the
+    one place where the tree descent rules (x ties go right) route
+    differently.  The allocator guarantees nondecreasing packets along
+    every root-to-leaf path (checked at compile time), so
+    distinct-packet tuning time is the count of packet changes.
     """
-    ct = _compile_trap(paged)
-    if ct is None:
-        return _trace_batch_generic(paged, points)
-    from repro.pointloc.trapezoidal import SHEAR
-
-    n = len(points)
-    xs, ys = point_coords(points)
-    col = active_collector()
-
-    # effective_point, vectorized: shear every point (identical
-    # arithmetic to the scalar `_shear`), then nudge the degenerate
-    # landings via the scalar fallback — a measure-zero event.
-    ex = xs + SHEAR * ys
-    ey = ys.copy()
-    degenerate = _trap_tree_regions(ct, ex, ey) < 0
-    if degenerate.any():
-        if col is not None:
-            col.count("trace.trap.nudged", int(degenerate.sum()))
-        tree = paged.tree
-        for i in np.flatnonzero(degenerate).tolist():
-            nudged = tree.effective_point(points[i])
-            ex[i] = nudged.x
-            ey[i] = nudged.y
-
+    n = len(ex)
     regions = np.empty(n, np.int64)
     last_out = np.empty(n, np.int64)
     tuning_out = np.empty(n, np.int64)
+    diverged = np.zeros(n, bool)
 
     apt = np.arange(n)  # active point index
-    anode = np.zeros(n, np.int64)  # current node (root = 0)
-    alast = np.full(n, -1, np.int64)  # last packet read (-1 = none yet)
+    nd = np.zeros(n, np.int64)  # current node (root = 0)
+    alast = np.full(n, -1, ct.packet.dtype)  # last packet read (-1 = none yet)
     atun = np.zeros(n, np.int64)  # distinct packets read so far
+    x = ex
+    y = ey
 
     while apt.size:
-        nd = anode
         if col is not None:
             col.count("trace.trap.levels")
             col.observe("trace.trap.frontier_width", apt.size)
@@ -1061,8 +1079,9 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
         # descent, so every packet change is a new distinct packet.
         pkt = ct.packet[nd]
         atun += pkt != alast
-        alast = pkt.astype(np.int64)
-        leaf = ct.kind[nd] == _TRAP_LEAF
+        alast = pkt
+        kind = ct.kind[nd]
+        leaf = kind == _TRAP_LEAF
         if leaf.any():
             done = apt[leaf]
             regions[done] = ct.region[nd[leaf]]
@@ -1073,18 +1092,79 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
             nd = nd[keep]
             alast = alast[keep]
             atun = atun[keep]
+            kind = kind[keep]
+            x = x[keep]
+            y = y[keep]
             if apt.size == 0:
                 break
-        x = ex[apt]
-        y = ey[apt]
         nax = ct.ax[nd]
+        nay = ct.ay[nd]
         # Paged-trace x rule: lexicographic (x, y) >= (node.x, node.y).
-        cond = (x > nax) | ((x == nax) & (y >= ct.ay[nd]))
-        is_y = ct.kind[nd] == _TRAP_YNODE
-        if is_y.any():
-            cross = cross_batch(nax, ct.ay[nd], ct.bx[nd], ct.by[nd], x, y)
-            cond = np.where(is_y, cross >= 0.0, cond)
-        anode = np.where(cond, ct.on_true[nd], ct.on_false[nd]).astype(np.int64)
+        below = y < nay
+        tie = x == nax
+        cond = (x > nax) | (tie & ~below)
+        is_y = kind == _TRAP_YNODE
+        # cross_batch's expression, its two subtractions done per node.
+        cross = dx[nd] * (y - nay) - dy[nd] * (x - nax)
+        cond = np.where(is_y, cross >= 0.0, cond)
+        parted = tie & below & ~is_y
+        if parted.any():
+            diverged[apt[parted]] = True
+        nd = np.where(cond, ct.on_true[nd], ct.on_false[nd]).astype(np.int64)
+    return regions, last_out, tuning_out, diverged
+
+
+def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
+    """Flat-frontier descent of the paged trap-tree.
+
+    One vectorized paged-trace descent (:func:`_trap_paged_descent`)
+    walks all sheared queries level-synchronously.  ``effective_point``
+    only nudges points whose *tree*-rule descent ends in an uncovered
+    sliver, and that descent equals the paged one except after an x
+    tie; so only the points that diverged at a tie or ended in a sliver
+    are re-descended under the tree rules (:func:`_trap_tree_regions`),
+    and only the degenerate ones among them are nudged by the scalar
+    loop and traced again.  Any query still ending in an uncovered
+    sliver defers to the per-point path, which raises the scalar error
+    for the earliest failing point.
+    """
+    ct = _compile_trap(paged)
+    if ct is None:
+        return _trace_batch_generic(paged, points)
+    from repro.pointloc.trapezoidal import SHEAR
+
+    xs, ys = point_coords(points)
+    col = active_collector()
+    # Identical arithmetic to the scalar `_shear`.
+    ex = xs + SHEAR * ys
+    ey = ys.copy()
+    dx = ct.bx - ct.ax
+    dy = ct.by - ct.ay
+    regions, last_out, tuning_out, diverged = _trap_paged_descent(
+        ct, dx, dy, ex, ey, col
+    )
+
+    check = np.flatnonzero(diverged | (regions < 0))
+    if check.size:
+        # effective_point: the rare degenerate landings take the scalar
+        # nudge loop per point, then are traced again.
+        degenerate = check[_trap_tree_regions(ct, ex[check], ey[check]) < 0]
+        if degenerate.size:
+            if col is not None:
+                col.count("trace.trap.nudged", degenerate.size)
+            tree = paged.tree
+            for i in degenerate.tolist():
+                nudged = tree.effective_point(points[i])
+                ex[i] = nudged.x
+                ey[i] = nudged.y
+            (
+                regions[degenerate],
+                last_out[degenerate],
+                tuning_out[degenerate],
+                _,
+            ) = _trap_paged_descent(
+                ct, dx, dy, ex[degenerate], ey[degenerate], None
+            )
 
     if (regions < 0).any():
         # Uncovered sliver: the per-point path raises the scalar

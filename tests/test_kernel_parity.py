@@ -18,6 +18,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.core.paging import PagedDTree
@@ -30,18 +32,27 @@ from repro.engine import (
 from repro.broadcast.client import _uniform_issue_times
 from repro.engine.batch import QueryEngine
 from repro.core.dtree import DTreeNode
+from repro.datasets.catalog import park_dataset
 from repro.engine.trace import (
+    _compile_trap,
     _store_compiled,
     _trace_batch_generic,
+    _trap_paged_descent,
     bump_structure_generation,
     compiled_form,
 )
 from repro.errors import BroadcastError, QueryError
+from repro.geometry.kernels import point_coords
+from repro.geometry.point import Point, PointBatch
+from repro.geometry.polyline import Polyline
+from repro.pointloc import trapezoidal as trap_mod
 from repro.pointloc.kirkpatrick import PagedTrianTree
-from repro.pointloc.trapezoidal import LEAF, PagedTrapTree
+from repro.pointloc.trapezoidal import LEAF, SHEAR, X_NODE, PagedTrapTree
+from repro.tessellation.grid import grid_subdivision
 from repro.rstar.paged import PagedRStarTree
 
 from tests.conftest import random_points_in
+from tests.test_construction_parity import _small_subdivisions
 from tests.test_geometry_kernels import adversarial_points
 
 ALL_KINDS = ("dtree", "trian", "trap", "rstar")
@@ -347,6 +358,32 @@ class TestOracleFallbacks:
             batch_err.value
         )
 
+    def test_backwards_dtree_order_declines_compile(self, voronoi60):
+        """Forward broadcast order is checked once, at compile time: a
+        node span moving backwards, or a child starting before its
+        parent's last packet, sends the batch to the per-point path."""
+        family = index_family("dtree")
+        points = random_points_in(voronoi60, 100, seed=31)
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        assert compiled_form(paged) is not None
+        spans = paged._node_packets
+        multi = next(nid for nid, pkts in spans.items() if len(pkts) > 1)
+        spans[multi] = spans[multi][::-1]
+        bump_structure_generation(paged)
+        assert compiled_form(paged) is None
+
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        root = paged.tree.root
+        child = next(c for c in (root.left, root.right) if isinstance(c, DTreeNode))
+        spans = paged._node_packets
+        spans[child.node_id] = [spans[root.node_id][-1] - 1]
+        assert compiled_form(paged) is None
+        with pytest.raises(BroadcastError) as scalar_err:
+            _trace_batch_generic(paged, points)
+        with pytest.raises(BroadcastError) as batch_err:
+            batched_trace(paged, points, paths=True)
+        assert str(batch_err.value) == str(scalar_err.value)
+
     def test_backwards_rstar_node_raises_scalar_error(self, voronoi60):
         family = index_family("rstar")
         paged = family.build(voronoi60, seed=7).page(family.parameters(64))
@@ -554,3 +591,249 @@ class TestTraceObservability:
         # Every query tests at least the leaf entry that answers it.
         assert 0 <= past <= col.counters["trace.rstar.leaf_pairs"] - len(points)
 
+
+# -- D-tree slab cells and trap ties ------------------------------------------
+
+
+def _slab_probe_points(paged):
+    """Points in each node's interlocking band whose ray coordinate sits
+    on a slab boundary (and one ulp either side), on a segment end, far
+    outside the node's segments, plus every region vertex and edge
+    midpoint."""
+    _, ct = compiled_form(paged)
+    nodes = sorted(paged.tree.iter_nodes(), key=lambda nd: nd.node_id)
+    points = adversarial_points(paged.tree.subdivision, max_regions=None)
+    for i, node in enumerate(nodes):
+        part = node.partition
+        band = (part.first_bound + part.second_bound) / 2
+        vs = [
+            v
+            for pl in part.polylines
+            for a, b in pl.segment_endpoints()
+            for v in ((a.y, b.y) if part.dimension == "y" else (a.x, b.x))
+        ]
+        vmin = ct.slab_min[i]
+        edges = vmin + ct.slab_width[i] * np.arange(ct.slab_count[i] + 1)
+        for v in edges.tolist():
+            vs += [v, float(np.nextafter(v, -np.inf)), float(np.nextafter(v, np.inf))]
+        vs += [vmin - 1.0, float(edges[-1]) + 1.0]
+        for u in (band, part.first_bound, part.second_bound):
+            for v in vs:
+                points.append(Point(u, v) if part.dimension == "y" else Point(v, u))
+    return points
+
+
+class TestDTreeSlabParity:
+    """The D-tree tracer's slab cells expand each interlocked point into
+    only the segments that can straddle its ray; on slab boundaries,
+    segment ends, flat segments and far outside a node's segments it
+    answers exactly as the per-point path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _small_subdivisions(),
+        st.integers(0, 10_000),
+        st.sampled_from([64, 128, 256]),
+        st.booleans(),
+    )
+    def test_slab_probes_match_per_point_trace(
+        self, subdivision, seed, capacity, early
+    ):
+        family = index_family("dtree")
+        tree = family.build(subdivision, seed=seed)
+        paged = PagedDTree(
+            tree, family.parameters(capacity), early_termination=early
+        )
+        if tree.root is None:
+            points = random_points_in(subdivision, 20, seed=seed)
+        else:
+            points = _slab_probe_points(paged)
+            points += random_points_in(subdivision, 100, seed=seed)
+        got = batched_trace(paged, points, paths=True)
+        want = _trace_batch_generic(paged, points, paths=True)
+        _assert_traces_equal(got, want)
+        assert got.path_offsets.tolist() == want.path_offsets.tolist()
+        assert got.path_packets.tolist() == want.path_packets.tolist()
+        _assert_traces_equal(batched_trace(paged, points), want)
+
+    def test_flat_segments_are_in_no_cell(self, grid3x5):
+        """Staircase grid cuts have segments along the ray (``v0 ==
+        v1``): they never straddle it, so no cell lists them."""
+        family = index_family("dtree")
+        paged = family.build(grid3x5, seed=3).page(family.parameters(64))
+        _, ct = compiled_form(paged)
+        flat = np.flatnonzero(ct.seg_v0 == ct.seg_v1)
+        assert flat.size
+        assert not np.isin(flat, ct.cell_seg).any()
+        points = _slab_probe_points(paged)
+        _assert_traces_equal(
+            batched_trace(paged, points), _trace_batch_generic(paged, points)
+        )
+
+    def test_node_whose_segments_share_one_v(self):
+        """A partition whose segments all lie on one ``v`` has a zero
+        ``v`` extent; its slab grid still indexes every query."""
+        family = index_family("dtree")
+        paged = family.build(grid_subdivision(1, 3), seed=3).page(
+            family.parameters(64)
+        )
+        root = paged.tree.root
+        assert root.partition.dimension == "y"
+        root.partition.polylines = [
+            Polyline([Point(0.2, 0.5), Point(0.5, 0.5), Point(0.9, 0.5)]),
+            Polyline([Point(0.1, 0.5), Point(0.3, 0.5)]),
+        ]
+        bump_structure_generation(paged)
+        _, ct = compiled_form(paged)
+        assert ct.slab_width[ct.root] == 1.0 and ct.slab_count[ct.root] == 2
+        points = _slab_probe_points(paged)
+        points += [Point(x, y) for x in (0.1, 0.3, 0.6) for y in (0.0, 0.5, 1.0)]
+        _assert_traces_equal(
+            batched_trace(paged, points), _trace_batch_generic(paged, points)
+        )
+
+    def test_parity_segments_gate_on_park(self):
+        """Work-count gate: the D2 pass of 25,000 uniform PARK points
+        expands at most 250,000 segments (every segment of every
+        interlocked node would be 902,252)."""
+        from repro.obs import collecting
+
+        subdivision = park_dataset().subdivision
+        family = index_family("dtree")
+        paged = family.build(subdivision, seed=0).page(family.parameters(256))
+        rng = np.random.default_rng(1)
+        n = 25_000
+        points = PointBatch(rng.random(n), rng.random(n))
+        with collecting() as col:
+            batched_trace(paged, points)
+        assert col.histograms["kernels.pair_parity.size"].total == 45_326
+        assert 0 < col.counters["trace.dtree.parity_segments"] <= 250_000
+
+
+def _trap_tie_points(tree):
+    """Points whose sheared x equals an x-node's ``ax`` with y below its
+    ``ay`` — where the paged and tree descent rules part ways."""
+    points = []
+    for k in np.flatnonzero(tree.kind == X_NODE).tolist():
+        ax, ay = float(tree.ax[k]), float(tree.ay[k])
+        for d in (1e-9, 1e-6, 1e-3, 0.05, 0.3):
+            y = ay - d
+            x = ax - SHEAR * y
+            for _ in range(8):
+                sheared = x + SHEAR * y
+                if sheared == ax:
+                    points.append(Point(x, y))
+                    break
+                x = float(np.nextafter(x, np.inf if sheared < ax else -np.inf))
+    return points
+
+
+def _trap_walk(tree, point, paged_rule):
+    """Nodes a scalar descent of *point* visits: the paged trace's
+    lexicographic x rule, or the tree's ``x >= ax`` rule."""
+    kind, child0, child1, ax, ay, bx, by, _ = tree._lists
+    sheared = trap_mod._shear(point)
+    x, y = sheared.x, sheared.y
+    path = [0]
+    node = 0
+    while kind[node] != LEAF:
+        if kind[node] == X_NODE:
+            right = (x, y) >= (ax[node], ay[node]) if paged_rule else x >= ax[node]
+            node = child1[node] if right else child0[node]
+        else:
+            x0, y0 = ax[node], ay[node]
+            cross = (bx[node] - x0) * (y - y0) - (by[node] - y0) * (x - x0)
+            node = child0[node] if cross >= 0 else child1[node]
+        path.append(node)
+    return path
+
+
+class TestTrapTies:
+    """One paged-rule descent, with the tree rules re-run only where an
+    x tie or a sliver landing can make them differ: answers, errors and
+    nudge counts equal the per-point path's."""
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_ties_and_vertices_match_per_point_path(self, name, request):
+        from repro.obs import collecting
+
+        subdivision = request.getfixturevalue(name)
+        family = index_family("trap")
+        paged = family.build(subdivision, seed=7).page(family.parameters(64))
+        tree = paged.tree
+        ties = _trap_tie_points(tree)
+        assert ties
+        vertices = list(dict.fromkeys(
+            v for region in subdivision.regions for v in region.polygon.vertices
+        ))
+        points = ties + vertices + random_points_in(subdivision, 50, seed=5)
+
+        ct = _compile_trap(paged)
+        xs, ys = point_coords(points)
+        diverged = _trap_paged_descent(
+            ct, ct.bx - ct.ax, ct.by - ct.ay, xs + SHEAR * ys, ys.copy(), None
+        )[3]
+        assert diverged[: len(ties)].any()
+
+        accepted = [p for p in points if _accepts(paged, p)]
+        rejected = [p for p in points if not _accepts(paged, p)]
+        nudged = sum(
+            tree._region_at(*trap_mod._shear(p)) < 0 for p in accepted
+        )
+        with collecting() as col:
+            got = batched_trace(paged, accepted)
+        _assert_traces_equal(got, _trace_batch_generic(paged, accepted))
+        assert col.counters.get("trace.trap.nudged", 0) == nudged
+        for point in rejected:
+            with pytest.raises(QueryError) as scalar_err:
+                paged.trace(point)
+            with pytest.raises(QueryError) as batch_err:
+                batched_trace(paged, [point])
+            assert str(batch_err.value) == str(scalar_err.value)
+        if rejected:
+            with pytest.raises(QueryError) as scalar_err:
+                _trace_batch_generic(paged, points)
+            with pytest.raises(QueryError) as batch_err:
+                batched_trace(paged, points)
+            assert str(batch_err.value) == str(scalar_err.value)
+
+    def test_tie_whose_tree_rule_ends_in_a_sliver_is_nudged(self, voronoi60):
+        """A point whose tree-rule leaf after an x tie is a sliver, while
+        its paged-rule leaf is a region, is nudged as per point."""
+        from repro.obs import collecting
+
+        family = index_family("trap")
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        tree = paged.tree
+        point, leaf = next(
+            (p, _trap_walk(tree, p, False)[-1])
+            for p in _trap_tie_points(tree)
+            if _trap_walk(tree, p, False)[-1] != _trap_walk(tree, p, True)[-1]
+        )
+        tree.region[leaf] = -1  # the tree rule's leaf becomes a sliver
+        del tree.__dict__["_lists"]
+        bump_structure_generation(paged)
+        assert tree._region_at(*trap_mod._shear(point)) < 0
+        assert _accepts(paged, point)
+        points = [point] + random_points_in(voronoi60, 30, seed=3)
+        points = [p for p in points if _accepts(paged, p)]
+        with collecting() as col:
+            got = batched_trace(paged, points)
+        _assert_traces_equal(got, _trace_batch_generic(paged, points))
+        assert col.counters["trace.trap.nudged"] == sum(
+            tree._region_at(*trap_mod._shear(p)) < 0 for p in points
+        )
+
+    def test_clean_batch_counts_one_descent(self, voronoi60):
+        """A batch with no degenerate point is descended once: the
+        frontier-width total is the number of nodes its paths visit."""
+        from repro.obs import collecting
+
+        family = index_family("trap")
+        paged = family.build(voronoi60, seed=7).page(family.parameters(64))
+        points = random_points_in(voronoi60, 200, seed=41)
+        visited = sum(len(_trap_walk(paged.tree, p, True)) for p in points)
+        with collecting() as col:
+            batched_trace(paged, points)
+        assert "trace.trap.nudged" not in col.counters
+        assert col.histograms["trace.trap.frontier_width"].total == visited
