@@ -654,9 +654,16 @@ class _CompiledRStarTree:
     entry MBR (``min_x`` .. ``max_y``) and ``child``, the child node's
     index for an internal entry or ``~region_id`` (always negative) for a
     leaf entry.  A leaf entry's shape packets are
-    ``shape_packets[shape_start[e] : shape_start[e + 1]]`` and its
-    region's vertex ring is ``ring_x`` / ``ring_y[ring_start[e] :
-    ring_start[e + 1]]`` (both empty slices for internal entries).
+    ``shape_packets[shape_start[e] : shape_start[e + 1]]`` (an empty
+    slice for internal entries).
+
+    The leaf kernel's tables are built once here too: the ``edge_*``
+    slots are a :class:`~repro.geometry.kernels.RegionEdges` table with
+    one slot per entry, its region's vertex ring (empty for internal
+    entries; :func:`_rstar_edges` views them as one), ``ring_min_x`` ..
+    ``ring_max_y`` each leaf entry's ring bounding box (bit-equal to
+    ``polygon.bbox``, the scalar containment test's gate), and
+    ``read_table`` is ``packet`` followed by ``shape_packets``.
     """
 
     __slots__ = (
@@ -669,10 +676,12 @@ class _CompiledRStarTree:
         "child",
         "shape_start",
         "shape_packets",
-        "ring_start",
-        "ring_x",
-        "ring_y",
-    )
+        "ring_min_x",
+        "ring_min_y",
+        "ring_max_x",
+        "ring_max_y",
+        "read_table",
+    ) + tuple("edge_" + name for name in RegionEdges.__slots__)
 
 
 def _compile_rstar(paged) -> _CompiledRStarTree:
@@ -714,40 +723,39 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
         )
     ct.child = np.asarray(child, np.int64)
     ct.shape_start, ct.shape_packets = _path_csr(shapes)
-    ct.ring_start = np.zeros(len(rings) + 1, np.int64)
-    np.cumsum([len(ring) for ring in rings], out=ct.ring_start[1:])
-    ct.ring_x, ct.ring_y = point_coords([p for ring in rings for p in ring])
+    ring_x, ring_y = point_coords([p for ring in rings for p in ring])
+    edges = RegionEdges(
+        ring_x, ring_y, np.fromiter(map(len, rings), np.int64, len(rings))
+    )
+    for name in RegionEdges.__slots__:
+        setattr(ct, "edge_" + name, getattr(edges, name))
+    leaf = ct.child < 0
+    first = edges.start[:-1][leaf]
+    for field, ring, reduce in (
+        ("ring_min_x", ring_x, np.minimum),
+        ("ring_min_y", ring_y, np.minimum),
+        ("ring_max_x", ring_x, np.maximum),
+        ("ring_max_y", ring_y, np.maximum),
+    ):
+        box = np.zeros(len(ct.child), np.float64)
+        if first.size:
+            box[leaf] = reduce.reduceat(ring, first)
+        setattr(ct, field, box)
+    ct.read_table = np.concatenate((ct.packet, ct.shape_packets))
     return _store_compiled(paged, "_compiled_rstar", ct)
 
 
-class _RStarLeaves:
-    """Per-call tables of the leaf kernel, derived from the compiled
-    rings: one :class:`~repro.geometry.kernels.RegionEdges` slot per
-    entry, each leaf entry's ring bounding box (bit-equal to
-    ``polygon.bbox``, the scalar containment test's gate), and
-    ``packet`` followed by ``shape_packets`` as one read table."""
-
-    __slots__ = ("edges", "min_x", "min_y", "max_x", "max_y", "table")
-
-    def __init__(self, ct: _CompiledRStarTree) -> None:
-        self.edges = RegionEdges(ct.ring_x, ct.ring_y, np.diff(ct.ring_start))
-        leaf = ct.child < 0
-        first = ct.ring_start[:-1][leaf]
-        for field, ring, reduce in (
-            ("min_x", ct.ring_x, np.minimum),
-            ("min_y", ct.ring_y, np.minimum),
-            ("max_x", ct.ring_x, np.maximum),
-            ("max_y", ct.ring_y, np.maximum),
-        ):
-            box = np.zeros(len(ct.child), np.float64)
-            if first.size:
-                box[leaf] = reduce.reduceat(ring, first)
-            setattr(self, field, box)
-        self.table = np.concatenate((ct.packet, ct.shape_packets))
+def _rstar_edges(ct: _CompiledRStarTree) -> RegionEdges:
+    """The leaf kernel's :class:`RegionEdges`, a view of the ``edge_*``
+    slots."""
+    edges = RegionEdges.__new__(RegionEdges)
+    for name in RegionEdges.__slots__:
+        setattr(edges, name, getattr(ct, "edge_" + name))
+    return edges
 
 
 def _trace_rstar_block(
-    ct: _CompiledRStarTree, leaves: _RStarLeaves, xs, ys, col
+    ct: _CompiledRStarTree, edges: RegionEdges, xs, ys, col
 ):
     """Trace one block of queries down the compiled R*-tree.
 
@@ -797,17 +805,17 @@ def _trace_rstar_block(
     px = xs[cq]
     py = ys[cq]
     gated = np.flatnonzero(
-        (leaves.min_x[ce] <= px)
-        & (px <= leaves.max_x[ce])
-        & (leaves.min_y[ce] <= py)
-        & (py <= leaves.max_y[ce])
+        (ct.ring_min_x[ce] <= px)
+        & (px <= ct.ring_max_x[ce])
+        & (ct.ring_min_y[ce] <= py)
+        & (py <= ct.ring_max_y[ce])
     )
     # Leaf entries follow their node in preorder, so the scalar DFS
     # tests them in entry order and stops at the first hit: the
     # smallest hit entry.
     hit_entry = np.full(m, len(ct.child), np.int64)
     if gated.size:
-        on_edge, odd = leaves.edges.classify_pairs(
+        on_edge, odd = edges.classify_pairs(
             ce[gated], px[gated], py[gated]
         )[:2]
         hit = gated[on_edge | odd]
@@ -844,7 +852,7 @@ def _trace_rstar_block(
     order = np.argsort(event_q * (len(ct.packet) + len(ct.child) + 1) + key)
     flat, owner, _ = ragged_ranges(start[order], count[order])
     path_q = event_q[order][owner]
-    packets = leaves.table[flat]
+    packets = ct.read_table[flat]
     fresh = np.ones(packets.size, bool)
     fresh[1:] = (packets[1:] != packets[:-1]) | (path_q[1:] != path_q[:-1])
     return regions, path_q[fresh], packets[fresh]
@@ -870,7 +878,7 @@ def _trace_batch_rstar(
     to the per-point path for the scalar error.
     """
     ct = _compile_rstar(paged)
-    leaves = _RStarLeaves(ct)
+    edges = _rstar_edges(ct)
     n = len(points)
     xs, ys = point_coords(points)
     col = active_collector()
@@ -882,7 +890,7 @@ def _trace_batch_rstar(
     for lo in range(0, n, _RSTAR_BLOCK_QUERIES):
         hi = min(n, lo + _RSTAR_BLOCK_QUERIES)
         block_regions, path_q, packets = _trace_rstar_block(
-            ct, leaves, xs[lo:hi], ys[lo:hi], col
+            ct, edges, xs[lo:hi], ys[lo:hi], col
         )
         if path_q is None:
             missing = lo + int(np.argmax(block_regions < 0))
@@ -920,6 +928,199 @@ def _trace_batch_rstar(
 _PATH_TRACERS = (_trace_batch_generic, _trace_batch_dtree, _trace_batch_rstar)
 
 
+# -- certified cell starts for the single-path descents ----------------------
+#
+# The trap- and trian-tree tracers follow one path per point, and nearby
+# points share its upper part.  A cell table over a uniform grid stores,
+# per cell, the descent state (node, last packet, tuning, depth) after
+# the levels that every point the lookup maps into the cell provably
+# decides alike; the tracers start there.  The proofs are exact: each
+# tracer test is monotone in the point's x and in its y *as evaluated
+# in floating point* (every IEEE operation is correctly rounded, hence
+# monotone in each operand), so its extremes over a cell are its values
+# at two box corners, and a cell's box is derived from the lookup
+# expression itself.  Slot ``side * side`` holds the root state, the
+# start of every point outside the grid box or with a non-finite
+# coordinate.
+
+
+def _cell_side(node_count: int) -> int:
+    """Grid side: the power of two at or above ``sqrt(node_count / 2)``."""
+    side = 1
+    while 2 * side * side < node_count:
+        side *= 2
+    return side
+
+
+def _cell_of(frame: np.ndarray, side: int, xs: np.ndarray, ys: np.ndarray):
+    """Cell of each point, ``iy * side + ix`` with ``ix = floor((x - lo_x)
+    * scale_x)``, or ``side * side`` outside the grid box."""
+    if not side:
+        return np.zeros(len(xs), np.intp)
+    qx = (xs - frame[0]) * frame[2]
+    qy = (ys - frame[1]) * frame[3]
+    inside = (qx >= 0.0) & (qx < side) & (qy >= 0.0) & (qy < side)
+    if inside.all():
+        return qy.astype(np.intp) * side + qx.astype(np.intp)
+    cell = np.full(len(xs), side * side, np.intp)
+    cell[inside] = qy[inside].astype(np.intp) * side + qx[inside].astype(np.intp)
+    return cell
+
+
+_SIGN = np.int64(-(2**63))
+
+
+def _float_order(v: np.ndarray) -> np.ndarray:
+    """Integers in the order of the floats *v* (both zeros map to 0)."""
+    bits = v.view(np.int64)
+    return np.where(bits < 0, -(bits & ~_SIGN), bits)
+
+
+def _order_float(i: np.ndarray) -> np.ndarray:
+    """The floats of :func:`_float_order` keys."""
+    return np.where(i < 0, -i | _SIGN, i).view(np.float64)
+
+
+def _cell_edges(lo: float, scale: float, side: int) -> Optional[np.ndarray]:
+    """``edges[k]``, the least float whose lookup ``(v - lo) * scale``
+    is at least ``k``, for ``k = 0 .. side``: cell ``k`` along the axis
+    holds exactly the floats from ``edges[k]`` to the float below
+    ``edges[k + 1]``.  The lookup is monotone in ``v``, so a bisection
+    over the floats around the guess ``lo + k / scale`` finds it; None
+    when the guesses for ``k - 1`` and ``k + 1`` do not bracket it (a
+    grid finer than the floats)."""
+    k = np.arange(side + 1, dtype=np.float64)
+    guess = _float_order(lo + k / scale)
+    below = guess - 4
+    above = guess + 4
+    # Where a few ulps around the guess do not bracket the edge, the
+    # guesses for the neighbouring lines do.
+    wide = ~(
+        ((_order_float(below) - lo) * scale < k)
+        & ((_order_float(above) - lo) * scale >= k)
+    )
+    below[wide] = _float_order(lo + (k[wide] - 1) / scale)
+    above[wide] = _float_order(lo + (k[wide] + 1) / scale)
+    if not (
+        ((_order_float(below) - lo) * scale < k).all()
+        and ((_order_float(above) - lo) * scale >= k).all()
+    ):
+        return None
+    while True:
+        gap = above > below + 1
+        if not gap.any():
+            return _order_float(above)
+        # The floor of the mean, without overflowing int64.
+        mid = (below >> 1) + (above >> 1) + (below & above & 1)
+        hit = (_order_float(mid) - lo) * scale >= k
+        above = np.where(gap & hit, mid, above)
+        below = np.where(gap & ~hit, mid, below)
+
+
+def _cell_boxes(xe: np.ndarray, ye: np.ndarray, n: int):
+    """``(lo_x, hi_x, lo_y, hi_y)`` per cell ``cy * n + cx`` of the
+    ``n`` x ``n`` stage over the :func:`_cell_edges` *xe*/*ye*: the cell
+    covers the fine cells ``[cx * r, (cx + 1) * r)`` along x (likewise
+    along y), so its box runs from the first one's least float to the
+    float below the next one's."""
+    r = (len(xe) - 1) // n
+    edge = np.arange(n) * r
+    return (
+        np.tile(xe[edge], n),
+        np.tile(np.nextafter(xe[edge + r], -np.inf), n),
+        np.repeat(ye[edge], n),
+        np.repeat(np.nextafter(ye[edge + r], -np.inf), n),
+    )
+
+
+def _build_cell_table(compiled, box, node_count: int, root, step) -> None:
+    """Fill *compiled*'s ``cell_*`` slots over the query *box*
+    ``(x_lo, x_hi, y_lo, y_hi)``.
+
+    Starts from one cell holding the *root* state ``(node, last,
+    tuning, final)``, ``final`` marking a cell that can descend no
+    further (at a leaf, or blocked by a gap or sliver leaf), and refines
+    every stage's cells into four that inherit their state, until the
+    grid side is :func:`_cell_side` of *node_count*.  At every stage
+    each cell keeps descending while ``step(node, last, tuning, x_lo,
+    x_hi, y_lo, y_hi)`` certifies a move; *step* returns ``(moved,
+    final, node, last, tuning)``: which cells moved, which can descend
+    no further, and the new state of the moved cells only.  A finer
+    cell's box is a union of the lookup's float ranges inside its
+    parent's, so what the parent proved holds for it.
+    """
+    x_lo, x_hi, y_lo, y_hi = box
+    side = _cell_side(node_count)
+    frame = np.zeros(4, np.float64)
+    xe = ye = None
+    if np.isfinite(box).all() and x_hi > x_lo and y_hi > y_lo:
+        frame[:] = (x_lo, y_lo, side / (x_hi - x_lo), side / (y_hi - y_lo))
+        xe = _cell_edges(frame[0], frame[2], side)
+        ye = _cell_edges(frame[1], frame[3], side)
+    if xe is None or ye is None:
+        frame[:] = 0.0
+        side = 0
+    state = {
+        "node": np.array(root[:1], np.int64),
+        "last": np.array(root[1:2], np.int64),
+        "tuning": np.array(root[2:3], np.int64),
+        "depth": np.zeros(1, np.int64),
+        "final": np.array(root[3:], bool),
+    }
+    n = 1
+    while n <= side:
+        lo_x, hi_x, lo_y, hi_y = _cell_boxes(xe, ye, n)
+        active = np.flatnonzero(~state["final"])
+        while active.size:
+            moved, final, node, last, tuning = step(
+                state["node"][active],
+                state["last"][active],
+                state["tuning"][active],
+                lo_x[active],
+                hi_x[active],
+                lo_y[active],
+                hi_y[active],
+            )
+            state["final"][active] = final
+            active = active[moved]
+            state["node"][active] = node
+            state["last"][active] = last
+            state["tuning"][active] = tuning
+            state["depth"][active] += 1
+            active = active[~state["final"][active]]
+        if n < side:
+            for name, values in state.items():
+                grid = values.reshape(n, n)
+                state[name] = grid.repeat(2, 0).repeat(2, 1).ravel()
+        n *= 2
+    compiled.cell_frame = frame
+    compiled.cell_side = side
+    names = ("node", "last", "tuning", "depth")
+    for name, root_value in zip(names, root[:3] + (0,)):
+        values = state[name] if side else np.zeros(0, np.int64)
+        table = np.append(values, root_value).astype(np.int32)
+        setattr(compiled, "cell_" + name, table)
+
+
+def _cross_range(dx, dy, ax, ay, lo_x, hi_x, lo_y, hi_y):
+    """Least and greatest ``dx * (y - ay) - dy * (x - ax)`` over the box.
+
+    As rounded, the first product is monotone in ``y`` and the second
+    in ``x`` (each IEEE operation is monotone in each operand, and a
+    product keeps or flips the order by its fixed factor's sign), so
+    each product's extremes are its values at the two ends of its
+    interval, and the difference is least with the first product least
+    and the second greatest."""
+    y0 = dx * (lo_y - ay)
+    y1 = dx * (hi_y - ay)
+    x0 = dy * (lo_x - ax)
+    x1 = dy * (hi_x - ax)
+    return (
+        np.minimum(y0, y1) - np.maximum(x0, x1),
+        np.maximum(y0, y1) - np.minimum(x0, x1),
+    )
+
+
 # -- trap-tree: flat-frontier descent over the packed DAG --------------------
 
 #: ``repro.pointloc.trapezoidal``'s node kinds (X_NODE, Y_NODE, LEAF).
@@ -939,6 +1140,12 @@ class _CompiledTrapTree:
     above/below at a y-node); ``packet`` is each node's broadcast packet
     and ``region`` the leaf's data region (``-1`` for the uncovered
     slivers outside the subdivision).
+
+    The ``cell_*`` slots are the cell table over the sheared service
+    area (:func:`_trap_cell_table`): ``cell_frame`` holds the grid's
+    ``(lo_x, lo_y, scale_x, scale_y)`` and ``cell_side`` its side, and
+    ``cell_node``/``cell_last``/``cell_tuning``/``cell_depth`` the state
+    a descent starts from in each cell.
     """
 
     __slots__ = (
@@ -951,6 +1158,12 @@ class _CompiledTrapTree:
         "on_false",
         "packet",
         "region",
+        "cell_frame",
+        "cell_side",
+        "cell_node",
+        "cell_last",
+        "cell_tuning",
+        "cell_depth",
     )
 
 
@@ -999,9 +1212,46 @@ def _compile_trap(paged):
         ct.on_false = on_false
         ct.packet = packet
         ct.region = tree.region
+        _trap_cell_table(ct, tree.subdivision.service_area)
         compiled = ct
     _store_compiled(paged, "_compiled_trap", compiled)
     return compiled
+
+
+def _trap_cell_table(ct: _CompiledTrapTree, area) -> None:
+    """Fill *ct*'s cell table over the sheared image of the service
+    *area*.  A cell moves past an x-node only when its whole box lies
+    strictly on one side (``lo_x > ax`` or ``hi_x < ax``), so no
+    certified prefix holds an x tie and the tracer's ``diverged`` flags
+    are unchanged; past a y-node when the tracer's cross product has
+    one sign over the whole box (:func:`_cross_range`).  Tuning
+    and last packet follow the tracer's charging; a descent stops
+    before a sliver leaf."""
+    from repro.pointloc.trapezoidal import SHEAR
+
+    xs = np.array([area.min_x, area.max_x, area.min_x, area.max_x], np.float64)
+    ys = np.array([area.min_y, area.min_y, area.max_y, area.max_y], np.float64)
+    ex = xs + SHEAR * ys
+    dx = ct.bx - ct.ax
+    dy = ct.by - ct.ay
+
+    def step(node, last, tuning, lo_x, hi_x, lo_y, hi_y):
+        ax = ct.ax[node]
+        least, greatest = _cross_range(
+            dx[node], dy[node], ax, ct.ay[node], lo_x, hi_x, lo_y, hi_y
+        )
+        is_y = ct.kind[node] == _TRAP_YNODE
+        go_true = np.where(is_y, least >= 0.0, lo_x > ax)
+        decided = go_true | np.where(is_y, greatest < 0.0, hi_x < ax)
+        child = np.where(go_true, ct.on_true[node], ct.on_false[node])
+        leaf = decided & (ct.kind[child] == _TRAP_LEAF)
+        moved = decided & ~(leaf & (ct.region[child] < 0))
+        pkt = ct.packet[node[moved]]
+        return moved, leaf, child[moved], pkt, tuning[moved] + (pkt != last[moved])
+
+    root = (0, -1, 0, bool(ct.kind[0] == _TRAP_LEAF))
+    box = (ex.min(), ex.max(), ys.min(), ys.max())
+    _build_cell_table(ct, box, len(ct.kind), root, step)
 
 
 def _trap_tree_regions(
@@ -1051,12 +1301,14 @@ def _trap_paged_descent(
     ``dx``/``dy`` are ``bx - ax``/``by - ay`` per node, the first
     operations of the scalar cross product.
 
-    Returns ``(regions, last, tuning, diverged)``; ``diverged`` marks
-    the points that met ``x == ax`` with ``y < ay`` at an x-node, the
-    one place where the tree descent rules (x ties go right) route
-    differently.  The allocator guarantees nondecreasing packets along
-    every root-to-leaf path (checked at compile time), so
-    distinct-packet tuning time is the count of packet changes.
+    Each point starts at its cell's certified state
+    (:func:`_trap_cell_table`).  Returns ``(regions, last, tuning,
+    diverged)``; ``diverged`` marks the points that met ``x == ax``
+    with ``y < ay`` at an x-node, the one place where the tree descent
+    rules (x ties go right) route differently.  The allocator
+    guarantees nondecreasing packets along every root-to-leaf path
+    (checked at compile time), so distinct-packet tuning time is the
+    count of packet changes.
     """
     n = len(ex)
     regions = np.empty(n, np.int64)
@@ -1065,11 +1317,18 @@ def _trap_paged_descent(
     diverged = np.zeros(n, bool)
 
     apt = np.arange(n)  # active point index
-    nd = np.zeros(n, np.int64)  # current node (root = 0)
-    alast = np.full(n, -1, ct.packet.dtype)  # last packet read (-1 = none yet)
-    atun = np.zeros(n, np.int64)  # distinct packets read so far
+    # Each point starts at its cell's certified node, with the packets
+    # the skipped levels read (the root, no packet yet, outside the grid).
+    cell = _cell_of(ct.cell_frame, ct.cell_side, ex, ey)
+    nd = ct.cell_node[cell]  # current node
+    alast = ct.cell_last[cell]  # last packet read (-1 = none yet)
+    atun = ct.cell_tuning[cell].astype(np.int64)  # distinct packets so far
+    if col is not None:
+        col.count("trace.trap.cell_skipped", int(ct.cell_depth[cell].sum()))
     x = ex
     y = ey
+    # Node k's false and true children at 2k and 2k + 1.
+    children = np.stack((ct.on_false, ct.on_true), axis=1).ravel()
 
     while apt.size:
         if col is not None:
@@ -1083,10 +1342,11 @@ def _trap_paged_descent(
         kind = ct.kind[nd]
         leaf = kind == _TRAP_LEAF
         if leaf.any():
-            done = apt[leaf]
-            regions[done] = ct.region[nd[leaf]]
-            last_out[done] = alast[leaf]
-            tuning_out[done] = atun[leaf]
+            at = np.flatnonzero(leaf)
+            done = apt[at]
+            regions[done] = ct.region[nd[at]]
+            last_out[done] = alast[at]
+            tuning_out[done] = atun[at]
             keep = ~leaf
             apt = apt[keep]
             nd = nd[keep]
@@ -1099,18 +1359,19 @@ def _trap_paged_descent(
                 break
         nax = ct.ax[nd]
         nay = ct.ay[nd]
-        # Paged-trace x rule: lexicographic (x, y) >= (node.x, node.y).
-        below = y < nay
-        tie = x == nax
-        cond = (x > nax) | (tie & ~below)
         is_y = kind == _TRAP_YNODE
         # cross_batch's expression, its two subtractions done per node.
         cross = dx[nd] * (y - nay) - dy[nd] * (x - nax)
-        cond = np.where(is_y, cross >= 0.0, cond)
-        parted = tie & below & ~is_y
-        if parted.any():
-            diverged[apt[parted]] = True
-        nd = np.where(cond, ct.on_true[nd], ct.on_false[nd]).astype(np.int64)
+        # Paged-trace x rule: lexicographic (x, y) >= (node.x, node.y);
+        # an x tie is rare, so it is settled on its own points.
+        cond = np.where(is_y, cross >= 0.0, x > nax)
+        tie = x == nax
+        if tie.any():
+            tie &= ~is_y
+            below = tie & (y < nay)
+            cond |= tie & ~below
+            diverged[apt[below]] = True
+        nd = children[2 * nd + cond]
     return regions, last_out, tuning_out, diverged
 
 
@@ -1193,6 +1454,11 @@ class _CompiledTrianTree:
     The ``ctri_*`` arrays duplicate each child's CCW triangle vertices
     per CSR slot, so the level sweep gathers candidate coordinates
     with one indirection instead of two.
+
+    The ``cell_*`` slots are the cell table over the service area
+    (:func:`_trian_cell_table`), laid out as in
+    :class:`_CompiledTrapTree`; the root state is the synthetic root
+    directory.
     """
 
     __slots__ = (
@@ -1208,6 +1474,12 @@ class _CompiledTrianTree:
         "ctri_by",
         "ctri_cx",
         "ctri_cy",
+        "cell_frame",
+        "cell_side",
+        "cell_node",
+        "cell_last",
+        "cell_tuning",
+        "cell_depth",
     )
 
 
@@ -1296,17 +1568,80 @@ def _compile_trian(paged):
         ct.ctri_by = tri_by[ct.child_flat]
         ct.ctri_cx = tri_cx[ct.child_flat]
         ct.ctri_cy = tri_cy[ct.child_flat]
+        _trian_cell_table(
+            ct, paged.tree.subdivision.service_area, paged._root_dir_packet
+        )
         compiled = ct
     _store_compiled(paged, "_compiled_trian", compiled)
     return compiled
 
 
+def _trian_cell_table(ct: _CompiledTrianTree, area, root_packet: int) -> None:
+    """Fill *ct*'s cell table over the service *area*.  A cell moves to
+    child slot ``f`` when every earlier sibling has an edge whose
+    greatest cross product over the box is below ``-EPS`` (no point of
+    the cell is in it) and all three of ``f``'s edges have their least
+    at or above ``-EPS`` (every point is): the tracer's first containing
+    child, for every point of the cell.  Tuning and last packet follow
+    the tracer's charging; a descent stops before a gap triangle."""
+    # Each slot's three edges as (ax, ay, bx - ax, by - ay): the
+    # tracer's c1, c2 and c3 operands.
+    edges = [
+        (ax, ay, bx - ax, by - ay)
+        for ax, ay, bx, by in (
+            (ct.ctri_ax, ct.ctri_ay, ct.ctri_bx, ct.ctri_by),
+            (ct.ctri_bx, ct.ctri_by, ct.ctri_cx, ct.ctri_cy),
+            (ct.ctri_cx, ct.ctri_cy, ct.ctri_ax, ct.ctri_ay),
+        )
+    ]
+
+    def step(node, last, tuning, lo_x, hi_x, lo_y, hi_y):
+        starts = ct.child_start[node]
+        flat, owner, first = ragged_ranges(starts, ct.child_count[node])
+        box = (lo_x[owner], hi_x[owner], lo_y[owner], hi_y[owner])
+        inside = np.ones(flat.size, bool)
+        outside = np.zeros(flat.size, bool)
+        for ax, ay, dx, dy in edges:
+            least, greatest = _cross_range(
+                dx[flat], dy[flat], ax[flat], ay[flat], *box
+            )
+            inside &= least >= -EPS
+            outside |= greatest < -EPS
+        # First slot that some point of the cell may stop at.
+        pos = np.minimum.reduceat(
+            np.where(outside, flat.size, np.arange(flat.size)), first
+        )
+        found = np.flatnonzero(pos < flat.size)
+        pos = pos[found]
+        f = flat[pos]
+        inside = inside[pos]
+        moved = np.zeros(node.size, bool)
+        leaf = np.zeros(node.size, bool)
+        child = ct.child_flat[f]
+        leaf[found] = inside & (ct.child_count[child] == 0)
+        moved[found] = inside & ~(leaf[found] & (ct.region[child] < 0))
+        child = child[moved[found]]
+        f = f[moved[found]]
+        tuning = (
+            tuning[moved]
+            + ct.child_distinct[f]
+            - (ct.child_pkt[starts[moved]] == last[moved])
+        )
+        return moved, leaf, child, ct.child_pkt[f], tuning
+
+    box = (area.min_x, area.max_x, area.min_y, area.max_y)
+    root = (len(ct.region), root_packet, 1, False)
+    _build_cell_table(ct, box, len(ct.region), root, step)
+
+
 def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
     """Level-synchronous descent of the paged trian-tree.
 
-    Every level expands the frontier's candidate children into one
-    ragged array, tests them with a single batched point-in-triangle
-    sweep over the packed ``scan_pack`` operands (the arithmetic of
+    Each point starts at its grid cell's certified node
+    (:func:`_trian_cell_table`).  Every level expands the frontier's
+    candidate children into one ragged array, tests them with a single
+    batched point-in-triangle sweep over the ``ctri_*`` operands (the
+    arithmetic of
     :func:`~repro.geometry.kernels.point_in_triangles_batch`), and
     picks the first containing triangle per point with a
     ``minimum.reduceat`` — the scalar scan order, since children are
@@ -1329,14 +1664,38 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
     last_out = np.empty(n, np.int64)
     tuning_out = np.empty(n, np.int64)
 
-    count = len(ct.region)
     apt = np.arange(n)  # active point index
-    anode = np.full(n, count, np.int64)  # synthetic root-directory node
-    alast = np.full(n, paged._root_dir_packet, np.int64)
-    atun = np.ones(n, np.int64)  # the root directory is always read
+    # Each point starts at its cell's certified node (the synthetic
+    # root directory outside the grid), with the packets the skipped
+    # scans read; the root directory is always read.
+    cell = _cell_of(ct.cell_frame, ct.cell_side, xs, ys)
+    anode = ct.cell_node[cell]
+    alast = ct.cell_last[cell]
+    atun = ct.cell_tuning[cell].astype(np.int64)
+    if col is not None:
+        col.count("trace.trian.cell_skipped", int(ct.cell_depth[cell].sum()))
 
     flat_sentinel = np.iinfo(np.int64).max
     while apt.size:
+        term = ct.child_count[anode] == 0
+        if term.any():
+            at = np.flatnonzero(term)
+            treg = ct.region[anode[at]]
+            if (treg < 0).any():
+                # Gap triangle: "outside the subdivided area" per point.
+                _trace_batch_generic(paged, points)
+                raise QueryError("trian-tree descent failed")  # pragma: no cover
+            done = apt[at]
+            regions[done] = treg
+            last_out[done] = alast[at]
+            tuning_out[done] = atun[at]
+            keep = ~term
+            apt = apt[keep]
+            anode = anode[keep]
+            alast = alast[keep]
+            atun = atun[keep]
+            if apt.size == 0:
+                break
         nd = anode
         if col is not None:
             col.count("trace.trian.levels")
@@ -1384,21 +1743,5 @@ def _trace_batch_trian(paged, points: Sequence[Point]) -> TraceBatch:
         atun += ct.child_distinct[f] - (ct.child_pkt[starts] == alast)
         alast = ct.child_pkt[f]
         anode = ct.child_flat[f]
-        term = ct.child_count[anode] == 0
-        if term.any():
-            treg = ct.region[anode[term]]
-            if (treg < 0).any():
-                # Gap triangle: "outside the subdivided area" per point.
-                _trace_batch_generic(paged, points)
-                raise QueryError("trian-tree descent failed")  # pragma: no cover
-            done = apt[term]
-            regions[done] = treg
-            last_out[done] = alast[term]
-            tuning_out[done] = atun[term]
-            keep = ~term
-            apt = apt[keep]
-            anode = anode[keep]
-            alast = alast[keep]
-            atun = atun[keep]
 
     return TraceBatch(regions, last_out, tuning_out)

@@ -22,7 +22,7 @@ so repeated batch queries pay only for the array sweeps:
 * :class:`CompiledPolygon` — flattened edge arrays of one polygon with
   ``classify_batch`` / ``contains_batch``;
 * :class:`CompiledPartition` — D1/D3 bounds plus flattened polyline
-  segments of one D-tree partition with a vectorized ``sides`` test;
+  segments of one D-tree partition, the compiled D-tree's input;
 * :class:`RegionEdges` — every region's boundary edges in one flat CSR
   table with the ragged (region, point) pair classification;
 * :class:`CompiledSubdivision` — per-region compiled polygons, a
@@ -340,18 +340,11 @@ def points_in_polygon(
     return compiled.contains_batch(xs, ys, include_boundary=include_boundary)
 
 
-SIDE_FIRST = np.int8(1)
-SIDE_SECOND = np.int8(2)
-
-
 class CompiledPartition:
-    """One D-tree partition's side test over flattened polyline segments.
-
-    ``sides`` replicates :meth:`Partition.side_of` — the D1/D3
-    exclusive-zone comparisons first, then the ray-parity test for the
-    interlocking zone D2 — with the crossing abscissa computed by the
-    scalar expression verbatim, so batched descent decisions match the
-    per-point path bit for bit.
+    """One D-tree partition flattened to arrays: its dimension, D1/D3
+    bounds, described side and polyline segments ``ax/ay -> bx/by``.
+    :func:`repro.engine.trace._compile_dtree` reads them into the
+    compiled D-tree, whose tracer runs the side test level by level.
     """
 
     __slots__ = (
@@ -390,77 +383,6 @@ class CompiledPartition:
             f"CompiledPartition(dim={'y' if self.dim_y else 'x'}, "
             f"n_segments={len(self.ax)})"
         )
-
-    def sides(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(sides, interlocked)`` for a point batch.
-
-        ``sides`` holds 1 (first subspace) or 2 (second) per point;
-        ``interlocked`` marks the points that fell in the interlocking
-        zone D2 and needed the full parity test (None when no point
-        did) — the D-tree paging layer charges those the whole node span
-        under §4.4 early termination.
-        """
-        first, interlocked = self.first_side(xs, ys)
-        out = np.where(first, SIDE_FIRST, SIDE_SECOND)
-        return out, interlocked
-
-    def first_side(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Boolean form of :meth:`sides`: ``(in_first, interlocked)``.
-
-        Same decisions, but without materialising the int8 side codes —
-        the D-tree descent splits its frontier on the boolean mask
-        directly, which saves several array allocations per node.
-        """
-        first, interlocked = self.early_first(xs, ys)
-        if interlocked is not None:
-            first[interlocked] = self._parity_first(
-                xs[interlocked], ys[interlocked]
-            )
-        return first, interlocked
-
-    def early_first(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The D1/D3 exclusive-zone step alone: ``(in_first, interlocked)``.
-
-        Points flagged ``interlocked`` fell in D2 and still need the
-        ray-parity test (their ``in_first`` entry is meaningless until
-        then) — callers batching parity across partitions (the D-tree
-        level descent) resolve them separately.
-        """
-        if self.dim_y:
-            first = xs <= self.first_bound
-            # ~(first | second) written directly: past the first bound
-            # but short of the second one.
-            interlocked = ~first & (xs < self.second_bound)
-        else:
-            first = ys >= self.first_bound
-            interlocked = ~first & (ys > self.second_bound)
-        if not interlocked.any():
-            return first, None
-        return first, interlocked
-
-    def _parity_first(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Ray-parity membership in the first subspace for D2 points."""
-        ax = self.ax[:, None]
-        ay = self.ay[:, None]
-        bx = self.bx[:, None]
-        by = self.by[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.dim_y:
-                cond = (ay > ys) != (by > ys)
-                t_at = ax + (ys - ay) / (by - ay) * (bx - ax)
-                hit = cond & ((t_at > xs) if self.described_first else (t_at < xs))
-            else:
-                cond = (ax > xs) != (bx > xs)
-                t_at = ay + (xs - ax) / (bx - ax) * (by - ay)
-                hit = cond & ((t_at < ys) if self.described_first else (t_at > ys))
-        odd = hit.sum(axis=0) % 2 == 1
-        return odd if self.described_first else ~odd
 
 
 class RegionEdges:

@@ -79,6 +79,7 @@ from repro.engine.trace import (
     _cached_compiled,
     _store_compiled,
     _trace_batch_trap,
+    _trap_cell_table,
     batched_trace,
     compiled_form,
     register_tracer,
@@ -992,7 +993,8 @@ class ScalarPagedTrapTree:
 
 
 def scalar_compile_trap(paged: ScalarPagedTrapTree):
-    """``_compile_trap`` as the loop over the object DAG it replaced."""
+    """``_compile_trap`` as the loop over the object DAG it replaced; the
+    cell table is built from its arrays by the same builder."""
     compiled = _cached_compiled(paged, "_compiled_trap", _UNCOMPILED)
     if compiled is not _UNCOMPILED:
         return compiled
@@ -1059,6 +1061,7 @@ def scalar_compile_trap(paged: ScalarPagedTrapTree):
         compiled.on_false = on_false
         compiled.packet = packet
         compiled.region = region
+        _trap_cell_table(compiled, paged.tree.subdivision.service_area)
     _store_compiled(paged, "_compiled_trap", compiled)
     return compiled
 

@@ -10,13 +10,14 @@ against a loop over the scalar counterpart.
 
 import math
 import random
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.errors import QueryError
+from repro.geometry import kernels
 from repro.geometry.kernels import (
-    CompiledPartition,
     CompiledPolygon,
     CompiledSubdivision,
     mbrs_contain_batch,
@@ -33,6 +34,88 @@ from repro.geometry.rect import Rect
 from repro.tessellation.subdivision import DataRegion, Subdivision
 
 from tests.conftest import random_points_in
+
+
+SIDE_FIRST = np.int8(1)
+SIDE_SECOND = np.int8(2)
+
+
+class CompiledPartition(kernels.CompiledPartition):
+    """The compiled partition with a batched side test: the per-partition
+    oracle of :meth:`Partition.side_of` — the D1/D3 exclusive-zone
+    comparisons first, then the ray-parity test for the interlocking
+    zone D2, the crossing abscissa computed by the scalar expression
+    verbatim.  The D-tree tracer runs its own level-wide side test over
+    the compiled arrays."""
+
+    __slots__ = ()
+
+    def sides(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(sides, interlocked)`` for a point batch.
+
+        ``sides`` holds 1 (first subspace) or 2 (second) per point;
+        ``interlocked`` marks the points that fell in the interlocking
+        zone D2 and needed the full parity test (None when no point
+        did).
+        """
+        first, interlocked = self.first_side(xs, ys)
+        out = np.where(first, SIDE_FIRST, SIDE_SECOND)
+        return out, interlocked
+
+    def first_side(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Boolean form of :meth:`sides`: ``(in_first, interlocked)``.
+
+        Same decisions, but without materialising the int8 side codes.
+        """
+        first, interlocked = self.early_first(xs, ys)
+        if interlocked is not None:
+            first[interlocked] = self._parity_first(
+                xs[interlocked], ys[interlocked]
+            )
+        return first, interlocked
+
+    def early_first(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The D1/D3 exclusive-zone step alone: ``(in_first, interlocked)``.
+
+        Points flagged ``interlocked`` fell in D2 and still need the
+        ray-parity test (their ``in_first`` entry is meaningless until
+        then); :meth:`first_side` resolves them with :meth:`_parity_first`.
+        """
+        if self.dim_y:
+            first = xs <= self.first_bound
+            # ~(first | second) written directly: past the first bound
+            # but short of the second one.
+            interlocked = ~first & (xs < self.second_bound)
+        else:
+            first = ys >= self.first_bound
+            interlocked = ~first & (ys > self.second_bound)
+        if not interlocked.any():
+            return first, None
+        return first, interlocked
+
+    def _parity_first(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Ray-parity membership in the first subspace for D2 points."""
+        ax = self.ax[:, None]
+        ay = self.ay[:, None]
+        bx = self.bx[:, None]
+        by = self.by[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.dim_y:
+                cond = (ay > ys) != (by > ys)
+                t_at = ax + (ys - ay) / (by - ay) * (bx - ax)
+                hit = cond & ((t_at > xs) if self.described_first else (t_at < xs))
+            else:
+                cond = (ax > xs) != (bx > xs)
+                t_at = ay + (xs - ax) / (bx - ax) * (by - ay)
+                hit = cond & ((t_at < ys) if self.described_first else (t_at > ys))
+        odd = hit.sum(axis=0) % 2 == 1
+        return odd if self.described_first else ~odd
 
 
 def adversarial_points(subdivision, max_regions=30):

@@ -32,23 +32,32 @@ from repro.engine import (
 from repro.broadcast.client import _uniform_issue_times
 from repro.engine.batch import QueryEngine
 from repro.core.dtree import DTreeNode
-from repro.datasets.catalog import park_dataset
+from repro.datasets.catalog import hospital_dataset, park_dataset, uniform_dataset
 from repro.engine.trace import (
+    _cell_boxes,
+    _cell_edges,
+    _cell_of,
     _compile_trap,
     _store_compiled,
     _trace_batch_generic,
+    _trap_cell_table,
     _trap_paged_descent,
+    _trian_cell_table,
     bump_structure_generation,
     compiled_form,
 )
+from repro.geometry.predicates import EPS
+from repro.geometry.rect import Rect
 from repro.errors import BroadcastError, QueryError
 from repro.geometry.kernels import point_coords
 from repro.geometry.point import Point, PointBatch
+from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.pointloc import trapezoidal as trap_mod
 from repro.pointloc.kirkpatrick import PagedTrianTree
 from repro.pointloc.trapezoidal import LEAF, SHEAR, X_NODE, PagedTrapTree
 from repro.tessellation.grid import grid_subdivision
+from repro.tessellation.subdivision import DataRegion, Subdivision
 from repro.rstar.paged import PagedRStarTree
 
 from tests.conftest import random_points_in
@@ -505,6 +514,28 @@ class TestRStarBlockSeams:
             assert str(batch_err.value) == str(scalar_err.value)
 
 
+def test_rstar_leaf_tables_are_built_once_per_compile(voronoi60, monkeypatch):
+    """The leaf kernel's edge table, ring boxes and read table are
+    compiled ndarray slots (so the fleet arena ships them); a trace
+    call builds none of them."""
+    from repro.geometry.kernels import RegionEdges
+
+    paged = _paged("rstar", voronoi60)
+    _, ct = compiled_form(paged)
+    for name in ("edge_ax", "edge_start", "ring_min_x", "read_table"):
+        assert isinstance(getattr(ct, name), np.ndarray), name
+    points = _query_points(voronoi60, "rstar", paged)
+    want = _trace_batch_generic(paged, points, paths=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("RegionEdges rebuilt by a trace call")
+
+    monkeypatch.setattr(RegionEdges, "__init__", refuse)
+    got = batched_trace(paged, points, paths=True)
+    _assert_traces_equal(got, want)
+    assert got.path_packets.tolist() == want.path_packets.tolist()
+
+
 class TestRStarDriftedLeafMBR:
     """After dynamic updates a leaf entry's MBR can trail its region's
     ring by ulps.  The scalar path gates the polygon test on the ring's
@@ -551,8 +582,8 @@ class TestTraceObservability:
     COUNTERS = {
         "dtree": ("trace.dtree.levels",),
         "rstar": ("trace.rstar.levels", "trace.rstar.leaf_pairs"),
-        "trap": ("trace.trap.levels",),
-        "trian": ("trace.trian.levels",),
+        "trap": ("trace.trap.levels", "trace.trap.cell_skipped"),
+        "trian": ("trace.trian.levels", "trace.trian.cell_skipped"),
     }
     HISTOGRAMS = {
         "dtree": ("trace.dtree.frontier_width",),
@@ -826,7 +857,8 @@ class TestTrapTies:
 
     def test_clean_batch_counts_one_descent(self, voronoi60):
         """A batch with no degenerate point is descended once: the
-        frontier-width total is the number of nodes its paths visit."""
+        frontier-width total plus the levels the cell starts skip is the
+        number of nodes its paths visit."""
         from repro.obs import collecting
 
         family = index_family("trap")
@@ -836,4 +868,424 @@ class TestTrapTies:
         with collecting() as col:
             batched_trace(paged, points)
         assert "trace.trap.nudged" not in col.counters
-        assert col.histograms["trace.trap.frontier_width"].total == visited
+        skipped = col.counters["trace.trap.cell_skipped"]
+        assert skipped > 0
+        assert (
+            col.histograms["trace.trap.frontier_width"].total + skipped == visited
+        )
+
+
+# -- certified cell starts (trap- and trian-tree) -------------------------------
+
+CELL_KINDS = ("trian", "trap")
+
+
+def _sheared_to(target, y):
+    """An x whose sheared ``x + SHEAR * y`` is *target*, found by ulp
+    steps from the nearest guess (the closest one when none is exact)."""
+    x = target - SHEAR * y
+    for _ in range(8):
+        sheared = x + SHEAR * y
+        if sheared == target:
+            break
+        x = float(np.nextafter(x, np.inf if sheared < target else -np.inf))
+    return x
+
+
+def _query_point(kind, gx, gy):
+    """The query point whose lookup coordinates are (*gx*, *gy*)."""
+    return Point(_sheared_to(gx, gy) if kind == "trap" else gx, gy)
+
+
+def _grid_edges(ct):
+    frame, side = ct.cell_frame, ct.cell_side
+    return _cell_edges(frame[0], frame[2], side), _cell_edges(frame[1], frame[3], side)
+
+
+def _is_leaf(kind, ct, node):
+    if kind == "trian":
+        return ct.child_count[node] == 0
+    return ct.kind[node] == LEAF
+
+
+def _cell_probe_points(kind, ct, lines=6, seed=0):
+    """Cell corners of a sample of grid lines (both borders included),
+    and one ulp either side of each along each axis: the first and last
+    floats of cells, and the floats just outside the grid box."""
+    side = ct.cell_side
+    if not side:
+        return []
+    rng = random.Random(seed)
+    ks = sorted({0, side} | set(rng.sample(range(1, side), min(lines, side - 1))))
+
+    def around(edges):
+        out = []
+        for k in ks:
+            v = float(edges[k])
+            out += [float(np.nextafter(v, -np.inf)), v, float(np.nextafter(v, np.inf))]
+        return out
+
+    xe, ye = _grid_edges(ct)
+    return [_query_point(kind, gx, gy) for gy in around(ye) for gx in around(xe)]
+
+
+def _leaf_start_points(kind, ct):
+    """The centre of every cell whose certified start is a leaf."""
+    side = ct.cell_side
+    if not side:
+        return []
+    lo_x, hi_x, lo_y, hi_y = _cell_boxes(*_grid_edges(ct), side)
+    cells = np.flatnonzero(_is_leaf(kind, ct, ct.cell_node[:-1]))
+    return [
+        _query_point(kind, (lo_x[c] + hi_x[c]) / 2, (lo_y[c] + hi_y[c]) / 2)
+        for c in cells.tolist()
+    ]
+
+
+def _structure_points(kind, paged, ct):
+    """Triangle vertices (trian), or x-node vertices and the x ties
+    where the paged and tree rules part (trap)."""
+    if kind == "trian":
+        xs = np.concatenate((ct.ctri_ax, ct.ctri_bx, ct.ctri_cx))
+        ys = np.concatenate((ct.ctri_ay, ct.ctri_by, ct.ctri_cy))
+        return [Point(x, y) for x, y in sorted(set(zip(xs.tolist(), ys.tolist())))]
+    xnodes = np.flatnonzero(ct.kind == X_NODE).tolist()
+    points = [
+        _query_point(kind, float(ct.ax[k]), float(ct.ay[k])) for k in xnodes
+    ]
+    return points + _trap_tie_points(paged.tree)
+
+
+def _cell_parity_points(kind, paged, seed=0):
+    _, ct = compiled_form(paged)
+    subdivision = paged.tree.subdivision
+    return (
+        _cell_probe_points(kind, ct, seed=seed)
+        + _leaf_start_points(kind, ct)
+        + _structure_points(kind, paged, ct)
+        + adversarial_points(subdivision, max_regions=None)
+        + random_points_in(subdivision, 100, seed=seed)
+    )
+
+
+def _assert_parity_with_errors(paged, points):
+    """Accepted points trace as per point; a batch holding rejected ones
+    raises the per-point path's error for the first of them."""
+    accepted = [p for p in points if _accepts(paged, p)]
+    _assert_traces_equal(
+        batched_trace(paged, accepted), _trace_batch_generic(paged, accepted)
+    )
+    if len(accepted) < len(points):
+        with pytest.raises(QueryError) as scalar_err:
+            _trace_batch_generic(paged, points)
+        with pytest.raises(QueryError) as batch_err:
+            batched_trace(paged, points)
+        assert str(batch_err.value) == str(scalar_err.value)
+
+
+def _scalar_cell_table(kind, paged, ct):
+    """``(node, last, tuning, depth)`` per cell, then the root state,
+    certified cell by cell from the root with the tracer's own
+    expressions evaluated at all four corners of the cell's box."""
+    side = ct.cell_side
+    if kind == "trian":
+        root = (len(ct.region), paged._root_dir_packet, 1, 0)
+    else:
+        root = (0, -1, 0, 0)
+    if not side:
+        return [root]
+    boxes = [b.tolist() for b in _cell_boxes(*_grid_edges(ct), side)]
+    walk = _scalar_trian_walk if kind == "trian" else _scalar_trap_walk
+    arrays = {name: getattr(ct, name).tolist() for name in type(ct).__slots__
+              if isinstance(getattr(ct, name), np.ndarray)}
+    rows = []
+    for lo_x, hi_x, lo_y, hi_y in zip(*boxes):
+        corners = [(x, y) for x in (lo_x, hi_x) for y in (lo_y, hi_y)]
+        rows.append(walk(arrays, root, corners, (lo_x, hi_x)))
+    return rows + [root]
+
+
+def _scalar_trian_walk(ct, root, corners, _):
+    node, last, tuning, depth = root
+    tri = ("ctri_ax", "ctri_ay", "ctri_bx", "ctri_by", "ctri_cx", "ctri_cy")
+    while ct["child_count"][node]:
+        start = ct["child_start"][node]
+        chosen = None
+        for slot in range(start, start + ct["child_count"][node]):
+            ax, ay, bx, by, cx, cy = (ct[name][slot] for name in tri)
+            values = [
+                [
+                    (qx - px) * (y - py) - (qy - py) * (x - px)
+                    for x, y in corners
+                ]
+                for px, py, qx, qy in (
+                    (ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay)
+                )
+            ]
+            if any(max(v) < -EPS for v in values):
+                continue  # no point of the cell is in this child
+            if all(min(v) >= -EPS for v in values):
+                chosen = slot  # every point of the cell stops here
+            break
+        if chosen is None:
+            break
+        child = ct["child_flat"][chosen]
+        leaf = ct["child_count"][child] == 0
+        if leaf and ct["region"][child] < 0:
+            break
+        tuning += ct["child_distinct"][chosen] - (ct["child_pkt"][start] == last)
+        last = ct["child_pkt"][chosen]
+        node = child
+        depth += 1
+        if leaf:
+            break
+    return node, last, tuning, depth
+
+
+def _scalar_trap_walk(ct, root, corners, x_range):
+    node, last, tuning, depth = root
+    lo_x, hi_x = x_range
+    while ct["kind"][node] != LEAF:
+        ax, ay = ct["ax"][node], ct["ay"][node]
+        if ct["kind"][node] == X_NODE:
+            go = True if lo_x > ax else False if hi_x < ax else None
+        else:
+            dx, dy = ct["bx"][node] - ax, ct["by"][node] - ay
+            values = [dx * (y - ay) - dy * (x - ax) for x, y in corners]
+            go = True if min(values) >= 0.0 else False if max(values) < 0.0 else None
+        if go is None:
+            break
+        child = ct["on_true"][node] if go else ct["on_false"][node]
+        if ct["kind"][child] == LEAF and ct["region"][child] < 0:
+            break
+        tuning += ct["packet"][node] != last
+        last = ct["packet"][node]
+        node = child
+        depth += 1
+    return node, last, tuning, depth
+
+
+def _assert_cell_table_is_certified(kind, paged):
+    _, ct = compiled_form(paged)
+    rows = _scalar_cell_table(kind, paged, ct)
+    got = list(zip(*(getattr(ct, "cell_" + name).tolist()
+                     for name in ("node", "last", "tuning", "depth"))))
+    assert got == [tuple(row) for row in rows]
+    # No start is a gap triangle or a sliver.
+    leaves = ct.cell_node[_is_leaf(kind, ct, ct.cell_node)]
+    assert (ct.region[leaves] >= 0).all()
+
+
+def _paged(kind, subdivision, capacity=256, seed=7):
+    family = index_family(kind)
+    return family.build(subdivision, seed=seed).page(family.parameters(capacity))
+
+
+class TestCellStarts:
+    """Each trap/trian descent starts at its grid cell's certified node:
+    answers, last packets, tuning and errors equal the per-point path's
+    on cell edges and corners (and one ulp either side), vertices, x
+    ties, outside the grid box and at leaf starts, and the table equals
+    a cell-by-cell scalar certification."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        _small_subdivisions(),
+        st.integers(0, 10_000),
+        st.sampled_from([64, 256]),
+        st.sampled_from(CELL_KINDS),
+    )
+    def test_cell_probes_match_per_point_trace(self, subdivision, seed, capacity, kind):
+        paged = _paged(kind, subdivision, capacity, seed)
+        _assert_cell_table_is_certified(kind, paged)
+        _assert_parity_with_errors(paged, _cell_parity_points(kind, paged, seed))
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_table_equals_scalar_certification(self, kind, name, request):
+        paged = _paged(kind, request.getfixturevalue(name))
+        _, ct = compiled_form(paged)
+        assert ct.cell_side > 1 and (ct.cell_depth > 0).any()
+        _assert_cell_table_is_certified(kind, paged)
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    @pytest.mark.parametrize(
+        "make", [park_dataset, uniform_dataset, hospital_dataset],
+        ids=["PARK", "UNIFORM", "HOSPITAL"],
+    )
+    def test_paper_datasets_match_per_point_trace(self, kind, make):
+        paged = _paged(kind, make().subdivision, seed=0)
+        points = _cell_parity_points(kind, paged)
+        rng = random.Random(5)
+        _assert_parity_with_errors(paged, rng.sample(points, min(len(points), 3000)))
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_batch_of_leaf_starts(self, kind, voronoi60):
+        """Points that all start at a leaf run no level at all."""
+        from repro.obs import collecting
+
+        paged = _paged(kind, voronoi60)
+        _, ct = compiled_form(paged)
+        points = _leaf_start_points(kind, ct)
+        assert points
+        with collecting() as col:
+            got = batched_trace(paged, points)
+        _assert_traces_equal(got, _trace_batch_generic(paged, points))
+        assert col.counters.get(f"trace.{kind}.levels", 0) == (kind == "trap")
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_cell_boxes_hold_exactly_what_the_lookup_maps_there(self, kind, voronoi60):
+        """At every stage, a cell's box runs from the first float the
+        lookup sends into it to the last: one ulp outside either end
+        lands in the neighbouring cell, or outside the grid box."""
+        _, ct = compiled_form(_paged(kind, voronoi60))
+        frame, side = ct.cell_frame, ct.cell_side
+        xe, ye = _grid_edges(ct)
+        outside = side * side
+
+        def fine(xs, ys):
+            cell = _cell_of(frame, side, np.asarray(xs), np.asarray(ys))
+            return np.where(cell == outside, -1, cell)
+
+        n = 1
+        while n <= side:
+            r = side // n
+            lo_x, hi_x, lo_y, hi_y = _cell_boxes(xe, ye, n)
+            cx = np.arange(n * n) % n
+            cy = np.arange(n * n) // n
+            assert (fine(lo_x, lo_y) == cy * r * side + cx * r).all()
+            last = ((cy + 1) * r - 1) * side + (cx + 1) * r - 1
+            assert (fine(hi_x, hi_y) == last).all()
+            below_x = fine(np.nextafter(lo_x, -np.inf), lo_y)
+            assert (below_x == np.where(cx > 0, cy * r * side + cx * r - 1, -1)).all()
+            below_y = fine(lo_x, np.nextafter(lo_y, -np.inf))
+            assert (below_y == np.where(cy > 0, (cy * r - 1) * side + cx * r, -1)).all()
+            past_x = fine(np.nextafter(hi_x, np.inf), hi_y)
+            assert (past_x == np.where(cx < n - 1, last + 1, -1)).all()
+            past_y = fine(hi_x, np.nextafter(hi_y, np.inf))
+            assert (past_y == np.where(cy < n - 1, last + side, -1)).all()
+            n *= 2
+
+    @pytest.mark.parametrize(
+        "lo, hi, side",
+        [(0.0, 1.0, 128), (0.0, 1.0000001, 128), (-0.5, 1.5, 16), (-3e5, 7.1, 64),
+         (1e6, 1e6 + 1e-3, 128), (-5.0, -4.0, 32), (-1e-300, 1e-300, 8)],
+    )
+    def test_cell_edges_are_the_lookups_least_floats(self, lo, hi, side):
+        """Each edge is the least float the lookup puts at or past its
+        line, frames crossing zero included."""
+        scale = np.float64(side / (hi - lo))
+        edges = _cell_edges(np.float64(lo), scale, side)
+        k = np.arange(side + 1)
+        assert ((edges - lo) * scale >= k).all()
+        assert ((np.nextafter(edges, -np.inf) - lo) * scale < k).all()
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_non_finite_and_outside_points_start_at_the_root(self, kind, voronoi60):
+        """They start at the root and fail, or answer, as per point."""
+        _, ct = compiled_form(_paged(kind, voronoi60))
+        xe, ye = _grid_edges(ct)
+        xs = np.array(
+            [np.nan, np.inf, -np.inf, 0.5, xe[-1], np.nextafter(xe[0], -np.inf)]
+        )
+        ys = np.array([0.5, 0.5, 0.5, np.nan, ye[0], ye[0]])
+        cells = _cell_of(ct.cell_frame, ct.cell_side, xs, ys)
+        assert (cells == ct.cell_side ** 2).all()
+        points = [Point(float(x), float(y)) for x, y in zip(xs, ys)]
+        paged = _paged(kind, voronoi60)
+        # The tracers' cross products of an infinite point warn as the
+        # per-point path's do; the answers and errors are what count.
+        with np.errstate(invalid="ignore"):
+            _assert_parity_with_errors(
+                paged, random_points_in(voronoi60, 20) + points
+            )
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_degenerate_box_has_only_the_root_start(self, kind, voronoi60):
+        """A query box of zero height gets no grid: every point starts at
+        the root, and answers are unchanged."""
+        paged = _paged(kind, voronoi60)
+        _, ct = compiled_form(paged)
+        flat = Rect(0.0, 0.5, 1.0, 0.5)
+        if kind == "trian":
+            _trian_cell_table(ct, flat, paged._root_dir_packet)
+        else:
+            _trap_cell_table(ct, flat)
+        assert ct.cell_side == 0 and len(ct.cell_node) == 1
+        points = random_points_in(voronoi60, 50, seed=2)
+        _assert_traces_equal(
+            batched_trace(paged, points), _trace_batch_generic(paged, points)
+        )
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_box_past_the_service_area_stops_before_gaps(self, kind, voronoi60):
+        """Over a box reaching past the service area, cells lying in gap
+        triangles or slivers keep the state before them: points there
+        still raise the per-point error."""
+        paged = _paged(kind, voronoi60)
+        _, ct = compiled_form(paged)
+        wide = Rect(-0.5, -0.5, 1.5, 1.5)
+        if kind == "trian":
+            _trian_cell_table(ct, wide, paged._root_dir_packet)
+        else:
+            _trap_cell_table(ct, wide)
+        _assert_cell_table_is_certified(kind, paged)
+        points = _cell_parity_points(kind, paged)
+        assert not all(_accepts(paged, p) for p in points)
+        _assert_parity_with_errors(paged, points)
+
+    def test_trap_cell_stops_at_an_x_tie_on_its_edge(self):
+        """A vertex whose sheared x is a cell's first float: the cell
+        may not pass its x-node (the points on that float with y below
+        the vertex go left), while the cell past it may."""
+        _, ct = compiled_form(_paged("trap", grid_subdivision(2, 2), seed=1))
+        xe, _ = _grid_edges(ct)
+        edge = float(xe[ct.cell_side // 2 + 1])
+        x = _sheared_to(edge, 0.5)
+        assert x + SHEAR * 0.5 == edge
+
+        def rect(x0, y0, x1, y1):
+            return Polygon([Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)])
+
+        subdivision = Subdivision(
+            [
+                DataRegion(0, rect(0.0, 0.0, x, 1.0)),
+                DataRegion(1, rect(x, 0.0, 1.0, 0.5)),
+                DataRegion(2, rect(x, 0.5, 1.0, 1.0)),
+            ],
+            service_area=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+        ties = [Point(_sheared_to(edge, y), y) for y in (0.1, 0.3, 0.49, 0.5, 0.7)]
+        for seed in range(8):
+            paged = _paged("trap", subdivision, seed=seed)
+            _, ct = compiled_form(paged)
+            assert edge in _grid_edges(ct)[0]
+            assert ((ct.kind == X_NODE) & (ct.ax == edge) & (ct.ay == 0.5)).any()
+            _assert_cell_table_is_certified("trap", paged)
+            _assert_parity_with_errors(paged, ties + _cell_parity_points("trap", paged))
+
+    def test_work_count_gates_on_park(self):
+        """25,000 uniform PARK points: the trian scans expand at most
+        500,000 (point, child) pairs (981,199 from the root) and the trap
+        descent visits at most 350,000 nodes (578,687 from the root)."""
+        from repro.obs import collecting
+
+        subdivision = park_dataset().subdivision
+        rng = np.random.default_rng(1)
+        n = 25_000
+        points = PointBatch(rng.random(n), rng.random(n))
+        widths = {
+            "trian": "trace.trian.scan_width", "trap": "trace.trap.frontier_width"
+        }
+        bounds = {"trian": 500_000, "trap": 350_000}
+        for kind in CELL_KINDS:
+            paged = _paged(kind, subdivision, seed=0)
+            with collecting() as col:
+                got = batched_trace(paged, points)
+            assert 0 < col.histograms[widths[kind]].total <= bounds[kind]
+            assert col.counters[f"trace.{kind}.cell_skipped"] > 0
+            sample = points[:2000]
+            want = _trace_batch_generic(paged, sample)
+            assert got.region_ids[:2000].tolist() == want.region_ids.tolist()
+            assert got.last_packet[:2000].tolist() == want.last_packet.tolist()
+            assert got.tuning_time[:2000].tolist() == want.tuning_time.tolist()
