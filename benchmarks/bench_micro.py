@@ -64,6 +64,20 @@ def bench_build_page_compile_trap(benchmark):
     assert len(compiled.kind) == len(paged.node_packet)
 
 
+def bench_build_page_compile_trian(benchmark):
+    """The trian-tree's whole set-up on PARK: build, page, compile."""
+    subdivision = park_dataset().subdivision
+    params = SystemParameters.for_index("trian", 256)
+
+    def setup():
+        paged = TrianTree(subdivision).page(params)
+        return paged, compiled_form(paged)
+
+    paged, (family, compiled) = benchmark(setup)
+    assert family == "trian"
+    assert len(compiled.region) == len(paged.node_packet)
+
+
 def bench_build_trian(benchmark, subdivision):
     tree = benchmark.pedantic(
         lambda: TrianTree(subdivision), rounds=1, iterations=1

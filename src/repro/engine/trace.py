@@ -58,7 +58,6 @@ from repro.broadcast.packets import PagedIndex
 from repro.geometry.kernels import (
     CompiledPartition,
     RegionEdges,
-    cross_batch,
     point_coords,
     ragged_ranges,
 )
@@ -1254,40 +1253,6 @@ def _trap_cell_table(ct: _CompiledTrapTree, area) -> None:
     _build_cell_table(ct, box, len(ct.kind), root, step)
 
 
-def _trap_tree_regions(
-    ct: _CompiledTrapTree, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Leaf region per (already sheared) point under the *tree* descent
-    rules — ``TrapTree._descend(pt, None)``: x ties go right on the x
-    comparison alone, zero cross goes above.  Backs the vectorized
-    ``effective_point`` degeneracy check; ``-1`` marks points landing
-    in an uncovered sliver."""
-    n = len(xs)
-    out = np.full(n, -1, np.int64)
-    apt = np.arange(n)
-    anode = np.zeros(n, np.int64)
-    while apt.size:
-        nd = anode
-        leaf = ct.kind[nd] == _TRAP_LEAF
-        if leaf.any():
-            out[apt[leaf]] = ct.region[nd[leaf]]
-            keep = ~leaf
-            apt = apt[keep]
-            nd = nd[keep]
-            if apt.size == 0:
-                break
-        x = xs[apt]
-        y = ys[apt]
-        nax = ct.ax[nd]
-        cond = x >= nax
-        is_y = ct.kind[nd] == _TRAP_YNODE
-        if is_y.any():
-            cross = cross_batch(nax, ct.ay[nd], ct.bx[nd], ct.by[nd], x, y)
-            cond = np.where(is_y, cross >= 0.0, cond)
-        anode = np.where(cond, ct.on_true[nd], ct.on_false[nd]).astype(np.int64)
-    return out
-
-
 def _trap_paged_descent(
     ct: _CompiledTrapTree,
     dx: np.ndarray,
@@ -1383,9 +1348,9 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
     only nudges points whose *tree*-rule descent ends in an uncovered
     sliver, and that descent equals the paged one except after an x
     tie; so only the points that diverged at a tie or ended in a sliver
-    are re-descended under the tree rules (:func:`_trap_tree_regions`),
-    and only the degenerate ones among them are nudged by the scalar
-    loop and traced again.  Any query still ending in an uncovered
+    are re-descended under the tree rules (``TrapTree._region_at``, per
+    point), and only the degenerate ones among them are nudged by the
+    scalar loop and traced again.  Any query still ending in an uncovered
     sliver defers to the per-point path, which raises the scalar error
     for the earliest failing point.
     """
@@ -1409,11 +1374,14 @@ def _trace_batch_trap(paged, points: Sequence[Point]) -> TraceBatch:
     if check.size:
         # effective_point: the rare degenerate landings take the scalar
         # nudge loop per point, then are traced again.
-        degenerate = check[_trap_tree_regions(ct, ex[check], ey[check]) < 0]
+        tree = paged.tree
+        degenerate = np.array(
+            [i for i in check.tolist() if tree._region_at(ex[i], ey[i]) < 0],
+            np.intp,
+        )
         if degenerate.size:
             if col is not None:
                 col.count("trace.trap.nudged", degenerate.size)
-            tree = paged.tree
             for i in degenerate.tolist():
                 nudged = tree.effective_point(points[i])
                 ex[i] = nudged.x
@@ -1486,90 +1454,53 @@ class _CompiledTrianTree:
 def _compile_trian(paged):
     """Compile the paged trian-tree, built once and cached on it.
 
-    Validates the broadcast-order invariants the batched scan charging
-    relies on: every child's packet at or after its parent's (the
-    greedy level-order allocator guarantees this) and a non-empty root
+    The paged tree's scan order is already the child CSR the tracer
+    reads, so compiling is array assembly.  Validates the
+    broadcast-order invariants the batched scan charging relies on:
+    every child's packet at or after its parent's (the greedy
+    broadcast-order allocator guarantees this) and a non-empty root
     level.  Returns None (cached) otherwise, deferring to the
     per-point path (:func:`_trace_batch_generic`).
     """
     compiled = _cached_compiled(paged, "_compiled_trian", _UNCOMPILED)
     if compiled is not _UNCOMPILED:
         return compiled
-    order = paged._order
-    count = len(order)
-    pos = {id(node): i for i, node in enumerate(order)}
-    node_pkt = paged._node_packet
-
-    tri_ax = np.empty(count, np.float64)
-    tri_ay = np.empty(count, np.float64)
-    tri_bx = np.empty(count, np.float64)
-    tri_by = np.empty(count, np.float64)
-    tri_cx = np.empty(count, np.float64)
-    tri_cy = np.empty(count, np.float64)
-    region = np.full(count, -1, np.int32)
-    child_start = np.zeros(count + 1, np.int64)
-    child_count = np.zeros(count + 1, np.int64)
-    flat: List[int] = []
-    flat_pkt: List[int] = []
-    flat_distinct: List[int] = []
-
-    ok = count > 0 and len(paged.tree.roots) > 0
-
-    def append_children(parent_packet: int, children) -> bool:
-        # Stable sort by packet — the scalar ``_scan`` candidate order.
-        ordered = sorted(children, key=lambda nd: node_pkt[id(nd)])
-        distinct = 0
-        prev = None
-        for child in ordered:
-            cpos = pos.get(id(child))
-            pkt = node_pkt[id(child)]
-            if cpos is None or pkt < parent_packet:
-                return False
-            if pkt != prev:
-                distinct += 1
-                prev = pkt
-            flat.append(cpos)
-            flat_pkt.append(pkt)
-            flat_distinct.append(distinct)
-        return True
-
-    for i, node in enumerate(order):
-        if not ok:
-            break
-        tri = node.triangle
-        tri_ax[i] = tri.a.x
-        tri_ay[i] = tri.a.y
-        tri_bx[i] = tri.b.x
-        tri_by[i] = tri.b.y
-        tri_cx[i] = tri.c.x
-        tri_cy[i] = tri.c.y
-        if node.region_id is not None:
-            region[i] = node.region_id
-        child_start[i] = len(flat)
-        ok = append_children(node_pkt[id(node)], node.children)
-        child_count[i] = len(flat) - child_start[i]
-    if ok:
-        child_start[count] = len(flat)
-        ok = append_children(paged._root_dir_packet, paged.tree.roots)
-        child_count[count] = len(flat) - child_start[count]
+    tree = paged.tree
+    start = paged.scan_offsets[:-1]
+    count = np.diff(paged.scan_offsets)
+    flat = paged.scan.astype(np.int64)
+    pkt = paged.node_packet[flat].astype(np.int64)
+    parent_pkt = np.append(paged.node_packet, paged._root_dir_packet)
+    ok = (
+        len(tree.region) > 0
+        and len(tree.roots) > 0
+        and bool((pkt >= np.repeat(parent_pkt, count)).all())
+    )
 
     compiled = None
     if ok:
+        # Running count of distinct packets in each child list's prefix:
+        # a list is sorted by packet, so a packet is new where it differs
+        # from the slot before it or opens the list.
+        new = np.ones(len(flat), bool)
+        new[1:] = pkt[1:] != pkt[:-1]
+        new[start[count > 0]] = True
+        seen = np.cumsum(new)
         ct = _CompiledTrianTree()
-        ct.region = region
-        ct.child_start = child_start
-        ct.child_count = child_count
-        ct.child_flat = np.asarray(flat, np.int64)
-        ct.child_pkt = np.asarray(flat_pkt, np.int64)
-        ct.child_distinct = np.asarray(flat_distinct, np.int64)
-        ct.ctri_ax = tri_ax[ct.child_flat]
-        ct.ctri_ay = tri_ay[ct.child_flat]
-        ct.ctri_bx = tri_bx[ct.child_flat]
-        ct.ctri_by = tri_by[ct.child_flat]
-        ct.ctri_cx = tri_cx[ct.child_flat]
-        ct.ctri_cy = tri_cy[ct.child_flat]
+        ct.region = tree.region
+        ct.child_start = start
+        ct.child_count = count
+        ct.child_flat = flat
+        ct.child_pkt = pkt
+        ct.child_distinct = seen - np.repeat(np.append(0, seen)[start], count)
+        ct.ctri_ax = tree.x[flat, 0]
+        ct.ctri_ay = tree.y[flat, 0]
+        ct.ctri_bx = tree.x[flat, 1]
+        ct.ctri_by = tree.y[flat, 1]
+        ct.ctri_cx = tree.x[flat, 2]
+        ct.ctri_cy = tree.y[flat, 2]
         _trian_cell_table(
-            ct, paged.tree.subdivision.service_area, paged._root_dir_packet
+            ct, tree.subdivision.service_area, paged._root_dir_packet
         )
         compiled = ct
     _store_compiled(paged, "_compiled_trian", compiled)

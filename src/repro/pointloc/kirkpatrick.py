@@ -17,6 +17,7 @@ what makes the trian-tree's tuning time moderate on the broadcast channel.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -36,42 +37,25 @@ from repro.tessellation.subdivision import Subdivision, vertex_key
 MAX_REMOVABLE_DEGREE = 10
 
 
-class TrianNode:
-    """One triangle of the hierarchy with links to the finer level."""
-
-    __slots__ = ("triangle", "children", "region_id", "round_index")
-
-    def __init__(
-        self,
-        triangle: Triangle,
-        region_id: Optional[int],
-        round_index: int,
-    ) -> None:
-        self.triangle = triangle
-        #: Finer-level nodes overlapping this triangle (empty at level 0).
-        self.children: List["TrianNode"] = []
-        #: Data region of a level-0 triangle (None for gap triangles and
-        #: all coarser levels).
-        self.region_id = region_id
-        self.round_index = round_index
-
-    def __repr__(self) -> str:
-        return (
-            f"TrianNode(round={self.round_index}, region={self.region_id}, "
-            f"children={len(self.children)})"
-        )
-
-
 class TrianTree:
-    """Kirkpatrick's hierarchy over a subdivision."""
+    """Kirkpatrick's hierarchy over a subdivision.
+
+    The nodes are numbered once, in broadcast order (every parent before
+    each of its children; packet label ``trinode#k``).  Node ``k`` is the
+    triangle with CCW vertices ``(x[k, i], y[k, i])``, ``i = 0, 1, 2``,
+    made in round ``round_index[k]`` (0 for the base triangulation), with
+    data ``region[k]`` (-1 for gap triangles and every coarser level).
+    Its children, the finer triangles it overlaps, are the ordinals
+    ``children[child_offsets[k] : child_offsets[k + 1]]`` in link order,
+    and ``roots`` holds the coarsest triangles, the entry point of the
+    search.
+    """
 
     def __init__(self, subdivision: Subdivision, t_min: int = 4) -> None:
         if t_min < 1:
             raise IndexBuildError(f"t_min must be >= 1, got {t_min}")
         self.subdivision = subdivision
         self.t_min = t_min
-        #: Coarsest-level triangles — the entry point of the search.
-        self.roots: List[TrianNode] = []
         self._build()
 
     @classmethod
@@ -95,18 +79,21 @@ class TrianTree:
         """The rounds of Figure 3 on integer ids.
 
         Every point is keyed once (:class:`_Vertices`); a level is an
-        ``(n, 3)`` point-id array in the vertex order each
+        ``(n, 3)`` point-id array in the vertex order a CCW
         :class:`Triangle` stores, with ``current`` naming the level's
-        rows in ``triangles``, every triangle the build made.  A round
-        removes an independent set of vertices, re-triangulates their
-        holes and links every new triangle to the star triangles it
-        overlaps; the :class:`TrianNode` DAG is made once, at the end.
+        rows by build id, a triangle's row in ``made``, every triangle
+        the build made, round by round.  A round removes an independent
+        set of vertices, re-triangulates their holes and links every new
+        triangle to the star triangles it overlaps.  The nodes reachable
+        from the last level are then numbered in broadcast order
+        (:func:`_broadcast_order`).
         """
         vertices, level, regions = _base_level(self.subdivision)
-        triangles: List[Tuple[int, int, int]] = list(map(tuple, level.tolist()))
-        rounds: List[int] = [0] * len(triangles)
-        children: Dict[int, List[int]] = {}
-        current = np.arange(len(triangles))
+        # The child CSR by build id: link counts, and links in id order.
+        made = [level]
+        link_counts = [np.zeros(len(level), np.int64)]
+        links = [np.zeros(0, np.int64)]
+        current = np.arange(len(level))
 
         round_index = 0
         while len(current) > self.t_min:
@@ -116,33 +103,42 @@ class TrianTree:
             removable = _independent_set(vertex_level, stars, vertices)
             if not removable:
                 break  # no further coarsening possible
-            removed, new_rows, links = _remove_vertices(
+            removed, new_rows, linked, linked_rows = _remove_vertices(
                 level, vertex_level, stars, removable, vertices
             )
             survivors = ~removed
             if int(survivors.sum()) + len(new_rows) >= len(current):
                 break  # every candidate failed; stop rather than spin
-            new_ids = np.arange(len(triangles), len(triangles) + len(new_rows))
-            for tri_id, linked in zip(new_ids.tolist(), links):
-                children[tri_id] = current[linked].tolist()
-            triangles.extend(new_rows)
-            rounds.extend([round_index] * len(new_rows))
+            first_id = sum(map(len, made))
+            new_ids = np.arange(first_id, first_id + len(new_rows))
+            new_level = np.asarray(new_rows, np.int64).reshape(-1, 3)
+            made.append(new_level)
+            link_counts.append(linked)
+            links.append(current[linked_rows])
             current = np.concatenate((current[survivors], new_ids))
-            level = np.concatenate(
-                (level[survivors], np.asarray(new_rows, np.int64).reshape(-1, 3))
-            )
+            level = np.concatenate((level[survivors], new_level))
 
-        points = vertices.points
-        regions.extend([None] * (len(triangles) - len(regions)))
-        nodes = [
-            TrianNode(
-                Triangle.from_ccw(points[a], points[b], points[c]), region, r
-            )
-            for (a, b, c), region, r in zip(triangles, regions, rounds)
-        ]
-        for tri_id, linked in children.items():
-            nodes[tri_id].children = [nodes[i] for i in linked]
-        self.roots = [nodes[i] for i in current.tolist()]
+        counts = np.concatenate(link_counts)
+        offsets = np.zeros(len(counts) + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        links = np.concatenate(links)
+        order = _broadcast_order(offsets, links, current.tolist())
+        ids = np.asarray(order, np.int64)
+        ordinal = np.zeros(len(counts), np.int32)
+        ordinal[ids] = np.arange(len(ids), dtype=np.int32)
+        points = np.concatenate(made)[ids]
+        self.x = vertices.x[points]
+        self.y = vertices.y[points]
+        region = np.full(len(counts), -1, np.int32)
+        region[: len(regions)] = regions
+        self.region = region[ids]
+        rounds = np.arange(len(made), dtype=np.int32)
+        self.round_index = np.repeat(rounds, list(map(len, made)))[ids]
+        self.child_offsets = np.zeros(len(ids) + 1, np.int64)
+        np.cumsum(counts[ids], out=self.child_offsets[1:])
+        flat, _, _ = ragged_ranges(offsets[ids], counts[ids])
+        self.children = ordinal[links[flat]]
+        self.roots = ordinal[current]
         self.rounds = round_index
 
     def _border_vertices(self) -> List[Point]:
@@ -155,69 +151,103 @@ class TrianTree:
 
     # -- queries ----------------------------------------------------------------
 
+    @cached_property
+    def _lists(self) -> tuple:
+        """Python-list mirrors of the node arrays for the scalar walks."""
+        return (
+            (self.x.tolist(), self.y.tolist()),
+            self.region.tolist(),
+            self.child_offsets.tolist(),
+            self.children.tolist(),
+            self.roots.tolist(),
+        )
+
     def locate(self, p: Point) -> int:
-        """Data region containing *p* (hierarchy descent)."""
-        node = _first_containing(self.roots, p)
-        if node is None:
+        """Data region containing *p* (hierarchy descent, children in
+        link order)."""
+        triangles, region, bounds, children, roots = self._lists
+        at = _first_hit(triangles, roots, p.x, p.y)
+        if at == len(roots):
             raise QueryError(f"{p!r} outside the super-triangle")
-        while node.children:
-            child = _first_containing(node.children, p)
-            if child is None:
+        node = roots[at]
+        while bounds[node + 1] > bounds[node]:
+            candidates = children[bounds[node] : bounds[node + 1]]
+            at = _first_hit(triangles, candidates, p.x, p.y)
+            if at == len(candidates):
                 raise QueryError(
                     f"hierarchy descent lost {p!r} (corrupt trian-tree)"
                 )
-            node = child
-        if node.region_id is None:
+            node = candidates[at]
+        if region[node] < 0:
             raise QueryError(f"{p!r} outside the subdivided area")
-        return node.region_id
+        return region[node]
 
-    # -- structure accessors --------------------------------------------------------
-
-    def nodes_level_order(self) -> List[TrianNode]:
-        """All nodes in topological order (every parent before each child)
-        — the broadcast order.
-
-        Plain breadth-first order is not enough: overlap links can skip
-        coarsening rounds, so a child reached early via a short path could
-        otherwise precede one of its (deeper) parents on the channel.
-        """
-        indegree: Dict[int, int] = {}
-        by_id: Dict[int, TrianNode] = {}
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            if id(node) in by_id:
-                continue
-            by_id[id(node)] = node
-            indegree.setdefault(id(node), 0)
-            for child in node.children:
-                indegree[id(child)] = indegree.get(id(child), 0) + 1
-                stack.append(child)
-        order: List[TrianNode] = []
-        frontier = [n for n in self.roots if indegree[id(n)] == 0]
-        while frontier:
-            node = frontier.pop(0)
-            order.append(node)
-            for child in node.children:
-                indegree[id(child)] -= 1
-                if indegree[id(child)] == 0:
-                    frontier.append(child)
-        if len(order) != len(by_id):
-            raise IndexBuildError("trian-tree hierarchy is not a DAG")
-        return order
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes_level_order())
+    def __getstate__(self) -> dict:
+        """Pickle the node arrays without their list mirrors."""
+        state = dict(self.__dict__)
+        state.pop("_lists", None)
+        return state
 
 
-def _first_containing(
-    nodes: Sequence[TrianNode], p: Point
-) -> Optional[TrianNode]:
-    for node in nodes:
-        if node.triangle.contains_point(p):
-            return node
-    return None
+def _broadcast_order(
+    offsets: np.ndarray, links: np.ndarray, roots: Sequence[int]
+) -> List[int]:
+    """The nodes reachable from *roots*, every parent before each child.
+
+    Node ``v``'s children are ``links[offsets[v] : offsets[v + 1]]``.
+    Plain breadth-first order is not enough: overlap links can skip
+    coarsening rounds, so a child reached early via a short path could
+    otherwise precede one of its (deeper) parents on the channel.  So
+    this is Kahn's algorithm with a FIFO frontier, from the roots of
+    in-degree 0 in their order, children in link order and in-degrees
+    counted per edge from reachable parents.
+    """
+    bounds = offsets.tolist()
+    kids = links.tolist()
+    indegree = [0] * (len(bounds) - 1)
+    seen = [False] * (len(bounds) - 1)
+    reachable = 0
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if seen[node]:
+            continue
+        seen[node] = True
+        reachable += 1
+        below = kids[bounds[node] : bounds[node + 1]]
+        for child in below:
+            indegree[child] += 1
+        stack.extend(below)
+    order = [root for root in roots if indegree[root] == 0]
+    for node in order:  # the list is its own FIFO queue
+        for child in kids[bounds[node] : bounds[node + 1]]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                order.append(child)
+    if len(order) != reachable:
+        raise IndexBuildError("trian-tree hierarchy is not a DAG")
+    return order
+
+
+def _first_hit(triangles: tuple, candidates: Sequence[int], x, y) -> int:
+    """Position in *candidates* of the first node whose closed triangle
+    contains ``(x, y)``, or ``len(candidates)``: the three orientation
+    tests of :meth:`Triangle.contains_point`, IEEE-754 expression order
+    verbatim, over the coordinate lists ``triangles = (x, y)``.  A test
+    fails only below ``-EPS``, as
+    :func:`~repro.geometry.predicates.orientation` reads it, so a NaN
+    cross product passes there too."""
+    tx, ty = triangles
+    for at, node in enumerate(candidates):
+        ax, bx, cx = tx[node]
+        ay, by, cy = ty[node]
+        if not (
+            (bx - ax) * (y - ay) - (by - ay) * (x - ax) < -EPS
+            or (cx - bx) * (y - by) - (cy - by) * (x - bx) < -EPS
+            or (ax - cx) * (y - cy) - (ay - cy) * (x - cx) < -EPS
+        ):
+            return at
+    return len(candidates)
 
 
 class _Vertices:
@@ -252,10 +282,10 @@ class _Vertices:
 
 def _base_level(
     subdivision: Subdivision,
-) -> Tuple[_Vertices, np.ndarray, List[Optional[int]]]:
+) -> Tuple[_Vertices, np.ndarray, List[int]]:
     """Level 0: each region's ear-clipped triangles (regions in order),
     then the gap triangles up to the super-triangle, as an ``(n, 3)``
-    point-id array, with each triangle's region (None in the gap)."""
+    point-id array, with each triangle's region (-1 in the gap)."""
     area = subdivision.service_area
     table = subdivision.edge_table()
     corners = _super_triangle_corners(area)
@@ -286,7 +316,7 @@ def _base_level(
     )
 
     rows: List[Tuple[int, int, int]] = []
-    regions: List[Optional[int]] = []
+    regions: List[int] = []
     entry_point = point_of.tolist()
     xs = x.tolist()
     ys = y.tolist()
@@ -298,7 +328,7 @@ def _base_level(
             rows.append((ring[i], ring[j], ring[k]))
         regions.extend([region.region_id] * (len(rows) - len(regions)))
     gap_rows = point_of[len(table.points) :].reshape(-1, 3)
-    regions.extend([None] * len(gap_rows))
+    regions.extend([-1] * len(gap_rows))
     level = np.concatenate((np.asarray(rows, np.int64).reshape(-1, 3), gap_rows))
     return vertices, level, regions
 
@@ -379,14 +409,15 @@ def _remove_vertices(
     stars: Tuple[np.ndarray, np.ndarray],
     removable: Sequence[int],
     vertices: _Vertices,
-) -> Tuple[np.ndarray, List[Tuple[int, int, int]], List[List[int]]]:
-    """Remove *removable* from the level: ``(removed, new, links)``.
+) -> Tuple[np.ndarray, List[Tuple[int, int, int]], np.ndarray, np.ndarray]:
+    """Remove *removable* from the level: ``(removed, new, linked, rows)``.
 
     ``removed`` masks the level triangles of the removed stars; ``new``
-    holds the re-triangulated holes (point-id triples), star by star,
-    and ``links[i]`` the level rows of the star triangles ``new[i]``
-    overlaps, in star order.  A vertex whose star does not close one
-    ring, or whose hole resists ear clipping, stays.
+    holds the re-triangulated holes (point-id triples), star by star;
+    ``new[i]`` overlaps ``linked[i]`` star triangles, and ``rows`` lists
+    their level rows, ``new[0]``'s first, each in star order.  A vertex
+    whose star does not close one ring, or whose hole resists ear
+    clipping, stays.
     """
     offsets, slots = stars
     chosen = np.asarray(removable, np.int64)
@@ -425,7 +456,7 @@ def _remove_vertices(
             pair_old.extend(star)
             new.append((ring[i], ring[j], ring[k]))
     if not new:
-        return removed, new, []
+        return removed, new, np.zeros(0, np.int64), np.zeros(0, np.int64)
     pair_new_arr = np.asarray(pair_new, np.int64)
     pair_old_arr = np.asarray(pair_old, np.int64)
     new_rows = np.asarray(new, np.int64)[pair_new_arr]
@@ -435,9 +466,7 @@ def _remove_vertices(
     linked = np.bincount(pair_new_arr[overlap], minlength=len(new))
     if not linked.all():
         raise IndexBuildError("re-triangulated triangle overlaps none of the star")
-    linked_old = pair_old_arr[overlap].tolist()
-    ends = np.cumsum(linked).tolist()
-    return removed, new, [linked_old[a:b] for a, b in zip([0] + ends, ends)]
+    return removed, new, linked, pair_old_arr[overlap]
 
 
 def _overlaps_interior(
@@ -566,25 +595,34 @@ def _star_ring(
 
 
 class PagedTrianTree:
-    """The trian-tree packed greedily in level order (§5: top-down paging
-    is impractical for a multi-parent DAG, so nodes fill packets greedily
-    as they are traversed breadth-first)."""
+    """The trian-tree packed greedily in broadcast order (§5: top-down
+    paging is impractical for a multi-parent DAG, so nodes fill packets
+    greedily as they are traversed breadth-first).
+
+    ``node_packet[k]`` is node ``k``'s packet.  The scan order is the
+    order a descent reads candidates in, so the channel is only ever
+    read forward: ``scan[scan_offsets[k] : scan_offsets[k + 1]]`` are
+    node ``k``'s children stably sorted by packet, and one more entry,
+    ``k = len(node_packet)``, lists the roots for the root directory.
+    """
 
     def __init__(self, tree: TrianTree, params: SystemParameters) -> None:
         self.tree = tree
         self.params = params
         self._store = PacketStore(params.packet_capacity)
-        self._node_packet: Dict[int, int] = {}
-        self._order = tree.nodes_level_order()
         self._allocate()
         self.packets = self._store.packets
+        offsets = np.append(tree.child_offsets, len(tree.children) + len(tree.roots))
+        entries = np.concatenate((tree.children, tree.roots))
+        owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        self.scan_offsets = offsets
+        self.scan = entries[np.lexsort((self.node_packet[entries], owner))]
 
-    def node_size(self, node: TrianNode) -> int:
-        """Triangle (3 coordinate pairs) + bid + one pointer per child (or
-        one data pointer at level 0)."""
+    def node_size(self, children: int) -> int:
+        """A node with *children* children: triangle (3 coordinate pairs)
+        + bid + one pointer per child (or one data pointer at level 0)."""
         p = self.params
-        pointers = max(1, len(node.children))
-        return p.bid_size + 3 * p.coordinate_size + pointers * p.pointer_size
+        return p.bid_size + 3 * p.coordinate_size + max(1, children) * p.pointer_size
 
     def root_directory_size(self) -> int:
         """The root directory: bid + a pointer per coarsest triangle."""
@@ -605,71 +643,63 @@ class PagedTrianTree:
         else:
             packet.allocate(size, "root-directory")
         self._root_dir_packet = 0
-        for ordinal, node in enumerate(self._order):
-            size = self.node_size(node)
-            if size > capacity:
-                raise PagingError("trian-tree node exceeds packet capacity")
+        counts = np.diff(self.tree.child_offsets).tolist()
+        sizes = {count: self.node_size(count) for count in set(counts)}
+        if sizes and max(sizes.values()) > capacity:
+            raise PagingError("trian-tree node exceeds packet capacity")
+        node_packet = []
+        for ordinal, count in enumerate(counts):
+            size = sizes[count]
             if size > packet.free:
                 packet = self._store.new_packet()
-            # Labelled by level-order ordinal (the broadcast order), so
-            # equal DAGs page to equal packet contents.
+            # Labelled by broadcast ordinal, so equal DAGs page to equal
+            # packet contents.
             packet.allocate(size, f"trinode#{ordinal}")
-            self._node_packet[id(node)] = packet.packet_id
+            node_packet.append(packet.packet_id)
+        self.node_packet = np.array(node_packet, np.int32)
+
+    @cached_property
+    def _lists(self) -> tuple:
+        """Python-list mirrors of the scan order and packets."""
+        return (
+            self.scan_offsets.tolist(),
+            self.scan.tolist(),
+            self.node_packet.tolist(),
+        )
 
     def __getstate__(self) -> dict:
-        """Make the paged DAG picklable (fleet workers under ``spawn``).
-
-        ``_node_packet`` is keyed by ``id(node)``, so it is shipped as a
-        packet list aligned with ``self._order`` (whose elements pickle
-        identity-consistently with the tree via the pickle memo) and
-        re-keyed on restore.  The compiled node arrays
-        (``repro.engine.trace``) are dropped: workers rebuild or attach
-        them from a shared-memory arena.
-        """
+        """Pickle without the derived state: the compiled node arrays
+        (``repro.engine.trace``; fleet workers rebuild or attach them
+        from a shared-memory arena) and the list mirrors."""
         state = dict(self.__dict__)
         state.pop("_compiled_trian", None)
-        state["_node_packet"] = [
-            self._node_packet[id(node)] for node in self._order
-        ]
+        state.pop("_lists", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        packets_ordered = state.pop("_node_packet")
-        self.__dict__.update(state)
-        self._node_packet = {
-            id(node): packet
-            for node, packet in zip(self._order, packets_ordered)
-        }
 
     def trace(self, point: Point) -> QueryTrace:
         """Traced descent: each candidate triangle test reads its node."""
         accesses: List[int] = [self._root_dir_packet]
-        node = self._scan(self.tree.roots, point, accesses)
-        if node is None:
+        node = self._scan(len(self.node_packet), point, accesses)
+        if node < 0:
             raise QueryError(f"{point!r} outside the super-triangle")
-        while node.children:
-            child = self._scan(node.children, point, accesses)
-            if child is None:
+        bounds = self._lists[0]
+        while bounds[node + 1] > bounds[node]:
+            node = self._scan(node, point, accesses)
+            if node < 0:
                 raise QueryError(f"descent lost {point!r}")
-            node = child
-        if node.region_id is None:
+        region = self.tree._lists[1][node]
+        if region < 0:
             raise QueryError(f"{point!r} outside the subdivided area")
-        return QueryTrace(node.region_id, dedupe_consecutive(accesses))
+        return QueryTrace(region, dedupe_consecutive(accesses))
 
-    def _scan(
-        self,
-        candidates: Sequence[TrianNode],
-        point: Point,
-        accesses: List[int],
-    ) -> Optional[TrianNode]:
-        """Sequentially test candidates, reading each node's packet, in
-        broadcast order (so the channel is only ever read forward)."""
-        ordered = sorted(candidates, key=lambda n: self._node_packet[id(n)])
-        for node in ordered:
-            accesses.append(self._node_packet[id(node)])
-            if node.triangle.contains_point(point):
-                return node
-        return None
+    def _scan(self, entry: int, point: Point, accesses: List[int]) -> int:
+        """Test *entry*'s candidates in scan order, reading each one's
+        packet, up to the first containing one (-1 when none does)."""
+        bounds, scan, node_packet = self._lists
+        candidates = scan[bounds[entry] : bounds[entry + 1]]
+        at = _first_hit(self.tree._lists[0], candidates, point.x, point.y)
+        accesses.extend(node_packet[node] for node in candidates[: at + 1])
+        return candidates[at] if at < len(candidates) else -1
 
     def __repr__(self) -> str:
         return (

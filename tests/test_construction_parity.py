@@ -7,17 +7,18 @@ each leaf parent's overlap rows cached across insertions and its split
 scores every distribution of the four sort orders at once;
 ``RStarTree.build`` defers its insertions to the first read; the
 trian-tree's Kirkpatrick rounds run on integer vertex ids with
-one batched overlap test per round; the trap-tree reads each edge's
-region above from the edge table and builds, pages and compiles its
-search DAG as integer arrays numbered once in broadcast order.  None of
+one batched overlap test per round, and it and the trap-tree (which
+reads each edge's region above from the edge table) build, page and
+compile their DAGs as integer arrays numbered once in broadcast order.  None of
 that may change a single tree.  The scalar code each of them replaced
 is kept here as the oracle — the depth-first D-tree recursion over one
 Algorithm 1 run per style, per-edge ``canonical_key`` cancellation,
 chaining that re-quantises every visited endpoint, R* insertion on
 ``Rect`` objects, eager insertion, the ``TrianNode``/``quantize_point``
 rounds with one ``overlaps_interior`` call per pair, Point-based ear
-clipping and the trap-tree's object DAG — and monkeypatched in to
-build the reference.  Both builds run on the running interpreter: ``sum()`` of
+clipping, and the trian-tree's and the trap-tree's object DAGs, paged
+and compiled by object walks — and monkeypatched in to build the
+reference.  Both builds run on the running interpreter: ``sum()`` of
 floats is compensated on Python 3.12+ and plain before, so the bits of
 an overlap sum (and with them a tie-break) may differ between
 interpreters but never between the two builds.  The R* ChooseSubtree
@@ -76,10 +77,13 @@ from repro.engine.trace import (
     _TRAP_YNODE,
     _UNCOMPILED,
     _CompiledTrapTree,
+    _CompiledTrianTree,
     _cached_compiled,
     _store_compiled,
     _trace_batch_trap,
+    _trace_batch_trian,
     _trap_cell_table,
+    _trian_cell_table,
     batched_trace,
     compiled_form,
     register_tracer,
@@ -106,8 +110,9 @@ from repro.geometry.triangulate import Triangle, triangulate_polygon
 from repro.pointloc import trapezoidal as trap_mod
 from repro.pointloc.kirkpatrick import (
     MAX_REMOVABLE_DEGREE,
-    TrianNode,
+    PagedTrianTree,
     TrianTree,
+    _broadcast_order,
     _gap_triangles,
     _super_triangle_corners,
 )
@@ -549,6 +554,42 @@ def scalar_triangulate_polygon(vertices: Sequence[Point]) -> List[Triangle]:
     return triangles
 
 
+# -- the trian-tree's object DAG --------------------------------------------------
+#
+# The trian-tree as it was before its hierarchy moved onto integer
+# arrays: ``TrianNode`` objects made by the scalar rounds, the Kahn pass
+# over ``id()``-keyed dicts, the paging that keys packets by
+# ``id(node)``, the scan that sorts its candidates on every call and the
+# compile loop over the node objects.  ``scalar_kernels`` installs it as
+# ``TrianTree.build``.
+
+
+class TrianNode:
+    """One triangle of the hierarchy with links to the finer level."""
+
+    __slots__ = ("triangle", "children", "region_id", "round_index")
+
+    def __init__(
+        self,
+        triangle: Triangle,
+        region_id: Optional[int],
+        round_index: int,
+    ) -> None:
+        self.triangle = triangle
+        #: Finer-level nodes overlapping this triangle (empty at level 0).
+        self.children: List["TrianNode"] = []
+        #: Data region of a level-0 triangle (None for gap triangles and
+        #: all coarser levels).
+        self.region_id = region_id
+        self.round_index = round_index
+
+    def __repr__(self) -> str:
+        return (
+            f"TrianNode(round={self.round_index}, region={self.region_id}, "
+            f"children={len(self.children)})"
+        )
+
+
 def scalar_vertex_stars(nodes: Sequence[TrianNode]) -> Dict[tuple, List[TrianNode]]:
     stars: Dict[tuple, List[TrianNode]] = defaultdict(list)
     for node in nodes:
@@ -655,8 +696,9 @@ def scalar_remove_vertices(nodes, removable, round_index) -> List[TrianNode]:
     return survivors + new_nodes
 
 
-def scalar_trian_build(self: TrianTree) -> None:
+def scalar_trian_build(self: "ScalarTrianTree") -> None:
     """``TrianTree._build`` over :class:`TrianNode` lists and tuple keys."""
+    SCALAR_RUNS["trian_build"] += 1
     area = self.subdivision.service_area
     corners = _super_triangle_corners(area)
     corner_keys = {quantize_point(c) for c in corners}
@@ -678,6 +720,251 @@ def scalar_trian_build(self: TrianTree) -> None:
         current = coarser
     self.roots = current
     self.rounds = round_index
+
+
+def _first_containing(
+    nodes: Sequence[TrianNode], p: Point
+) -> Optional[TrianNode]:
+    for node in nodes:
+        if node.triangle.contains_point(p):
+            return node
+    return None
+
+
+class ScalarTrianTree:
+    """Kirkpatrick's hierarchy as a DAG of :class:`TrianNode` objects."""
+
+    def __init__(self, subdivision: Subdivision, t_min: int = 4) -> None:
+        if t_min < 1:
+            raise IndexBuildError(f"t_min must be >= 1, got {t_min}")
+        self.subdivision = subdivision
+        self.t_min = t_min
+        #: Coarsest-level triangles — the entry point of the search.
+        self.roots: List[TrianNode] = []
+        self._build()
+
+    _build = scalar_trian_build
+    _border_vertices = TrianTree._border_vertices
+
+    def page(self, params) -> "ScalarPagedTrianTree":
+        return ScalarPagedTrianTree(self, params)
+
+    def locate(self, p: Point) -> int:
+        node = _first_containing(self.roots, p)
+        if node is None:
+            raise QueryError(f"{p!r} outside the super-triangle")
+        while node.children:
+            child = _first_containing(node.children, p)
+            if child is None:
+                raise QueryError(
+                    f"hierarchy descent lost {p!r} (corrupt trian-tree)"
+                )
+            node = child
+        if node.region_id is None:
+            raise QueryError(f"{p!r} outside the subdivided area")
+        return node.region_id
+
+    def nodes_level_order(self) -> List[TrianNode]:
+        """All nodes in topological order (every parent before each child)
+        — the broadcast order."""
+        indegree: Dict[int, int] = {}
+        by_id: Dict[int, TrianNode] = {}
+        stack = list(self.roots)
+        while stack:
+            node = stack.pop()
+            if id(node) in by_id:
+                continue
+            by_id[id(node)] = node
+            indegree.setdefault(id(node), 0)
+            for child in node.children:
+                indegree[id(child)] = indegree.get(id(child), 0) + 1
+                stack.append(child)
+        order: List[TrianNode] = []
+        frontier = [n for n in self.roots if indegree[id(n)] == 0]
+        while frontier:
+            node = frontier.pop(0)
+            order.append(node)
+            for child in node.children:
+                indegree[id(child)] -= 1
+                if indegree[id(child)] == 0:
+                    frontier.append(child)
+        if len(order) != len(by_id):
+            raise IndexBuildError("trian-tree hierarchy is not a DAG")
+        return order
+
+
+class ScalarPagedTrianTree:
+    """Greedy level-order paging of the object DAG, packet ids keyed by
+    ``id()``."""
+
+    def __init__(self, tree: ScalarTrianTree, params: SystemParameters) -> None:
+        self.tree = tree
+        self.params = params
+        self._store = PacketStore(params.packet_capacity)
+        self._node_packet: Dict[int, int] = {}
+        self._order = tree.nodes_level_order()
+        self._allocate()
+        self.packets = self._store.packets
+
+    def node_size(self, node: TrianNode) -> int:
+        p = self.params
+        pointers = max(1, len(node.children))
+        return p.bid_size + 3 * p.coordinate_size + pointers * p.pointer_size
+
+    def root_directory_size(self) -> int:
+        return self.params.bid_size + len(self.tree.roots) * self.params.pointer_size
+
+    def _allocate(self) -> None:
+        capacity = self.params.packet_capacity
+        packet = self._store.new_packet()
+        size = self.root_directory_size()
+        if size > capacity:
+            remaining = size
+            while remaining > capacity:
+                packet.allocate(capacity, "root-directory/part")
+                packet = self._store.new_packet()
+                remaining -= capacity
+            packet.allocate(remaining, "root-directory")
+        else:
+            packet.allocate(size, "root-directory")
+        self._root_dir_packet = 0
+        for ordinal, node in enumerate(self._order):
+            size = self.node_size(node)
+            if size > capacity:
+                raise PagingError("trian-tree node exceeds packet capacity")
+            if size > packet.free:
+                packet = self._store.new_packet()
+            packet.allocate(size, f"trinode#{ordinal}")
+            self._node_packet[id(node)] = packet.packet_id
+
+    def trace(self, point: Point) -> QueryTrace:
+        accesses: List[int] = [self._root_dir_packet]
+        node = self._scan(self.tree.roots, point, accesses)
+        if node is None:
+            raise QueryError(f"{point!r} outside the super-triangle")
+        while node.children:
+            child = self._scan(node.children, point, accesses)
+            if child is None:
+                raise QueryError(f"descent lost {point!r}")
+            node = child
+        if node.region_id is None:
+            raise QueryError(f"{point!r} outside the subdivided area")
+        return QueryTrace(node.region_id, dedupe_consecutive(accesses))
+
+    def _scan(
+        self,
+        candidates: Sequence[TrianNode],
+        point: Point,
+        accesses: List[int],
+    ) -> Optional[TrianNode]:
+        ordered = sorted(candidates, key=lambda n: self._node_packet[id(n)])
+        for node in ordered:
+            accesses.append(self._node_packet[id(node)])
+            if node.triangle.contains_point(point):
+                return node
+        return None
+
+
+def scalar_compile_trian(paged: ScalarPagedTrianTree):
+    """``_compile_trian`` as the loop over the object DAG it replaced; the
+    cell table is built from its arrays by the same builder."""
+    compiled = _cached_compiled(paged, "_compiled_trian", _UNCOMPILED)
+    if compiled is not _UNCOMPILED:
+        return compiled
+    order = paged._order
+    count = len(order)
+    pos = {id(node): i for i, node in enumerate(order)}
+    node_pkt = paged._node_packet
+
+    tri_ax = np.empty(count, np.float64)
+    tri_ay = np.empty(count, np.float64)
+    tri_bx = np.empty(count, np.float64)
+    tri_by = np.empty(count, np.float64)
+    tri_cx = np.empty(count, np.float64)
+    tri_cy = np.empty(count, np.float64)
+    region = np.full(count, -1, np.int32)
+    child_start = np.zeros(count + 1, np.int64)
+    child_count = np.zeros(count + 1, np.int64)
+    flat: List[int] = []
+    flat_pkt: List[int] = []
+    flat_distinct: List[int] = []
+
+    ok = count > 0 and len(paged.tree.roots) > 0
+
+    def append_children(parent_packet: int, children) -> bool:
+        # Stable sort by packet — the scalar ``_scan`` candidate order.
+        ordered = sorted(children, key=lambda nd: node_pkt[id(nd)])
+        distinct = 0
+        prev = None
+        for child in ordered:
+            cpos = pos.get(id(child))
+            pkt = node_pkt[id(child)]
+            if cpos is None or pkt < parent_packet:
+                return False
+            if pkt != prev:
+                distinct += 1
+                prev = pkt
+            flat.append(cpos)
+            flat_pkt.append(pkt)
+            flat_distinct.append(distinct)
+        return True
+
+    for i, node in enumerate(order):
+        if not ok:
+            break
+        tri = node.triangle
+        tri_ax[i] = tri.a.x
+        tri_ay[i] = tri.a.y
+        tri_bx[i] = tri.b.x
+        tri_by[i] = tri.b.y
+        tri_cx[i] = tri.c.x
+        tri_cy[i] = tri.c.y
+        if node.region_id is not None:
+            region[i] = node.region_id
+        child_start[i] = len(flat)
+        ok = append_children(node_pkt[id(node)], node.children)
+        child_count[i] = len(flat) - child_start[i]
+    if ok:
+        child_start[count] = len(flat)
+        ok = append_children(paged._root_dir_packet, paged.tree.roots)
+        child_count[count] = len(flat) - child_start[count]
+
+    compiled = None
+    if ok:
+        ct = _CompiledTrianTree()
+        ct.region = region
+        ct.child_start = child_start
+        ct.child_count = child_count
+        ct.child_flat = np.asarray(flat, np.int64)
+        ct.child_pkt = np.asarray(flat_pkt, np.int64)
+        ct.child_distinct = np.asarray(flat_distinct, np.int64)
+        ct.ctri_ax = tri_ax[ct.child_flat]
+        ct.ctri_ay = tri_ay[ct.child_flat]
+        ct.ctri_bx = tri_bx[ct.child_flat]
+        ct.ctri_by = tri_by[ct.child_flat]
+        ct.ctri_cx = tri_cx[ct.child_flat]
+        ct.ctri_cy = tri_cy[ct.child_flat]
+        _trian_cell_table(
+            ct, paged.tree.subdivision.service_area, paged._root_dir_packet
+        )
+        compiled = ct
+    _store_compiled(paged, "_compiled_trian", compiled)
+    return compiled
+
+
+def scalar_trace_batch_trian(paged: ScalarPagedTrianTree, points):
+    """The compiled trian tracer, over :func:`scalar_compile_trian`'s arrays."""
+    scalar_compile_trian(paged)
+    return _trace_batch_trian(paged, points)
+
+
+_COMPILERS[ScalarPagedTrianTree] = ("trian", scalar_compile_trian)
+register_tracer(ScalarPagedTrianTree, scalar_trace_batch_trian)
+
+
+def scalar_trian_tree(cls, subdivision: Subdivision, *, seed: int = 0, t_min: int = 4):
+    """``TrianTree.build`` replaced by the object-DAG oracle."""
+    return ScalarTrianTree(subdivision, t_min)
 
 
 # -- the trap-tree's object DAG ---------------------------------------------------
@@ -887,6 +1174,12 @@ class ScalarTrapTree:
         if region is None:
             raise QueryError(f"{p!r} outside the subdivided area")
         return region
+
+    def _region_at(self, x: float, y: float) -> int:
+        """The tree-rule leaf region of a sheared point (-1 in a sliver),
+        the check the compiled tracer makes per degenerate point."""
+        region = self._descend(Point(x, y), None).trap.region
+        return -1 if region is None else region
 
     def effective_point(self, p: Point) -> Point:
         sheared = trap_mod._shear(p)
@@ -1162,7 +1455,7 @@ def scalar_kernels(monkeypatch):
         monkeypatch.setattr(RStarTree, "build", classmethod(
             lambda cls, *a, **k: scalar_rstar_build(*a, **k)
         ))
-        monkeypatch.setattr(TrianTree, "_build", scalar_trian_build)
+        monkeypatch.setattr(TrianTree, "build", classmethod(scalar_trian_tree))
         monkeypatch.setattr(TrapTree, "build", classmethod(scalar_trap_tree))
 
     return install
@@ -1187,7 +1480,7 @@ def observable(paged) -> dict:
             else:
                 compiled[name] = repr(value)
     state = {"packets": packets, "compiled": compiled}
-    if isinstance(paged.tree, TrianTree):
+    if isinstance(paged.tree, (TrianTree, ScalarTrianTree)):
         state["trian"] = trian_shape(paged.tree)
     if hasattr(paged.tree, "nodes_breadth_first"):
         serialized = SerializedDTree(
@@ -1197,9 +1490,25 @@ def observable(paged) -> dict:
     return state
 
 
-def trian_shape(tree: TrianTree) -> list:
+def trian_shape(tree) -> list:
     """Every node in broadcast order: its triangle's vertices in stored
-    order, region, round and children (as broadcast ordinals, in order)."""
+    order, region, round and children (as broadcast ordinals, in order),
+    read from the arrays of a :class:`TrianTree` or from the objects of
+    the oracle."""
+    if isinstance(tree, TrianTree):
+        bounds = tree.child_offsets.tolist()
+        children = tree.children.tolist()
+        return [
+            (list(zip(xs, ys)), None if region < 0 else region, r, children[a:b])
+            for xs, ys, region, r, a, b in zip(
+                tree.x.tolist(),
+                tree.y.tolist(),
+                tree.region.tolist(),
+                tree.round_index.tolist(),
+                bounds,
+                bounds[1:],
+            )
+        ] + [("roots", tree.roots.tolist(), tree.rounds)]
     order = tree.nodes_level_order()
     ordinal = {id(node): i for i, node in enumerate(order)}
     return [
@@ -1234,6 +1543,7 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
     assert (SCALAR_RUNS["rstar_split"] > 0) == (kind == "rstar")
     assert (SCALAR_RUNS["trap_insert"] > 0) == (kind == "trap")
+    assert (SCALAR_RUNS["trian_build"] > 0) == (kind == "trian")
     assert array_state["packets"] == scalar_state["packets"]
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
@@ -1257,7 +1567,7 @@ def test_trap_packet_labels_do_not_depend_on_the_build():
 def _trian_and_trap_states(subdivision: Subdivision, t_min: int) -> tuple:
     family = index_family("trap")
     trap = family.build(subdivision, seed=3).page(family.parameters(PACKET_CAPACITY))
-    trian = TrianTree(subdivision, t_min=t_min).page(
+    trian = TrianTree.build(subdivision, t_min=t_min).page(
         index_family("trian").parameters(PACKET_CAPACITY)
     )
     return observable(trian), observable(trap)
@@ -1282,15 +1592,18 @@ def test_trian_and_trap_identical_to_scalar_build_on_random_subdivisions(
 ):
     array_states = _trian_and_trap_states(subdivision, t_min)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TrianTree, "_build", scalar_trian_build)
+        SCALAR_RUNS.clear()
+        patch.setattr(TrianTree, "build", classmethod(scalar_trian_tree))
         patch.setattr(TrapTree, "build", classmethod(scalar_trap_tree))
         scalar_states = _trian_and_trap_states(subdivision, t_min)
+    assert SCALAR_RUNS["trian_build"] == 1
     assert array_states == scalar_states
 
 
-def _trap_answers(paged, points: Sequence[Point]) -> list:
+def _answers(paged, points: Sequence[Point]) -> list:
     """Scalar ``locate``/``trace`` per point and the batched answers, last
-    packets and tuning, each ``QueryError`` as its message."""
+    packets and tuning (and packet paths), each ``QueryError`` as its
+    message."""
 
     def outcome(call):
         try:
@@ -1302,18 +1615,24 @@ def _trap_answers(paged, points: Sequence[Point]) -> list:
         trace = paged.trace(p)
         return trace.region_id, trace.packets_accessed
 
-    def batch(ps):
-        got = batched_trace(paged, ps)
-        return (
-            got.region_ids.tolist(), got.last_packet.tolist(), got.tuning_time.tolist()
-        )
+    def batch(ps, paths=False):
+        got = batched_trace(paged, ps, paths=paths)
+        columns = (got.region_ids, got.last_packet, got.tuning_time)
+        if paths:
+            columns += (got.path_offsets, got.path_packets)
+        return [column.tolist() for column in columns]
 
     scalar = [
         (outcome(lambda: paged.tree.locate(p)), outcome(lambda: traced(p)))
         for p in points
     ]
     answered = [p for p, (_, trace) in zip(points, scalar) if not isinstance(trace, str)]
-    return [scalar, outcome(lambda: batch(points)), batch(answered)]
+    return [
+        scalar,
+        outcome(lambda: batch(points)),
+        batch(answered),
+        batch(answered, paths=True),
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1348,7 +1667,7 @@ def test_trap_answers_identical_to_object_dag_on_random_points(
     SCALAR_RUNS.clear()
     scalar = ScalarTrapTree(subdivision, seed).page(params)
     assert SCALAR_RUNS["trap_insert"] == len(subdivision.all_edges())
-    assert _trap_answers(arrays, points) == _trap_answers(scalar, points)
+    assert _answers(arrays, points) == _answers(scalar, points)
 
 
 def test_pickled_paged_trap_tree_keeps_packets_arrays_and_traces():
@@ -1368,6 +1687,113 @@ def test_pickled_paged_trap_tree_keeps_packets_arrays_and_traces():
     assert not hasattr(restored, "_compiled_trap")
     assert observable(restored) == state
     assert traces(restored) == answers
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _small_subdivisions(),
+    st.integers(1, 16),
+    st.sampled_from([64, 128, 256]),
+    st.integers(0, 10_000),
+)
+def test_trian_answers_identical_to_object_dag_on_random_points(
+    subdivision, t_min, capacity, point_seed
+):
+    """Random points, every subdivision vertex and every edge midpoint
+    (a point on an edge shared by two candidates of one packet takes the
+    first in scan order) answer alike on the integer DAG and on the
+    object DAG it replaced."""
+    rng = random.Random(point_seed)
+    points = [subdivision.random_point(rng) for _ in range(100)]
+    points += list(dict.fromkeys(
+        v for region in subdivision.regions for v in region.polygon.vertices
+    ))
+    points += [
+        Point((e.a.x + e.b.x) / 2, (e.a.y + e.b.y) / 2)
+        for e in subdivision.all_edges()
+    ]
+    params = index_family("trian").parameters(capacity)
+    arrays = TrianTree.build(subdivision, t_min=t_min).page(params)
+    SCALAR_RUNS.clear()
+    scalar = ScalarTrianTree(subdivision, t_min).page(params)
+    assert SCALAR_RUNS["trian_build"] == 1
+    assert _answers(arrays, points) == _answers(scalar, points)
+
+
+@st.composite
+def _child_csrs(draw):
+    """A random DAG whose links point to lower ids, as the build's do,
+    and roots among its upper nodes; the highest node is never a root,
+    so whatever it alone reaches is unreachable."""
+    n = draw(st.integers(2, 30))
+    children = [
+        draw(st.lists(st.integers(0, i - 1), unique=True, max_size=4)) if i else []
+        for i in range(n)
+    ]
+    roots = draw(
+        st.lists(st.integers(n // 2, n - 2), min_size=1, unique=True)
+        if n > 2 else st.just([0])
+    )
+    return children, roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(_child_csrs())
+def test_broadcast_order_matches_object_kahn_pass(csr):
+    """Only reachable nodes are numbered, in-degrees count reachable
+    parents only, and children are released in link order."""
+    children, roots = csr
+    offsets = np.zeros(len(children) + 1, np.int64)
+    np.cumsum([len(c) for c in children], out=offsets[1:])
+    links = np.array([c for cs in children for c in cs], np.int64)
+    nodes = [TrianNode(None, None, 0) for _ in children]
+    for node, below in zip(nodes, children):
+        node.children = [nodes[c] for c in below]
+    oracle = ScalarTrianTree.__new__(ScalarTrianTree)
+    oracle.roots = [nodes[r] for r in roots]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    want = [index[id(node)] for node in oracle.nodes_level_order()]
+    assert _broadcast_order(offsets, links, roots) == want
+
+
+def test_pickled_paged_trian_tree_keeps_packets_arrays_and_traces():
+    """The paged trian-tree pickles as its arrays: a round trip keeps
+    every packet, every compiled array, the scan order and the scalar
+    traces."""
+    subdivision = DATASETS["PARK"]()
+    points = random_points_in(subdivision, 300, seed=17)
+
+    def traces(paged):
+        return [(t.region_id, t.packets_accessed) for t in map(paged.trace, points)]
+
+    paged = build_paged("trian", subdivision)
+    # Compiled arrays and list mirrors exist before the pickle, which
+    # leaves them out.
+    state, answers = observable(paged), traces(paged)
+    restored = pickle.loads(pickle.dumps(paged))
+    assert not hasattr(restored, "_compiled_trian")
+    assert "_lists" not in vars(restored) and "_lists" not in vars(restored.tree)
+    assert observable(restored) == state
+    assert traces(restored) == answers
+    assert restored.scan.tolist() == paged.scan.tolist()
+
+
+def test_trian_node_larger_than_a_packet_is_refused():
+    """A node one byte over the capacity is refused as the object paging
+    refused it; at the largest node's size every packet fits."""
+    subdivision = grid_subdivision(3, 3)
+    tree = TrianTree.build(subdivision)
+    oracle = ScalarTrianTree(subdivision)
+    fanout = int(np.diff(tree.child_offsets).max())
+    params = index_family("trian").parameters(PACKET_CAPACITY)
+    largest = PagedTrianTree(tree, params).node_size(fanout)
+    for paging, built in ((PagedTrianTree, tree), (ScalarPagedTrianTree, oracle)):
+        with pytest.raises(PagingError, match="exceeds packet capacity"):
+            paging(built, index_family("trian").parameters(largest - 1))
+    tight = index_family("trian").parameters(largest)
+    paged = PagedTrianTree(tree, tight)
+    assert all(p.used <= largest for p in paged.packets)
+    assert observable(paged) == observable(ScalarPagedTrianTree(oracle, tight))
 
 
 #: Lattice coordinates: collinear, repeated and self-crossing rings abound.

@@ -452,6 +452,40 @@ class TestOracleFallbacks:
             batched_trace(paged, points)
         assert str(batch_err.value) == str(scalar_err.value)
 
+    def test_backwards_trian_node_declines_compile(self, voronoi60):
+        """A child packet before its parent's: the compile declines, and
+        the batch takes the per-point path, with its answers and its
+        error."""
+        family = index_family("trian")
+        paged = family.build(voronoi60).page(family.parameters(64))
+        points = random_points_in(voronoi60, 200, seed=29)
+        # Re-point the first child of a node past packet 0 at packet 0,
+        # so every query through it reads the channel backwards.
+        tree = paged.tree
+        parent = np.repeat(
+            np.arange(len(paged.node_packet)), np.diff(tree.child_offsets)
+        )
+        node = tree.children[paged.node_packet[parent] > 0].min()
+        paged.node_packet[node] = 0
+        assert compiled_form(paged) is None
+
+        failing = [
+            p for p in points
+            if paged.trace(p).packets_accessed
+            != sorted(paged.trace(p).packets_accessed)
+        ]
+        assert failing and len(failing) < len(points)
+        with pytest.raises(BroadcastError) as scalar_err:
+            _trace_batch_generic(paged, points)
+        for paths in (False, True):
+            with pytest.raises(BroadcastError) as batch_err:
+                batched_trace(paged, points, paths=paths)
+            assert str(batch_err.value) == str(scalar_err.value)
+        passing = [p for p in points if p not in failing]
+        _assert_traces_equal(
+            batched_trace(paged, passing), _trace_batch_generic(paged, passing)
+        )
+
     @pytest.mark.parametrize("kind", REJECTING_KINDS)
     def test_uncompiled_tree_uses_per_point_path(self, dataset, cells, kind):
         from repro.obs import collecting

@@ -15,32 +15,37 @@ def params_for(cap):
     return SystemParameters.for_index("trian", cap)
 
 
+def child_lists(tree):
+    """Each node's children, as broadcast ordinals in link order."""
+    bounds = tree.child_offsets.tolist()
+    children = tree.children.tolist()
+    return [children[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class TestConstruction:
     def test_hierarchy_shrinks_to_roots(self, voronoi60):
         tree = TrianTree(voronoi60)
-        base = sum(
-            1 for n in tree.nodes_level_order() if n.round_index == 0
-        )
+        base = int((tree.round_index == 0).sum())
         assert len(tree.roots) < base
         assert tree.rounds >= 1
 
     def test_level0_nodes_carry_regions(self, voronoi60):
         tree = TrianTree(voronoi60)
-        for node in tree.nodes_level_order():
-            if not node.children:
+        rounds = tree.round_index.tolist()
+        regions = tree.region.tolist()
+        for node, children in enumerate(child_lists(tree)):
+            if not children:
                 # A childless node is a base triangle: region or gap.
-                assert node.round_index == 0
-            if node.round_index > 0:
-                assert node.region_id is None
-                assert node.children
+                assert rounds[node] == 0
+            if rounds[node] > 0:
+                assert regions[node] == -1
+                assert children
 
     def test_topological_order(self, voronoi60):
         tree = TrianTree(voronoi60)
-        order = tree.nodes_level_order()
-        position = {id(n): i for i, n in enumerate(order)}
-        for node in order:
-            for child in node.children:
-                assert position[id(child)] > position[id(node)]
+        for node, children in enumerate(child_lists(tree)):
+            for child in children:
+                assert child > node
 
     def test_t_min_validation(self, grid4x4):
         with pytest.raises(Exception):
@@ -114,6 +119,11 @@ class TestPaged:
     def test_node_size_model(self, voronoi60):
         tree = TrianTree(voronoi60)
         paged = PagedTrianTree(tree, params_for(256))
-        for node in tree.nodes_level_order()[:20]:
-            expected = 2 + 12 + max(1, len(node.children)) * 4
-            assert paged.node_size(node) == expected
+        sizes = []
+        for children in child_lists(tree):
+            expected = 2 + 12 + max(1, len(children)) * 4
+            assert paged.node_size(len(children)) == expected
+            sizes.append(expected)
+        # Every byte on the air is the root directory or a node.
+        used = sum(p.used for p in paged.packets)
+        assert used == paged.root_directory_size() + sum(sizes)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geometry.point import Point
 from repro.geometry.predicates import quantize_point
 from repro.geometry.triangulate import Triangle
 from repro.pointloc.kirkpatrick import (
@@ -14,6 +15,8 @@ from repro.pointloc.kirkpatrick import (
     _vertex_stars,
 )
 from repro.tessellation.grid import grid_subdivision
+
+from tests.test_kirkpatrick import child_lists
 
 
 class TestGapTriangulation:
@@ -84,31 +87,39 @@ class TestIndependentSet:
         assert not corner_ids & set(chosen)
 
 
+def _triangle(tree, node):
+    """Node *node*'s triangle, vertices in stored order."""
+    return Triangle.from_ccw(
+        *(Point(x, y) for x, y in zip(tree.x[node].tolist(), tree.y[node].tolist()))
+    )
+
+
 class TestHierarchyShape:
     def test_rounds_are_logarithmic(self, voronoi60):
         tree = TrianTree(voronoi60)
-        n_triangles = sum(
-            1 for n in tree.nodes_level_order() if n.round_index == 0
-        )
+        n_triangles = int((tree.round_index == 0).sum())
         # A constant fraction of vertices is removed per round.
         assert tree.rounds <= 4 * n_triangles.bit_length()
 
     def test_children_always_finer(self, voronoi60):
         tree = TrianTree(voronoi60)
-        for node in tree.nodes_level_order():
-            for child in node.children:
-                assert child.round_index < node.round_index
+        rounds = tree.round_index.tolist()
+        for node, children in enumerate(child_lists(tree)):
+            for child in children:
+                assert rounds[child] < rounds[node]
 
     def test_child_overlap_is_genuine(self, voronoi60):
         tree = TrianTree(voronoi60)
-        for node in tree.nodes_level_order():
-            for child in node.children:
-                assert node.triangle.overlaps_interior(child.triangle)
+        for node, children in enumerate(child_lists(tree)):
+            for child in children:
+                assert _triangle(tree, node).overlaps_interior(
+                    _triangle(tree, child)
+                )
 
     def test_root_count_at_most_t_min_or_stalled(self):
         sub = grid_subdivision(3, 3)
         tree = TrianTree(sub, t_min=4)
         # Either the target was reached or coarsening stalled at a small
         # irreducible set; both must stay far below the base size.
-        base = sum(1 for n in tree.nodes_level_order() if n.round_index == 0)
+        base = int((tree.round_index == 0).sum())
         assert len(tree.roots) < base / 2
