@@ -102,6 +102,22 @@ def bench_build_rstar(benchmark, dataset):
     tree.check_invariants()
 
 
+@pytest.mark.parametrize("dataset", ["PARK", "UNIFORM-1000"])
+def bench_build_page_compile_rstar(benchmark, dataset):
+    """The R*-tree's whole set-up: insertion at the packet fan-out,
+    paging (the preorder snapshot) and compile."""
+    subdivision = RSTAR_BUILD_SETS[dataset]()
+    params = SystemParameters.for_index("rstar", 256)
+
+    def setup():
+        paged = RStarTree.build(subdivision).page(params)
+        return paged, compiled_form(paged)
+
+    paged, (family, compiled) = benchmark(setup)
+    assert family == "rstar"
+    assert len(compiled.packet) == len(paged.node_packet)
+
+
 #: The separated point draws of the catalog generators.
 POINT_SETS = {"UNIFORM": uniform_dataset, "PARK": park_dataset}
 

@@ -684,44 +684,26 @@ class _CompiledRStarTree:
 
 
 def _compile_rstar(paged) -> _CompiledRStarTree:
-    """Compile the paged R*-tree, built once and cached on the paged tree."""
+    """Compile the paged R*-tree, built once and cached on the paged tree.
+
+    The node, entry and shape arrays are the paged snapshot's own (the
+    MBR slots are the rows of ``entry_boxes``); only the leaf kernel's
+    ring tables are built here."""
     compiled = _cached_compiled(paged, "_compiled_rstar", None)
     if compiled is not None:
         return compiled
-    subdivision = paged.tree.subdivision
-    nodes = paged._nodes_preorder()
-    position = {id(node): i for i, node in enumerate(nodes)}
-    mbrs = []
-    child: List[int] = []
-    shapes: List[Sequence[int]] = []
-    rings: List[Sequence[Point]] = []
-    for node in nodes:
-        for entry in node.entries:
-            mbrs.append(entry.mbr)
-            if node.is_leaf:
-                child.append(~entry.region_id)
-                shapes.append(paged._shape_packets[entry.region_id])
-                region = subdivision.region(entry.region_id)
-                rings.append(region.polygon.vertices)
-            else:
-                child.append(position[id(entry.child)])
-                shapes.append(())
-                rings.append(())
-
     ct = _CompiledRStarTree()
-    ct.packet = np.fromiter(
-        (paged._node_packet[id(node)] for node in nodes), np.int64, len(nodes)
-    )
-    ct.entry_start = np.zeros(len(nodes) + 1, np.int64)
-    np.cumsum([len(node.entries) for node in nodes], out=ct.entry_start[1:])
-    for field in ("min_x", "min_y", "max_x", "max_y"):
-        setattr(
-            ct,
-            field,
-            np.fromiter((getattr(m, field) for m in mbrs), np.float64, len(mbrs)),
-        )
-    ct.child = np.asarray(child, np.int64)
-    ct.shape_start, ct.shape_packets = _path_csr(shapes)
+    ct.packet = paged.node_packet
+    ct.entry_start = paged.entry_start
+    ct.min_x, ct.min_y, ct.max_x, ct.max_y = paged.entry_boxes
+    ct.child = paged.entry_child
+    ct.shape_start = paged.shape_start
+    ct.shape_packets = paged.shape_packets
+    region = paged.subdivision.region
+    rings = [
+        region(~code).polygon.vertices if code < 0 else ()
+        for code in ct.child.tolist()
+    ]
     ring_x, ring_y = point_coords([p for ring in rings for p in ring])
     edges = RegionEdges(
         ring_x, ring_y, np.fromiter(map(len, rings), np.int64, len(rings))

@@ -14,7 +14,7 @@ Not part of the paper's evaluation; used by the extension experiment E5
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import IndexBuildError, PagingError, QueryError
 from repro.geometry.point import Point
@@ -26,9 +26,11 @@ from repro.tessellation.subdivision import Subdivision
 class KDSplitNode:
     """Internal node: an axis-aligned splitting line."""
 
-    __slots__ = ("axis", "value", "left", "right")
+    __slots__ = ("axis", "value", "left", "right", "ordinal")
 
     def __init__(self, axis: str, value: float) -> None:
+        #: Preorder number, set once the tree is built.
+        self.ordinal = -1
         self.axis = axis
         self.value = value
         self.left: Union["KDSplitNode", "KDSplitLeaf", None] = None
@@ -41,9 +43,11 @@ class KDSplitNode:
 class KDSplitLeaf:
     """Leaf: the regions whose extents intersect this cell."""
 
-    __slots__ = ("region_ids",)
+    __slots__ = ("region_ids", "ordinal")
 
     def __init__(self, region_ids: Sequence[int]) -> None:
+        #: Preorder number, set once the tree is built.
+        self.ordinal = -1
         self.region_ids = list(region_ids)
 
     def __repr__(self) -> str:
@@ -68,6 +72,16 @@ class KDSplitTree:
             max_depth = 3 * max(1, n).bit_length() + 8
         self.max_depth = max_depth
         self.root = self._build(list(subdivision.region_ids), depth=0)
+        #: Every node in DFS preorder — the broadcast order; a node's
+        #: ``ordinal`` is its place here.
+        self.nodes: List[Union[KDSplitNode, KDSplitLeaf]] = []
+        stack: List[Union[KDSplitNode, KDSplitLeaf]] = [self.root]
+        while stack:
+            node = stack.pop()
+            node.ordinal = len(self.nodes)
+            self.nodes.append(node)
+            if isinstance(node, KDSplitNode):
+                stack += (node.right, node.left)
 
     def _build(
         self, region_ids: List[int], depth: int
@@ -132,23 +146,14 @@ class KDSplitTree:
     # -- structure accessors --------------------------------------------------------
 
     def nodes_depth_first(self) -> List[Union[KDSplitNode, KDSplitLeaf]]:
-        out: List[Union[KDSplitNode, KDSplitLeaf]] = []
-
-        def walk(node) -> None:
-            out.append(node)
-            if isinstance(node, KDSplitNode):
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return list(self.nodes)
 
     @property
     def duplication_factor(self) -> float:
         """Mean number of leaves referencing each region (>= 1.0)."""
         total = sum(
             len(n.region_ids)
-            for n in self.nodes_depth_first()
+            for n in self.nodes
             if isinstance(n, KDSplitLeaf)
         )
         return total / len(self.subdivision)
@@ -177,9 +182,11 @@ class PagedKDSplitTree:
         self.tree = tree
         self.params = params
         self._store = PacketStore(params.packet_capacity)
-        self._node_packet: Dict[int, int] = {}
-        #: (id(leaf), region_id) -> packet ids of that leaf's shape copy.
-        self._shape_packets: Dict[Tuple[int, int], List[int]] = {}
+        #: Per node ordinal, the packet of the node.
+        self._node_packet: List[int] = []
+        #: Per node ordinal, the packet ids of each of a leaf's shape
+        #: copies, in ``region_ids`` order (empty for internal nodes).
+        self._shape_packets: List[List[List[int]]] = []
         self._allocate()
         self.packets = self._store.packets
 
@@ -216,79 +223,31 @@ class PagedKDSplitTree:
             ids.append(last.packet_id)
             return ids, last
 
-        def walk(node) -> None:
+        for node in self.tree.nodes:
             size = self.node_size(node)
             if size > capacity and isinstance(node, KDSplitNode):
                 raise PagingError("kd-split internal node exceeds capacity")
-            ids, open_packet = new_fragment(size, f"kdnode@{id(node):x}")
-            self._node_packet[id(node)] = ids[0]
+            ids, open_packet = new_fragment(size, f"kdnode#{node.ordinal}")
+            self._node_packet.append(ids[0])
+            shapes: List[List[int]] = []
             if isinstance(node, KDSplitLeaf):
                 for rid in node.region_ids:
                     shape_ids, open_packet = new_fragment(
                         self.shape_size(rid), f"shape{rid}", open_packet
                     )
-                    self._shape_packets[(id(node), rid)] = shape_ids
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.tree.root)
-
-    def _nodes_preorder(self) -> List[object]:
-        """Every tree node in the DFS preorder of :meth:`_allocate`."""
-        out: List[object] = []
-
-        def walk(node) -> None:
-            out.append(node)
-            if isinstance(node, KDSplitNode):
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.tree.root)
-        return out
-
-    def __getstate__(self) -> dict:
-        """Make the paged tree picklable (fleet workers under ``spawn``).
-
-        Both packet maps are keyed by ``id(node)`` — meaningless in
-        another process — so they are shipped keyed by the node's DFS
-        preorder position and re-keyed on restore.
-        """
-        state = dict(self.__dict__)
-        order = {id(node): i for i, node in enumerate(self._nodes_preorder())}
-        state["_node_packet"] = [
-            self._node_packet[id(node)] for node in self._nodes_preorder()
-        ]
-        state["_shape_packets"] = {
-            (order[nid], rid): ids
-            for (nid, rid), ids in self._shape_packets.items()
-        }
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        packets_preorder = state.pop("_node_packet")
-        shapes_by_pos = state.pop("_shape_packets")
-        self.__dict__.update(state)
-        nodes = self._nodes_preorder()
-        self._node_packet = {
-            id(node): packet
-            for node, packet in zip(nodes, packets_preorder)
-        }
-        self._shape_packets = {
-            (id(nodes[pos]), rid): ids
-            for (pos, rid), ids in shapes_by_pos.items()
-        }
+                    shapes.append(shape_ids)
+            self._shape_packets.append(shapes)
 
     def trace(self, point: Point) -> QueryTrace:
         accesses: List[int] = []
         node = self.tree.root
         while isinstance(node, KDSplitNode):
-            accesses.append(self._node_packet[id(node)])
+            accesses.append(self._node_packet[node.ordinal])
             coordinate = point.x if node.axis == "x" else point.y
             node = node.left if coordinate <= node.value else node.right
-        accesses.append(self._node_packet[id(node)])
-        for rid in node.region_ids:
-            accesses.extend(self._shape_packets[(id(node), rid)])
+        accesses.append(self._node_packet[node.ordinal])
+        for rid, shape_ids in zip(node.region_ids, self._shape_packets[node.ordinal]):
+            accesses.extend(shape_ids)
             if self.tree.subdivision.region(rid).contains(point):
                 return QueryTrace(rid, dedupe_consecutive(accesses))
         raise QueryError(f"{point!r} not found in the paged kd-split tree")

@@ -10,7 +10,7 @@ broadcast in depth-first order to keep backtracking forward-only on the
 channel.
 """
 
-from repro.rstar.tree import RStarTree, RStarNode, RStarEntry
+from repro.rstar.tree import RStarTree
 from repro.rstar.paged import PagedRStarTree
 
-__all__ = ["RStarTree", "RStarNode", "RStarEntry", "PagedRStarTree"]
+__all__ = ["RStarTree", "PagedRStarTree"]

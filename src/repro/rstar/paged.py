@@ -10,13 +10,16 @@ forward on the channel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import PagingError, QueryError
 from repro.geometry.point import Point
 from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
-from repro.rstar.tree import RStarNode, RStarTree
+from repro.rstar.tree import RStarTree
 
 
 def rstar_fanout(params: SystemParameters) -> int:
@@ -35,28 +38,39 @@ def rstar_fanout(params: SystemParameters) -> int:
 
 
 class PagedRStarTree:
-    """The R*-tree plus shape layer allocated to packets in DFS order."""
+    """The R*-tree plus shape layer allocated to packets in DFS order.
+
+    Paging takes a snapshot of the tree, its nodes numbered by DFS
+    preorder (the root is node 0): ``node_packet`` is each node's packet,
+    node *k*'s entries are ``entry_start[k] : entry_start[k + 1]`` of
+    ``entry_boxes`` (a ``(4, entries)`` array of ``min_x``, ``min_y``,
+    ``max_x`` and ``max_y`` rows) and ``entry_child`` (the child's node
+    number, or ``~region_id`` at a leaf), and a leaf entry's shape
+    packets are ``shape_packets[shape_start[e] : shape_start[e + 1]]``
+    (empty for internal entries).  Tracing, compiling and pickling read
+    the snapshot and :attr:`subdivision`, never the tree, which
+    maintenance may go on changing.
+    """
 
     def __init__(self, tree: RStarTree, params: SystemParameters) -> None:
         self.tree = tree
         self.params = params
+        #: The subdivision the snapshot was paged from.
+        self.subdivision = tree.subdivision
         self._store = PacketStore(params.packet_capacity)
-        #: id(node) -> packet id of the node.
-        self._node_packet: Dict[int, int] = {}
-        #: region_id -> packet ids of its shape node (consecutive).
-        self._shape_packets: Dict[int, List[int]] = {}
         self._allocate()
         self.packets = self._store.packets
 
     # -- size model -------------------------------------------------------------
 
-    def node_size(self, node: RStarNode) -> int:
+    def node_size(self, entries: int) -> int:
+        """Node of *entries* entries: bid + one MBR and pointer each."""
         entry_size = 2 * self.params.coordinate_size + self.params.pointer_size
-        return self.params.bid_size + len(node.entries) * entry_size
+        return self.params.bid_size + entries * entry_size
 
     def shape_size(self, region_id: int) -> int:
         """Shape node: bid + polygon ring + pointer to the data bucket."""
-        polygon = self.tree.subdivision.region(region_id).polygon
+        polygon = self.subdivision.region(region_id).polygon
         return (
             self.params.bid_size
             + len(polygon.vertices) * self.params.coordinate_size
@@ -88,67 +102,66 @@ class PagedRStarTree:
             ids.append(packet.packet_id)
             return ids, packet
 
-        def walk(node: RStarNode) -> None:
-            size = self.node_size(node)
+        tree = self.tree
+        order = tree.nodes_depth_first()
+        number = {node: k for k, node in enumerate(order)}
+        node_packet: List[int] = []
+        entry_start = [0]
+        child: List[int] = []
+        shape_start = [0]
+        shape_packets: List[int] = []
+        for k, node in enumerate(order):
+            targets = tree.node_targets[node]
+            size = self.node_size(len(targets))
             if size > capacity:
                 raise PagingError("R*-tree node exceeds the packet capacity")
             packet = self._store.new_packet()
             # Labelled by preorder ordinal, so equal trees page to equal
             # packet contents.
-            packet.allocate(size, f"rnode#{len(self._node_packet)}")
-            self._node_packet[id(node)] = packet.packet_id
-            if node.is_leaf:
+            packet.allocate(size, f"rnode#{k}")
+            node_packet.append(packet.packet_id)
+            entry_start.append(entry_start[-1] + len(targets))
+            if tree.node_level[node] == 0:
                 open_packet = packet
-                for entry in node.entries:
-                    assert entry.region_id is not None
-                    ids, open_packet = place_shape(entry.region_id, open_packet)
-                    self._shape_packets[entry.region_id] = ids
+                for region_id in targets:
+                    ids, open_packet = place_shape(region_id, open_packet)
+                    child.append(~region_id)
+                    shape_packets += ids
+                    shape_start.append(len(shape_packets))
             else:
-                for entry in node.entries:
-                    assert entry.child is not None
-                    walk(entry.child)
+                child += [number[c] for c in targets]
+                shape_start += [len(shape_packets)] * len(targets)
+        self.node_packet = np.array(node_packet, np.int64)
+        self.entry_start = np.array(entry_start, np.int64)
+        self.entry_boxes = np.array(
+            [box for node in order for box in tree.node_boxes[node]], np.float64
+        ).reshape(-1, 4).T.copy()
+        self.entry_child = np.array(child, np.int64)
+        self.shape_start = np.array(shape_start, np.int64)
+        self.shape_packets = np.array(shape_packets, np.int64)
 
-        walk(self.tree.root)
-
-    # -- pickling -------------------------------------------------------------
-
-    def _nodes_preorder(self) -> List[RStarNode]:
-        """Every tree node in the DFS preorder of :meth:`_allocate`."""
-        out: List[RStarNode] = []
-
-        def walk(node: RStarNode) -> None:
-            out.append(node)
-            if not node.is_leaf:
-                for entry in node.entries:
-                    walk(entry.child)
-
-        walk(self.tree.root)
-        return out
+    @cached_property
+    def _lists(self) -> tuple:
+        """Python-list mirrors of the snapshot for the per-point trace."""
+        return (
+            self.node_packet.tolist(),
+            self.entry_start.tolist(),
+            *self.entry_boxes.tolist(),
+            self.entry_child.tolist(),
+            self.shape_start.tolist(),
+            self.shape_packets.tolist(),
+        )
 
     def __getstate__(self) -> dict:
-        """Make the paged tree picklable (fleet workers under ``spawn``).
-
-        ``_node_packet`` is keyed by ``id(node)`` — meaningless in
-        another process — so it is shipped as a packet list in DFS
-        preorder and re-keyed against the unpickled node objects on
-        restore.  The compiled-tracer cache is dropped: it is derived
-        state, rebuilt on demand (or reattached from shared memory by
-        the fleet layer).
-        """
+        """Pickle the snapshot alone: not the tree (``tree`` unpickles as
+        None), nor the derived state, the compiled arrays
+        (``repro.engine.trace``; fleet workers rebuild or attach them
+        from a shared-memory arena) and the list mirrors."""
         state = dict(self.__dict__)
+        state["tree"] = None
         state.pop("_compiled_rstar", None)
-        state["_node_packet"] = [
-            self._node_packet[id(node)] for node in self._nodes_preorder()
-        ]
+        state.pop("_lists", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        packets_preorder = state.pop("_node_packet")
-        self.__dict__.update(state)
-        self._node_packet = {
-            id(node): packet
-            for node, packet in zip(self._nodes_preorder(), packets_preorder)
-        }
 
     # -- traced query ---------------------------------------------------------
 
@@ -156,27 +169,28 @@ class PagedRStarTree:
         """DFS point query counting packet accesses (early termination on
         the first successful containment test)."""
         accesses: List[int] = []
-        region = self._search(self.tree.root, point, accesses)
+        region = self._search(0, point, accesses)
         if region is None:
             raise QueryError(f"{point!r} not found in the paged R*-tree")
         return QueryTrace(region, dedupe_consecutive(accesses))
 
-    def _search(
-        self, node: RStarNode, point: Point, accesses: List[int]
-    ) -> Optional[int]:
-        accesses.append(self._node_packet[id(node)])
-        for entry in node.entries:
-            if not entry.mbr.contains_point(point):
+    def _search(self, node: int, point: Point, accesses: List[int]) -> Optional[int]:
+        (
+            node_packet, entry_start, min_x, min_y, max_x, max_y,
+            entry_child, shape_start, shape_packets,
+        ) = self._lists
+        accesses.append(node_packet[node])
+        x, y = point.x, point.y
+        for e in range(entry_start[node], entry_start[node + 1]):
+            if not (min_x[e] <= x <= max_x[e] and min_y[e] <= y <= max_y[e]):
                 continue
-            if node.is_leaf:
-                assert entry.region_id is not None
-                accesses.extend(self._shape_packets[entry.region_id])
-                polygon = self.tree.subdivision.region(entry.region_id).polygon
-                if polygon.contains_point(point):
-                    return entry.region_id
+            target = entry_child[e]
+            if target < 0:
+                accesses.extend(shape_packets[shape_start[e] : shape_start[e + 1]])
+                if self.subdivision.region(~target).polygon.contains_point(point):
+                    return ~target
             else:
-                assert entry.child is not None
-                found = self._search(entry.child, point, accesses)
+                found = self._search(target, point, accesses)
                 if found is not None:
                     return found
         return None
@@ -186,3 +200,4 @@ class PagedRStarTree:
             f"PagedRStarTree(packets={len(self.packets)}, "
             f"capacity={self.params.packet_capacity})"
         )
+

@@ -5,11 +5,16 @@ Implements the R*-tree of Beckmann, Kriegel, Schneider & Seeger (SIGMOD
 region.  The fan-out is derived from the packet capacity (Table 2: 2-byte
 bid, 2-byte pointers, 4-byte coordinates, so an entry is 10 bytes), which
 is how the paper fits R*-tree nodes to packets.
+
+The tree is a node table indexed by int node id: each node's level, its
+entries' MBRs as ``(min_x, min_y, max_x, max_y)`` rows and its entries'
+targets (child node ids at internal nodes, region ids at leaves).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -21,71 +26,15 @@ from repro.tessellation.subdivision import Subdivision
 #: Fraction of entries evicted by forced reinsertion (the R* paper's 30%).
 REINSERT_FRACTION = 0.3
 
-
-class RStarEntry:
-    """One slot of a node: an MBR plus either a child node or a region id."""
-
-    __slots__ = ("mbr", "child", "region_id")
-
-    def __init__(
-        self,
-        mbr: Rect,
-        child: Optional["RStarNode"] = None,
-        region_id: Optional[int] = None,
-    ) -> None:
-        if (child is None) == (region_id is None):
-            raise IndexBuildError("entry needs exactly one of child / region_id")
-        self.mbr = mbr
-        self.child = child
-        self.region_id = region_id
-
-    def __repr__(self) -> str:
-        target = f"region={self.region_id}" if self.child is None else "child"
-        return f"RStarEntry({self.mbr!r}, {target})"
+#: An entry MBR as a ``(min_x, min_y, max_x, max_y)`` row.
+Box = Tuple[float, float, float, float]
 
 
-class RStarNode:
-    """A leaf (level 0) or internal node."""
-
-    __slots__ = ("level", "entries", "_boxes")
-
-    def __init__(self, level: int, entries: Optional[List[RStarEntry]] = None):
-        self.level = level
-        self.entries: List[RStarEntry] = list(entries) if entries else []
-        #: ChooseSubtree's arrays over the entry MBRs (leaf parents only).
-        self._boxes: Optional[_ChildBoxes] = None
-
-    def __getstate__(self) -> Tuple[int, List[RStarEntry]]:
-        # The ChooseSubtree arrays are derived; pickles leave them out.
-        return self.level, self.entries
-
-    def __setstate__(self, state: Tuple[int, List[RStarEntry]]) -> None:
-        self.level, self.entries = state
-        self._boxes = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.level == 0
-
-    @property
-    def mbr(self) -> Rect:
-        if not self.entries:
-            raise IndexBuildError("empty node has no MBR")
-        return Rect.union_of([e.mbr for e in self.entries])
-
-    def child_boxes(self) -> "_ChildBoxes":
-        """ChooseSubtree's arrays over the entry MBRs, brought up to date
-        with the entries first."""
-        rects = [e.mbr for e in self.entries]
-        boxes = self._boxes
-        if boxes is None or len(boxes.rects) != len(rects):
-            boxes = self._boxes = _ChildBoxes(rects)
-        elif boxes.rects != rects:
-            boxes.update(rects)
-        return boxes
-
-    def __repr__(self) -> str:
-        return f"RStarNode(level={self.level}, entries={len(self.entries)})"
+def _union(boxes: Sequence[Box]) -> Box:
+    """Smallest box containing all *boxes* (the values of
+    :meth:`Rect.union_of`)."""
+    min_x, min_y, max_x, max_y = zip(*boxes)
+    return min(min_x), min(min_y), max(max_x), max(max_y)
 
 
 def _overlap_rows(
@@ -105,19 +54,12 @@ def _overlap_rows(
     return extent[0] * extent[1]
 
 
-def _corners(rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(2, n)`` lower and upper corner arrays of *rects*."""
-    lo = np.array([[r.min_x for r in rects], [r.min_y for r in rects]])
-    hi = np.array([[r.max_x for r in rects], [r.max_y for r in rects]])
-    return lo, hi
-
-
 def _areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     extent = hi - lo
     return extent[0] * extent[1]
 
 
-class _ChildBoxes:
+class _Overlaps:
     """A leaf parent's entry MBRs as ``(2, n)`` corner arrays, with each
     entry's area and its overlaps with the other entries.
 
@@ -125,53 +67,52 @@ class _ChildBoxes:
     order, its own place holding 0.0, and ``own[i]`` is that row's
     built-in ``sum()``: Python 3.12+ compensates ``sum()`` of floats and
     ``np.sum`` would not, so every interpreter sees the sums of the
-    scalar loop (adding +0.0 changes neither kind of sum).  The arrays
-    describe :attr:`rects`; :meth:`RStarNode.child_boxes` compares those
-    with the entries before every use, so splits, forced reinsertion and
-    deletes need not know of the cache.
+    scalar loop (adding +0.0 changes neither kind of sum).  Only the
+    tree's entry writer changes them.
     """
 
-    __slots__ = ("rects", "lo", "hi", "area", "rows", "own")
+    __slots__ = ("lo", "hi", "area", "rows", "own")
 
-    def __init__(self, rects: List[Rect]) -> None:
-        self.rects = rects
-        self.lo, self.hi = _corners(rects)
+    def __init__(self, boxes: Sequence[Box]) -> None:
+        corners = np.array(boxes, np.float64).T.copy()
+        self.lo, self.hi = corners[:2], corners[2:]
         self.area = _areas(self.lo, self.hi)
         self.rows = _overlap_rows(self.lo, self.hi, self.lo, self.hi).tolist()
         for i, row in enumerate(self.rows):
             row[i] = 0.0
         self.own = list(map(sum, self.rows))
 
-    def update(self, rects: List[Rect]) -> None:
-        """Re-describe the same number of entries after some MBRs
-        changed: recompute the changed entries' rows and, in every other
-        row, the terms whose value moved, then re-sum the rows touched.
-        Overlaps are symmetric, so entry *k*'s row also holds column *k*."""
-        changed = [
-            k for k, (new, old) in enumerate(zip(rects, self.rects)) if new != old
-        ]
-        self.rects = rects
-        lo, hi = _corners([rects[k] for k in changed])
-        self.lo[:, changed] = lo
-        self.hi[:, changed] = hi
-        self.area[changed] = _areas(lo, hi)
-        fresh = _overlap_rows(lo, hi, self.lo, self.hi).tolist()
-        rows = self.rows
-        dirty = set(changed)
-        for k, row in zip(changed, fresh):
-            row[k] = 0.0
-            rows[k] = row
-        for k, row in zip(changed, fresh):
-            for i, value in enumerate(row):
-                if rows[i][k] != value:
-                    rows[i][k] = value
-                    dirty.add(i)
-        for i in dirty:
-            self.own[i] = sum(rows[i])
+    def replace(self, k: int, box: Box) -> None:
+        """Entry *k*'s MBR became *box*: recompute its row and, in every
+        other row, the term that moved, then re-sum the rows touched.
+        Overlaps are symmetric, so row *k* also holds column *k*."""
+        self.lo[:, k] = box[:2]
+        self.hi[:, k] = box[2:]
+        self.area[k] = (box[2] - box[0]) * (box[3] - box[1])
+        fresh = _overlap_rows(
+            self.lo[:, k : k + 1], self.hi[:, k : k + 1], self.lo, self.hi
+        )[0].tolist()
+        fresh[k] = 0.0
+        rows, own = self.rows, self.own
+        for i, value in enumerate(fresh):
+            row = rows[i]
+            if row[k] != value:
+                row[k] = value
+                own[i] = sum(row)
+        rows[k] = fresh
+        own[k] = sum(fresh)
 
 
 class RStarTree:
-    """The R*-tree over the MBRs of a subdivision's data regions."""
+    """The R*-tree over the MBRs of a subdivision's data regions.
+
+    Nodes live in a table indexed by node id: ``node_level[v]``,
+    ``node_boxes[v]`` (one MBR row per entry) and ``node_targets[v]``
+    (per entry, a child node id at an internal node or a region id at a
+    leaf).  Ids of dissolved nodes are reused.  Every entry change goes
+    through :meth:`_write`, which also keeps each leaf parent's
+    ChooseSubtree overlaps current.
+    """
 
     #: Fan-out used when a tree is built without a target packet capacity
     #: (the :class:`~repro.engine.AirIndex` protocol builds the logical
@@ -191,17 +132,19 @@ class RStarTree:
             self.min_entries = max(1, max_entries // 2)
         #: Region MBRs :meth:`build` deferred, inserted on first read.
         self._pending: Optional[List[Tuple[int, Rect]]] = None
-        self._root = RStarNode(level=0)
+        self.node_level: List[int] = []
+        self.node_boxes: List[Optional[List[Box]]] = []
+        self.node_targets: List[Optional[List[int]]] = []
+        #: ChooseSubtree's overlaps by leaf parent, built on first use.
+        self._overlaps: Dict[int, _Overlaps] = {}
+        self._free: List[int] = []
+        self._root = self._new_node(0, [], [])
         self._reinserted_levels: Set[int] = set()
 
     @property
-    def root(self) -> RStarNode:
-        """The root node; a deferred :meth:`build` is carried out here."""
+    def root(self) -> int:
+        """The root's node id; a deferred :meth:`build` is carried out here."""
         return self.ensure_built()._root
-
-    @root.setter
-    def root(self, node: RStarNode) -> None:
-        self._root = node
 
     # -- construction -------------------------------------------------------
 
@@ -267,7 +210,72 @@ class RStarTree:
         """Insert one region MBR (R* InsertData)."""
         self.ensure_built()
         self._reinserted_levels = set()
-        self._insert_entry(RStarEntry(mbr, region_id=region_id), level=0)
+        self._insert_entry((mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y), region_id, 0)
+
+    # -- the node table ---------------------------------------------------------
+
+    def _new_node(self, level: int, boxes: List[Box], targets: List[int]) -> int:
+        if self._free:
+            node = self._free.pop()
+            self.node_level[node] = level
+            self.node_boxes[node] = boxes
+            self.node_targets[node] = targets
+            return node
+        self.node_level.append(level)
+        self.node_boxes.append(boxes)
+        self.node_targets.append(targets)
+        return len(self.node_level) - 1
+
+    def _release(self, node: int) -> None:
+        self.node_boxes[node] = self.node_targets[node] = None
+        self._overlaps.pop(node, None)
+        self._free.append(node)
+
+    def _write(
+        self,
+        node: int,
+        start: int,
+        stop: int,
+        boxes: Sequence[Box],
+        targets: Sequence[int],
+    ) -> None:
+        """The one entry writer: entries ``start:stop`` of *node* become
+        *boxes* / *targets* (list slice assignment).  A leaf parent's
+        overlaps follow a one-entry MBR change in place and are dropped,
+        to be rebuilt on the next ChooseSubtree, on any other change."""
+        node_boxes = self.node_boxes[node]
+        old = node_boxes[start:stop]
+        node_boxes[start:stop] = boxes
+        self.node_targets[node][start:stop] = targets
+        overlaps = self._overlaps.get(node)
+        if overlaps is None:
+            return
+        if len(old) != 1 or len(boxes) != 1:
+            del self._overlaps[node]
+        elif old[0] != boxes[0]:
+            overlaps.replace(start, boxes[0])
+
+    def _select(self, node: int, keep: Sequence[int]) -> None:
+        """Keep only the entries at positions *keep* of *node*, in that
+        order."""
+        boxes, targets = self.node_boxes[node], self.node_targets[node]
+        self._write(
+            node, 0, len(boxes), [boxes[k] for k in keep], [targets[k] for k in keep]
+        )
+
+    def _refresh_parent_mbr(self, parent: int, child: int) -> None:
+        try:
+            k = self.node_targets[parent].index(child)
+        except ValueError:
+            raise IndexBuildError("parent does not reference child") from None
+        self._write(parent, k, k + 1, [_union(self.node_boxes[child])], [child])
+
+    def _refresh_path(self, node: int, path: Sequence[int]) -> None:
+        """Tighten the MBRs on *path* (root first) up from *node*."""
+        child = node
+        for parent in reversed(path):
+            self._refresh_parent_mbr(parent, child)
+            child = parent
 
     # -- incremental maintenance -------------------------------------------
 
@@ -288,18 +296,21 @@ class RStarTree:
         a few ulps outside the MBR the caller derived from the current
         subdivision.
         """
-        found = self._find_leaf(self.root, region_id, mbr, [])
-        if found is None and mbr is not None:
-            found = self._find_leaf(self.root, region_id, None, [])
+        box = None if mbr is None else (mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y)
+        found = self._find_leaf(self.root, region_id, box, [])
+        if found is None and box is not None:
+            found = self._find_leaf(self._root, region_id, None, [])
         if found is None:
             raise IndexBuildError(f"region {region_id} not in the R*-tree")
         leaf, path = found
-        leaf.entries = [e for e in leaf.entries if e.region_id != region_id]
+        targets = self.node_targets[leaf]
+        self._select(leaf, [k for k, t in enumerate(targets) if t != region_id])
         self._condense(leaf, path)
-        while not self.root.is_leaf and len(self.root.entries) == 1:
-            child = self.root.entries[0].child
-            assert child is not None
-            self.root = child
+        root = self._root
+        while self.node_level[root] > 0 and len(self.node_targets[root]) == 1:
+            self._root = self.node_targets[root][0]
+            self._release(root)
+            root = self._root
 
     def apply_updates(self, new_subdivision: Subdivision, batch) -> None:
         """Maintain the tree incrementally across a region-update batch
@@ -320,36 +331,39 @@ class RStarTree:
 
     def _find_leaf(
         self,
-        node: RStarNode,
+        node: int,
         region_id: int,
-        mbr: Optional[Rect],
-        path: List[RStarNode],
-    ) -> Optional[Tuple[RStarNode, List[RStarNode]]]:
+        box: Optional[Box],
+        path: List[int],
+    ) -> Optional[Tuple[int, List[int]]]:
         """Leaf holding *region_id*'s entry plus its ancestor path."""
-        if node.is_leaf:
-            if any(e.region_id == region_id for e in node.entries):
+        if self.node_level[node] == 0:
+            if region_id in self.node_targets[node]:
                 return node, list(path)
             return None
         path.append(node)
-        for entry in node.entries:
-            if mbr is not None and not entry.mbr.contains_rect(mbr):
+        for entry, child in zip(self.node_boxes[node], self.node_targets[node]):
+            if box is not None and not (
+                entry[0] <= box[0]
+                and entry[1] <= box[1]
+                and entry[2] >= box[2]
+                and entry[3] >= box[3]
+            ):
                 continue
-            assert entry.child is not None
-            found = self._find_leaf(entry.child, region_id, mbr, path)
+            found = self._find_leaf(child, region_id, box, path)
             if found is not None:
                 return found
         path.pop()
         return None
 
-    def _condense(self, node: RStarNode, path: List[RStarNode]) -> None:
+    def _condense(self, node: int, path: List[int]) -> None:
         """CondenseTree: dissolve underfull path nodes, reinsert orphans."""
-        eliminated: List[RStarNode] = []
+        eliminated: List[int] = []
         child = node
         for parent in reversed(path):
-            if len(child.entries) < self.min_entries:
-                parent.entries = [
-                    e for e in parent.entries if e.child is not child
-                ]
+            if len(self.node_boxes[child]) < self.min_entries:
+                targets = self.node_targets[parent]
+                self._select(parent, [k for k, t in enumerate(targets) if t != child])
                 eliminated.append(child)
             else:
                 self._refresh_parent_mbr(parent, child)
@@ -358,127 +372,110 @@ class RStarTree:
         # (leaf) first — each reinsert is a full R* insert, so splits and
         # forced reinsertion apply as usual.
         for orphan in eliminated:
-            for entry in orphan.entries:
+            level = self.node_level[orphan]
+            for box, target in zip(self.node_boxes[orphan], self.node_targets[orphan]):
                 self._reinserted_levels = set()
-                self._insert_entry(entry, level=orphan.level)
+                self._insert_entry(box, target, level)
+            self._release(orphan)
 
     # -- R* machinery ----------------------------------------------------------
 
-    def _insert_entry(self, entry: RStarEntry, level: int) -> None:
-        node, path = self._choose_subtree(entry.mbr, level)
-        node.entries.append(entry)
+    def _insert_entry(self, box: Box, target: int, level: int) -> None:
+        node, path = self._choose_subtree(box, level)
+        end = len(self.node_boxes[node])
+        self._write(node, end, end, [box], [target])
         self._overflow_chain(node, path)
 
-    def _overflow_chain(
-        self, node: RStarNode, path: List[RStarNode]
-    ) -> None:
+    def _overflow_chain(self, node: int, path: List[int]) -> None:
         """Handle overflow at *node*, propagating splits up *path*."""
-        while len(node.entries) > self.max_entries:
+        while len(self.node_boxes[node]) > self.max_entries:
+            level = self.node_level[node]
             is_root = not path
-            if (
-                not is_root
-                and node.level not in self._reinserted_levels
-            ):
-                self._reinserted_levels.add(node.level)
+            if not is_root and level not in self._reinserted_levels:
+                self._reinserted_levels.add(level)
                 self._reinsert(node, path)
                 return  # reinsertion re-enters _insert_entry recursively
             split_off = self._split(node)
+            boxes = self.node_boxes
             if is_root:
-                new_root = RStarNode(level=node.level + 1)
-                new_root.entries.append(RStarEntry(node.mbr, child=node))
-                new_root.entries.append(RStarEntry(split_off.mbr, child=split_off))
-                self.root = new_root
+                self._root = self._new_node(
+                    level + 1,
+                    [_union(boxes[node]), _union(boxes[split_off])],
+                    [node, split_off],
+                )
                 return
             parent = path[-1]
             self._refresh_parent_mbr(parent, node)
-            parent.entries.append(RStarEntry(split_off.mbr, child=split_off))
+            end = len(boxes[parent])
+            self._write(parent, end, end, [_union(boxes[split_off])], [split_off])
             node = parent
             path = path[:-1]
         # No overflow: tighten ancestor MBRs.
-        child = node
-        for parent in reversed(path):
-            self._refresh_parent_mbr(parent, child)
-            child = parent
+        self._refresh_path(node, path)
 
-    def _refresh_parent_mbr(self, parent: RStarNode, child: RStarNode) -> None:
-        for e in parent.entries:
-            if e.child is child:
-                e.mbr = child.mbr
-                return
-        raise IndexBuildError("parent does not reference child")
-
-    def _choose_subtree(
-        self, mbr: Rect, level: int
-    ) -> Tuple[RStarNode, List[RStarNode]]:
-        """Descend to the best node at *level* for inserting *mbr*."""
+    def _choose_subtree(self, box: Box, level: int) -> Tuple[int, List[int]]:
+        """Descend to the best node at *level* for inserting *box*."""
         node = self.root
-        path: List[RStarNode] = []
-        while node.level > level:
-            if node.level == 1:
+        path: List[int] = []
+        while self.node_level[node] > level:
+            if self.node_level[node] == 1:
                 # Children are leaves: R* uses minimum overlap enlargement.
-                best = self._least_overlap_enlargement(node, mbr)
+                best = self._least_overlap_enlargement(node, box)
             else:
-                best = self._least_area_enlargement(node.entries, mbr)
+                best = _least_area_enlargement(self.node_boxes[node], box)
             path.append(node)
-            assert best.child is not None
-            node = best.child
+            node = self.node_targets[node][best]
         return node, path
 
-    @staticmethod
-    def _least_area_enlargement(
-        entries: Sequence[RStarEntry], mbr: Rect
-    ) -> RStarEntry:
-        return min(
-            entries,
-            key=lambda e: (e.mbr.enlargement_for(mbr), e.mbr.area),
-        )
-
-    @staticmethod
-    def _least_overlap_enlargement(node: RStarNode, mbr: Rect) -> RStarEntry:
+    def _least_overlap_enlargement(self, node: int, box: Box) -> int:
         """R* ChooseSubtree over leaf children: least overlap enlargement,
         then least area enlargement, then least area, first entry on ties.
 
-        The entries' own overlap sums come from the node's cached
-        :class:`_ChildBoxes`; only the overlaps of the entries grown to
-        cover *mbr* are computed per call, and each grown row is added
+        The entries' own overlap sums come from the node's maintained
+        :class:`_Overlaps`; only the overlaps of the entries grown to
+        cover *box* are computed per call, and each grown row is added
         with the built-in ``sum()`` in entry order, as the own rows are.
         """
-        boxes = node.child_boxes()
-        grown_lo = np.minimum(boxes.lo, [[mbr.min_x], [mbr.min_y]])
-        grown_hi = np.maximum(boxes.hi, [[mbr.max_x], [mbr.max_y]])
-        overlap = _overlap_rows(grown_lo, grown_hi, boxes.lo, boxes.hi)
+        overlaps = self._overlaps.get(node)
+        if overlaps is None:
+            overlaps = self._overlaps[node] = _Overlaps(self.node_boxes[node])
+        grown_lo = np.minimum(overlaps.lo, [[box[0]], [box[1]]])
+        grown_hi = np.maximum(overlaps.hi, [[box[2]], [box[3]]])
+        overlap = _overlap_rows(grown_lo, grown_hi, overlaps.lo, overlaps.hi)
         overlap.flat[:: len(overlap) + 1] = 0.0
         grown = map(sum, overlap.tolist())
-        area = boxes.area.tolist()
-        enlargement = (_areas(grown_lo, grown_hi) - boxes.area).tolist()
-        overlap_growth = [g - o for g, o in zip(grown, boxes.own)]
+        area = overlaps.area.tolist()
+        enlargement = (_areas(grown_lo, grown_hi) - overlaps.area).tolist()
+        overlap_growth = [g - o for g, o in zip(grown, overlaps.own)]
         # The index breaks ties towards the first entry, as min() does.
-        best = min(zip(overlap_growth, enlargement, area, range(len(area))))
-        return node.entries[best[3]]
+        return min(zip(overlap_growth, enlargement, area, range(len(area))))[3]
 
-    def _reinsert(self, node: RStarNode, path: List[RStarNode]) -> None:
+    def _reinsert(self, node: int, path: List[int]) -> None:
         """Forced reinsertion: evict the 30% of entries furthest from the
         node's center and insert them again (close-reinsert order)."""
-        center = node.mbr.center
-        node.entries.sort(
-            key=lambda e: e.mbr.center.distance_to(center), reverse=True
-        )
-        count = max(1, int(round(REINSERT_FRACTION * len(node.entries))))
-        evicted = node.entries[:count]
-        node.entries = node.entries[count:]
-        child = node
-        for parent in reversed(path):
-            self._refresh_parent_mbr(parent, child)
-            child = parent
+        boxes = self.node_boxes[node]
+        targets = self.node_targets[node]
+        min_x, min_y, max_x, max_y = _union(boxes)
+        cx, cy = (min_x + max_x) / 2.0, (min_y + max_y) / 2.0
+        distance = [
+            math.hypot((b[0] + b[2]) / 2.0 - cx, (b[1] + b[3]) / 2.0 - cy)
+            for b in boxes
+        ]
+        order = sorted(range(len(boxes)), key=distance.__getitem__, reverse=True)
+        count = max(1, int(round(REINSERT_FRACTION * len(boxes))))
+        evicted = [(boxes[i], targets[i]) for i in order[:count]]
+        self._select(node, order[count:])
+        self._refresh_path(node, path)
         # Close reinsert: nearest-evicted first.
-        for entry in reversed(evicted):
-            self._insert_entry(entry, level=node.level)
+        level = self.node_level[node]
+        for box, target in reversed(evicted):
+            self._insert_entry(box, target, level)
 
-    def _split(self, node: RStarNode) -> RStarNode:
+    def _split(self, node: int) -> int:
         """R* split: margin-minimal axis, overlap-minimal distribution.
 
-        Mutates *node* to keep the first group and returns a new node with
-        the second group.
+        Keeps the first group in *node* and returns the id of a new node
+        holding the second group.
 
         The four sort orders (by lower then upper x bound, upper then
         lower x, and the same in y) are stable ``lexsort`` rows.  Each
@@ -491,11 +488,10 @@ class RStarTree:
         ties.
         """
         m = self.min_entries
-        entries = node.entries
-        n = len(entries)
-        boxes = np.array(
-            [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y) for e in entries]
-        )
+        rows = self.node_boxes[node]
+        targets = self.node_targets[node]
+        n = len(rows)
+        boxes = np.array(rows, np.float64)
         # lexsort's last key is the primary one.
         orders = np.lexsort(
             (boxes[:, _SPLIT_SECONDARY].T, boxes[:, _SPLIT_PRIMARY].T), axis=-1
@@ -526,8 +522,13 @@ class RStarTree:
             range(len(cuts)), key=lambda j: (best_overlap[j], best_area[j])
         ) + m
         order = orders[best].tolist()
-        node.entries = [entries[i] for i in order[:cut]]
-        return RStarNode(level=node.level, entries=[entries[i] for i in order[cut:]])
+        split_off = self._new_node(
+            self.node_level[node],
+            [rows[i] for i in order[cut:]],
+            [targets[i] for i in order[cut:]],
+        )
+        self._select(node, order[:cut])
+        return split_off
 
     # -- logical query -----------------------------------------------------------
 
@@ -539,69 +540,74 @@ class RStarTree:
             raise QueryError(f"{p!r} not found in the R*-tree")
         return result
 
-    def _search(self, node: RStarNode, p: Point) -> Optional[int]:
-        for entry in node.entries:
-            if not entry.mbr.contains_point(p):
+    def _search(self, node: int, p: Point) -> Optional[int]:
+        leaf = self.node_level[node] == 0
+        for box, target in zip(self.node_boxes[node], self.node_targets[node]):
+            if not (box[0] <= p.x <= box[2] and box[1] <= p.y <= box[3]):
                 continue
-            if node.is_leaf:
-                region = self.subdivision.region(entry.region_id)
-                if region.polygon.contains_point(p):
-                    return entry.region_id
+            if leaf:
+                if self.subdivision.region(target).polygon.contains_point(p):
+                    return target
             else:
-                assert entry.child is not None
-                found = self._search(entry.child, p)
+                found = self._search(target, p)
                 if found is not None:
                     return found
         return None
 
     # -- structure accessors --------------------------------------------------------
 
-    def nodes_depth_first(self) -> List[RStarNode]:
-        """Preorder DFS — the broadcast order of §5."""
-        out: List[RStarNode] = []
-
-        def walk(node: RStarNode) -> None:
+    def nodes_depth_first(self) -> List[int]:
+        """Node ids in preorder DFS — the broadcast order of §5."""
+        out: List[int] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             out.append(node)
-            if not node.is_leaf:
-                for entry in node.entries:
-                    assert entry.child is not None
-                    walk(entry.child)
-
-        walk(self.root)
+            if self.node_level[node] > 0:
+                stack.extend(reversed(self.node_targets[node]))
         return out
 
     @property
     def height(self) -> int:
-        return self.root.level + 1
+        return self.node_level[self.root] + 1
 
     def check_invariants(self) -> None:
         """Verify fill factors, levels and MBR containment everywhere."""
-
-        def walk(node: RStarNode, is_root: bool) -> None:
-            if not is_root and not (
-                self.min_entries <= len(node.entries) <= self.max_entries
+        root = self.root
+        for node in self.nodes_depth_first():
+            boxes = self.node_boxes[node]
+            if node != root and not (
+                self.min_entries <= len(boxes) <= self.max_entries
             ):
                 raise IndexBuildError(
-                    f"node fill {len(node.entries)} outside "
+                    f"node fill {len(boxes)} outside "
                     f"[{self.min_entries}, {self.max_entries}]"
                 )
-            if len(node.entries) > self.max_entries:
+            if len(boxes) > self.max_entries:
                 raise IndexBuildError("node overflow survived construction")
-            for entry in node.entries:
-                if node.is_leaf:
-                    if entry.region_id is None:
-                        raise IndexBuildError("leaf entry without region id")
-                else:
-                    child = entry.child
-                    if child is None:
-                        raise IndexBuildError("internal entry without child")
-                    if child.level != node.level - 1:
-                        raise IndexBuildError("child level mismatch")
-                    if entry.mbr != child.mbr:
-                        raise IndexBuildError("stale parent MBR")
-                    walk(child, False)
+            level = self.node_level[node]
+            if level == 0:
+                continue
+            for box, child in zip(boxes, self.node_targets[node]):
+                if self.node_level[child] != level - 1:
+                    raise IndexBuildError("child level mismatch")
+                if box != _union(self.node_boxes[child]):
+                    raise IndexBuildError("stale parent MBR")
 
-        walk(self.root, True)
+
+def _least_area_enlargement(boxes: Sequence[Box], box: Box) -> int:
+    """Index of the entry needing the least area enlargement to cover
+    *box*, then of least area, the first on ties (the arithmetic of
+    :meth:`Rect.enlargement_for` and :attr:`Rect.area`)."""
+    min_x, min_y, max_x, max_y = box
+
+    def key(k: int) -> Tuple[float, float]:
+        x0, y0, x1, y1 = boxes[k]
+        area = (x1 - x0) * (y1 - y0)
+        grown = (max(x1, max_x) - min(x0, min_x)) * (max(y1, max_y) - min(y0, min_y))
+        return grown - area, area
+
+    return min(range(len(boxes)), key=key)
 
 
 #: The split's sort orders as (primary, secondary) columns of the

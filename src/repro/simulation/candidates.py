@@ -105,10 +105,12 @@ def _dtree_provider(paged, everything: FrozenSet[int]) -> CandidateFn:
 
 
 def _rstar_provider(paged, everything: FrozenSet[int]) -> CandidateFn:
-    last_shape = {
-        region_id: max(packets)
-        for region_id, packets in paged._shape_packets.items()
-    }
+    # A leaf entry's shape packets are consecutive: its last one ends them.
+    leaf = paged.entry_child < 0
+    last_shape = dict(zip(
+        (~paged.entry_child[leaf]).tolist(),
+        paged.shape_packets[paged.shape_start[1:][leaf] - 1].tolist(),
+    ))
 
     def candidates(last_good: Optional[int]) -> FrozenSet[int]:
         if last_good is None:

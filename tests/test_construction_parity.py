@@ -2,10 +2,11 @@
 
 The D-tree runs Algorithm 1 for a whole tree level in one array pass
 over the subdivision's integer edge table, sizes styles from vertex
-degrees and chains only the winners; the R*-tree's ChooseSubtree keeps
-each leaf parent's overlap rows cached across insertions and its split
-scores every distribution of the four sort orders at once;
-``RStarTree.build`` defers its insertions to the first read; the
+degrees and chains only the winners; the R*-tree is a node table whose
+one entry writer keeps each leaf parent's overlap rows current, its
+split scores every distribution of the four sort orders at once and it
+pages into a preorder array snapshot; ``RStarTree.build`` defers its
+insertions to the first read; the
 trian-tree's Kirkpatrick rounds run on integer vertex ids with
 one batched overlap test per round, and it and the trap-tree (which
 reads each edge's region above from the edge table) build, page and
@@ -13,8 +14,9 @@ compile their DAGs as integer arrays numbered once in broadcast order.  None of
 that may change a single tree.  The scalar code each of them replaced
 is kept here as the oracle — the depth-first D-tree recursion over one
 Algorithm 1 run per style, per-edge ``canonical_key`` cancellation,
-chaining that re-quantises every visited endpoint, R* insertion on
-``Rect`` objects, eager insertion, the ``TrianNode``/``quantize_point``
+chaining that re-quantises every visited endpoint, the R*-tree as
+``Rect``-object nodes (eager insertion, delete, ``id()``-keyed paging
+and the compile loop over the objects), the ``TrianNode``/``quantize_point``
 rounds with one ``overlaps_interior`` call per pair, Point-based ear
 clipping, and the trian-tree's and the trap-tree's object DAGs, paged
 and compiled by object walks — and monkeypatched in to build the
@@ -29,7 +31,6 @@ whatever the interpreter.
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import pickle
 import random
@@ -76,10 +77,13 @@ from repro.engine.trace import (
     _TRAP_XNODE,
     _TRAP_YNODE,
     _UNCOMPILED,
+    _CompiledRStarTree,
     _CompiledTrapTree,
     _CompiledTrianTree,
     _cached_compiled,
+    _path_csr,
     _store_compiled,
+    _trace_batch_rstar,
     _trace_batch_trap,
     _trace_batch_trian,
     _trap_cell_table,
@@ -95,6 +99,7 @@ from repro.errors import (
     QueryError,
     SubdivisionError,
 )
+from repro.geometry.kernels import RegionEdges, point_coords
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import (
@@ -116,16 +121,12 @@ from repro.pointloc.kirkpatrick import (
     _gap_triangles,
     _super_triangle_corners,
 )
+from repro.pointloc.kdsplit import KDSplitTree, PagedKDSplitTree
 from repro.pointloc.trapezoidal import PagedTrapTree, TrapTree
 from repro.rstar.paged import rstar_fanout
 from repro.rstar import tree as rstar_tree_mod
-from repro.rstar.tree import (
-    REINSERT_FRACTION,
-    RStarEntry,
-    RStarNode,
-    RStarTree,
-    _ChildBoxes,
-)
+from repro.rstar.tree import REINSERT_FRACTION, RStarTree, _Overlaps
+from repro.simulation.candidates import candidate_provider
 from repro.tessellation.grid import grid_subdivision
 from repro.tessellation.subdivision import DataRegion, Subdivision
 from repro.tessellation.voronoi import voronoi_subdivision
@@ -307,13 +308,33 @@ def scalar_evaluate_style(
     )
 
 
-# -- the R*-tree's scalar insertion ---------------------------------------------
+# -- the R*-tree's object tree ------------------------------------------------------
 #
-# R* insertion as it ran on ``Rect`` objects: node MBRs from four generator
-# passes, ChooseSubtree one ``Rect.overlap_area`` at a time, and each split
-# distribution's groups re-unioned from scratch.  ``ScalarRStarTree`` runs
-# it; ``scalar_kernels`` installs the same functions on ``RStarTree`` and
-# ``RStarNode``, so delete, CondenseTree and forced reinsertion run it too.
+# The R*-tree as it was before its nodes moved into a table: ``RStarNode``
+# objects holding ``RStarEntry``s with ``Rect`` MBRs, node MBRs from four
+# generator passes, ChooseSubtree one ``Rect.overlap_area`` at a time, each
+# split distribution's groups re-unioned from scratch, delete and
+# CondenseTree over the objects, the paging that keys packets by
+# ``id(node)`` and the compile loop over the node objects.
+# ``scalar_kernels`` installs it as ``RStarTree.build``.
+
+
+class RStarEntry:
+    """One slot of a node: an MBR plus either a child node or a region id."""
+
+    __slots__ = ("mbr", "child", "region_id")
+
+    def __init__(
+        self,
+        mbr: Rect,
+        child: Optional["RStarNode"] = None,
+        region_id: Optional[int] = None,
+    ) -> None:
+        if (child is None) == (region_id is None):
+            raise IndexBuildError("entry needs exactly one of child / region_id")
+        self.mbr = mbr
+        self.child = child
+        self.region_id = region_id
 
 
 def scalar_union(rects) -> Rect:
@@ -326,10 +347,24 @@ def scalar_union(rects) -> Rect:
     )
 
 
-def scalar_node_mbr(node: RStarNode) -> Rect:
-    if not node.entries:
-        raise IndexBuildError("empty node has no MBR")
-    return scalar_union(e.mbr for e in node.entries)
+class RStarNode:
+    """A leaf (level 0) or internal node."""
+
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: int, entries: Optional[List[RStarEntry]] = None):
+        self.level = level
+        self.entries: List[RStarEntry] = list(entries) if entries else []
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.level == 0
+
+    @property
+    def mbr(self) -> Rect:
+        if not self.entries:
+            raise IndexBuildError("empty node has no MBR")
+        return scalar_union(e.mbr for e in self.entries)
 
 
 def scalar_least_overlap_enlargement(
@@ -353,77 +388,6 @@ def scalar_least_overlap_enlargement(
     return min(entries, key=key)
 
 
-def scalar_choose_subtree(self, mbr: Rect, level: int):
-    node = self.root
-    path: List[RStarNode] = []
-    while node.level > level:
-        if node.level == 1:
-            best = scalar_least_overlap_enlargement(node.entries, mbr)
-        else:
-            best = min(
-                node.entries,
-                key=lambda e: (e.mbr.enlargement_for(mbr), e.mbr.area),
-            )
-        path.append(node)
-        node = best.child
-    return node, path
-
-
-def scalar_insert_entry(self, entry: RStarEntry, level: int) -> None:
-    node, path = self._choose_subtree(entry.mbr, level)
-    node.entries.append(entry)
-    self._overflow_chain(node, path)
-
-
-def scalar_overflow_chain(self, node: RStarNode, path: List[RStarNode]) -> None:
-    while len(node.entries) > self.max_entries:
-        is_root = not path
-        if not is_root and node.level not in self._reinserted_levels:
-            self._reinserted_levels.add(node.level)
-            self._reinsert(node, path)
-            return
-        split_off = self._split(node)
-        if is_root:
-            new_root = RStarNode(level=node.level + 1)
-            new_root.entries.append(RStarEntry(scalar_node_mbr(node), child=node))
-            new_root.entries.append(
-                RStarEntry(scalar_node_mbr(split_off), child=split_off)
-            )
-            self.root = new_root
-            return
-        parent = path[-1]
-        self._refresh_parent_mbr(parent, node)
-        parent.entries.append(RStarEntry(scalar_node_mbr(split_off), child=split_off))
-        node = parent
-        path = path[:-1]
-    child = node
-    for parent in reversed(path):
-        self._refresh_parent_mbr(parent, child)
-        child = parent
-
-
-def scalar_refresh_parent_mbr(self, parent: RStarNode, child: RStarNode) -> None:
-    for e in parent.entries:
-        if e.child is child:
-            e.mbr = scalar_node_mbr(child)
-            return
-    raise IndexBuildError("parent does not reference child")
-
-
-def scalar_reinsert(self, node: RStarNode, path: List[RStarNode]) -> None:
-    center = scalar_node_mbr(node).center
-    node.entries.sort(key=lambda e: e.mbr.center.distance_to(center), reverse=True)
-    count = max(1, int(round(REINSERT_FRACTION * len(node.entries))))
-    evicted = node.entries[:count]
-    node.entries = node.entries[count:]
-    child = node
-    for parent in reversed(path):
-        self._refresh_parent_mbr(parent, child)
-        child = parent
-    for entry in reversed(evicted):
-        self._insert_entry(entry, level=node.level)
-
-
 def _scalar_split_key(axis: str, bound: str):
     if axis == "x":
         if bound == "lo":
@@ -434,52 +398,380 @@ def _scalar_split_key(axis: str, bound: str):
     return lambda e: (e.mbr.max_y, e.mbr.min_y)
 
 
-def scalar_split(self, node: RStarNode) -> RStarNode:
-    SCALAR_RUNS["rstar_split"] += 1
-    m = self.min_entries
-    entries = node.entries
-    best = None
-    for axis in ("x", "y"):
-        for bound in ("lo", "hi"):
-            ordered = sorted(entries, key=_scalar_split_key(axis, bound))
-            margin_total = 0.0
-            candidates = []
-            for k in range(m, len(ordered) - m + 1):
-                g1 = ordered[:k]
-                g2 = ordered[k:]
-                r1 = scalar_union(e.mbr for e in g1)
-                r2 = scalar_union(e.mbr for e in g2)
-                margin_total += r1.margin + r2.margin
-                candidates.append((r1.overlap_area(r2), r1.area + r2.area, g1, g2))
-            axis_best = min(candidates, key=lambda c: (c[0], c[1]))
-            if best is None or margin_total < best[0]:
-                best = (margin_total, axis_best[0], axis_best[2], axis_best[3])
-    node.entries = list(best[2])
-    return RStarNode(level=node.level, entries=list(best[3]))
+class ScalarRStarTree:
+    """R* insertion, delete and CondenseTree on :class:`RStarNode` objects."""
+
+    DEFAULT_MAX_ENTRIES = RStarTree.DEFAULT_MAX_ENTRIES
+
+    def __init__(self, subdivision: Subdivision, max_entries: int) -> None:
+        if max_entries < 2:
+            raise IndexBuildError(
+                f"R*-tree needs a fan-out of at least 2, got {max_entries}"
+            )
+        self.subdivision = subdivision
+        self.max_entries = max_entries
+        self.min_entries = max(2, int(round(0.4 * max_entries)))
+        if self.min_entries > max_entries // 2:
+            self.min_entries = max(1, max_entries // 2)
+        self.root = RStarNode(level=0)
+        self._reinserted_levels: set = set()
+
+    @classmethod
+    def build(cls, subdivision, max_entries=None, *, seed=0) -> "ScalarRStarTree":
+        """Insert every region at once."""
+        del seed
+        tree = cls(subdivision, max_entries or cls.DEFAULT_MAX_ENTRIES)
+        for region in subdivision.regions:
+            tree.insert(region.region_id, region.polygon.bbox)
+        return tree
+
+    def ensure_built(self) -> "ScalarRStarTree":
+        return self
+
+    def page(self, params) -> "ScalarPagedRStarTree":
+        fanout = rstar_fanout(params)
+        tree = self
+        if self.max_entries != fanout:
+            tree = ScalarRStarTree.build(self.subdivision, fanout)
+        return ScalarPagedRStarTree(tree, params)
+
+    def insert(self, region_id: int, mbr: Rect) -> None:
+        self._reinserted_levels = set()
+        self._insert_entry(RStarEntry(mbr, region_id=region_id), level=0)
+
+    def delete(self, region_id: int, mbr: Optional[Rect] = None) -> None:
+        found = self._find_leaf(self.root, region_id, mbr, [])
+        if found is None and mbr is not None:
+            found = self._find_leaf(self.root, region_id, None, [])
+        if found is None:
+            raise IndexBuildError(f"region {region_id} not in the R*-tree")
+        leaf, path = found
+        leaf.entries = [e for e in leaf.entries if e.region_id != region_id]
+        self._condense(leaf, path)
+        while not self.root.is_leaf and len(self.root.entries) == 1:
+            self.root = self.root.entries[0].child
+
+    def apply_updates(self, new_subdivision: Subdivision, batch) -> None:
+        old = self.subdivision
+        for rid in batch.removed_ids:
+            self.delete(rid, old.region(rid).polygon.bbox)
+        self.subdivision = new_subdivision
+        for rid in batch.added_ids:
+            self.insert(rid, new_subdivision.region(rid).polygon.bbox)
+
+    def _find_leaf(self, node, region_id, mbr, path):
+        if node.is_leaf:
+            if any(e.region_id == region_id for e in node.entries):
+                return node, list(path)
+            return None
+        path.append(node)
+        for entry in node.entries:
+            if mbr is not None and not entry.mbr.contains_rect(mbr):
+                continue
+            found = self._find_leaf(entry.child, region_id, mbr, path)
+            if found is not None:
+                return found
+        path.pop()
+        return None
+
+    def _condense(self, node: RStarNode, path: List[RStarNode]) -> None:
+        eliminated: List[RStarNode] = []
+        child = node
+        for parent in reversed(path):
+            if len(child.entries) < self.min_entries:
+                parent.entries = [e for e in parent.entries if e.child is not child]
+                eliminated.append(child)
+            else:
+                self._refresh_parent_mbr(parent, child)
+            child = parent
+        for orphan in eliminated:
+            for entry in orphan.entries:
+                self._reinserted_levels = set()
+                self._insert_entry(entry, level=orphan.level)
+
+    def _insert_entry(self, entry: RStarEntry, level: int) -> None:
+        node, path = self._choose_subtree(entry.mbr, level)
+        node.entries.append(entry)
+        self._overflow_chain(node, path)
+
+    def _overflow_chain(self, node: RStarNode, path: List[RStarNode]) -> None:
+        while len(node.entries) > self.max_entries:
+            is_root = not path
+            if not is_root and node.level not in self._reinserted_levels:
+                self._reinserted_levels.add(node.level)
+                self._reinsert(node, path)
+                return
+            split_off = self._split(node)
+            if is_root:
+                new_root = RStarNode(level=node.level + 1)
+                new_root.entries.append(RStarEntry(node.mbr, child=node))
+                new_root.entries.append(RStarEntry(split_off.mbr, child=split_off))
+                self.root = new_root
+                return
+            parent = path[-1]
+            self._refresh_parent_mbr(parent, node)
+            parent.entries.append(RStarEntry(split_off.mbr, child=split_off))
+            node = parent
+            path = path[:-1]
+        child = node
+        for parent in reversed(path):
+            self._refresh_parent_mbr(parent, child)
+            child = parent
+
+    def _refresh_parent_mbr(self, parent: RStarNode, child: RStarNode) -> None:
+        for e in parent.entries:
+            if e.child is child:
+                e.mbr = child.mbr
+                return
+        raise IndexBuildError("parent does not reference child")
+
+    def _choose_subtree(self, mbr: Rect, level: int):
+        node = self.root
+        path: List[RStarNode] = []
+        while node.level > level:
+            if node.level == 1:
+                best = scalar_least_overlap_enlargement(node.entries, mbr)
+            else:
+                best = min(
+                    node.entries,
+                    key=lambda e: (e.mbr.enlargement_for(mbr), e.mbr.area),
+                )
+            path.append(node)
+            node = best.child
+        return node, path
+
+    def _reinsert(self, node: RStarNode, path: List[RStarNode]) -> None:
+        center = node.mbr.center
+        node.entries.sort(key=lambda e: e.mbr.center.distance_to(center), reverse=True)
+        count = max(1, int(round(REINSERT_FRACTION * len(node.entries))))
+        evicted = node.entries[:count]
+        node.entries = node.entries[count:]
+        child = node
+        for parent in reversed(path):
+            self._refresh_parent_mbr(parent, child)
+            child = parent
+        for entry in reversed(evicted):
+            self._insert_entry(entry, level=node.level)
+
+    def _split(self, node: RStarNode) -> RStarNode:
+        SCALAR_RUNS["rstar_split"] += 1
+        m = self.min_entries
+        entries = node.entries
+        best = None
+        for axis in ("x", "y"):
+            for bound in ("lo", "hi"):
+                ordered = sorted(entries, key=_scalar_split_key(axis, bound))
+                margin_total = 0.0
+                candidates = []
+                for k in range(m, len(ordered) - m + 1):
+                    g1 = ordered[:k]
+                    g2 = ordered[k:]
+                    r1 = scalar_union(e.mbr for e in g1)
+                    r2 = scalar_union(e.mbr for e in g2)
+                    margin_total += r1.margin + r2.margin
+                    candidates.append((r1.overlap_area(r2), r1.area + r2.area, g1, g2))
+                axis_best = min(candidates, key=lambda c: (c[0], c[1]))
+                if best is None or margin_total < best[0]:
+                    best = (margin_total, axis_best[0], axis_best[2], axis_best[3])
+        node.entries = list(best[2])
+        return RStarNode(level=node.level, entries=list(best[3]))
+
+    def locate(self, p: Point) -> int:
+        result = self._search(self.root, p)
+        if result is None:
+            raise QueryError(f"{p!r} not found in the R*-tree")
+        return result
+
+    def _search(self, node: RStarNode, p: Point) -> Optional[int]:
+        for entry in node.entries:
+            if not entry.mbr.contains_point(p):
+                continue
+            if node.is_leaf:
+                region = self.subdivision.region(entry.region_id)
+                if region.polygon.contains_point(p):
+                    return entry.region_id
+            else:
+                found = self._search(entry.child, p)
+                if found is not None:
+                    return found
+        return None
+
+    def nodes_depth_first(self) -> List[RStarNode]:
+        out: List[RStarNode] = []
+
+        def walk(node: RStarNode) -> None:
+            out.append(node)
+            if not node.is_leaf:
+                for entry in node.entries:
+                    walk(entry.child)
+
+        walk(self.root)
+        return out
 
 
-#: The scalar insertion, by the name it replaces on ``RStarTree``.
-SCALAR_RSTAR_METHODS = {
-    "_choose_subtree": scalar_choose_subtree,
-    "_insert_entry": scalar_insert_entry,
-    "_overflow_chain": scalar_overflow_chain,
-    "_refresh_parent_mbr": scalar_refresh_parent_mbr,
-    "_reinsert": scalar_reinsert,
-    "_split": scalar_split,
-}
+class ScalarPagedRStarTree:
+    """DFS paging of the object tree, node packets keyed by ``id(node)``."""
+
+    def __init__(self, tree: ScalarRStarTree, params: SystemParameters) -> None:
+        self.tree = tree
+        self.params = params
+        self._store = PacketStore(params.packet_capacity)
+        self._node_packet: Dict[int, int] = {}
+        self._shape_packets: Dict[int, List[int]] = {}
+        self._allocate()
+        self.packets = self._store.packets
+
+    def node_size(self, node: RStarNode) -> int:
+        entry_size = 2 * self.params.coordinate_size + self.params.pointer_size
+        return self.params.bid_size + len(node.entries) * entry_size
+
+    def shape_size(self, region_id: int) -> int:
+        polygon = self.tree.subdivision.region(region_id).polygon
+        return (
+            self.params.bid_size
+            + len(polygon.vertices) * self.params.coordinate_size
+            + self.params.pointer_size
+        )
+
+    def _allocate(self) -> None:
+        capacity = self.params.packet_capacity
+
+        def place_shape(region_id: int, open_packet):
+            size = self.shape_size(region_id)
+            ids: List[int] = []
+            if open_packet is not None and open_packet.free > 0 and size <= open_packet.free:
+                open_packet.allocate(size, f"shape{region_id}")
+                return [open_packet.packet_id], open_packet
+            remaining = size
+            part = 0
+            while remaining > capacity:
+                packet = self._store.new_packet()
+                packet.allocate(capacity, f"shape{region_id}/part{part}")
+                ids.append(packet.packet_id)
+                remaining -= capacity
+                part += 1
+            packet = self._store.new_packet()
+            packet.allocate(remaining, f"shape{region_id}/part{part}")
+            ids.append(packet.packet_id)
+            return ids, packet
+
+        def walk(node: RStarNode) -> None:
+            size = self.node_size(node)
+            if size > capacity:
+                raise PagingError("R*-tree node exceeds the packet capacity")
+            packet = self._store.new_packet()
+            packet.allocate(size, f"rnode#{len(self._node_packet)}")
+            self._node_packet[id(node)] = packet.packet_id
+            if node.is_leaf:
+                open_packet = packet
+                for entry in node.entries:
+                    ids, open_packet = place_shape(entry.region_id, open_packet)
+                    self._shape_packets[entry.region_id] = ids
+            else:
+                for entry in node.entries:
+                    walk(entry.child)
+
+        walk(self.tree.root)
+
+    def trace(self, point: Point) -> QueryTrace:
+        accesses: List[int] = []
+        region = self._search(self.tree.root, point, accesses)
+        if region is None:
+            raise QueryError(f"{point!r} not found in the paged R*-tree")
+        return QueryTrace(region, dedupe_consecutive(accesses))
+
+    def _search(self, node: RStarNode, point: Point, accesses: List[int]) -> Optional[int]:
+        accesses.append(self._node_packet[id(node)])
+        for entry in node.entries:
+            if not entry.mbr.contains_point(point):
+                continue
+            if node.is_leaf:
+                accesses.extend(self._shape_packets[entry.region_id])
+                polygon = self.tree.subdivision.region(entry.region_id).polygon
+                if polygon.contains_point(point):
+                    return entry.region_id
+            else:
+                found = self._search(entry.child, point, accesses)
+                if found is not None:
+                    return found
+        return None
 
 
-#: An ``RStarTree`` whose insertion is the scalar oracle's.
-ScalarRStarTree = type("ScalarRStarTree", (RStarTree,), dict(SCALAR_RSTAR_METHODS))
+def scalar_compile_rstar(paged: ScalarPagedRStarTree) -> _CompiledRStarTree:
+    """``_compile_rstar`` as the loop over the object tree it replaced."""
+    compiled = _cached_compiled(paged, "_compiled_rstar", None)
+    if compiled is not None:
+        return compiled
+    subdivision = paged.tree.subdivision
+    nodes = paged.tree.nodes_depth_first()
+    position = {id(node): i for i, node in enumerate(nodes)}
+    mbrs = []
+    child: List[int] = []
+    shapes: List[Sequence[int]] = []
+    rings: List[Sequence[Point]] = []
+    for node in nodes:
+        for entry in node.entries:
+            mbrs.append(entry.mbr)
+            if node.is_leaf:
+                child.append(~entry.region_id)
+                shapes.append(paged._shape_packets[entry.region_id])
+                region = subdivision.region(entry.region_id)
+                rings.append(region.polygon.vertices)
+            else:
+                child.append(position[id(entry.child)])
+                shapes.append(())
+                rings.append(())
+
+    ct = _CompiledRStarTree()
+    ct.packet = np.fromiter(
+        (paged._node_packet[id(node)] for node in nodes), np.int64, len(nodes)
+    )
+    ct.entry_start = np.zeros(len(nodes) + 1, np.int64)
+    np.cumsum([len(node.entries) for node in nodes], out=ct.entry_start[1:])
+    for field in ("min_x", "min_y", "max_x", "max_y"):
+        setattr(
+            ct,
+            field,
+            np.fromiter((getattr(m, field) for m in mbrs), np.float64, len(mbrs)),
+        )
+    ct.child = np.asarray(child, np.int64)
+    ct.shape_start, ct.shape_packets = _path_csr(shapes)
+    ring_x, ring_y = point_coords([p for ring in rings for p in ring])
+    edges = RegionEdges(
+        ring_x, ring_y, np.fromiter(map(len, rings), np.int64, len(rings))
+    )
+    for name in RegionEdges.__slots__:
+        setattr(ct, "edge_" + name, getattr(edges, name))
+    leaf = ct.child < 0
+    first = edges.start[:-1][leaf]
+    for field, ring, reduce in (
+        ("ring_min_x", ring_x, np.minimum),
+        ("ring_min_y", ring_y, np.minimum),
+        ("ring_max_x", ring_x, np.maximum),
+        ("ring_max_y", ring_y, np.maximum),
+    ):
+        box = np.zeros(len(ct.child), np.float64)
+        if first.size:
+            box[leaf] = reduce.reduceat(ring, first)
+        setattr(ct, field, box)
+    ct.read_table = np.concatenate((ct.packet, ct.shape_packets))
+    return _store_compiled(paged, "_compiled_rstar", ct)
 
 
-def scalar_rstar_build(subdivision, max_entries=None, *, seed=0):
-    """``RStarTree.build`` inserting every region at once."""
-    del seed
-    tree = RStarTree(subdivision, max_entries or RStarTree.DEFAULT_MAX_ENTRIES)
-    for region in subdivision.regions:
-        tree.insert(region.region_id, region.polygon.bbox)
-    return tree
+def scalar_trace_batch_rstar(paged: ScalarPagedRStarTree, points):
+    """The compiled R* tracer, over :func:`scalar_compile_rstar`'s arrays."""
+    scalar_compile_rstar(paged)
+    return _trace_batch_rstar(paged, points)
+
+
+_COMPILERS[ScalarPagedRStarTree] = ("rstar", scalar_compile_rstar)
+register_tracer(ScalarPagedRStarTree, scalar_trace_batch_rstar)
+
+
+def scalar_rstar_tree(cls, subdivision, max_entries=None, *, seed=0):
+    """``RStarTree.build`` replaced by the object-tree oracle, inserting
+    every region at once."""
+    return ScalarRStarTree.build(subdivision, max_entries, seed=seed)
 
 
 # -- the trian-tree's scalar build ----------------------------------------------
@@ -1449,12 +1741,7 @@ def scalar_kernels(monkeypatch):
         SCALAR_RUNS.clear()
         monkeypatch.setattr(DTree, "grow", staticmethod(scalar_grow))
         monkeypatch.setattr(imbalanced_mod, "_sort_regions", _scalar_sort_regions)
-        for name, method in SCALAR_RSTAR_METHODS.items():
-            monkeypatch.setattr(RStarTree, name, method)
-        monkeypatch.setattr(RStarNode, "mbr", property(scalar_node_mbr))
-        monkeypatch.setattr(RStarTree, "build", classmethod(
-            lambda cls, *a, **k: scalar_rstar_build(*a, **k)
-        ))
+        monkeypatch.setattr(RStarTree, "build", classmethod(scalar_rstar_tree))
         monkeypatch.setattr(TrianTree, "build", classmethod(scalar_trian_tree))
         monkeypatch.setattr(TrapTree, "build", classmethod(scalar_trap_tree))
 
@@ -1480,6 +1767,8 @@ def observable(paged) -> dict:
             else:
                 compiled[name] = repr(value)
     state = {"packets": packets, "compiled": compiled}
+    if isinstance(paged.tree, (RStarTree, ScalarRStarTree)):
+        state["rstar"] = rstar_shape(paged.tree)
     if isinstance(paged.tree, (TrianTree, ScalarTrianTree)):
         state["trian"] = trian_shape(paged.tree)
     if hasattr(paged.tree, "nodes_breadth_first"):
@@ -1522,6 +1811,42 @@ def trian_shape(tree) -> list:
     ] + [("roots", [ordinal[id(root)] for root in tree.roots], tree.rounds)]
 
 
+def rstar_shape(tree) -> list:
+    """Every node in preorder: its level and its entries' MBRs and
+    targets (region ids at leaves, child preorder ordinals elsewhere),
+    read from the node table of an :class:`RStarTree` or from the
+    objects of the oracle."""
+    order = tree.nodes_depth_first()
+    if isinstance(tree, RStarTree):
+        number = {node: k for k, node in enumerate(order)}
+        return [
+            (
+                tree.node_level[node],
+                [
+                    (box, target if tree.node_level[node] == 0 else number[target])
+                    for box, target in zip(
+                        tree.node_boxes[node], tree.node_targets[node]
+                    )
+                ],
+            )
+            for node in order
+        ]
+    number = {id(node): k for k, node in enumerate(order)}
+    return [
+        (
+            node.level,
+            [
+                (
+                    (e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y),
+                    e.region_id if node.is_leaf else number[id(e.child)],
+                )
+                for e in node.entries
+            ],
+        )
+        for node in order
+    ]
+
+
 def build_paged(kind: str, subdivision: Subdivision):
     family = index_family(kind)
     return family.build(subdivision, seed=0).page(family.parameters(PACKET_CAPACITY))
@@ -1548,6 +1873,7 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
     assert array_state.get("trian") == scalar_state.get("trian")
+    assert array_state.get("rstar") == scalar_state.get("rstar")
 
 
 def test_trap_packet_labels_do_not_depend_on_the_build():
@@ -2217,6 +2543,17 @@ def _summation(add):
         del globals()["sum"]
 
 
+def _box(rect: Rect) -> tuple:
+    return rect.min_x, rect.min_y, rect.max_x, rect.max_y
+
+
+def _table_node(fanout: int, level: int, rects: List[Rect]) -> Tuple[RStarTree, int]:
+    """A node of *rects* (targets 0, 1, ...) in the table of an empty tree."""
+    tree = RStarTree(grid_subdivision(2, 2), fanout)  # only for the constructor
+    node = tree._new_node(level, [_box(r) for r in rects], list(range(len(rects))))
+    return tree, node
+
+
 @settings(max_examples=300, deadline=None)
 @given(_child_sets())
 def test_choose_subtree_picks_the_scalar_entry(case):
@@ -2224,8 +2561,9 @@ def test_choose_subtree_picks_the_scalar_entry(case):
     entries = [RStarEntry(r, region_id=i) for i, r in enumerate(rects)]
     for add in SUMMATIONS.values():
         with _summation(add):
-            got = RStarTree._least_overlap_enlargement(RStarNode(1, entries), mbr)
-            assert got is scalar_least_overlap_enlargement(entries, mbr)
+            tree, node = _table_node(len(rects) + 1, 1, rects)
+            got = tree._least_overlap_enlargement(node, _box(mbr))
+            assert entries[got] is scalar_least_overlap_enlargement(entries, mbr)
 
 
 @st.composite
@@ -2249,27 +2587,26 @@ def _rstar_histories(draw):
     return fanout, ops
 
 
-def _check_child_boxes(tree: RStarTree) -> None:
-    """Every ChooseSubtree cache, brought up to date, equals a fresh one.
-    A copy is brought up to date, so the tree's own caches meet the
-    changes of several steps at once, as in a build."""
-    for node in tree.nodes_depth_first():
-        if node._boxes is None:
-            continue
-        probe = RStarNode(node.level, node.entries)
-        probe._boxes = copy.deepcopy(node._boxes)
-        cached = probe.child_boxes()
-        fresh = _ChildBoxes([e.mbr for e in node.entries])
-        assert cached.rows == fresh.rows
-        assert cached.own == fresh.own
+def _check_overlaps(tree: RStarTree) -> None:
+    """Every leaf parent's maintained ChooseSubtree overlaps equal fresh
+    ones built from its entries."""
+    live = set(tree.nodes_depth_first())
+    for node, overlaps in tree._overlaps.items():
+        assert node in live
+        fresh = _Overlaps(tree.node_boxes[node])
+        assert overlaps.rows == fresh.rows
+        assert overlaps.own == fresh.own
         for name in ("lo", "hi", "area"):
-            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+            assert getattr(overlaps, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 @pytest.mark.parametrize("summation", sorted(SUMMATIONS))
 @settings(max_examples=60, deadline=None)
 @given(history=_rstar_histories())
 def test_insert_and_delete_match_the_scalar_insertion(summation, history):
+    """Every step of the history leaves the node table equal to the
+    oracle's tree and its overlaps equal to fresh ones; a pickled copy
+    then goes on maintaining the same tree."""
     fanout, ops = history
     sub = grid_subdivision(2, 2)  # only for the constructor
     tree = RStarTree(sub, fanout)
@@ -2281,9 +2618,14 @@ def test_insert_and_delete_match_the_scalar_insertion(summation, history):
                     t.insert(region_id, rect)
                 else:
                     t.delete(region_id, rect)
-            assert _rstar_shape(tree) == _rstar_shape(scalar), (op, region_id)
+            assert rstar_shape(tree) == rstar_shape(scalar), (op, region_id)
             tree.check_invariants()
-            _check_child_boxes(tree)
+            _check_overlaps(tree)
+        clone = pickle.loads(pickle.dumps(tree))
+        for t in (tree, clone, scalar):
+            t.insert(10_000, Rect(0.4, 0.4, 0.45, 0.45))
+        assert rstar_shape(clone) == rstar_shape(tree) == rstar_shape(scalar)
+        _check_overlaps(clone)
 
 
 def test_split_matches_the_scalar_split():
@@ -2298,34 +2640,21 @@ def test_split_matches_the_scalar_split():
                 x0, x1 = sorted(rng.choices(range(4), k=2))
                 y0, y1 = sorted(rng.choices(range(4), k=2))
                 rects.append(Rect(x0 / 3.0, y0 / 3.0, x1 / 3.0, y1 / 3.0))
-            nodes = [
-                RStarNode(0, [RStarEntry(r, region_id=i) for i, r in enumerate(rects)])
-                for _ in range(2)
-            ]
-            kept = [RStarTree(sub, fanout)._split(nodes[0]), nodes[0]]
-            want = [ScalarRStarTree(sub, fanout)._split(nodes[1]), nodes[1]]
-            assert [[e.region_id for e in n.entries] for n in kept] == [
-                [e.region_id for e in n.entries] for n in want
+            tree, node = _table_node(fanout, 0, rects)
+            other = tree._split(node)
+            kept = RStarNode(0, [RStarEntry(r, region_id=i) for i, r in enumerate(rects)])
+            split_off = ScalarRStarTree(sub, fanout)._split(kept)
+            assert [tree.node_targets[other], tree.node_targets[node]] == [
+                [e.region_id for e in n.entries] for n in (split_off, kept)
             ]
 
 
 def test_build_defers_insertion_until_read(voronoi60):
     tree = RStarTree.build(voronoi60, 6)
     assert tree._pending is not None
-    eager = scalar_rstar_build(voronoi60, 6)
-    assert [len(n.entries) for n in tree.nodes_depth_first()] == [
-        len(n.entries) for n in eager.nodes_depth_first()
-    ]
+    assert rstar_shape(tree) == rstar_shape(ScalarRStarTree.build(voronoi60, 6))
     assert tree._pending is None
     tree.check_invariants()
-
-
-def _rstar_shape(tree: RStarTree) -> list:
-    return [
-        [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y, e.region_id)
-         for e in node.entries]
-        for node in tree.nodes_depth_first()
-    ]
 
 
 def test_insert_into_unread_tree_matches_eager_insert(voronoi60):
@@ -2336,19 +2665,9 @@ def test_insert_into_unread_tree_matches_eager_insert(voronoi60):
             extra = Rect(i / 10.0, j / 10.0, i / 10.0 + 0.05, j / 10.0 + 0.05)
             lazy = RStarTree.build(voronoi60, 8)
             lazy.insert(10_000, extra)
-            eager = scalar_rstar_build(voronoi60, 8)
+            eager = ScalarRStarTree.build(voronoi60, 8)
             eager.insert(10_000, extra)
-            assert _rstar_shape(lazy) == _rstar_shape(eager), extra
-
-
-def test_pickles_leave_the_choose_subtree_cache_out(voronoi60):
-    tree = RStarTree.build(voronoi60, 6).ensure_built()
-    assert any(node._boxes is not None for node in tree.nodes_depth_first())
-    clone = pickle.loads(pickle.dumps(tree))
-    assert all(node._boxes is None for node in clone.nodes_depth_first())
-    for t in (tree, clone):
-        t.insert(10_000, Rect(0.4, 0.4, 0.45, 0.45))
-    assert _rstar_shape(clone) == _rstar_shape(tree)
+            assert rstar_shape(lazy) == rstar_shape(eager), extra
 
 
 def test_page_builds_once_at_the_packet_fanout(voronoi60):
@@ -2360,8 +2679,8 @@ def test_page_builds_once_at_the_packet_fanout(voronoi60):
     assert paged.tree._pending is None
     # The protocol's default-fan-out tree was never read, so never built.
     assert logical._pending is not None
-    assert _rstar_shape(paged.tree) == _rstar_shape(
-        scalar_rstar_build(voronoi60, rstar_fanout(params))
+    assert rstar_shape(paged.tree) == rstar_shape(
+        ScalarRStarTree.build(voronoi60, rstar_fanout(params))
     )
 
 
@@ -2370,15 +2689,81 @@ def test_maintainer_build_is_a_whole_build(voronoi60):
     params = index_family("rstar").parameters(PACKET_CAPACITY)
     tree = maintainer_for("rstar", params=params).build(voronoi60)
     assert tree._pending is None
-    assert _rstar_shape(tree) == _rstar_shape(
-        scalar_rstar_build(voronoi60, rstar_fanout(params))
+    assert rstar_shape(tree) == rstar_shape(
+        ScalarRStarTree.build(voronoi60, rstar_fanout(params))
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    _small_subdivisions(),
+    st.sampled_from([24, 64, 128, 256]),
+    st.integers(0, 10_000),
+)
+def test_rstar_answers_identical_to_object_tree_on_random_points(
+    subdivision, capacity, point_seed
+):
+    """Random points, every vertex and every edge midpoint answer alike
+    on the node table's snapshot and on the object tree it replaced, and
+    the lossy recovery's candidate regions after each packet are the
+    regions whose shape packets the object tree's paging had not yet
+    finished.  At 24 B most Voronoi shapes span several packets."""
+    rng = random.Random(point_seed)
+    points = [subdivision.random_point(rng) for _ in range(100)]
+    points += list(dict.fromkeys(
+        v for region in subdivision.regions for v in region.polygon.vertices
+    ))
+    points += [
+        Point((e.a.x + e.b.x) / 2, (e.a.y + e.b.y) / 2)
+        for e in subdivision.all_edges()
+    ]
+    params = index_family("rstar").parameters(capacity)
+    arrays = RStarTree.build(subdivision).page(params)
+    scalar = ScalarRStarTree.build(subdivision).page(params)
+    assert observable(arrays) == observable(scalar)
+    assert _answers(arrays, points) == _answers(scalar, points)
+    everything = frozenset(subdivision.region_ids)
+    candidates = candidate_provider(arrays, everything)
+    for last_good in [None, *range(len(scalar.packets))]:
+        live = frozenset(
+            region_id
+            for region_id, packets in scalar._shape_packets.items()
+            if last_good is not None and max(packets) >= last_good
+        )
+        assert candidates(last_good) == (live or everything)
+
+
+def test_pickled_paged_rstar_tree_keeps_packets_arrays_and_traces():
+    """The paged R*-tree pickles as its snapshot, without the tree: a
+    round trip keeps every packet, every compiled array and the scalar
+    traces."""
+    subdivision = DATASETS["PARK"]()
+    points = random_points_in(subdivision, 300, seed=17)
+
+    def traces(paged):
+        return [(t.region_id, t.packets_accessed) for t in map(paged.trace, points)]
+
+    paged = build_paged("rstar", subdivision)
+    # Compiled arrays and list mirrors exist before the pickle, which
+    # leaves them out.
+    state, answers = observable(paged), traces(paged)
+    restored = pickle.loads(pickle.dumps(paged))
+    assert restored.tree is None and not hasattr(restored, "_compiled_rstar")
+    state.pop("rstar")
+    assert observable(restored) == state
+    assert traces(restored) == answers
+
+
 def test_packet_labels_are_deterministic(voronoi60):
-    for kind in ("rstar", "trian"):
-        first = build_paged(kind, voronoi60)
-        second = build_paged(kind, voronoi60)
+    kdsplit = lambda: PagedKDSplitTree(
+        KDSplitTree(voronoi60), index_family("trap").parameters(PACKET_CAPACITY)
+    )
+    for build in (
+        lambda: build_paged("rstar", voronoi60),
+        lambda: build_paged("trian", voronoi60),
+        kdsplit,
+    ):
+        first, second = build(), build()
         assert [p.contents for p in first.packets] == [
             p.contents for p in second.packets
         ]

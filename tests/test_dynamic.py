@@ -6,6 +6,7 @@ import pytest
 
 from repro.broadcast.client import BroadcastClient
 from repro.broadcast.packets import stamp_version
+from repro.datasets.generators import uniform_points
 from repro.datasets.catalog import (
     SERVICE_AREA,
     hospital_dataset,
@@ -26,6 +27,7 @@ from repro.dynamic import (
     sites_subdivision,
 )
 from repro.dynamic.maintain import IndexMaintainer, _leaf_ids
+from repro.engine.trace import batched_trace
 from repro.errors import IndexBuildError, ReproError, UpdateError
 from repro.geometry.point import Point
 from repro.rstar.tree import RStarTree
@@ -209,10 +211,10 @@ class TestRStarIncremental:
             tree.delete(rid, voronoi60.region(rid).polygon.bbox)
             tree.check_invariants()
         remaining = sorted(
-            e.region_id
-            for n in tree.nodes_depth_first()
-            if n.is_leaf
-            for e in n.entries
+            region_id
+            for node in tree.nodes_depth_first()
+            if tree.node_level[node] == 0
+            for region_id in tree.node_targets[node]
         )
         assert remaining == sorted(set(voronoi60.region_ids) - set(ids[:45]))
 
@@ -459,6 +461,47 @@ class TestDynamicService:
             if result.attempts > 1:
                 assert result.wasted_tuning > 0
         assert fired  # the update really landed mid-read
+
+    def test_past_versions_answer_as_when_they_aired(self, kind):
+        """Version 0, kept in history, traces and batch-traces as it did
+        while it aired, however maintenance changed the live index since:
+        both when it was compiled before the updates and when its first
+        trace comes after them."""
+        initial = dict(enumerate(uniform_points(200, 3, SERVICE_AREA)))
+        rng = random.Random(5)
+        steps = []
+        sites = initial
+        for _ in range(4):
+            sites = churn_sites(
+                sites, AREA, n_move=5, move_scale=MOVE_SCALE, rng=rng
+            )
+            steps.append(sites_subdivision(sites, AREA))
+
+        def serve():
+            return DynamicBroadcastServer(
+                kind, sites_subdivision(initial, AREA), packet_capacity=256
+            )
+
+        def answers(paged, points):
+            traces = [(t.region_id, t.packets_accessed) for t in map(paged.trace, points)]
+            batch = batched_trace(paged, points, paths=True)
+            return traces, [
+                column.tolist()
+                for column in (
+                    batch.region_ids, batch.last_packet, batch.tuning_time,
+                    batch.path_offsets, batch.path_packets,
+                )
+            ]
+
+        compiled_first = serve()
+        points = compiled_first.subdivision.random_points(2000, random.Random(6))
+        aired = answers(compiled_first.history[0][1], points)
+        compiled_last = serve()
+        for server in (compiled_first, compiled_last):
+            for new in steps:
+                server.apply_updates(new)
+            assert server.version == len(steps)
+            assert answers(server.history[0][1], points) == aired
 
     def test_history_limit_prunes_old_epochs(self, kind):
         sites = _sites(25, seed=29)

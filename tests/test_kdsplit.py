@@ -1,12 +1,19 @@
 """Tests for the kd-style hyperplane baseline (extension)."""
 
+import pickle
+
 import pytest
 
 from repro.broadcast.params import SystemParameters
 from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
 from repro.errors import IndexBuildError
-from repro.pointloc.kdsplit import KDSplitLeaf, KDSplitTree, PagedKDSplitTree
+from repro.pointloc.kdsplit import (
+    KDSplitLeaf,
+    KDSplitNode,
+    KDSplitTree,
+    PagedKDSplitTree,
+)
 
 from tests.conftest import random_points_in
 
@@ -39,6 +46,18 @@ class TestConstruction:
             if isinstance(node, KDSplitLeaf):
                 seen.update(node.region_ids)
         assert seen == set(voronoi60.region_ids)
+
+
+    def test_nodes_numbered_in_preorder(self, voronoi60):
+        tree = KDSplitTree(voronoi60, leaf_capacity=4)
+        nodes = tree.nodes_depth_first()
+        assert nodes[0] is tree.root
+        assert [node.ordinal for node in nodes] == list(range(len(nodes)))
+        for node in nodes:
+            if isinstance(node, KDSplitNode):
+                # Preorder: the left child follows its parent.
+                assert node.left.ordinal == node.ordinal + 1
+                assert node.right.ordinal > node.left.ordinal
 
 
 class TestQueries:
@@ -78,6 +97,20 @@ class TestPaged:
         for cap in (64, 256):
             paged = PagedKDSplitTree(tree, params_for(cap))
             assert all(p.used <= p.capacity for p in paged.packets)
+
+
+    def test_pickle_round_trip_keeps_packets_and_traces(self, voronoi60):
+        paged = PagedKDSplitTree(
+            KDSplitTree(voronoi60, leaf_capacity=4), params_for(64)
+        )
+        points = random_points_in(voronoi60, 250, seed=14)
+        clone = pickle.loads(pickle.dumps(paged))
+        assert [(p.used, p.contents) for p in clone.packets] == [
+            (p.used, p.contents) for p in paged.packets
+        ]
+        assert [
+            (t.region_id, t.packets_accessed) for t in map(clone.trace, points)
+        ] == [(t.region_id, t.packets_accessed) for t in map(paged.trace, points)]
 
 
 class TestDivisionsVersusHyperplanes:

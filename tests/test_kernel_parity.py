@@ -400,16 +400,18 @@ class TestOracleFallbacks:
         batched_trace(paged, points)  # compile and cache the sound tree
         # Re-point one node below a nonzero packet at packet 0, so every
         # query through it reads the channel backwards.
-        stack = [(paged.tree.root, 0)]
+        stack = [(0, 0)]
         while stack:
             node, high = stack.pop()
             if high > 0:
                 break
-            high = max(high, paged._node_packet[id(node)])
-            if not node.is_leaf:
-                stack.extend((entry.child, high) for entry in node.entries)
+            high = max(high, int(paged.node_packet[node]))
+            entries = paged.entry_child[
+                paged.entry_start[node] : paged.entry_start[node + 1]
+            ].tolist()
+            stack.extend((child, high) for child in entries if child >= 0)
         assert high > 0
-        paged._node_packet[id(node)] = 0
+        paged.node_packet[node] = 0
         bump_structure_generation(paged)
 
         failing = [
@@ -577,19 +579,13 @@ class TestRStarDriftedLeafMBR:
 
     def test_points_in_mbr_but_outside_ring_box_match_oracle(self, voronoi60):
         from repro.geometry.point import Point
-        from repro.geometry.rect import Rect
 
         family = index_family("rstar")
         paged = family.build(voronoi60, seed=7).page(family.parameters(256))
         widen = 1e-9
-        for node in paged._nodes_preorder():
-            if node.is_leaf:
-                for entry in node.entries:
-                    m = entry.mbr
-                    entry.mbr = Rect(
-                        m.min_x - widen, m.min_y - widen,
-                        m.max_x + widen, m.max_y + widen,
-                    )
+        leaf = paged.entry_child < 0
+        paged.entry_boxes[:2, leaf] -= widen
+        paged.entry_boxes[2:, leaf] += widen
         # Just past each region's extreme vertices: inside the widened
         # MBR, outside the ring's box, within EPS of the ring.
         probes = []

@@ -4,10 +4,9 @@ import pytest
 
 from repro.errors import IndexBuildError, PagingError
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.broadcast.params import SystemParameters
 from repro.rstar.paged import PagedRStarTree, rstar_fanout
-from repro.rstar.tree import RStarEntry, RStarNode, RStarTree
+from repro.rstar.tree import RStarTree
 
 from tests.conftest import random_points_in
 
@@ -28,15 +27,6 @@ class TestFanout:
             rstar_fanout(params_for(20))  # (20 - 2) // 10 = 1 entry
 
 
-class TestEntry:
-    def test_exactly_one_target(self):
-        r = Rect(0, 0, 1, 1)
-        with pytest.raises(IndexBuildError):
-            RStarEntry(r)
-        with pytest.raises(IndexBuildError):
-            RStarEntry(r, child=RStarNode(0), region_id=1)
-
-
 class TestConstruction:
     @pytest.mark.parametrize("fanout", [4, 6, 25])
     def test_invariants_hold(self, voronoi60, fanout):
@@ -53,28 +43,27 @@ class TestConstruction:
 
     def test_all_regions_present(self, voronoi60):
         tree = RStarTree.build(voronoi60, 6)
-        seen = []
-
-        def walk(node):
-            for e in node.entries:
-                if node.is_leaf:
-                    seen.append(e.region_id)
-                else:
-                    walk(e.child)
-
-        walk(tree.root)
+        seen = [
+            region_id
+            for node in tree.nodes_depth_first()
+            if tree.node_level[node] == 0
+            for region_id in tree.node_targets[node]
+        ]
         assert sorted(seen) == voronoi60.region_ids
 
     def test_mbrs_tight(self, voronoi60):
         tree = RStarTree.build(voronoi60, 6)
-
-        def walk(node):
-            for e in node.entries:
-                if not node.is_leaf:
-                    assert e.mbr == e.child.mbr
-                    walk(e.child)
-
-        walk(tree.root)
+        for node in tree.nodes_depth_first():
+            if tree.node_level[node] == 0:
+                continue
+            for box, child in zip(tree.node_boxes[node], tree.node_targets[node]):
+                boxes = tree.node_boxes[child]
+                assert box == (
+                    min(b[0] for b in boxes),
+                    min(b[1] for b in boxes),
+                    max(b[2] for b in boxes),
+                    max(b[3] for b in boxes),
+                )
 
 
 class TestLogicalQuery:
@@ -124,7 +113,10 @@ class TestPaged:
         params = params_for(256)
         tree = RStarTree.build(voronoi60, rstar_fanout(params))
         paged = PagedRStarTree(tree, params)
-        assert sorted(paged._shape_packets) == voronoi60.region_ids
+        leaf = paged.entry_child < 0
+        assert sorted((~paged.entry_child[leaf]).tolist()) == voronoi60.region_ids
+        counts = paged.shape_start[1:] - paged.shape_start[:-1]
+        assert (counts[leaf] >= 1).all() and (counts[~leaf] == 0).all()
 
     def test_tuning_includes_shape_accesses(self, voronoi60):
         # A traced query must access at least root + leaf + one shape.

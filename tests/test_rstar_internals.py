@@ -6,62 +6,51 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.rstar.tree import REINSERT_FRACTION, RStarEntry, RStarNode, RStarTree
+from repro.rstar.tree import REINSERT_FRACTION, RStarTree
 from repro.tessellation.grid import grid_subdivision
 
 
-def small_rect(x, y, size=0.01):
-    return Rect(x, y, x + size, y + size)
+def small_box(x, y, size=0.01):
+    return (x, y, x + size, y + size)
+
+
+def node_rect(tree, node):
+    """The MBR of *node*'s entries."""
+    min_x, min_y, max_x, max_y = zip(*tree.node_boxes[node])
+    return Rect(min(min_x), min(min_y), max(max_x), max(max_y))
 
 
 class TestSplitQuality:
     def test_split_respects_min_fill(self, voronoi60):
         tree = RStarTree.build(voronoi60, 6)
-
-        def walk(node, is_root):
-            if not is_root:
-                assert len(node.entries) >= tree.min_entries
-            if not node.is_leaf:
-                for e in node.entries:
-                    walk(e.child, False)
-
-        walk(tree.root, True)
+        for node in tree.nodes_depth_first():
+            if node != tree.root:
+                assert len(tree.node_targets[node]) >= tree.min_entries
 
     def test_split_separates_spatial_clusters(self):
         """Two well-separated clusters must not be mixed by a split."""
         sub = grid_subdivision(2, 2)  # only for the constructor
         tree = RStarTree(sub, max_entries=4)
-        node = RStarNode(level=0)
         rng = random.Random(1)
+        boxes = []
         for i in range(5):
             if i < 3:
-                node.entries.append(
-                    RStarEntry(small_rect(rng.uniform(0, 0.1), rng.uniform(0, 0.1)),
-                               region_id=i)
-                )
+                boxes.append(small_box(rng.uniform(0, 0.1), rng.uniform(0, 0.1)))
             else:
-                node.entries.append(
-                    RStarEntry(small_rect(rng.uniform(0.9, 1.0), rng.uniform(0.9, 1.0)),
-                               region_id=i)
-                )
+                boxes.append(small_box(rng.uniform(0.9, 1.0), rng.uniform(0.9, 1.0)))
+        node = tree._new_node(0, boxes, list(range(5)))
         other = tree._split(node)
-        groups = [
-            {e.region_id for e in node.entries},
-            {e.region_id for e in other.entries},
-        ]
+        groups = [set(tree.node_targets[node]), set(tree.node_targets[other])]
         assert {0, 1, 2} in groups or {3, 4} in groups
 
     def test_split_minimises_overlap_for_grid_row(self):
         """Collinear boxes split into two contiguous runs (zero overlap)."""
         sub = grid_subdivision(2, 2)
         tree = RStarTree(sub, max_entries=4)
-        node = RStarNode(level=0)
-        for i in range(5):
-            node.entries.append(
-                RStarEntry(Rect(i * 0.2, 0.0, i * 0.2 + 0.18, 0.1), region_id=i)
-            )
+        boxes = [(i * 0.2, 0.0, i * 0.2 + 0.18, 0.1) for i in range(5)]
+        node = tree._new_node(0, boxes, list(range(5)))
         other = tree._split(node)
-        r1, r2 = node.mbr, other.mbr
+        r1, r2 = node_rect(tree, node), node_rect(tree, other)
         assert r1.overlap_area(r2) == pytest.approx(0.0)
 
 
@@ -72,7 +61,7 @@ class TestForcedReinsert:
         original = tree._reinsert
 
         def spy(node, path):
-            calls.append(node.level)
+            calls.append(tree.node_level[node])
             return original(node, path)
 
         tree._reinsert = spy
@@ -95,15 +84,15 @@ class TestChooseSubtree:
         tree = RStarTree(sub, max_entries=8)
         tree.insert(0, Rect(0.0, 0.0, 0.4, 0.4))
         tree.insert(1, Rect(0.6, 0.6, 1.0, 1.0))
-        node, path = tree._choose_subtree(Rect(0.1, 0.1, 0.2, 0.2), 0)
-        assert node is tree.root  # still a single leaf
+        node, path = tree._choose_subtree((0.1, 0.1, 0.2, 0.2), 0)
+        assert node == tree.root  # still a single leaf
         assert path == []
 
     def test_deep_tree_choose_descends_to_leaf_level(self, voronoi60):
         tree = RStarTree.build(voronoi60, 4)
-        node, path = tree._choose_subtree(Rect(0.5, 0.5, 0.51, 0.51), 0)
-        assert node.is_leaf
-        assert len(path) == tree.root.level
+        node, path = tree._choose_subtree((0.5, 0.5, 0.51, 0.51), 0)
+        assert tree.node_level[node] == 0
+        assert len(path) == tree.node_level[tree.root]
 
 
 class TestInsertionOrderRobustness:
