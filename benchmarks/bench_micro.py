@@ -50,6 +50,20 @@ def bench_build_trap(benchmark, dataset):
     assert tree.node_counts()["leaf"] > 0
 
 
+def bench_build_page_compile_dtree(benchmark):
+    """The D-tree's whole set-up on PARK: build, page, compile."""
+    subdivision = park_dataset().subdivision
+    params = SystemParameters.for_index("dtree", 256)
+
+    def setup():
+        paged = DTree.build(subdivision).page(params)
+        return paged, compiled_form(paged)
+
+    paged, (family, compiled) = benchmark(setup)
+    assert family == "dtree"
+    assert len(compiled.left_code) == paged.tree.node_count
+
+
 def bench_build_page_compile_trap(benchmark):
     """The trap-tree's whole set-up on PARK: build, page, compile."""
     subdivision = park_dataset().subdivision

@@ -28,7 +28,7 @@ def main() -> None:
     })
 
     tree = DTree.build(subdivision)
-    root = tree.root.partition
+    root = tree.partition[tree.root]
     print(
         f"\nD-tree root: a {root.dimension}-dimensional partition of "
         f"{root.size} coordinates"

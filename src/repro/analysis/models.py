@@ -15,9 +15,9 @@ simulator (the tests pin estimate vs measurement):
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
-from repro.core.dtree import DTree, DTreeNode
+from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
 from repro.broadcast.schedule import expected_latency_formula, optimal_m
 
@@ -27,25 +27,20 @@ def dtree_index_bytes(paged: PagedDTree) -> int:
     return paged.index_bytes
 
 
-def _subtree_areas(tree: DTree) -> Dict[int, float]:
-    """node_id -> total region area under the node.
+def _subtree_areas(tree: DTree) -> List[float]:
+    """Per tree row: total region area under the node.
 
     Region areas come from the subdivision's cached compiled form
     (:meth:`~repro.geometry.kernels.CompiledSubdivision.area_by_id`),
-    whose shoelace sums are bit-identical to ``Polygon.area``.
+    whose shoelace sums are bit-identical to ``Polygon.area``.  A
+    child's row comes after its parent's, so one backward pass sums
+    every subtree.
     """
     region_area = tree.subdivision.compiled().area_by_id()
-    areas: Dict[int, float] = {}
-
-    def walk(child) -> float:
-        if isinstance(child, DTreeNode):
-            total = walk(child.left) + walk(child.right)
-            areas[child.node_id] = total
-            return total
-        return region_area[child]
-
-    if tree.root is not None:
-        walk(tree.root)
+    areas = [0.0] * len(tree.node_id)
+    area = lambda code: areas[code] if code >= 0 else region_area[~code]
+    for row in reversed(range(len(areas))):
+        areas[row] = area(tree.left[row]) + area(tree.right[row])
     return areas
 
 
@@ -62,30 +57,26 @@ def dtree_expected_tuning(paged: PagedDTree) -> float:
     if tree.root is None:
         return 0.0
     areas = _subtree_areas(tree)
-    total_area = max(areas[tree.root.node_id], 1e-12)
-
+    total_area = max(areas[tree.root], 1e-12)
+    # Pre-order visits a parent before its children.
+    parent_last = [-1] * len(areas)
     expected = 0.0
-
-    def walk(child, parent_last_packet) -> None:
-        nonlocal expected
-        if not isinstance(child, DTreeNode):
-            return
-        packets = paged.packets_of_node(child.node_id)
-        p_visit = areas[child.node_id] / total_area
+    for row in tree.iter_nodes():
+        packets = paged.packets_of_row(row)
+        p_visit = areas[row] / total_area
         cost = 0.0
-        if packets[0] != parent_last_packet:
+        if packets[0] != parent_last[row]:
             cost += 1.0
         if len(packets) > 1:
             extra = len(packets) - 1
             if paged.early_termination:
-                cost += child.partition.inter_prob * extra
+                cost += tree.partition[row].inter_prob * extra
             else:
                 cost += extra
         expected += p_visit * cost
-        walk(child.left, packets[-1])
-        walk(child.right, packets[-1])
-
-    walk(tree.root, parent_last_packet=None)
+        for code in (tree.left[row], tree.right[row]):
+            if code >= 0:
+                parent_last[code] = packets[-1]
     return expected
 
 

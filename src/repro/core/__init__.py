@@ -25,7 +25,7 @@ from repro.core.partition import (
     evaluate_style,
     best_partition,
 )
-from repro.core.dtree import DTree, DTreeNode
+from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
 from repro.core.serialize import SerializedDTree, AxisCodec
 
@@ -36,7 +36,6 @@ __all__ = [
     "evaluate_style",
     "best_partition",
     "DTree",
-    "DTreeNode",
     "PagedDTree",
     "SerializedDTree",
     "AxisCodec",

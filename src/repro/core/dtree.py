@@ -2,15 +2,23 @@
 
 The tree recursively halves the region count, so it is height-balanced by
 construction (property 3) and a point query visits Θ(log N) nodes
-(property 4).  Children are either :class:`DTreeNode` (subspace with more
-than one region) or a bare region id (data pointer).
+(property 4).
+
+The tree is a node table with one row per node, rows in ``node_id``
+order: ``node_id[r]`` (the wire label), ``level[r]``, ``partition[r]``
+and the child codes ``left[r]``/``right[r]``.  A code ``c >= 0`` is the
+row of an internal child; ``c < 0`` is a data pointer to region ``~c``.
+A child's row always comes after its parent's: ids are given in preorder
+at build, and a maintainer splice gives its grown rows fresh ids above
+every existing one (:meth:`DTree.splice`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from bisect import bisect_left
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import IndexBuildError, QueryError
+from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.tessellation.subdivision import Subdivision
 from repro.core.partition import (
@@ -19,8 +27,6 @@ from repro.core.partition import (
     best_partitions,
     enumerate_styles,
 )
-
-Child = Union["DTreeNode", int]
 
 
 def paper_styles(
@@ -40,57 +46,33 @@ def paper_styles(
     return styles_for
 
 
-class DTreeNode:
-    """An internal or leaf node of the binary D-tree.
+class DTree:
+    """The binary D-tree over a subdivision, as a node table.
 
     In the paper's terms a *leaf* node is one whose two children are data
-    pointers; structurally both kinds carry a partition and two children
-    (property 1: every node has exactly two children).
+    pointers; structurally every row carries a partition and two children
+    (property 1: every node has exactly two children).  The left child
+    holds the regions of the first (lefthand/upper) subspace, the right
+    child those of the second (righthand/lower) one.
     """
-
-    __slots__ = ("node_id", "partition", "left", "right", "level")
 
     def __init__(
         self,
-        node_id: int,
-        partition: Partition,
-        left: Child,
-        right: Child,
-        level: int,
+        subdivision: Subdivision,
+        node_id: Sequence[int] = (),
+        level: Sequence[int] = (),
+        partition: Sequence[Partition] = (),
+        left: Sequence[int] = (),
+        right: Sequence[int] = (),
+        root: Optional[int] = None,
     ) -> None:
-        self.node_id = node_id
-        self.partition = partition
-        #: Left child: regions of the first (lefthand/upper) subspace.
-        self.left = left
-        #: Right child: regions of the second (righthand/lower) subspace.
-        self.right = right
-        self.level = level
-
-    def __repr__(self) -> str:
-        return (
-            f"DTreeNode(id={self.node_id}, dim={self.partition.dimension}, "
-            f"size={self.partition.size})"
-        )
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when both children are data pointers."""
-        return not isinstance(self.left, DTreeNode) and not isinstance(
-            self.right, DTreeNode
-        )
-
-    def child_for(self, p: Point) -> Child:
-        """Follow the partition's side test (Algorithm 2 inner step)."""
-        side = self.partition.side_of(p)
-        return self.left if side == "first" else self.right
-
-
-class DTree:
-    """The binary D-tree over a subdivision."""
-
-    def __init__(self, subdivision: Subdivision, root: Optional[DTreeNode]) -> None:
         self.subdivision = subdivision
-        #: None only for the degenerate single-region subdivision.
+        self.node_id: List[int] = list(node_id)
+        self.level: List[int] = list(level)
+        self.partition: List[Partition] = list(partition)
+        self.left: List[int] = list(left)
+        self.right: List[int] = list(right)
+        #: Root row; None only for the degenerate single-region tree.
         self.root = root
 
     # -- construction -----------------------------------------------------------
@@ -114,18 +96,16 @@ class DTree:
         deterministic, so it is accepted and ignored.
         """
         del seed  # deterministic construction
-        ids = subdivision.region_ids
-        if len(ids) == 1:
-            return cls(subdivision, None)
-        root = cls.grow(
-            subdivision, ids, paper_styles(extended_styles), tie_break_inter_prob
+        return cls.grow(
+            subdivision,
+            subdivision.region_ids,
+            paper_styles(extended_styles),
+            tie_break_inter_prob,
         )
-        if not isinstance(root, DTreeNode):
-            raise IndexBuildError("D-tree build produced no root node")
-        return cls(subdivision, root)
 
-    @staticmethod
+    @classmethod
     def grow(
+        cls,
         subdivision: Subdivision,
         region_ids: Sequence[int],
         styles_for: Callable[[Sequence[int]], Sequence[PartitionStyle]],
@@ -133,46 +113,103 @@ class DTree:
         *,
         first_id: int = 0,
         level: int = 0,
-    ) -> Child:
-        """The subtree over *region_ids*, built one tree level at a time.
+    ) -> "DTree":
+        """The tree over *region_ids*, built one tree level at a time.
 
         Every node of a level is split by one :func:`best_partitions`
         call over the candidates ``styles_for(node's region ids)``; the
-        winners' subspaces are the next level.  Node ids are then given
-        in pre-order from *first_id*, and the root sits at *level*.  A
-        single region is returned as its bare id.
+        winners' subspaces are the next level.  Rows are written in
+        breadth-first order and then put in pre-order, whose node ids
+        run from *first_id*; the root sits at *level*.  A single region
+        gives the rootless tree.
         """
         if len(region_ids) == 1:
-            return region_ids[0]
-        root: List[DTreeNode] = []
-        # (region ids, parent node, side) of each node of the level.
-        frontier = [(list(region_ids), None, "")]
+            return cls(subdivision)
+        parts: List[Partition] = []
+        levels: List[int] = []
+        codes: List[List[int]] = []
+        frontier = [list(region_ids)]
         while frontier:
-            parts = best_partitions(
+            won = best_partitions(
                 subdivision,
-                [ids for ids, _, _ in frontier],
-                [styles_for(ids) for ids, _, _ in frontier],
+                frontier,
+                [styles_for(ids) for ids in frontier],
                 tie_break_inter_prob,
             )
-            below = []
-            for (_, parent, side), part in zip(frontier, parts):
-                node = DTreeNode(-1, part, None, None, level)
-                if parent is None:
-                    root.append(node)
-                else:
-                    setattr(parent, side, node)
-                children = ((part.first_ids, "left"), (part.second_ids, "right"))
-                for ids, child_side in children:
+            below: List[List[int]] = []
+            next_row = len(parts) + len(frontier)
+            for part in won:
+                pair = []
+                for ids in (part.first_ids, part.second_ids):
                     if len(ids) == 1:
-                        setattr(node, child_side, ids[0])
+                        pair.append(~ids[0])
                     else:
-                        below.append((ids, node, child_side))
+                        pair.append(next_row + len(below))
+                        below.append(ids)
+                parts.append(part)
+                levels.append(level)
+                codes.append(pair)
             frontier = below
             level += 1
-        preorder = DTree(subdivision, root[0]).iter_nodes()
-        for node_id, node in enumerate(preorder, first_id):
-            node.node_id = node_id
-        return root[0]
+        # Breadth-first rows -> pre-order rows.
+        order: List[int] = []
+        stack = [0]
+        while stack:
+            row = stack.pop()
+            order.append(row)
+            stack.extend(c for c in reversed(codes[row]) if c >= 0)
+        rank = [0] * len(order)
+        for new, old in enumerate(order):
+            rank[old] = new
+        remap = lambda c: rank[c] if c >= 0 else c
+        return cls(
+            subdivision,
+            range(first_id, first_id + len(order)),
+            [levels[r] for r in order],
+            [parts[r] for r in order],
+            [remap(codes[r][0]) for r in order],
+            [remap(codes[r][1]) for r in order],
+            0,
+        )
+
+    def splice(
+        self,
+        subdivision: Subdivision,
+        parent: Optional[int],
+        side: str,
+        grown: "DTree",
+        region_id: Optional[int] = None,
+    ) -> "DTree":
+        """A new tree over *subdivision*: this one with the child on
+        *side* of row *parent* (the root when *parent* is None) replaced
+        by *grown*, or by the data pointer to *region_id* when *grown* is
+        rootless.  The replaced subtree's rows are dropped; *grown*'s
+        ids must lie above every id here, so its rows go last and the
+        rows stay in id order.  This tree is left as it was."""
+        old = self.root if parent is None else getattr(self, side)[parent]
+        retired = {code for code, _ in self.walk(old) if code >= 0}
+        kept = [row for row in range(len(self.node_id)) if row not in retired]
+        rank = [-1] * len(self.node_id)
+        for k, row in enumerate(kept):
+            rank[row] = k
+        base = len(kept)
+        replacement = ~region_id if grown.root is None else base + grown.root
+        keep = lambda c: rank[c] if c >= 0 else c
+        shift = lambda c: base + c if c >= 0 else c
+        tree = DTree(
+            subdivision,
+            [self.node_id[r] for r in kept] + grown.node_id,
+            [self.level[r] for r in kept] + grown.level,
+            [self.partition[r] for r in kept] + grown.partition,
+            [keep(self.left[r]) for r in kept] + [shift(c) for c in grown.left],
+            [keep(self.right[r]) for r in kept] + [shift(c) for c in grown.right],
+        )
+        if parent is None:
+            tree.root = replacement
+        else:
+            tree.root = rank[self.root]
+            getattr(tree, side)[rank[parent]] = replacement
+        return tree
 
     def page(self, params) -> "PagedDTree":
         """Allocate the tree to fixed-capacity packets (Algorithm 3) —
@@ -196,10 +233,11 @@ class DTree:
             raise QueryError(f"{p!r} outside the service area")
         if self.root is None:
             return self.subdivision.regions[0].region_id
-        node: Child = self.root
-        while isinstance(node, DTreeNode):
-            node = node.child_for(p)
-        return node
+        code = self.root
+        while code >= 0:
+            side = self.partition[code].side_of(p)
+            code = self.left[code] if side == "first" else self.right[code]
+        return ~code
 
     def window_query(self, window) -> List[int]:
         """Regions intersecting an axis-aligned rectangle (extension).
@@ -216,12 +254,13 @@ class DTree:
             return [only.region_id] if only.polygon.intersects_rect(window) else []
 
         candidates: List[int] = []
-
-        def descend(child: Child) -> None:
-            if not isinstance(child, DTreeNode):
-                candidates.append(child)
-                return
-            part = child.partition
+        stack = [self.root]
+        while stack:
+            code = stack.pop()
+            if code < 0:
+                candidates.append(~code)
+                continue
+            part = self.partition[code]
             if part.dimension == "y":
                 lo, hi = window.min_x, window.max_x
                 in_d1 = hi < part.first_bound
@@ -231,14 +270,11 @@ class DTree:
                 in_d1 = lo > part.first_bound
                 in_d3 = hi < part.second_bound
             if in_d1:
-                descend(child.left)
+                stack.append(self.left[code])
             elif in_d3:
-                descend(child.right)
+                stack.append(self.right[code])
             else:
-                descend(child.left)
-                descend(child.right)
-
-        descend(self.root)
+                stack.extend((self.right[code], self.left[code]))
         return sorted(
             rid
             for rid in candidates
@@ -247,65 +283,59 @@ class DTree:
 
     # -- structure accessors ------------------------------------------------------
 
-    def nodes_breadth_first(self) -> List[DTreeNode]:
-        """All nodes level by level — the broadcast/paging order (§5)."""
+    def row_of(self, node_id: int) -> int:
+        """The row of node *node_id* (rows are in id order)."""
+        row = bisect_left(self.node_id, node_id)
+        if row == len(self.node_id) or self.node_id[row] != node_id:
+            raise KeyError(node_id)
+        return row
+
+    def nodes_breadth_first(self) -> List[int]:
+        """All rows level by level — the broadcast/paging order (§5)."""
         if self.root is None:
             return []
-        out: List[DTreeNode] = []
-        frontier: List[DTreeNode] = [self.root]
-        while frontier:
-            out.extend(frontier)
-            nxt: List[DTreeNode] = []
-            for node in frontier:
-                for child in (node.left, node.right):
-                    if isinstance(child, DTreeNode):
-                        nxt.append(child)
-            frontier = nxt
+        out = [self.root]
+        for row in out:
+            out.extend(c for c in (self.left[row], self.right[row]) if c >= 0)
         return out
 
-    def iter_nodes(self) -> Iterator[DTreeNode]:
-        """Depth-first iteration over all nodes."""
-        if self.root is None:
-            return
-        stack = [self.root]
+    def walk(self, code: int) -> Iterator[Tuple[int, int]]:
+        """``(code, depth)`` of child code *code* (depth 0) and of every
+        code under it, depth-first pre-order, left child first."""
+        stack = [(code, 0)]
         while stack:
-            node = stack.pop()
-            yield node
-            for child in (node.right, node.left):
-                if isinstance(child, DTreeNode):
-                    stack.append(child)
+            code, depth = stack.pop()
+            yield code, depth
+            if code >= 0:
+                stack.append((self.right[code], depth + 1))
+                stack.append((self.left[code], depth + 1))
+
+    def iter_nodes(self) -> Iterator[int]:
+        """Depth-first pre-order iteration over all rows."""
+        if self.root is not None:
+            yield from (code for code, _ in self.walk(self.root) if code >= 0)
 
     @property
     def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return len(self.node_id)
+
+    def leaf_depths(self) -> Dict[int, int]:
+        """Region id -> nodes on the path to its data pointer, left to
+        right (0 for the single region of a rootless tree)."""
+        if self.root is None:
+            return {self.subdivision.regions[0].region_id: 0}
+        return {~c: depth for c, depth in self.walk(self.root) if c < 0}
 
     @property
     def height(self) -> int:
         """Longest root-to-data-pointer path length in nodes."""
-
-        def depth(child: Child) -> int:
-            if not isinstance(child, DTreeNode):
-                return 0
-            return 1 + max(depth(child.left), depth(child.right))
-
-        return depth(self.root) if self.root is not None else 0
+        return max(self.leaf_depths().values())
 
     def check_height_balanced(self) -> bool:
         """Property 3: leaf levels differ by at most one."""
-        leaf_levels = set()
-
-        def walk(child: Child, level: int) -> None:
-            if not isinstance(child, DTreeNode):
-                leaf_levels.add(level)
-                return
-            walk(child.left, level + 1)
-            walk(child.right, level + 1)
-
-        if self.root is None:
-            return True
-        walk(self.root, 0)
-        return max(leaf_levels) - min(leaf_levels) <= 1
+        depths = self.leaf_depths().values()
+        return max(depths) - min(depths) <= 1
 
     def total_partition_coordinates(self) -> int:
         """Sum of partition sizes over all nodes (index payload size)."""
-        return sum(node.partition.size for node in self.iter_nodes())
+        return sum(part.size for part in self.partition)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import IndexBuildError
-from repro.core.dtree import Child, DTree, DTreeNode
+from repro.core.dtree import DTree
 from repro.core.partition import PartitionStyle, _sort_regions
 from repro.tessellation.subdivision import Subdivision
 
@@ -46,9 +46,6 @@ def build_imbalanced_dtree(
         raise IndexBuildError("weights must be non-negative")
     if min_share < 0 or min_share > 1:
         raise IndexBuildError(f"min_share must be in [0, 1], got {min_share}")
-
-    if len(ids) == 1:
-        return DTree(subdivision, None)
 
     def floored(region_ids: Sequence[int]) -> Dict[int, float]:
         uniform = 1.0 / len(region_ids)
@@ -80,28 +77,14 @@ def build_imbalanced_dtree(
                 styles.append(PartitionStyle(dimension, sort_key, count))
         return styles
 
-    root = DTree.grow(subdivision, list(ids), styles_for)
-    if not isinstance(root, DTreeNode):
-        raise IndexBuildError("imbalanced build produced no root node")
-    return DTree(subdivision, root)
+    return DTree.grow(subdivision, list(ids), styles_for)
 
 
 def region_depths(tree: DTree) -> Dict[int, int]:
     """Depth (nodes visited) of every region's data pointer."""
-    depths: Dict[int, int] = {}
-
-    def walk(child: Child, depth: int) -> None:
-        if isinstance(child, DTreeNode):
-            walk(child.left, depth + 1)
-            walk(child.right, depth + 1)
-        else:
-            depths[child] = depth
-
     if tree.root is None:
-        only = tree.subdivision.regions[0].region_id
-        return {only: 0}
-    walk(tree.root, 1)
-    return depths
+        return tree.leaf_depths()
+    return {rid: depth + 1 for rid, depth in tree.leaf_depths().items()}
 
 
 def expected_depth(

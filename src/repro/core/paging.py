@@ -17,16 +17,20 @@ be disabled, which is what the A2/A3 ablation benchmarks measure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.geometry.point import Point
 from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
-from repro.core.dtree import DTree, DTreeNode
+from repro.core.dtree import DTree
 
 
 class PagedDTree:
-    """The D-tree allocated to fixed-capacity packets in broadcast order."""
+    """The D-tree allocated to fixed-capacity packets in broadcast order.
+
+    Tree row *r* occupies the packets ``span_packets[span_start[r] :
+    span_start[r + 1]]``, in order (a packet-span CSR over the rows).
+    """
 
     def __init__(
         self,
@@ -49,11 +53,21 @@ class PagedDTree:
         #: model ignores these, so the default leaves them out.
         self.count_polyline_breaks = count_polyline_breaks
         self._store = PacketStore(params.packet_capacity)
-        #: node_id -> ordered ids of the packets the node occupies.
-        self._node_packets: Dict[int, List[int]] = {}
-        self._allocate()
+        order = tree.nodes_breadth_first()
+        parent = [-1] * len(tree.node_id)
+        for row in order:
+            for code in (tree.left[row], tree.right[row]):
+                if code >= 0:
+                    parent[code] = row
+        # Each row's packets are consecutive: (first, count) per row.
+        first, count = self._allocate(order, parent)
         if merge_leaves:
-            self._merge_leaf_packets()
+            self._merge_leaf_packets(order, parent, first, count)
+        self.span_start = [0]
+        self.span_packets: List[int] = []
+        for f, c in zip(first, count):
+            self.span_packets.extend(range(f, f + c))
+            self.span_start.append(len(self.span_packets))
         self.packets = self._store.packets
 
     def __getstate__(self) -> dict:
@@ -67,13 +81,14 @@ class PagedDTree:
 
     # -- size model ----------------------------------------------------------
 
-    def node_size(self, node: DTreeNode) -> int:
-        """Serialized size of one D-tree node (Figure 7 layout, Table 2)."""
+    def node_size(self, row: int) -> int:
+        """Serialized size of tree row *row* (Figure 7 layout, Table 2)."""
         p = self.params
-        coords = node.partition.size
+        partition = self.tree.partition[row]
+        coords = partition.size
         if self.count_polyline_breaks:
-            coords += max(0, len(node.partition.polylines) - 1)
-            if node.partition.size == 0:
+            coords += max(0, len(partition.polylines) - 1)
+            if partition.size == 0:
                 coords += 1  # bounds-only pseudo-coordinate
         base = (
             p.bid_size
@@ -89,50 +104,45 @@ class PagedDTree:
     @property
     def index_bytes(self) -> int:
         """Total serialized index size in bytes (before packet padding)."""
-        return sum(self.node_size(n) for n in self.tree.nodes_breadth_first())
+        return sum(self.node_size(row) for row in self.tree.nodes_breadth_first())
 
     # -- allocation (Algorithm 3) ---------------------------------------------
 
-    def _allocate(self) -> None:
-        nodes = self.tree.nodes_breadth_first()
-        if not nodes:
-            return
-        parent_of: Dict[int, Optional[DTreeNode]] = {nodes[0].node_id: None}
-        for node in nodes:
-            for child in (node.left, node.right):
-                if isinstance(child, DTreeNode):
-                    parent_of[child.node_id] = node
-
+    def _allocate(self, order: List[int], parent: List[int]):
+        """Place the rows in breadth-first *order*; returns each row's
+        first packet and packet count."""
+        first = [0] * len(parent)
+        count = [1] * len(parent)
+        node_id = self.tree.node_id
+        packets = self._store.packets
         capacity = self.params.packet_capacity
-        for node in nodes:
-            size = self.node_size(node)
-            parent = parent_of[node.node_id]
-            parent_packet = None
-            if self.top_down and parent is not None:
-                parent_packet = self._store.packets[
-                    self._node_packets[parent.node_id][-1]
-                ]
-            if parent_packet is not None and size <= parent_packet.free:
-                parent_packet.allocate(size, f"node{node.node_id}")
-                self._node_packets[node.node_id] = [parent_packet.packet_id]
-                continue
+        for row in order:
+            size = self.node_size(row)
+            up = parent[row]
+            if self.top_down and up >= 0:
+                parent_packet = packets[first[up] + count[up] - 1]
+                if size <= parent_packet.free:
+                    parent_packet.allocate(size, f"node{node_id[row]}")
+                    first[row] = parent_packet.packet_id
+                    continue
             # New packet(s); a large node spans consecutive full packets
             # followed by one partially-filled packet.
-            ids: List[int] = []
             remaining = size
             part = 0
+            first[row] = len(packets)
             while remaining > capacity:
                 packet = self._store.new_packet()
-                packet.allocate(capacity, f"node{node.node_id}/part{part}")
-                ids.append(packet.packet_id)
+                packet.allocate(capacity, f"node{node_id[row]}/part{part}")
                 remaining -= capacity
                 part += 1
             packet = self._store.new_packet()
-            packet.allocate(remaining, f"node{node.node_id}/part{part}")
-            ids.append(packet.packet_id)
-            self._node_packets[node.node_id] = ids
+            packet.allocate(remaining, f"node{node_id[row]}/part{part}")
+            count[row] = part + 1
+        return first, count
 
-    def _merge_leaf_packets(self) -> None:
+    def _merge_leaf_packets(
+        self, order: List[int], parent: List[int], first: List[int], count: List[int]
+    ) -> None:
         """Greedy merge of partially-filled packets (Algorithm 3 lines
         19-25, generalised).
 
@@ -143,51 +153,38 @@ class PagedDTree:
         whenever that is valid on the linear channel — every node moved
         must keep all its parents at or before the target packet, so the
         client still only ever reads forward.  Packets of multi-packet
-        (large) nodes never move.
+        (large) nodes never move, so every row's packets stay
+        consecutive.  Updates *first* in place.
         """
-        parent_packet_of: Dict[int, int] = {}
-        parent_of: Dict[int, int] = {}
-        children_of: Dict[int, List[int]] = {}
-        node_of: Dict[int, DTreeNode] = {}
-        for node in self.tree.iter_nodes():
-            node_of[node.node_id] = node
-            children = children_of[node.node_id] = []
-            for child in (node.left, node.right):
-                if isinstance(child, DTreeNode):
-                    parent_of[child.node_id] = node.node_id
-                    children.append(child.node_id)
-        for nid, pkts in self._node_packets.items():
-            parent = parent_of.get(nid)
-            if parent is not None:
-                parent_packet_of[nid] = self._node_packets[parent][-1]
+        tree = self.tree
+        packets = self._store.packets
+        parent_packet = [
+            first[up] + count[up] - 1 if up >= 0 else -1 for up in parent
+        ]
+        # Rows in each packet, in allocation (breadth-first) order.
+        packet_rows: List[List[int]] = [[] for _ in packets]
+        for row in order:
+            for pid in range(first[row], first[row] + count[row]):
+                packet_rows[pid].append(row)
 
-        multi_packet_nodes = {
-            nid for nid, pkts in self._node_packets.items() if len(pkts) > 1
-        }
-        packet_nodes: Dict[int, List[int]] = {}
-        for nid, pkts in self._node_packets.items():
-            for pid in pkts:
-                packet_nodes.setdefault(pid, []).append(nid)
-
-        open_pid: Optional[int] = None
-        for packet in list(self._store.packets):
+        open_pid = -1
+        for packet in list(packets):
             pid = packet.packet_id
-            nids = packet_nodes.get(pid, [])
-            movable = nids and all(nid not in multi_packet_nodes for nid in nids)
-            if open_pid is not None and movable:
-                target = self._store.packets[open_pid]
-                local = set(nids)
+            rows = packet_rows[pid]
+            movable = rows and all(count[row] == 1 for row in rows)
+            if open_pid >= 0 and movable:
+                target = packets[open_pid]
                 parents_ok = all(
-                    parent_packet_of.get(nid, -1) <= open_pid
-                    or parent_of.get(nid) in local
-                    for nid in nids
+                    parent_packet[row] <= open_pid or parent[row] in rows
+                    for row in rows
                 )
                 if parents_ok and packet.used <= target.free:
-                    for nid in nids:
-                        target.allocate(self.node_size(node_of[nid]), f"node{nid}")
-                        self._node_packets[nid] = [open_pid]
-                        for child_nid in children_of[nid]:
-                            parent_packet_of[child_nid] = open_pid
+                    for row in rows:
+                        target.allocate(self.node_size(row), f"node{tree.node_id[row]}")
+                        first[row] = open_pid
+                        for code in (tree.left[row], tree.right[row]):
+                            if code >= 0:
+                                parent_packet[code] = open_pid
                     packet.used = 0
                     packet.contents = []
                     continue
@@ -195,15 +192,13 @@ class PagedDTree:
                 open_pid = pid
 
         # Drop emptied packets and renumber, preserving broadcast order.
-        kept = [p for p in self._store.packets if p.used > 0]
-        remap = {p.packet_id: i for i, p in enumerate(kept)}
+        kept = [p for p in packets if p.used > 0]
+        remap = [0] * len(packets)
         for i, p in enumerate(kept):
+            remap[p.packet_id] = i
             p.packet_id = i
         self._store.packets = kept
-        self._node_packets = {
-            nid: [remap[pid] for pid in pkts]
-            for nid, pkts in self._node_packets.items()
-        }
+        first[:] = [remap[pid] for pid in first]
 
     # -- traced query -----------------------------------------------------------
 
@@ -215,36 +210,41 @@ class PagedDTree:
         RMC/LMC decide the side, or the whole span when the parity test is
         needed (or when early termination is disabled).
         """
-        if self.tree.root is None:
-            only = self.tree.subdivision.regions[0].region_id
+        tree = self.tree
+        if tree.root is None:
+            only = tree.subdivision.regions[0].region_id
             return QueryTrace(only, [])
+        start, span = self.span_start, self.span_packets
         accesses: List[int] = []
-        node = self.tree.root
+        row = tree.root
         while True:
-            packet_ids = self._node_packets[node.node_id]
-            accesses.append(packet_ids[0])
-            if len(packet_ids) == 1:
-                side = node.partition.side_of(point)
+            lo, hi = start[row], start[row + 1]
+            accesses.append(span[lo])
+            partition = tree.partition[row]
+            if hi - lo == 1:
+                side = partition.side_of(point)
             else:
                 side = (
-                    node.partition.early_side_of(point)
+                    partition.early_side_of(point)
                     if self.early_termination
                     else None
                 )
                 if side is None:
-                    accesses.extend(packet_ids[1:])
-                    side = node.partition.side_of(point)
-            child = node.left if side == "first" else node.right
-            if isinstance(child, DTreeNode):
-                node = child
-            else:
-                return QueryTrace(child, dedupe_consecutive(accesses))
+                    accesses.extend(span[lo + 1 : hi])
+                    side = partition.side_of(point)
+            row = tree.left[row] if side == "first" else tree.right[row]
+            if row < 0:
+                return QueryTrace(~row, dedupe_consecutive(accesses))
 
     # -- diagnostics -----------------------------------------------------------
 
+    def packets_of_row(self, row: int) -> List[int]:
+        """Packet ids tree row *row* occupies, in order."""
+        return self.span_packets[self.span_start[row] : self.span_start[row + 1]]
+
     def packets_of_node(self, node_id: int) -> List[int]:
-        """Packet ids a node occupies (diagnostics)."""
-        return list(self._node_packets[node_id])
+        """Packet ids node *node_id* occupies (diagnostics)."""
+        return self.packets_of_row(self.tree.row_of(node_id))
 
     def __repr__(self) -> str:
         return (

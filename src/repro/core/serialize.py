@@ -42,7 +42,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.broadcast.packets import QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
-from repro.core.dtree import DTree, DTreeNode
+from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
 
 #: 16-bit fixed point per axis value.
@@ -119,10 +119,10 @@ class SerializedDTree:
         # replay allocation order from the layout's packet contents.
         offsets = self._node_offsets()
 
-        for node in self.tree.nodes_breadth_first():
-            blob = self._node_bytes(node, offsets)
-            packet_ids = self.layout.packets_of_node(node.node_id)
-            start = offsets[node.node_id][1]
+        for row in self.tree.nodes_breadth_first():
+            blob = self._node_bytes(row, offsets)
+            packet_ids = self.layout.packets_of_row(row)
+            start = offsets[row][1]
             # Write across the node's consecutive packets.
             written = 0
             for i, pid in enumerate(packet_ids):
@@ -133,21 +133,22 @@ class SerializedDTree:
                 written += len(chunk)
             if written != len(blob):
                 raise PagingError(
-                    f"node {node.node_id}: wrote {written} of {len(blob)} bytes"
+                    f"node {self.tree.node_id[row]}: wrote {written} of "
+                    f"{len(blob)} bytes"
                 )
         self.packets = [bytes(b) for b in buffers]
 
-    def _node_offsets(self) -> Dict[int, Tuple[int, int]]:
-        """node_id -> (first packet id, byte offset in that packet)."""
+    def _node_offsets(self) -> List[Tuple[int, int]]:
+        """Per tree row: (first packet id, byte offset in that packet)."""
         capacity = self.params.packet_capacity
         fill: Dict[int, int] = {}
-        offsets: Dict[int, Tuple[int, int]] = {}
-        for node in self.tree.nodes_breadth_first():
-            packet_ids = self.layout.packets_of_node(node.node_id)
+        offsets: List[Tuple[int, int]] = [(0, 0)] * len(self.tree.node_id)
+        for row in self.tree.nodes_breadth_first():
+            packet_ids = self.layout.packets_of_row(row)
             first = packet_ids[0]
             offset = fill.get(first, 0)
-            offsets[node.node_id] = (first, offset)
-            size = self.layout.node_size(node)
+            offsets[row] = (first, offset)
+            size = self.layout.node_size(row)
             if len(packet_ids) == 1:
                 fill[first] = offset + size
             else:
@@ -158,11 +159,11 @@ class SerializedDTree:
                 fill[packet_ids[-1]] = remainder
         return offsets
 
-    def _node_bytes(
-        self, node: DTreeNode, offsets: Dict[int, Tuple[int, int]]
-    ) -> bytes:
-        part = node.partition
-        coords = self._partition_axis_pairs(node)
+    def _node_bytes(self, row: int, offsets: List[Tuple[int, int]]) -> bytes:
+        tree = self.tree
+        part = tree.partition[row]
+        node_id = tree.node_id[row]
+        coords = self._partition_axis_pairs(part)
         header = len(coords) & _COUNT_MASK
         if part.dimension == "x":
             header |= _HEADER_DIM_X
@@ -170,16 +171,16 @@ class SerializedDTree:
             header |= _HEADER_BOUNDS_ONLY
         if part.style.described == "second":
             header |= _HEADER_DESCRIBED_SECOND
-        size = self.layout.node_size(node)
+        size = self.layout.node_size(row)
         is_multi = size > self.params.packet_capacity
         if is_multi:
             header |= _HEADER_MULTI
 
         out = bytearray()
-        out += struct.pack(">H", node.node_id & 0xFFFF)
+        out += struct.pack(">H", node_id & 0xFFFF)
         out += struct.pack(">H", header)
-        out += struct.pack(">I", self._pointer(node.left, offsets))
-        out += struct.pack(">I", self._pointer(node.right, offsets))
+        out += struct.pack(">I", self._pointer(tree.left[row], offsets))
+        out += struct.pack(">I", self._pointer(tree.right[row], offsets))
         if is_multi:
             # RMC coordinate: the second_bound axis value (other half
             # unused on the wire but part of the coordinate budget).
@@ -192,12 +193,11 @@ class SerializedDTree:
             out += struct.pack(">HH", ax, ay)
         if len(out) != size:
             raise PagingError(
-                f"node {node.node_id}: encoded {len(out)} bytes, sized {size}"
+                f"node {node_id}: encoded {len(out)} bytes, sized {size}"
             )
         return bytes(out)
 
-    def _partition_axis_pairs(self, node: DTreeNode) -> List[Tuple[int, int]]:
-        part = node.partition
+    def _partition_axis_pairs(self, part) -> List[Tuple[int, int]]:
         if part.size == 0:
             # Bounds-only pseudo-coordinate: (first_bound, second_bound).
             if part.dimension == "y":
@@ -238,13 +238,13 @@ class SerializedDTree:
             return lambda pl: pl.min_x
         return lambda pl: -pl.max_y
 
-    def _pointer(self, child, offsets: Dict[int, Tuple[int, int]]) -> int:
-        if isinstance(child, DTreeNode):
-            pid, offset = offsets[child.node_id]
+    def _pointer(self, code: int, offsets: List[Tuple[int, int]]) -> int:
+        if code >= 0:
+            pid, offset = offsets[code]
             if offset > _PTR_OFFSET_MASK:
                 raise PagingError(f"offset {offset} exceeds pointer field")
             return (pid << _PTR_OFFSET_BITS) | offset
-        return _PTR_DATA | (int(child) & 0x7FFFFFFF)
+        return _PTR_DATA | (~int(code) & 0x7FFFFFFF)
 
     # -- decoding client ---------------------------------------------------------
 

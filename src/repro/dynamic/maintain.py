@@ -12,7 +12,8 @@ business:
   entries of the added ids.  Cost scales with the churn, not the
   dataset.
 * **D-tree** — bounded-staleness subtree rebuild: only the deepest
-  subtree containing every changed region is rebuilt and spliced in.
+  subtree containing every changed region is rebuilt and spliced into
+  a new tree (the old one stays as paged past versions aired it).
   Sound because the unchanged regions pin the changed area down — the
   union of the changed regions' old polygons equals the union of their
   new polygons, so every ancestor partition keeps partitioning
@@ -32,11 +33,11 @@ automatically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Type, Union
+from typing import Dict, Optional, Set, Type
 
 from repro.errors import UpdateError
 from repro.broadcast.params import SystemParameters
-from repro.core.dtree import Child, DTree, DTreeNode, paper_styles
+from repro.core.dtree import DTree, paper_styles
 from repro.dynamic.updates import UpdateBatch
 from repro.engine.protocol import index_family
 from repro.tessellation.subdivision import Subdivision
@@ -46,9 +47,9 @@ class IndexMaintainer:
     """Full-rebuild fallback — the contract every maintainer satisfies.
 
     ``apply(index, new_subdivision, batch)`` returns the maintained
-    logical index (the same object mutated, or a fresh build).  The
-    counters ``incremental_applies`` / ``full_rebuilds`` let experiments
-    report how often the cheap path was taken.
+    logical index (the same object mutated, a new one, or a fresh
+    build).  The counters ``incremental_applies`` / ``full_rebuilds``
+    let experiments report how often the cheap path was taken.
     """
 
     #: Index kind this maintainer serves (set per registration).
@@ -150,6 +151,10 @@ class DTreeMaintainer(IndexMaintainer):
     def apply(
         self, index: DTree, new_subdivision: Subdivision, batch: UpdateBatch
     ) -> DTree:
+        """The maintained tree: *index* with one subtree rebuilt over the
+        new regions, as a new :class:`DTree` (*index* itself, which a
+        paged past version may still hold, is not changed), or a full
+        rebuild."""
         if batch.is_empty:
             return index
         plan = self._splice_plan(index, new_subdivision, batch)
@@ -163,33 +168,37 @@ class DTreeMaintainer(IndexMaintainer):
         if grown > self.staleness_budget:
             self.full_rebuilds += 1
             return self.build(new_subdivision)
-        replacement = self._build_subtree(
-            index, new_subdivision, sorted(subtree_ids), level
+        region_ids = sorted(subtree_ids)
+        if not region_ids:
+            raise UpdateError("subtree rebuild with no regions")
+        if parent is None and len(region_ids) == 1:
+            # A one-region root is the degenerate rootless DTree; take
+            # the full-rebuild path to produce it.
+            self.full_rebuilds += 1
+            return self.build(new_subdivision)
+        # Fresh ids, above every id in the tree, keep the rows in id
+        # order and the packet labels unique.
+        subtree = DTree.grow(
+            new_subdivision,
+            region_ids,
+            paper_styles(self.extended_styles),
+            self.tie_break_inter_prob,
+            first_id=index.node_id[-1] + 1,
+            level=level,
         )
-        if parent is None:
-            if not isinstance(replacement, DTreeNode):
-                # A one-region root is the degenerate DTree(root=None)
-                # shape; take the full-rebuild path to produce it.
-                self.full_rebuilds += 1
-                return self.build(new_subdivision)
-            index.root = replacement
-        elif side == "left":
-            parent.left = replacement
-        else:
-            parent.right = replacement
-        index.subdivision = new_subdivision
         self.stale_fraction = grown
         self.incremental_applies += 1
-        return index
+        return index.splice(new_subdivision, parent, side, subtree, region_ids[0])
 
     def _splice_plan(
         self, index: DTree, new_subdivision: Subdivision, batch: UpdateBatch
     ):
-        """Where to splice: (parent, side, new subtree ids, level).
+        """Where to splice: (parent row, side, new subtree ids, level).
 
-        Returns ``None`` when only a full rebuild is sound: no root to
-        splice into, a pure-insert batch (no removed ids to anchor the
-        subtree), or mismatched service areas.
+        The parent row is None when the root itself is replaced.  Returns
+        ``None`` when only a full rebuild is sound: no root to splice
+        into, a pure-insert batch (no removed ids to anchor the subtree),
+        or mismatched service areas.
         """
         removed = set(batch.removed_ids)
         added = set(batch.added_ids)
@@ -202,67 +211,32 @@ class DTreeMaintainer(IndexMaintainer):
             != (new_area.min_x, new_area.min_y, new_area.max_x, new_area.max_y)
         ):
             return None
-        parent: Optional[DTreeNode] = None
+        parent: Optional[int] = None
         side: Optional[str] = None
-        node = index.root
+        row = index.root
         while True:
-            left_ids = _leaf_ids(node.left)
-            right_ids = _leaf_ids(node.right)
+            left, right = index.left[row], index.right[row]
+            left_ids = _leaf_ids(index, left)
+            right_ids = _leaf_ids(index, right)
             if removed <= left_ids:
-                if isinstance(node.left, DTreeNode):
-                    parent, side, node = node, "left", node.left
+                if left >= 0:
+                    parent, side, row = row, "left", left
                     continue
-                new_ids = (left_ids - removed) | added
-                return node, "left", new_ids, node.level + 1
+                return row, "left", (left_ids - removed) | added, index.level[row] + 1
             if removed <= right_ids:
-                if isinstance(node.right, DTreeNode):
-                    parent, side, node = node, "right", node.right
+                if right >= 0:
+                    parent, side, row = row, "right", right
                     continue
-                new_ids = (right_ids - removed) | added
-                return node, "right", new_ids, node.level + 1
+                return row, "right", (right_ids - removed) | added, index.level[row] + 1
             # Changed regions straddle both children: this node is the
             # deepest subtree containing them all.
             new_ids = ((left_ids | right_ids) - removed) | added
-            return parent, side, new_ids, node.level
-
-    def _build_subtree(
-        self,
-        index: DTree,
-        new_subdivision: Subdivision,
-        region_ids: Sequence[int],
-        level: int,
-    ) -> Child:
-        """Rebuild one subtree over *region_ids* with fresh node ids.
-
-        Fresh ids (above every id in the tree) keep the paging layer's
-        ``node_id -> packets`` maps collision-free after the splice.
-        """
-        if not region_ids:
-            raise UpdateError("subtree rebuild with no regions")
-        return DTree.grow(
-            new_subdivision,
-            list(region_ids),
-            paper_styles(self.extended_styles),
-            self.tie_break_inter_prob,
-            first_id=max((n.node_id for n in index.iter_nodes()), default=-1) + 1,
-            level=level,
-        )
+            return parent, side, new_ids, index.level[row]
 
 
-def _leaf_ids(child: Child) -> Set[int]:
-    """Region ids of every data pointer under *child*."""
-    if not isinstance(child, DTreeNode):
-        return {child}
-    out: Set[int] = set()
-    stack: List[Union[DTreeNode, int]] = [child]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, DTreeNode):
-            stack.append(c.left)
-            stack.append(c.right)
-        else:
-            out.add(c)
-    return out
+def _leaf_ids(tree: DTree, code: int) -> Set[int]:
+    """Region ids of every data pointer under child code *code*."""
+    return {~c for c, _ in tree.walk(code) if c < 0}
 
 
 #: index kind -> maintainer class.

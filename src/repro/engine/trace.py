@@ -56,7 +56,6 @@ from repro.errors import BroadcastError, QueryError
 from repro.obs import active_collector
 from repro.broadcast.packets import PagedIndex
 from repro.geometry.kernels import (
-    CompiledPartition,
     RegionEdges,
     point_coords,
     ragged_ranges,
@@ -121,8 +120,8 @@ def register_tracer(paged_cls: type, tracer: Tracer) -> None:
 #
 # Every ``_compile_*`` memoizes its compiled SoA form on the paged index.
 # The compiled form is a *snapshot*: if the underlying structure mutates
-# (the dynamic-update subsystem rebuilds subtrees in place), a cached
-# snapshot would keep answering with pre-mutation geometry.  Caches are
+# in place, a cached snapshot would keep answering with pre-mutation
+# geometry.  Caches are
 # therefore keyed by a structure generation: whoever mutates a paged
 # index (or the logical tree under it) calls
 # :func:`bump_structure_generation`, and the next trace recompiles.
@@ -293,10 +292,10 @@ class _CompiledDTree:
     Every per-node attribute the descent needs — signed partition
     bounds, ray direction and side flip, slab grid, packet-span
     charging constants, child codes — lives in one array indexed by the
-    node's position in ``node_id`` order, so the traversal advances a
-    whole frontier with gathers instead of touching Python node objects.
-    Child codes are the child's position for internal children and
-    ``~region_id`` (always negative) for data pointers.
+    node's row in the :class:`~repro.core.dtree.DTree` table (rows in
+    ``node_id`` order), so the traversal advances a whole frontier with
+    gathers.  Child codes are the table's: the child's row for internal
+    children and ``~region_id`` (always negative) for data pointers.
 
     Bounds are signed so one comparison serves both dimensions: the
     tracer tests ``c = x`` (``dim_y`` nodes) or ``c = -y`` (``dim_x``)
@@ -364,7 +363,8 @@ def _compile_dtree(paged) -> Optional[_CompiledDTree]:
     None, cached) and the tracer defers to the per-point path
     (:func:`_trace_batch_generic`), which raises the scalar path's exact
     error.  ``span_packets[span_start[i] : span_start[i + 1]]`` lists
-    node *i*'s distinct packets in order, for the packet-path CSR.
+    row *i*'s distinct packets in order, for the packet-path CSR.  Every
+    array is assembled from the tree's rows and the paging's span CSR.
 
     The slab cells are built with array operations only: each segment
     is listed in every slab its closed ``v`` range touches, so a query
@@ -374,56 +374,25 @@ def _compile_dtree(paged) -> Optional[_CompiledDTree]:
     compiled = _cached_compiled(paged, "_compiled_dtree", _UNCOMPILED)
     if compiled is not _UNCOMPILED:
         return compiled
-    from repro.core.dtree import DTreeNode
-
-    nodes = sorted(paged.tree.iter_nodes(), key=lambda nd: nd.node_id)
-    count = len(nodes)
-    # Node ids need not be dense (a maintainer splice retires a subtree's
-    # ids): the arrays are indexed by each node's position in id order.
-    position = {nd.node_id: i for i, nd in enumerate(nodes)}
-
+    tree = paged.tree
+    if tree.root is None:
+        return None  # the tracer answers the one region without arrays
+    parts = tree.partition
+    count = len(parts)
+    span_start = np.asarray(paged.span_start, np.int64)
+    packets = np.asarray(paged.span_packets, np.int64)
+    # Forward-only: no row's own span moves backwards, and no internal
+    # child starts before its parent's last packet.
+    step = np.diff(packets)
+    within = np.ones(step.size, bool)
+    within[span_start[1:-1] - 1] = False
+    forward = bool((step[within] >= 0).all())
     ct = _CompiledDTree()
-    ct.root = position[paged.tree.root.node_id]
-    dim_y = np.empty(count, bool)
-    described = np.empty(count, bool)
-    first_bound = np.empty(count, np.float64)
-    second_bound = np.empty(count, np.float64)
-    seg_count = np.empty(count, np.int64)
-    ct.left_code = np.empty(count, np.int64)
-    ct.right_code = np.empty(count, np.int64)
-    ct.pkt_first = np.empty(count, np.int64)
-    ct.pkt_last = np.empty(count, np.int64)
-    ct.pkt_distinct = np.empty(count, np.int64)
-    ct.multi = np.empty(count, bool)
-    ct.span_start = np.zeros(count + 1, np.int64)
-    span_packets: List[int] = []
-    forward = True
-
-    segs: List[List[np.ndarray]] = [[], [], [], []]
-    for i, node in enumerate(nodes):
-        partition = CompiledPartition(node.partition)
-        dim_y[i] = partition.dim_y
-        described[i] = partition.described_first
-        first_bound[i] = partition.first_bound
-        second_bound[i] = partition.second_bound
-        seg_count[i] = len(partition.ax)
-        for pool, arr in zip(segs, (partition.ax, partition.ay, partition.bx, partition.by)):
-            pool.append(arr)
-        packets = list(paged._node_packets[node.node_id])
-        ct.pkt_first[i] = packets[0]
-        ct.pkt_last[i] = packets[-1]
-        ct.pkt_distinct[i] = len(set(packets))
-        ct.multi[i] = len(packets) > 1
-        forward = forward and packets == sorted(packets)
-        span_packets.extend(dict.fromkeys(packets))
-        ct.span_start[i + 1] = len(span_packets)
-        for code_arr, child in ((ct.left_code, node.left), (ct.right_code, node.right)):
-            code_arr[i] = (
-                position[child.node_id]
-                if isinstance(child, DTreeNode)
-                else ~int(child)
-            )
-
+    ct.root = tree.root
+    ct.left_code = np.asarray(tree.left, np.int64)
+    ct.right_code = np.asarray(tree.right, np.int64)
+    ct.pkt_first = packets[span_start[:-1]]
+    ct.pkt_last = packets[span_start[1:] - 1]
     for code in (ct.left_code, ct.right_code):
         internal = np.flatnonzero(code >= 0)
         forward = forward and bool(
@@ -432,18 +401,42 @@ def _compile_dtree(paged) -> Optional[_CompiledDTree]:
     if not forward:
         return _store_compiled(paged, "_compiled_dtree", None)
 
-    ct.span_packets = np.asarray(span_packets, np.int64)
+    # A forward span repeats a packet only consecutively.
+    distinct = np.ones(packets.size, bool)
+    distinct[1:] = step != 0
+    distinct[span_start[:-1]] = True
+    ct.span_packets = packets[distinct]
+    ct.span_start = np.zeros(count + 1, np.int64)
+    ct.span_start[1:] = np.cumsum(distinct)[span_start[1:] - 1]
+    ct.pkt_distinct = np.diff(ct.span_start)
+    ct.multi = np.diff(span_start) > 1
+
+    dim_y = np.fromiter((p.style.dimension == "y" for p in parts), bool, count)
+    described = np.fromiter((p.style.described == "first" for p in parts), bool, count)
     ct.dim_y = dim_y
     # dim_y/first: ray right (u = x above); dim_y/second: left;
     # dim_x/first: down (u = y below); dim_x/second: up.
     ct.ray_up = dim_y == described
     ct.flip = ~described
-    ct.first_bound = np.where(dim_y, first_bound, -first_bound)
-    ct.second_bound = np.where(dim_y, second_bound, -second_bound)
+    for name in ("first_bound", "second_bound"):
+        bound = np.fromiter((getattr(p, name) for p in parts), np.float64, count)
+        setattr(ct, name, np.where(dim_y, bound, -bound))
 
-    ax, ay, bx, by = (
-        np.concatenate(pool) if pool else np.zeros(0, np.float64) for pool in segs
+    # Segments: consecutive vertices of each polyline, rows in order.
+    polylines = [pl for p in parts for pl in p.polylines]
+    lengths = np.fromiter((len(pl.vertices) for pl in polylines), np.int64, len(polylines))
+    xs, ys = point_coords([v for pl in polylines for v in pl.vertices])
+    head = np.ones(xs.size, bool)
+    head[np.cumsum(lengths)[lengths > 0] - 1] = False
+    a = np.flatnonzero(head)
+    ax, ay, bx, by = xs[a], ys[a], xs[a + 1], ys[a + 1]
+    pl_row = np.repeat(
+        np.arange(count, dtype=np.int64),
+        np.fromiter((len(p.polylines) for p in parts), np.int64, count),
     )
+    seg_count = np.bincount(
+        pl_row, weights=np.maximum(lengths - 1, 0), minlength=count
+    ).astype(np.int64)
     seg_node = np.repeat(np.arange(count, dtype=np.int64), seg_count)
     seg_dim_y = dim_y[seg_node]
     ct.seg_u0 = np.where(seg_dim_y, ax, ay)

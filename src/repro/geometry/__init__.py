@@ -28,7 +28,6 @@ from repro.geometry.predicates import (
 from repro.geometry.clipping import clip_polygon_halfplane, clip_polygon_rect
 from repro.geometry.triangulate import triangulate_polygon, Triangle
 from repro.geometry.kernels import (
-    CompiledPartition,
     CompiledPolygon,
     CompiledSubdivision,
     mbrs_contain_batch,
@@ -58,7 +57,6 @@ __all__ = [
     "clip_polygon_rect",
     "triangulate_polygon",
     "Triangle",
-    "CompiledPartition",
     "CompiledPolygon",
     "CompiledSubdivision",
     "mbrs_contain_batch",

@@ -21,8 +21,6 @@ so repeated batch queries pay only for the array sweeps:
 
 * :class:`CompiledPolygon` — flattened edge arrays of one polygon with
   ``classify_batch`` / ``contains_batch``;
-* :class:`CompiledPartition` — D1/D3 bounds plus flattened polyline
-  segments of one D-tree partition, the compiled D-tree's input;
 * :class:`RegionEdges` — every region's boundary edges in one flat CSR
   table with the ragged (region, point) pair classification;
 * :class:`CompiledSubdivision` — per-region compiled polygons, a
@@ -32,7 +30,7 @@ so repeated batch queries pay only for the array sweeps:
 
 This module sits at the bottom of the geometry layer: it imports only
 numpy, the scalar tolerance and the point types, and accepts the scalar
-objects duck-typed (anything with ``vertices``/``regions``/``polylines``),
+objects duck-typed (anything with ``vertices``/``regions``),
 so higher layers can compile their structures without import cycles.
 """
 
@@ -59,7 +57,6 @@ __all__ = [
     "point_in_triangles_batch",
     "points_in_polygon",
     "CompiledPolygon",
-    "CompiledPartition",
     "RegionEdges",
     "CompiledSubdivision",
 ]
@@ -338,51 +335,6 @@ def points_in_polygon(
     )
     xs, ys = point_coords(points)
     return compiled.contains_batch(xs, ys, include_boundary=include_boundary)
-
-
-class CompiledPartition:
-    """One D-tree partition flattened to arrays: its dimension, D1/D3
-    bounds, described side and polyline segments ``ax/ay -> bx/by``.
-    :func:`repro.engine.trace._compile_dtree` reads them into the
-    compiled D-tree, whose tracer runs the side test level by level.
-    """
-
-    __slots__ = (
-        "dim_y",
-        "first_bound",
-        "second_bound",
-        "described_first",
-        "ax",
-        "ay",
-        "bx",
-        "by",
-    )
-
-    def __init__(self, partition) -> None:
-        self.dim_y = partition.dimension == "y"
-        self.first_bound = partition.first_bound
-        self.second_bound = partition.second_bound
-        self.described_first = partition.style.described == "first"
-        ax: List[float] = []
-        ay: List[float] = []
-        bx: List[float] = []
-        by: List[float] = []
-        for polyline in partition.polylines:
-            for a, b in polyline.segment_endpoints():
-                ax.append(a.x)
-                ay.append(a.y)
-                bx.append(b.x)
-                by.append(b.y)
-        self.ax = np.asarray(ax, np.float64)
-        self.ay = np.asarray(ay, np.float64)
-        self.bx = np.asarray(bx, np.float64)
-        self.by = np.asarray(by, np.float64)
-
-    def __repr__(self) -> str:
-        return (
-            f"CompiledPartition(dim={'y' if self.dim_y else 'x'}, "
-            f"n_segments={len(self.ax)})"
-        )
 
 
 class RegionEdges:

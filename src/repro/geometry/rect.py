@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
@@ -12,8 +12,9 @@ from repro.geometry.point import Point
 class Rect:
     """Closed axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
 
-    This is the MBR primitive of the R*-tree: it supports the area, margin,
-    enlargement and overlap measures that drive R* insertion and splitting.
+    The MBR primitive of the R*-tree, whose node table keeps MBRs as
+    ``(min_x, min_y, max_x, max_y)`` rows and computes its insertion and
+    split measures on them.
     """
 
     __slots__ = ("min_x", "min_y", "max_x", "max_y")
@@ -84,11 +85,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def margin(self) -> float:
-        """Half-perimeter; the R* split heuristic minimises the margin sum."""
-        return self.width + self.height
-
-    @property
     def center(self) -> Point:
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
 
@@ -98,15 +94,6 @@ class Rect:
         """True if *p* lies in the closed rectangle."""
         return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """True if *other* lies entirely inside this rectangle."""
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
-
     def intersects(self, other: "Rect") -> bool:
         """True if the closed rectangles share at least one point."""
         return not (
@@ -115,39 +102,6 @@ class Rect:
             or self.max_y < other.min_y
             or other.max_y < self.min_y
         )
-
-    def intersection(self, other: "Rect") -> Optional["Rect"]:
-        """Overlap rectangle, or None when disjoint."""
-        if not self.intersects(other):
-            return None
-        return Rect(
-            max(self.min_x, other.min_x),
-            max(self.min_y, other.min_y),
-            min(self.max_x, other.max_x),
-            min(self.max_y, other.max_y),
-        )
-
-    def overlap_area(self, other: "Rect") -> float:
-        """Area of the overlap with *other* (0 when disjoint)."""
-        inter = self.intersection(other)
-        return inter.area if inter is not None else 0.0
-
-    def union(self, other: "Rect") -> "Rect":
-        """Smallest rectangle containing both."""
-        return Rect(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    def enlargement_for(self, other: "Rect") -> float:
-        """Area growth needed to also cover *other* (R* ChooseSubtree)."""
-        return self.union(other).area - self.area
-
-    def distance_to_center_of(self, other: "Rect") -> float:
-        """Distance between rectangle centers (used by forced reinsert)."""
-        return self.center.distance_to(other.center)
 
 
 _X, _Y = attrgetter("x"), attrgetter("y")

@@ -43,9 +43,9 @@ def _overlap_rows(
     """Overlap area of each candidate box (row) with each box (column).
 
     Boxes are ``(2, n)`` arrays of lower and of upper corners (x row,
-    y row).  An overlap is the ``max``/``min``/subtract/multiply of
-    :meth:`Rect.intersection` and :meth:`Rect.area`, and 0 when either
-    extent is negative.
+    y row).  An overlap is the product of the intersection's extents
+    (``min`` of the upper corners minus ``max`` of the lower ones), and
+    0 when either extent is negative.
     """
     extent = np.minimum(c_hi[:, :, None], hi[:, None]) - np.maximum(
         c_lo[:, :, None], lo[:, None]
@@ -482,7 +482,7 @@ class RStarTree:
         distribution keeps the first ``k`` entries of an order; both
         groups' MBRs are running ``minimum``/``maximum`` unions from the
         front and from the back.  Per order, the distributions' margins
-        (``r1.margin + r2.margin``) are totalled left to right, the
+        (width plus height of each group's MBR) are totalled left to right, the
         order with the least total wins (the first on ties), and within
         it the distribution of least (overlap, area sum), the first on
         ties.
@@ -597,8 +597,8 @@ class RStarTree:
 
 def _least_area_enlargement(boxes: Sequence[Box], box: Box) -> int:
     """Index of the entry needing the least area enlargement to cover
-    *box*, then of least area, the first on ties (the arithmetic of
-    :meth:`Rect.enlargement_for` and :attr:`Rect.area`)."""
+    *box*, then of least area, the first on ties: the area of the union
+    box minus the entry's area, each area the product of the extents."""
     min_x, min_y, max_x, max_y = box
 
     def key(k: int) -> Tuple[float, float]:

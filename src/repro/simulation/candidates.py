@@ -26,7 +26,7 @@ Per-family providers (dispatched on the paged-index class, mirroring
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 #: Given the last good index packet (None = nothing read yet), the
 #: regions whose bucket may still answer the query.
@@ -77,20 +77,16 @@ def candidate_provider(
 
 
 def _dtree_provider(paged, everything: FrozenSet[int]) -> CandidateFn:
-    from repro.core.dtree import DTreeNode
-
+    tree = paged.tree
+    # A child's row comes after its parent's: one backward pass gives
+    # every subtree's regions.
+    under: List[FrozenSet[int]] = [frozenset()] * len(tree.node_id)
+    regions = lambda code: under[code] if code >= 0 else frozenset((~code,))
     packet_regions: Dict[int, set] = {}
-
-    def subtree(node) -> FrozenSet[int]:
-        if not isinstance(node, DTreeNode):
-            return frozenset((node,))  # data pointer: the region id
-        regions = subtree(node.left) | subtree(node.right)
-        for pid in paged._node_packets[node.node_id]:
-            packet_regions.setdefault(pid, set()).update(regions)
-        return regions
-
-    if paged.tree.root is not None:
-        subtree(paged.tree.root)
+    for row in reversed(range(len(under))):
+        under[row] = regions(tree.left[row]) | regions(tree.right[row])
+        for pid in paged.packets_of_row(row):
+            packet_regions.setdefault(pid, set()).update(under[row])
     frozen = {pid: frozenset(rs) for pid, rs in packet_regions.items()}
 
     def candidates(last_good: Optional[int]) -> FrozenSet[int]:

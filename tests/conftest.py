@@ -75,3 +75,12 @@ def random_points_in(subdivision, n, seed=0):
     """Uniform random query points inside a subdivision's service area."""
     rng = random.Random(seed)
     return [subdivision.random_point(rng) for _ in range(n)]
+
+
+def set_dtree_span(paged, row, packets):
+    """Re-point tree row *row* of a paged D-tree at *packets* (the
+    broken broadcast orders the tracer tests feed the compiler)."""
+    start = paged.span_start
+    lo, hi = start[row], start[row + 1]
+    paged.span_packets[lo:hi] = packets
+    start[row + 1 :] = [s + len(packets) - (hi - lo) for s in start[row + 1 :]]

@@ -35,7 +35,7 @@ import math
 import pickle
 import random
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -46,8 +46,9 @@ from repro.broadcast.packets import PacketStore, QueryTrace, dedupe_consecutive
 from repro.broadcast.params import SystemParameters
 from repro.core import imbalanced as imbalanced_mod
 from repro.core import partition as partition_mod
-from repro.core.dtree import DTree, DTreeNode
+from repro.core.dtree import DTree, paper_styles
 from repro.core.imbalanced import build_imbalanced_dtree
+from repro.core.paging import PagedDTree
 from repro.core.partition import (
     Partition,
     PartitionStyle,
@@ -69,7 +70,7 @@ from repro.dynamic import (
     maintainer_for,
     sites_subdivision,
 )
-from repro.dynamic.maintain import _leaf_ids
+from repro.dynamic.maintain import MAINTAINER_REGISTRY, DTreeMaintainer
 from repro.engine import index_family
 from repro.engine.trace import (
     _COMPILERS,
@@ -77,12 +78,15 @@ from repro.engine.trace import (
     _TRAP_XNODE,
     _TRAP_YNODE,
     _UNCOMPILED,
+    _CompiledDTree,
     _CompiledRStarTree,
     _CompiledTrapTree,
     _CompiledTrianTree,
     _cached_compiled,
     _path_csr,
+    _slab_index,
     _store_compiled,
+    _trace_batch_dtree,
     _trace_batch_rstar,
     _trace_batch_trap,
     _trace_batch_trian,
@@ -99,7 +103,7 @@ from repro.errors import (
     QueryError,
     SubdivisionError,
 )
-from repro.geometry.kernels import RegionEdges, point_coords
+from repro.geometry.kernels import RegionEdges, point_coords, ragged_ranges
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import (
@@ -312,11 +316,65 @@ def scalar_evaluate_style(
 #
 # The R*-tree as it was before its nodes moved into a table: ``RStarNode``
 # objects holding ``RStarEntry``s with ``Rect`` MBRs, node MBRs from four
-# generator passes, ChooseSubtree one ``Rect.overlap_area`` at a time, each
+# generator passes, ChooseSubtree one :func:`overlap_area` at a time, each
 # split distribution's groups re-unioned from scratch, delete and
 # CondenseTree over the objects, the paging that keys packets by
 # ``id(node)`` and the compile loop over the node objects.
-# ``scalar_kernels`` installs it as ``RStarTree.build``.
+# ``scalar_kernels`` installs it as ``RStarTree.build``.  The R* measures
+# on ``Rect`` it reads are the helpers below.
+
+
+def margin(r: Rect) -> float:
+    """Half-perimeter; the R* split heuristic minimises the margin sum."""
+    return r.width + r.height
+
+
+def contains_rect(r: Rect, other: Rect) -> bool:
+    """True if *other* lies entirely inside *r*."""
+    return (
+        r.min_x <= other.min_x
+        and r.min_y <= other.min_y
+        and r.max_x >= other.max_x
+        and r.max_y >= other.max_y
+    )
+
+
+def intersection(r: Rect, other: Rect) -> Optional[Rect]:
+    """Overlap rectangle, or None when disjoint."""
+    if not r.intersects(other):
+        return None
+    return Rect(
+        max(r.min_x, other.min_x),
+        max(r.min_y, other.min_y),
+        min(r.max_x, other.max_x),
+        min(r.max_y, other.max_y),
+    )
+
+
+def overlap_area(r: Rect, other: Rect) -> float:
+    """Area of the overlap with *other* (0 when disjoint)."""
+    inter = intersection(r, other)
+    return inter.area if inter is not None else 0.0
+
+
+def union(r: Rect, other: Rect) -> Rect:
+    """Smallest rectangle containing both."""
+    return Rect(
+        min(r.min_x, other.min_x),
+        min(r.min_y, other.min_y),
+        max(r.max_x, other.max_x),
+        max(r.max_y, other.max_y),
+    )
+
+
+def enlargement_for(r: Rect, other: Rect) -> float:
+    """Area growth needed to also cover *other* (R* ChooseSubtree)."""
+    return union(r, other).area - r.area
+
+
+def distance_to_center_of(r: Rect, other: Rect) -> float:
+    """Distance between rectangle centers (used by forced reinsert)."""
+    return r.center.distance_to(other.center)
 
 
 class RStarEntry:
@@ -370,18 +428,18 @@ class RStarNode:
 def scalar_least_overlap_enlargement(
     entries: Sequence[RStarEntry], mbr: Rect
 ) -> RStarEntry:
-    """R* ChooseSubtree at leaf parents, one ``Rect.overlap_area`` at a time."""
+    """R* ChooseSubtree at leaf parents, one :func:`overlap_area` at a time."""
 
     def overlap_sum(candidate: RStarEntry, rect: Rect) -> float:
         return sum(
-            rect.overlap_area(other.mbr) for other in entries if other is not candidate
+            overlap_area(rect, other.mbr) for other in entries if other is not candidate
         )
 
     def key(e: RStarEntry):
-        grown = e.mbr.union(mbr)
+        grown = union(e.mbr, mbr)
         return (
             overlap_sum(e, grown) - overlap_sum(e, e.mbr),
-            e.mbr.enlargement_for(mbr),
+            enlargement_for(e.mbr, mbr),
             e.mbr.area,
         )
 
@@ -466,7 +524,7 @@ class ScalarRStarTree:
             return None
         path.append(node)
         for entry in node.entries:
-            if mbr is not None and not entry.mbr.contains_rect(mbr):
+            if mbr is not None and not contains_rect(entry.mbr, mbr):
                 continue
             found = self._find_leaf(entry.child, region_id, mbr, path)
             if found is not None:
@@ -534,7 +592,7 @@ class ScalarRStarTree:
             else:
                 best = min(
                     node.entries,
-                    key=lambda e: (e.mbr.enlargement_for(mbr), e.mbr.area),
+                    key=lambda e: (enlargement_for(e.mbr, mbr), e.mbr.area),
                 )
             path.append(node)
             node = best.child
@@ -568,8 +626,8 @@ class ScalarRStarTree:
                     g2 = ordered[k:]
                     r1 = scalar_union(e.mbr for e in g1)
                     r2 = scalar_union(e.mbr for e in g2)
-                    margin_total += r1.margin + r2.margin
-                    candidates.append((r1.overlap_area(r2), r1.area + r2.area, g1, g2))
+                    margin_total += margin(r1) + margin(r2)
+                    candidates.append((overlap_area(r1, r2), r1.area + r2.area, g1, g2))
                 axis_best = min(candidates, key=lambda c: (c[0], c[1]))
                 if best is None or margin_total < best[0]:
                     best = (margin_total, axis_best[0], axis_best[2], axis_best[3])
@@ -1694,7 +1752,24 @@ def scalar_trap_tree(cls, subdivision: Subdivision, *, seed: int = 0):
     return ScalarTrapTree(subdivision, seed)
 
 
-def scalar_grow(
+# -- the D-tree's object tree ---------------------------------------------------
+
+
+class DTreeNode:
+    """One node of the object D-tree the node table replaced: a
+    partition and two children, each a node or a bare region id."""
+
+    __slots__ = ("node_id", "partition", "left", "right", "level")
+
+    def __init__(self, node_id: int, partition: Partition, left, right, level: int):
+        self.node_id = node_id
+        self.partition = partition
+        self.left = left
+        self.right = right
+        self.level = level
+
+
+def _scalar_subtree(
     subdivision,
     region_ids,
     styles_for,
@@ -1703,9 +1778,10 @@ def scalar_grow(
     first_id=0,
     level=0,
 ):
-    """``DTree.grow`` as the depth-first recursion it replaced: every
+    """The depth-first recursion ``DTree.grow`` replaced: every
     candidate of a node through :func:`scalar_evaluate_style`, the same
-    ``min`` rule, node ids in pre-order."""
+    ``min`` rule, node ids in pre-order; a single region is its bare
+    id."""
     counter = [first_id]
     if tie_break_inter_prob:
         rank = lambda part: (part.size, part.inter_prob)
@@ -1728,6 +1804,459 @@ def scalar_grow(
     return make(list(region_ids), level)
 
 
+def scalar_grow(
+    subdivision,
+    region_ids,
+    styles_for,
+    tie_break_inter_prob=True,
+    *,
+    first_id=0,
+    level=0,
+):
+    """``DTree.grow`` replaced by the object-tree oracle."""
+    root = _scalar_subtree(
+        subdivision,
+        region_ids,
+        styles_for,
+        tie_break_inter_prob,
+        first_id=first_id,
+        level=level,
+    )
+    return ScalarDTree(subdivision, root if isinstance(root, DTreeNode) else None)
+
+
+class ScalarDTree:
+    """The D-tree as linked :class:`DTreeNode` objects."""
+
+    def __init__(self, subdivision: Subdivision, root: Optional[DTreeNode]) -> None:
+        self.subdivision = subdivision
+        self.root = root
+
+    def page(self, params, **flags) -> "ScalarPagedDTree":
+        return ScalarPagedDTree(self, params, **flags)
+
+    def locate(self, p: Point) -> int:
+        if not self.subdivision.service_area.contains_point(p):
+            raise QueryError(f"{p!r} outside the service area")
+        if self.root is None:
+            return self.subdivision.regions[0].region_id
+        node = self.root
+        while isinstance(node, DTreeNode):
+            node = node.left if node.partition.side_of(p) == "first" else node.right
+        return node
+
+    def nodes_breadth_first(self) -> List[DTreeNode]:
+        if self.root is None:
+            return []
+        out: List[DTreeNode] = []
+        frontier = [self.root]
+        while frontier:
+            out.extend(frontier)
+            frontier = [
+                child
+                for node in frontier
+                for child in (node.left, node.right)
+                if isinstance(child, DTreeNode)
+            ]
+        return out
+
+    def iter_nodes(self):
+        stack = [] if self.root is None else [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            for child in (node.right, node.left):
+                if isinstance(child, DTreeNode):
+                    stack.append(child)
+
+    def as_table(self) -> DTree:
+        """The same tree as a node table, rows in node-id order."""
+        nodes = sorted(self.iter_nodes(), key=lambda node: node.node_id)
+        row = {node.node_id: i for i, node in enumerate(nodes)}
+        code = lambda c: row[c.node_id] if isinstance(c, DTreeNode) else ~c
+        return DTree(
+            self.subdivision,
+            [node.node_id for node in nodes],
+            [node.level for node in nodes],
+            [node.partition for node in nodes],
+            [code(node.left) for node in nodes],
+            [code(node.right) for node in nodes],
+            None if self.root is None else row[self.root.node_id],
+        )
+
+
+class ScalarPagedDTree:
+    """Algorithm 3 over the object tree, packets kept per node id."""
+
+    def __init__(
+        self,
+        tree: ScalarDTree,
+        params: SystemParameters,
+        early_termination: bool = True,
+        top_down: bool = True,
+        merge_leaves: bool = True,
+        count_polyline_breaks: bool = False,
+    ) -> None:
+        self.tree = tree
+        self.params = params
+        self.early_termination = early_termination
+        self.top_down = top_down
+        self.count_polyline_breaks = count_polyline_breaks
+        self._store = PacketStore(params.packet_capacity)
+        self._node_packets: Dict[int, List[int]] = {}
+        self._allocate()
+        if merge_leaves:
+            self._merge_leaf_packets()
+        self.packets = self._store.packets
+
+    def node_size(self, node: DTreeNode) -> int:
+        p = self.params
+        coords = node.partition.size
+        if self.count_polyline_breaks:
+            coords += max(0, len(node.partition.polylines) - 1)
+            if node.partition.size == 0:
+                coords += 1
+        base = p.bid_size + p.header_size + 2 * p.pointer_size + coords * p.coordinate_size
+        if base > p.packet_capacity:
+            base += p.coordinate_size
+        return base
+
+    def _allocate(self) -> None:
+        nodes = self.tree.nodes_breadth_first()
+        if not nodes:
+            return
+        parent_of: Dict[int, Optional[DTreeNode]] = {nodes[0].node_id: None}
+        for node in nodes:
+            for child in (node.left, node.right):
+                if isinstance(child, DTreeNode):
+                    parent_of[child.node_id] = node
+        capacity = self.params.packet_capacity
+        for node in nodes:
+            size = self.node_size(node)
+            parent = parent_of[node.node_id]
+            parent_packet = None
+            if self.top_down and parent is not None:
+                parent_packet = self._store.packets[
+                    self._node_packets[parent.node_id][-1]
+                ]
+            if parent_packet is not None and size <= parent_packet.free:
+                parent_packet.allocate(size, f"node{node.node_id}")
+                self._node_packets[node.node_id] = [parent_packet.packet_id]
+                continue
+            ids: List[int] = []
+            remaining = size
+            part = 0
+            while remaining > capacity:
+                packet = self._store.new_packet()
+                packet.allocate(capacity, f"node{node.node_id}/part{part}")
+                ids.append(packet.packet_id)
+                remaining -= capacity
+                part += 1
+            packet = self._store.new_packet()
+            packet.allocate(remaining, f"node{node.node_id}/part{part}")
+            ids.append(packet.packet_id)
+            self._node_packets[node.node_id] = ids
+
+    def _merge_leaf_packets(self) -> None:
+        parent_packet_of: Dict[int, int] = {}
+        parent_of: Dict[int, int] = {}
+        children_of: Dict[int, List[int]] = {}
+        node_of: Dict[int, DTreeNode] = {}
+        for node in self.tree.iter_nodes():
+            node_of[node.node_id] = node
+            children = children_of[node.node_id] = []
+            for child in (node.left, node.right):
+                if isinstance(child, DTreeNode):
+                    parent_of[child.node_id] = node.node_id
+                    children.append(child.node_id)
+        for nid in self._node_packets:
+            parent = parent_of.get(nid)
+            if parent is not None:
+                parent_packet_of[nid] = self._node_packets[parent][-1]
+        multi_packet_nodes = {
+            nid for nid, pkts in self._node_packets.items() if len(pkts) > 1
+        }
+        packet_nodes: Dict[int, List[int]] = {}
+        for nid, pkts in self._node_packets.items():
+            for pid in pkts:
+                packet_nodes.setdefault(pid, []).append(nid)
+
+        open_pid: Optional[int] = None
+        for packet in list(self._store.packets):
+            pid = packet.packet_id
+            nids = packet_nodes.get(pid, [])
+            movable = nids and all(nid not in multi_packet_nodes for nid in nids)
+            if open_pid is not None and movable:
+                target = self._store.packets[open_pid]
+                local = set(nids)
+                parents_ok = all(
+                    parent_packet_of.get(nid, -1) <= open_pid
+                    or parent_of.get(nid) in local
+                    for nid in nids
+                )
+                if parents_ok and packet.used <= target.free:
+                    for nid in nids:
+                        target.allocate(self.node_size(node_of[nid]), f"node{nid}")
+                        self._node_packets[nid] = [open_pid]
+                        for child_nid in children_of[nid]:
+                            parent_packet_of[child_nid] = open_pid
+                    packet.used = 0
+                    packet.contents = []
+                    continue
+            if packet.free > 0:
+                open_pid = pid
+
+        kept = [p for p in self._store.packets if p.used > 0]
+        remap = {p.packet_id: i for i, p in enumerate(kept)}
+        for i, p in enumerate(kept):
+            p.packet_id = i
+        self._store.packets = kept
+        self._node_packets = {
+            nid: [remap[pid] for pid in pkts]
+            for nid, pkts in self._node_packets.items()
+        }
+
+    def trace(self, point: Point) -> QueryTrace:
+        if self.tree.root is None:
+            only = self.tree.subdivision.regions[0].region_id
+            return QueryTrace(only, [])
+        accesses: List[int] = []
+        node = self.tree.root
+        while True:
+            packet_ids = self._node_packets[node.node_id]
+            accesses.append(packet_ids[0])
+            if len(packet_ids) == 1:
+                side = node.partition.side_of(point)
+            else:
+                side = (
+                    node.partition.early_side_of(point)
+                    if self.early_termination
+                    else None
+                )
+                if side is None:
+                    accesses.extend(packet_ids[1:])
+                    side = node.partition.side_of(point)
+            child = node.left if side == "first" else node.right
+            if isinstance(child, DTreeNode):
+                node = child
+            else:
+                return QueryTrace(child, dedupe_consecutive(accesses))
+
+    def packets_of_node(self, node_id: int) -> List[int]:
+        return list(self._node_packets[node_id])
+
+
+def scalar_compile_dtree(paged: ScalarPagedDTree) -> Optional[_CompiledDTree]:
+    """``_compile_dtree`` as the loop over the object tree it replaced,
+    arrays indexed by each node's position in node-id order."""
+    compiled = _cached_compiled(paged, "_compiled_dtree", _UNCOMPILED)
+    if compiled is not _UNCOMPILED:
+        return compiled
+    if paged.tree.root is None:
+        return None
+    nodes = sorted(paged.tree.iter_nodes(), key=lambda nd: nd.node_id)
+    count = len(nodes)
+    position = {nd.node_id: i for i, nd in enumerate(nodes)}
+
+    ct = _CompiledDTree()
+    ct.root = position[paged.tree.root.node_id]
+    dim_y = np.empty(count, bool)
+    described = np.empty(count, bool)
+    first_bound = np.empty(count, np.float64)
+    second_bound = np.empty(count, np.float64)
+    seg_count = np.empty(count, np.int64)
+    ct.left_code = np.empty(count, np.int64)
+    ct.right_code = np.empty(count, np.int64)
+    ct.pkt_first = np.empty(count, np.int64)
+    ct.pkt_last = np.empty(count, np.int64)
+    ct.pkt_distinct = np.empty(count, np.int64)
+    ct.multi = np.empty(count, bool)
+    ct.span_start = np.zeros(count + 1, np.int64)
+    span_packets: List[int] = []
+    forward = True
+
+    segs: List[List[float]] = [[], [], [], []]
+    for i, node in enumerate(nodes):
+        part = node.partition
+        dim_y[i] = part.dimension == "y"
+        described[i] = part.style.described == "first"
+        first_bound[i] = part.first_bound
+        second_bound[i] = part.second_bound
+        ends = [(a, b) for pl in part.polylines for a, b in pl.segment_endpoints()]
+        seg_count[i] = len(ends)
+        for a, b in ends:
+            for pool, value in zip(segs, (a.x, a.y, b.x, b.y)):
+                pool.append(value)
+        packets = list(paged._node_packets[node.node_id])
+        ct.pkt_first[i] = packets[0]
+        ct.pkt_last[i] = packets[-1]
+        ct.pkt_distinct[i] = len(set(packets))
+        ct.multi[i] = len(packets) > 1
+        forward = forward and packets == sorted(packets)
+        span_packets.extend(dict.fromkeys(packets))
+        ct.span_start[i + 1] = len(span_packets)
+        for code_arr, child in ((ct.left_code, node.left), (ct.right_code, node.right)):
+            code_arr[i] = (
+                position[child.node_id]
+                if isinstance(child, DTreeNode)
+                else ~int(child)
+            )
+
+    for code in (ct.left_code, ct.right_code):
+        internal = np.flatnonzero(code >= 0)
+        forward = forward and bool(
+            (ct.pkt_last[internal] <= ct.pkt_first[code[internal]]).all()
+        )
+    if not forward:
+        return _store_compiled(paged, "_compiled_dtree", None)
+
+    ct.span_packets = np.asarray(span_packets, np.int64)
+    ct.dim_y = dim_y
+    ct.ray_up = dim_y == described
+    ct.flip = ~described
+    ct.first_bound = np.where(dim_y, first_bound, -first_bound)
+    ct.second_bound = np.where(dim_y, second_bound, -second_bound)
+
+    ax, ay, bx, by = (np.asarray(pool, np.float64) for pool in segs)
+    seg_node = np.repeat(np.arange(count, dtype=np.int64), seg_count)
+    seg_dim_y = dim_y[seg_node]
+    ct.seg_u0 = np.where(seg_dim_y, ax, ay)
+    ct.seg_v0 = np.where(seg_dim_y, ay, ax)
+    ct.seg_u1 = np.where(seg_dim_y, bx, by)
+    ct.seg_v1 = np.where(seg_dim_y, by, bx)
+
+    lo_v = np.minimum(ct.seg_v0, ct.seg_v1)
+    hi_v = np.maximum(ct.seg_v0, ct.seg_v1)
+    has_segs = np.flatnonzero(seg_count > 0)
+    seg_first = np.cumsum(seg_count) - seg_count
+    vmin = np.zeros(count, np.float64)
+    vmax = np.zeros(count, np.float64)
+    if has_segs.size:
+        vmin[has_segs] = np.minimum.reduceat(lo_v, seg_first[has_segs])
+        vmax[has_segs] = np.maximum.reduceat(hi_v, seg_first[has_segs])
+    ct.slab_count = np.maximum((seg_count + 1) // 2, 1)
+    extent = vmax - vmin
+    ct.slab_min = vmin
+    ct.slab_width = np.where(extent > 0.0, extent / ct.slab_count, 1.0)
+    ct.cell_first = np.cumsum(ct.slab_count) - ct.slab_count
+    cells = int(ct.slab_count.sum())
+
+    grid = (ct.slab_min[seg_node], ct.slab_width[seg_node], ct.slab_count[seg_node])
+    first_slab = _slab_index(lo_v, *grid)
+    spans = np.where(
+        ct.seg_v0 == ct.seg_v1, 0, _slab_index(hi_v, *grid) - first_slab + 1
+    )
+    cell, owner, _ = ragged_ranges(ct.cell_first[seg_node] + first_slab, spans)
+    ct.cell_seg = owner[np.argsort(cell, kind="stable")]
+    ct.cell_start = np.zeros(cells + 1, np.int64)
+    np.cumsum(np.bincount(cell, minlength=cells), out=ct.cell_start[1:])
+    return _store_compiled(paged, "_compiled_dtree", ct)
+
+
+def scalar_trace_batch_dtree(paged: ScalarPagedDTree, points):
+    """The compiled D-tree tracer, over :func:`scalar_compile_dtree`'s
+    arrays."""
+    scalar_compile_dtree(paged)
+    return _trace_batch_dtree(paged, points)
+
+
+_COMPILERS[ScalarPagedDTree] = ("dtree", scalar_compile_dtree)
+register_tracer(ScalarPagedDTree, scalar_trace_batch_dtree)
+
+
+def scalar_dtree_candidates(paged: ScalarPagedDTree) -> Dict[int, FrozenSet[int]]:
+    """Packet id -> regions of every subtree with a node in the packet,
+    by recursion over the object tree."""
+    packet_regions: Dict[int, set] = {}
+
+    def subtree(node) -> FrozenSet[int]:
+        if not isinstance(node, DTreeNode):
+            return frozenset((node,))
+        regions = subtree(node.left) | subtree(node.right)
+        for pid in paged._node_packets[node.node_id]:
+            packet_regions.setdefault(pid, set()).update(regions)
+        return regions
+
+    if paged.tree.root is not None:
+        subtree(paged.tree.root)
+    return {pid: frozenset(regions) for pid, regions in packet_regions.items()}
+
+
+def _scalar_leaf_ids(child) -> Set[int]:
+    if not isinstance(child, DTreeNode):
+        return {child}
+    return _scalar_leaf_ids(child.left) | _scalar_leaf_ids(child.right)
+
+
+class ScalarDTreeMaintainer(DTreeMaintainer):
+    """The maintainer's splice as the in-place object splice it
+    replaced: the replacement subtree is hung into the tree it is given
+    (so an older paged version holding that tree walks the new one)."""
+
+    def apply(self, index, new_subdivision, batch):
+        if batch.is_empty:
+            return index
+        plan = self._splice_plan(index, new_subdivision, batch)
+        if plan is None:
+            self.full_rebuilds += 1
+            return self.build(new_subdivision)
+        parent, side, subtree_ids, level = plan
+        grown = self.stale_fraction + len(subtree_ids) / len(new_subdivision.regions)
+        if grown > self.staleness_budget:
+            self.full_rebuilds += 1
+            return self.build(new_subdivision)
+        replacement = _scalar_subtree(
+            new_subdivision,
+            sorted(subtree_ids),
+            paper_styles(self.extended_styles),
+            self.tie_break_inter_prob,
+            first_id=max(node.node_id for node in index.iter_nodes()) + 1,
+            level=level,
+        )
+        if parent is None:
+            if not isinstance(replacement, DTreeNode):
+                self.full_rebuilds += 1
+                return self.build(new_subdivision)
+            index.root = replacement
+        else:
+            setattr(parent, side, replacement)
+        index.subdivision = new_subdivision
+        self.stale_fraction = grown
+        self.incremental_applies += 1
+        SCALAR_RUNS["dtree_splice"] += 1
+        return index
+
+    def _splice_plan(self, index, new_subdivision, batch):
+        removed = set(batch.removed_ids)
+        added = set(batch.added_ids)
+        old_area = index.subdivision.service_area
+        new_area = new_subdivision.service_area
+        if (
+            index.root is None
+            or not removed
+            or (old_area.min_x, old_area.min_y, old_area.max_x, old_area.max_y)
+            != (new_area.min_x, new_area.min_y, new_area.max_x, new_area.max_y)
+        ):
+            return None
+        parent = side = None
+        node = index.root
+        while True:
+            left_ids = _scalar_leaf_ids(node.left)
+            right_ids = _scalar_leaf_ids(node.right)
+            if removed <= left_ids:
+                if isinstance(node.left, DTreeNode):
+                    parent, side, node = node, "left", node.left
+                    continue
+                return node, "left", (left_ids - removed) | added, node.level + 1
+            if removed <= right_ids:
+                if isinstance(node.right, DTreeNode):
+                    parent, side, node = node, "right", node.right
+                    continue
+                return node, "right", (right_ids - removed) | added, node.level + 1
+            new_ids = ((left_ids | right_ids) - removed) | added
+            return parent, side, new_ids, node.level
+
+
 @pytest.fixture
 def scalar_kernels(monkeypatch):
     """Route every construction through the scalar oracles.
@@ -1740,6 +2269,7 @@ def scalar_kernels(monkeypatch):
     def install():
         SCALAR_RUNS.clear()
         monkeypatch.setattr(DTree, "grow", staticmethod(scalar_grow))
+        monkeypatch.setitem(MAINTAINER_REGISTRY, "dtree", ScalarDTreeMaintainer)
         monkeypatch.setattr(imbalanced_mod, "_sort_regions", _scalar_sort_regions)
         monkeypatch.setattr(RStarTree, "build", classmethod(scalar_rstar_tree))
         monkeypatch.setattr(TrianTree, "build", classmethod(scalar_trian_tree))
@@ -1771,9 +2301,11 @@ def observable(paged) -> dict:
         state["rstar"] = rstar_shape(paged.tree)
     if isinstance(paged.tree, (TrianTree, ScalarTrianTree)):
         state["trian"] = trian_shape(paged.tree)
-    if hasattr(paged.tree, "nodes_breadth_first"):
+    if isinstance(paged.tree, (DTree, ScalarDTree)):
+        state["dtree"] = dtree_shape(paged.tree)
+        table = paged.tree if isinstance(paged.tree, DTree) else paged.tree.as_table()
         serialized = SerializedDTree(
-            paged.tree, SystemParameters.for_index("dtree", PACKET_CAPACITY)
+            table, SystemParameters.for_index("dtree", PACKET_CAPACITY)
         )
         state["wire"] = list(serialized.packets)
     return state
@@ -1872,6 +2404,7 @@ def test_paged_index_identical_to_scalar_build(dataset, kind, scalar_kernels):
     assert array_state["packets"] == scalar_state["packets"]
     assert array_state["compiled"] == scalar_state["compiled"]
     assert array_state.get("wire") == scalar_state.get("wire")
+    assert array_state.get("dtree") == scalar_state.get("dtree")
     assert array_state.get("trian") == scalar_state.get("trian")
     assert array_state.get("rstar") == scalar_state.get("rstar")
 
@@ -2153,27 +2686,24 @@ def test_edge_region_above_skips_vertical_edges():
     assert sum(region is None for region in sub.edge_region_above()) == 4 + 15
 
 
-def dtree_shape(tree: DTree) -> list:
-    """Every node's partition, in node-id order."""
-    out = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, DTreeNode):
-            continue
-        part = node.partition
-        out.append((
-            node.node_id,
-            repr(part.style),
-            part.first_ids,
-            part.second_ids,
-            [pl.vertices for pl in part.polylines],
-            part.first_bound,
-            part.second_bound,
-            part.inter_prob,
-        ))
-        stack.extend((node.right, node.left))
-    return sorted(out, key=lambda row: row[0])
+def dtree_shape(tree) -> list:
+    """Every node in node-id order — its id, level, children (as node
+    ids or region ids) and partition — then the root's id, read from a
+    :class:`DTree`'s rows or from the oracle's objects."""
+    if isinstance(tree, ScalarDTree):
+        tree = tree.as_table()
+    assert tree.node_id == sorted(set(tree.node_id))
+    child = lambda c: ("node", tree.node_id[c]) if c >= 0 else ("region", ~c)
+    return [
+        (
+            tree.node_id[row],
+            tree.level[row],
+            child(tree.left[row]),
+            child(tree.right[row]),
+            _partition_fields(tree.partition[row]),
+        )
+        for row in range(len(tree.node_id))
+    ] + [("root", None if tree.root is None else tree.node_id[tree.root])]
 
 
 def _partition_fields(part: Partition) -> tuple:
@@ -2275,23 +2805,22 @@ def _level_subdivisions(draw):
 
 
 def _dtree_builds(sub: Subdivision) -> list:
-    """The default, A1 and extended-style builds, plus a maintainer
-    rebuild of the root's larger child with fresh ids at level 1."""
+    """The default, A1 and extended-style builds, plus a rebuild of the
+    root's larger subspace with fresh ids at level 1, as the maintainer
+    grows a splice."""
     builds = [
         dtree_shape(DTree.build(sub, **kwargs))
         for kwargs in ({}, {"tie_break_inter_prob": False}, {"extended_styles": True})
     ]
     tree = DTree.build(sub)
     if tree.root is not None:
-        child = max((tree.root.left, tree.root.right), key=lambda c: len(_leaf_ids(c)))
-        maintainer = maintainer_for("dtree", extended_styles=True)
-        rebuilt = maintainer._build_subtree(tree, sub, sorted(_leaf_ids(child)), 1)
-        if isinstance(rebuilt, DTreeNode):
-            subtree = DTree(sub, rebuilt)
-            builds.append(dtree_shape(subtree))
-            builds.append([(n.node_id, n.level) for n in subtree.iter_nodes()])
-        else:
-            builds.append(rebuilt)
+        shape = dtree_shape(tree)
+        root = shape[0][4]  # the root is node 0: its partition's fields
+        ids = max(root[1], root[2], key=len)
+        rebuilt = DTree.grow(
+            sub, sorted(ids), paper_styles(True), first_id=len(shape) - 1, level=1
+        )
+        builds.append(dtree_shape(rebuilt))
     return builds
 
 
@@ -2433,11 +2962,72 @@ def test_churn_maintenance_identical_to_scalar_build(kind, scalar_kernels):
     assert (SCALAR_RUNS["evaluate_style"] > 0) == (kind == "dtree")
     assert (SCALAR_RUNS["rstar_split"] > 0) == (kind == "rstar")
     assert (SCALAR_RUNS["trap_insert"] > 0) == (kind == "trap")
+    if kind == "dtree":
+        # The object splice ran, once per incremental apply.
+        assert SCALAR_RUNS["dtree_splice"] == scalar_run["incremental_applies"] > 0
     assert array_run["full_rebuilds"] == scalar_run["full_rebuilds"]
     assert array_run["incremental_applies"] == scalar_run["incremental_applies"]
     assert array_run["answers"] == scalar_run["answers"]
     for cycle, (got, want) in enumerate(zip(array_run["states"], scalar_run["states"])):
         assert got == want, f"cycle {cycle}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _small_subdivisions(),
+    st.sampled_from([64, 128, 256]),
+    st.integers(0, 10_000),
+    st.sampled_from(
+        [{}, {"early_termination": False}, {"top_down": False}, {"merge_leaves": False}]
+    ),
+)
+def test_dtree_answers_identical_to_object_tree_on_random_points(
+    subdivision, capacity, point_seed, flags
+):
+    """Random points, every vertex and every edge midpoint answer alike
+    on the node table and on the object tree it replaced, which pages
+    into the same packets and compiles to the same arrays; the lossy
+    recovery's candidate regions after each packet are the object
+    tree's."""
+    rng = random.Random(point_seed)
+    points = [subdivision.random_point(rng) for _ in range(100)]
+    points += list(dict.fromkeys(
+        v for region in subdivision.regions for v in region.polygon.vertices
+    ))
+    points += [
+        Point((e.a.x + e.b.x) / 2, (e.a.y + e.b.y) / 2)
+        for e in subdivision.all_edges()
+    ]
+    params = index_family("dtree").parameters(capacity)
+    arrays = PagedDTree(DTree.build(subdivision), params, **flags)
+    SCALAR_RUNS.clear()
+    scalar = scalar_grow(
+        subdivision, subdivision.region_ids, paper_styles()
+    ).page(params, **flags)
+    assert (SCALAR_RUNS["evaluate_style"] > 0) == (len(subdivision.regions) > 1)
+    assert observable(arrays) == observable(scalar)
+    assert _answers(arrays, points) == _answers(scalar, points)
+    everything = frozenset(subdivision.region_ids)
+    candidates = candidate_provider(arrays, everything)
+    packet_regions = scalar_dtree_candidates(scalar)
+    for last_good in [None, *range(len(scalar.packets))]:
+        assert candidates(last_good) == packet_regions.get(last_good, everything)
+
+
+def test_pickled_paged_dtree_keeps_packets_arrays_and_traces():
+    """The paged D-tree pickles as its tables: a round trip, before and
+    after the compile, keeps every packet, every compiled array and the
+    scalar and batched answers and paths."""
+    subdivision = DATASETS["PARK"]()
+    points = random_points_in(subdivision, 300, seed=17)
+    paged = build_paged("dtree", subdivision)
+    uncompiled = pickle.loads(pickle.dumps(paged))
+    state, answers = observable(paged), _answers(paged, points)
+    compiled = pickle.loads(pickle.dumps(paged))
+    assert not hasattr(compiled, "_compiled_dtree")
+    for restored in (uncompiled, compiled):
+        assert observable(restored) == state
+        assert _answers(restored, points) == answers
 
 
 def test_boundary_matches_scalar_in_order():

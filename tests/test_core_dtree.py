@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.core.dtree import DTree, DTreeNode
+from repro.core.dtree import DTree
 from repro.tessellation.grid import grid_subdivision
 from repro.tessellation.subdivision import DataRegion, Subdivision
 from repro.geometry.polygon import Polygon
@@ -20,20 +20,27 @@ class TestStructuralProperties:
 
     def test_every_node_has_two_children(self, voronoi60):
         tree = DTree.build(voronoi60)
-        for node in tree.iter_nodes():
-            assert node.left is not None and node.right is not None
+        rows = list(tree.iter_nodes())
+        assert sorted(rows) == list(range(tree.node_count))
+        children = [c for row in rows for c in (tree.left[row], tree.right[row])]
+        # Every node but the root is one child; the rest are data pointers.
+        assert sorted(c for c in children if c >= 0) == [
+            row for row in range(tree.node_count) if row != tree.root
+        ]
+        assert sorted(~c for c in children if c < 0) == voronoi60.region_ids
 
     def test_left_subtree_holds_first_subspace(self, voronoi60):
         tree = DTree.build(voronoi60)
 
-        def collect(child):
-            if isinstance(child, DTreeNode):
-                return collect(child.left) + collect(child.right)
-            return [child]
+        def collect(code):
+            if code >= 0:
+                return collect(tree.left[code]) + collect(tree.right[code])
+            return [~code]
 
-        for node in tree.iter_nodes():
-            assert sorted(collect(node.left)) == sorted(node.partition.first_ids)
-            assert sorted(collect(node.right)) == sorted(node.partition.second_ids)
+        for row in tree.iter_nodes():
+            part = tree.partition[row]
+            assert sorted(collect(tree.left[row])) == sorted(part.first_ids)
+            assert sorted(collect(tree.right[row])) == sorted(part.second_ids)
 
     def test_height_balanced(self, voronoi60, voronoi_odd):
         assert DTree.build(voronoi60).check_height_balanced()
@@ -99,7 +106,7 @@ class TestAccessors:
     def test_breadth_first_is_level_ordered(self, voronoi60):
         tree = DTree.build(voronoi60)
         order = tree.nodes_breadth_first()
-        levels = [n.level for n in order]
+        levels = [tree.level[row] for row in order]
         assert levels == sorted(levels)
         assert len(order) == tree.node_count
 
@@ -111,6 +118,6 @@ class TestAccessors:
         a = DTree.build(voronoi60)
         b = DTree.build(voronoi60)
         assert a.total_partition_coordinates() == b.total_partition_coordinates()
-        assert [n.partition.size for n in a.nodes_breadth_first()] == [
-            n.partition.size for n in b.nodes_breadth_first()
+        assert [a.partition[row].size for row in a.nodes_breadth_first()] == [
+            b.partition[row].size for row in b.nodes_breadth_first()
         ]

@@ -18,19 +18,18 @@ class TestNodeSizeModel:
     def test_single_packet_node_size(self, voronoi60):
         tree = DTree.build(voronoi60)
         paged = PagedDTree(tree, params_for(2048))
-        node = tree.root
-        expected = 2 + 2 + 2 * 4 + node.partition.size * 4
-        assert paged.node_size(node) == expected
+        expected = 2 + 2 + 2 * 4 + tree.partition[tree.root].size * 4
+        assert paged.node_size(tree.root) == expected
 
     def test_large_node_gets_rmc_coordinate(self, voronoi60):
         tree = DTree.build(voronoi60)
         paged = PagedDTree(tree, params_for(64))
-        for node in tree.iter_nodes():
-            base = 2 + 2 + 8 + node.partition.size * 4
+        for row in tree.iter_nodes():
+            base = 2 + 2 + 8 + tree.partition[row].size * 4
             if base > 64:
-                assert paged.node_size(node) == base + 4
+                assert paged.node_size(row) == base + 4
             else:
-                assert paged.node_size(node) == base
+                assert paged.node_size(row) == base
 
     def test_index_bytes_independent_of_capacity_for_small_nodes(self):
         sub = grid_subdivision(2, 2)
@@ -46,16 +45,16 @@ class TestAllocation:
     def test_every_node_allocated(self, voronoi60):
         tree = DTree.build(voronoi60)
         paged = PagedDTree(tree, params_for(256))
-        for node in tree.iter_nodes():
-            assert paged.packets_of_node(node.node_id)
+        for row in tree.iter_nodes():
+            assert paged.packets_of_node(tree.node_id[row])
 
     def test_large_nodes_span_consecutive_packets(self, voronoi60):
         tree = DTree.build(voronoi60)
         paged = PagedDTree(tree, params_for(64))
         spans = [
-            paged.packets_of_node(n.node_id)
-            for n in tree.iter_nodes()
-            if len(paged.packets_of_node(n.node_id)) > 1
+            paged.packets_of_node(node_id)
+            for node_id in tree.node_id
+            if len(paged.packets_of_node(node_id)) > 1
         ]
         assert spans, "64-byte packets should force multi-packet nodes"
         for span in spans:
@@ -72,14 +71,14 @@ class TestAllocation:
         tree = DTree.build(voronoi60)
         for cap in (64, 256, 2048):
             paged = PagedDTree(tree, params_for(cap))
-            for node in tree.iter_nodes():
-                for child in (node.left, node.right):
-                    if hasattr(child, "node_id"):
+            for row in tree.iter_nodes():
+                for child in (tree.left[row], tree.right[row]):
+                    if child >= 0:
                         assert (
-                            paged.packets_of_node(child.node_id)[0]
-                            >= paged.packets_of_node(node.node_id)[-1]
-                            or paged.packets_of_node(child.node_id)[0]
-                            >= paged.packets_of_node(node.node_id)[0]
+                            paged.packets_of_row(child)[0]
+                            >= paged.packets_of_row(row)[-1]
+                            or paged.packets_of_row(child)[0]
+                            >= paged.packets_of_row(row)[0]
                         )
 
     def test_larger_packets_fewer_packets(self, voronoi60):

@@ -243,8 +243,8 @@ class TestDTreeMaintainer:
         sub = sites_subdivision(sites, AREA)
         maintainer = DTreeMaintainer(staleness_budget=float("inf"))
         tree = maintainer.build(sub)
-        left_ids = _leaf_ids(tree.root.left)
-        right_ids = _leaf_ids(tree.root.right)
+        left_ids = _leaf_ids(tree, tree.left[tree.root])
+        right_ids = _leaf_ids(tree, tree.right[tree.root])
         # A region whose whole neighbourhood lives inside one side: a
         # small move of its site changes nothing on the other side.
         adjacency = sub.adjacency()
@@ -264,13 +264,23 @@ class TestDTreeMaintainer:
         new = sites_subdivision(moved, AREA)
         batch = diff_subdivisions(sub, new, tolerance=TOLERANCE)
         assert batch.removed_ids <= left_ids
-        untouched_right = tree.root.right
-        tree = maintainer.apply(tree, new, batch)
+        def nodes(tree, code):
+            return [
+                (tree.node_id[row], tree.partition[row])
+                for row, _ in tree.walk(code)
+                if row >= 0
+            ]
+
+        untouched_right = nodes(tree, tree.right[tree.root])
+        aired = nodes(tree, tree.root)
+        old, tree = tree, maintainer.apply(tree, new, batch)
         assert maintainer.incremental_applies == 1
         assert maintainer.full_rebuilds == 0
-        assert tree.root.right is untouched_right
-        assert _leaf_ids(tree.root.left) == left_ids
-        assert _leaf_ids(tree.root.right) == right_ids
+        assert nodes(tree, tree.right[tree.root]) == untouched_right
+        assert _leaf_ids(tree, tree.left[tree.root]) == left_ids
+        assert _leaf_ids(tree, tree.right[tree.root]) == right_ids
+        # The splice built a new tree: the old one is as it aired.
+        assert tree is not old and nodes(old, old.root) == aired
         rng = random.Random(0)
         for p in new.random_points(200, rng):
             assert tree.locate(p) == new.locate(p)
@@ -283,8 +293,9 @@ class TestDTreeMaintainer:
             sites, steps=3, seed=21, n_move=1, move_scale=MOVE_SCALE
         ):
             tree = maintainer.apply(tree, new, batch)
-        ids = [n.node_id for n in tree.iter_nodes()]
+        ids = [tree.node_id[row] for row in tree.iter_nodes()]
         assert len(ids) == len(set(ids))
+        assert tree.node_id == sorted(ids)  # rows stay in id order
 
     def test_spliced_tree_compiles_and_matches_walker(self):
         """Regression: a splice retires node ids, and the engine used to
@@ -304,7 +315,7 @@ class TestDTreeMaintainer:
             sites, steps=3, seed=21, n_move=1, move_scale=MOVE_SCALE
         ):
             server.apply_updates(new, batch)
-            ids = sorted(n.node_id for n in server.index.iter_nodes())
+            ids = sorted(server.index.node_id)
             points = new.random_points(80, rng)
             times = [rng.uniform(0, server.schedule.cycle_length) for _ in points]
             batch_result = QueryEngine(server.paged, server.schedule).run(
@@ -466,14 +477,19 @@ class TestDynamicService:
         """Version 0, kept in history, traces and batch-traces as it did
         while it aired, however maintenance changed the live index since:
         both when it was compiled before the updates and when its first
-        trace comes after them."""
+        trace comes after them.  Five moved sites per step make the
+        D-tree rebuild; one makes it splice."""
+        for n_move in (5, 1):
+            self._check_past_versions(kind, n_move)
+
+    def _check_past_versions(self, kind, n_move):
         initial = dict(enumerate(uniform_points(200, 3, SERVICE_AREA)))
         rng = random.Random(5)
         steps = []
         sites = initial
         for _ in range(4):
             sites = churn_sites(
-                sites, AREA, n_move=5, move_scale=MOVE_SCALE, rng=rng
+                sites, AREA, n_move=n_move, move_scale=MOVE_SCALE, rng=rng
             )
             steps.append(sites_subdivision(sites, AREA))
 
@@ -502,6 +518,8 @@ class TestDynamicService:
                 server.apply_updates(new)
             assert server.version == len(steps)
             assert answers(server.history[0][1], points) == aired
+            if kind == "dtree" and n_move == 1:
+                assert server.maintainer.incremental_applies > 0
 
     def test_history_limit_prunes_old_epochs(self, kind):
         sites = _sites(25, seed=29)

@@ -23,7 +23,7 @@ from repro.engine.trace import (
 )
 from repro.errors import BroadcastError
 
-from tests.conftest import random_points_in
+from tests.conftest import random_points_in, set_dtree_span
 
 ALL_KINDS = ("dtree", "trian", "trap", "rstar")
 
@@ -320,26 +320,26 @@ class TestPacketPaths:
         assert str(with_paths.value) == str(plain.value)
 
     def test_backwards_dtree_raises_as_before(self, voronoi60):
-        from repro.core.dtree import DTreeNode
         from repro.engine.trace import bump_structure_generation
 
         family = index_family("dtree")
         paged = family.build(voronoi60, seed=7).page(family.parameters(64))
         points = random_points_in(voronoi60, 200, seed=29)
         # Re-point a node below a nonzero packet at packet 0.
-        stack = [(paged.tree.root, 0)]
+        tree = paged.tree
+        stack = [(tree.root, 0)]
         while stack:
-            node, high = stack.pop()
+            row, high = stack.pop()
             if high > 0:
                 break
-            high = max(high, *paged._node_packets[node.node_id])
+            high = max(high, *paged.packets_of_row(row))
             stack.extend(
                 (child, high)
-                for child in (node.left, node.right)
-                if isinstance(child, DTreeNode)
+                for child in (tree.left[row], tree.right[row])
+                if child >= 0
             )
         assert high > 0
-        paged._node_packets[node.node_id] = [0]
+        set_dtree_span(paged, row, [0])
         bump_structure_generation(paged)
         with pytest.raises(BroadcastError) as plain:
             batched_trace(paged, points)

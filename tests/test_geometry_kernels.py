@@ -10,7 +10,7 @@ against a loop over the scalar counterpart.
 
 import math
 import random
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -40,15 +40,46 @@ SIDE_FIRST = np.int8(1)
 SIDE_SECOND = np.int8(2)
 
 
-class CompiledPartition(kernels.CompiledPartition):
-    """The compiled partition with a batched side test: the per-partition
-    oracle of :meth:`Partition.side_of` — the D1/D3 exclusive-zone
-    comparisons first, then the ray-parity test for the interlocking
-    zone D2, the crossing abscissa computed by the scalar expression
-    verbatim.  The D-tree tracer runs its own level-wide side test over
-    the compiled arrays."""
+class CompiledPartition:
+    """One D-tree partition flattened to arrays — its dimension, D1/D3
+    bounds, described side and polyline segments ``ax/ay -> bx/by`` —
+    with a batched side test: the per-partition oracle of
+    :meth:`Partition.side_of` — the D1/D3 exclusive-zone comparisons
+    first, then the ray-parity test for the interlocking zone D2, the
+    crossing abscissa computed by the scalar expression verbatim.  The
+    D-tree tracer runs its own level-wide side test over the compiled
+    tree's arrays."""
 
-    __slots__ = ()
+    __slots__ = (
+        "dim_y",
+        "first_bound",
+        "second_bound",
+        "described_first",
+        "ax",
+        "ay",
+        "bx",
+        "by",
+    )
+
+    def __init__(self, partition) -> None:
+        self.dim_y = partition.dimension == "y"
+        self.first_bound = partition.first_bound
+        self.second_bound = partition.second_bound
+        self.described_first = partition.style.described == "first"
+        ax: List[float] = []
+        ay: List[float] = []
+        bx: List[float] = []
+        by: List[float] = []
+        for polyline in partition.polylines:
+            for a, b in polyline.segment_endpoints():
+                ax.append(a.x)
+                ay.append(a.y)
+                bx.append(b.x)
+                by.append(b.y)
+        self.ax = np.asarray(ax, np.float64)
+        self.ay = np.asarray(ay, np.float64)
+        self.bx = np.asarray(bx, np.float64)
+        self.by = np.asarray(by, np.float64)
 
     def sides(
         self, xs: np.ndarray, ys: np.ndarray
@@ -340,14 +371,14 @@ class TestCompiledPartition:
         points += adversarial_points(voronoi60)
         xs, ys = point_coords(points)
         checked_d2 = 0
-        for node in dtree.iter_nodes():
-            compiled = CompiledPartition(node.partition)
+        for partition in dtree.partition:
+            compiled = CompiledPartition(partition)
             sides, interlocked = compiled.sides(xs, ys)
-            scalar = [node.partition.side_of(p) for p in points]
+            scalar = [partition.side_of(p) for p in points]
             assert sides.tolist() == [
                 1 if s == "first" else 2 for s in scalar
             ]
-            early = [node.partition.early_side_of(p) for p in points]
+            early = [partition.early_side_of(p) for p in points]
             expected_d2 = np.array([e is None for e in early])
             if interlocked is None:
                 assert not expected_d2.any()

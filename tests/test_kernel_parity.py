@@ -31,7 +31,6 @@ from repro.engine import (
 )
 from repro.broadcast.client import _uniform_issue_times
 from repro.engine.batch import QueryEngine
-from repro.core.dtree import DTreeNode
 from repro.datasets.catalog import hospital_dataset, park_dataset, uniform_dataset
 from repro.engine.trace import (
     _cell_boxes,
@@ -60,7 +59,7 @@ from repro.tessellation.grid import grid_subdivision
 from repro.tessellation.subdivision import DataRegion, Subdivision
 from repro.rstar.paged import PagedRStarTree
 
-from tests.conftest import random_points_in
+from tests.conftest import random_points_in, set_dtree_span
 from tests.test_construction_parity import _small_subdivisions
 from tests.test_geometry_kernels import adversarial_points
 
@@ -337,19 +336,20 @@ class TestOracleFallbacks:
         batched_trace(paged, points)  # compile and cache the sound tree
         # Re-point one node below a nonzero packet at packet 0, so every
         # query through it reads the channel backwards.
-        stack = [(paged.tree.root, 0)]
+        tree = paged.tree
+        stack = [(tree.root, 0)]
         while stack:
-            node, high = stack.pop()
+            row, high = stack.pop()
             if high > 0:
                 break
-            high = max(high, *paged._node_packets[node.node_id])
+            high = max(high, *paged.packets_of_row(row))
             stack.extend(
                 (child, high)
-                for child in (node.left, node.right)
-                if isinstance(child, DTreeNode)
+                for child in (tree.left[row], tree.right[row])
+                if child >= 0
             )
         assert high > 0
-        paged._node_packets[node.node_id] = [0]
+        set_dtree_span(paged, row, [0])
         bump_structure_generation(paged)
 
         failing = [
@@ -375,17 +375,19 @@ class TestOracleFallbacks:
         points = random_points_in(voronoi60, 100, seed=31)
         paged = family.build(voronoi60, seed=7).page(family.parameters(64))
         assert compiled_form(paged) is not None
-        spans = paged._node_packets
-        multi = next(nid for nid, pkts in spans.items() if len(pkts) > 1)
-        spans[multi] = spans[multi][::-1]
+        multi = next(
+            row for row in paged.tree.iter_nodes()
+            if len(paged.packets_of_row(row)) > 1
+        )
+        set_dtree_span(paged, multi, paged.packets_of_row(multi)[::-1])
         bump_structure_generation(paged)
         assert compiled_form(paged) is None
 
         paged = family.build(voronoi60, seed=7).page(family.parameters(64))
-        root = paged.tree.root
-        child = next(c for c in (root.left, root.right) if isinstance(c, DTreeNode))
-        spans = paged._node_packets
-        spans[child.node_id] = [spans[root.node_id][-1] - 1]
+        tree = paged.tree
+        root = tree.root
+        child = next(c for c in (tree.left[root], tree.right[root]) if c >= 0)
+        set_dtree_span(paged, child, [paged.packets_of_row(root)[-1] - 1])
         assert compiled_form(paged) is None
         with pytest.raises(BroadcastError) as scalar_err:
             _trace_batch_generic(paged, points)
@@ -662,10 +664,8 @@ def _slab_probe_points(paged):
     outside the node's segments, plus every region vertex and edge
     midpoint."""
     _, ct = compiled_form(paged)
-    nodes = sorted(paged.tree.iter_nodes(), key=lambda nd: nd.node_id)
     points = adversarial_points(paged.tree.subdivision, max_regions=None)
-    for i, node in enumerate(nodes):
-        part = node.partition
+    for i, part in enumerate(paged.tree.partition):
         band = (part.first_bound + part.second_bound) / 2
         vs = [
             v
@@ -738,9 +738,9 @@ class TestDTreeSlabParity:
         paged = family.build(grid_subdivision(1, 3), seed=3).page(
             family.parameters(64)
         )
-        root = paged.tree.root
-        assert root.partition.dimension == "y"
-        root.partition.polylines = [
+        root = paged.tree.partition[paged.tree.root]
+        assert root.dimension == "y"
+        root.polylines = [
             Polyline([Point(0.2, 0.5), Point(0.5, 0.5), Point(0.9, 0.5)]),
             Polyline([Point(0.1, 0.5), Point(0.3, 0.5)]),
         ]

@@ -25,15 +25,15 @@ class TestTopDownSharing:
         paged = PagedDTree(DTree.build(sub), params_for(2048))
         assert len(paged.packets) == 1
         tree = paged.tree
-        root_packet = paged.packets_of_node(tree.root.node_id)
-        for node in tree.iter_nodes():
-            assert paged.packets_of_node(node.node_id) == root_packet
+        root_packet = paged.packets_of_row(tree.root)
+        for node_id in tree.node_id:
+            assert paged.packets_of_node(node_id) == root_packet
 
     def test_tiny_packets_force_spanning(self, voronoi60):
         paged = PagedDTree(DTree.build(voronoi60), params_for(64))
         spans = [
-            len(paged.packets_of_node(n.node_id))
-            for n in paged.tree.iter_nodes()
+            len(paged.packets_of_row(row))
+            for row in paged.tree.iter_nodes()
         ]
         assert max(spans) > 1
 
@@ -58,8 +58,8 @@ class TestMergeMechanics:
         tree = DTree.build(voronoi60)
         paged = PagedDTree(tree, params_for(2048), merge_leaves=True)
         packet_count = len(paged.packets)
-        for node in tree.iter_nodes():
-            pkts = paged.packets_of_node(node.node_id)
+        for node_id in tree.node_id:
+            pkts = paged.packets_of_node(node_id)
             assert pkts
             assert all(0 <= pid < packet_count for pid in pkts)
 
@@ -68,15 +68,14 @@ class TestMergeMechanics:
         tree = DTree.build(voronoi60)
         for cap in (512, 2048):
             paged = PagedDTree(tree, params_for(cap), merge_leaves=True)
-            for node in tree.iter_nodes():
-                for child in (node.left, node.right):
-                    if hasattr(child, "node_id"):
+            for row in tree.iter_nodes():
+                for child in (tree.left[row], tree.right[row]):
+                    if child >= 0:
                         assert (
-                            paged.packets_of_node(child.node_id)[0]
-                            >= paged.packets_of_node(node.node_id)[-1] - 0
-                            or True
+                            paged.packets_of_row(child)[0]
+                            >= paged.packets_of_row(row)[-1]
                         )
-            # The operative check: traced queries stay forward-only.
+            # And traced queries stay forward-only.
             for p in random_points_in(voronoi60, 150, seed=cap):
                 accessed = paged.trace(p).packets_accessed
                 assert all(b >= a for a, b in zip(accessed, accessed[1:]))
@@ -105,11 +104,11 @@ class TestBreakAccounting:
         tree = DTree.build(voronoi60)
         plain = PagedDTree(tree, params_for(512), count_polyline_breaks=False)
         exact = PagedDTree(tree, params_for(512), count_polyline_breaks=True)
-        for node in tree.iter_nodes():
-            delta = exact.node_size(node) - plain.node_size(node)
-            breaks = max(0, len(node.partition.polylines) - 1)
+        for row in tree.iter_nodes():
+            delta = exact.node_size(row) - plain.node_size(row)
+            breaks = max(0, len(tree.partition[row].polylines) - 1)
             expected = breaks * 4
-            if node.partition.size == 0:
+            if tree.partition[row].size == 0:
                 expected += 4
             # RMC threshold may differ between the two accountings by one
             # coordinate; allow that.

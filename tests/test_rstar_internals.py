@@ -9,6 +9,8 @@ from repro.geometry.rect import Rect
 from repro.rstar.tree import REINSERT_FRACTION, RStarTree
 from repro.tessellation.grid import grid_subdivision
 
+from tests.test_construction_parity import overlap_area
+
 
 def small_box(x, y, size=0.01):
     return (x, y, x + size, y + size)
@@ -51,7 +53,7 @@ class TestSplitQuality:
         node = tree._new_node(0, boxes, list(range(5)))
         other = tree._split(node)
         r1, r2 = node_rect(tree, node), node_rect(tree, other)
-        assert r1.overlap_area(r2) == pytest.approx(0.0)
+        assert overlap_area(r1, r2) == pytest.approx(0.0)
 
 
 class TestForcedReinsert:

@@ -48,10 +48,8 @@ class TestSubdivision:
 class TestDTreeOverExample:
     def test_root_splits_left_from_right(self, example):
         tree = DTree.build(example)
-        groups = {
-            frozenset(tree.root.partition.first_ids),
-            frozenset(tree.root.partition.second_ids),
-        }
+        root = tree.partition[tree.root]
+        groups = {frozenset(root.first_ids), frozenset(root.second_ids)}
         # Figure 6: {P1, P2} vs {P3, P4}.
         assert groups == {frozenset({0, 1}), frozenset({2, 3})}
 
@@ -67,8 +65,9 @@ class TestDTreeOverExample:
         # two short border nubs survive pruning and chain onto the
         # division: six coordinates total (DESIGN.md §7, first delta).
         tree = DTree.build(example)
-        assert tree.root.partition.size == 6
-        polyline = tree.root.partition.polylines[0]
+        root = tree.partition[tree.root]
+        assert root.size == 6
+        polyline = root.polylines[0]
         from repro.datasets.running_example import V2, V3, V4, V6
 
         for v in (V2, V3, V4, V6):
