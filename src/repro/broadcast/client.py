@@ -9,9 +9,9 @@
 3. *Data retrieval* — doze until the bucket arrives, download it.
 
 :class:`BroadcastClient` walks these steps over any broadcast timeline: a
-:class:`~repro.broadcast.schedule.BroadcastSchedule`, a duck-typed
-schedule with the same timeline methods (broadcast disks, one service's
-slice of a multiplexed channel), a
+:class:`~repro.broadcast.schedule.BroadcastSchedule` (the flat (1, m)
+program, broadcast disks, or one service's slot of a multiplexed
+channel: all one table of segment starts and bucket airings), a
 :class:`~repro.broadcast.plan.BroadcastPlan` (a K=1 plan *is* its single
 schedule, bit for bit), or a live timeline that changes between cycles
 (:class:`~repro.dynamic.DynamicBroadcastServer`).  Four effects compose
@@ -42,15 +42,12 @@ workload, returning an :class:`AccessBatch` of per-query arrays equal to
 a loop of :meth:`~BroadcastClient.query`, counters and channel stream
 included; :class:`~repro.engine.QueryEngine` and
 :class:`~repro.simulation.ChannelSimulator` are thin resolvers over it.
-On a flat :class:`~repro.broadcast.schedule.BroadcastSchedule` (under an
-error model with a draw layout) and on an error-free K>1 plan it runs in
-three layers: the compiled tracers emit each query's packet path, one
-vectorised timeline pass turns paths into read slots (hopping channels
-on a plan), and the queries whose channel draws show a loss are
-replayed one by one through the scalar walk.  An error-free run on a
-duck-typed schedule traces in one batch and asks the schedule's own
-timeline methods query by query.  Every other configuration walks
-query by query.
+On any single-channel schedule (under no error model or one with a draw
+layout) and on an error-free K>1 plan it runs in three layers: the
+compiled tracers emit each query's packet path, one vectorised timeline
+pass turns paths into read slots (hopping channels on a plan), and the
+queries whose channel draws show a loss are replayed one by one through
+the scalar walk.  Every other configuration walks query by query.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ from repro.geometry.point import Point
 from repro.obs import active_collector, null_span
 from repro.broadcast.caching import PacketCache
 from repro.broadcast.packets import PagedIndex, QueryTrace
-from repro.broadcast.schedule import BroadcastSchedule
 
 
 def _uniform_issue_times(rng: random.Random, n: int, length: float) -> np.ndarray:
@@ -306,7 +302,7 @@ _FLOAT_FIELDS = ("access_latency", "energy_joules", "hop_slots")
 #: AccessBatch array -> AccessResult attribute, where the names differ.
 _RESULT_FIELD = {"region_ids": "region_id"}
 #: What a replayed query can change (energy is priced afterwards, and a
-#: replay on a flat schedule never hops).
+#: replay on one channel never hops).
 _REPLAYED_FIELDS = (
     "region_ids",
     "access_latency",
@@ -405,23 +401,6 @@ class _DrawStream:
                 break
         self.rng.setstate(state)
         _random_draws(self.rng, self.used - pulled)
-
-
-def _segment_for_offset(schedule, offset: int, time: float) -> int:
-    """Start of the earliest index segment whose *offset*-th packet airs
-    at or after *time* (generic over duck-typed schedules)."""
-    method = getattr(schedule, "segment_for_offset", None)
-    if method is not None:
-        return method(offset, time)
-    return schedule.next_index_start(time - offset)
-
-
-def _vectorised(schedule) -> bool:
-    """Does *schedule* offer the flat (1, m) layout's array timeline?"""
-    return (
-        type(schedule) is BroadcastSchedule
-        and schedule.timeline_arrays()[1] is not None
-    )
 
 
 class BroadcastClient:
@@ -760,7 +739,7 @@ class BroadcastClient:
                 channel = chan
             schedule = self._schedules[chan]
             if anchored:
-                base = _segment_for_offset(schedule, offsets[0], t)
+                base = schedule.segment_for_offset(offsets[0], t)
             else:
                 base = schedule.next_index_start(t)
                 anchored = True
@@ -886,17 +865,14 @@ class BroadcastClient:
 
         Equal, element by element, to a loop of :meth:`query`: the same
         answers, the same ``client.*``/``sim.*`` counters in query order
-        and the same error-model stream afterwards.  Batched on a flat
-        :class:`~repro.broadcast.schedule.BroadcastSchedule` under any
-        error model with a draw layout
-        (:meth:`~repro.simulation.faults.ErrorModel.loss_free_draws`), on
-        an error-free K>1 plan and on an error-free duck-typed schedule
-        (one batched trace, then the schedule's own timeline methods per
-        query); everything else (a cache, a live timeline, a lossy plan,
-        a lossy duck-typed schedule, a model without a layout) walks
-        query by query.  ``walk.batched_queries`` and
-        ``walk.replayed_queries`` count the queries answered by the
-        batched pass and by the scalar walk.  *trace*, the points'
+        and the same error-model stream afterwards.  Batched on every
+        single-channel schedule under no error model or one with a draw
+        layout (:meth:`~repro.simulation.faults.ErrorModel.loss_free_draws`)
+        and on an error-free K>1 plan; everything else (a cache, a live
+        timeline, a lossy plan, a model without a layout) walks query by
+        query.  ``walk.batched_queries`` and ``walk.replayed_queries``
+        count the queries answered by the batched pass and by the
+        scalar walk.  *trace*, the points'
         :class:`~repro.engine.trace.TraceBatch` when the caller has it,
         saves re-tracing them unless the pass needs packet paths it
         lacks (:attr:`needs_paths`); results are the same without it.
@@ -944,26 +920,10 @@ class BroadcastClient:
             hops, start = self._hop_timeline(trace, times)
         else:
             hops = np.zeros(n, np.int64)
-            if _vectorised(schedule):
-                base = schedule.next_index_starts(times)
-                start = schedule.next_bucket_arrivals(
-                    trace.region_ids, base + trace.last_packet + 1
-                )
-            else:
-                # A duck-typed schedule's own timeline, query by query,
-                # in the walk's float arithmetic.
-                base = np.fromiter(
-                    map(schedule.next_index_start, times.tolist()), np.float64, n
-                )
-                start = np.fromiter(
-                    map(
-                        schedule.next_bucket_arrival,
-                        trace.region_ids.tolist(),
-                        (base + trace.last_packet + 1).tolist(),
-                    ),
-                    np.float64,
-                    n,
-                )
+            base = schedule.next_index_starts(times)
+            start = schedule.next_bucket_arrivals(
+                trace.region_ids, base + trace.last_packet + 1
+            )
         tuning = trace.tuning_time
         reads = 1 + tuning + bucket_packets
         batch = AccessBatch(
@@ -1034,15 +994,12 @@ class BroadcastClient:
         if self.server is not None or self.cache is not None:
             return False
         model = self.error_model
-        if model is not None:
-            layout = getattr(model, "loss_free_draws", None)
-            if self.plan is not None or layout is None or layout(
-                np.zeros(0, np.int64), np.zeros(1, np.int64)
-            ) is None:
-                return False
-        elif self.plan is None:
+        if model is None:
             return True
-        return all(_vectorised(s) for s in self._schedules)
+        layout = getattr(model, "loss_free_draws", None)
+        return self.plan is None and layout is not None and layout(
+            np.zeros(0, np.int64), np.zeros(1, np.int64)
+        ) is not None
 
     @property
     def needs_paths(self) -> bool:
@@ -1129,9 +1086,9 @@ class BroadcastClient:
 
     def _read_slots(self, trace, times, base, start, lo: int, hi: int):
         """Every read slot of the loss-free walks of queries *lo* to
-        *hi* on the flat schedule, as a CSR ``(slots, read_offsets)``:
-        the probe, the search path in ``base``'s segment, the bucket
-        from ``start``."""
+        *hi* on one channel, as a CSR ``(slots, read_offsets)``: the
+        probe, the search path in ``base``'s segment, the bucket from
+        ``start``."""
         n = hi - lo
         tuning = trace.tuning_time[lo:hi]
         path_start = trace.path_offsets[lo:hi] - trace.path_offsets[lo]

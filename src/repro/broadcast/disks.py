@@ -3,9 +3,10 @@
 The paper assumes a *flat* broadcast: every data instance appears once per
 cycle.  Acharya et al.'s broadcast disks (the paper's reference [1]) air
 popular items more often, trading cycle length for latency on skewed
-workloads.  This module implements a frequency-scheduled data broadcast
-behind the same interface as :class:`~repro.broadcast.schedule.BroadcastSchedule`,
-so any paged index and the unmodified client can run on top of it.
+workloads.  This module lays out a frequency-scheduled data broadcast as
+a :class:`~repro.broadcast.schedule.BroadcastSchedule` table whose
+regions air several times per cycle, so any paged index and the
+unmodified client run on top of it, batched like the flat program.
 
 Frequencies follow the square-root rule (optimal for mean latency:
 broadcast frequency proportional to the square root of access
@@ -17,13 +18,12 @@ near-evenly.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import BroadcastError
 from repro.broadcast.params import SystemParameters
-from repro.broadcast.schedule import optimal_m
+from repro.broadcast.schedule import BroadcastSchedule
 
 
 def square_root_frequencies(
@@ -64,13 +64,14 @@ def urgency_sequence(frequencies: Mapping[int, int]) -> List[int]:
     return sequence
 
 
-class SkewedBroadcastSchedule:
+class SkewedBroadcastSchedule(BroadcastSchedule):
     """A broadcast-disks data program with (1, m) index interleaving.
 
-    Duck-type compatible with :class:`BroadcastSchedule`: exposes
-    ``cycle_length``, ``bucket_packets``, ``data_packet_count``, ``m``,
-    ``index_packet_count``, ``next_index_start`` and
-    ``next_bucket_arrival``.
+    The flat program's layout over :attr:`bucket_sequence`, which airs
+    each region ``frequencies[region]`` times per cycle: the result is
+    the same :class:`~repro.broadcast.schedule.BroadcastSchedule` table,
+    with several airings per region in ``bucket_positions``, so the
+    access walker reads it as it reads the flat program.
     """
 
     def __init__(
@@ -83,59 +84,16 @@ class SkewedBroadcastSchedule:
     ) -> None:
         if not region_weights:
             raise BroadcastError("schedule needs at least one data bucket")
-        self.params = params
-        self.index_packet_count = index_packet_count
         self.frequencies = square_root_frequencies(region_weights, max_frequency)
         self.bucket_sequence = urgency_sequence(self.frequencies)
-        self.bucket_packets = params.data_packets_per_instance
-        self.data_packet_count = self.bucket_packets * len(self.bucket_sequence)
-        if m is None:
-            m = optimal_m(index_packet_count, self.data_packet_count)
-        self.m = max(1, min(m, len(self.bucket_sequence)))
-        self._build_timeline()
-
-    def _build_timeline(self) -> None:
-        n = len(self.bucket_sequence)
-        base, extra = divmod(n, self.m)
-        self.index_segment_starts: List[int] = []
-        #: region -> sorted absolute positions of its bucket occurrences.
-        self.bucket_positions: Dict[int, List[int]] = {}
-        pos = 0
-        cursor = 0
-        for segment in range(self.m):
-            self.index_segment_starts.append(pos)
-            pos += self.index_packet_count
-            chunk = base + (1 if segment < extra else 0)
-            for _ in range(chunk):
-                region = self.bucket_sequence[cursor]
-                self.bucket_positions.setdefault(region, []).append(pos)
-                pos += self.bucket_packets
-                cursor += 1
-        self.cycle_length = pos
-
-    # -- timeline queries (same contract as BroadcastSchedule) -----------------
-
-    def next_index_start(self, time: float) -> int:
-        cycle, offset = divmod(time, self.cycle_length)
-        for start in self.index_segment_starts:
-            if start >= offset:
-                return int(cycle) * self.cycle_length + start
-        return (int(cycle) + 1) * self.cycle_length + self.index_segment_starts[0]
-
-    def next_bucket_arrival(self, region_id: int, time: float) -> int:
-        try:
-            positions = self.bucket_positions[region_id]
-        except KeyError:
-            raise BroadcastError(f"region {region_id} not in schedule") from None
-        cycle, offset = divmod(time, self.cycle_length)
-        idx = bisect.bisect_left(positions, offset)
-        if idx < len(positions):
-            return int(cycle) * self.cycle_length + positions[idx]
-        return (int(cycle) + 1) * self.cycle_length + positions[0]
-
-    @property
-    def index_overhead_packets(self) -> int:
-        return self.m * self.index_packet_count
+        self.region_ids = list(self.frequencies)
+        self._lay_out(
+            index_packet_count,
+            self.bucket_sequence,
+            params,
+            None if m is None else max(1, m),
+            version=0,
+        )
 
     @property
     def replication_factor(self) -> float:

@@ -11,8 +11,7 @@ share a channel.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import BroadcastError
 from repro.geometry.point import Point
@@ -95,17 +94,11 @@ class MultiplexedBroadcast:
             self.offsets[service.name] = position
             position += service.schedule.cycle_length
         self.cycle_length = position
-        # Per-service index-segment starts as absolute super-cycle
-        # positions, precomputed sorted so lookups can binary-search.
-        self._index_positions: Dict[str, List[int]] = {
-            name: [
-                self.offsets[name] + start
-                for start in service.schedule.index_segment_starts
-            ]
-            for name, service in self.services.items()
-        }
         self._walkers: Dict[str, BroadcastClient] = {
-            name: BroadcastClient(service.paged_index, _ServiceView(self, name))
+            name: BroadcastClient(
+                service.paged_index,
+                service.schedule.shifted(self.offsets[name], position),
+            )
             for name, service in self.services.items()
         }
 
@@ -117,69 +110,26 @@ class MultiplexedBroadcast:
                 f"unknown service {name!r}; have {sorted(self.services)}"
             ) from None
 
+    def timeline(self, name: str) -> BroadcastSchedule:
+        """*name*'s program shifted into its slot of the super cycle
+        (positions are super-cycle absolute): the timeline its clients
+        walk."""
+        self.service(name)  # raise on unknown names
+        return self._walkers[name].schedule
+
     # -- timeline -----------------------------------------------------------------
 
-    def _next_occurrence(self, positions: List[int], time: float) -> float:
-        """First absolute position >= *time* among per-super-cycle
-        *positions* (sorted offsets within one super cycle).
-
-        Binary search instead of scanning all 2x len(positions)
-        candidates; the boundary nudges keep the float comparison
-        ``base + p >= time`` authoritative (``bisect`` compares ``p``
-        against ``time - base``, which can round the other way at ulp
-        distance).
-        """
-        base = (time // self.cycle_length) * self.cycle_length
-        i = bisect_left(positions, time - base)
-        while i > 0 and base + positions[i - 1] >= time:
-            i -= 1
-        while i < len(positions) and base + positions[i] < time:
-            i += 1
-        if i == len(positions):
-            return base + self.cycle_length + positions[0]
-        return base + positions[i]
-
-    def next_index_start(self, name: str, time: float) -> float:
+    def next_index_start(self, name: str, time: float) -> int:
         """Absolute position of the next index segment of *name*."""
-        self.service(name)  # raise on unknown names
-        return self._next_occurrence(self._index_positions[name], time)
+        return self.timeline(name).next_index_start(time)
 
-    def next_bucket_arrival(self, name: str, region_id: int, time: float) -> float:
-        service = self.service(name)
-        try:
-            in_cycle = service.schedule.bucket_position[region_id]
-        except KeyError:
-            raise BroadcastError(
-                f"region {region_id} not in service {name!r}"
-            ) from None
-        return self._next_occurrence([self.offsets[name] + in_cycle], time)
+    def next_bucket_arrival(self, name: str, region_id: int, time: float) -> int:
+        return self.timeline(name).next_bucket_arrival(region_id, time)
 
     # -- client -------------------------------------------------------------------
 
     def query(self, name: str, point: Point, issue_time: float) -> AccessResult:
         """Full access protocol against one service of the super cycle:
-        the access walker over that service's view of the channel."""
+        the access walker over that service's timeline."""
         self.service(name)  # raise on unknown names
         return self._walkers[name].walk(point, issue_time)
-
-
-class _ServiceView:
-    """One service's slice of a super cycle, behind the schedule
-    interface the access walker reads (positions are super-cycle
-    absolute)."""
-
-    def __init__(self, mux: MultiplexedBroadcast, name: str) -> None:
-        schedule = mux.services[name].schedule
-        self._mux = mux
-        self._name = name
-        self.params = schedule.params
-        self.index_packet_count = schedule.index_packet_count
-        self.bucket_packets = schedule.bucket_packets
-        self.region_ids = schedule.region_ids
-        self.cycle_length = mux.cycle_length
-
-    def next_index_start(self, time: float) -> float:
-        return self._mux.next_index_start(self._name, time)
-
-    def next_bucket_arrival(self, region_id: int, time: float) -> float:
-        return self._mux.next_bucket_arrival(self._name, region_id, time)

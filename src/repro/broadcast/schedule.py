@@ -18,6 +18,8 @@ in packets.
 from __future__ import annotations
 
 import bisect
+import copy
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,11 +58,29 @@ def optimal_m(index_packets: int, data_packets: int) -> int:
 
 
 class BroadcastSchedule:
-    """A concrete packet timeline for one broadcast cycle.
+    """A single-channel broadcast program as one table per cycle.
 
-    The cycle consists of m segments; segment j is the full index followed
-    by the j-th chunk of the data buckets (flat broadcast, buckets in
-    region-id order, chunks as even as possible).
+    The table is all the access walker reads of a program:
+    ``index_segment_starts`` (the position of each index copy's first
+    packet), ``bucket_positions`` (region id -> the positions of its
+    bucket's airings, ascending), ``cycle_length`` and ``region_ids``;
+    the cycle repeats for ever, forwards and backwards.  Three
+    constructors fill it:
+
+    * this one, the flat (1, m) program: m segments, segment j the full
+      index followed by the j-th chunk of the data buckets (one airing
+      per region, buckets in region-id order, chunks as even as
+      possible);
+    * :class:`~repro.broadcast.disks.SkewedBroadcastSchedule`, the same
+      layout over a bucket sequence that airs popular regions more often
+      (broadcast disks);
+    * :meth:`shifted`, a program moved into its slot of a longer cycle
+      (one service of a
+      :class:`~repro.broadcast.multiplex.MultiplexedBroadcast`).
+
+    Every timeline query answers with the first airing at or after the
+    given time, in scalar (list and bisect) and array forms that agree
+    exactly.
     """
 
     def __init__(
@@ -76,63 +96,101 @@ class BroadcastSchedule:
             raise BroadcastError("schedule needs at least one data bucket")
         if version < 0:
             raise BroadcastError(f"version must be >= 0, got {version}")
+        self.region_ids = list(region_ids)
+        self._lay_out(index_packet_count, self.region_ids, params, m, version)
+
+    def _lay_out(
+        self,
+        index_packet_count: int,
+        bucket_sequence: Sequence[int],
+        params: SystemParameters,
+        m: Optional[int],
+        version: int,
+    ) -> None:
+        """Fill the table: m segments, each the full index followed by the
+        next chunk of *bucket_sequence* (chunks as even as possible)."""
         self.params = params
         self.index_packet_count = index_packet_count
-        self.region_ids = list(region_ids)
         #: Index version this timeline airs (monotonically increasing in
         #: the dynamic-broadcast service; 0 for static broadcasts).
         self.version = version
         self.bucket_packets = params.data_packets_per_instance
-        self.data_packet_count = self.bucket_packets * len(self.region_ids)
+        self.data_packet_count = self.bucket_packets * len(bucket_sequence)
         if m is None:
             m = optimal_m(index_packet_count, self.data_packet_count)
         if m < 1:
             raise BroadcastError(f"m must be >= 1, got {m}")
-        self.m = min(m, len(self.region_ids))  # no more segments than buckets
-        self._build_timeline()
-
-    def _build_timeline(self) -> None:
-        """Compute absolute positions of index segments and data buckets."""
-        n = len(self.region_ids)
+        n = len(bucket_sequence)
+        self.m = min(m, n)  # no more segments than buckets
         base, extra = divmod(n, self.m)
-        #: (start_position, bucket_count) of each segment's data chunk.
+        #: Absolute position of each index segment's first packet.
         self.index_segment_starts: List[int] = []
-        #: region id -> absolute packet position of its bucket's first packet.
-        self.bucket_position: Dict[int, int] = {}
-        pos = 0
-        next_bucket = 0
+        #: region id -> absolute positions of its bucket's airings.
+        self.bucket_positions: Dict[int, List[int]] = {}
+        pos = cursor = 0
         for segment in range(self.m):
             self.index_segment_starts.append(pos)
-            pos += self.index_packet_count
+            pos += index_packet_count
             chunk = base + (1 if segment < extra else 0)
-            for _ in range(chunk):
-                region = self.region_ids[next_bucket]
-                self.bucket_position[region] = pos
+            for region in bucket_sequence[cursor : cursor + chunk]:
+                self.bucket_positions.setdefault(region, []).append(pos)
                 pos += self.bucket_packets
-                next_bucket += 1
+            cursor += chunk
         self.cycle_length = pos
-        if next_bucket != n:
-            raise BroadcastError("internal error: buckets not fully scheduled")
+        #: Smallest region id the dense arrays of :meth:`timeline_arrays`
+        #: cover (0 unless a region id is negative).
+        self._first_id = min(0, min(self.bucket_positions))
+
+    def shifted(self, offset: int, cycle_length: int) -> "BroadcastSchedule":
+        """This program airing at *offset* inside a cycle of
+        *cycle_length* packets — one service's slot of a multiplexed
+        super cycle: the same table with every position moved by
+        *offset*."""
+        if offset < 0 or offset + self.cycle_length > cycle_length:
+            raise BroadcastError(
+                f"a {self.cycle_length}-packet program does not fit at "
+                f"offset {offset} of a {cycle_length}-packet cycle"
+            )
+        moved = copy.copy(self)
+        moved.__dict__.pop("_timeline_arrays", None)
+        moved.index_segment_starts = [
+            offset + start for start in self.index_segment_starts
+        ]
+        moved.bucket_positions = {
+            region: [offset + p for p in airings]
+            for region, airings in self.bucket_positions.items()
+        }
+        moved.cycle_length = cycle_length
+        return moved
 
     # -- timeline queries ---------------------------------------------------
 
+    def _next_airing(self, airings: List[int], time: float) -> int:
+        """The first of *airings* (ascending positions in the cycle,
+        repeated every cycle) at or after *time*.
+
+        ``divmod`` keeps the offset in ``[0, cycle_length]`` even for
+        negative *time* (which :meth:`segment_for_offset` produces when
+        the cached prefix is longer than the elapsed cycle fraction).
+        There the offset is ``fmod + cycle_length``, rounded: rounding up
+        never skips an airing (an airing is itself a float nearer the
+        true offset), rounding down can land on one that airs before
+        *time*, and one step to the next airing mends that.
+        """
+        length = self.cycle_length
+        cycle, offset = divmod(time, length)
+        base = int(cycle) * length
+        i = bisect.bisect_left(airings, offset)
+        if i < len(airings) and base + airings[i] < time:
+            i += 1
+        if i == len(airings):
+            return base + length + airings[0]
+        return base + airings[i]
+
     def next_index_start(self, time: float) -> int:
         """Absolute position of the first index segment starting at or
-        after *time* (wrapping into the next cycle when needed).
-
-        ``divmod`` keeps the offset in ``[0, cycle_length)`` even for
-        negative *time* (which :meth:`segment_for_offset` produces when
-        the cached prefix is longer than the elapsed cycle fraction), so
-        the bisect below — first start ``>= offset``, same semantics as
-        ``np.searchsorted(side="left")`` in the vectorized twin
-        :meth:`next_index_starts` — needs no special cases.
-        """
-        cycle, offset = divmod(time, self.cycle_length)
-        starts = self.index_segment_starts
-        idx = bisect.bisect_left(starts, offset)
-        if idx == len(starts):
-            return (int(cycle) + 1) * self.cycle_length + starts[0]
-        return int(cycle) * self.cycle_length + starts[idx]
+        after *time* (wrapping into the next cycle when needed)."""
+        return self._next_airing(self.index_segment_starts, time)
 
     def segment_for_offset(self, offset: int, time: float) -> int:
         """Start of the earliest index segment whose *offset*-th packet
@@ -152,62 +210,95 @@ class BroadcastSchedule:
         """Absolute position of the next broadcast of *region_id*'s bucket
         at or after *time*."""
         try:
-            in_cycle = self.bucket_position[region_id]
+            airings = self.bucket_positions[region_id]
         except KeyError:
             raise BroadcastError(f"region {region_id} not in schedule") from None
-        cycle, offset = divmod(time, self.cycle_length)
-        if in_cycle >= offset:
-            return int(cycle) * self.cycle_length + in_cycle
-        return (int(cycle) + 1) * self.cycle_length + in_cycle
+        return self._next_airing(airings, time)
 
     # -- vectorized timeline ------------------------------------------------
 
-    def timeline_arrays(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(segment starts, dense region id -> bucket position)`` as
-        int64 arrays, memoized once per schedule.  The position map is
-        None when a region id is negative (no dense map exists), and
-        ``-1`` marks ids the schedule does not air."""
+    def timeline_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The table as int64 arrays ``(starts, airings)``, memoized once
+        per schedule.
+
+        ``starts`` is ``index_segment_starts`` plus the first start one
+        cycle later.  ``airings`` has a column per region id from
+        ``min(0, smallest id)`` up and a row per airing of the most-aired
+        region (one row on a flat program): row *j* holds the region's
+        (j+1)-th airing, or its first airing one cycle later once it has
+        no more; ``-1`` marks ids the schedule does not air.
+        """
         arrays = getattr(self, "_timeline_arrays", None)
         if arrays is None:
-            starts = np.asarray(self.index_segment_starts, np.int64)
-            positions = None
-            if min(self.region_ids) >= 0:
-                positions = np.full(max(self.region_ids) + 1, -1, np.int64)
-                for region_id, position in self.bucket_position.items():
-                    positions[region_id] = position
-            arrays = self._timeline_arrays = (starts, positions)
+            length = self.cycle_length
+            starts = self.index_segment_starts
+            starts = np.array(starts + [length + starts[0]], np.int64)
+            table = self.bucket_positions
+            ids = np.fromiter(table, np.int64, len(table)) - self._first_id
+            counts = np.fromiter(map(len, table.values()), np.int64, len(table))
+            positions = np.fromiter(
+                itertools.chain.from_iterable(table.values()),
+                np.int64,
+                int(counts.sum()),
+            )
+            firsts = np.cumsum(counts) - counts
+            airings = np.full(
+                (int(counts.max()), int(ids.max()) + 1), -1, np.int64
+            )
+            airings[:, ids] = positions[firsts] + length
+            airings[
+                np.arange(len(positions)) - np.repeat(firsts, counts),
+                np.repeat(ids, counts),
+            ] = positions
+            arrays = self._timeline_arrays = (starts, airings)
         return arrays
 
     def next_index_starts(self, times: np.ndarray) -> np.ndarray:
         """:meth:`next_index_start` over an array of times, negative ones
-        included: ``np.divmod`` on floats is CPython's ``divmod``
-        (fmod, sign fix-up, floor with the same rounding guard), and
-        ``searchsorted(side="left")`` is ``bisect_left``."""
+        included: ``np.divmod`` on floats is CPython's ``divmod`` (fmod,
+        sign fix-up, floor with the same rounding guard),
+        ``searchsorted(side="left")`` is ``bisect_left``, the start one
+        cycle later takes the wrap, and the same one step mends an offset
+        rounded down onto a start before the time."""
         length = self.cycle_length
         starts = self.timeline_arrays()[0]
         cycles, offsets = np.divmod(times, length)
-        idx = np.searchsorted(starts, offsets, side="left")
-        wraps = idx == len(starts)
-        segment = starts[np.where(wraps, 0, idx)]
-        return (cycles.astype(np.int64) + wraps) * length + segment
+        idx = np.searchsorted(starts, offsets)
+        base = cycles.astype(np.int64) * length
+        begin = base + starts[idx]
+        early = begin < times
+        if early.any():
+            begin[early] = base[early] + starts[idx[early] + 1]
+        return begin
 
     def next_bucket_arrivals(
         self, region_ids: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
         """:meth:`next_bucket_arrival` over arrays of regions and (integer
-        or float) times; needs the dense position map of
-        :meth:`timeline_arrays`."""
+        or float) times: each region's first airing in the time's cycle,
+        then one round per further airing of the most-aired region (none
+        on a flat program), then the first airing a cycle later, each
+        taken while the airing so far is before the time.  Only the
+        cycle comes from a float division, and every comparison is with
+        the time itself, so no rounded offset decides."""
         length = self.cycle_length
-        table = self.timeline_arrays()[1]
-        out_of_range = region_ids >= len(table)
-        positions = table[np.where(out_of_range, 0, region_ids)]
-        bad = out_of_range | (positions < 0)
+        airings = self.timeline_arrays()[1]
+        rows = np.asarray(region_ids, np.int64)
+        if self._first_id:
+            rows = rows - self._first_id
+        outside = rows.view(np.uint64) >= airings.shape[1]
+        rows = np.where(outside, 0, rows)
+        first = airings[0][rows]
+        bad = outside | (first < 0)
         if bad.any():
             missing = int(region_ids[np.argmax(bad)])
             raise BroadcastError(f"region {missing} not in schedule")
-        cycles, offsets = np.divmod(times, length)
-        cycles = cycles.astype(np.int64)
-        return np.where(positions >= offsets, cycles, cycles + 1) * length + positions
+        base = np.floor_divide(times, length).astype(np.int64) * length
+        arrival = base + first
+        wrapped = arrival + length
+        for later in airings[1:]:
+            arrival = np.where(arrival < times, base + later[rows], arrival)
+        return np.where(arrival < times, wrapped, arrival)
 
     @property
     def index_overhead_packets(self) -> int:

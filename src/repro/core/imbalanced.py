@@ -81,7 +81,9 @@ def build_imbalanced_dtree(
 
 
 def region_depths(tree: DTree) -> Dict[int, int]:
-    """Depth (nodes visited) of every region's data pointer."""
+    """Region id -> nodes on the path to its data pointer plus one
+    (``leaf_depths() + 1``: a one-node tree reads 2); the single region
+    of a rootless tree reads 0."""
     if tree.root is None:
         return tree.leaf_depths()
     return {rid: depth + 1 for rid, depth in tree.leaf_depths().items()}

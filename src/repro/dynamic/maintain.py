@@ -7,10 +7,10 @@ logical index over the new subdivision whose answers are exactly those
 of a from-scratch build.  How much work that takes is the family's
 business:
 
-* **R*-tree** — genuinely incremental: delete the old entries of the
-  removed ids (CondenseTree + orphan reinsertion), insert the new
-  entries of the added ids.  Cost scales with the churn, not the
-  dataset.
+* **R*-tree** — genuinely incremental: on a copy of the node table,
+  delete the old entries of the removed ids (CondenseTree + orphan
+  reinsertion), insert the new entries of the added ids.  Cost scales
+  with the churn, not the dataset.
 * **D-tree** — bounded-staleness subtree rebuild: only the deepest
   subtree containing every changed region is rebuilt and spliced into
   a new tree (the old one stays as paged past versions aired it).
@@ -47,8 +47,9 @@ class IndexMaintainer:
     """Full-rebuild fallback — the contract every maintainer satisfies.
 
     ``apply(index, new_subdivision, batch)`` returns the maintained
-    logical index (the same object mutated, a new one, or a fresh
-    build).  The counters ``incremental_applies`` / ``full_rebuilds``
+    logical index (*index* itself for an empty batch, else a new one or
+    a fresh build) and leaves *index* as it was: a paged past version
+    may still hold it.  The counters ``incremental_applies`` / ``full_rebuilds``
     let experiments report how often the cheap path was taken.
     """
 
@@ -99,9 +100,13 @@ class RStarMaintainer(IndexMaintainer):
         return tree.ensure_built()
 
     def apply(self, index, new_subdivision: Subdivision, batch: UpdateBatch):
+        """The maintained tree: a copy of *index* with the batch's
+        deletes and inserts applied (*index* itself, which a paged past
+        version may still hold, is not changed)."""
         if batch.is_empty:
             return index
         self.incremental_applies += 1
+        index = index.copy()
         index.apply_updates(new_subdivision, batch)
         return index
 

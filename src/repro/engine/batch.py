@@ -13,10 +13,9 @@ in bulk, as a thin resolver over the access walker's batched front door
   traversal for the D-tree, vectorized MBR tests for the R*-tree), with
   packet paths only when the walker needs them;
 * the walker runs the broadcast timeline (probe → next index segment →
-  data bucket) over the whole batch: vectorised on the flat (1, m)
-  schedule, one hop pass over a K>1 plan, the schedule's own timeline
-  methods for duck-typed schedules (e.g. the skewed broadcast-disks
-  program).
+  data bucket) over the whole batch: vectorised over any single-channel
+  schedule table (the flat (1, m) program, broadcast disks, a
+  multiplexed service's slot), one hop pass over a K>1 plan.
 
 The result is an :class:`~repro.broadcast.client.AccessBatch` of
 per-query arrays whose values — and whose

@@ -18,9 +18,8 @@ Two groups of arrays travel through the arena:
   zero-copy and is rebuilt in a worker by setting its slots;
 * ``schedule.*`` — the timeline's memoized arrays
   (:meth:`~repro.broadcast.schedule.BroadcastSchedule.timeline_arrays`:
-  index-segment starts, dense region->position map), shipped whenever
-  the timeline's single-channel view is a flat schedule with a dense
-  position map.
+  index-segment starts, dense region->airings table), shipped whenever
+  the timeline is a single channel.
 
 A paged index without a compiled form, or whose compile step declines,
 falls back to the ``generic`` family: workers share the ``schedule.*``
@@ -30,7 +29,7 @@ arrays only and trace through the per-point reference path.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -129,18 +128,6 @@ class ShmArena:
 # -- compiled-state export / attach ------------------------------------------
 
 
-def _dense_schedule(timeline) -> Optional[BroadcastSchedule]:
-    """*timeline*'s single-channel view when it is a flat schedule with a
-    dense region->position map (the vectorised timeline), else None."""
-    schedule = single_channel_view(timeline)
-    if (
-        type(schedule) is BroadcastSchedule
-        and schedule.timeline_arrays()[1] is not None
-    ):
-        return schedule
-    return None
-
-
 def export_compiled_state(paged, schedule) -> Tuple[Dict[str, np.ndarray], dict]:
     """Arrays + meta describing *paged*'s compiled form and *schedule*'s
     memoized timeline arrays, ready for :meth:`ShmArena.create`."""
@@ -154,11 +141,11 @@ def export_compiled_state(paged, schedule) -> Tuple[Dict[str, np.ndarray], dict]
             value = getattr(compiled, slot)
             target = arrays if isinstance(value, np.ndarray) else meta
             target[f"{family}.{slot}"] = value
-    dense = _dense_schedule(schedule)
-    if dense is not None:
-        starts, positions = dense.timeline_arrays()
+    timeline = single_channel_view(schedule)
+    if isinstance(timeline, BroadcastSchedule):
+        starts, airings = timeline.timeline_arrays()
         arrays["schedule.segment_starts"] = starts
-        arrays["schedule.bucket_position"] = positions
+        arrays["schedule.airings"] = airings
     meta["index_version"] = _index_version(paged)
     return arrays, meta
 
@@ -199,5 +186,5 @@ def attach_compiled_state(
     if schedule is not None and "schedule.segment_starts" in views:
         single_channel_view(schedule)._timeline_arrays = (
             views["schedule.segment_starts"],
-            views["schedule.bucket_position"],
+            views["schedule.airings"],
         )

@@ -74,10 +74,6 @@ class _Seg:
     def slope(self) -> float:
         return (self.q.y - self.p.y) / (self.q.x - self.p.x)
 
-    def point_above(self, pt: Point) -> bool:
-        """True if *pt* is strictly above the segment's support line."""
-        return _cross(self.p, self.q, pt) > 0.0
-
     def __repr__(self) -> str:
         return f"_Seg({self.p!r}->{self.q!r}, above={self.above_region})"
 

@@ -13,6 +13,7 @@ targets (child node ids at internal nodes, region ids at leaves).
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -205,6 +206,21 @@ class RStarTree:
         if self.max_entries != fanout:
             tree = RStarTree.build(self.subdivision, fanout)
         return PagedRStarTree(tree, params)
+
+    def copy(self) -> "RStarTree":
+        """A tree with its own node table, to maintain while this one
+        stays as it is (a paged past version may still hold it);
+        ChooseSubtree's overlaps are rebuilt on first use."""
+        tree = copy.copy(self.ensure_built())
+        tree.node_level = list(self.node_level)
+        tree.node_boxes = [None if b is None else list(b) for b in self.node_boxes]
+        tree.node_targets = [
+            None if t is None else list(t) for t in self.node_targets
+        ]
+        tree._overlaps = {}
+        tree._free = list(self._free)
+        tree._reinserted_levels = set()
+        return tree
 
     def insert(self, region_id: int, mbr: Rect) -> None:
         """Insert one region MBR (R* InsertData)."""

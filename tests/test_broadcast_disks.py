@@ -16,6 +16,8 @@ from repro.broadcast.params import SystemParameters
 from repro.core.dtree import DTree
 from repro.core.paging import PagedDTree
 from repro.errors import BroadcastError
+from repro.obs import collecting
+from repro.simulation import make_error_model
 from repro.workload import zipf_region_workload
 
 PARAMS = SystemParameters(packet_capacity=1024)
@@ -136,3 +138,34 @@ class TestSkewedBeatsFlatUnderSkew:
         for p in wl.points[:50]:
             result = client.query(p, rng.uniform(0, skewed_schedule.cycle_length))
             assert result.region_id == voronoi60.locate(p)
+
+
+class TestLossyDisks:
+    def test_upper_bound_fallback_over_disks(self, voronoi60):
+        """A lost index packet over broadcast disks falls back to the
+        candidate buckets of the schedule's regions, batched or walked
+        one query at a time, and still answers exactly."""
+        params = SystemParameters.for_index("dtree", 256)
+        paged = PagedDTree(DTree.build(voronoi60), params)
+        weights = {rid: 1.0 + (rid % 7) ** 2 for rid in voronoi60.region_ids}
+        schedule = SkewedBroadcastSchedule(len(paged.packets), weights, params)
+        rng = random.Random(11)
+        points = voronoi60.random_points(60, rng)
+        times = [rng.uniform(0, schedule.cycle_length) for _ in points]
+
+        def client():
+            model = make_error_model("bernoulli", 0.2)
+            model.reset(random.Random(3))
+            return BroadcastClient(
+                paged, schedule, error_model=model,
+                policy="upper-bound-fallback",
+            )
+
+        with collecting() as col:
+            batch = client().run_batch(points, times)
+        looped = client()
+        results = [looped.query(p, t) for p, t in zip(points, times)]
+        assert col.counters["sim.fallbacks"] > 0
+        assert batch.region_ids.tolist() == [voronoi60.locate(p) for p in points]
+        assert batch.access_latency.tolist() == [r.access_latency for r in results]
+        assert batch.packet_losses.tolist() == [r.packet_losses for r in results]

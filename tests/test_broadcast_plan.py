@@ -17,7 +17,7 @@ from repro.broadcast import (
     available_allocations,
     register_allocation,
 )
-from repro.broadcast.multiplex import MultiplexedBroadcast, Service
+from repro.broadcast.multiplex import Service
 from repro.broadcast.packets import QueryTrace
 from repro.engine import INDEX_REGISTRY, evaluate_workload
 from repro.errors import BroadcastError
@@ -84,7 +84,7 @@ class TestK1Parity:
                 assert plan.is_single_channel
                 one = plan.primary_schedule
                 assert one.index_segment_starts == schedule.index_segment_starts
-                assert one.bucket_position == schedule.bucket_position
+                assert one.bucket_positions == schedule.bucket_positions
                 assert one.cycle_length == schedule.cycle_length
                 assert one.m == schedule.m
                 assert plan.cycle_length == schedule.cycle_length
@@ -564,27 +564,3 @@ class TestMultiplexPlanAndBisect:
         )
         with pytest.raises(BroadcastError, match="cannot be multiplexed"):
             Service("maps", paged, grid4x4.region_ids, params, plan=plan)
-
-    def test_next_occurrence_bisect_matches_linear_scan(self, grid4x4, grid3x5):
-        paged_a, params = _paged("dtree", grid4x4)
-        paged_b, _ = _paged("dtree", grid3x5)
-        mux = MultiplexedBroadcast([
-            Service("a", paged_a, grid4x4.region_ids, params),
-            Service("b", paged_b, grid3x5.region_ids, params, m=3),
-        ])
-
-        def linear(positions, time):
-            base = (time // mux.cycle_length) * mux.cycle_length
-            candidates = [base + p for p in positions]
-            candidates += [base + mux.cycle_length + p for p in positions]
-            return min(c for c in candidates if c >= time)
-
-        rng = random.Random(0)
-        for _ in range(3000):
-            name = rng.choice(["a", "b"])
-            t = rng.uniform(0, 4 * mux.cycle_length)
-            if rng.random() < 0.3:
-                t = float(int(t))  # exact slot boundaries
-            positions = mux._index_positions[name]
-            assert mux._next_occurrence(positions, t) == linear(positions, t)
-            assert mux.next_index_start(name, t) == linear(positions, t)

@@ -73,8 +73,8 @@ class TestScheduleTimeline:
         sched = BroadcastSchedule(
             index_packet_count=3, region_ids=list(range(7)), params=PARAMS_1K, m=3
         )
-        assert sorted(sched.bucket_position) == list(range(7))
-        positions = sorted(sched.bucket_position.values())
+        assert sorted(sched.bucket_positions) == list(range(7))
+        positions = sorted(sum(sched.bucket_positions.values(), []))
         assert len(set(positions)) == 7
 
     def test_m_capped_by_bucket_count(self):
@@ -102,7 +102,7 @@ class TestScheduleTimeline:
         sched = BroadcastSchedule(
             index_packet_count=4, region_ids=list(range(10)), params=PARAMS_1K, m=1
         )
-        pos = sched.bucket_position[0]
+        (pos,) = sched.bucket_positions[0]
         assert sched.next_bucket_arrival(0, 0.0) == pos
         assert sched.next_bucket_arrival(0, pos + 1) == pos + sched.cycle_length
 

@@ -31,6 +31,7 @@ whatever the interpreter.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import pickle
 import random
@@ -492,6 +493,11 @@ class ScalarRStarTree:
         if self.max_entries != fanout:
             tree = ScalarRStarTree.build(self.subdivision, fanout)
         return ScalarPagedRStarTree(tree, params)
+
+    def copy(self) -> "ScalarRStarTree":
+        """A tree with its own nodes and entries (the subdivision is
+        shared), for the maintainer to update."""
+        return copy.deepcopy(self, {id(self.subdivision): self.subdivision})
 
     def insert(self, region_id: int, mbr: Rect) -> None:
         self._reinserted_levels = set()

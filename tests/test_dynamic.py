@@ -477,8 +477,9 @@ class TestDynamicService:
         """Version 0, kept in history, traces and batch-traces as it did
         while it aired, however maintenance changed the live index since:
         both when it was compiled before the updates and when its first
-        trace comes after them.  Five moved sites per step make the
-        D-tree rebuild; one makes it splice."""
+        trace comes after them; its logical tree still locates as its
+        packets trace.  Five moved sites per step make the D-tree
+        rebuild; one makes it splice."""
         for n_move in (5, 1):
             self._check_past_versions(kind, n_move)
 
@@ -517,7 +518,11 @@ class TestDynamicService:
             for new in steps:
                 server.apply_updates(new)
             assert server.version == len(steps)
-            assert answers(server.history[0][1], points) == aired
+            paged = server.history[0][1]
+            assert answers(paged, points) == aired
+            assert [paged.tree.locate(p) for p in points] == [
+                paged.trace(p).region_id for p in points
+            ]
             if kind == "dtree" and n_move == 1:
                 assert server.maintainer.incremental_applies > 0
 

@@ -25,8 +25,8 @@ class TestScheduleProperties:
         sched = BroadcastSchedule(
             index_p, list(range(n_regions)), params_1k, m=m
         )
-        assert sorted(sched.bucket_position) == list(range(n_regions))
-        positions = sorted(sched.bucket_position.values())
+        assert sorted(sched.bucket_positions) == list(range(n_regions))
+        positions = sorted(sum(sched.bucket_positions.values(), []))
         assert len(set(positions)) == n_regions
 
     @given(index_sizes, region_counts, ms)
@@ -50,7 +50,7 @@ class TestScheduleProperties:
         for start in sched.index_segment_starts:
             index_slots.update(range(start, start + index_p))
         bucket_slots = set()
-        for pos in sched.bucket_position.values():
+        for (pos,) in sched.bucket_positions.values():
             bucket_slots.update(range(pos, pos + sched.bucket_packets))
         assert not index_slots & bucket_slots
         assert len(index_slots) + len(bucket_slots) == sched.cycle_length
@@ -80,7 +80,7 @@ class TestScheduleProperties:
         region = n_regions // 2
         arrival = sched.next_bucket_arrival(region, t)
         assert arrival >= t
-        assert arrival % sched.cycle_length == sched.bucket_position[region]
+        assert [arrival % sched.cycle_length] == sched.bucket_positions[region]
 
 
 class TestOptimalMProperties:

@@ -12,11 +12,11 @@ plus version skew for the dynamic binding.  Whatever the combination:
 * a K=1 plan walks exactly like its schedule;
 * a cached walk never reads more index packets than an uncached one;
 * the batched front door ``run_batch`` equals a loop of ``query`` —
-  fields, counters and the error model's stream — on lossy K=1
-  timelines, error-free K>1 plans, error-free duck-typed schedules
-  (broadcast disks, a multiplexed service's slice) and every
-  configuration it walks query by query, with or without the points'
-  trace handed in.
+  fields, counters and the error model's stream — on every lossy or
+  error-free single-channel timeline (the flat schedule, broadcast
+  disks, a multiplexed service's slot, a K=1 plan), error-free K>1 plans
+  and every configuration it walks query by query, with or without the
+  points' trace handed in.
 """
 
 import random
@@ -95,7 +95,7 @@ def _mux_slice(kind):
         sub, paged, _ = _world(k)
         params = INDEX_REGISTRY[k].parameters(128)
         services.append(Service(k, paged, sub.region_ids, params))
-    return MultiplexedBroadcast(services)._walkers[kind].schedule
+    return MultiplexedBroadcast(services).timeline(kind)
 
 
 kinds = st.sampled_from(sorted(INDEX_REGISTRY))
@@ -136,8 +136,6 @@ def _client(paged, timeline, cache, loss, seed, start_channel=0):
 def _walk(kind, name, cache, loss, seed):
     sub, paged, timelines = _world(kind)
     timeline = timelines[name]
-    if name == "disks" and loss is not None and loss[2] == "upper-bound-fallback":
-        loss = (loss[0], loss[1], "retry-next-segment")  # disks list no region ids
     points, times = _queries(sub, timeline, seed)
     client = _client(paged, timeline, cache, loss, seed)
     return sub, points, times, [client.query(p, t) for p, t in zip(points, times)]
@@ -323,7 +321,7 @@ class TestBatchedWalker:
 
     @given(
         kinds,
-        st.sampled_from(["schedule", "k1"]),
+        st.sampled_from(["schedule", "k1", "disks", "mux"]),
         st.sampled_from(["bernoulli", "gilbert"]),
         st.sampled_from([0.0, 0.01, 0.1, 0.5]),
         st.sampled_from(sorted(RECOVERY_POLICIES)),
@@ -335,7 +333,7 @@ class TestBatchedWalker:
         self, kind, name, model, rate, policy, seed, traced
     ):
         sub, paged, timelines = _world(kind)
-        timeline = timelines[name]
+        timeline = _mux_slice(kind) if name == "mux" else timelines[name]
         points, times = _queries(sub, timeline, seed, n=30)
         col = _batch_matches_loop(
             paged, timeline, points, times, (model, rate, policy), seed,
@@ -399,7 +397,7 @@ class TestBatchedWalker:
     def test_error_free_duck_typed_schedule_matches_walk(
         self, kind, name, seed, traced
     ):
-        # One batched trace, then the schedule's own timeline methods.
+        # Broadcast disks and a multiplexed slot batch like the flat program.
         sub, paged, timelines = _world(kind)
         timeline = timelines["disks"] if name == "disks" else _mux_slice(kind)
         points, times = _queries(sub, timeline, seed, n=30)
@@ -420,7 +418,7 @@ class TestBatchedWalker:
 
     @given(
         kinds,
-        st.sampled_from(["disks", "k4-distributed"]),
+        st.sampled_from(["k4-distributed"]),
         st.sampled_from([None, 8]),
         seeds,
     )
@@ -428,7 +426,7 @@ class TestBatchedWalker:
     def test_unbatched_configurations_walk_query_by_query(
         self, kind, name, cache, seed
     ):
-        # Duck-typed schedules, lossy plans and caches keep the walk.
+        # Lossy plans and caches keep the walk.
         sub, paged, timelines = _world(kind)
         timeline = timelines[name]
         points, times = _queries(sub, timeline, seed, n=12)
