@@ -656,6 +656,21 @@ class _CompiledRStarTree:
     ``ring_max_y`` each leaf entry's ring bounding box (bit-equal to
     ``polygon.bbox``, the scalar containment test's gate), and
     ``read_table`` is ``packet`` followed by ``shape_packets``.
+
+    A leaf entry's ``~region_id`` is negative only because region ids
+    are ``>= 0`` (:class:`~repro.tessellation.subdivision.Subdivision`
+    rejects negative ones): the sign tells a data pointer from a child
+    node, here and in the cell table.
+
+    The ``cell_*`` slots are the cell table over the service area
+    (:func:`_rstar_cell_table`): ``cell_frame`` and ``cell_side`` as in
+    :class:`_CompiledTrapTree`, and per ``(cell, node)`` segment the
+    node's entries whose closed MBR meets the cell's box, in entry
+    order: segment *s* is ``cell_entry[cell_offsets[s] :
+    cell_offsets[s + 1]]``, and the last segment is empty.
+    ``cell_root`` is the root's segment in each cell (slot ``side *
+    side`` lists every entry of every node) and ``cell_next`` the
+    segment of a listed internal entry's child in the same cell.
     """
 
     __slots__ = (
@@ -673,6 +688,12 @@ class _CompiledRStarTree:
         "ring_max_x",
         "ring_max_y",
         "read_table",
+        "cell_frame",
+        "cell_side",
+        "cell_entry",
+        "cell_offsets",
+        "cell_root",
+        "cell_next",
     ) + tuple("edge_" + name for name in RegionEdges.__slots__)
 
 
@@ -681,7 +702,7 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
 
     The node, entry and shape arrays are the paged snapshot's own (the
     MBR slots are the rows of ``entry_boxes``); only the leaf kernel's
-    ring tables are built here."""
+    ring tables and the cell table are built here."""
     compiled = _cached_compiled(paged, "_compiled_rstar", None)
     if compiled is not None:
         return compiled
@@ -716,7 +737,70 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
             box[leaf] = reduce.reduceat(ring, first)
         setattr(ct, field, box)
     ct.read_table = np.concatenate((ct.packet, ct.shape_packets))
+    _rstar_cell_table(ct, paged.subdivision.service_area)
     return _store_compiled(paged, "_compiled_rstar", ct)
+
+
+def _rstar_cell_table(ct: _CompiledRStarTree, area) -> None:
+    """Fill *ct*'s cell table over the service *area*.
+
+    The grid is :func:`_cell_grid`'s over the entry count.  Cell ``k``
+    along x holds the floats from ``xe[k]`` to the float below
+    ``xe[k + 1]``, so an entry's closed MBR meets it exactly when
+    ``min_x < xe[k + 1]`` and ``max_x >= xe[k]``: two ``searchsorted``
+    calls give each entry's span of cells along each axis, with no
+    rounding margin, since the tracer's MBR test is the same float
+    comparison.  An entry a cell does not list fails that test for
+    every point the lookup maps into the cell.  The spans expand into
+    (cell, entry) pairs, sorted by cell and, within a cell, by entry
+    (hence by node); slot ``side * side`` lists every entry."""
+    nodes = len(ct.packet)
+    entries = len(ct.child)
+    box = (area.min_x, area.max_x, area.min_y, area.max_y)
+    ct.cell_frame, side, xe, ye = _cell_grid(box, entries)
+    ct.cell_side = side
+    cell = np.zeros(0, np.int64)
+    entry = np.zeros(0, np.int64)
+    if side:
+        x0 = np.searchsorted(xe[1:], ct.min_x, side="right")
+        nx = np.searchsorted(xe[:-1], ct.max_x, side="right") - x0
+        y0 = np.searchsorted(ye[1:], ct.min_y, side="right")
+        ny = np.searchsorted(ye[:-1], ct.max_y, side="right") - y0
+        ny = np.where(nx > 0, np.maximum(ny, 0), 0)
+        # (entry, row) pairs, then each row's run of cells.
+        row, owner, _ = ragged_ranges(y0, ny)
+        cell, run, _ = ragged_ranges(row * side + x0[owner], nx[owner])
+        entry = owner[run]
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        entry = entry[order]
+    cell = np.append(cell, np.full(entries, side * side, np.int64))
+    entry = np.append(entry, np.arange(entries, dtype=np.int64))
+    node = np.repeat(np.arange(nodes, dtype=np.int64), np.diff(ct.entry_start))
+    node = node[entry]
+    # Segments: the runs of one (cell, node); the empty one closes them.
+    head = np.ones(len(cell), bool)
+    head[1:] = (cell[1:] != cell[:-1]) | (node[1:] != node[:-1])
+    head = np.flatnonzero(head)
+    empty = len(head)
+    key = cell[head] * nodes + node[head]
+
+    def segment(cells, of):
+        want = cells * nodes + of
+        s = np.searchsorted(key, want)
+        hit = s < empty
+        hit[hit] = key[s[hit]] == want[hit]
+        return np.where(hit, s, empty)
+
+    child = ct.child[entry]
+    ct.cell_entry = entry.astype(np.int32)
+    ct.cell_offsets = np.append(head, [len(cell)] * 2).astype(np.int32)
+    ct.cell_root = segment(
+        np.arange(side * side + 1, dtype=np.int64), 0
+    ).astype(np.int32)
+    ct.cell_next = np.where(
+        child >= 0, segment(cell, np.maximum(child, 0)), empty
+    ).astype(np.int32)
 
 
 def _rstar_edges(ct: _CompiledRStarTree) -> RegionEdges:
@@ -745,14 +829,21 @@ def _trace_rstar_block(
     leaf_e: List[np.ndarray] = []
     fq = np.arange(m, dtype=np.int64)
     fv = np.zeros(m, np.int64)
+    # Each (query, node) pair expands into the node's entries its cell
+    # lists (:func:`_rstar_cell_table`), a segment of ``cell_entry``.
+    fs = ct.cell_root[_cell_of(ct.cell_frame, ct.cell_side, xs, ys)]
     while fq.size:
+        node_q.append(fq)
+        node_v.append(fv)
+        lo = ct.cell_offsets[fs]
+        slot, owner, _ = ragged_ranges(lo, ct.cell_offsets[fs + 1] - lo)
+        pe = ct.cell_entry[slot].astype(np.int64)
         if col is not None:
             col.count("trace.rstar.levels")
             col.observe("trace.rstar.frontier_width", fq.size)
-        node_q.append(fq)
-        node_v.append(fv)
-        lo = ct.entry_start[fv]
-        pe, owner, _ = ragged_ranges(lo, ct.entry_start[fv + 1] - lo)
+            col.count("trace.rstar.pairs", pe.size)
+            listed = ct.entry_start[fv + 1] - ct.entry_start[fv]
+            col.count("trace.rstar.cell_pruned", int(listed.sum()) - pe.size)
         pq = fq[owner]
         px = xs[pq]
         py = ys[pq]
@@ -764,12 +855,14 @@ def _trace_rstar_block(
         )
         pe = pe[inside]
         pq = pq[inside]
+        slot = slot[inside]
         code = ct.child[pe]
         leaf = code < 0
         leaf_q.append(pq[leaf])
         leaf_e.append(pe[leaf])
         fq = pq[~leaf]
         fv = code[~leaf]
+        fs = ct.cell_next[slot[~leaf]]
 
     # Leaf kernel: every candidate pair inside its polygon's closed
     # bbox (the entry MBR, up to ulps of region drift since insertion)
@@ -839,8 +932,11 @@ def _trace_batch_rstar(
 
     Blocks of at most :data:`_RSTAR_BLOCK_QUERIES` queries descend
     together: each level expands every (query, node) pair of the
-    frontier into its node's entries with :func:`ragged_ranges` and runs
-    the closed MBR test on the pairs; surviving internal entries form
+    frontier into the node's entries that the query's grid cell lists
+    (:func:`_rstar_cell_table`; every entry outside the grid box) with
+    :func:`ragged_ranges` and runs the closed MBR test on the pairs; an
+    entry a cell leaves out would fail that test, so the survivors are
+    the root descent's.  Surviving internal entries form
     the next frontier and surviving leaf entries become candidates.  All
     candidates are then classified in one
     :meth:`~repro.geometry.kernels.RegionEdges.classify_pairs` call,
@@ -1007,6 +1103,27 @@ def _cell_boxes(xe: np.ndarray, ye: np.ndarray, n: int):
     )
 
 
+def _cell_grid(box, count: int):
+    """``(frame, side, xe, ye)``: the grid over the query *box* ``(x_lo,
+    x_hi, y_lo, y_hi)`` for a structure of *count* nodes, side
+    :func:`_cell_side` of *count*, with its :func:`_cell_edges` along
+    each axis.  A degenerate or non-finite box, or a grid finer than
+    the floats, gets side 0 (a zero frame, no edges): every point then
+    looks up the one slot ``0``."""
+    x_lo, x_hi, y_lo, y_hi = box
+    side = _cell_side(count)
+    if np.isfinite(box).all() and x_hi > x_lo and y_hi > y_lo:
+        frame = np.array(
+            (x_lo, y_lo, side / (x_hi - x_lo), side / (y_hi - y_lo)), np.float64
+        )
+        xe = _cell_edges(frame[0], frame[2], side)
+        same = frame[1] == frame[0] and frame[3] == frame[2]
+        ye = xe if same else _cell_edges(frame[1], frame[3], side)
+        if xe is not None and ye is not None:
+            return frame, side, xe, ye
+    return np.zeros(4, np.float64), 0, None, None
+
+
 def _build_cell_table(compiled, box, node_count: int, root, step) -> None:
     """Fill *compiled*'s ``cell_*`` slots over the query *box*
     ``(x_lo, x_hi, y_lo, y_hi)``.
@@ -1023,17 +1140,7 @@ def _build_cell_table(compiled, box, node_count: int, root, step) -> None:
     cell's box is a union of the lookup's float ranges inside its
     parent's, so what the parent proved holds for it.
     """
-    x_lo, x_hi, y_lo, y_hi = box
-    side = _cell_side(node_count)
-    frame = np.zeros(4, np.float64)
-    xe = ye = None
-    if np.isfinite(box).all() and x_hi > x_lo and y_hi > y_lo:
-        frame[:] = (x_lo, y_lo, side / (x_hi - x_lo), side / (y_hi - y_lo))
-        xe = _cell_edges(frame[0], frame[2], side)
-        ye = _cell_edges(frame[1], frame[3], side)
-    if xe is None or ye is None:
-        frame[:] = 0.0
-        side = 0
+    frame, side, xe, ye = _cell_grid(box, node_count)
     state = {
         "node": np.array(root[:1], np.int64),
         "last": np.array(root[1:2], np.int64),

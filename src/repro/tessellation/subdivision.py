@@ -186,7 +186,9 @@ class EdgeTable:
 
 
 class Subdivision:
-    """A set of data regions tiling a rectangular service area."""
+    """A set of data regions tiling a rectangular service area.
+
+    Region ids are distinct and ``>= 0``."""
 
     def __init__(
         self,
@@ -198,6 +200,11 @@ class Subdivision:
         ids = [r.region_id for r in regions]
         if len(set(ids)) != len(ids):
             raise SubdivisionError("duplicate region ids")
+        negative = [i for i in ids if i < 0]
+        if negative:
+            # The index families store a data pointer as ``~region_id``
+            # and tell it from a child node by its sign.
+            raise SubdivisionError(f"negative region id {negative[0]}")
         self.regions: Tuple[DataRegion, ...] = tuple(regions)
         if service_area is None:
             service_area = Rect.union_of(r.polygon.bbox for r in regions)

@@ -85,6 +85,7 @@ from repro.engine.trace import (
     _CompiledTrianTree,
     _cached_compiled,
     _path_csr,
+    _rstar_cell_table,
     _slab_index,
     _store_compiled,
     _trace_batch_dtree,
@@ -819,6 +820,7 @@ def scalar_compile_rstar(paged: ScalarPagedRStarTree) -> _CompiledRStarTree:
             box[leaf] = reduce.reduceat(ring, first)
         setattr(ct, field, box)
     ct.read_table = np.concatenate((ct.packet, ct.shape_packets))
+    _rstar_cell_table(ct, subdivision.service_area)
     return _store_compiled(paged, "_compiled_rstar", ct)
 
 

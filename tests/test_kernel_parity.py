@@ -37,6 +37,7 @@ from repro.engine.trace import (
     _cell_edges,
     _cell_of,
     _compile_trap,
+    _rstar_cell_table,
     _store_compiled,
     _trace_batch_generic,
     _trap_cell_table,
@@ -613,7 +614,12 @@ class TestTraceObservability:
 
     COUNTERS = {
         "dtree": ("trace.dtree.levels",),
-        "rstar": ("trace.rstar.levels", "trace.rstar.leaf_pairs"),
+        "rstar": (
+            "trace.rstar.levels",
+            "trace.rstar.pairs",
+            "trace.rstar.cell_pruned",
+            "trace.rstar.leaf_pairs",
+        ),
         "trap": ("trace.trap.levels", "trace.trap.cell_skipped"),
         "trian": ("trace.trian.levels", "trace.trian.cell_skipped"),
     }
@@ -905,9 +911,11 @@ class TestTrapTies:
         )
 
 
-# -- certified cell starts (trap- and trian-tree) -------------------------------
+# -- certified cell starts (trap- and trian-tree) and cell lists (R*-tree) ------
 
 CELL_KINDS = ("trian", "trap")
+#: Families whose compiled form carries a grid (``cell_frame``/``cell_side``).
+GRID_KINDS = CELL_KINDS + ("rstar",)
 
 
 def _sheared_to(target, y):
@@ -973,8 +981,23 @@ def _leaf_start_points(kind, ct):
 
 
 def _structure_points(kind, paged, ct):
-    """Triangle vertices (trian), or x-node vertices and the x ties
-    where the paged and tree rules part (trap)."""
+    """Entry MBR corners and the floats one ulp outside them (rstar),
+    triangle vertices (trian), or x-node vertices and the x ties where
+    the paged and tree rules part (trap)."""
+    if kind == "rstar":
+        def around(lo, hi):
+            return np.stack(
+                (np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf)), 1
+            ).tolist()
+
+        return [
+            Point(x, y)
+            for gx, gy in zip(
+                around(ct.min_x, ct.max_x), around(ct.min_y, ct.max_y)
+            )
+            for x in gx
+            for y in gy
+        ]
     if kind == "trian":
         xs = np.concatenate((ct.ctri_ax, ct.ctri_bx, ct.ctri_cx))
         ys = np.concatenate((ct.ctri_ay, ct.ctri_by, ct.ctri_cy))
@@ -991,7 +1014,7 @@ def _cell_parity_points(kind, paged, seed=0):
     subdivision = paged.tree.subdivision
     return (
         _cell_probe_points(kind, ct, seed=seed)
-        + _leaf_start_points(kind, ct)
+        + ([] if kind == "rstar" else _leaf_start_points(kind, ct))
         + _structure_points(kind, paged, ct)
         + adversarial_points(subdivision, max_regions=None)
         + random_points_in(subdivision, 100, seed=seed)
@@ -1106,17 +1129,81 @@ def _assert_cell_table_is_certified(kind, paged):
     assert (ct.region[leaves] >= 0).all()
 
 
+def _scalar_rstar_cell_table(ct):
+    """``(cell_entry, cell_offsets, cell_root, cell_next)`` from a
+    cell-by-cell scan of the entry MBRs: per cell, then the full row,
+    per node, the entries whose closed MBR meets the cell's box."""
+    side = ct.cell_side
+    boxes = []
+    if side:
+        boxes = list(zip(*(b.tolist() for b in _cell_boxes(*_grid_edges(ct), side))))
+    starts = ct.entry_start.tolist()
+    child = ct.child.tolist()
+    names = ("min_x", "min_y", "max_x", "max_y")
+    mbrs = list(zip(*(getattr(ct, n).tolist() for n in names)))
+    lists = {}
+    for cell, box in enumerate(boxes + [None]):
+        for node in range(len(starts) - 1):
+            listed = [
+                e
+                for e in range(starts[node], starts[node + 1])
+                if box is None
+                or (
+                    mbrs[e][0] <= box[1]
+                    and mbrs[e][2] >= box[0]
+                    and mbrs[e][1] <= box[3]
+                    and mbrs[e][3] >= box[2]
+                )
+            ]
+            if listed:
+                lists[cell, node] = listed
+    segment = {key: s for s, key in enumerate(sorted(lists))}
+    empty = len(segment)
+    entry, offsets, following = [], [], []
+    for cell, node in sorted(lists):
+        offsets.append(len(entry))
+        for e in lists[cell, node]:
+            entry.append(e)
+            to = segment.get((cell, child[e]), empty) if child[e] >= 0 else empty
+            following.append(to)
+    offsets += [len(entry)] * 2
+    root = [segment.get((cell, 0), empty) for cell in range(len(boxes) + 1)]
+    return entry, offsets, root, following
+
+
+def _assert_rstar_table_is_a_scan(paged):
+    _, ct = compiled_form(paged)
+    names = ("entry", "offsets", "root", "next")
+    assert all(getattr(ct, "cell_" + n).dtype == np.int32 for n in names)
+    got = tuple(getattr(ct, "cell_" + n).tolist() for n in names)
+    assert got == _scalar_rstar_cell_table(ct)
+
+
+def _assert_rstar_parity(paged, points):
+    """:func:`_assert_parity_with_errors`, plus the ``paths=True`` CSRs
+    of the accepted points."""
+    accepted = [p for p in points if _accepts(paged, p)]
+    got = batched_trace(paged, accepted, paths=True)
+    want = _trace_batch_generic(paged, accepted, paths=True)
+    _assert_traces_equal(got, want)
+    assert got.path_offsets.tolist() == want.path_offsets.tolist()
+    assert got.path_packets.tolist() == want.path_packets.tolist()
+    _assert_parity_with_errors(paged, points)
+
+
 def _paged(kind, subdivision, capacity=256, seed=7):
     family = index_family(kind)
     return family.build(subdivision, seed=seed).page(family.parameters(capacity))
 
 
 class TestCellStarts:
-    """Each trap/trian descent starts at its grid cell's certified node:
-    answers, last packets, tuning and errors equal the per-point path's
-    on cell edges and corners (and one ulp either side), vertices, x
-    ties, outside the grid box and at leaf starts, and the table equals
-    a cell-by-cell scalar certification."""
+    """Each trap/trian descent starts at its grid cell's certified node,
+    and each R* frontier pair expands into the entries its cell lists:
+    answers, last packets, tuning, packet paths (R*) and errors equal
+    the per-point path's on cell edges and corners (and one ulp either
+    side), vertices, MBR corners, x ties, outside the grid box and at
+    leaf starts, and every table equals a cell-by-cell scalar
+    certification."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1163,7 +1250,7 @@ class TestCellStarts:
         _assert_traces_equal(got, _trace_batch_generic(paged, points))
         assert col.counters.get(f"trace.{kind}.levels", 0) == (kind == "trap")
 
-    @pytest.mark.parametrize("kind", CELL_KINDS)
+    @pytest.mark.parametrize("kind", GRID_KINDS)
     def test_cell_boxes_hold_exactly_what_the_lookup_maps_there(self, kind, voronoi60):
         """At every stage, a cell's box runs from the first float the
         lookup sends into it to the last: one ulp outside either end
@@ -1210,7 +1297,7 @@ class TestCellStarts:
         assert ((edges - lo) * scale >= k).all()
         assert ((np.nextafter(edges, -np.inf) - lo) * scale < k).all()
 
-    @pytest.mark.parametrize("kind", CELL_KINDS)
+    @pytest.mark.parametrize("kind", GRID_KINDS)
     def test_non_finite_and_outside_points_start_at_the_root(self, kind, voronoi60):
         """They start at the root and fail, or answer, as per point."""
         _, ct = compiled_form(_paged(kind, voronoi60))
@@ -1229,6 +1316,60 @@ class TestCellStarts:
             _assert_parity_with_errors(
                 paged, random_points_in(voronoi60, 20) + points
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small_subdivisions(), st.integers(0, 10_000), st.sampled_from([64, 256]))
+    def test_rstar_cell_probes_match_per_point_trace(self, subdivision, seed, capacity):
+        paged = _paged("rstar", subdivision, capacity, seed)
+        _assert_rstar_table_is_a_scan(paged)
+        _assert_rstar_parity(paged, _cell_parity_points("rstar", paged, seed))
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_rstar_table_equals_scalar_scan(self, name, request):
+        paged = _paged("rstar", request.getfixturevalue(name))
+        _, ct = compiled_form(paged)
+        entries = len(ct.child)
+        # The full row plus cell lists shorter than every entry per cell.
+        assert ct.cell_side > 1
+        assert entries < len(ct.cell_entry) < entries * (ct.cell_side**2 + 1)
+        _assert_rstar_table_is_a_scan(paged)
+
+    @pytest.mark.parametrize(
+        "make", [park_dataset, uniform_dataset, hospital_dataset],
+        ids=["PARK", "UNIFORM", "HOSPITAL"],
+    )
+    def test_rstar_paper_datasets_match_per_point_trace(self, make):
+        paged = _paged("rstar", make().subdivision, seed=0)
+        points = _cell_parity_points("rstar", paged)
+        rng = random.Random(5)
+        _assert_rstar_parity(paged, rng.sample(points, min(len(points), 3000)))
+
+    def test_rstar_degenerate_box_lists_every_entry(self, voronoi60):
+        """Over a query box of zero height every point expands every
+        entry, as the root descent does: the MBR-tested pairs are the
+        cell-list run's tested plus pruned pairs, and nothing is pruned."""
+        from repro.obs import collecting
+
+        paged = _paged("rstar", voronoi60)
+        points = random_points_in(voronoi60, 50, seed=2)
+        with collecting() as listed:
+            want = batched_trace(paged, points, paths=True)
+        _, ct = compiled_form(paged)
+        _rstar_cell_table(ct, Rect(0.0, 0.5, 1.0, 0.5))
+        assert ct.cell_side == 0 and ct.cell_root.tolist() == [0]
+        assert ct.cell_entry.tolist() == list(range(len(ct.child)))
+        _assert_rstar_table_is_a_scan(paged)
+        with collecting() as full:
+            got = batched_trace(paged, points, paths=True)
+        _assert_traces_equal(got, want)
+        assert got.path_packets.tolist() == want.path_packets.tolist()
+        _assert_traces_equal(got, _trace_batch_generic(paged, points))
+        assert listed.counters["trace.rstar.cell_pruned"] > 0
+        assert full.counters.get("trace.rstar.cell_pruned", 0) == 0
+        assert full.counters["trace.rstar.pairs"] == (
+            listed.counters["trace.rstar.pairs"]
+            + listed.counters["trace.rstar.cell_pruned"]
+        )
 
     @pytest.mark.parametrize("kind", CELL_KINDS)
     def test_degenerate_box_has_only_the_root_start(self, kind, voronoi60):
@@ -1319,3 +1460,23 @@ class TestCellStarts:
             assert got.region_ids[:2000].tolist() == want.region_ids.tolist()
             assert got.last_packet[:2000].tolist() == want.last_packet.tolist()
             assert got.tuning_time[:2000].tolist() == want.tuning_time.tolist()
+
+    def test_rstar_work_count_gate_on_park(self):
+        """25,000 uniform PARK points: the R* frontier MBR-tests at most
+        400,000 (query, entry) pairs (1,338,169 from the root)."""
+        from repro.obs import collecting
+
+        subdivision = park_dataset().subdivision
+        rng = np.random.default_rng(1)
+        n = 25_000
+        points = PointBatch(rng.random(n), rng.random(n))
+        paged = _paged("rstar", subdivision, seed=0)
+        with collecting() as col:
+            got = batched_trace(paged, points)
+        assert 0 < col.counters["trace.rstar.pairs"] <= 400_000
+        assert col.counters["trace.rstar.cell_pruned"] > 0
+        sample = points[:2000]
+        want = _trace_batch_generic(paged, sample)
+        assert got.region_ids[:2000].tolist() == want.region_ids.tolist()
+        assert got.last_packet[:2000].tolist() == want.last_packet.tolist()
+        assert got.tuning_time[:2000].tolist() == want.tuning_time.tolist()

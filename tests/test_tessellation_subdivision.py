@@ -30,6 +30,17 @@ class TestConstruction:
         with pytest.raises(SubdivisionError):
             Subdivision(regions)
 
+    def test_negative_ids_rejected(self):
+        """A relabelled 4x4 grid with ids -9..6 is refused up front,
+        naming the first negative id (the index families read a negative
+        child code as a data pointer ``~region_id``)."""
+        grid = grid_subdivision(4, 4)
+        regions = [DataRegion(r.region_id - 9, r.polygon) for r in grid.regions]
+        with pytest.raises(SubdivisionError, match="negative region id -9"):
+            Subdivision(regions, service_area=grid.service_area)
+        shifted = [DataRegion(r.region_id + 9, r.polygon) for r in regions]
+        assert Subdivision(shifted).region_ids == grid.region_ids
+
     def test_service_area_defaults_to_union_bbox(self):
         regions = [
             DataRegion(0, _square(0, 0, 1, 1)),
