@@ -459,6 +459,7 @@ class BroadcastClient:
         (re-keyed to the timeline's version)."""
         from repro.broadcast.plan import BroadcastPlan, single_channel_view
 
+        given = (paged_index, timeline)
         timeline = single_channel_view(timeline)
         self.plan = timeline if isinstance(timeline, BroadcastPlan) else None
         if len(paged_index.packets) != timeline.index_packet_count:
@@ -504,6 +505,9 @@ class BroadcastClient:
             self._counts = None
         else:
             self._counts = "client"
+        #: The objects bound, as given: a version-checked attempt re-binds
+        #: only when the server airs others.
+        self._bound = given
 
     def rebind(self, paged_index: PagedIndex, timeline) -> None:
         """Point the client at a new paged index + timeline (an index
@@ -571,7 +575,9 @@ class BroadcastClient:
             # The probe packet carries the version of the cycle airing
             # now: walk that cycle's index and schedule.
             self._notify("probe", attempt)
-            self._bind(server.paged, server.schedule)
+            paged, schedule = self._bound
+            if server.paged is not paged or server.schedule is not schedule:
+                self._bind(server.paged, server.schedule)
         model = self.error_model
         per_read = model is not None or server is not None
         if model is not None:

@@ -643,11 +643,11 @@ class _CompiledRStarTree:
     Nodes are indexed in DFS preorder, root at 0.  ``packet`` is each
     node's broadcast packet and node *i*'s entries are
     ``entry_start[i] : entry_start[i + 1]`` of the per-entry arrays: the
-    entry MBR (``min_x`` .. ``max_y``) and ``child``, the child node's
-    index for an internal entry or ``~region_id`` (always negative) for a
-    leaf entry.  A leaf entry's shape packets are
-    ``shape_packets[shape_start[e] : shape_start[e + 1]]`` (an empty
-    slice for internal entries).
+    entry's node ``entry_node``, its MBR (``min_x`` .. ``max_y``) and
+    ``child``, the child node's index for an internal entry or
+    ``~region_id`` (always negative) for a leaf entry.  A leaf entry's
+    shape packets are ``shape_packets[shape_start[e] : shape_start[e +
+    1]]`` (an empty slice for internal entries).
 
     The leaf kernel's tables are built once here too: the ``edge_*``
     slots are a :class:`~repro.geometry.kernels.RegionEdges` table with
@@ -676,6 +676,7 @@ class _CompiledRStarTree:
     __slots__ = (
         "packet",
         "entry_start",
+        "entry_node",
         "min_x",
         "min_y",
         "max_x",
@@ -709,6 +710,9 @@ def _compile_rstar(paged) -> _CompiledRStarTree:
     ct = _CompiledRStarTree()
     ct.packet = paged.node_packet
     ct.entry_start = paged.entry_start
+    ct.entry_node = np.repeat(
+        np.arange(len(ct.packet), dtype=np.int64), np.diff(ct.entry_start)
+    )
     ct.min_x, ct.min_y, ct.max_x, ct.max_y = paged.entry_boxes
     ct.child = paged.entry_child
     ct.shape_start = paged.shape_start
@@ -776,8 +780,7 @@ def _rstar_cell_table(ct: _CompiledRStarTree, area) -> None:
         entry = entry[order]
     cell = np.append(cell, np.full(entries, side * side, np.int64))
     entry = np.append(entry, np.arange(entries, dtype=np.int64))
-    node = np.repeat(np.arange(nodes, dtype=np.int64), np.diff(ct.entry_start))
-    node = node[entry]
+    node = ct.entry_node[entry]
     # Segments: the runs of one (cell, node); the empty one closes them.
     head = np.ones(len(cell), bool)
     head[1:] = (cell[1:] != cell[:-1]) | (node[1:] != node[:-1])
@@ -893,7 +896,7 @@ def _trace_rstar_block(
         regions = np.where(hit_entry < len(ct.child), 0, -1)
         return regions, None, None
     regions = ~ct.child[hit_entry]
-    hit_node = np.searchsorted(ct.entry_start, hit_entry, side="right") - 1
+    hit_node = ct.entry_node[hit_entry]
 
     # DFS order without recursion: node v is read at key v +
     # entry_start[v] and leaf entry e of node u tested at key u + 1 + e.
@@ -909,7 +912,7 @@ def _trace_rstar_block(
         col.count("trace.rstar.leaf_pairs_past_hit", int(past.sum()))
     cq = cq[~past]
     ce = ce[~past]
-    cu = np.searchsorted(ct.entry_start, ce, side="right") - 1
+    cu = ct.entry_node[ce]
     event_q = np.concatenate((nq, cq))
     key = np.concatenate((nv + ct.entry_start[nv], cu + 1 + ce))
     start = np.concatenate((nv, len(ct.packet) + ct.shape_start[ce]))

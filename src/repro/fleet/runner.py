@@ -65,8 +65,8 @@ class FleetSpec:
     """Everything a worker needs to evaluate chunks, picklable whole.
 
     ``mode="mobility"`` interprets the workload as *trajectories* (its
-    ``chunk`` returns :class:`~repro.mobility.trajectory.Trajectory`
-    objects) and folds chunks into a
+    ``chunk`` returns a :class:`~repro.mobility.trajectory.TrajectoryBatch`)
+    and folds chunks into a
     :class:`~repro.mobility.report.MobilityReport`; the mobility-only
     fields (``boundary_index``, ``epoch_slots``, ``max_epochs``,
     ``predictive``, ``km_per_unit``) are ignored by the other modes.

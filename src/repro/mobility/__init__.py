@@ -5,7 +5,8 @@ The source paper answers one query for a stationary client; this package
 adds the workload class its future work points at — clients that *move*,
 whose answers stay valid until a scope boundary is crossed:
 
-* :class:`Trajectory` + the chunked Philox workload generators
+* :class:`Trajectory`, the :class:`TrajectoryBatch` of many clients'
+  paths, and the chunked Philox workload generators
   (:class:`RandomWaypointWorkload`, :class:`BoundaryHuggingWorkload`);
 * sound scope-exit prediction for the continuous-query client
   (:mod:`repro.mobility.exitbound`);
@@ -15,7 +16,7 @@ whose answers stay valid until a scope boundary is crossed:
   :class:`MobilityReport` (headline metric: re-tunes per km).
 """
 
-from repro.mobility.trajectory import Trajectory
+from repro.mobility.trajectory import Trajectory, TrajectoryBatch
 from repro.mobility.workloads import (
     BoundaryHuggingWorkload,
     RandomWaypointWorkload,
@@ -41,6 +42,7 @@ from repro.mobility.units import DEFAULT_KM_PER_UNIT, units_per_slot
 
 __all__ = [
     "Trajectory",
+    "TrajectoryBatch",
     "RandomWaypointWorkload",
     "BoundaryHuggingWorkload",
     "RegionBoundaryIndex",

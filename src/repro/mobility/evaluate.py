@@ -1,8 +1,9 @@
 """Batched evaluation of trajectory workloads.
 
 :func:`evaluate_trajectory_workload` is the mobility analogue of
-:func:`repro.engine.evaluate_workload`: it takes a list of
-:class:`~repro.mobility.trajectory.Trajectory` objects, runs every
+:func:`repro.engine.evaluate_workload`: it takes a
+:class:`~repro.mobility.trajectory.TrajectoryBatch` (or a sequence of
+:class:`~repro.mobility.trajectory.Trajectory` objects), runs every
 client's continuous-query session against one (paged index, schedule)
 pair and returns a :class:`MobilityBatchResult` of per-client arrays —
 the in-memory shape for tests and single-machine experiments.  Fleet
@@ -40,7 +41,7 @@ from repro.obs import active_collector
 from repro.simulation.energy import EnergyModel
 from repro.simulation.faults import make_error_model
 from repro.mobility.exitbound import RegionBoundaryIndex
-from repro.mobility.trajectory import Trajectory, sample_epochs
+from repro.mobility.trajectory import TrajectoryBatch, sample_epochs
 from repro.mobility.units import DEFAULT_KM_PER_UNIT
 
 #: Default sampling-horizon cap per client (epochs); keeps fleet-scale
@@ -150,7 +151,9 @@ def evaluate_trajectory_workload(
 ) -> MobilityBatchResult:
     """Evaluate every trajectory's continuous-query session.
 
-    *trajectories* is a sequence of :class:`Trajectory` objects.  With
+    *trajectories* is a :class:`TrajectoryBatch`, such as a workload's
+    ``chunk``, or a sequence of :class:`Trajectory` objects (converted
+    to one).  With
     ``predictive=True`` (the default) each client skips epochs inside
     its sound scope-exit disk; ``predictive=False`` is the naive
     re-answer-every-epoch oracle.  Both produce the identical logical
@@ -171,8 +174,8 @@ def evaluate_trajectory_workload(
     its ``exit_bound(region_id, x, y)`` method; a duck type without the
     batched ``exit_bounds`` is called once per re-tuning client.
     """
-    trajectories = list(trajectories)
-    if not trajectories:
+    trajectories = TrajectoryBatch.of(trajectories)
+    if not len(trajectories):
         raise ReproError("need at least one trajectory")
     if not predictive:
         boundary_index = None
@@ -282,7 +285,8 @@ def _evaluate_waves(
     paged_index, trajectories, boundary_index, epoch_slots, max_epochs,
     walker, cache_packets,
 ) -> dict:
-    """Every session, all clients advanced in waves.
+    """Every session of the :class:`TrajectoryBatch` *trajectories*, all
+    clients advanced in waves.
 
     Every wave answers the clients due to re-tune with one batched
     trace, computes all their exit bounds in one call, advances each to
@@ -357,10 +361,6 @@ def _evaluate_waves(
         trace.region_ids, epoch_owner[at], head,
     )
     spans = np.where(epochs > 1, times[last] - times[first], 0.0)
-    speed = np.fromiter((t.speed for t in trajectories), np.float64, count=n)
-    length = np.fromiter(
-        (t.total_length for t in trajectories), np.float64, count=n
-    )
     session = {
         "epochs": epochs,
         "retunes": retunes,
@@ -372,7 +372,9 @@ def _evaluate_waves(
         "first_index_tuning": access.index_tuning_time[head],
         "first_tuning": access.total_tuning_time[head],
         "last_latency": latency[tail],
-        "distance_units": np.minimum(speed * spans, length),
+        "distance_units": np.minimum(
+            trajectories.speed * spans, trajectories.total_length
+        ),
         "answers": [
             answers[a:b] for a, b in zip(first.tolist(), (last + 1).tolist())
         ],

@@ -23,13 +23,13 @@ in km/h, for the fleet runner and the experiment cells alike.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.geometry.rect import Rect
-from repro.mobility.trajectory import Trajectory
+from repro.mobility.trajectory import TrajectoryBatch
 from repro.mobility.units import DEFAULT_KM_PER_UNIT, units_per_slot
 
 #: uint64 outputs per Philox counter block — the advance() unit.
@@ -88,27 +88,30 @@ class _TrajectoryWorkloadBase:
         bg.advance(start * self.blocks_per_client)
         return np.random.Generator(bg)
 
-    def chunk(self, start: int, size: int) -> List[Trajectory]:
-        """Trajectories ``[start, start + size)`` of the workload."""
+    def chunk(self, start: int, size: int) -> TrajectoryBatch:
+        """Trajectories ``[start, start + size)`` of the workload, drawn
+        straight from the Philox block into a :class:`TrajectoryBatch`."""
         if start < 0 or size < 0:
             raise ReproError(f"invalid chunk [{start}, {start} + {size})")
         g = self._generator_at(start)
         u = g.random((size, self.blocks_per_client * _WORDS_PER_BLOCK))
-        issue_times = u[:, 0] * self.cycle_length
         lo, hi = self.speed_range
-        speeds = lo + u[:, 1] * (hi - lo)
-        out: List[Trajectory] = []
-        for i in range(size):
-            xs, ys = self._waypoints_from(u[i, 2 : self.words_per_client])
-            out.append(
-                Trajectory(
-                    xs, ys, speed=float(speeds[i]),
-                    issue_time=float(issue_times[i]),
-                )
+        xs, ys = self._waypoints_from(
+            u[:, 2 : self.words_per_client].reshape(
+                size, self.waypoints, self._words_per_waypoint
             )
-        return out
+        )
+        return TrajectoryBatch(
+            np.arange(size + 1, dtype=np.int64) * self.waypoints,
+            xs.ravel(),
+            ys.ravel(),
+            speed=lo + u[:, 1] * (hi - lo),
+            issue_time=u[:, 0] * self.cycle_length,
+        )
 
     def _waypoints_from(self, words: np.ndarray):
+        """Waypoint coordinates, ``(size, waypoints)`` each, from the
+        ``(size, waypoints, words per waypoint)`` uniform draws."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -126,10 +129,9 @@ class RandomWaypointWorkload(_TrajectoryWorkloadBase):
     _words_per_waypoint = 2
 
     def _waypoints_from(self, words: np.ndarray):
-        pairs = words.reshape(self.waypoints, 2)
         area = self.area
-        xs = area.min_x + pairs[:, 0] * (area.max_x - area.min_x)
-        ys = area.min_y + pairs[:, 1] * (area.max_y - area.min_y)
+        xs = area.min_x + words[..., 0] * (area.max_x - area.min_x)
+        ys = area.min_y + words[..., 1] * (area.max_y - area.min_y)
         return xs, ys
 
 
@@ -171,13 +173,12 @@ class BoundaryHuggingWorkload(_TrajectoryWorkloadBase):
         self._by = np.array([e.b.y for e in edges])
 
     def _waypoints_from(self, words: np.ndarray):
-        triples = words.reshape(self.waypoints, 3)
         n_edges = self._ax.size
         # u in [0, 1) scales to [0, n_edges) so the int cast never lands
         # on n_edges; the clip guards the measure-zero u == 1.0 anyway.
-        idx = np.minimum((triples[:, 0] * n_edges).astype(np.int64), n_edges - 1)
-        t = triples[:, 1]
-        side = np.where(triples[:, 2] < 0.5, -1.0, 1.0)
+        idx = np.minimum((words[..., 0] * n_edges).astype(np.int64), n_edges - 1)
+        t = words[..., 1]
+        side = np.where(words[..., 2] < 0.5, -1.0, 1.0)
         ax, ay = self._ax[idx], self._ay[idx]
         dx, dy = self._bx[idx] - ax, self._by[idx] - ay
         length = np.hypot(dx, dy)

@@ -156,6 +156,10 @@ class GilbertElliott(ErrorModel):
         self.p_bad_to_good = p_bad_to_good
         self.loss_good = loss_good
         self.loss_bad = loss_bad
+        total = p_good_to_bad + p_bad_to_good
+        self._pi_bad = p_good_to_bad / total if total != 0.0 else 0.0
+        #: The chain's second eigenvalue, 1 - p_good_to_bad - p_bad_to_good.
+        self._lam = 1.0 - p_good_to_bad - p_bad_to_good
         self._bad = False
         self._slot: Optional[int] = None
 
@@ -178,11 +182,9 @@ class GilbertElliott(ErrorModel):
 
     @property
     def stationary_bad(self) -> float:
-        """Stationary probability of the fade state."""
-        total = self.p_good_to_bad + self.p_bad_to_good
-        if total == 0.0:
-            return 0.0
-        return self.p_good_to_bad / total
+        """Stationary probability of the fade state (fixed at
+        construction, like the transition probabilities)."""
+        return self._pi_bad
 
     @property
     def stationary_loss_rate(self) -> float:
@@ -192,7 +194,7 @@ class GilbertElliott(ErrorModel):
 
     def start_query(self) -> None:
         """Draw the fade state from the stationary distribution."""
-        self._bad = self._rng.random() < self.stationary_bad
+        self._bad = self._rng.random() < self._pi_bad
         self._slot = None
 
     def _bad_probability_after(
@@ -201,10 +203,9 @@ class GilbertElliott(ErrorModel):
         """P(bad after *steps* slots | state *bad* now, default the
         current state), in closed form: pi_bad + (1{bad} - pi_bad) *
         lambda^steps with lambda = 1 - p_good_to_bad - p_bad_to_good."""
-        pi_bad = self.stationary_bad
-        lam = 1.0 - self.p_good_to_bad - self.p_bad_to_good
+        pi_bad = self._pi_bad
         start = 1.0 if (self._bad if bad is None else bad) else 0.0
-        return pi_bad + (start - pi_bad) * lam**steps
+        return pi_bad + (start - pi_bad) * self._lam**steps
 
     def packet_lost(self, slot: int) -> bool:
         if self._slot is not None:

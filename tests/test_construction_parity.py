@@ -771,11 +771,13 @@ def scalar_compile_rstar(paged: ScalarPagedRStarTree) -> _CompiledRStarTree:
     nodes = paged.tree.nodes_depth_first()
     position = {id(node): i for i, node in enumerate(nodes)}
     mbrs = []
+    owner: List[int] = []
     child: List[int] = []
     shapes: List[Sequence[int]] = []
     rings: List[Sequence[Point]] = []
-    for node in nodes:
+    for i, node in enumerate(nodes):
         for entry in node.entries:
+            owner.append(i)
             mbrs.append(entry.mbr)
             if node.is_leaf:
                 child.append(~entry.region_id)
@@ -793,6 +795,7 @@ def scalar_compile_rstar(paged: ScalarPagedRStarTree) -> _CompiledRStarTree:
     )
     ct.entry_start = np.zeros(len(nodes) + 1, np.int64)
     np.cumsum([len(node.entries) for node in nodes], out=ct.entry_start[1:])
+    ct.entry_node = np.asarray(owner, np.int64)
     for field in ("min_x", "min_y", "max_x", "max_y"):
         setattr(
             ct,

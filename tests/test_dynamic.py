@@ -473,6 +473,27 @@ class TestDynamicService:
                 assert result.wasted_tuning > 0
         assert fired  # the update really landed mid-read
 
+    def test_update_between_queries_rebinds(self, kind):
+        """A client that skips re-binding an unchanged server still
+        binds the next version once an update airs between queries."""
+        sites = _sites(40, seed=31)
+        sub = sites_subdivision(sites, AREA)
+        (_, new, batch), = _churn_chain(
+            sites, steps=1, seed=31, n_insert=1, n_delete=1, n_move=1,
+            move_scale=MOVE_SCALE,
+        )
+        server = DynamicBroadcastServer(kind, sub, packet_capacity=128)
+        client = DynamicBroadcastClient(server)
+        p = new.random_points(1, random.Random(2))[0]
+        first = client.query(p, 3.0)
+        assert first.version == 0 and first.region_id == sub.locate(p)
+        server.apply_updates(new, batch)
+        second = client.query(p, 3.0)
+        assert second.version == 1 and second.attempts == 1
+        assert second.region_id == new.locate(p)
+        assert client.paged_index is server.paged
+        assert client.schedule is server.schedule
+
     def test_past_versions_answer_as_when_they_aired(self, kind):
         """Version 0, kept in history, traces and batch-traces as it did
         while it aired, however maintenance changed the live index since:

@@ -29,6 +29,7 @@ from repro.mobility import (
     RandomWaypointWorkload,
     RegionBoundaryIndex,
     Trajectory,
+    TrajectoryBatch,
     default_epoch_slots,
     evaluate_trajectory_workload,
     units_per_slot,
@@ -391,6 +392,30 @@ def test_sample_epochs_matches_per_trajectory_sampling(max_epochs):
     positions = [t.positions_at(g) for t, g in zip(trajectories, grids)]
     np.testing.assert_array_equal(xs, np.concatenate([p[0] for p in positions]))
     np.testing.assert_array_equal(ys, np.concatenate([p[1] for p in positions]))
+
+
+@pytest.mark.parametrize("workload", ["random-waypoint", "boundary-hugging"])
+def test_a_batch_evaluates_as_its_trajectory_list(workload):
+    """A workload chunk (a :class:`TrajectoryBatch`) and the list of its
+    :class:`Trajectory` rows give the same result, field for field."""
+    paged, params, schedule = STACKS["dtree"]
+    batch = _workload(workload, seed=11).chunk(0, 40)
+    assert isinstance(batch, TrajectoryBatch)
+    a, b = (
+        evaluate_trajectory_workload(
+            paged, [], params, trajectories, boundary_index=BOUNDARY,
+            schedule=schedule, error_rate=0.1, seed=4,
+        )
+        for trajectories in (batch, list(batch))
+    )
+    for field in type(a).__slots__:
+        got, want = getattr(a, field), getattr(b, field)
+        if field == "answers":
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x, y)
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=field)
 
 
 def test_sample_epochs_refuses_unbounded_grids():

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the mobility layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from repro.mobility import (
     BoundaryHuggingWorkload,
     RandomWaypointWorkload,
     Trajectory,
+    TrajectoryBatch,
 )
-from repro.mobility.trajectory import MAX_EPOCH_GRID
+from repro.mobility.trajectory import MAX_EPOCH_GRID, sample_epochs
 
 SUBDIVISION = uniform_dataset(n=30, seed=13).subdivision
 
@@ -147,3 +150,131 @@ class TestTrajectoryProperties:
         # Endpoints clamp to the first/last waypoint.
         assert px[0] == t.xs[0] and py[0] == t.ys[0]
         assert px[-1] == t.xs[-1] and py[-1] == t.ys[-1]
+
+
+# -- the batch sampler against the per-trajectory oracle ----------------------
+
+#: A few shared values make repeated waypoints (zero-length segments,
+#: tied arc lengths) likely; the wide floats make everything else.
+waypoint_coords = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=-100.0, max_value=100.0,
+              allow_nan=False, allow_infinity=False),
+)
+speeds = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=10.0),
+)
+
+
+@st.composite
+def trajectories(draw):
+    count = draw(waypoint_counts)
+    xs = draw(st.lists(waypoint_coords, min_size=count, max_size=count))
+    ys = draw(st.lists(waypoint_coords, min_size=count, max_size=count))
+    return Trajectory(
+        xs, ys, speed=draw(speeds),
+        issue_time=draw(st.floats(min_value=0.0, max_value=1000.0)),
+    )
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.int64)
+
+
+class TestBatchSampler:
+    @given(st.lists(trajectories(), min_size=1, max_size=8),
+           st.floats(min_value=0.5, max_value=500.0),
+           st.sampled_from([0, 1, 4, 32]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_trajectory_sampling(self, paths, epoch, max_epochs):
+        """``sample_epochs`` over a batch is ``epoch_times`` and
+        ``positions_at`` per trajectory, bit for bit, and refuses the
+        first over-long grid with its message."""
+        grids = []
+        for i, t in enumerate(paths):
+            try:
+                grids.append(t.epoch_times(epoch, max_epochs))
+            except ReproError as err:
+                with pytest.raises(ReproError) as refused:
+                    sample_epochs(paths, epoch, max_epochs)
+                assert "set max_epochs" in str(err)
+                assert str(refused.value) == f"trajectory {i}: {err}"
+                return
+        times, xs, ys, counts = sample_epochs(
+            TrajectoryBatch.of(paths), epoch, max_epochs
+        )
+        positions = [t.positions_at(g) for t, g in zip(paths, grids)]
+        assert counts.tolist() == [g.size for g in grids]
+        np.testing.assert_array_equal(_bits(times), _bits(np.concatenate(grids)))
+        np.testing.assert_array_equal(
+            _bits(xs), _bits(np.concatenate([p[0] for p in positions]))
+        )
+        np.testing.assert_array_equal(
+            _bits(ys), _bits(np.concatenate([p[1] for p in positions]))
+        )
+
+    @given(st.lists(trajectories(), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_trajectories(self, paths):
+        batch = TrajectoryBatch.of(paths)
+        assert len(batch) == len(paths)
+        for a, b in zip(batch, paths):
+            for field in ("xs", "ys", "cum_lengths"):
+                np.testing.assert_array_equal(
+                    _bits(getattr(a, field)), _bits(getattr(b, field))
+                )
+            assert (a.speed, a.issue_time) == (b.speed, b.issue_time)
+        np.testing.assert_array_equal(
+            _bits(batch.total_length), _bits([t.total_length for t in paths])
+        )
+
+    @given(st.lists(trajectories(), min_size=1, max_size=6),
+           st.sampled_from(["x", "y", "speed", "issue_time"]),
+           st.sampled_from([math.nan, math.inf, -math.inf, -1.0]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rejects_like_the_trajectory(self, paths, field, bad, data):
+        """A corrupted client is reported with :class:`Trajectory`'s
+        message, prefixed by its position."""
+        i = data.draw(st.integers(min_value=0, max_value=len(paths) - 1))
+        rows = [[t.xs, t.ys, t.speed, t.issue_time] for t in paths]
+        row = rows[i]
+        if field in ("x", "y"):
+            if bad == -1.0:
+                bad = math.nan  # a negative coordinate is valid
+            axis = 0 if field == "x" else 1
+            row[axis] = row[axis].copy()
+            row[axis][data.draw(st.integers(0, row[axis].size - 1))] = bad
+        else:
+            row[2 if field == "speed" else 3] = bad
+        with pytest.raises(ReproError) as scalar:
+            Trajectory(*row)
+        offsets = np.cumsum([0] + [r[0].size for r in rows])
+        with pytest.raises(ReproError) as batched:
+            TrajectoryBatch(
+                offsets,
+                np.concatenate([r[0] for r in rows]),
+                np.concatenate([r[1] for r in rows]),
+                [r[2] for r in rows],
+                [r[3] for r in rows],
+            )
+        assert str(batched.value) == f"trajectory {i}: {scalar.value}"
+
+    def test_rejects_malformed_layout(self):
+        xs = ys = [0.0, 1.0, 2.0]
+        for offsets, clients in (
+            ([1, 3], 1), ([0, 2], 1), ([0, 2, 1, 3], 3), ([0, 3], 2)
+        ):
+            with pytest.raises(ReproError, match="offsets must run"):
+                TrajectoryBatch(
+                    offsets, xs, ys, [1.0] * clients, [0.0] * clients
+                )
+        with pytest.raises(ReproError, match="equal-length"):
+            TrajectoryBatch([0, 3], xs, ys[:2], [1.0], [0.0])
+        with pytest.raises(ReproError, match="speed and issue_time"):
+            TrajectoryBatch([0, 3], xs, ys, [1.0], [0.0, 1.0])
+        batch = TrajectoryBatch([0, 1, 3], xs, ys, [1.0, 2.0], [0.0, 5.0])
+        assert batch[-1].issue_time == 5.0 and batch[0].xs.tolist() == [0.0]
+        with pytest.raises(IndexError):
+            batch[2]
